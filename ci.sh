@@ -35,6 +35,9 @@ run_no_warnings cargo test --offline --workspace -q --release
 echo "==> cargo test --test faults (fault injection & recovery)"
 run_no_warnings cargo test --offline --test faults -q
 
+echo "==> E14 telemetry replay (registry agrees with reports, output identical with telemetry on/off)"
+run_no_warnings cargo run --offline -q -p ofpc-bench --bin expt_telemetry
+
 echo "==> telemetry overhead gate (disabled handle within noise of baseline)"
 run_no_warnings cargo bench --offline -q -p ofpc-bench --bench telemetry_overhead
 

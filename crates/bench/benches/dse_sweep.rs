@@ -9,20 +9,17 @@
 //! 2. **Throughput regression** — the full sequential E17 sweep (54
 //!    design points, closed-form pricing) must stay within
 //!    [`MAX_REGRESSION`] (+50%) of the `dse_sweep_ms` figure pinned in
-//!    `BENCH_BASELINE.json`. The baseline file is shared with
-//!    `par_scaling`, which rewrites it with only its own keys when it
-//!    re-records — so this gate reads and writes the file as a JSON
-//!    value tree, preserving every key it does not own, and keeps its
-//!    own core-count stamp (`dse_sweep_cores`) so the two gates
-//!    re-record independently. A missing file, missing key, core-count
-//!    mismatch, or `OFPC_BENCH_RECORD=1` re-records instead of failing.
+//!    `BENCH_BASELINE.json`, under its own core-count stamp
+//!    (`dse_sweep_cores`) so it re-records independently of the other
+//!    gates. A missing file, missing key, core-count mismatch, or
+//!    `OFPC_BENCH_RECORD=1` re-records this gate's keys through
+//!    [`ofpc_bench::gate`] instead of failing.
 
+use ofpc_bench::gate::{best_time, cores, Baseline};
 use ofpc_bench::golden;
 use ofpc_dse::{run_sweep, SweepSpec};
 use ofpc_par::WorkerPool;
-use serde_json::Value;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Gate: the sequential sweep may regress at most this much. Wider
 /// than `par_scaling`'s 1.10 because one trial here is only ~10 ms —
@@ -36,21 +33,6 @@ const TIMING_REPS: usize = 15;
 /// Full-sweep invocations per trial, so one trial is comfortably above
 /// timer resolution.
 const SWEEPS_PER_TRIAL: usize = 10;
-const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_BASELINE.json");
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-fn best_time(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
 
 fn sweep_kernel() {
     let pool = WorkerPool::sequential();
@@ -73,80 +55,35 @@ fn check_determinism() {
     );
 }
 
-/// Fetch a numeric key from the baseline map, if present.
-fn get_num(map: &[(String, Value)], key: &str) -> Option<f64> {
-    map.iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| v.as_f64())
-}
-
-/// Insert-or-replace a key in the baseline map.
-fn set_key(map: &mut Vec<(String, Value)>, key: &str, value: Value) {
-    match map.iter_mut().find(|(k, _)| k == key) {
-        Some((_, v)) => *v = value,
-        None => map.push((key.to_string(), value)),
-    }
-}
-
 fn check_throughput_regression() {
     // Warm-up pass.
     sweep_kernel();
     let measured_ms = best_time(TIMING_REPS, sweep_kernel) * 1e3;
-    let measured_cores = cores();
-
-    // Load the shared baseline as a value tree; unknown/absent states
-    // re-record rather than fail.
-    let mut map: Vec<(String, Value)> = match std::fs::read_to_string(BASELINE_PATH) {
-        Ok(text) => match serde_json::from_str::<Value>(&text) {
-            Ok(Value::Map(m)) => m,
-            _ => Vec::new(),
-        },
-        Err(_) => Vec::new(),
-    };
-
-    let record_reason = if std::env::var_os("OFPC_BENCH_RECORD").is_some() {
-        Some("OFPC_BENCH_RECORD set".to_string())
-    } else {
-        match (
-            get_num(&map, "dse_sweep_cores"),
-            get_num(&map, "dse_sweep_ms"),
-        ) {
-            (Some(c), Some(want)) if c as usize == measured_cores => {
-                println!(
-                    "dse_sweep: {SWEEPS_PER_TRIAL}x E17 sweep {measured_ms:.2} ms vs baseline \
-                     {want:.2} ms (gate {:.2} ms)",
-                    want * MAX_REGRESSION
-                );
-                assert!(
-                    measured_ms <= want * MAX_REGRESSION,
-                    "dse_sweep: sweep throughput regressed: {measured_ms:.2} ms vs baseline \
-                     {want:.2} ms (+{:.0}% allowed); if intentional, re-pin with \
-                     OFPC_BENCH_RECORD=1",
-                    (MAX_REGRESSION - 1.0) * 100.0,
-                );
-                None
-            }
-            (Some(c), Some(_)) => Some(format!(
-                "baseline is from a {}-core machine, this one has {measured_cores}",
-                c as usize
-            )),
-            _ => Some("no dse_sweep baseline keys".to_string()),
+    let mut base = Baseline::load();
+    match base.pinned("dse_sweep", "dse_sweep_cores", &["dse_sweep_ms"]) {
+        Ok(pinned) => {
+            let want = pinned[0];
+            println!(
+                "dse_sweep: {SWEEPS_PER_TRIAL}x E17 sweep {measured_ms:.2} ms vs baseline \
+                 {want:.2} ms (gate {:.2} ms)",
+                want * MAX_REGRESSION
+            );
+            assert!(
+                measured_ms <= want * MAX_REGRESSION,
+                "dse_sweep: sweep throughput regressed: {measured_ms:.2} ms vs baseline \
+                 {want:.2} ms (+{:.0}% allowed); if intentional, re-pin with \
+                 OFPC_BENCH_RECORD=1",
+                (MAX_REGRESSION - 1.0) * 100.0,
+            );
         }
-    };
-
-    if let Some(reason) = record_reason {
-        set_key(
-            &mut map,
-            "dse_sweep_cores",
-            Value::UInt(measured_cores as u64),
-        );
-        set_key(&mut map, "dse_sweep_ms", Value::Float(measured_ms));
-        let json = serde_json::to_string_pretty(&Value::Map(map)).expect("serialize baseline");
-        std::fs::write(BASELINE_PATH, json + "\n").expect("write BENCH_BASELINE.json");
-        println!(
-            "dse_sweep: recorded new baseline ({reason}): {measured_ms:.2} ms on \
-             {measured_cores} core(s)"
-        );
+        Err(reason) => {
+            base.record("dse_sweep_cores", &[("dse_sweep_ms", measured_ms)]);
+            println!(
+                "dse_sweep: recorded new baseline ({reason}): {measured_ms:.2} ms on \
+                 {} core(s)",
+                cores()
+            );
+        }
     }
 }
 

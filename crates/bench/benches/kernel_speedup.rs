@@ -16,12 +16,10 @@
 //!    machine's milliseconds would measure the hardware, not the code.
 //! 3. **Vectorized regression** — the vectorized kernel must stay
 //!    within [`MAX_VEC_REGRESSION`] (+50%) of the `dot_product_vec_ms`
-//!    figure pinned in `BENCH_BASELINE.json`. The baseline file is
-//!    shared with `par_scaling` and `dse_sweep`, so this gate reads and
-//!    writes it as a JSON value tree (preserving keys it does not own)
-//!    and keeps its own core stamp (`kernel_vec_cores`). A missing
-//!    file, missing key, core mismatch, or `OFPC_BENCH_RECORD=1`
-//!    re-records instead of failing.
+//!    figure pinned in `BENCH_BASELINE.json`, under its own core stamp
+//!    (`kernel_vec_cores`). A missing file, missing key, core mismatch,
+//!    or `OFPC_BENCH_RECORD=1` re-records this gate's keys through
+//!    [`ofpc_bench::gate`] instead of failing.
 //!
 //! Both kernels replicate `par_scaling`'s `dot_product_kernel` exactly
 //! (seed 1, realistic config, 256 calibration symbols, 200 length-256
@@ -30,11 +28,10 @@
 //! multiply-accumulates per wall-clock second — the unit the photonics
 //! literature quotes for analog compute engines.
 
+use ofpc_bench::gate::{best_time, cores, Baseline};
 use ofpc_engine::dot::{DotProductUnit, DotUnitConfig, KernelBackend};
 use ofpc_photonics::SimRng;
-use serde_json::Value;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Gate: vectorized must beat scalar by at least this factor.
 const MIN_SPEEDUP: f64 = 5.0;
@@ -49,21 +46,6 @@ const TIMING_REPS: usize = 5;
 const ROWS: usize = 200;
 /// Row length per invocation (matches `par_scaling`).
 const ROW_LEN: usize = 256;
-const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_BASELINE.json");
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-fn best_time(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// The P1 dot-product hot loop from `par_scaling`, parameterized on the
 /// kernel backend: realistic calibrated unit, 200 length-256 MVM rows.
@@ -83,21 +65,6 @@ fn dot_product_kernel(backend: KernelBackend) {
 /// GMAC/s for one kernel invocation that took `secs` seconds.
 fn gmacs(secs: f64) -> f64 {
     (ROWS * ROW_LEN) as f64 / secs / 1e9
-}
-
-/// Fetch a numeric key from the baseline map, if present.
-fn get_num(map: &[(String, Value)], key: &str) -> Option<f64> {
-    map.iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| v.as_f64())
-}
-
-/// Insert-or-replace a key in the baseline map.
-fn set_key(map: &mut Vec<(String, Value)>, key: &str, value: Value) {
-    match map.iter_mut().find(|(k, _)| k == key) {
-        Some((_, v)) => *v = value,
-        None => map.push((key.to_string(), value)),
-    }
 }
 
 fn main() {
@@ -124,19 +91,11 @@ fn main() {
          gate requires {MIN_SPEEDUP}x"
     );
 
-    // Load the shared baseline as a value tree; unknown/absent states
-    // re-record rather than fail.
-    let mut map: Vec<(String, Value)> = match std::fs::read_to_string(BASELINE_PATH) {
-        Ok(text) => match serde_json::from_str::<Value>(&text) {
-            Ok(Value::Map(m)) => m,
-            _ => Vec::new(),
-        },
-        Err(_) => Vec::new(),
-    };
+    let mut base = Baseline::load();
     let measured_cores = cores();
 
     // Absolute gate against the scalar baseline pinned by par_scaling.
-    match (get_num(&map, "cores"), get_num(&map, "dot_product_ms")) {
+    match (base.get_num("cores"), base.get_num("dot_product_ms")) {
         (Some(c), Some(base_ms)) if c as usize == measured_cores => {
             let abs_speedup = base_ms / (vec_s * 1e3);
             println!(
@@ -159,54 +118,40 @@ fn main() {
 
     // Vectorized self-regression gate, with its own core stamp.
     let vec_ms = vec_s * 1e3;
-    let record_reason = if std::env::var_os("OFPC_BENCH_RECORD").is_some() {
-        Some("OFPC_BENCH_RECORD set".to_string())
-    } else {
-        match (
-            get_num(&map, "kernel_vec_cores"),
-            get_num(&map, "dot_product_vec_ms"),
-        ) {
-            (Some(c), Some(want)) if c as usize == measured_cores => {
-                println!(
-                    "kernel_speedup: vectorized {vec_ms:.3} ms vs baseline {want:.3} ms \
-                     (gate {:.3} ms)",
-                    want * MAX_VEC_REGRESSION
-                );
-                assert!(
-                    vec_ms <= want * MAX_VEC_REGRESSION,
-                    "kernel_speedup: vectorized kernel regressed: {vec_ms:.3} ms vs baseline \
-                     {want:.3} ms (+{:.0}% allowed); if intentional, re-pin with \
-                     OFPC_BENCH_RECORD=1",
-                    (MAX_VEC_REGRESSION - 1.0) * 100.0,
-                );
-                None
-            }
-            (Some(c), Some(_)) => Some(format!(
-                "baseline is from a {}-core machine, this one has {measured_cores}",
-                c as usize
-            )),
-            _ => Some("no kernel_speedup baseline keys".to_string()),
+    match base.pinned(
+        "kernel_speedup",
+        "kernel_vec_cores",
+        &["dot_product_vec_ms"],
+    ) {
+        Ok(pinned) => {
+            let want = pinned[0];
+            println!(
+                "kernel_speedup: vectorized {vec_ms:.3} ms vs baseline {want:.3} ms \
+                 (gate {:.3} ms)",
+                want * MAX_VEC_REGRESSION
+            );
+            assert!(
+                vec_ms <= want * MAX_VEC_REGRESSION,
+                "kernel_speedup: vectorized kernel regressed: {vec_ms:.3} ms vs baseline \
+                 {want:.3} ms (+{:.0}% allowed); if intentional, re-pin with \
+                 OFPC_BENCH_RECORD=1",
+                (MAX_VEC_REGRESSION - 1.0) * 100.0,
+            );
         }
-    };
-    if let Some(reason) = record_reason {
-        set_key(
-            &mut map,
-            "kernel_vec_cores",
-            Value::UInt(measured_cores as u64),
-        );
-        set_key(&mut map, "dot_product_vec_ms", Value::Float(vec_ms));
-        set_key(
-            &mut map,
-            "dot_product_vec_gmacs",
-            Value::Float(gmacs(vec_s)),
-        );
-        let json = serde_json::to_string_pretty(&Value::Map(map)).expect("serialize baseline");
-        std::fs::write(BASELINE_PATH, json + "\n").expect("write BENCH_BASELINE.json");
-        println!(
-            "kernel_speedup: recorded new baseline ({reason}): vectorized {vec_ms:.3} ms \
-             ({:.3} GMAC/s) on {measured_cores} core(s)",
-            gmacs(vec_s)
-        );
+        Err(reason) => {
+            base.record(
+                "kernel_vec_cores",
+                &[
+                    ("dot_product_vec_ms", vec_ms),
+                    ("dot_product_vec_gmacs", gmacs(vec_s)),
+                ],
+            );
+            println!(
+                "kernel_speedup: recorded new baseline ({reason}): vectorized {vec_ms:.3} ms \
+                 ({:.3} GMAC/s) on {measured_cores} core(s)",
+                gmacs(vec_s)
+            );
+        }
     }
     println!("kernel_speedup: all gates passed");
 }

@@ -14,14 +14,14 @@
 //! 3. **Sequential regression** — the single-threaded dot-product and
 //!    network-sim kernels must stay within [`MAX_REGRESSION`] (+10%) of
 //!    the timings pinned in `BENCH_BASELINE.json` at the repo root.
-//!    Timings are the **best of [`TIMING_REPS`] trials** — the minimum
-//!    is the standard robust estimator for "how fast can this machine
-//!    run it", immune to one preempted trial. The baseline records the
-//!    core count it was taken on; on a different machine shape (or with
-//!    `OFPC_BENCH_RECORD=1`, or when the file is missing) the baseline
-//!    is re-recorded instead of compared, so the gate never compares
-//!    numbers from different hardware.
+//!    Timings are the **best of [`TIMING_REPS`] trials**. The figures
+//!    carry the core count they were taken on (`cores`); on a
+//!    different machine shape (or with `OFPC_BENCH_RECORD=1`, or when
+//!    they are missing) the gate re-records its own keys through
+//!    [`ofpc_bench::gate`] instead of comparing, leaving the other
+//!    gates' keys in the shared file untouched.
 
+use ofpc_bench::gate::{best_time, cores, Baseline};
 use ofpc_bench::golden;
 use ofpc_engine::dot::{DotProductUnit, DotUnitConfig};
 use ofpc_engine::Primitive;
@@ -31,9 +31,7 @@ use ofpc_net::sim::{Network, OpSpec};
 use ofpc_net::{NodeId, Topology};
 use ofpc_par::WorkerPool;
 use ofpc_photonics::SimRng;
-use serde::{Deserialize, Serialize};
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Gate: 4 workers must beat 1 worker by at least this factor.
 const MIN_SPEEDUP: f64 = 2.0;
@@ -41,32 +39,6 @@ const MIN_SPEEDUP: f64 = 2.0;
 const MAX_REGRESSION: f64 = 1.10;
 /// Trials per timing; the best (minimum) is the reported figure.
 const TIMING_REPS: usize = 5;
-/// Baseline file at the repo root, tracked in git.
-const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_BASELINE.json");
-
-#[derive(Debug, Serialize, Deserialize)]
-struct Baseline {
-    /// Core count the timings were recorded on; a mismatch triggers
-    /// re-recording rather than a cross-hardware comparison.
-    cores: usize,
-    dot_product_ms: f64,
-    network_sim_ms: f64,
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Best-of-N wall-clock seconds for one invocation of `f`.
-fn best_time(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
 
 // ------------------------------------------------------- sequential kernels
 
@@ -159,53 +131,50 @@ fn check_sequential_regression() {
     // Warm-up pass (allocator, page cache, branch predictors).
     dot_product_kernel();
     network_sim_kernel();
-    let measured = Baseline {
-        cores: cores(),
-        dot_product_ms: best_time(TIMING_REPS, dot_product_kernel) * 1e3,
-        network_sim_ms: best_time(TIMING_REPS, network_sim_kernel) * 1e3,
-    };
-    let record_reason = if std::env::var_os("OFPC_BENCH_RECORD").is_some() {
-        Some("OFPC_BENCH_RECORD set".to_string())
-    } else {
-        match std::fs::read_to_string(BASELINE_PATH) {
-            Err(_) => Some("no baseline file".to_string()),
-            Ok(text) => match serde_json::from_str::<Baseline>(&text) {
-                Err(e) => Some(format!("unreadable baseline ({e})")),
-                Ok(base) if base.cores != measured.cores => Some(format!(
-                    "baseline is from a {}-core machine, this one has {}",
-                    base.cores, measured.cores
-                )),
-                Ok(base) => {
-                    for (name, got, want) in [
-                        ("dot_product", measured.dot_product_ms, base.dot_product_ms),
-                        ("network_sim", measured.network_sim_ms, base.network_sim_ms),
-                    ] {
-                        println!(
-                            "par_scaling: {name} {got:.2} ms vs baseline {want:.2} ms \
-                             (gate {:.2} ms)",
-                            want * MAX_REGRESSION
-                        );
-                        assert!(
-                            got <= want * MAX_REGRESSION,
-                            "par_scaling: sequential {name} kernel regressed: \
-                             {got:.2} ms vs baseline {want:.2} ms (+{:.0}% allowed); \
-                             if intentional, re-pin with OFPC_BENCH_RECORD=1",
-                            (MAX_REGRESSION - 1.0) * 100.0,
-                        );
-                    }
-                    None
-                }
-            },
+    let dot_product_ms = best_time(TIMING_REPS, dot_product_kernel) * 1e3;
+    let network_sim_ms = best_time(TIMING_REPS, network_sim_kernel) * 1e3;
+    let mut base = Baseline::load();
+    match base.pinned(
+        "par_scaling",
+        "cores",
+        &["dot_product_ms", "network_sim_ms"],
+    ) {
+        Ok(pinned) => {
+            for ((name, got), want) in [
+                ("dot_product", dot_product_ms),
+                ("network_sim", network_sim_ms),
+            ]
+            .into_iter()
+            .zip(pinned)
+            {
+                println!(
+                    "par_scaling: {name} {got:.2} ms vs baseline {want:.2} ms \
+                     (gate {:.2} ms)",
+                    want * MAX_REGRESSION
+                );
+                assert!(
+                    got <= want * MAX_REGRESSION,
+                    "par_scaling: sequential {name} kernel regressed: \
+                     {got:.2} ms vs baseline {want:.2} ms (+{:.0}% allowed); \
+                     if intentional, re-pin with OFPC_BENCH_RECORD=1",
+                    (MAX_REGRESSION - 1.0) * 100.0,
+                );
+            }
         }
-    };
-    if let Some(reason) = record_reason {
-        let json = serde_json::to_string_pretty(&measured).expect("serialize baseline");
-        std::fs::write(BASELINE_PATH, json + "\n").expect("write BENCH_BASELINE.json");
-        println!(
-            "par_scaling: recorded new baseline ({reason}): \
-             dot_product {:.2} ms, network_sim {:.2} ms on {} core(s)",
-            measured.dot_product_ms, measured.network_sim_ms, measured.cores
-        );
+        Err(reason) => {
+            base.record(
+                "cores",
+                &[
+                    ("dot_product_ms", dot_product_ms),
+                    ("network_sim_ms", network_sim_ms),
+                ],
+            );
+            println!(
+                "par_scaling: recorded new baseline ({reason}): \
+                 dot_product {dot_product_ms:.2} ms, network_sim {network_sim_ms:.2} ms on {} core(s)",
+                cores()
+            );
+        }
     }
 }
 

@@ -15,37 +15,20 @@
 //! 3. **Throughput regression** — one sequential mini-E18 comparison
 //!    (three serving runs under the same storm) must stay within
 //!    [`MAX_REGRESSION`] of the `resil_overhead_ms` figure pinned in
-//!    `BENCH_BASELINE.json`. The baseline file is shared with the other
-//!    gates, so this one reads and writes it as a JSON value tree,
-//!    preserving every key it does not own, with its own core stamp
+//!    `BENCH_BASELINE.json`, under its own core stamp
 //!    (`resil_overhead_cores`). A missing file, missing key, core
-//!    mismatch, or `OFPC_BENCH_RECORD=1` re-records instead of failing.
+//!    mismatch, or `OFPC_BENCH_RECORD=1` re-records this gate's keys
+//!    through [`ofpc_bench::gate`] instead of failing.
 
+use ofpc_bench::gate::{best_time, cores, Baseline};
 use ofpc_bench::resil::{run_e18, E18Config};
 use ofpc_par::WorkerPool;
-use serde_json::Value;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Gate: the sequential comparison may regress at most this much.
 const MAX_REGRESSION: f64 = 1.50;
 /// Trials per timing; the best (minimum) is the reported figure.
 const TIMING_REPS: usize = 10;
-const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_BASELINE.json");
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-fn best_time(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
 
 fn comparison_kernel() {
     let pool = WorkerPool::sequential();
@@ -90,78 +73,42 @@ fn check_energy_gates() {
     );
 }
 
-/// Fetch a numeric key from the baseline map, if present.
-fn get_num(map: &[(String, Value)], key: &str) -> Option<f64> {
-    map.iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| v.as_f64())
-}
-
-/// Insert-or-replace a key in the baseline map.
-fn set_key(map: &mut Vec<(String, Value)>, key: &str, value: Value) {
-    match map.iter_mut().find(|(k, _)| k == key) {
-        Some((_, v)) => *v = value,
-        None => map.push((key.to_string(), value)),
-    }
-}
-
 fn check_throughput_regression() {
     // Warm-up pass.
     comparison_kernel();
     let measured_ms = best_time(TIMING_REPS, comparison_kernel) * 1e3;
-    let measured_cores = cores();
-
-    let mut map: Vec<(String, Value)> = match std::fs::read_to_string(BASELINE_PATH) {
-        Ok(text) => match serde_json::from_str::<Value>(&text) {
-            Ok(Value::Map(m)) => m,
-            _ => Vec::new(),
-        },
-        Err(_) => Vec::new(),
-    };
-
-    let record_reason = if std::env::var_os("OFPC_BENCH_RECORD").is_some() {
-        Some("OFPC_BENCH_RECORD set".to_string())
-    } else {
-        match (
-            get_num(&map, "resil_overhead_cores"),
-            get_num(&map, "resil_overhead_ms"),
-        ) {
-            (Some(c), Some(want)) if c as usize == measured_cores => {
-                println!(
-                    "resil_overhead: mini-E18 comparison {measured_ms:.2} ms vs baseline \
-                     {want:.2} ms (gate {:.2} ms)",
-                    want * MAX_REGRESSION
-                );
-                assert!(
-                    measured_ms <= want * MAX_REGRESSION,
-                    "resil_overhead: storm-comparison throughput regressed: {measured_ms:.2} ms \
-                     vs baseline {want:.2} ms (+{:.0}% allowed); if intentional, re-pin with \
-                     OFPC_BENCH_RECORD=1",
-                    (MAX_REGRESSION - 1.0) * 100.0,
-                );
-                None
-            }
-            (Some(c), Some(_)) => Some(format!(
-                "baseline is from a {}-core machine, this one has {measured_cores}",
-                c as usize
-            )),
-            _ => Some("no resil_overhead baseline keys".to_string()),
+    let mut base = Baseline::load();
+    match base.pinned(
+        "resil_overhead",
+        "resil_overhead_cores",
+        &["resil_overhead_ms"],
+    ) {
+        Ok(pinned) => {
+            let want = pinned[0];
+            println!(
+                "resil_overhead: mini-E18 comparison {measured_ms:.2} ms vs baseline \
+                 {want:.2} ms (gate {:.2} ms)",
+                want * MAX_REGRESSION
+            );
+            assert!(
+                measured_ms <= want * MAX_REGRESSION,
+                "resil_overhead: storm-comparison throughput regressed: {measured_ms:.2} ms \
+                 vs baseline {want:.2} ms (+{:.0}% allowed); if intentional, re-pin with \
+                 OFPC_BENCH_RECORD=1",
+                (MAX_REGRESSION - 1.0) * 100.0,
+            );
         }
-    };
-
-    if let Some(reason) = record_reason {
-        set_key(
-            &mut map,
-            "resil_overhead_cores",
-            Value::UInt(measured_cores as u64),
-        );
-        set_key(&mut map, "resil_overhead_ms", Value::Float(measured_ms));
-        let json = serde_json::to_string_pretty(&Value::Map(map)).expect("serialize baseline");
-        std::fs::write(BASELINE_PATH, json + "\n").expect("write BENCH_BASELINE.json");
-        println!(
-            "resil_overhead: recorded new baseline ({reason}): {measured_ms:.2} ms on \
-             {measured_cores} core(s)"
-        );
+        Err(reason) => {
+            base.record(
+                "resil_overhead_cores",
+                &[("resil_overhead_ms", measured_ms)],
+            );
+            println!(
+                "resil_overhead: recorded new baseline ({reason}): {measured_ms:.2} ms on \
+                 {} core(s)",
+                cores()
+            );
+        }
     }
 }
 

@@ -16,18 +16,16 @@
 //! 3. **Throughput-per-core regression** — sequential parsed-requests
 //!    per wall-second must stay within [`MAX_REGRESSION`] of the
 //!    `serve_scale_krps_per_core` figure pinned in
-//!    `BENCH_BASELINE.json`. The file is shared with the other gates,
-//!    so this one reads/writes it as a value tree preserving keys it
-//!    does not own, with its own core stamp (`serve_scale_cores`). A
-//!    missing file, missing key, core mismatch, or
-//!    `OFPC_BENCH_RECORD=1` re-records instead of failing.
+//!    `BENCH_BASELINE.json`, under its own core stamp
+//!    (`serve_scale_cores`). A missing file, missing key, core
+//!    mismatch, or `OFPC_BENCH_RECORD=1` re-records this gate's keys
+//!    through [`ofpc_bench::gate`] instead of failing.
 
+use ofpc_bench::gate::{best_time, cores, Baseline};
 use ofpc_bench::ingest::{e21_mini, mini_config, run_e21};
 use ofpc_ingest::IngestConfig;
 use ofpc_par::WorkerPool;
-use serde_json::Value;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Gate: 4 workers must beat 1 worker by at least this factor.
 const MIN_SPEEDUP: f64 = 2.0;
@@ -36,21 +34,6 @@ const MIN_SPEEDUP: f64 = 2.0;
 const MAX_REGRESSION: f64 = 1.50;
 /// Trials per timing; the best (max throughput / min time) is reported.
 const TIMING_REPS: usize = 5;
-const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_BASELINE.json");
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-fn best_time(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// The timing workload: the mini class mix spread over 8 shards with a
 /// longer horizon, so per-epoch shard work dwarfs the sequential
@@ -111,19 +94,6 @@ fn check_parallel_speedup() {
     );
 }
 
-fn get_num(map: &[(String, Value)], key: &str) -> Option<f64> {
-    map.iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| v.as_f64())
-}
-
-fn set_key(map: &mut Vec<(String, Value)>, key: &str, value: Value) {
-    match map.iter_mut().find(|(k, _)| k == key) {
-        Some((_, v)) => *v = value,
-        None => map.push((key.to_string(), value)),
-    }
-}
-
 /// Sequential front-end throughput: parsed requests per wall-second on
 /// one worker — the per-core figure the baseline pins.
 fn throughput_krps_per_core() -> f64 {
@@ -137,62 +107,37 @@ fn throughput_krps_per_core() -> f64 {
 
 fn check_throughput_regression() {
     let measured_krps = throughput_krps_per_core();
-    let measured_cores = cores();
-
-    let mut map: Vec<(String, Value)> = match std::fs::read_to_string(BASELINE_PATH) {
-        Ok(text) => match serde_json::from_str::<Value>(&text) {
-            Ok(Value::Map(m)) => m,
-            _ => Vec::new(),
-        },
-        Err(_) => Vec::new(),
-    };
-
-    let record_reason = if std::env::var_os("OFPC_BENCH_RECORD").is_some() {
-        Some("OFPC_BENCH_RECORD set".to_string())
-    } else {
-        match (
-            get_num(&map, "serve_scale_cores"),
-            get_num(&map, "serve_scale_krps_per_core"),
-        ) {
-            (Some(c), Some(want)) if c as usize == measured_cores => {
-                println!(
-                    "serve_scale: throughput {measured_krps:.0} kreq/s/core vs baseline \
-                     {want:.0} (gate {:.0})",
-                    want / MAX_REGRESSION
-                );
-                assert!(
-                    measured_krps >= want / MAX_REGRESSION,
-                    "serve_scale: throughput regressed: {measured_krps:.0} kreq/s/core vs \
-                     baseline {want:.0} (÷{MAX_REGRESSION:.1} allowed); if intentional, \
-                     re-pin with OFPC_BENCH_RECORD=1"
-                );
-                None
-            }
-            (Some(c), Some(_)) => Some(format!(
-                "baseline is from a {}-core machine, this one has {measured_cores}",
-                c as usize
-            )),
-            _ => Some("no serve_scale baseline keys".to_string()),
+    let mut base = Baseline::load();
+    match base.pinned(
+        "serve_scale",
+        "serve_scale_cores",
+        &["serve_scale_krps_per_core"],
+    ) {
+        Ok(pinned) => {
+            let want = pinned[0];
+            println!(
+                "serve_scale: throughput {measured_krps:.0} kreq/s/core vs baseline \
+                 {want:.0} (gate {:.0})",
+                want / MAX_REGRESSION
+            );
+            assert!(
+                measured_krps >= want / MAX_REGRESSION,
+                "serve_scale: throughput regressed: {measured_krps:.0} kreq/s/core vs \
+                 baseline {want:.0} (÷{MAX_REGRESSION:.1} allowed); if intentional, \
+                 re-pin with OFPC_BENCH_RECORD=1"
+            );
         }
-    };
-
-    if let Some(reason) = record_reason {
-        set_key(
-            &mut map,
-            "serve_scale_cores",
-            Value::UInt(measured_cores as u64),
-        );
-        set_key(
-            &mut map,
-            "serve_scale_krps_per_core",
-            Value::Float(measured_krps),
-        );
-        let json = serde_json::to_string_pretty(&Value::Map(map)).expect("serialize baseline");
-        std::fs::write(BASELINE_PATH, json + "\n").expect("write BENCH_BASELINE.json");
-        println!(
-            "serve_scale: recorded new baseline ({reason}): {measured_krps:.0} kreq/s/core on \
-             {measured_cores} core(s)"
-        );
+        Err(reason) => {
+            base.record(
+                "serve_scale_cores",
+                &[("serve_scale_krps_per_core", measured_krps)],
+            );
+            println!(
+                "serve_scale: recorded new baseline ({reason}): {measured_krps:.0} kreq/s/core on \
+                 {} core(s)",
+                cores()
+            );
+        }
     }
 }
 

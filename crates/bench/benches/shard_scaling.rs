@@ -16,12 +16,12 @@
 //! 3. **Per-decision latency regression** — the mean sequential
 //!    `apply_batch` latency over a churn window must stay within
 //!    [`MAX_REGRESSION`] of the `shard_decision_us` figure pinned in
-//!    `BENCH_BASELINE.json`. The file is shared with the other gates,
-//!    so this one reads/writes it as a value tree preserving keys it
-//!    does not own, with its own core stamp (`shard_cores`). A missing
-//!    file, missing key, core mismatch, or `OFPC_BENCH_RECORD=1`
-//!    re-records instead of failing.
+//!    `BENCH_BASELINE.json`, under its own core stamp (`shard_cores`).
+//!    A missing file, missing key, core mismatch, or
+//!    `OFPC_BENCH_RECORD=1` re-records this gate's keys through
+//!    [`ofpc_bench::gate`] instead of failing.
 
+use ofpc_bench::gate::{best_time, cores, Baseline};
 use ofpc_bench::shard::e20_mini;
 use ofpc_controller::demand::{Demand, TaskDag};
 use ofpc_core::topo::{multi_region, MultiRegionSpec};
@@ -30,9 +30,7 @@ use ofpc_net::NodeId;
 use ofpc_par::WorkerPool;
 use ofpc_photonics::SimRng;
 use ofpc_shard::{RegionMap, ShardEvent, ShardedController};
-use serde_json::Value;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Gate: 4 workers must beat 1 worker by at least this factor.
 const MIN_SPEEDUP: f64 = 2.0;
@@ -41,21 +39,6 @@ const MIN_SPEEDUP: f64 = 2.0;
 const MAX_REGRESSION: f64 = 1.50;
 /// Trials per timing; the best (minimum) is the reported figure.
 const TIMING_REPS: usize = 15;
-const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_BASELINE.json");
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-fn best_time(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// A demand local to `region` of the 12×10 scaling WAN.
 fn local_demand(id: u32, region: u32, sites_per_region: u32, rng: &mut SimRng) -> Demand {
@@ -139,19 +122,6 @@ fn check_parallel_speedup() {
     );
 }
 
-fn get_num(map: &[(String, Value)], key: &str) -> Option<f64> {
-    map.iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| v.as_f64())
-}
-
-fn set_key(map: &mut Vec<(String, Value)>, key: &str, value: Value) {
-    match map.iter_mut().find(|(k, _)| k == key) {
-        Some((_, v)) => *v = value,
-        None => map.push((key.to_string(), value)),
-    }
-}
-
 /// Mean sequential per-decision latency (µs) over a 200-event churn
 /// window on the loaded 12-region controller.
 fn decision_latency_us() -> f64 {
@@ -173,55 +143,31 @@ fn decision_latency_us() -> f64 {
 
 fn check_latency_regression() {
     let measured_us = decision_latency_us();
-    let measured_cores = cores();
-
-    let mut map: Vec<(String, Value)> = match std::fs::read_to_string(BASELINE_PATH) {
-        Ok(text) => match serde_json::from_str::<Value>(&text) {
-            Ok(Value::Map(m)) => m,
-            _ => Vec::new(),
-        },
-        Err(_) => Vec::new(),
-    };
-
-    let record_reason = if std::env::var_os("OFPC_BENCH_RECORD").is_some() {
-        Some("OFPC_BENCH_RECORD set".to_string())
-    } else {
-        match (
-            get_num(&map, "shard_cores"),
-            get_num(&map, "shard_decision_us"),
-        ) {
-            (Some(c), Some(want)) if c as usize == measured_cores => {
-                println!(
-                    "shard_scaling: per-decision latency {measured_us:.1} µs vs baseline \
-                     {want:.1} µs (gate {:.1} µs)",
-                    want * MAX_REGRESSION
-                );
-                assert!(
-                    measured_us <= want * MAX_REGRESSION,
-                    "shard_scaling: per-decision latency regressed: {measured_us:.1} µs vs \
-                     baseline {want:.1} µs (+{:.0}% allowed); if intentional, re-pin with \
-                     OFPC_BENCH_RECORD=1",
-                    (MAX_REGRESSION - 1.0) * 100.0,
-                );
-                None
-            }
-            (Some(c), Some(_)) => Some(format!(
-                "baseline is from a {}-core machine, this one has {measured_cores}",
-                c as usize
-            )),
-            _ => Some("no shard baseline keys".to_string()),
+    let mut base = Baseline::load();
+    match base.pinned("shard_scaling", "shard_cores", &["shard_decision_us"]) {
+        Ok(pinned) => {
+            let want = pinned[0];
+            println!(
+                "shard_scaling: per-decision latency {measured_us:.1} µs vs baseline \
+                 {want:.1} µs (gate {:.1} µs)",
+                want * MAX_REGRESSION
+            );
+            assert!(
+                measured_us <= want * MAX_REGRESSION,
+                "shard_scaling: per-decision latency regressed: {measured_us:.1} µs vs \
+                 baseline {want:.1} µs (+{:.0}% allowed); if intentional, re-pin with \
+                 OFPC_BENCH_RECORD=1",
+                (MAX_REGRESSION - 1.0) * 100.0,
+            );
         }
-    };
-
-    if let Some(reason) = record_reason {
-        set_key(&mut map, "shard_cores", Value::UInt(measured_cores as u64));
-        set_key(&mut map, "shard_decision_us", Value::Float(measured_us));
-        let json = serde_json::to_string_pretty(&Value::Map(map)).expect("serialize baseline");
-        std::fs::write(BASELINE_PATH, json + "\n").expect("write BENCH_BASELINE.json");
-        println!(
-            "shard_scaling: recorded new baseline ({reason}): {measured_us:.1} µs on \
-             {measured_cores} core(s)"
-        );
+        Err(reason) => {
+            base.record("shard_cores", &[("shard_decision_us", measured_us)]);
+            println!(
+                "shard_scaling: recorded new baseline ({reason}): {measured_us:.1} µs on \
+                 {} core(s)",
+                cores()
+            );
+        }
     }
 }
 

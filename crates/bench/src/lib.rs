@@ -2,9 +2,10 @@
 //!
 //! One binary per paper artifact (see DESIGN.md's experiment index) plus
 //! Criterion benches over the hot paths. The library part holds shared
-//! harness plumbing: result tables, JSON dumps, and the parallel sweep
-//! driver.
+//! harness plumbing: result tables, JSON dumps, parallel sweeps,
+//! and the bench gates' shared baseline file ([`gate`]).
 
+pub mod gate;
 pub mod golden;
 pub mod ingest;
 pub mod resil;

@@ -35,7 +35,7 @@ pub use tenant::{TenantClass, TenantDirectory};
 
 use ofpc_par::WorkerPool;
 use ofpc_serve::{BatchPolicy, ServiceModel, SiteSpec};
-use ofpc_telemetry::{track, Telemetry};
+use ofpc_telemetry::{track, LogHistogram, Telemetry};
 use serde::Serialize;
 use shard::{ClassStats, ShardState};
 
@@ -302,7 +302,7 @@ impl IngestFrontEnd {
             distinct += u64::from(or.count_ones());
         }
 
-        let mut all_lat = shard::LatHist::default();
+        let mut all_lat = LogHistogram::new();
         for c in &class_stats {
             all_lat.merge(&c.lat);
         }

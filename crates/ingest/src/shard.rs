@@ -21,18 +21,19 @@
 
 use crate::tenant::TenantClass;
 use bytes::Bytes;
+use ofpc_net::events::EventQueue;
 use ofpc_net::{Addr, FrameError, NodeId, Packet, PchFrame, PchHeader};
 use ofpc_photonics::SimRng;
 use ofpc_serve::{
-    BatchPolicy, Batcher, ComputeRequest, Dispatch, EventQueue, RequestId, Scheduler, ServiceModel,
-    ShedReason, SiteSpec, SparseAdmission, TenantId, TenantShape,
+    BatchPolicy, Batcher, ComputeRequest, Dispatch, RequestId, Scheduler, ServiceModel, ShedReason,
+    SiteSpec, SparseAdmission, TenantId, TenantShape,
 };
+use ofpc_telemetry::LogHistogram;
 use std::collections::BTreeMap;
 
-/// Shard-local events. Variant order is the same-tick tie-break seed
-/// only through push order (the queue is FIFO within a tick), so the
-/// derive exists purely to satisfy the queue's `Ord` bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Shard-local events. Same-tick events pop in the order they were
+/// scheduled (the queue breaks time ties by insertion sequence).
+#[derive(Debug, Clone, Copy)]
 enum Ev {
     /// Next aggregate-Poisson arrival on this shard.
     Arrival,
@@ -44,82 +45,9 @@ enum Ev {
     Deliver { seq: u64 },
 }
 
-/// Compact log-linear latency histogram (same bucket scheme as the
-/// telemetry registry: exact below 16, then 16 sub-buckets per octave,
-/// ≤ ±3.2% on percentiles). A shard serves unbounded request counts, so
-/// per-sample storage is not an option.
-#[derive(Debug, Clone)]
-pub(crate) struct LatHist {
-    buckets: Box<[u64]>,
-    count: u64,
-}
-
-const SUB_BITS: u32 = 4;
-const SUB: usize = 1 << SUB_BITS;
-const HIST_BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB;
-
-#[inline]
-fn bucket_index(v: u64) -> usize {
-    if v < SUB as u64 {
-        return v as usize;
-    }
-    let msb = 63 - v.leading_zeros() as usize;
-    let octave = msb - SUB_BITS as usize + 1;
-    let sub = ((v >> (msb - SUB_BITS as usize)) - SUB as u64) as usize;
-    octave * SUB + sub
-}
-
-fn bucket_mid(idx: usize) -> u64 {
-    if idx < SUB {
-        return idx as u64;
-    }
-    let octave = idx / SUB;
-    let sub = (idx % SUB) as u64;
-    let width = 1u64 << (octave - 1);
-    ((SUB as u64 + sub) << (octave - 1)) + width / 2
-}
-
-impl Default for LatHist {
-    fn default() -> Self {
-        LatHist {
-            buckets: vec![0; HIST_BUCKETS].into_boxed_slice(),
-            count: 0,
-        }
-    }
-}
-
-impl LatHist {
-    pub(crate) fn record(&mut self, v: u64) {
-        self.buckets[bucket_index(v)] += 1;
-        self.count += 1;
-    }
-
-    pub(crate) fn merge(&mut self, other: &LatHist) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-    }
-
-    /// Nearest-rank percentile as a bucket midpoint.
-    pub(crate) fn percentile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cum = 0;
-        for (idx, &n) in self.buckets.iter().enumerate() {
-            cum += n;
-            if cum >= rank {
-                return Some(bucket_mid(idx));
-            }
-        }
-        None
-    }
-}
-
 /// Per-class aggregates on one shard. Memory is O(classes), however
-/// many requests flow.
+/// many requests flow: latencies go into a fixed-size log-linear
+/// histogram (≤ ±3.2% on percentiles), never a per-sample store.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ClassStats {
     pub arrivals: u64,
@@ -130,7 +58,7 @@ pub(crate) struct ClassStats {
     pub shed_engine_failed: u64,
     pub energy_j: f64,
     pub batch_size_sum: u64,
-    pub lat: LatHist,
+    pub lat: LogHistogram,
 }
 
 impl ClassStats {
@@ -342,7 +270,8 @@ impl ShardState {
             return; // an empty shard generates nothing
         }
         let gap = self.rng.exponential(rate).ceil() as u64;
-        self.events.push(self.now_ps + gap.max(1), Ev::Arrival);
+        self.events
+            .schedule_at(self.now_ps + gap.max(1), Ev::Arrival);
     }
 
     /// Run the shard forward until `end_ps` (exclusive). Events at or
@@ -350,7 +279,7 @@ impl ShardState {
     /// what lets the driver interleave a global rebalance between
     /// epochs without tearing any in-progress event.
     pub(crate) fn run_until(&mut self, end_ps: u64) {
-        while let Some(t) = self.events.peek_time() {
+        while let Some(t) = self.events.peek_time_ps() {
             if t >= end_ps {
                 break;
             }
@@ -519,7 +448,7 @@ impl ShardState {
         }
         // Wake the pump when dispatching to this slot becomes useful
         // again; without it a lull in arrivals would strand ready work.
-        self.events.push(
+        self.events.schedule_at(
             d.free_ps.max(self.now_ps + 1),
             Ev::SlotFree {
                 node: d.node,
@@ -538,7 +467,7 @@ impl ShardState {
             },
         );
         self.events
-            .push(d.delivered_ps.max(self.now_ps + 1), Ev::Deliver { seq });
+            .schedule_at(d.delivered_ps.max(self.now_ps + 1), Ev::Deliver { seq });
     }
 
     fn settle(&mut self, seq: u64) {
@@ -570,7 +499,7 @@ impl ShardState {
         if let Some(t) = self.batcher.next_timeout_ps() {
             let due = t.max(self.now_ps + 1);
             if self.armed_tick.is_none_or(|a| due < a) {
-                self.events.push(due, Ev::BatchTick);
+                self.events.schedule_at(due, Ev::BatchTick);
                 self.armed_tick = Some(due);
             }
         }

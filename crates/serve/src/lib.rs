@@ -32,7 +32,6 @@
 pub mod admission;
 pub mod arrivals;
 pub mod batcher;
-pub mod events;
 pub mod metrics;
 pub mod parsweep;
 pub mod request;
@@ -42,7 +41,6 @@ pub mod scheduler;
 pub use admission::{SparseAdmission, TenantShape};
 pub use arrivals::{ArrivalProcess, ArrivalSpec, PS_PER_SEC};
 pub use batcher::{Batch, BatchPolicy, Batcher};
-pub use events::EventQueue;
 pub use metrics::{MetricsSink, ServeReport, TenantReport};
 pub use parsweep::{run_sweep, SweepScenario};
 pub use request::{BatchClass, ComputeRequest, Outcome, RequestId, ShedReason, TenantId};

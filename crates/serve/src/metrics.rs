@@ -9,166 +9,8 @@
 //! silently dropped.
 
 use crate::request::{Outcome, ShedReason, TenantId};
-use ofpc_telemetry::{labels, Counter, Gauge, Histogram, Telemetry};
+use ofpc_telemetry::{labels, nearest_rank, Telemetry};
 use serde::{Deserialize, Serialize};
-
-/// Log-linear bucket scheme for the compact latency store (same shape
-/// as the telemetry registry's histograms: exact unit buckets below
-/// [`SUB`], then [`SUB`] buckets per octave — ≤ ±3.2% relative error on
-/// any reported percentile).
-const SUB_BITS: u32 = 4;
-const SUB: usize = 1 << SUB_BITS;
-const LAT_BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB;
-
-#[inline]
-fn lat_bucket_index(v: u64) -> usize {
-    if v < SUB as u64 {
-        return v as usize;
-    }
-    let msb = 63 - v.leading_zeros() as usize;
-    let octave = msb - SUB_BITS as usize + 1;
-    let sub = ((v >> (msb - SUB_BITS as usize)) - SUB as u64) as usize;
-    octave * SUB + sub
-}
-
-fn lat_bucket_mid(idx: usize) -> u64 {
-    if idx < SUB {
-        return idx as u64;
-    }
-    let octave = idx / SUB;
-    let sub = (idx % SUB) as u64;
-    let width = 1u64 << (octave - 1);
-    let lo = (SUB as u64 + sub) << (octave - 1);
-    lo + width / 2
-}
-
-/// Per-tenant latency storage with a bounded-memory escape hatch.
-///
-/// Exact mode keeps every integer-ps sample (the historical behavior —
-/// report percentiles are nearest-rank over the sorted vector, and the
-/// pinned golden fixtures depend on that). When a sink is built with
-/// [`MetricsSink::with_latency_cap`], a tenant crossing the cap *spills*:
-/// its samples fold into a fixed-size log-linear histogram and every
-/// later sample costs O(1) memory. Spilled percentiles are bucket
-/// midpoints (≤ ±3.2% relative error); unspilled tenants keep exact
-/// percentiles, so the default cap of `usize::MAX` is byte-identical
-/// to the pre-cap behavior.
-#[derive(Debug, Clone)]
-enum LatencyStore {
-    Exact(Vec<u64>),
-    Compact { buckets: Box<[u64]>, count: u64 },
-}
-
-impl Default for LatencyStore {
-    fn default() -> Self {
-        LatencyStore::Exact(Vec::new())
-    }
-}
-
-impl LatencyStore {
-    fn push(&mut self, v: u64, cap: usize) {
-        match self {
-            LatencyStore::Exact(vec) => {
-                if vec.len() >= cap {
-                    let mut buckets = vec![0u64; LAT_BUCKETS].into_boxed_slice();
-                    for &s in vec.iter() {
-                        buckets[lat_bucket_index(s)] += 1;
-                    }
-                    buckets[lat_bucket_index(v)] += 1;
-                    let count = vec.len() as u64 + 1;
-                    *self = LatencyStore::Compact { buckets, count };
-                } else {
-                    vec.push(v);
-                }
-            }
-            LatencyStore::Compact { buckets, count } => {
-                buckets[lat_bucket_index(v)] += 1;
-                *count += 1;
-            }
-        }
-    }
-
-    #[cfg(test)]
-    fn count(&self) -> u64 {
-        match self {
-            LatencyStore::Exact(vec) => vec.len() as u64,
-            LatencyStore::Compact { count, .. } => *count,
-        }
-    }
-
-    /// Samples held verbatim (the memory the cap bounds); `None` once
-    /// spilled to the fixed-size histogram.
-    fn exact_samples_held(&self) -> Option<usize> {
-        match self {
-            LatencyStore::Exact(vec) => Some(vec.len()),
-            LatencyStore::Compact { .. } => None,
-        }
-    }
-
-    /// Nearest-rank percentile: exact over the sorted samples, bucket
-    /// midpoint once spilled.
-    fn percentile_ps(&self, q: f64) -> Option<u64> {
-        match self {
-            LatencyStore::Exact(vec) => {
-                let mut sorted = vec.clone();
-                sorted.sort_unstable();
-                percentile_ps(&sorted, q)
-            }
-            LatencyStore::Compact { buckets, count } => {
-                if *count == 0 {
-                    return None;
-                }
-                let rank = ((q * *count as f64).ceil() as u64).clamp(1, *count);
-                let mut cum = 0;
-                for (idx, &n) in buckets.iter().enumerate() {
-                    cum += n;
-                    if cum >= rank {
-                        return Some(lat_bucket_mid(idx));
-                    }
-                }
-                None
-            }
-        }
-    }
-
-    /// Fold this store into an aggregate. Exact-into-exact extends the
-    /// sample vector (the historical all-tenant path); as soon as any
-    /// side has spilled, the aggregate spills too.
-    fn merge_into(&self, acc: &mut LatencyStore) {
-        match self {
-            LatencyStore::Exact(vec) => match acc {
-                LatencyStore::Exact(avec) => avec.extend_from_slice(vec),
-                LatencyStore::Compact { buckets, count } => {
-                    for &s in vec.iter() {
-                        buckets[lat_bucket_index(s)] += 1;
-                    }
-                    *count += vec.len() as u64;
-                }
-            },
-            LatencyStore::Compact {
-                buckets: sb,
-                count: sc,
-            } => {
-                if let LatencyStore::Exact(avec) = acc {
-                    let mut buckets = vec![0u64; LAT_BUCKETS].into_boxed_slice();
-                    for &s in avec.iter() {
-                        buckets[lat_bucket_index(s)] += 1;
-                    }
-                    *acc = LatencyStore::Compact {
-                        buckets,
-                        count: avec.len() as u64,
-                    };
-                }
-                if let LatencyStore::Compact { buckets, count } = acc {
-                    for (b, s) in buckets.iter_mut().zip(sb.iter()) {
-                        *b += s;
-                    }
-                    *count += sc;
-                }
-            }
-        }
-    }
-}
 
 /// Per-tenant running counters.
 #[derive(Debug, Clone, Default)]
@@ -182,16 +24,16 @@ pub struct TenantCollector {
     /// Requests answered by the digital fallback (correct, degraded).
     pub degraded: u64,
     pub degraded_energy_j: f64,
-    /// Completed-request latencies, ps.
-    latencies: LatencyStore,
+    /// Completed-request latencies, ps, in completion order.
+    latencies: Vec<u64>,
     /// Degraded (digital-fallback) latencies, ps.
-    degraded_latencies: LatencyStore,
+    degraded_latencies: Vec<u64>,
     pub energy_j: f64,
     batch_size_sum: u64,
 }
 
 impl TenantCollector {
-    fn record(&mut self, outcome: &Outcome, latency_cap: usize) {
+    fn record(&mut self, outcome: &Outcome) {
         match *outcome {
             Outcome::Completed {
                 latency_ps,
@@ -199,7 +41,7 @@ impl TenantCollector {
                 energy_j,
             } => {
                 self.completed += 1;
-                self.latencies.push(latency_ps, latency_cap);
+                self.latencies.push(latency_ps);
                 self.energy_j += energy_j;
                 self.batch_size_sum += u64::from(batch_size);
             }
@@ -214,7 +56,7 @@ impl TenantCollector {
                 energy_j,
             } => {
                 self.degraded += 1;
-                self.degraded_latencies.push(latency_ps, latency_cap);
+                self.degraded_latencies.push(latency_ps);
                 self.degraded_energy_j += energy_j;
             }
         }
@@ -226,12 +68,6 @@ impl TenantCollector {
             + self.shed_expired_serving
             + self.shed_engine_failed
     }
-
-    /// Latency samples currently held verbatim (`None` once the tenant
-    /// spilled to the bounded histogram).
-    pub fn exact_latency_samples(&self) -> Option<usize> {
-        self.latencies.exact_samples_held()
-    }
 }
 
 /// Exact percentile over integer latencies (nearest-rank).
@@ -239,66 +75,23 @@ fn percentile_ps(sorted: &[u64], q: f64) -> Option<u64> {
     if sorted.is_empty() {
         return None;
     }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    Some(sorted[rank - 1])
+    Some(sorted[nearest_rank(q, sorted.len() as u64) as usize - 1])
 }
 
-/// Pre-registered registry series for one tenant — sampled lock-free
-/// on the hot path, no-ops when telemetry is disabled.
-#[derive(Debug, Clone, Default)]
-struct TenantSeries {
-    arrivals: Counter,
-    completed: Counter,
-    shed: [Counter; 4],
-    degraded: Counter,
-    latency_ps: Histogram,
-    energy_j: Gauge,
+/// p50/p99/p999 of `samples` in µs, sorting them once.
+fn latency_quantiles_us(mut samples: Vec<u64>) -> [Option<f64>; 3] {
+    samples.sort_unstable();
+    [0.50, 0.99, 0.999].map(|q| percentile_ps(&samples, q).map(|v| v as f64 / 1e6))
 }
 
-impl TenantSeries {
-    fn register(tel: &Telemetry, tenant: &str) -> Self {
-        let l = labels(&[("tenant", tenant)]);
-        let shed_label = |reason: &str| labels(&[("tenant", tenant), ("reason", reason)]);
-        TenantSeries {
-            arrivals: tel.counter("serve_arrivals_total", &l),
-            completed: tel.counter("serve_completed_total", &l),
-            shed: [
-                tel.counter("serve_shed_total", &shed_label("queue-full")),
-                tel.counter("serve_shed_total", &shed_label("expired-queued")),
-                tel.counter("serve_shed_total", &shed_label("expired-serving")),
-                tel.counter("serve_shed_total", &shed_label("engine-failed")),
-            ],
-            degraded: tel.counter("serve_degraded_total", &l),
-            latency_ps: tel.histogram("serve_latency_ps", &l),
-            energy_j: tel.gauge("serve_energy_joules", &l),
-        }
-    }
-
-    fn record(&self, outcome: &Outcome) {
-        match *outcome {
-            Outcome::Completed {
-                latency_ps,
-                energy_j,
-                ..
-            } => {
-                self.completed.inc();
-                self.latency_ps.record(latency_ps);
-                self.energy_j.add(energy_j);
-            }
-            Outcome::Shed { reason } => self.shed[reason as usize].inc(),
-            Outcome::DegradedDigital { .. } => self.degraded.inc(),
-        }
-    }
-}
-
-/// The metrics sink the runtime feeds.
+/// The metrics sink the runtime feeds: the one place a serving run
+/// books its samples.
 ///
-/// The exact collectors (integer-ps latency vectors, per-stage energy
-/// map) stay authoritative for [`MetricsSink::report`]; when built
-/// [`MetricsSink::with_telemetry`], every sample is mirrored onto the
-/// shared [`ofpc_telemetry::MetricsRegistry`] as
-/// `serve_*`-prefixed series labeled by tenant/reason/stage, so the
-/// Prometheus/JSON exporters see the same counts the report does.
+/// The collectors are exact (integer-ps latency vectors, per-stage
+/// energy map) and back [`MetricsSink::report`]. The registry view is
+/// derived from them once, at the end of a run, by
+/// [`MetricsSink::publish`] — so the Prometheus/JSON exporters see the
+/// same counts the report does without a second booking per sample.
 #[derive(Debug)]
 pub struct MetricsSink {
     tenants: Vec<TenantCollector>,
@@ -308,86 +101,77 @@ pub struct MetricsSink {
     pub energy_stages: std::collections::BTreeMap<String, f64>,
     /// Sampled verification results: |photonic − digital| per sample.
     pub verify_abs_errors: Vec<f64>,
-    tel: Telemetry,
-    series: Vec<TenantSeries>,
-    batch_size_series: Histogram,
-    stage_energy_series: std::collections::BTreeMap<String, Gauge>,
-    /// Per-tenant exact-sample budget before spilling to the compact
-    /// histogram. `usize::MAX` (the default) never spills.
-    latency_cap: usize,
 }
 
 impl MetricsSink {
     pub fn new(tenant_count: usize) -> Self {
-        let names: Vec<String> = (0..tenant_count).map(|t| t.to_string()).collect();
-        MetricsSink::with_telemetry(&names, &Telemetry::disabled())
-    }
-
-    /// Like [`MetricsSink::new`], mirroring every sample onto `tel`'s
-    /// registry with one series set per tenant, labeled by tenant name
-    /// (no-op when `tel` is disabled).
-    pub fn with_telemetry(tenant_names: &[String], tel: &Telemetry) -> Self {
-        let series = if tel.is_enabled() {
-            tenant_names
-                .iter()
-                .map(|t| TenantSeries::register(tel, t))
-                .collect()
-        } else {
-            vec![TenantSeries::default(); tenant_names.len()]
-        };
         MetricsSink {
-            tenants: vec![TenantCollector::default(); tenant_names.len()],
+            tenants: vec![TenantCollector::default(); tenant_count],
             batch_sizes: Vec::new(),
             energy_stages: std::collections::BTreeMap::new(),
             verify_abs_errors: Vec::new(),
-            batch_size_series: tel.histogram("serve_batch_size", &Vec::new()),
-            tel: tel.clone(),
-            series,
-            stage_energy_series: std::collections::BTreeMap::new(),
-            latency_cap: usize::MAX,
         }
     }
 
-    /// Bound the memory held per tenant: once a tenant has recorded
-    /// `cap` exact latency samples it spills to a fixed-size log-linear
-    /// histogram (≤ ±3.2% percentile error) and stops growing. The
-    /// default is unbounded, which keeps reports byte-identical to the
-    /// pre-cap behavior; million-tenant front-ends (ofpc-ingest) set a
-    /// small cap so metric state is O(tenants), not O(requests).
-    pub fn with_latency_cap(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "latency cap must be positive");
-        self.latency_cap = cap;
-        self
+    /// Publish the collectors onto `tel`'s registry as `serve_*`
+    /// series: per tenant (labeled by `tenant_names`) the arrival,
+    /// completion, per-reason shed and degraded counters, the
+    /// completed-latency histogram and the energy gauge; run-wide the
+    /// batch-size histogram and one energy gauge per stage. Samples are
+    /// replayed in the order they were booked. No-op when `tel` is
+    /// disabled.
+    pub fn publish<'a>(&self, tel: &Telemetry, tenant_names: impl IntoIterator<Item = &'a str>) {
+        if !tel.is_enabled() {
+            return;
+        }
+        for (t, name) in self.tenants.iter().zip(tenant_names) {
+            let l = labels(&[("tenant", name)]);
+            tel.counter("serve_arrivals_total", &l).add(t.arrivals);
+            tel.counter("serve_completed_total", &l).add(t.completed);
+            for (reason, n) in [
+                ("queue-full", t.shed_queue_full),
+                ("expired-queued", t.shed_expired_queued),
+                ("expired-serving", t.shed_expired_serving),
+                ("engine-failed", t.shed_engine_failed),
+            ] {
+                tel.counter(
+                    "serve_shed_total",
+                    &labels(&[("tenant", name), ("reason", reason)]),
+                )
+                .add(n);
+            }
+            tel.counter("serve_degraded_total", &l).add(t.degraded);
+            let h = tel.histogram("serve_latency_ps", &l);
+            t.latencies.iter().for_each(|&v| h.record(v));
+            tel.gauge("serve_energy_joules", &l).add(t.energy_j);
+        }
+        let h = tel.histogram("serve_batch_size", &Vec::new());
+        self.batch_sizes
+            .iter()
+            .for_each(|&s| h.record(u64::from(s)));
+        for (stage, &j) in &self.energy_stages {
+            tel.gauge(
+                "serve_stage_energy_joules",
+                &labels(&[("stage", stage.as_str())]),
+            )
+            .add(j);
+        }
     }
 
     pub fn on_arrival(&mut self, tenant: TenantId) {
         self.tenants[tenant.0 as usize].arrivals += 1;
-        self.series[tenant.0 as usize].arrivals.inc();
     }
 
     pub fn on_outcome(&mut self, tenant: TenantId, outcome: &Outcome) {
-        self.tenants[tenant.0 as usize].record(outcome, self.latency_cap);
-        self.series[tenant.0 as usize].record(outcome);
+        self.tenants[tenant.0 as usize].record(outcome);
     }
 
     pub fn on_batch(&mut self, size: u32) {
         self.batch_sizes.push(size);
-        self.batch_size_series.record(u64::from(size));
     }
 
     pub fn add_stage_energy(&mut self, stage: &str, joules: f64) {
         *self.energy_stages.entry(stage.to_string()).or_insert(0.0) += joules;
-        if self.tel.is_enabled() {
-            if let Some(g) = self.stage_energy_series.get(stage) {
-                g.add(joules);
-            } else {
-                let g = self
-                    .tel
-                    .gauge("serve_stage_energy_joules", &labels(&[("stage", stage)]));
-                g.add(joules);
-                self.stage_energy_series.insert(stage.to_string(), g);
-            }
-        }
     }
 
     pub fn tenant(&self, t: TenantId) -> &TenantCollector {
@@ -415,6 +199,7 @@ impl MetricsSink {
     pub fn report(&self, duration_s: f64, unfinished: u64, max_batch: usize) -> ServeReport {
         let mut tenants = Vec::new();
         for (i, t) in self.tenants.iter().enumerate() {
+            let [p50, p99, p999] = latency_quantiles_us(t.latencies.clone());
             tenants.push(TenantReport {
                 tenant: TenantId(i as u32),
                 arrivals: t.arrivals,
@@ -426,9 +211,9 @@ impl MetricsSink {
                 degraded: t.degraded,
                 degraded_energy_j: t.degraded_energy_j,
                 goodput_rps: t.completed as f64 / duration_s,
-                p50_latency_us: t.latencies.percentile_ps(0.50).map(|v| v as f64 / 1e6),
-                p99_latency_us: t.latencies.percentile_ps(0.99).map(|v| v as f64 / 1e6),
-                p999_latency_us: t.latencies.percentile_ps(0.999).map(|v| v as f64 / 1e6),
+                p50_latency_us: p50,
+                p99_latency_us: p99,
+                p999_latency_us: p999,
                 mean_batch_size: if t.completed > 0 {
                     t.batch_size_sum as f64 / t.completed as f64
                 } else {
@@ -446,15 +231,11 @@ impl MetricsSink {
         let completed = self.completed_total();
         let shed = self.shed_total();
         let degraded = self.degraded_total();
-        debug_assert_eq!(
+        assert_eq!(
             arrivals,
             completed + shed + degraded + unfinished,
             "request conservation violated"
         );
-        let mut all_lat = LatencyStore::default();
-        for t in &self.tenants {
-            t.latencies.merge_into(&mut all_lat);
-        }
         let occupancy = if self.batch_sizes.is_empty() {
             0.0
         } else {
@@ -462,10 +243,16 @@ impl MetricsSink {
                 / (self.batch_sizes.len() * max_batch) as f64
         };
         let energy_total: f64 = self.energy_stages.values().sum();
-        let mut degraded_lat = LatencyStore::default();
-        for t in &self.tenants {
-            t.degraded_latencies.merge_into(&mut degraded_lat);
-        }
+        let all_lat = self
+            .tenants
+            .iter()
+            .flat_map(|t| t.latencies.iter().copied());
+        let [p50, p99, p999] = latency_quantiles_us(all_lat.collect());
+        let degraded_lat = self
+            .tenants
+            .iter()
+            .flat_map(|t| t.degraded_latencies.iter().copied());
+        let [_, degraded_p99, _] = latency_quantiles_us(degraded_lat.collect());
         ServeReport {
             duration_s,
             arrivals,
@@ -485,11 +272,11 @@ impl MetricsSink {
             } else {
                 0.0
             },
-            degraded_p99_latency_us: degraded_lat.percentile_ps(0.99).map(|v| v as f64 / 1e6),
+            degraded_p99_latency_us: degraded_p99,
             degraded_energy_j: self.tenants.iter().map(|t| t.degraded_energy_j).sum(),
-            p50_latency_us: all_lat.percentile_ps(0.50).map(|v| v as f64 / 1e6),
-            p99_latency_us: all_lat.percentile_ps(0.99).map(|v| v as f64 / 1e6),
-            p999_latency_us: all_lat.percentile_ps(0.999).map(|v| v as f64 / 1e6),
+            p50_latency_us: p50,
+            p99_latency_us: p99,
+            p999_latency_us: p999,
             batches: self.batch_sizes.len() as u64,
             mean_batch_occupancy: occupancy,
             energy_total_j: energy_total,
@@ -627,52 +414,7 @@ mod tests {
     }
 
     #[test]
-    fn latency_cap_bounds_memory_and_keeps_percentiles_close() {
-        let mut capped = MetricsSink::new(1).with_latency_cap(64);
-        let mut exact = MetricsSink::new(1);
-        // A skewed latency population: ramp plus heavy tail.
-        let samples: Vec<u64> = (0..5_000u64)
-            .map(|i| 1_000 + i * 37 + if i % 97 == 0 { 900_000 } else { 0 })
-            .collect();
-        for &lat in &samples {
-            for m in [&mut capped, &mut exact] {
-                m.on_arrival(TenantId(0));
-                m.on_outcome(
-                    TenantId(0),
-                    &Outcome::Completed {
-                        latency_ps: lat,
-                        batch_size: 1,
-                        energy_j: 1e-12,
-                    },
-                );
-            }
-        }
-        // The capped sink spilled: no per-sample memory retained.
-        assert_eq!(capped.tenant(TenantId(0)).exact_latency_samples(), None);
-        assert_eq!(
-            exact.tenant(TenantId(0)).exact_latency_samples(),
-            Some(samples.len())
-        );
-        let rc = capped.report(1.0, 0, 8);
-        let re = exact.report(1.0, 0, 8);
-        for (c, e) in [
-            (rc.p50_latency_us, re.p50_latency_us),
-            (rc.p99_latency_us, re.p99_latency_us),
-            (rc.p999_latency_us, re.p999_latency_us),
-        ] {
-            let (c, e) = (c.unwrap(), e.unwrap());
-            assert!(
-                (c - e).abs() / e <= 0.033,
-                "compact percentile {c} strayed from exact {e}"
-            );
-        }
-        // Counters are unaffected by the cap.
-        assert_eq!(rc.completed, re.completed);
-        assert_eq!(rc.arrivals, re.arrivals);
-    }
-
-    #[test]
-    fn default_sink_never_spills_and_matches_legacy_reports() {
+    fn report_percentiles_are_exact_nearest_rank() {
         let mut m = MetricsSink::new(1);
         for i in 0..10_000u64 {
             m.on_arrival(TenantId(0));
@@ -685,59 +427,10 @@ mod tests {
                 },
             );
         }
-        assert_eq!(
-            m.tenant(TenantId(0)).exact_latency_samples(),
-            Some(10_000),
-            "default cap must keep exact samples (golden fixtures depend on it)"
-        );
         let r = m.report(1.0, 0, 8);
         // Nearest-rank over 1..=10_000.
         assert_eq!(r.p50_latency_us, Some(5_000.0 / 1e6));
         assert_eq!(r.p99_latency_us, Some(9_900.0 / 1e6));
-    }
-
-    #[test]
-    fn bucket_index_and_mid_are_consistent() {
-        for v in (0..200u64).chain([1_000, 65_535, 1 << 20, u64::MAX >> 3]) {
-            let idx = lat_bucket_index(v);
-            let mid = lat_bucket_mid(idx);
-            if v < SUB as u64 {
-                assert_eq!(mid, v, "sub-{SUB} values are exact");
-            } else {
-                let err = (mid as f64 - v as f64).abs() / v as f64;
-                assert!(err <= 0.033, "v={v} mid={mid} err={err}");
-            }
-        }
-        // Indices are monotone in the value.
-        let mut last = 0;
-        for v in 0..100_000u64 {
-            let idx = lat_bucket_index(v);
-            assert!(idx >= last);
-            last = idx;
-        }
-        assert!(lat_bucket_index(u64::MAX) < LAT_BUCKETS);
-    }
-
-    #[test]
-    fn merge_into_spills_the_aggregate_when_any_tenant_spilled() {
-        let mut a = LatencyStore::default();
-        for v in [10u64, 20, 30] {
-            a.push(v, usize::MAX);
-        }
-        let mut b = LatencyStore::default();
-        for v in 0..100u64 {
-            b.push(1_000 + v, 8);
-        }
-        assert!(b.exact_samples_held().is_none());
-        let mut acc = LatencyStore::default();
-        a.merge_into(&mut acc);
-        assert_eq!(acc.exact_samples_held(), Some(3));
-        b.merge_into(&mut acc);
-        assert!(acc.exact_samples_held().is_none());
-        assert_eq!(acc.count(), 103);
-        // Medians survive the spill within bucket tolerance.
-        let p50 = acc.percentile_ps(0.50).unwrap();
-        assert!((p50 as f64 - 1_051.0).abs() / 1_051.0 <= 0.033, "p50={p50}");
     }
 
     #[test]

@@ -26,6 +26,7 @@ use ofpc_core::OnFiberNetwork;
 use ofpc_engine::dot::{DotProductUnit, DotUnitConfig};
 use ofpc_engine::Primitive;
 use ofpc_faults::{FaultKind, FaultPlan};
+use ofpc_net::events::EventQueue;
 use ofpc_net::routing::shortest_paths;
 use ofpc_net::{LinkId, NodeId};
 use ofpc_photonics::SimRng;
@@ -37,8 +38,6 @@ use ofpc_telemetry::{track, Counter, Telemetry};
 use ofpc_transponder::compute::ComputeTransponderConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-
-use crate::events::EventQueue;
 
 /// One tenant's serving contract.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -147,8 +146,8 @@ struct PendingBatch {
     route: Vec<LinkId>,
 }
 
-/// Event kinds, ordered deterministically via (time, seq).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Event kinds; the queue pops them in (time, insertion) order.
+#[derive(Debug, Clone, Copy)]
 enum Event {
     Arrival {
         tenant: u32,
@@ -248,8 +247,7 @@ pub struct ServeRuntime {
     /// → ps); populated only while telemetry is enabled, feeds the
     /// per-request trace tree emitted at delivery.
     drained_ps: BTreeMap<u64, u64>,
-    /// Profiling hooks: events handled / batches dispatched.
-    ev_count: Counter,
+    /// Profiling hook: batches dispatched.
     dispatch_count: Counter,
     /// Link-disjoint route plan for proactive redundancy (None = the
     /// legacy reactive-only path).
@@ -315,7 +313,6 @@ impl ServeRuntime {
             attempts: BTreeMap::new(),
             tel: Telemetry::disabled(),
             drained_ps: BTreeMap::new(),
-            ev_count: Counter::noop(),
             dispatch_count: Counter::noop(),
             site_plan: None,
             site_routes: BTreeMap::new(),
@@ -436,19 +433,17 @@ impl ServeRuntime {
     }
 
     /// Attach an observability handle. With an enabled handle the
-    /// runtime mirrors its metrics onto the shared registry
-    /// (`serve_*` series), counts loop events and dispatches, and
-    /// emits sim-time trace spans: one tree per completed request
-    /// (queue → batch → sched → fiber → engine → fiber) on the
-    /// request track, per-slot service spans on the site track, and
-    /// instant events for sheds, faults, and fallbacks. Call before
-    /// [`ServeRuntime::run`]; a disabled handle (the default) costs one
-    /// branch per emit site.
+    /// runtime counts dispatches live, emits sim-time trace spans (one
+    /// tree per completed request — queue → batch → sched → fiber →
+    /// engine → fiber — on the request track, per-slot service spans on
+    /// the site track, and instant events for sheds, faults, and
+    /// fallbacks), and at the end of the run publishes its metrics
+    /// collectors onto the shared registry (`serve_*` series, see
+    /// [`MetricsSink::publish`]) together with the event-loop count
+    /// `serve_events_total`. Call before [`ServeRuntime::run`]; a
+    /// disabled handle (the default) costs one branch per emit site.
     pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
         self.tel = tel.clone();
-        let names: Vec<String> = self.config.tenants.iter().map(|t| t.name.clone()).collect();
-        self.metrics = MetricsSink::with_telemetry(&names, tel);
-        self.ev_count = tel.counter("serve_events_total", &Vec::new());
         self.dispatch_count = tel.counter("serve_dispatches_total", &Vec::new());
         self
     }
@@ -484,7 +479,7 @@ impl ServeRuntime {
     }
 
     fn push_event(&mut self, t_ps: u64, ev: Event) {
-        self.events.push(t_ps, ev);
+        self.events.schedule_at(t_ps, ev);
     }
 
     fn schedule_next_arrival(&mut self, tenant: u32) {
@@ -1309,7 +1304,6 @@ impl ServeRuntime {
     pub fn run_with_resil(mut self) -> (ServeReport, ResilSummary) {
         let end_ps = self.config.horizon_ps + self.config.drain_grace_ps;
         while let Some((t, ev)) = self.events.pop() {
-            self.ev_count.inc();
             if t > end_ps {
                 // Past the drain window no new work starts, but results
                 // already dispatched are light in the fiber — their
@@ -1334,7 +1328,12 @@ impl ServeRuntime {
             }
             self.run_pipeline();
         }
-        debug_assert!(self.in_service.is_empty(), "all dispatches delivered");
+        assert!(self.in_service.is_empty(), "all dispatches delivered");
+        let names = self.config.tenants.iter().map(|t| t.name.as_str());
+        self.metrics.publish(&self.tel, names);
+        self.tel
+            .counter("serve_events_total", &Vec::new())
+            .add(self.events.events_processed);
         let unfinished = self.unfinished_requests();
         let duration_s = self.config.horizon_ps as f64 / 1e12;
         let mut summary = self.resil_stats.clone();

@@ -34,8 +34,8 @@ pub mod registry;
 pub mod trace;
 
 pub use registry::{
-    labels, Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, Labels,
-    MetricsRegistry, MetricsSnapshot,
+    labels, nearest_rank, Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram,
+    HistogramSnapshot, Labels, LogHistogram, MetricsRegistry, MetricsSnapshot,
 };
 pub use trace::{chrome_trace_json, track, validate_balanced, Phase, TraceBuffer, TraceEvent};
 

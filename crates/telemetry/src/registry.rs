@@ -1,6 +1,8 @@
 //! The metrics registry: typed counters, gauges, and log-linear
 //! histograms, labeled by arbitrary `key=value` pairs (tenant, site,
 //! link, stage, …), with deterministic Prometheus-text and JSON export.
+//! [`LogHistogram`] is the same bucket scheme as a plain owned value,
+//! for collectors that are moved between threads rather than shared.
 //!
 //! Handles are cheap to clone and lock-free on the hot path: a
 //! [`Counter`] is an `Arc<AtomicU64>` bumped with a relaxed fetch-add,
@@ -150,6 +152,29 @@ fn bucket_mid(idx: usize) -> u64 {
     lo + (hi - lo) / 2
 }
 
+/// 1-based nearest rank of quantile `q` (in `[0, 1]`) among `count > 0`
+/// samples: the smallest rank whose cumulative share reaches `q`.
+pub fn nearest_rank(q: f64, count: u64) -> u64 {
+    ((q * count as f64).ceil() as u64).clamp(1, count)
+}
+
+/// Nearest-rank quantile `q` over per-bucket counts summing to
+/// `count`: the matched bucket's midpoint, `None` when empty.
+fn bucket_percentile(buckets: impl Iterator<Item = u64>, count: u64, q: f64) -> Option<u64> {
+    if count == 0 {
+        return None;
+    }
+    let rank = nearest_rank(q, count);
+    let mut seen = 0u64;
+    for (idx, n) in buckets.enumerate() {
+        seen += n;
+        if seen >= rank {
+            return Some(bucket_mid(idx));
+        }
+    }
+    Some(bucket_mid(BUCKETS - 1))
+}
+
 #[derive(Debug)]
 struct HistogramCore {
     buckets: Vec<AtomicU64>,
@@ -192,22 +217,16 @@ impl HistogramCore {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Nearest-rank percentile over the bucketed distribution; returns
-    /// the matched bucket's midpoint (0 when empty).
+    /// Nearest-rank percentile (`p` in percent) over the bucketed
+    /// distribution; returns the matched bucket's midpoint (0 when
+    /// empty).
     fn percentile(&self, p: f64) -> u64 {
-        let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0 * count as f64).ceil() as u64).clamp(1, count);
-        let mut seen = 0u64;
-        for (idx, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_mid(idx);
-            }
-        }
-        bucket_mid(BUCKETS - 1)
+        bucket_percentile(
+            self.buckets.iter().map(|b| b.load(Ordering::Relaxed)),
+            self.count.load(Ordering::Relaxed),
+            p / 100.0,
+        )
+        .unwrap_or(0)
     }
 
     fn snapshot(&self, name: &str, labels: &Labels) -> HistogramSnapshot {
@@ -258,6 +277,52 @@ impl Histogram {
     /// Approximate percentile (`p` in percent, e.g. `99.9`).
     pub fn percentile(&self, p: f64) -> u64 {
         self.0.as_ref().map_or(0, |h| h.percentile(p))
+    }
+}
+
+/// Single-owner log-linear histogram: the bucket scheme and
+/// nearest-rank walk of [`Histogram`], kept in plain `u64` cells so it
+/// can live inside a value that moves between threads (a shard's
+/// per-class stats) and be merged afterwards. Memory is fixed however
+/// many samples arrive; percentiles carry the same ±3.2% bound.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogHistogram {
+    buckets: Box<[u64]>,
+    count: u64,
+}
+
+impl Default for LogHistogram {
+    fn default() -> Self {
+        LogHistogram {
+            buckets: vec![0; BUCKETS].into_boxed_slice(),
+            count: 0,
+        }
+    }
+}
+
+impl LogHistogram {
+    pub fn new() -> Self {
+        LogHistogram::default()
+    }
+
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+    }
+
+    /// Fold `other`'s samples into this histogram.
+    pub fn merge(&mut self, other: &LogHistogram) {
+        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *a += b;
+        }
+        self.count += other.count;
+    }
+
+    /// Nearest-rank quantile `q` (in `[0, 1]`, e.g. `0.999`) as a
+    /// bucket midpoint; `None` when empty.
+    pub fn percentile(&self, q: f64) -> Option<u64> {
+        bucket_percentile(self.buckets.iter().copied(), self.count, q)
     }
 }
 
@@ -552,6 +617,51 @@ mod tests {
             let approx = h.percentile(p) as f64;
             let rel = (approx - truth).abs() / truth;
             assert!(rel < 0.04, "p{p}: approx {approx} vs exact {truth}");
+        }
+    }
+
+    /// Seeded samples spanning the exact unit buckets and many octaves.
+    fn seeded_samples(seed: u64, n: usize) -> Vec<u64> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                // SplitMix64 step.
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^= z >> 31;
+                z >> (z % 64)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn log_histogram_merge_equals_recording_the_union() {
+        let (xs, ys) = (seeded_samples(1, 3_000), seeded_samples(2, 5_000));
+        let mut a = LogHistogram::new();
+        xs.iter().for_each(|&v| a.record(v));
+        let mut b = LogHistogram::new();
+        ys.iter().for_each(|&v| b.record(v));
+        let mut union = LogHistogram::new();
+        xs.iter().chain(&ys).for_each(|&v| union.record(v));
+        a.merge(&b);
+        assert_eq!(a, union);
+        assert_eq!(LogHistogram::new().percentile(0.5), None);
+    }
+
+    #[test]
+    fn log_histogram_percentiles_match_the_registry_histogram() {
+        let samples = seeded_samples(7, 10_007);
+        let reg = MetricsRegistry::new();
+        let h = reg.histogram("lat", &Labels::new());
+        let mut owned = LogHistogram::new();
+        for &v in &samples {
+            h.record(v);
+            owned.record(v);
+        }
+        for q in [0.5, 0.99, 0.999] {
+            assert_eq!(owned.percentile(q), Some(h.percentile(100.0 * q)), "q={q}");
         }
     }
 
