@@ -23,6 +23,19 @@ run_no_warnings() {
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# A bench target that no step below runs is dead weight: nothing
+# asserts on it, so it only rots. Every [[bench]] must have a
+# `--bench <name>` run in this script.
+echo "==> every bench target is run by ci.sh"
+unrun=0
+for name in $(sed -n '/^\[\[bench\]\]/,/^name/s/^name *= *"\([^"]*\)".*/\1/p' crates/bench/Cargo.toml); do
+    if ! grep -Eq -- "--bench ${name}( |\$)" ci.sh; then
+        echo "==> FAIL: bench target '${name}' is not run by ci.sh" >&2
+        unrun=1
+    fi
+done
+[ "$unrun" -eq 0 ]
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -5,8 +5,8 @@
 //! tenants — a steady Poisson tenant with weight 3 and a bursty MMPP
 //! tenant with weight 1 — through the full `ofpc-serve` pipeline:
 //! admission (bounded queues, DRR weighted fair sharing), dynamic
-//! batching into WDM wavelength batches, EDF dispatch onto the
-//! transponder inventory, explicit load shedding.
+//! batching into WDM wavelength batches, EDF dispatch onto compute
+//! transponder slots, explicit load shedding.
 //!
 //! The sweep crosses the saturation knee. Expected shape:
 //!

@@ -12,7 +12,6 @@
 //!
 //! * [`demand`] — compute demands with task DAGs, linearized to placement
 //!   chains.
-//! * [`inventory`] — live transponder status tracking (slots, versions).
 //! * [`options`] — candidate enumeration: placement tuples over
 //!   compute-capable sites, costed by added latency and slots.
 //! * [`ilp`] — exact branch-and-bound over the integer allocation (this
@@ -29,7 +28,6 @@
 pub mod demand;
 pub mod greedy;
 pub mod ilp;
-pub mod inventory;
 pub mod lp;
 pub mod options;
 pub mod protection;
@@ -37,7 +35,6 @@ pub mod teupdate;
 
 pub use demand::{Demand, DemandId, TaskDag};
 pub use ilp::solve_exact;
-pub use inventory::TransponderInventory;
 pub use options::{
     enumerate_options, enumerate_options_filtered, options_from_matrix, AllocOption,
     ProblemInstance,

@@ -12,16 +12,8 @@
 //! siblings. That makes task `i`'s output a pure function of
 //! `(base_seed, i, spec)` — the same bytes whether the batch runs on 1
 //! worker or 8, which is exactly what `tests/parallel.rs` diffs.
-//!
-//! Optionally the batch shares one pair of MZM transfer caches
-//! ([`BatchEngine::with_shared_mzm_cache`]) across all tasks and
-//! workers; the cache is race-benign by construction, so sharing it
-//! never perturbs the bytes either.
 
-use std::sync::Arc;
-
-use ofpc_par::{split_seed, TransferCache, WorkerPool};
-use ofpc_photonics::tfcache;
+use ofpc_par::{split_seed, WorkerPool};
 use ofpc_photonics::SimRng;
 
 use crate::correlator::{CorrelationHit, Correlator};
@@ -76,7 +68,6 @@ pub struct BatchEngine {
     pub matcher_config: MatcherConfig,
     /// Calibration symbols per freshly built unit.
     pub calibration_symbols: usize,
-    mzm_caches: Option<(Arc<TransferCache>, Arc<TransferCache>)>,
 }
 
 impl BatchEngine {
@@ -87,7 +78,6 @@ impl BatchEngine {
             dot_config: DotUnitConfig::realistic(),
             matcher_config: MatcherConfig::realistic(),
             calibration_symbols: 128,
-            mzm_caches: None,
         }
     }
 
@@ -98,7 +88,6 @@ impl BatchEngine {
             dot_config: DotUnitConfig::ideal(),
             matcher_config: MatcherConfig::ideal(),
             calibration_symbols: 128,
-            mzm_caches: None,
         }
     }
 
@@ -110,22 +99,6 @@ impl BatchEngine {
     pub fn with_backend(mut self, backend: crate::dot::KernelBackend) -> Self {
         self.dot_config.backend = backend;
         self
-    }
-
-    /// Share one pair of MZM amplitude-transmission caches (step `step_v`
-    /// volts) across every MVM task in every batch. Calibration runs
-    /// through the cache too, so the quantized curve is self-consistent.
-    pub fn with_shared_mzm_cache(mut self, step_v: f64) -> Self {
-        self.mzm_caches = Some((
-            tfcache::mzm_amplitude_cache(&self.dot_config.mzm_a, step_v),
-            tfcache::mzm_amplitude_cache(&self.dot_config.mzm_b, step_v),
-        ));
-        self
-    }
-
-    /// The shared MZM caches, if configured (for hit-rate inspection).
-    pub fn mzm_caches(&self) -> Option<&(Arc<TransferCache>, Arc<TransferCache>)> {
-        self.mzm_caches.as_ref()
     }
 
     /// Execute `batch` across the pool, outputs in submission order.
@@ -172,9 +145,6 @@ impl BatchEngine {
 
     fn build_mvm(&self, lanes: usize, rng: &mut SimRng) -> PhotonicMatVec {
         let mut engine = PhotonicMatVec::new(self.dot_config.clone(), lanes, rng);
-        if let Some((a, b)) = &self.mzm_caches {
-            engine.set_mzm_caches(Arc::clone(a), Arc::clone(b));
-        }
         engine.calibrate(self.calibration_symbols);
         engine
     }
@@ -224,16 +194,6 @@ mod tests {
         let seq = output_bytes(&engine, 1);
         assert_eq!(seq, output_bytes(&engine, 2));
         assert_eq!(seq, output_bytes(&engine, 8));
-    }
-
-    #[test]
-    fn shared_cache_does_not_perturb_determinism() {
-        let engine = BatchEngine::realistic(42).with_shared_mzm_cache(1e-6);
-        let seq = output_bytes(&engine, 1);
-        assert_eq!(seq, output_bytes(&engine, 8));
-        let (a, b) = engine.mzm_caches().expect("caches configured");
-        assert!(a.hits() + a.misses() > 0, "mzm-a cache untouched");
-        assert!(b.hits() + b.misses() > 0, "mzm-b cache untouched");
     }
 
     #[test]

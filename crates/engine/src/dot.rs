@@ -206,20 +206,6 @@ impl DotProductUnit {
         self.calibration.is_some()
     }
 
-    /// Attach shared amplitude-transmission caches to the two MZMs
-    /// (built from this unit's `mzm_a`/`mzm_b` configs, e.g. via
-    /// [`ofpc_photonics::tfcache::mzm_amplitude_cache`]). Attach *before*
-    /// [`DotProductUnit::calibrate`] so calibration and compute see the
-    /// same quantized curve.
-    pub fn set_mzm_caches(
-        &mut self,
-        a: std::sync::Arc<ofpc_par::TransferCache>,
-        b: std::sync::Arc<ofpc_par::TransferCache>,
-    ) {
-        self.mzm_a.set_amplitude_cache(a);
-        self.mzm_b.set_amplitude_cache(b);
-    }
-
     /// Run the calibration procedure: measure the photocurrent for a
     /// unit-product vector (all ones) and for a dark vector, storing the
     /// gain and offset that map integrated charge back to value. This is
@@ -430,8 +416,6 @@ impl DotProductUnit {
 
     /// Build the code → power-transmission LUTs once per unit, where
     /// the config allows it (passthrough drive, tractable code space).
-    /// Built through the [`ofpc_photonics::tfcache`] seam so the curve
-    /// values are bit-identical to any shared fused-power cache.
     fn ensure_luts(&mut self) {
         if self.scratch.luts_ready {
             return;
@@ -458,15 +442,16 @@ impl DotProductUnit {
     }
 
     /// DAC code → fused power transmission of an MZM with `config`,
-    /// dense over the code space. The grid step puts every decoded code
-    /// on a cache grid point, so the table is the fused curve itself.
+    /// dense over the code space. The curve is evaluated at each decoded
+    /// code snapped to the half-code grid `0.5/(levels − 1)`: the same
+    /// point up to one ulp, and the one the golden fixtures were pinned
+    /// at.
     fn build_code_lut(config: &MzmConfig, dac: &Dac, adc: &Adc) -> std::sync::Arc<Vec<f64>> {
+        let mzm = MachZehnderModulator::new(config.clone());
         let step = 0.5 / (adc.levels() - 1) as f64;
-        let cache = ofpc_photonics::tfcache::mzm_fused_power_cache(config, step);
-        cache.preload((0..dac.levels()).map(|c| adc.decode_unit(c)));
         std::sync::Arc::new(
             (0..dac.levels())
-                .map(|c| cache.eval(adc.decode_unit(c)))
+                .map(|c| mzm.fused_power_transmission((adc.decode_unit(c) / step).round() * step))
                 .collect(),
         )
     }
@@ -945,6 +930,27 @@ mod tests {
             scalar.energy_ledger().get("mzm-b").to_bits(),
             vec.energy_ledger().get("mzm-b").to_bits()
         );
+    }
+
+    #[test]
+    fn code_lut_is_the_fused_curve_at_every_converter_code() {
+        // The vectorized kernel's table must be the fused curve at
+        // exactly the values the converters decode to, for every code.
+        let cfg = MzmConfig::default();
+        let m = MachZehnderModulator::new(cfg.clone());
+        for bits in [8, 12] {
+            let (dac, adc) = (Dac::ideal(bits), Adc::ideal(bits));
+            let lut = DotProductUnit::build_code_lut(&cfg, &dac, &adc);
+            assert_eq!(lut.len() as u64, dac.levels());
+            for (code, &got) in lut.iter().enumerate() {
+                let want = m.fused_power_transmission(adc.decode_unit(code as u64));
+                let err = (got - want).abs();
+                assert!(
+                    err <= 4.0 * f64::EPSILON,
+                    "{bits}-bit code {code}: {got} vs {want}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -51,19 +51,6 @@ impl PhotonicMatVec {
         self.tel_macs = tel.counter("engine_macs_total", &Vec::new());
     }
 
-    /// Attach shared MZM transfer caches to every lane (see
-    /// [`crate::dot::DotProductUnit::set_mzm_caches`]). Attach before
-    /// [`PhotonicMatVec::calibrate`].
-    pub fn set_mzm_caches(
-        &mut self,
-        a: std::sync::Arc<ofpc_par::TransferCache>,
-        b: std::sync::Arc<ofpc_par::TransferCache>,
-    ) {
-        for lane in &mut self.lanes {
-            lane.set_mzm_caches(std::sync::Arc::clone(&a), std::sync::Arc::clone(&b));
-        }
-    }
-
     /// Ideal engine for algebra tests.
     pub fn ideal(lanes: usize) -> Self {
         let mut rng = SimRng::seed_from_u64(0);

@@ -104,21 +104,6 @@ impl NonlinearUnit {
         u
     }
 
-    /// Attach shared amplitude-transmission caches to the encoder and
-    /// gate MZMs (build with
-    /// [`ofpc_photonics::tfcache::mzm_amplitude_cache`] from the same
-    /// `config.encoder` / `config.gate`). Attach *before*
-    /// [`Self::calibrate`] so the full-scale normalization and every
-    /// activation see the same quantized curves.
-    pub fn set_mzm_caches(
-        &mut self,
-        encoder: std::sync::Arc<ofpc_par::TransferCache>,
-        gate: std::sync::Arc<ofpc_par::TransferCache>,
-    ) {
-        self.encoder.set_amplitude_cache(encoder);
-        self.gate.set_amplitude_cache(gate);
-    }
-
     /// Measure the output current at full-scale input for normalization.
     pub fn calibrate(&mut self) {
         let i = self.raw_activate(1.0);
@@ -289,29 +274,6 @@ mod tests {
         let mut cfg = NonlinearConfig::ideal();
         cfg.tap_ratio = 1.0;
         NonlinearUnit::new(cfg, &mut rng);
-    }
-
-    #[test]
-    fn cached_mzms_agree_with_uncached() {
-        use ofpc_photonics::tfcache::{mzm_amplitude_cache, MZM_DRIVE_STEP_V};
-        // Ideal MZMs have infinite extinction ratio, so both curves are
-        // Lipschitz and the quantization bound applies end to end.
-        let cfg = NonlinearConfig::ideal();
-        let mut plain = NonlinearUnit::new(cfg.clone(), &mut SimRng::seed_from_u64(8));
-        let mut cached = NonlinearUnit::new(cfg.clone(), &mut SimRng::seed_from_u64(8));
-        let enc = mzm_amplitude_cache(&cfg.encoder, MZM_DRIVE_STEP_V);
-        let gate = mzm_amplitude_cache(&cfg.gate, MZM_DRIVE_STEP_V);
-        cached.set_mzm_caches(std::sync::Arc::clone(&enc), std::sync::Arc::clone(&gate));
-        plain.calibrate();
-        cached.calibrate();
-        for i in 0..=20 {
-            let x = i as f64 / 20.0;
-            let a = plain.activate(x);
-            let b = cached.activate(x);
-            assert!((a - b).abs() < 2e-3, "x={x}: plain {a} cached {b}");
-        }
-        // Repeated sweeps land on the same grid points.
-        assert!(enc.hits() + gate.hits() > 0);
     }
 
     #[test]

@@ -130,14 +130,6 @@ impl TernaryMatcher {
         m
     }
 
-    /// Attach a shared amplitude-transmission cache to the wildcard gate
-    /// MZM (build with [`ofpc_photonics::tfcache::mzm_amplitude_cache`]
-    /// from the same `config.gate`). Attach *before* [`Self::calibrate`]
-    /// so calibration and matching see the same quantized curve.
-    pub fn set_gate_cache(&mut self, cache: std::sync::Arc<ofpc_par::TransferCache>) {
-        self.gate.set_amplitude_cache(cache);
-    }
-
     /// Calibrate the three per-symbol currents: matched floor, mismatch
     /// unit, and wildcard offset.
     pub fn calibrate(&mut self, n: usize) {
@@ -302,34 +294,5 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(0);
         let mut m = TernaryMatcher::new(TernaryConfig::ideal(), &mut rng);
         m.match_block(&[true], &[Tern::One]);
-    }
-
-    #[test]
-    fn cached_gate_agrees_with_uncached() {
-        use ofpc_photonics::tfcache::{mzm_amplitude_cache, MZM_DRIVE_STEP_V};
-        // Ideal config: infinite extinction ratio, so the gate curve is
-        // smooth at the null and the grid bound holds (see tfcache docs).
-        let cfg = TernaryConfig::ideal();
-        let mut plain = TernaryMatcher::new(cfg.clone(), &mut SimRng::seed_from_u64(7));
-        let mut cached = TernaryMatcher::new(cfg.clone(), &mut SimRng::seed_from_u64(7));
-        let cache = mzm_amplitude_cache(&cfg.gate, MZM_DRIVE_STEP_V);
-        cached.set_gate_cache(std::sync::Arc::clone(&cache));
-        plain.calibrate(16);
-        cached.calibrate(16);
-        let pattern = parse_pattern("10**11*0").unwrap();
-        for data in ["10101100", "10011110", "00110010"] {
-            let a = plain.match_block(&bits(data), &pattern);
-            let b = cached.match_block(&bits(data), &pattern);
-            assert_eq!(a.matched, b.matched, "data {data}");
-            assert!(
-                (a.distance_estimate - b.distance_estimate).abs() < 0.05,
-                "data {data}: plain {} cached {}",
-                a.distance_estimate,
-                b.distance_estimate
-            );
-        }
-        // The gate sees only the two drive levels (dark / open).
-        assert!(cache.len() <= 2, "gate cache holds {} points", cache.len());
-        assert!(cache.hits() > 0);
     }
 }

@@ -40,7 +40,7 @@ enum Ev {
     /// A batch timeout may be due.
     BatchTick,
     /// A transponder slot's busy window ended; try dispatching again.
-    SlotFree { node: NodeId, slot: usize },
+    SlotFree,
     /// A dispatched batch's results reach the requesters.
     Deliver { seq: u64 },
 }
@@ -304,10 +304,7 @@ impl ShardState {
                 self.batcher.flush_timeouts(self.now_ps);
                 self.pump();
             }
-            Ev::SlotFree { node, slot } => {
-                self.scheduler.release(node, slot, self.now_ps);
-                self.pump();
-            }
+            Ev::SlotFree => self.pump(),
             Ev::Deliver { seq } => self.settle(seq),
         }
     }
@@ -448,13 +445,8 @@ impl ShardState {
         }
         // Wake the pump when dispatching to this slot becomes useful
         // again; without it a lull in arrivals would strand ready work.
-        self.events.schedule_at(
-            d.free_ps.max(self.now_ps + 1),
-            Ev::SlotFree {
-                node: d.node,
-                slot: d.slot,
-            },
-        );
+        self.events
+            .schedule_at(d.free_ps.max(self.now_ps + 1), Ev::SlotFree);
         let seq = self.next_flight;
         self.next_flight += 1;
         let n = d.batch.len() as u32;
@@ -530,7 +522,7 @@ impl ShardState {
 
     /// Slot re-split: the rebalancer's grant for one physical site.
     pub(crate) fn set_site_slots(&mut self, node: NodeId, slots: usize) {
-        self.scheduler.resize_site(node, slots, self.now_ps);
+        self.scheduler.resize_site(node, slots);
     }
 
     pub(crate) fn slots_at(&self) -> usize {

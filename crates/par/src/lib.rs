@@ -16,21 +16,12 @@
 //!   derives its RNG stream from `split_seed(base, i)` (a SplitMix64
 //!   finalizer), never from a shared sequential RNG, so noise streams
 //!   are independent of execution order and worker count.
-//! * [`cache::TransferCache`] — a memoizing cache for expensive
-//!   transfer-function evaluations (MZM curves, EDFA saturation gain)
-//!   keyed by *quantized* operating point. The cached value is always
-//!   the function evaluated at the quantization-grid point, so a racy
-//!   double-insert computes the same bits — the cache is deterministic
-//!   under concurrency by construction, and shared read-mostly across
-//!   workers behind an `Arc`.
 //!
 //! No external dependencies; the pool uses `std::thread::scope` so
 //! borrowed task closures need no `'static` bound.
 
-pub mod cache;
 pub mod pool;
 pub mod sweep;
 
-pub use cache::TransferCache;
 pub use pool::WorkerPool;
 pub use sweep::split_seed;

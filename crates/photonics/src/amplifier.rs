@@ -39,26 +39,12 @@ impl Default for EdfaConfig {
 pub struct Edfa {
     pub config: EdfaConfig,
     rng: SimRng,
-    /// Optional shared memo of the saturation-gain curve (input power →
-    /// effective linear gain; see [`crate::tfcache`]).
-    gain_cache: Option<std::sync::Arc<ofpc_par::TransferCache>>,
 }
 
 impl Edfa {
     pub fn new(config: EdfaConfig, rng: SimRng) -> Self {
         assert!(config.gain_db >= 0.0, "EDFA gain must be non-negative");
-        Edfa {
-            config,
-            rng,
-            gain_cache: None,
-        }
-    }
-
-    /// Attach a shared quantized-key cache of the saturation-gain curve.
-    /// Build it from the same [`EdfaConfig`] with
-    /// [`crate::tfcache::edfa_gain_cache`].
-    pub fn set_gain_cache(&mut self, cache: std::sync::Arc<ofpc_par::TransferCache>) {
-        self.gain_cache = Some(cache);
+        Edfa { config, rng }
     }
 
     /// Ideal noiseless amplifier (for algebra tests).
@@ -87,24 +73,18 @@ impl Edfa {
     }
 
     /// Effective linear gain for a block of mean input power `p_in`:
-    /// the configured gain capped by output saturation, served from the
-    /// attached [`crate::tfcache`] memo when present.
+    /// the configured gain capped by output saturation.
     pub fn effective_gain(&self, p_in: f64) -> f64 {
-        match &self.gain_cache {
-            Some(cache) => cache.eval(p_in),
-            None => {
-                let gain_lin = units::db_to_linear(self.config.gain_db);
-                let p_sat = if self.config.saturation_dbm.is_finite() {
-                    units::dbm_to_watts(self.config.saturation_dbm)
-                } else {
-                    f64::INFINITY
-                };
-                if p_in * gain_lin > p_sat && p_in > 0.0 {
-                    p_sat / p_in
-                } else {
-                    gain_lin
-                }
-            }
+        let gain_lin = units::db_to_linear(self.config.gain_db);
+        let p_sat = if self.config.saturation_dbm.is_finite() {
+            units::dbm_to_watts(self.config.saturation_dbm)
+        } else {
+            f64::INFINITY
+        };
+        if p_in * gain_lin > p_sat && p_in > 0.0 {
+            p_sat / p_in
+        } else {
+            gain_lin
         }
     }
 
@@ -129,9 +109,9 @@ impl Edfa {
     }
 
     /// Vectorized [`Edfa::amplify`] operating on a struct-of-arrays
-    /// block in place: same saturation-capped gain (including the
-    /// [`crate::tfcache`] seam) and the same ASE statistics, with the
-    /// quadrature noise drawn through the ziggurat sampler lane by lane.
+    /// block in place: same saturation-capped gain and the same ASE
+    /// statistics, with the quadrature noise drawn through the ziggurat
+    /// sampler lane by lane.
     /// Noiseless (zero-ASE) configurations are bit-identical to
     /// `amplify`; noisy ones share distributions but not streams
     /// (DESIGN.md §12).
@@ -275,26 +255,6 @@ mod tests {
             .sum::<f64>()
             / block.len() as f64;
         assert!((var / sigma2 - 1.0).abs() < 0.05, "re-lane var {var}");
-    }
-
-    #[test]
-    fn effective_gain_agrees_with_and_without_cache() {
-        let cfg = EdfaConfig {
-            gain_db: 30.0,
-            saturation_dbm: 10.0,
-            ..EdfaConfig::default()
-        };
-        let mut cached = Edfa::new(cfg.clone(), SimRng::seed_from_u64(7));
-        cached.set_gain_cache(crate::tfcache::edfa_gain_cache(&cfg, 1e-6));
-        let plain = Edfa::new(cfg, SimRng::seed_from_u64(7));
-        for p_in in [0.0, 1e-6, 1e-4, 1e-3, 1e-2] {
-            let a = plain.effective_gain(p_in);
-            let b = cached.effective_gain(p_in);
-            assert!(
-                (a - b).abs() / a.max(1e-12) < 1e-3,
-                "p_in {p_in}: {a} vs {b}"
-            );
-        }
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod photodetector;
 pub mod rng;
 pub mod signal;
 pub mod simd;
-pub mod tfcache;
 pub mod units;
 pub mod wdm;
 

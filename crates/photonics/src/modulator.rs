@@ -92,9 +92,6 @@ pub struct MachZehnderModulator {
     pub config: MzmConfig,
     /// Symbols modulated so far (drives energy accounting).
     pub symbols_modulated: u64,
-    /// Optional shared memo of the amplitude-transmission curve
-    /// (see [`crate::tfcache`]); `None` evaluates the curve directly.
-    amplitude_cache: Option<std::sync::Arc<ofpc_par::TransferCache>>,
 }
 
 impl MachZehnderModulator {
@@ -102,26 +99,6 @@ impl MachZehnderModulator {
         MachZehnderModulator {
             config,
             symbols_modulated: 0,
-            amplitude_cache: None,
-        }
-    }
-
-    /// Attach a shared quantized-key cache of this modulator's amplitude
-    /// transmission. The cache must be built from the same [`MzmConfig`]
-    /// (use [`crate::tfcache::mzm_amplitude_cache`]); per-sample lookups
-    /// in [`MachZehnderModulator::modulate`] then go through the grid,
-    /// changing results by at most the quantization bound.
-    pub fn set_amplitude_cache(&mut self, cache: std::sync::Arc<ofpc_par::TransferCache>) {
-        self.amplitude_cache = Some(cache);
-    }
-
-    /// Amplitude transmission via the attached cache, or the direct
-    /// curve when no cache is attached.
-    #[inline]
-    fn cached_transmission(&self, v: f64) -> f64 {
-        match &self.amplitude_cache {
-            Some(cache) => cache.eval(v),
-            None => self.amplitude_transmission(v),
         }
     }
 
@@ -215,8 +192,7 @@ impl MachZehnderModulator {
     ///
     /// Pure with respect to device state: no RNG is consumed and no
     /// symbols are accounted (callers account symbols for the pass as a
-    /// whole). Any attached amplitude cache is bypassed — the fused
-    /// curve is evaluated directly (DESIGN.md §12).
+    /// whole).
     pub fn power_transmissions_into(
         &self,
         targets: &[f64],
@@ -261,7 +237,7 @@ impl MachZehnderModulator {
             drive.lowpass(self.config.bandwidth_hz);
         }
         for (k, &v) in drive.samples.iter().enumerate() {
-            let t = self.cached_transmission(v);
+            let t = self.amplitude_transmission(v);
             block.re[k] *= t;
             block.im[k] *= t;
         }
@@ -285,7 +261,7 @@ impl MachZehnderModulator {
         }
         let mut out = input.clone();
         for (s, &v) in out.samples.iter_mut().zip(drive.samples.iter()) {
-            *s = s.scale(self.cached_transmission(v));
+            *s = s.scale(self.amplitude_transmission(v));
         }
         self.symbols_modulated += input.len() as u64;
         out

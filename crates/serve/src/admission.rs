@@ -106,10 +106,6 @@ impl AdmissionControl {
         }
     }
 
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Select `tenant`'s resilience contract (defaults to
     /// [`RedundancyMode::Unprotected`]).
     pub fn set_policy(&mut self, tenant: TenantId, policy: RedundancyMode) {
@@ -136,11 +132,6 @@ impl AdmissionControl {
     /// Total queued requests across tenants.
     pub fn queued(&self) -> usize {
         self.tenants.iter().map(|t| t.queue.len()).sum()
-    }
-
-    /// Queue depth of one tenant.
-    pub fn queued_for(&self, tenant: TenantId) -> usize {
-        self.tenants[tenant.0 as usize].queue.len()
     }
 
     /// Drop queued requests whose deadline has passed, shedding them
@@ -302,19 +293,6 @@ impl SparseAdmission {
     /// Tenants currently holding state — the memory bound.
     pub fn active_tenants(&self) -> usize {
         self.active.len()
-    }
-
-    /// Backlogged tenants by queue depth, deepest first (ties by id) —
-    /// the rebalancer's hot-tenant candidates.
-    pub fn hottest(&self, limit: usize) -> Vec<(TenantId, usize)> {
-        let mut v: Vec<(TenantId, usize)> = self
-            .active
-            .iter()
-            .map(|(&t, q)| (t, q.queue.len()))
-            .collect();
-        v.sort_by_key(|&(t, depth)| (std::cmp::Reverse(depth), t));
-        v.truncate(limit);
-        v
     }
 
     /// Drop queued requests whose deadline has passed, shedding them
@@ -606,20 +584,6 @@ mod tests {
         assert_eq!(dst.take_shed().len(), 2);
         let drained = dst.drain_fair(10, 0);
         assert_eq!(drained[0].id, RequestId(0), "FIFO order preserved");
-    }
-
-    #[test]
-    fn sparse_hottest_ranks_by_depth_then_id() {
-        let mut ac = SparseAdmission::new();
-        for i in 0..5 {
-            ac.offer(req(i, 1, u64::MAX), shape(8, 1));
-        }
-        for i in 5..8 {
-            ac.offer(req(i, 2, u64::MAX), shape(8, 1));
-        }
-        ac.offer(req(8, 3, u64::MAX), shape(8, 1));
-        let hot = ac.hottest(2);
-        assert_eq!(hot, vec![(TenantId(1), 5), (TenantId(2), 3)]);
     }
 
     #[test]

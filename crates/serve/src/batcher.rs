@@ -67,15 +67,6 @@ impl Batch {
             .or_else(|| self.resil.map(|t| t.deadline_ps))
             .unwrap_or(u64::MAX)
     }
-
-    /// Earliest member arrival (for batch-wait accounting).
-    pub fn oldest_arrival_ps(&self) -> u64 {
-        self.requests
-            .iter()
-            .map(|r| r.arrival_ps)
-            .min()
-            .unwrap_or(0)
-    }
 }
 
 /// An open (still accumulating) batch.

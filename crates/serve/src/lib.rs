@@ -19,9 +19,9 @@
 //!    (primitive × operand length), closed on size or timeout. Batches
 //!    amortize the photonic fixed costs (weight reconfiguration, engine
 //!    settling) across WDM-parallel operand streams.
-//! 4. [`scheduler`] — earliest-deadline-first dispatch onto transponder
-//!    slots tracked by the controller's inventory, with a hardware-derived
-//!    latency/energy service model and pre-service deadline shedding.
+//! 4. [`scheduler`] — earliest-deadline-first dispatch onto compute
+//!    transponder slots, with a hardware-derived latency/energy service
+//!    model and pre-service deadline shedding.
 //! 5. [`metrics`] — per-tenant p50/p99/p999, goodput, shed rate, batch
 //!    occupancy, joules/request; serialized deterministically.
 //!

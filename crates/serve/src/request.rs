@@ -37,11 +37,6 @@ pub struct ComputeRequest {
 }
 
 impl ComputeRequest {
-    /// Remaining slack at `now` (0 when already past the deadline).
-    pub fn slack_ps(&self, now_ps: u64) -> u64 {
-        self.deadline_ps.saturating_sub(now_ps)
-    }
-
     /// Has the deadline passed at `now`?
     pub fn expired(&self, now_ps: u64) -> bool {
         now_ps > self.deadline_ps
@@ -115,12 +110,6 @@ pub enum Outcome {
     },
 }
 
-impl Outcome {
-    pub fn is_completed(&self) -> bool {
-        matches!(self, Outcome::Completed { .. })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,11 +126,8 @@ mod tests {
     }
 
     #[test]
-    fn slack_and_expiry() {
+    fn expires_only_after_the_deadline() {
         let r = req(100, 500);
-        assert_eq!(r.slack_ps(100), 400);
-        assert_eq!(r.slack_ps(500), 0);
-        assert_eq!(r.slack_ps(600), 0);
         assert!(!r.expired(500));
         assert!(r.expired(501));
     }

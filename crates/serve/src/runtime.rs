@@ -153,10 +153,8 @@ enum Event {
         tenant: u32,
     },
     BatchDue,
-    SlotFree {
-        node: NodeId,
-        slot: usize,
-    },
+    /// A slot's busy window ended; re-run the pipeline.
+    SlotFree,
     /// Engine site hard-fail / repair (the injected fault plan).
     SiteFault {
         node: NodeId,
@@ -225,8 +223,9 @@ pub struct ServeRuntime {
     events: EventQueue<Event>,
     next_request_id: u64,
     now_ps: u64,
-    /// Real photonic engine for sampled cross-checks.
-    verify_unit: DotProductUnit,
+    /// Real photonic engine for sampled cross-checks; built only when
+    /// `verify_every > 0`.
+    verify_unit: Option<DotProductUnit>,
     /// Backoff policy for fault-displaced requests.
     retry: RetryPolicy,
     /// Digital baseline that absorbs requests when photonic capacity is
@@ -290,9 +289,12 @@ impl ServeRuntime {
             .enumerate()
             .map(|(i, t)| ArrivalProcess::new(t.arrivals, rng.derive(&format!("tenant-{i}"))))
             .collect();
-        let mut verify_rng = rng.derive("verify-engine");
-        let mut verify_unit = DotProductUnit::new(DotUnitConfig::realistic(), &mut verify_rng);
-        verify_unit.calibrate(256);
+        let verify_unit = (config.verify_every > 0).then(|| {
+            let mut verify_rng = rng.derive("verify-engine");
+            let mut unit = DotProductUnit::new(DotUnitConfig::realistic(), &mut verify_rng);
+            unit.calibrate(256);
+            unit
+        });
         let tenant_count = config.tenants.len();
         let mut rt = ServeRuntime {
             admission: AdmissionControl::new(&caps),
@@ -461,11 +463,14 @@ impl ServeRuntime {
     /// runs stay byte-identical. `Vectorized` rebuilds the calibration
     /// on the fused kernels: same physics, own noise stream, so verify
     /// error statistics stay equivalent while the sweep runs several
-    /// times faster (DESIGN.md §12).
+    /// times faster (DESIGN.md §12). Without verification sampling
+    /// (`verify_every == 0`) there is no unit and this does nothing.
     pub fn with_verify_backend(mut self, backend: ofpc_engine::dot::KernelBackend) -> Self {
-        if backend != self.verify_unit.config.backend {
-            self.verify_unit.config.backend = backend;
-            self.verify_unit.calibrate(256);
+        if let Some(unit) = &mut self.verify_unit {
+            if backend != unit.config.backend {
+                unit.config.backend = backend;
+                unit.calibrate(256);
+            }
         }
         self
     }
@@ -575,13 +580,7 @@ impl ServeRuntime {
                     ],
                 );
             }
-            self.push_event(
-                d.free_ps,
-                Event::SlotFree {
-                    node: d.node,
-                    slot: d.slot,
-                },
-            );
+            self.push_event(d.free_ps, Event::SlotFree);
             let n = d.batch.len() as u32;
             // A requestless parity member has n = 0; its energy was
             // still burned and is accounted via the stage ledger below.
@@ -616,21 +615,22 @@ impl ServeRuntime {
             );
             self.push_event(d.delivered_ps, Event::Deliver { key });
             // Sampled ground-truth pass through the real photonic engine.
-            if self.config.verify_every > 0
-                && self
+            if let Some(unit) = &mut self.verify_unit {
+                if self
                     .scheduler
                     .batches_dispatched
                     .is_multiple_of(self.config.verify_every)
-                && d.batch.class.primitive == Primitive::VectorDotProduct
-                && !d.batch.requests.is_empty()
-            {
-                let operands = d.batch.requests[0].operands();
-                let weights = vec![0.5; operands.len()];
-                let photonic = self.verify_unit.dot_nonneg(&operands, &weights);
-                let digital: f64 = operands.iter().zip(&weights).map(|(a, w)| a * w).sum();
-                self.metrics
-                    .verify_abs_errors
-                    .push((photonic - digital).abs());
+                    && d.batch.class.primitive == Primitive::VectorDotProduct
+                    && !d.batch.requests.is_empty()
+                {
+                    let operands = d.batch.requests[0].operands();
+                    let weights = vec![0.5; operands.len()];
+                    let photonic = unit.dot_nonneg(&operands, &weights);
+                    let digital: f64 = operands.iter().zip(&weights).map(|(a, w)| a * w).sum();
+                    self.metrics
+                        .verify_abs_errors
+                        .push((photonic - digital).abs());
+                }
             }
         }
         // Shed records accumulated inside admission this instant.
@@ -1317,10 +1317,8 @@ impl ServeRuntime {
             self.now_ps = t;
             match ev {
                 Event::Arrival { tenant } => self.handle_arrival(tenant),
-                Event::BatchDue => {} // pipeline below re-checks timeouts
-                Event::SlotFree { node, slot } => {
-                    self.scheduler.release(node, slot, t);
-                }
+                // The pipeline below re-checks timeouts and idle slots.
+                Event::BatchDue | Event::SlotFree => {}
                 Event::SiteFault { node, up } => self.handle_site_fault(node, up),
                 Event::LinkFault { link, up } => self.handle_link_fault(link, up),
                 Event::Deliver { key } => self.handle_deliver(key),

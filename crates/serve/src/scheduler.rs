@@ -1,9 +1,8 @@
-//! Deadline-aware batch scheduling onto the transponder inventory.
+//! Deadline-aware batch scheduling onto compute transponder slots.
 //!
 //! Closed batches queue here and are dispatched earliest-deadline-first
-//! (EDF) onto idle photonic compute transponder slots tracked by the
-//! controller's [`TransponderInventory`]. The service model prices a
-//! batch the way the Fig.-4 hardware does:
+//! (EDF) onto idle photonic compute transponder slots. The service
+//! model prices a batch the way the Fig.-4 hardware does:
 //!
 //! * a **reconfiguration** charge when the slot's loaded weights/pattern
 //!   differ from the batch's class (DAC writes, fixed + per-element),
@@ -18,7 +17,6 @@
 
 use crate::batcher::Batch;
 use crate::request::{BatchClass, ComputeRequest, ShedReason};
-use ofpc_controller::inventory::{SlotStatus, TransponderInventory};
 use ofpc_net::NodeId;
 use ofpc_photonics::energy::{constants, EnergyLedger};
 use ofpc_transponder::compute::ComputeTransponderConfig;
@@ -181,12 +179,11 @@ pub struct Dispatch {
     pub shed: Vec<(ComputeRequest, ShedReason)>,
 }
 
-/// EDF scheduler over the transponder inventory.
+/// EDF scheduler over the compute transponder slots.
 #[derive(Debug)]
 pub struct Scheduler {
     model: ServiceModel,
     sites: Vec<SiteSpec>,
-    inventory: TransponderInventory,
     slots: BTreeMap<(NodeId, usize), SlotState>,
     /// Closed batches awaiting dispatch.
     ready: Vec<Batch>,
@@ -195,17 +192,14 @@ pub struct Scheduler {
     unreachable: BTreeSet<NodeId>,
     /// Completed-batch counter (for occupancy metrics).
     pub batches_dispatched: u64,
-    pub requests_dispatched: u64,
 }
 
 impl Scheduler {
     pub fn new(model: ServiceModel, sites: Vec<SiteSpec>) -> Self {
         assert!(!sites.is_empty(), "need at least one compute site");
-        let mut inventory = TransponderInventory::new(u64::MAX);
         let mut slots = BTreeMap::new();
         for site in &sites {
             assert!(site.slots > 0, "site {:?} has no slots", site.node);
-            inventory.register(site.node, site.slots, 0);
             for s in 0..site.slots {
                 slots.insert(
                     (site.node, s),
@@ -220,22 +214,15 @@ impl Scheduler {
         Scheduler {
             model,
             sites,
-            inventory,
             slots,
             ready: Vec::new(),
             unreachable: BTreeSet::new(),
             batches_dispatched: 0,
-            requests_dispatched: 0,
         }
     }
 
     pub fn model(&self) -> &ServiceModel {
         &self.model
-    }
-
-    /// The controller-facing inventory view (status mirrors dispatches).
-    pub fn inventory(&self) -> &TransponderInventory {
-        &self.inventory
     }
 
     pub fn total_slots(&self) -> usize {
@@ -453,18 +440,7 @@ impl Scheduler {
                 let state = self.slots.get_mut(&(node, slot)).expect("slot exists");
                 state.busy_until_ps = done_ps;
                 state.loaded = Some(class);
-                self.inventory.heartbeat(
-                    node,
-                    slot,
-                    SlotStatus::Active {
-                        primitive: class.primitive,
-                        op_id: (self.batches_dispatched % u64::from(u16::MAX)) as u16,
-                        version: self.batches_dispatched,
-                    },
-                    now_ps,
-                );
                 self.batches_dispatched += 1;
-                self.requests_dispatched += batch.len() as u64;
                 out.push(Dispatch {
                     batch,
                     node,
@@ -484,33 +460,18 @@ impl Scheduler {
         out
     }
 
-    /// Mark a slot idle again (called at its `done_ps` event). A slot
-    /// retired by [`Scheduler::resize_site`] while its last batch was
-    /// in flight releases as a no-op: the work completed, the capacity
-    /// is simply no longer this scheduler's to reuse.
-    pub fn release(&mut self, node: NodeId, slot: usize, now_ps: u64) {
-        if !self.slots.contains_key(&(node, slot)) {
-            return;
-        }
-        self.inventory
-            .heartbeat(node, slot, SlotStatus::Idle, now_ps);
-    }
-
     /// Re-split seam: set the number of slots this scheduler owns at
     /// `node`, returning how many slots moved. Growth adds fresh idle,
-    /// unloaded slots (and registers them with the inventory mirror);
-    /// shrink retires the highest-indexed slots immediately — a batch
-    /// in flight on a retired slot still completes (its delivery event
-    /// is the runtime's, not the slot's) and its release is ignored.
+    /// unloaded slots; shrink retires the highest-indexed slots
+    /// immediately — a batch in flight on a retired slot still
+    /// completes (its delivery event is the runtime's, not the slot's).
     ///
     /// This is what lets a global rebalancer repartition one physical
     /// site's transponders between shard-local schedulers without
     /// touching in-flight work. Shrinking to zero is allowed: the site
     /// stays known (access delay and all) but dispatches nothing until
-    /// slots are granted back. Inventory records of retired slots
-    /// remain registered (the mirror is observational and append-only);
-    /// they idle out rather than vanish.
-    pub fn resize_site(&mut self, node: NodeId, slots: usize, now_ps: u64) -> usize {
+    /// slots are granted back.
+    pub fn resize_site(&mut self, node: NodeId, slots: usize) -> usize {
         let site = self
             .sites
             .iter_mut()
@@ -519,10 +480,6 @@ impl Scheduler {
         let old = site.slots;
         site.slots = slots;
         if slots > old {
-            let registered = self.inventory.total_at(node);
-            if slots > registered {
-                self.inventory.register(node, slots - registered, now_ps);
-            }
             for s in old..slots {
                 self.slots.insert(
                     (node, s),
@@ -539,15 +496,6 @@ impl Scheduler {
             }
         }
         old.abs_diff(slots)
-    }
-
-    /// Next time any busy slot frees, if any (for idle-time stepping).
-    pub fn next_free_ps(&self, now_ps: u64) -> Option<u64> {
-        self.slots
-            .values()
-            .filter(|s| s.busy_until_ps > now_ps)
-            .map(|s| s.busy_until_ps)
-            .min()
     }
 }
 
@@ -615,10 +563,9 @@ mod tests {
         assert_eq!(d.len(), 1, "one slot, one dispatch");
         assert_eq!(d[0].batch.requests[0].id, RequestId(2));
         assert_eq!(s.backlog_requests(), 1);
-        // Slot busy: nothing dispatches until release time.
+        // Slot busy: nothing dispatches until its service ends.
         assert!(s.try_dispatch(1).is_empty());
         let free = d[0].done_ps;
-        s.release(NodeId(1), 0, free);
         let d2 = s.try_dispatch(free);
         assert_eq!(d2.len(), 1);
         assert_eq!(d2[0].batch.requests[0].id, RequestId(1));
@@ -671,18 +618,6 @@ mod tests {
         // counters did not move.
         assert_eq!(s.idle_slots(now), 1);
         assert_eq!(s.batches_dispatched, 0);
-        assert_eq!(s.requests_dispatched, 0);
-    }
-
-    #[test]
-    fn inventory_mirrors_activity() {
-        let mut s = Scheduler::new(model(), one_site());
-        assert_eq!(s.inventory().available_at(NodeId(1), 0), 1);
-        s.enqueue(batch(&[1], u64::MAX, 0));
-        let d = s.try_dispatch(0);
-        assert_eq!(s.inventory().available_at(NodeId(1), 0), 0);
-        s.release(NodeId(1), 0, d[0].done_ps);
-        assert_eq!(s.inventory().available_at(NodeId(1), d[0].done_ps), 1);
     }
 
     #[test]
@@ -805,8 +740,8 @@ mod tests {
         let (t4, e4) = m.batch_service(class, 4, None);
         assert_eq!(d[0].service_ps, t4, "1 live + 3 phantom = 4-wide pass");
         assert_eq!(d[0].energy.total_j(), e4.total_j());
-        // Dispatch counters track real requests only.
-        assert_eq!(s.requests_dispatched, 1);
+        // The dispatched batch still carries only its one real request.
+        assert_eq!(d[0].batch.len(), 1);
     }
 
     #[test]
@@ -826,7 +761,7 @@ mod tests {
     #[test]
     fn resize_site_grows_and_retires_without_breaking_flight() {
         let mut s = Scheduler::new(model(), one_site());
-        assert_eq!(s.resize_site(NodeId(1), 3, 0), 2);
+        assert_eq!(s.resize_site(NodeId(1), 3), 2);
         assert_eq!(s.total_slots(), 3);
         assert_eq!(s.idle_slots(0), 3);
         // Occupy slot 0, then retire everything down to one slot while
@@ -834,20 +769,17 @@ mod tests {
         s.enqueue(batch(&[1], u64::MAX, 0));
         let d = s.try_dispatch(0);
         assert_eq!(d.len(), 1);
-        assert_eq!(s.resize_site(NodeId(1), 1, 1), 2);
+        assert_eq!(s.resize_site(NodeId(1), 1), 2);
         assert_eq!(s.total_slots(), 1);
-        // Releasing a retired slot is a tolerated no-op; the surviving
-        // slot keeps working.
-        s.release(NodeId(1), 2, d[0].done_ps);
-        s.release(NodeId(1), 0, d[0].done_ps);
+        // The surviving slot keeps working.
         s.enqueue(batch(&[2], u64::MAX, 2));
         let d2 = s.try_dispatch(d[0].done_ps);
         assert_eq!(d2.len(), 1);
         // Shrink to zero parks the site without forgetting it.
-        assert_eq!(s.resize_site(NodeId(1), 0, 2), 1);
+        assert_eq!(s.resize_site(NodeId(1), 0), 1);
         s.enqueue(batch(&[3], u64::MAX, 3));
         assert!(s.try_dispatch(d2[0].done_ps).is_empty());
-        assert_eq!(s.resize_site(NodeId(1), 1, 3), 1);
+        assert_eq!(s.resize_site(NodeId(1), 1), 1);
         assert_eq!(s.try_dispatch(d2[0].done_ps).len(), 1);
     }
 

@@ -160,8 +160,7 @@ struct ShardResult {
 pub struct ShardedController {
     topo: Topology,
     regions: RegionMap,
-    /// Installed slots per node (heartbeat-free capacity, as from
-    /// [`ofpc_controller::TransponderInventory::total_vector`]).
+    /// Installed compute transponder slots per node.
     capacity: Vec<usize>,
     link_up: Vec<bool>,
     site_up: Vec<bool>,

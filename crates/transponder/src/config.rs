@@ -54,8 +54,7 @@ impl ReconfigTiming {
     }
 }
 
-/// Operational state of a compute transponder, as tracked by both the
-/// device and the centralized controller's inventory.
+/// Operational state of a compute transponder.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum EngineState {
     /// No operation loaded; transit only.

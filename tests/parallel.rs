@@ -1,17 +1,10 @@
 //! Differential tests for the deterministic parallel execution layer
 //! (DESIGN.md §8): every parallelized path must produce byte-identical
-//! output to its sequential reference at 1, 2, and 8 workers, and the
-//! quantized transfer-function cache must stay within its error bound
-//! over a large seeded sweep of operating points.
-
-use std::sync::Arc;
+//! output to its sequential reference at 1, 2, and 8 workers.
 
 use ofpc_bench::golden;
 use ofpc_engine::batch::{BatchEngine, KernelSpec};
-use ofpc_par::{split_seed, TransferCache, WorkerPool};
-use ofpc_photonics::modulator::{MachZehnderModulator, MzmConfig};
-use ofpc_photonics::tfcache;
-use ofpc_photonics::SimRng;
+use ofpc_par::{split_seed, WorkerPool};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -66,14 +59,6 @@ fn engine_mvm_batches_are_byte_identical_across_worker_counts() {
     });
 }
 
-#[test]
-fn engine_batches_with_shared_cache_are_byte_identical() {
-    let engine = BatchEngine::realistic(12).with_shared_mzm_cache(1e-6);
-    diff_across_workers("engine batch + shared MZM cache", |pool| {
-        serde_json::to_string_pretty(&engine.execute(pool, engine_batch())).expect("serializes")
-    });
-}
-
 // -------------------------------------------------------- harness scenarios
 
 #[test]
@@ -100,80 +85,4 @@ fn split_seed_streams_are_independent_of_sibling_count() {
     let narrow: Vec<u64> = (0..4).map(|i| split_seed(99, i)).collect();
     let wide: Vec<u64> = (0..64).map(|i| split_seed(99, i)).collect();
     assert_eq!(&wide[..4], &narrow[..]);
-}
-
-// ------------------------------------------------- transfer-cache properties
-
-/// 10k seeded random operating points: the cached evaluation must agree
-/// with the direct curve to within the quantization bound `L·step/2`.
-/// The bound requires a Lipschitz curve, so the MZM case runs with
-/// infinite extinction ratio — the finite-ER floor preserves the sign
-/// of the transmission and therefore *jumps* at the modulator's nulls,
-/// where no grid bound can hold (DESIGN.md §8 documents the caveat).
-#[test]
-fn cache_matches_direct_evaluation_within_quantization_bound() {
-    let mzm_cfg = MzmConfig {
-        extinction_ratio_db: f64::INFINITY,
-        ..MzmConfig::default()
-    };
-    let mzm = MachZehnderModulator::new(mzm_cfg.clone());
-    // Lipschitz bound of the amplitude transmission: |dt/dv| ≤ π/(2Vπ)
-    // (insertion loss only flattens the curve further).
-    // (cache, direct curve, Lipschitz constant, grid step)
-    type CacheCase = (Arc<TransferCache>, Box<dyn Fn(f64) -> f64>, f64, f64);
-    let cases: Vec<CacheCase> = vec![
-        (
-            tfcache::mzm_amplitude_cache(&mzm_cfg, tfcache::MZM_DRIVE_STEP_V),
-            Box::new(move |v| mzm.amplitude_transmission(v)),
-            std::f64::consts::PI / (2.0 * mzm_cfg.v_pi),
-            tfcache::MZM_DRIVE_STEP_V,
-        ),
-        (
-            Arc::new(TransferCache::new(1e-4, f64::sin)),
-            Box::new(f64::sin),
-            1.0,
-            1e-4,
-        ),
-        (
-            Arc::new(TransferCache::new(1e-3, |v: f64| (0.5 * v).tanh())),
-            Box::new(|v: f64| (0.5 * v).tanh()),
-            0.5,
-            1e-3,
-        ),
-    ];
-    let mut rng = SimRng::seed_from_u64(2024);
-    for (cache, direct, lipschitz, step) in &cases {
-        let bound = lipschitz * step / 2.0 + 1e-12;
-        for _ in 0..10_000 {
-            let v = rng.uniform_range(-8.0, 8.0);
-            let err = (cache.eval(v) - direct(v)).abs();
-            assert!(err <= bound, "v={v} err={err} bound={bound}");
-        }
-    }
-}
-
-/// Repeated lookups of the same key are bit-exact cache hits, across
-/// interleaved foreign keys and across threads.
-#[test]
-fn cache_hit_path_is_bit_exact_for_repeated_keys() {
-    let cache = Arc::new(TransferCache::new(1e-3, |v: f64| (v * 1.7).sin() * v.cos()));
-    let mut rng = SimRng::seed_from_u64(77);
-    let keys: Vec<f64> = (0..256).map(|_| rng.uniform_range(-4.0, 4.0)).collect();
-    let first: Vec<u64> = keys.iter().map(|&v| cache.eval(v).to_bits()).collect();
-    // Replay through the pool at several widths, interleaving all keys.
-    for workers in WORKER_COUNTS {
-        let pool = WorkerPool::new(workers);
-        let replay: Vec<Vec<u64>> = pool.scatter_gather("cache-replay", vec![(); 8], |_, ()| {
-            keys.iter().map(|&v| cache.eval(v).to_bits()).collect()
-        });
-        for bits in replay {
-            assert_eq!(bits, first, "hit path must replay bit-exact bits");
-        }
-    }
-    assert_eq!(cache.len(), {
-        let mut distinct: Vec<i64> = keys.iter().map(|&v| (v / 1e-3).round() as i64).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        distinct.len()
-    });
 }
