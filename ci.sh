@@ -36,6 +36,33 @@ for name in $(sed -n '/^\[\[bench\]\]/,/^name/s/^name *= *"\([^"]*\)".*/\1/p' cr
 done
 [ "$unrun" -eq 0 ]
 
+# The crate graph is what the code names. A dependency no source file
+# mentions only adds build edges and hides the real layering: every
+# [dependencies] key (hyphens read as underscores) must appear in the
+# crate's src/, every [dev-dependencies] key in its src/, tests/,
+# benches/ or examples/. Doc comments count as naming: an edge only an
+# intra-doc link uses stays, and `cargo doc -D warnings` below fails if
+# it is dropped.
+echo "==> every dependency edge is named by its crate's code"
+unnamed=0
+for manifest in crates/*/Cargo.toml vendor/*/Cargo.toml; do
+    dir="${manifest%/Cargo.toml}"
+    for section in dependencies dev-dependencies; do
+        roots=("$dir/src")
+        if [ "$section" = dev-dependencies ]; then
+            roots+=("$dir/tests" "$dir/benches" "$dir/examples")
+        fi
+        for key in $(sed -n "/^\[$section\]/,/^\[/s/^\([A-Za-z0-9_-]*\)[ .=].*/\1/p" "$manifest"); do
+            # -s: a crate may have no tests/, benches/ or examples/.
+            if ! grep -rqsw -- "${key//-/_}" "${roots[@]}"; then
+                echo "==> FAIL: ${dir} [${section}] ${key} is never named by its code" >&2
+                unnamed=1
+            fi
+        done
+    done
+done
+[ "$unnamed" -eq 0 ]
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

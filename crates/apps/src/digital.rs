@@ -10,10 +10,9 @@
 
 use ofpc_photonics::energy::constants;
 use ofpc_photonics::units;
-use serde::{Deserialize, Serialize};
 
 /// A digital (or photonic) compute platform model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputeModel {
     pub name: String,
     /// Energy per 8-bit MAC, J.
@@ -102,7 +101,7 @@ impl ComputeModel {
 }
 
 /// The switch-ASIC op budget per packet (Taurus/Trio-class constraints).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchBudget {
     pub max_ops_per_packet: u64,
 }
@@ -125,7 +124,7 @@ impl SwitchBudget {
 }
 
 /// Where the computation happens, with its path geometry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Placement {
     /// Ship to a cloud DC `detour_km` of extra fiber away (each way),
     /// compute, ship onward/back.
@@ -138,7 +137,7 @@ pub enum Placement {
 
 /// End-to-end request model: a request travels `path_km` of fiber from
 /// source to destination and needs `macs` of computation somewhere.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestModel {
     pub path_km: f64,
     pub macs: u64,

@@ -16,11 +16,10 @@ use ofpc_photonics::laser::{Laser, LaserConfig};
 use ofpc_photonics::modulator::{PhaseModulator, PhaseModulatorConfig};
 use ofpc_photonics::signal::AnalogWaveform;
 use ofpc_photonics::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Keystream generator (xoshiro256**-style; NOT a vetted cipher — a
 /// stand-in with the right interface and statistical behavior).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Keystream {
     s: [u64; 4],
 }

@@ -11,11 +11,10 @@
 use ofpc_engine::correlator::{bytes_to_bits, Correlator};
 use ofpc_engine::matcher::MatcherConfig;
 use ofpc_photonics::SimRng;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// A match reported by either engine: `(byte_offset, signature_index)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SigHit {
     pub offset: usize,
     pub signature: usize,

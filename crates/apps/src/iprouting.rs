@@ -13,10 +13,9 @@
 use ofpc_engine::ternary::{Tern, TernaryConfig, TernaryMatcher};
 use ofpc_net::{Addr, Prefix};
 use ofpc_photonics::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// One forwarding rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rule {
     pub prefix: Prefix,
     pub port: u16,

@@ -16,7 +16,6 @@ use ofpc_net::sim::Network;
 use ofpc_net::topology::{LinkId, Topology};
 use ofpc_net::NodeId;
 use ofpc_photonics::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// The balancing policy at the source's two-path fork.
 #[derive(Debug)]
@@ -75,7 +74,7 @@ impl Balancer {
 }
 
 /// Result of one load-balancing run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LbReport {
     pub policy: String,
     pub delivered: usize,

@@ -13,10 +13,9 @@ use ofpc_engine::dnn::{argmax, interp_curve, Mlp, PhotonicDnn};
 use ofpc_engine::mvm::PhotonicMatVec;
 use ofpc_engine::nonlinear::NonlinearUnit;
 use ofpc_photonics::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A labelled image dataset (row-major pixels in `[0,1]`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     pub images: Vec<Vec<f64>>,
     pub labels: Vec<usize>,

@@ -10,7 +10,6 @@
 
 use ofpc_engine::mvm::PhotonicMatVec;
 use ofpc_photonics::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Block size (8×8, the classic transform size).
 pub const B: usize = 8;
@@ -117,7 +116,7 @@ pub fn rle_decode(rle: &[(i32, u8)], len: usize) -> Vec<i32> {
 }
 
 /// One encoded 8×8 block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedBlock {
     pub rle: Vec<(i32, u8)>,
 }

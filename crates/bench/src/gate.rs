@@ -56,7 +56,7 @@ impl Baseline {
     /// which makes every gate re-record.
     pub fn load_from(path: impl AsRef<Path>) -> Self {
         let map = match std::fs::read_to_string(path.as_ref()) {
-            Ok(text) => match serde_json::from_str::<Value>(&text) {
+            Ok(text) => match serde_json::from_str(&text) {
                 Ok(Value::Map(m)) => m,
                 _ => Vec::new(),
             },

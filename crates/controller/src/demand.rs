@@ -8,15 +8,14 @@
 
 use ofpc_engine::Primitive;
 use ofpc_net::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Demand identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DemandId(pub u32);
 
 /// A computation DAG: nodes are primitive tasks, edges are dependencies
 /// (`from` must execute before `to`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskDag {
     pub tasks: Vec<Primitive>,
     pub edges: Vec<(usize, usize)>,
@@ -92,7 +91,7 @@ impl TaskDag {
 
 /// A user's compute demand: traffic from `src` to `dst` that needs the
 /// DAG's tasks executed in-network along the way.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Demand {
     pub id: DemandId,
     pub src: NodeId,

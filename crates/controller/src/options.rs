@@ -11,11 +11,10 @@
 use crate::demand::Demand;
 use ofpc_net::routing::distance_matrix;
 use ofpc_net::{LinkId, NodeId, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One candidate way to serve a demand.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AllocOption {
     /// Task-to-node assignment, in chain order.
     pub placement: Vec<NodeId>,
@@ -26,7 +25,7 @@ pub struct AllocOption {
 }
 
 /// A fully-enumerated allocation problem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProblemInstance {
     /// Transponder slots available at each node (indexed by NodeId).
     pub node_slots: Vec<usize>,

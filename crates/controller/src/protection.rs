@@ -19,11 +19,10 @@
 
 use ofpc_net::routing::{k_disjoint_paths, k_disjoint_paths_filtered, RoutedPath};
 use ofpc_net::{LinkId, NodeId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// A protected (src, dst) pair: the primary path and, when the topology
 /// allows one, a link-disjoint backup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProtectedPair {
     pub src: NodeId,
     pub dst: NodeId,
@@ -38,7 +37,7 @@ pub struct ProtectedPair {
 /// topology offers. The serving layers use this to pick a redundancy
 /// strategy instead of silently running unprotected when
 /// `backup_links` is `None` (tree topologies, degree-1 sites).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtectionMode {
     /// ≥ 2 link-disjoint paths exist: redundant copies ride different
     /// fibers and any single cut is survivable.
@@ -85,7 +84,7 @@ impl ProtectedPair {
 /// paths — the k-path generalization of [`ProtectedPair`], used by the
 /// proactive multipath layer (`ofpc-resil`) to pin redundant copies of
 /// one request to different fibers *before* any fault occurs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProtectedPaths {
     pub src: NodeId,
     pub dst: NodeId,
@@ -196,7 +195,7 @@ pub fn surviving_slots(slots: &[usize], failed: &[NodeId]) -> Vec<usize> {
 }
 
 /// Recovery-stage durations (all picoseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryParams {
     /// Fault → detection: loss-of-light at the photodetector or the
     /// watchdog's debounced trip. Default 50 µs (SONET-class LOS
@@ -222,7 +221,7 @@ impl Default for RecoveryParams {
 }
 
 /// When each recovery stage completed for one fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryTimeline {
     pub fault_at_ps: u64,
     pub detected_at_ps: u64,

@@ -15,10 +15,9 @@ use ofpc_engine::Primitive;
 use ofpc_net::routing::shortest_paths_filtered;
 use ofpc_net::sim::{Network, OpSpec};
 use ofpc_net::{LinkId, NodeId, Prefix};
-use serde::{Deserialize, Serialize};
 
 /// One engine installation command.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstallCmd {
     pub node: NodeId,
     pub primitive: Primitive,
@@ -27,7 +26,7 @@ pub struct InstallCmd {
 
 /// One routing override command: at `router`, compute packets matching
 /// (`dst_prefix`, `primitive`) take the first hop toward `via`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouteOverrideCmd {
     pub router: NodeId,
     pub dst_prefix: Prefix,
@@ -36,7 +35,7 @@ pub struct RouteOverrideCmd {
 }
 
 /// The full update set produced from one allocation round.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UpdatePlan {
     pub installs: Vec<InstallCmd>,
     pub overrides: Vec<RouteOverrideCmd>,
@@ -116,7 +115,7 @@ fn plan_from_placements(demands: &[Demand], placements: &[Option<&[NodeId]>]) ->
 }
 
 /// Why a plan command could not be applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApplyError {
     /// The command's target node does not exist in the topology.
     NodeMissing(NodeId),
@@ -126,7 +125,7 @@ pub enum ApplyError {
 }
 
 /// One command that failed to apply, with the reason.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FailedCmd {
     Install(InstallCmd, ApplyError),
     Override(RouteOverrideCmd, ApplyError),
@@ -134,7 +133,7 @@ pub enum FailedCmd {
 
 /// What [`apply_plan`] actually did — the controller inspects this
 /// instead of assuming every command landed.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ApplyReport {
     /// Engine slots newly installed.
     pub installed: usize,

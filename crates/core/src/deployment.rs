@@ -13,10 +13,10 @@ use ofpc_controller::demand::Demand;
 use ofpc_controller::greedy::solve_greedy;
 use ofpc_controller::options::enumerate_options;
 use ofpc_net::{NodeId, Topology};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One point of the deployment sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DeploymentPoint {
     /// Sites upgraded.
     pub upgraded_sites: usize,

@@ -16,10 +16,9 @@ use ofpc_engine::Primitive;
 use ofpc_net::routing::shortest_paths;
 use ofpc_net::sim::{Network, OpSpec};
 use ofpc_net::{NodeId, Prefix};
-use serde::{Deserialize, Serialize};
 
 /// The plan for one distributed dot product.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistributedDot {
     /// `(site, op_id, offset, part_len)` per part, in execution order.
     pub parts: Vec<(NodeId, u16, usize, usize)>,

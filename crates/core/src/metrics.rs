@@ -1,11 +1,10 @@
 //! Aggregated system metrics for the experiment harnesses.
 
 use ofpc_net::sim::Network;
-use serde::{Deserialize, Serialize};
 
 /// One experiment run's summary — what EXPERIMENTS.md tables are built
 /// from. All latencies in milliseconds, energies in joules.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SystemReport {
     pub delivered: usize,
     pub computed: usize,

@@ -8,10 +8,10 @@
 //! better). Everything is pure integer/float comparison in a fixed
 //! order — the marking is deterministic and worker-count independent.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One evaluated point of the design space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DesignPoint {
     /// Table-1 app name (`"dnn"`, `"correlation"`, `"pattern-match"`).
     pub app: String,

@@ -21,9 +21,9 @@ use crate::dot::DotUnitConfig;
 use crate::matcher::{MatchResult, MatcherConfig, PatternMatcher};
 use crate::mvm::PhotonicMatVec;
 
-/// One kernel invocation, fully described by value (so a batch can be
-/// serialized into a replay fixture).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+/// One kernel invocation, fully described by value (so a task's output
+/// is a pure function of its spec, index and seed).
+#[derive(Debug, Clone)]
 pub enum KernelSpec {
     /// `y = W·x`, signed entries in `[-1, 1]`, over `lanes` WDM lanes.
     MvmSigned {
@@ -49,7 +49,7 @@ pub enum KernelSpec {
 }
 
 /// The result of one [`KernelSpec`], mirroring its variant.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub enum KernelOutput {
     Vector(Vec<f64>),
     Hits(Vec<CorrelationHit>),

@@ -11,7 +11,7 @@
 
 /// Gain/offset calibration of a P1 dot-product chain: the measured
 /// photocurrent for a unit product, and the dark (zero-input) current.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DotCalibration {
     /// Photocurrent per unit product per symbol, A.
     pub unit_current_a: f64,

@@ -16,7 +16,7 @@ use ofpc_photonics::signal::AnalogWaveform;
 use ofpc_photonics::SimRng;
 
 /// Configuration of a photonic comparator.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ComparatorConfig {
     pub laser: LaserConfig,
     pub mzm_a: MzmConfig,
@@ -66,7 +66,7 @@ impl ComparatorConfig {
 }
 
 /// Outcome of a photonic comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Comparison {
     /// `a > b` with margin.
     AGreater,

@@ -12,7 +12,7 @@ use crate::matcher::{MatcherConfig, PatternMatcher};
 use ofpc_photonics::SimRng;
 
 /// A match hit produced by the correlator.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct CorrelationHit {
     /// Bit offset in the stream where the pattern aligns.
     pub offset: usize,

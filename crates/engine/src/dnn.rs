@@ -26,7 +26,7 @@ use crate::nonlinear::NonlinearUnit;
 use ofpc_photonics::SimRng;
 
 /// One fully-connected layer, row-major weights: `weights[out][in]`.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseLayer {
     pub weights: Vec<Vec<f64>>,
     pub bias: Vec<f64>,
@@ -51,7 +51,7 @@ impl DenseLayer {
 }
 
 /// The activation used in a digital forward pass.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Activation {
     /// Exact ReLU.
     Relu,
@@ -93,7 +93,7 @@ pub fn interp_curve(curve: &[(f64, f64)], x: f64) -> f64 {
 
 /// A multi-layer perceptron (weights live in the digital domain; the
 /// photonic engine executes them).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     pub layers: Vec<DenseLayer>,
 }

@@ -31,7 +31,7 @@ use ofpc_photonics::SimRng;
 pub use ofpc_photonics::simd::KernelBackend;
 
 /// Where the `a` operand comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OperandSource {
     /// `a` is digital and must be DAC-converted (conventional photonic
     /// accelerator, e.g. Lightning).
@@ -43,7 +43,7 @@ pub enum OperandSource {
 }
 
 /// Configuration of a P1 dot-product unit.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DotUnitConfig {
     pub laser: LaserConfig,
     pub mzm_a: MzmConfig,
@@ -64,7 +64,6 @@ pub struct DotUnitConfig {
     /// the same physics as fused power-domain loops over flat buffers:
     /// deterministic per seed and statistically identical, but on a
     /// different noise stream (see DESIGN.md §12 for the full contract).
-    #[serde(default)]
     pub backend: KernelBackend,
 }
 
@@ -965,17 +964,5 @@ mod tests {
     fn precode_rejects_scalar_backend() {
         let mut unit = DotProductUnit::ideal();
         unit.precode(&[0.5]);
-    }
-
-    #[test]
-    fn backend_field_deserializes_with_default() {
-        // Configs serialized before the backend existed must load as
-        // Scalar, preserving historical replay.
-        let mut doc = serde_json::to_value(&DotUnitConfig::realistic()).unwrap();
-        if let serde_json::Value::Map(entries) = &mut doc {
-            entries.retain(|(k, _)| k != "backend");
-        }
-        let cfg: DotUnitConfig = serde_json::from_value(&doc).unwrap();
-        assert_eq!(cfg.backend, KernelBackend::Scalar);
     }
 }

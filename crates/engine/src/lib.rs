@@ -47,9 +47,7 @@ pub use nonlinear::NonlinearUnit;
 /// The three photonic computing primitive classes of the paper's §2.1.
 /// Carried in the compute-communication protocol header (`ofpc-net`) and
 /// used by the controller to describe transponder capabilities.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Primitive {
     /// P1 — photonic vector dot product (Fig. 2a).
     VectorDotProduct,

@@ -23,7 +23,7 @@ use ofpc_photonics::signal::AnalogWaveform;
 use ofpc_photonics::SimRng;
 
 /// Configuration of a P2 pattern-matching unit.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MatcherConfig {
     pub laser: LaserConfig,
     pub pm_data: PhaseModulatorConfig,
@@ -67,7 +67,7 @@ impl MatcherConfig {
 }
 
 /// Result of one pattern-match operation.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct MatchResult {
     /// Analog estimate of the Hamming distance (may be fractional).
     pub distance_estimate: f64,

@@ -20,7 +20,7 @@ use ofpc_photonics::signal::AnalogWaveform;
 use ofpc_photonics::SimRng;
 
 /// Configuration of a P3 nonlinear unit.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NonlinearConfig {
     pub laser: LaserConfig,
     /// Input-encoding modulator (maps the digital test value to power;

@@ -28,7 +28,7 @@ pub fn predicted_effective_bits(pd_snr_db: f64, n: usize) -> f64 {
 }
 
 /// Empirical precision measurement of a dot-product unit.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrecisionReport {
     /// RMS error of the normalized result (result / n), dimensionless.
     pub rms_error: f64,

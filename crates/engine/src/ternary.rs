@@ -21,7 +21,7 @@ use ofpc_photonics::signal::AnalogWaveform;
 use ofpc_photonics::SimRng;
 
 /// One symbol of a ternary pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tern {
     Zero,
     One,
@@ -47,7 +47,7 @@ pub fn parse_pattern(s: &str) -> Option<Vec<Tern>> {
 
 /// Configuration of a ternary matcher (superset of the P2 matcher: the
 /// pattern arm gains an intensity gate for wildcards).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TernaryConfig {
     pub laser: LaserConfig,
     pub pm_data: PhaseModulatorConfig,
@@ -80,7 +80,7 @@ impl TernaryConfig {
 }
 
 /// Result of a ternary match.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TernaryResult {
     /// Estimated mismatches over the non-wildcard positions.
     pub distance_estimate: f64,

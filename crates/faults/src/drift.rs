@@ -13,11 +13,10 @@
 
 use ofpc_transponder::ber::q_to_ber;
 use ofpc_transponder::{EngineWatchdog, Health};
-use serde::{Deserialize, Serialize};
 
 /// EDFA gain drift: receive Q-factor falls linearly from `q0` as the
 /// amplifier wanders off its operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdfaGainDrift {
     /// Healthy operating Q-factor.
     pub q0: f64,
@@ -49,7 +48,7 @@ impl EdfaGainDrift {
 
 /// Laser power droop: output decays exponentially toward dark with time
 /// constant `tau_s` (pump degradation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaserDroop {
     /// Healthy emitted power, W.
     pub p0_w: f64,
@@ -79,7 +78,7 @@ impl LaserDroop {
 /// Photodetector responsivity degradation: linear fractional loss per
 /// second of operation. Received *electrical* signal scales with
 /// responsivity, so this behaves like a power fade at the decision gate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PdDegradation {
     /// Healthy responsivity, A/W.
     pub r0_a_per_w: f64,

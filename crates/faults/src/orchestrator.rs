@@ -17,11 +17,10 @@ use ofpc_controller::{RecoveryParams, RecoveryTimeline};
 use ofpc_core::{OnFiberNetwork, Solver};
 use ofpc_net::NodeId;
 use ofpc_telemetry::{labels, track, Telemetry};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// What one recovery pass did and how long it took.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryOutcome {
     pub timeline: RecoveryTimeline,
     /// Distinct routers the re-install touched (staged, one at a time).
@@ -151,7 +150,7 @@ pub fn trace_recovery(tel: &Telemetry, kind: &str, outcome: &RecoveryOutcome) {
 /// Downtime bookkeeping over a fixed horizon: outage windows are
 /// recorded as they happen (overlaps and duplicates welcome), merged at
 /// read time, and folded into an availability fraction.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AvailabilityLedger {
     pub horizon_ps: u64,
     outages: Vec<(u64, u64)>,

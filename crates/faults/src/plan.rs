@@ -9,10 +9,9 @@
 
 use ofpc_net::{LinkId, NodeId, Topology};
 use ofpc_photonics::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// One kind of fault (or repair) the substrate can suffer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Fiber cut: the link drops, queued and in-flight packets are lost
     /// as loss-of-light.
@@ -30,21 +29,21 @@ pub enum FaultKind {
 }
 
 /// A fault at a point in virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     pub at_ps: u64,
     pub kind: FaultKind,
 }
 
 /// A schedule of fault events, kept sorted by time.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     pub events: Vec<FaultEvent>,
 }
 
 /// Mean-time-between-failures statistics for random plan generation.
 /// All times in picoseconds of virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MtbfSpec {
     /// Mean time between fiber cuts, per link (exponential inter-fault
     /// times). `None` disables link faults.

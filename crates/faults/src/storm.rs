@@ -18,10 +18,10 @@
 use crate::plan::{FaultEvent, FaultKind, FaultPlan};
 use ofpc_net::{LinkId, NodeId};
 use ofpc_photonics::SimRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Shape of one seeded fault storm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StormSpec {
     /// Number of correlated-cut bursts over the horizon.
     pub bursts: usize,

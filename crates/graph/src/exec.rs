@@ -29,11 +29,11 @@ use ofpc_apps::digital::ComputeModel;
 use ofpc_faults::{FaultKind, FaultPlan};
 use ofpc_net::NodeId;
 use ofpc_telemetry::{track, Telemetry};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeSet;
 
 /// How the request stream is driven through the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// Wavelength-pipelined: stages are independent resources.
     Pipelined,
@@ -51,7 +51,7 @@ impl ExecMode {
 }
 
 /// One execution run's shape.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecConfig {
     pub requests: usize,
     /// Open-loop arrival spacing, ps (0 = a closed back-to-back batch).
@@ -60,7 +60,7 @@ pub struct ExecConfig {
 }
 
 /// Deterministic results of one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExecReport {
     pub mode: String,
     pub requests: usize,

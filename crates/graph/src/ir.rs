@@ -12,14 +12,13 @@
 
 use ofpc_engine::dnn::Mlp;
 use ofpc_engine::Primitive;
-use serde::{Deserialize, Serialize};
 
 /// Node identifier within one [`WorkGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId(pub u32);
 
 /// A typed operation with its tensor shape.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OpKind {
     /// Matrix-vector multiply, `rows × cols` (P1 on WDM lanes).
     Mvm { rows: usize, cols: usize },
@@ -109,7 +108,7 @@ impl OpKind {
 }
 
 /// One op with its precision requirement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpNode {
     pub id: OpId,
     pub kind: OpKind,
@@ -121,7 +120,7 @@ pub struct OpNode {
 
 /// A dataflow edge carrying `bytes` of data per invocation (8-bit wire
 /// encoding of the producer's output elements unless overridden).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataEdge {
     pub from: OpId,
     pub to: OpId,
@@ -129,7 +128,7 @@ pub struct DataEdge {
 }
 
 /// A dataflow graph for one application request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkGraph {
     pub name: String,
     pub nodes: Vec<OpNode>,

@@ -27,7 +27,6 @@ use ofpc_apps::digital::ComputeModel;
 use ofpc_engine::precision::predicted_effective_bits;
 use ofpc_serve::{BatchClass, ServiceModel};
 use ofpc_telemetry::{track, Telemetry};
-use serde::{Deserialize, Serialize};
 
 /// A concrete hardware design point the lowerer may bind a stage to:
 /// a named converter pairing with the [`ServiceModel`] priced from it
@@ -35,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// SNR alone cannot: the operand DAC caps encoding resolution outright,
 /// the result ADC caps readout resolution (recovering `½·log2(n)` bits
 /// of integration gain over an `n`-element accumulation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareVariant {
     /// Catalog name, e.g. `"cv-12b-fast"`.
     pub name: String,
@@ -48,7 +47,7 @@ pub struct HardwareVariant {
 }
 
 /// The analog error budget driving photonic/digital partitioning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorBudget {
     /// Photodetector SNR at the operating optical power, dB.
     pub pd_snr_db: f64,
@@ -139,14 +138,14 @@ impl ErrorBudget {
 }
 
 /// Where a fused stage executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Target {
     Photonic,
     Digital,
 }
 
 /// One fused, costed stage of a compiled plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stage {
     /// IR ops fused into this stage, in execution order.
     pub ops: Vec<OpId>,
@@ -177,7 +176,7 @@ pub struct Stage {
 
 /// A lowered plan: the fused stage chain with cost estimates, ready for
 /// placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledPlan {
     pub graph_name: String,
     pub stages: Vec<Stage>,

@@ -20,10 +20,9 @@ use ofpc_controller::{enumerate_options, greedy::solve_greedy, Demand, TaskDag};
 use ofpc_net::routing::{distance_matrix, k_disjoint_paths};
 use ofpc_net::{NodeId, Topology};
 use ofpc_photonics::wdm::WdmGrid;
-use serde::{Deserialize, Serialize};
 
 /// Where one stage executes and on which wavelength.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageBinding {
     /// Index into `plan.stages`.
     pub stage: usize,
@@ -39,7 +38,7 @@ pub struct StageBinding {
 
 /// A fully placed plan: the compiled stages plus their site/wavelength
 /// bindings along the `src → dst` path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacedPlan {
     pub plan: CompiledPlan,
     pub src: NodeId,

@@ -20,10 +20,9 @@
 
 use crate::shard::ShardState;
 use ofpc_serve::SiteSpec;
-use serde::Serialize;
 
 /// Rebalance policy knobs.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RebalanceConfig {
     /// Rebalance after every Nth epoch (0 disables rebalancing).
     pub every_epochs: u32,
@@ -41,7 +40,7 @@ impl Default for RebalanceConfig {
 }
 
 /// What one rebalance pass did (accumulated into the report).
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RebalanceOutcome {
     pub migrations: u64,
     /// Total |Δslots| across shards and sites.

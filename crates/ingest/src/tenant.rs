@@ -17,11 +17,10 @@
 //! population.
 
 use ofpc_engine::Primitive;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A behavioral template shared by a block of tenants.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TenantClass {
     pub name: String,
     /// How many tenants instantiate this class.

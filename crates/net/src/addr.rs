@@ -1,11 +1,10 @@
 //! IPv4-style addressing and CIDR prefixes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// A 32-bit network address (IPv4-like).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Addr(pub u32);
 
 impl Addr {
@@ -50,7 +49,7 @@ impl FromStr for Addr {
 }
 
 /// A CIDR prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Prefix {
     addr: u32,
     len: u8,

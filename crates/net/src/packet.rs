@@ -13,7 +13,6 @@
 use crate::addr::Addr;
 use crate::pch::{PchError, PchHeader, PCH_WIRE_BYTES};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// Fixed IP-like header size, bytes.
 pub const IP_HEADER_BYTES: usize = 16;
@@ -27,7 +26,7 @@ pub const PROTO_COMPUTE: u8 = 0xCC;
 pub const DEFAULT_TTL: u8 = 64;
 
 /// A network packet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
     pub src: Addr,
     pub dst: Addr,
@@ -36,9 +35,8 @@ pub struct Packet {
     pub ttl: u8,
     /// The compute header, present iff this is a compute packet.
     pub pch: Option<PchHeader>,
-    /// Payload bytes (operand segment first for compute packets).
-    /// Serializes as a byte array (the vendored `bytes` implements the
-    /// serde traits directly).
+    /// Payload bytes (operand segment first for compute packets); on the
+    /// wire they follow the headers verbatim (see [`Packet::to_wire`]).
     pub payload: Bytes,
 }
 

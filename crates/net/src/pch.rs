@@ -25,7 +25,6 @@
 
 use bytes::{Buf, BufMut};
 use ofpc_engine::Primitive;
-use serde::{Deserialize, Serialize};
 
 /// Size of the PCH on the wire, bytes.
 pub const PCH_WIRE_BYTES: usize = 8;
@@ -42,7 +41,7 @@ pub const STATUS_SHIFT: u8 = 2;
 
 /// Result health carried in the PCH flags byte (bits 2–3). `Ok` is the
 /// wire default so pre-fault-aware senders stay compatible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ResultStatus {
     /// Result (if computed) came from a healthy engine.
@@ -66,7 +65,7 @@ impl ResultStatus {
 }
 
 /// The photonic compute header.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PchHeader {
     pub primitive: Primitive,
     pub flags: u8,

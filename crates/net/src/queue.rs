@@ -6,7 +6,6 @@
 //! as a normalized value.
 
 use crate::packet::Packet;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Drop-tail FIFO with a byte capacity.
@@ -21,7 +20,7 @@ pub struct DropTailQueue {
 }
 
 /// Snapshot of queue state (what a controller or load balancer reads).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueStats {
     pub depth_packets: usize,
     pub depth_bytes: usize,

@@ -12,7 +12,6 @@
 use crate::addr::{Addr, Prefix};
 use crate::topology::{LinkId, NodeId, Topology};
 use ofpc_engine::Primitive;
-use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, HashMap};
 
 /// Weighted shortest paths from `src` by propagation delay (Dijkstra).
@@ -75,61 +74,9 @@ pub fn distance_matrix(topo: &Topology, link_ok: &dyn Fn(LinkId) -> bool) -> Vec
         .collect()
 }
 
-/// Full path (sequence of nodes) from `src` to `dst` by delay, if any.
-pub fn shortest_path_nodes(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-    shortest_path_nodes_filtered(topo, src, dst, &|_| true)
-}
-
-/// [`shortest_path_nodes`] restricted to links accepted by `link_ok`.
-/// Returns `None` when `dst` is unreachable over the surviving links.
-pub fn shortest_path_nodes_filtered(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    link_ok: &dyn Fn(LinkId) -> bool,
-) -> Option<Vec<NodeId>> {
-    // Dijkstra with predecessor tracking.
-    let mut dist: HashMap<NodeId, u64> = HashMap::new();
-    let mut prev: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut heap: BinaryHeap<(std::cmp::Reverse<u64>, u32)> = BinaryHeap::new();
-    dist.insert(src, 0);
-    heap.push((std::cmp::Reverse(0), src.0));
-    while let Some((std::cmp::Reverse(d), node)) = heap.pop() {
-        let node = NodeId(node);
-        if d > *dist.get(&node).unwrap_or(&u64::MAX) {
-            continue;
-        }
-        if node == dst {
-            break;
-        }
-        for (link_id, next) in topo.neighbors(node) {
-            if !link_ok(link_id) {
-                continue;
-            }
-            let nd = d + topo.link(link_id).delay_ps();
-            if nd < *dist.get(&next).unwrap_or(&u64::MAX) {
-                dist.insert(next, nd);
-                prev.insert(next, node);
-                heap.push((std::cmp::Reverse(nd), next.0));
-            }
-        }
-    }
-    if src != dst && !prev.contains_key(&dst) {
-        return None;
-    }
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        cur = prev[&cur];
-        path.push(cur);
-    }
-    path.reverse();
-    Some(path)
-}
-
 /// A concrete routed path: the node sequence, the exact links taken
 /// (parallel spans are distinguished), and the end-to-end delay.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutedPath {
     pub nodes: Vec<NodeId>,
     pub links: Vec<LinkId>,
@@ -149,11 +96,11 @@ impl RoutedPath {
 }
 
 /// Delay-shortest route from `src` to `dst` over links accepted by
-/// `link_ok`, tracking the *exact* links taken — unlike
-/// [`shortest_path_nodes_filtered`] + [`path_links`], which re-resolves
-/// node pairs and may pick an excluded parallel span. This is the
-/// primitive behind k-disjoint enumeration, where exclusions must bind
-/// to link identities, not node adjacency.
+/// `link_ok`, tracking the *exact* links taken, so an excluded parallel
+/// span is never picked. Returns `None` when `dst` is unreachable over
+/// the surviving links. This is the primitive behind k-disjoint
+/// enumeration, where exclusions must bind to link identities, not
+/// node adjacency.
 pub fn shortest_route_filtered(
     topo: &Topology,
     src: NodeId,
@@ -255,23 +202,8 @@ pub fn k_disjoint_paths_filtered(
     out
 }
 
-/// The links traversed by a node path (adjacent pairs resolved through
-/// the topology; picks the lowest-delay parallel link). Returns `None`
-/// if two consecutive nodes are not adjacent.
-pub fn path_links(topo: &Topology, path: &[NodeId]) -> Option<Vec<LinkId>> {
-    path.windows(2)
-        .map(|w| {
-            topo.neighbors(w[0])
-                .into_iter()
-                .filter(|&(_, n)| n == w[1])
-                .min_by_key(|&(l, _)| topo.link(l).delay_ps())
-                .map(|(l, _)| l)
-        })
-        .collect()
-}
-
 /// One forwarding entry: a default next hop and per-primitive overrides.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RouteEntry {
     /// Next-hop link for plain traffic (None = deliver locally).
     pub next_hop: Option<LinkId>,
@@ -287,7 +219,7 @@ pub struct RouteEntry {
 }
 
 /// A router's dual-field forwarding table.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoutingTable {
     entries: Vec<(Prefix, RouteEntry)>,
 }
@@ -420,12 +352,18 @@ mod tests {
         let t = Topology::fig1();
         let a = t.find_node("A").unwrap();
         let d = t.find_node("D").unwrap();
-        let path = shortest_path_nodes(&t, a, d).unwrap();
-        assert_eq!(path.len(), 3); // A → {B|C} → D
-        assert_eq!(path[0], a);
-        assert_eq!(path[2], d);
-        // Self-path.
-        assert_eq!(shortest_path_nodes(&t, a, a).unwrap(), vec![a]);
+        let route = shortest_route_filtered(&t, a, d, &|_| true).unwrap();
+        assert_eq!(route.nodes.len(), 3); // A → {B|C} → D
+        assert_eq!(route.nodes[0], a);
+        assert_eq!(route.nodes[2], d);
+        assert_eq!(route.links.len(), 2);
+        // Agrees with the distance Dijkstra.
+        assert_eq!(route.delay_ps, shortest_paths(&t, a)[&d].0);
+        // Self-route.
+        assert_eq!(
+            shortest_route_filtered(&t, a, a, &|_| true).unwrap().nodes,
+            vec![a]
+        );
     }
 
     #[test]
@@ -437,16 +375,16 @@ mod tests {
         // Cut every link incident to B: the A→D path must go via C.
         let b_links: Vec<LinkId> = t.neighbors(b).into_iter().map(|(l, _)| l).collect();
         let ok = |l: LinkId| !b_links.contains(&l);
-        let path = shortest_path_nodes_filtered(&t, a, d, &ok).unwrap();
-        assert_eq!(path.len(), 3);
-        assert!(!path.contains(&b), "detour must avoid B: {path:?}");
-        let links = path_links(&t, &path).unwrap();
-        assert_eq!(links.len(), 2);
-        assert!(links.iter().all(|l| ok(*l)));
+        let route = shortest_route_filtered(&t, a, d, &ok).unwrap();
+        assert_eq!(route.nodes.len(), 3);
+        assert!(!route.nodes.contains(&b), "detour must avoid B: {route:?}");
+        assert_eq!(route.links.len(), 2);
+        assert!(route.links.iter().all(|l| ok(*l)));
         // Filtered Dijkstra agrees on reachability and avoids B's links.
         let sp = shortest_paths_filtered(&t, a, &ok);
-        assert!(sp.contains_key(&d));
+        assert_eq!(sp[&d].0, route.delay_ps);
         assert!(!sp.contains_key(&b));
+        assert!(shortest_route_filtered(&t, a, b, &ok).is_none());
     }
 
     #[test]
@@ -528,7 +466,7 @@ mod tests {
         let mut t = Topology::new();
         let x = t.add_node("x");
         let y = t.add_node("y");
-        assert!(shortest_path_nodes(&t, x, y).is_none());
+        assert!(shortest_route_filtered(&t, x, y, &|_| true).is_none());
         assert!(!shortest_paths(&t, x).contains_key(&y));
     }
 

@@ -37,7 +37,7 @@ pub const ENGINE_SYMBOL_RATE_HZ: f64 = 32e9;
 pub const ENGINE_FIXED_LATENCY_PS: u64 = 5_000; // 5 ns
 
 /// The operation semantics installed in an engine slot.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OpSpec {
     /// P1: dot product against stored weights.
     Dot { weights: Vec<f64> },

@@ -5,10 +5,9 @@
 //! the simulator feeds records in, experiments read summaries out.
 
 use crate::pch::ResultStatus;
-use serde::{Deserialize, Serialize};
 
 /// One delivered packet's record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeliveryRecord {
     pub packet_id: u32,
     pub created_ps: u64,
@@ -36,7 +35,7 @@ impl DeliveryRecord {
 /// Why the simulator dropped a packet. Every drop is attributed to
 /// exactly one reason so packet conservation
 /// (`injected = delivered + dropped + in-flight`) is checkable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropReason {
     /// Egress queue was full (drop-tail).
     QueueFull,
@@ -58,7 +57,7 @@ impl DropReason {
 }
 
 /// Collected simulation statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StatsCollector {
     pub delivered: Vec<DeliveryRecord>,
     /// Packets handed to the simulator via `inject` (the conservation

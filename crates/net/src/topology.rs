@@ -9,24 +9,23 @@
 
 use ofpc_photonics::units;
 use ofpc_photonics::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Node identifier (index into the topology's node table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// Link identifier (index into the topology's link table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
 
 /// A router site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     pub name: String,
 }
 
 /// A bidirectional fiber link between two sites.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     pub a: NodeId,
     pub b: NodeId,
@@ -57,7 +56,7 @@ impl Link {
 pub const DEFAULT_CAPACITY_BPS: f64 = 800e9;
 
 /// A WAN topology.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Topology {
     pub nodes: Vec<Node>,
     pub links: Vec<Link>,

@@ -11,7 +11,7 @@ use crate::signal::OpticalField;
 use crate::units;
 
 /// Configuration of an EDFA.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EdfaConfig {
     /// Gain in dB.
     pub gain_db: f64,

@@ -8,7 +8,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub};
 
 /// A complex number `re + i·im`, used as the slowly-varying envelope of an
 /// optical field sample. `|z|²` is instantaneous optical power.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     pub re: f64,
     pub im: f64,

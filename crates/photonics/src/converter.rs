@@ -12,7 +12,7 @@ use crate::signal::AnalogWaveform;
 use crate::units;
 
 /// Configuration shared by both converter directions.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConverterConfig {
     /// Nominal resolution in bits.
     pub bits: u32,

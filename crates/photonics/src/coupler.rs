@@ -17,7 +17,7 @@ use crate::signal::OpticalField;
 use crate::units;
 
 /// A 2×2 directional coupler.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Coupler {
     /// Power coupling ratio κ in [0, 1]; 0.5 = 3-dB coupler.
     pub kappa: f64,

@@ -58,7 +58,7 @@ pub mod constants {
 }
 
 /// A labelled energy ledger: joules per named stage, ordered by label.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyLedger {
     entries: BTreeMap<String, f64>,
 }

@@ -11,7 +11,7 @@ use crate::signal::OpticalField;
 use crate::units;
 
 /// A span of standard single-mode fiber.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FiberSpan {
     /// Span length, km.
     pub length_km: f64,

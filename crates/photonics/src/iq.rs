@@ -77,7 +77,7 @@ impl IqModulator {
 }
 
 /// Configuration of a coherent receiver front end.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoherentRxConfig {
     /// Local-oscillator laser.
     pub lo: LaserConfig,

@@ -10,7 +10,7 @@ use crate::signal::OpticalField;
 use crate::units;
 
 /// Configuration of a CW laser.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LaserConfig {
     /// Output power in dBm. Typical integrated DFB: 10–16 dBm.
     pub power_dbm: f64,

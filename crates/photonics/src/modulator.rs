@@ -17,7 +17,7 @@ use crate::signal::{AnalogWaveform, OpticalField};
 use crate::units;
 
 /// Bias point of a Mach-Zehnder modulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BiasPoint {
     /// Null point: zero transmission at zero drive. Best contrast for
     /// amplitude encoding of non-negative values.
@@ -42,7 +42,7 @@ impl BiasPoint {
 }
 
 /// Configuration of a Mach-Zehnder intensity modulator.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MzmConfig {
     /// Half-wave voltage Vπ (volts); typical silicon MZM: 2–6 V.
     pub v_pi: f64,
@@ -274,7 +274,7 @@ impl MachZehnderModulator {
 }
 
 /// Configuration of a phase modulator.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PhaseModulatorConfig {
     /// Voltage for a π phase shift.
     pub v_pi: f64,

@@ -15,7 +15,7 @@ use crate::signal::{AnalogWaveform, OpticalField};
 use crate::units;
 
 /// Configuration of a PIN photodetector front end.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PhotodetectorConfig {
     /// Responsivity, A/W (InGaAs at 1550 nm: ~0.9–1.1).
     pub responsivity_a_w: f64,

@@ -51,46 +51,3 @@ pub enum KernelBackend {
     /// Struct-of-arrays fused kernels; same physics, own noise stream.
     Vectorized,
 }
-
-// Hand-rolled serde impls (not derived) so that a config document
-// written before the backend existed deserializes as `Scalar`: the
-// `missing()` hook is what gives the field `#[serde(default)]`
-// semantics under the vendored value-based serde.
-impl serde::Serialize for KernelBackend {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(String::from(match self {
-            KernelBackend::Scalar => "Scalar",
-            KernelBackend::Vectorized => "Vectorized",
-        }))
-    }
-}
-
-impl serde::Deserialize for KernelBackend {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) if s == "Scalar" => Ok(KernelBackend::Scalar),
-            serde::Value::Str(s) if s == "Vectorized" => Ok(KernelBackend::Vectorized),
-            _ => Err(serde::Error::expected("a KernelBackend variant name")),
-        }
-    }
-
-    fn missing() -> Result<Self, serde::Error> {
-        Ok(KernelBackend::Scalar)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backend_round_trips_and_defaults_to_scalar_when_missing() {
-        for b in [KernelBackend::Scalar, KernelBackend::Vectorized] {
-            let v = serde::Serialize::to_value(&b);
-            let back: KernelBackend = serde::Deserialize::from_value(&v).unwrap();
-            assert_eq!(b, back);
-        }
-        let missing: KernelBackend = <KernelBackend as serde::Deserialize>::missing().unwrap();
-        assert_eq!(missing, KernelBackend::Scalar);
-    }
-}

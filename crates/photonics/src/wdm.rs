@@ -10,7 +10,7 @@ use crate::signal::OpticalField;
 use crate::units;
 
 /// An ITU-like DWDM channel grid centered on the C-band.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WdmGrid {
     /// Center frequency of channel 0, Hz (193.1 THz for the ITU anchor).
     pub anchor_hz: f64,
@@ -49,7 +49,7 @@ impl WdmGrid {
 }
 
 /// A WDM multiplexer/demultiplexer pair with loss and crosstalk.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WdmMux {
     pub grid: WdmGrid,
     /// Insertion loss per pass, dB.

@@ -24,11 +24,10 @@
 //! (`SetState::requeued` guards deaths discovered across multiple
 //! loss events).
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What kind of redundancy a set uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SetKind {
     /// Two identical copies; members 0 and 1.
     Replica,

@@ -18,10 +18,9 @@
 //! completions deterministically.
 
 use ofpc_net::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Per-tenant redundancy policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RedundancyMode {
     /// No redundancy: the existing reactive fault path applies.
     Unprotected,
@@ -77,7 +76,7 @@ impl RedundancyMode {
 }
 
 /// Tag carried by each member batch of a redundancy set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResilTag {
     /// Redundancy set id (unique per run, allocation order).
     pub set: u64,

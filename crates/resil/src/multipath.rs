@@ -15,11 +15,10 @@
 use ofpc_controller::ProtectionMode;
 use ofpc_net::routing::{shortest_route_filtered, RoutedPath};
 use ofpc_net::{LinkId, NodeId, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One planned route from the front-end to a compute site.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteRoute {
     /// The compute site this route lands on.
     pub node: NodeId,
@@ -31,7 +30,7 @@ pub struct SiteRoute {
 }
 
 /// Link-disjoint route plan from one front-end to a set of sites.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MultipathPlan {
     /// The serving front-end all routes originate from.
     pub front_end: NodeId,

@@ -10,7 +10,6 @@
 
 use crate::mode::RedundancyMode;
 use crate::parity::split_groups;
-use serde::{Deserialize, Serialize};
 
 /// Predicted protected-to-unprotected cost factor for a batch of
 /// `batch_len` requests under `mode`, where `price(n)` is any additive
@@ -45,7 +44,7 @@ pub fn energy_factor_with(
 /// Cost model for digital XOR reconstruction of a lost parity group at
 /// the serving front-end (a memory-bandwidth-bound pass over the
 /// surviving payloads).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReconstructModel {
     /// Fixed software/bookkeeping overhead per reconstruction, ps.
     pub fixed_ps: u64,

@@ -11,13 +11,12 @@
 //! a tenant never perturbs another tenant's arrival times.
 
 use ofpc_photonics::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Picoseconds per second (the runtime's clock unit).
 pub const PS_PER_SEC: f64 = 1e12;
 
-/// Arrival process specification (serializable for experiment configs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Arrival process specification.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalSpec {
     /// Memoryless arrivals at `rate_rps` requests/second.
     Poisson { rate_rps: f64 },

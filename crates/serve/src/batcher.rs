@@ -11,11 +11,10 @@
 
 use crate::request::{BatchClass, ComputeRequest};
 use ofpc_resil::ResilTag;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Batch closing policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchPolicy {
     /// Maximum requests per batch (≥ 1). Bounded by the WDM channel
     /// count the scheduler can light at once.
@@ -36,7 +35,7 @@ impl BatchPolicy {
 }
 
 /// A closed batch, ready for the scheduler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
     pub class: BatchClass,
     pub requests: Vec<ComputeRequest>,

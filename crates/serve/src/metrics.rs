@@ -10,7 +10,7 @@
 
 use crate::request::{Outcome, ShedReason, TenantId};
 use ofpc_telemetry::{labels, nearest_rank, Telemetry};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-tenant running counters.
 #[derive(Debug, Clone, Default)]
@@ -298,7 +298,7 @@ impl MetricsSink {
 }
 
 /// Per-tenant slice of the final report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TenantReport {
     pub tenant: TenantId,
     pub arrivals: u64,
@@ -319,7 +319,7 @@ pub struct TenantReport {
 }
 
 /// One serving run's summary, serialized for the bench harness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServeReport {
     pub duration_s: f64,
     pub arrivals: u64,

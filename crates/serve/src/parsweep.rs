@@ -17,16 +17,14 @@ use ofpc_core::OnFiberNetwork;
 use ofpc_net::{NodeId, Topology};
 use ofpc_par::WorkerPool;
 use ofpc_transponder::compute::ComputeTransponderConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::ServeReport;
 use crate::runtime::{EngineFaultEvent, ServeConfig, ServeRuntime};
 
 /// A complete, by-value description of one serving run: line topology,
 /// site upgrades, transponder inventory, serving config, and optional
-/// fault schedule. Serializable so sweeps can be pinned in replay
-/// fixtures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// fault schedule. Built in code; the sweep writes only the reports.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepScenario {
     /// Free-form tag carried through to diagnostics.
     pub label: String,
@@ -51,10 +49,8 @@ pub struct SweepScenario {
     /// Arm the digital CPU fallback path for faulted requests.
     pub digital_fallback: bool,
     /// Kernel backend for the runtime's verification engine. `Scalar`
-    /// (what scenarios pinned before this field existed deserialize to)
     /// leaves the runtime byte-identical to historical fixtures;
     /// `Vectorized` runs verification on the fused kernels.
-    #[serde(default)]
     pub verify_backend: ofpc_engine::dot::KernelBackend,
 }
 
@@ -186,45 +182,5 @@ mod tests {
         for w in arrivals.windows(2) {
             assert!(w[1] >= w[0], "arrival counts out of order: {arrivals:?}");
         }
-    }
-
-    #[test]
-    fn verify_backend_defaults_to_scalar_and_sweeps_deterministically() {
-        // A scenario document pinned before the backend field existed
-        // must parse with the scalar default.
-        let mut doc = serde_json::to_value(&grid()[0]).expect("serializes");
-        if let serde_json::Value::Map(entries) = &mut doc {
-            entries.retain(|(k, _)| k != "verify_backend");
-        }
-        let back: SweepScenario = serde_json::from_value(&doc).expect("parses");
-        assert_eq!(back.verify_backend, ofpc_engine::dot::KernelBackend::Scalar);
-        // Vectorized-verify sweeps stay byte-identical across workers.
-        let vec_grid = || {
-            let mut g = grid();
-            for s in &mut g {
-                s.verify_backend = ofpc_engine::dot::KernelBackend::Vectorized;
-            }
-            g
-        };
-        let bytes = |workers: usize| {
-            let reports = run_sweep(&WorkerPool::new(workers), vec_grid());
-            serde_json::to_string_pretty(&reports).expect("serializes")
-        };
-        let seq = bytes(1);
-        assert_eq!(seq, bytes(4));
-    }
-
-    #[test]
-    fn faulted_scenario_round_trips_through_serde() {
-        let mut s = SweepScenario::metro("faulty", 3, 2, tiny_config(3, 100_000.0));
-        s.engine_faults = vec![EngineFaultEvent {
-            at_ps: 10_000_000,
-            node: NodeId(1),
-            up: false,
-        }];
-        s.digital_fallback = true;
-        let json = serde_json::to_string(&s).expect("serializes");
-        let back: SweepScenario = serde_json::from_str(&json).expect("parses");
-        assert_eq!(s, back);
     }
 }

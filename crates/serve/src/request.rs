@@ -7,19 +7,19 @@
 //! metrics layer checks that none are silently dropped.
 
 use ofpc_engine::Primitive;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A tenant (one of the N users sharing the wavelength's compute
 /// bandwidth, paper §5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct TenantId(pub u32);
 
 /// Globally unique request identifier (assigned in arrival order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(pub u64);
 
 /// One user request against the photonic substrate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputeRequest {
     pub id: RequestId,
     pub tenant: TenantId,
@@ -64,14 +64,14 @@ impl ComputeRequest {
 }
 
 /// The compatibility key for dynamic batching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BatchClass {
     pub primitive: Primitive,
     pub operand_len: u32,
 }
 
 /// Why a request was refused or abandoned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ShedReason {
     /// The tenant's admission queue was full on arrival (backpressure).
     QueueFull,
@@ -86,7 +86,7 @@ pub enum ShedReason {
 }
 
 /// Terminal state of a request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Outcome {
     /// Served within its deadline.
     Completed {

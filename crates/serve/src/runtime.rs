@@ -34,13 +34,13 @@ use ofpc_resil::{
     split_groups, DoneAction, LostAction, MultipathPlan, ReconstructModel, RedundancyMode,
     ResilTag, SetKind, WorkLedger,
 };
-use ofpc_telemetry::{track, Counter, Telemetry};
+use ofpc_telemetry::{track, Telemetry};
 use ofpc_transponder::compute::ComputeTransponderConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One tenant's serving contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     pub name: String,
     /// Relative fair-share weight (> 0).
@@ -56,7 +56,7 @@ pub struct TenantSpec {
 }
 
 /// Full configuration of a serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     pub seed: u64,
     /// Arrivals are generated in `[0, horizon_ps)`.
@@ -82,7 +82,7 @@ impl ServeConfig {
 
 /// One scheduled engine-site fault transition for a serving run
 /// (injected via [`ServeRuntime::with_engine_faults`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineFaultEvent {
     pub at_ps: u64,
     pub node: NodeId,
@@ -91,7 +91,7 @@ pub struct EngineFaultEvent {
 }
 
 /// Capped exponential backoff for requests displaced by engine faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// First-retry backoff, ps.
     pub base_ps: u64,
@@ -140,10 +140,6 @@ struct PendingBatch {
     start_ps: u64,
     /// Redundancy-set membership, when this batch is a set member.
     resil: Option<ResilTag>,
-    /// The fiber links the batch rides between front-end and site
-    /// (empty when no multipath plan is installed): a cut on any of
-    /// them before delivery loses the batch.
-    route: Vec<LinkId>,
 }
 
 /// Event kinds; the queue pops them in (time, insertion) order.
@@ -178,7 +174,7 @@ enum Event {
 /// What the redundancy layer did during a run, reported alongside the
 /// [`ServeReport`] by [`ServeRuntime::run_with_resil`]. All counters
 /// are deterministic functions of (config, storm, policies).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ResilSummary {
     /// Redundancy sets formed, by kind.
     pub replica_sets: u64,
@@ -246,8 +242,6 @@ pub struct ServeRuntime {
     /// → ps); populated only while telemetry is enabled, feeds the
     /// per-request trace tree emitted at delivery.
     drained_ps: BTreeMap<u64, u64>,
-    /// Profiling hook: batches dispatched.
-    dispatch_count: Counter,
     /// Link-disjoint route plan for proactive redundancy (None = the
     /// legacy reactive-only path).
     site_plan: Option<MultipathPlan>,
@@ -315,7 +309,6 @@ impl ServeRuntime {
             attempts: BTreeMap::new(),
             tel: Telemetry::disabled(),
             drained_ps: BTreeMap::new(),
-            dispatch_count: Counter::noop(),
             site_plan: None,
             site_routes: BTreeMap::new(),
             link_down: BTreeSet::new(),
@@ -435,18 +428,18 @@ impl ServeRuntime {
     }
 
     /// Attach an observability handle. With an enabled handle the
-    /// runtime counts dispatches live, emits sim-time trace spans (one
-    /// tree per completed request — queue → batch → sched → fiber →
-    /// engine → fiber — on the request track, per-slot service spans on
-    /// the site track, and instant events for sheds, faults, and
-    /// fallbacks), and at the end of the run publishes its metrics
-    /// collectors onto the shared registry (`serve_*` series, see
-    /// [`MetricsSink::publish`]) together with the event-loop count
-    /// `serve_events_total`. Call before [`ServeRuntime::run`]; a
-    /// disabled handle (the default) costs one branch per emit site.
+    /// runtime emits sim-time trace spans (one tree per completed
+    /// request — queue → batch → sched → fiber → engine → fiber — on the
+    /// request track, per-slot service spans on the site track, and
+    /// instant events for sheds, faults, and fallbacks), and at the end
+    /// of the run publishes its metrics collectors onto the shared
+    /// registry (`serve_*` series, see [`MetricsSink::publish`])
+    /// together with the event-loop count `serve_events_total` and the
+    /// dispatch count `serve_dispatches_total`. Call before
+    /// [`ServeRuntime::run`]; a disabled handle (the default) costs one
+    /// branch per emit site.
     pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
         self.tel = tel.clone();
-        self.dispatch_count = tel.counter("serve_dispatches_total", &Vec::new());
         self
     }
 
@@ -564,7 +557,6 @@ impl ServeRuntime {
             if d.batch.is_empty() && d.batch.resil.is_none() {
                 continue;
             }
-            self.dispatch_count.inc();
             if tracing {
                 self.tel.span_args(
                     track::SITES,
@@ -610,7 +602,6 @@ impl ServeRuntime {
                     start_ps: d.start_ps,
                     requests: d.batch.requests.clone(),
                     resil: d.batch.resil,
-                    route: self.site_routes.get(&d.node).cloned().unwrap_or_default(),
                 },
             );
             self.push_event(d.delivered_ps, Event::Deliver { key });
@@ -1005,10 +996,18 @@ impl ServeRuntime {
         if up {
             return;
         }
+        // A batch rides its site's planned route (none without a plan):
+        // a cut on any of its links before delivery loses the batch.
         let lost: Vec<u64> = self
             .in_service
             .iter()
-            .filter(|(_, p)| p.delivered_ps > self.now_ps && p.route.contains(&link))
+            .filter(|(_, p)| {
+                p.delivered_ps > self.now_ps
+                    && self
+                        .site_routes
+                        .get(&p.node)
+                        .is_some_and(|route| route.contains(&link))
+            })
             .map(|(&k, _)| k)
             .collect();
         for key in lost {
@@ -1332,6 +1331,9 @@ impl ServeRuntime {
         self.tel
             .counter("serve_events_total", &Vec::new())
             .add(self.events.events_processed);
+        self.tel
+            .counter("serve_dispatches_total", &Vec::new())
+            .add(self.scheduler.batches_dispatched);
         let unfinished = self.unfinished_requests();
         let duration_s = self.config.horizon_ps as f64 / 1e12;
         let mut summary = self.resil_stats.clone();
@@ -1347,6 +1349,7 @@ impl ServeRuntime {
 mod tests {
     use super::*;
     use ofpc_net::Topology;
+    use ofpc_telemetry::Phase;
 
     fn tenant(rate_rps: f64, weight: u32) -> TenantSpec {
         TenantSpec {
@@ -1549,7 +1552,6 @@ mod tests {
             dispatched_ps: 0,
             start_ps: 0,
             resil: None,
-            route: Vec::new(),
         };
         // Batch 0 finished computing before the fault: its results
         // already egressed and are light in the return fiber. Batch 1 is
@@ -1663,6 +1665,37 @@ mod tests {
     }
 
     #[test]
+    fn dispatch_counter_matches_the_engine_spans_under_a_cut() {
+        // Replica members and requestless parity members both occupy a
+        // slot; the end-of-run counter must count each exactly once.
+        let (sites, plan) = star_plant(4);
+        let cut = plan.routes[1].route.links[0];
+        let model = ServiceModel::from_transponder(&ComputeTransponderConfig::ideal(), 4);
+        let tel = Telemetry::enabled();
+        let modes = [
+            RedundancyMode::Replica,
+            RedundancyMode::XorParity { data_groups: 3 },
+        ];
+        let (_, resil) = ServeRuntime::new(small_config(500_000.0), model, sites)
+            .with_redundancy(&modes, plan)
+            .with_storm(&storm_cut(cut, 800_000_000, 1_300_000_000))
+            .with_telemetry(&tel)
+            .run_with_resil();
+        assert!(resil.replica_sets > 0 && resil.parity_sets > 0);
+        assert_eq!(resil.link_cuts_seen, 1);
+        let spans = tel
+            .trace_events()
+            .iter()
+            .filter(|e| e.pid == track::SITES && e.name == "engine.batch" && e.phase == Phase::B)
+            .count() as u64;
+        assert!(spans > 0);
+        let counted = tel
+            .snapshot()
+            .counter("serve_dispatches_total", &Vec::new());
+        assert_eq!(counted, Some(spans));
+    }
+
+    #[test]
     fn parity_loss_then_final_delivery_reconstructs_digitally() {
         let mut rt = runtime(small_config(500_000.0));
         rt.now_ps = 1_000_000;
@@ -1692,7 +1725,6 @@ mod tests {
             dispatched_ps: 0,
             start_ps: 0,
             resil,
-            route: Vec::new(),
         };
         rt.ledger.register(0, SetKind::Parity { data_members: 2 });
         rt.in_service.insert(0, pending(Some(tag(0, 0)), &[1, 2]));
@@ -1740,7 +1772,6 @@ mod tests {
                 phantom: 0,
                 deadline_ps: u64::MAX,
             }),
-            route: Vec::new(),
         };
         rt.ledger.register(0, SetKind::Replica);
         rt.in_service.insert(0, member(0));

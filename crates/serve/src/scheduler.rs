@@ -20,11 +20,10 @@ use crate::request::{BatchClass, ComputeRequest, ShedReason};
 use ofpc_net::NodeId;
 use ofpc_photonics::energy::{constants, EnergyLedger};
 use ofpc_transponder::compute::ComputeTransponderConfig;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Latency/energy model for one wavelength pass over a compute slot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceModel {
     /// Serial line rate per WDM channel, bit/s.
     pub line_rate_bps: f64,
@@ -134,7 +133,7 @@ impl ServiceModel {
 }
 
 /// A compute site visible to the serving runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiteSpec {
     pub node: NodeId,
     /// Installed compute transponder slots at the site.

@@ -13,7 +13,6 @@
 //! nesting validatable ([`validate_balanced`]) and the file
 //! byte-deterministic for a deterministic run.
 
-use serde::Serialize;
 use std::fmt::Write as _;
 
 /// Track groups (`pid` in the Chrome trace).
@@ -52,7 +51,7 @@ pub mod track {
 }
 
 /// Event phase: duration begin/end or instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     B,
     E,
@@ -70,7 +69,7 @@ impl Phase {
 }
 
 /// One trace event in virtual time.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     pub name: String,
     pub cat: String,
@@ -356,7 +355,7 @@ mod tests {
             vec![("size".into(), "4".into())],
         );
         let json = chrome_trace_json(&buf.sorted_events());
-        let v = serde_json::from_str::<serde_json::Value>(&json).expect("parses");
+        let v = serde_json::from_str(&json).expect("parses");
         let arr = v.as_seq().expect("array");
         assert_eq!(arr.len(), 2);
         assert_eq!(arr[0].get("ph").unwrap().as_str(), Some("B"));

@@ -42,7 +42,7 @@ pub fn q_factor(mean_one: f64, mean_zero: f64, sigma_one: f64, sigma_zero: f64) 
 }
 
 /// Result of a Monte-Carlo BER run.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BerReport {
     pub bits_tested: u64,
     pub bit_errors: u64,

@@ -38,7 +38,7 @@ use ofpc_telemetry::{Counter, Telemetry};
 /// The operation loaded into a transponder's photonic engine. The
 /// centralized controller installs these (§3); the op's wire tag must
 /// match the frame's `op` byte for the engine to fire.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ComputeOp {
     /// P1: dot product of the operand segment with stored weights
     /// (signed, in `[-1, 1]`).
@@ -76,7 +76,7 @@ impl ComputeOp {
 }
 
 /// The outcome of running a compute operation on a frame.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ComputeResult {
     /// P1 dot-product value.
     Dot(f64),
@@ -115,7 +115,7 @@ pub fn decode_result(bytes: [u8; 4]) -> f64 {
 }
 
 /// Configuration for the photonic compute transponder.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ComputeTransponderConfig {
     pub tx: TxConfig,
     pub rx: RxConfig,
@@ -134,11 +134,9 @@ pub struct ComputeTransponderConfig {
     /// Fixed engine pipeline latency, seconds (analog settling).
     pub engine_latency_s: f64,
     /// Kernel implementation for the P1 engine pass. `Scalar` (the
-    /// default, and what configs written before this field existed
-    /// deserialize to) is the byte-stable reference; `Vectorized` runs
-    /// the fused power-domain block kernel — same physics and energy
+    /// default) is the byte-stable reference; `Vectorized` runs the
+    /// fused power-domain block kernel — same physics and energy
     /// accounting, own noise stream (DESIGN.md §12).
-    #[serde(default)]
     pub backend: KernelBackend,
 }
 

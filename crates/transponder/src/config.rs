@@ -10,10 +10,9 @@
 //! a version counter the controller uses for idempotent updates.
 
 use crate::compute::ComputeOp;
-use serde::{Deserialize, Serialize};
 
 /// Reconfiguration timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReconfigTiming {
     /// Control-channel transfer rate for weights/patterns, bits/s.
     pub control_rate_bps: f64,
@@ -55,7 +54,7 @@ impl ReconfigTiming {
 }
 
 /// Operational state of a compute transponder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EngineState {
     /// No operation loaded; transit only.
     Idle,
@@ -66,7 +65,7 @@ pub enum EngineState {
 }
 
 /// The reconfigurable control plane of one transponder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineControl {
     pub timing: ReconfigTiming,
     pub state: EngineState,

@@ -7,10 +7,8 @@
 //! blocks and the added photonic-engine blocks, and a budget checker the
 //! experiments use to report headroom.
 
-use serde::{Deserialize, Serialize};
-
 /// Standard pluggable module form factors and their power ceilings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FormFactor {
     /// QSFP-DD: ~20 W class.
     QsfpDd,
@@ -42,7 +40,7 @@ impl FormFactor {
 }
 
 /// One hardware block's power and area demand.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockBudget {
     pub name: String,
     pub power_w: f64,
@@ -138,7 +136,7 @@ pub fn compute_blocks_with(
 }
 
 /// Budget-check result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BudgetReport {
     pub form_factor: FormFactor,
     pub total_power_w: f64,

@@ -14,7 +14,7 @@ use ofpc_photonics::SimRng;
 use ofpc_telemetry::{Counter, Telemetry};
 
 /// Receive-path configuration.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RxConfig {
     pub pd: PhotodetectorConfig,
     pub adc: ConverterConfig,

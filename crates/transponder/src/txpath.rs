@@ -14,7 +14,7 @@ use ofpc_photonics::SimRng;
 use ofpc_telemetry::{Counter, Telemetry};
 
 /// Transmit-path configuration.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TxConfig {
     pub laser: LaserConfig,
     pub mzm: MzmConfig,

@@ -20,10 +20,9 @@
 
 use crate::ber::q_to_ber;
 use ofpc_telemetry::{Counter, Telemetry};
-use serde::{Deserialize, Serialize};
 
 /// Engine health as judged by the watchdog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Health {
     /// BER comfortably under the warning threshold.
     Healthy,
@@ -45,7 +44,7 @@ impl Health {
 }
 
 /// Watchdog thresholds and debounce settings.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WatchdogConfig {
     /// EWMA BER above this is a violation; enough in a row trips the
     /// watchdog. Default 1e-6 (well past FEC comfort).
