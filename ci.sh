@@ -133,6 +133,26 @@ run_no_warnings cargo bench --offline -q -p ofpc-bench --bench serve_scale
 echo "==> E21 ingest front-end smoke run (expt_ingest, mini)"
 run_no_warnings env OFPC_E21_MINI=1 cargo run --offline -q -p ofpc-bench --bin expt_ingest
 
+# perfbench is its own workspace, so no step above compiles it: run
+# every workload once, telemetry off and on, and fail unless each run
+# reports correct output and no failed iteration. Building it rewrites
+# perfbench/Cargo.lock, so the committed file is put back on exit.
+echo "==> repository benchmark smoke (perfbench)"
+perfbench_lock="$(mktemp)"
+cp perfbench/Cargo.lock "$perfbench_lock"
+trap 'cp "$perfbench_lock" perfbench/Cargo.lock; rm -f "$perfbench_lock"' EXIT
+for workload in ingest storm churn; do
+    for trace in 0 1; do
+        summary="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 1 --trace "$trace" | tail -n 1)"
+        echo "perfbench $workload --trace $trace: ${summary:0:60}"
+        if ! grep -q '"correct": true' <<< "$summary" || ! grep -q '"failed": 0,' <<< "$summary"; then
+            echo "==> FAIL: perfbench --workload $workload --trace $trace: $summary" >&2
+            exit 1
+        fi
+    done
+done
+
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 

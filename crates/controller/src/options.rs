@@ -133,35 +133,80 @@ pub fn options_from_matrix(
             added_latency_ps: 0,
         }];
     }
-    // Enumerate placement tuples over compute sites (k-fold product),
-    // depth-first, pruning unreachable legs.
-    let mut out: Vec<AllocOption> = Vec::new();
-    let mut stack: Vec<(Vec<NodeId>, u64)> = vec![(Vec::new(), 0)];
-    while let Some((placement, latency_so_far)) = stack.pop() {
-        let from = placement.last().map(|n| n.0 as usize).unwrap_or(s);
-        if placement.len() == k {
-            let Some(tail) = dist[from][t] else { continue };
-            let total = latency_so_far + tail;
-            let added = total.saturating_sub(direct);
-            out.push(AllocOption {
-                placement,
-                cost: added as f64 / 1e9 + k as f64 * SLOT_COST_MS,
-                added_latency_ps: added,
-            });
-            continue;
+    let mut walk = TupleWalk {
+        dist,
+        sites: compute_sites,
+        k,
+        t,
+        direct,
+        cap,
+        placement: Vec::with_capacity(k),
+        kept: Vec::new(),
+    };
+    walk.descend(s, 0);
+    walk.kept
+}
+
+/// Depth-first walk over the k-fold product of compute sites that keeps
+/// only the `cap` cheapest complete tuples. Each depth tries the sites
+/// from last to first, so tuples come out in reverse-lexicographic
+/// order over `sites`; a tuple whose leg is unreachable is pruned with
+/// its whole subtree. `kept` stays sorted by cost with ties in that
+/// emission order, which is exactly a stable sort of every tuple
+/// truncated to `cap`, but only kept tuples allocate a placement.
+struct TupleWalk<'a> {
+    dist: &'a [Vec<Option<u64>>],
+    sites: &'a [NodeId],
+    /// Tasks in the chain: the tuple length.
+    k: usize,
+    /// The demand's destination node.
+    t: usize,
+    /// Delay of the direct src → dst path, ps.
+    direct: u64,
+    cap: usize,
+    placement: Vec<NodeId>,
+    kept: Vec<AllocOption>,
+}
+
+impl TupleWalk<'_> {
+    fn descend(&mut self, from: usize, latency_so_far: u64) {
+        if self.placement.len() == self.k {
+            let Some(tail) = self.dist[from][self.t] else {
+                return;
+            };
+            let added = (latency_so_far + tail).saturating_sub(self.direct);
+            self.offer(added as f64 / 1e9 + self.k as f64 * SLOT_COST_MS, added);
+            return;
         }
-        for &site in compute_sites {
-            let Some(leg) = dist[from][site.0 as usize] else {
+        for &site in self.sites.iter().rev() {
+            let Some(leg) = self.dist[from][site.0 as usize] else {
                 continue;
             };
-            let mut next = placement.clone();
-            next.push(site);
-            stack.push((next, latency_so_far + leg));
+            self.placement.push(site);
+            self.descend(site.0 as usize, latency_so_far + leg);
+            self.placement.pop();
         }
     }
-    out.sort_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite costs"));
-    out.truncate(cap);
-    out
+
+    /// Keep the current placement if it ranks among the `cap` cheapest
+    /// so far; an equal-cost tuple ranks after those emitted before it.
+    fn offer(&mut self, cost: f64, added_latency_ps: u64) {
+        let rank = self.kept.partition_point(|o| o.cost <= cost);
+        if rank >= self.cap {
+            return;
+        }
+        if self.kept.len() == self.cap {
+            self.kept.pop();
+        }
+        self.kept.insert(
+            rank,
+            AllocOption {
+                placement: self.placement.clone(),
+                cost,
+                added_latency_ps,
+            },
+        );
+    }
 }
 
 /// Aggregate slot demand of an option (per node), used by solvers.
@@ -178,6 +223,7 @@ mod tests {
     use super::*;
     use crate::demand::TaskDag;
     use ofpc_engine::Primitive;
+    use ofpc_photonics::SimRng;
 
     fn fig1() -> (Topology, Vec<usize>) {
         let topo = Topology::fig1();
@@ -346,6 +392,106 @@ mod tests {
         let sites = vec![NodeId(1), NodeId(2)];
         let direct = options_from_matrix(&demands[0], &dist, &sites, 3);
         assert_eq!(inst.options[0], direct);
+    }
+
+    /// The stack DFS `options_from_matrix` replaced, kept verbatim as
+    /// the differential oracle: enumerate every tuple, stable-sort by
+    /// cost, truncate.
+    fn reference_options(
+        demand: &Demand,
+        dist: &[Vec<Option<u64>>],
+        compute_sites: &[NodeId],
+        cap: usize,
+    ) -> Vec<AllocOption> {
+        let Some(chain) = demand.dag.linearize() else {
+            return Vec::new(); // cyclic DAG
+        };
+        let k = chain.len();
+        let s = demand.src.0 as usize;
+        let t = demand.dst.0 as usize;
+        let Some(direct) = dist[s][t] else {
+            return Vec::new(); // disconnected endpoints
+        };
+        if k == 0 {
+            // Nothing to place: the direct path serves it at zero cost.
+            return vec![AllocOption {
+                placement: vec![],
+                cost: 0.0,
+                added_latency_ps: 0,
+            }];
+        }
+        // Enumerate placement tuples over compute sites (k-fold product),
+        // depth-first, pruning unreachable legs.
+        let mut out: Vec<AllocOption> = Vec::new();
+        let mut stack: Vec<(Vec<NodeId>, u64)> = vec![(Vec::new(), 0)];
+        while let Some((placement, latency_so_far)) = stack.pop() {
+            let from = placement.last().map(|n| n.0 as usize).unwrap_or(s);
+            if placement.len() == k {
+                let Some(tail) = dist[from][t] else { continue };
+                let total = latency_so_far + tail;
+                let added = total.saturating_sub(direct);
+                out.push(AllocOption {
+                    placement,
+                    cost: added as f64 / 1e9 + k as f64 * SLOT_COST_MS,
+                    added_latency_ps: added,
+                });
+                continue;
+            }
+            for &site in compute_sites {
+                let Some(leg) = dist[from][site.0 as usize] else {
+                    continue;
+                };
+                let mut next = placement.clone();
+                next.push(site);
+                stack.push((next, latency_so_far + leg));
+            }
+        }
+        out.sort_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite costs"));
+        out.truncate(cap);
+        out
+    }
+
+    #[test]
+    fn top_k_walk_matches_the_reference_enumerator() {
+        // Small random matrices with unreachable legs and delays drawn
+        // from a handful of values, so most tuples tie on cost and the
+        // tie order is what decides which ones survive the cap.
+        let mut rng = SimRng::seed_from_u64(0x0971);
+        let prims = [
+            Primitive::VectorDotProduct,
+            Primitive::PatternMatching,
+            Primitive::NonlinearFunction,
+        ];
+        for case in 0..3_000 {
+            let n = 1 + rng.below(6);
+            let dist: Vec<Vec<Option<u64>>> = (0..n)
+                .map(|_| {
+                    (0..n)
+                        .map(|_| (!rng.chance(0.2)).then(|| rng.below(4) as u64 * 1_000_000))
+                        .collect()
+                })
+                .collect();
+            let mut sites: Vec<NodeId> = (0..n)
+                .filter(|_| rng.chance(0.6))
+                .map(|v| NodeId(v as u32))
+                .collect();
+            if rng.chance(0.3) {
+                rng.shuffle(&mut sites);
+            }
+            let chain: Vec<Primitive> = (0..rng.below(4)).map(|_| prims[rng.below(3)]).collect();
+            let demand = Demand::new(
+                case,
+                NodeId(rng.below(n) as u32),
+                NodeId(rng.below(n) as u32),
+                TaskDag::chain(chain),
+            );
+            let cap = rng.below(10);
+            assert_eq!(
+                options_from_matrix(&demand, &dist, &sites, cap),
+                reference_options(&demand, &dist, &sites, cap),
+                "case {case}: {demand:?} over {sites:?}, cap {cap}"
+            );
+        }
     }
 
     #[test]

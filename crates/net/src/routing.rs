@@ -12,7 +12,119 @@
 use crate::addr::{Addr, Prefix};
 use crate::topology::{LinkId, NodeId, Topology};
 use ofpc_engine::Primitive;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+
+/// The links `link_ok` accepts, indexed by node: node `v`'s usable links
+/// are `arcs[start[v]..start[v + 1]]`, in link-id order (the order
+/// [`Topology::neighbors`] lists them), each with its far end and
+/// one-way delay. Built once per routing call, so the Dijkstra inner
+/// loop neither scans the link table nor asks `link_ok` again.
+struct Adjacency {
+    start: Vec<usize>,
+    arcs: Vec<(LinkId, NodeId, u64)>,
+}
+
+impl Adjacency {
+    fn new(topo: &Topology, link_ok: &dyn Fn(LinkId) -> bool) -> Self {
+        let n = topo.node_count();
+        let usable: Vec<(LinkId, NodeId, NodeId, u64)> = topo
+            .links
+            .iter()
+            .enumerate()
+            .map(|(i, l)| (LinkId(i as u32), l.a, l.b, l.delay_ps()))
+            .filter(|&(id, ..)| link_ok(id))
+            .collect();
+        let mut start = vec![0usize; n + 1];
+        for &(_, a, b, _) in &usable {
+            start[a.0 as usize + 1] += 1;
+            start[b.0 as usize + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut next = start.clone();
+        let mut arcs = vec![(LinkId(0), NodeId(0), 0); start[n]];
+        for &(id, a, b, delay) in &usable {
+            for (from, to) in [(a, b), (b, a)] {
+                arcs[next[from.0 as usize]] = (id, to, delay);
+                next[from.0 as usize] += 1;
+            }
+        }
+        Adjacency { start, arcs }
+    }
+
+    fn node_count(&self) -> usize {
+        self.start.len() - 1
+    }
+}
+
+/// One single-source Dijkstra over an [`Adjacency`], with buffers that
+/// are reused across sources. This is the only shortest-path search in
+/// the crate; every public routing function reads its arrays.
+///
+/// Nodes settle in ascending distance, equal distances in descending
+/// node id, and each node's links relax in link-id order. A node keeps
+/// the first predecessor that reached its final distance, so equal-delay
+/// ties always resolve the same way.
+struct Dijkstra {
+    /// Delay from the source, ps; `u64::MAX` = unreached.
+    dist: Vec<u64>,
+    /// The node and link each reached node was entered from.
+    pred: Vec<Option<(NodeId, LinkId)>>,
+    /// The source's outgoing link on the path to each node.
+    first: Vec<Option<LinkId>>,
+    heap: BinaryHeap<(Reverse<u64>, u32)>,
+}
+
+impl Dijkstra {
+    fn new(n: usize) -> Self {
+        Dijkstra {
+            dist: vec![u64::MAX; n],
+            pred: vec![None; n],
+            first: vec![None; n],
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Search from `src`, stopping once `stop_at` (if any) settles.
+    fn run(&mut self, adj: &Adjacency, src: NodeId, stop_at: Option<NodeId>) {
+        self.dist.fill(u64::MAX);
+        self.pred.fill(None);
+        self.first.fill(None);
+        self.heap.clear();
+        self.dist[src.0 as usize] = 0;
+        self.heap.push((Reverse(0), src.0));
+        while let Some((Reverse(d), node)) = self.heap.pop() {
+            let u = node as usize;
+            if d > self.dist[u] {
+                continue;
+            }
+            if stop_at == Some(NodeId(node)) {
+                break;
+            }
+            for &(link, next, delay) in &adj.arcs[adj.start[u]..adj.start[u + 1]] {
+                let v = next.0 as usize;
+                let nd = d + delay;
+                if nd < self.dist[v] {
+                    self.dist[v] = nd;
+                    self.pred[v] = Some((NodeId(node), link));
+                    self.first[v] = if node == src.0 {
+                        Some(link)
+                    } else {
+                        self.first[u]
+                    };
+                    self.heap.push((Reverse(nd), next.0));
+                }
+            }
+        }
+    }
+
+    /// The distance to `v`, `None` if unreached.
+    fn reached(&self, v: usize) -> Option<u64> {
+        (self.dist[v] != u64::MAX).then_some(self.dist[v])
+    }
+}
 
 /// Weighted shortest paths from `src` by propagation delay (Dijkstra).
 /// Returns per-node `(distance_ps, first_hop_link)`; unreachable nodes
@@ -29,47 +141,40 @@ pub fn shortest_paths_filtered(
     src: NodeId,
     link_ok: &dyn Fn(LinkId) -> bool,
 ) -> HashMap<NodeId, (u64, Option<LinkId>)> {
-    let mut dist: HashMap<NodeId, (u64, Option<LinkId>)> = HashMap::new();
-    // Max-heap on Reverse(dist); entries: (Reverse(d), node, first_link).
-    let mut heap: BinaryHeap<(std::cmp::Reverse<u64>, u32, Option<u32>)> = BinaryHeap::new();
-    dist.insert(src, (0, None));
-    heap.push((std::cmp::Reverse(0), src.0, None));
-    while let Some((std::cmp::Reverse(d), node, first)) = heap.pop() {
-        let node = NodeId(node);
-        if let Some(&(best, _)) = dist.get(&node) {
-            if d > best {
-                continue;
-            }
-        }
-        for (link_id, next) in topo.neighbors(node) {
-            if !link_ok(link_id) {
-                continue;
-            }
-            let nd = d + topo.link(link_id).delay_ps();
-            let first_hop = if node == src { Some(link_id.0) } else { first };
-            let better = match dist.get(&next) {
-                Some(&(best, _)) => nd < best,
-                None => true,
-            };
-            if better {
-                dist.insert(next, (nd, first_hop.map(LinkId)));
-                heap.push((std::cmp::Reverse(nd), next.0, first_hop));
-            }
-        }
-    }
-    dist
+    let adj = Adjacency::new(topo, link_ok);
+    let mut search = Dijkstra::new(adj.node_count());
+    search.run(&adj, src, None);
+    (0..adj.node_count())
+        .filter_map(|v| {
+            let d = search.reached(v)?;
+            Some((NodeId(v as u32), (d, search.first[v])))
+        })
+        .collect()
 }
 
 /// All-pairs shortest-path delays over links accepted by `link_ok`, ps,
 /// indexed `[src][dst]`; `None` = unreachable. One Dijkstra per source —
 /// the shared matrix behind option enumeration and graph placement.
 pub fn distance_matrix(topo: &Topology, link_ok: &dyn Fn(LinkId) -> bool) -> Vec<Vec<Option<u64>>> {
-    (0..topo.node_count())
-        .map(|i| {
-            let paths = shortest_paths_filtered(topo, NodeId(i as u32), link_ok);
-            (0..topo.node_count())
-                .map(|j| paths.get(&NodeId(j as u32)).map(|&(d, _)| d))
-                .collect()
+    let all: Vec<NodeId> = (0..topo.node_count()).map(|v| NodeId(v as u32)).collect();
+    distance_rows(topo, &all, link_ok)
+}
+
+/// The [`distance_matrix`] rows of `sources` only, in the order given:
+/// row `i` holds the delays from `sources[i]` to every node. A caller
+/// that only ever reads a few sources' rows pays for those alone.
+pub fn distance_rows(
+    topo: &Topology,
+    sources: &[NodeId],
+    link_ok: &dyn Fn(LinkId) -> bool,
+) -> Vec<Vec<Option<u64>>> {
+    let adj = Adjacency::new(topo, link_ok);
+    let mut search = Dijkstra::new(adj.node_count());
+    sources
+        .iter()
+        .map(|&src| {
+            search.run(&adj, src, None);
+            (0..adj.node_count()).map(|v| search.reached(v)).collect()
         })
         .collect()
 }
@@ -114,38 +219,15 @@ pub fn shortest_route_filtered(
             delay_ps: 0,
         });
     }
-    // Dijkstra with (predecessor node, arriving link) tracking.
-    let mut dist: HashMap<NodeId, u64> = HashMap::new();
-    let mut prev: HashMap<NodeId, (NodeId, LinkId)> = HashMap::new();
-    let mut heap: BinaryHeap<(std::cmp::Reverse<u64>, u32)> = BinaryHeap::new();
-    dist.insert(src, 0);
-    heap.push((std::cmp::Reverse(0), src.0));
-    while let Some((std::cmp::Reverse(d), node)) = heap.pop() {
-        let node = NodeId(node);
-        if d > *dist.get(&node).unwrap_or(&u64::MAX) {
-            continue;
-        }
-        if node == dst {
-            break;
-        }
-        for (link_id, next) in topo.neighbors(node) {
-            if !link_ok(link_id) {
-                continue;
-            }
-            let nd = d + topo.link(link_id).delay_ps();
-            if nd < *dist.get(&next).unwrap_or(&u64::MAX) {
-                dist.insert(next, nd);
-                prev.insert(next, (node, link_id));
-                heap.push((std::cmp::Reverse(nd), next.0));
-            }
-        }
-    }
-    let delay_ps = *dist.get(&dst)?;
+    let adj = Adjacency::new(topo, link_ok);
+    let mut search = Dijkstra::new(adj.node_count());
+    search.run(&adj, src, Some(dst));
+    let delay_ps = search.reached(dst.0 as usize)?;
     let mut nodes = vec![dst];
     let mut links = Vec::new();
     let mut cur = dst;
     while cur != src {
-        let (p, l) = prev[&cur];
+        let (p, l) = search.pred[cur.0 as usize].expect("a reached node has a predecessor");
         links.push(l);
         nodes.push(p);
         cur = p;
@@ -329,6 +411,7 @@ impl RoutingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ofpc_photonics::SimRng;
 
     #[test]
     fn dijkstra_on_fig1() {
@@ -345,6 +428,80 @@ mod tests {
         assert!(first.is_some());
         // Source itself: zero distance, no first hop.
         assert_eq!(paths[&a], (0, None));
+    }
+
+    /// Seeded random geometric WANs, each with one added parallel span
+    /// and one zero-length span, under random cut sets. The zero-length
+    /// span settles a node at the same distance as its predecessor, the
+    /// case where deriving first hops in distance order goes wrong.
+    #[test]
+    fn dijkstra_views_agree_with_floyd_warshall_under_random_cuts() {
+        let mut rng = SimRng::seed_from_u64(0xD1A5);
+        for case in 0..80 {
+            let n = 3 + rng.below(14);
+            let mut t = Topology::random_geometric(n, 1000.0, 350.0, &mut rng);
+            let twin = t.link(LinkId(rng.below(t.link_count()) as u32)).clone();
+            t.add_link(twin.a, twin.b, twin.length_km * rng.uniform_range(0.5, 2.0));
+            let a = NodeId(rng.below(n) as u32);
+            let b = NodeId(((a.0 as usize + 1 + rng.below(n - 1)) % n) as u32);
+            t.add_link(a, b, 0.0);
+            let cut: Vec<bool> = (0..t.link_count()).map(|_| rng.chance(0.2)).collect();
+            let ok = |l: LinkId| !cut[l.0 as usize];
+
+            let mut oracle = vec![vec![None; n]; n];
+            for (v, row) in oracle.iter_mut().enumerate() {
+                row[v] = Some(0);
+            }
+            for (i, link) in t.links.iter().enumerate() {
+                if !cut[i] {
+                    for (x, y) in [(link.a, link.b), (link.b, link.a)] {
+                        let cell = &mut oracle[x.0 as usize][y.0 as usize];
+                        *cell = Some(cell.map_or(link.delay_ps(), |d: u64| d.min(link.delay_ps())));
+                    }
+                }
+            }
+            for k in 0..n {
+                for i in 0..n {
+                    for j in 0..n {
+                        if let (Some(x), Some(y)) = (oracle[i][k], oracle[k][j]) {
+                            if oracle[i][j].is_none_or(|d| x + y < d) {
+                                oracle[i][j] = Some(x + y);
+                            }
+                        }
+                    }
+                }
+            }
+
+            let matrix = distance_matrix(&t, &ok);
+            assert_eq!(matrix, oracle, "case {case}");
+            let rows = distance_rows(&t, &[b, a], &ok);
+            assert_eq!(
+                rows,
+                vec![matrix[b.0 as usize].clone(), matrix[a.0 as usize].clone()]
+            );
+            for (s, row) in matrix.iter().enumerate() {
+                let src = NodeId(s as u32);
+                let paths = shortest_paths_filtered(&t, src, &ok);
+                for (d, &delay) in row.iter().enumerate() {
+                    let dst = NodeId(d as u32);
+                    let route = shortest_route_filtered(&t, src, dst, &ok);
+                    let Some(delay) = delay else {
+                        assert!(route.is_none() && !paths.contains_key(&dst), "case {case}");
+                        continue;
+                    };
+                    let route = route.expect("reachable pair has a route");
+                    assert_eq!(route.delay_ps, delay, "case {case} {s}->{d}");
+                    let walked: u64 = route.links.iter().map(|&l| t.link(l).delay_ps()).sum();
+                    assert_eq!(walked, delay, "case {case} {s}->{d}");
+                    assert!(route.links.iter().all(|&l| ok(l)));
+                    assert_eq!(
+                        paths[&dst],
+                        (delay, route.links.first().copied()),
+                        "case {case} {s}->{d}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ofpc_controller::{options_from_matrix, AllocOption, Demand};
-use ofpc_net::routing::{distance_matrix, shortest_paths_filtered};
+use ofpc_net::routing::{distance_matrix, distance_rows};
 use ofpc_net::{LinkId, NodeId, Topology};
 use ofpc_par::WorkerPool;
 use ofpc_telemetry::{track, Telemetry};
@@ -60,7 +60,8 @@ pub enum ShardEvent {
     RepairSite(NodeId),
 }
 
-/// What one `apply_batch` did, as a diff of demand placements.
+/// What one `apply_batch` did, as a diff of demand placements. Every
+/// id list is ascending.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventOutcome {
     /// Arrivals in this batch that got a placement.
@@ -117,7 +118,8 @@ impl DemandEntry {
 #[derive(Debug, Clone, Default)]
 struct Shard {
     /// Intra-region distance matrix: rows populated for region nodes
-    /// only, routes restricted to up links with both endpoints inside.
+    /// only (other rows are empty), routes restricted to up links with
+    /// both endpoints inside.
     dist: Option<Matrix>,
     /// In-region compute sites that are up and have slots installed.
     sites: Vec<NodeId>,
@@ -341,7 +343,6 @@ impl ShardedController {
     /// lets a correlated fault burst dirty several shards and pay one
     /// parallel settle instead of many sequential ones.
     pub fn apply_batch(&mut self, events: Vec<ShardEvent>) -> EventOutcome {
-        let before: BTreeMap<u32, Option<Vec<NodeId>>> = self.placements();
         let pre_local_used = self.local_used();
         let mut arrivals: Vec<u32> = Vec::new();
 
@@ -405,8 +406,7 @@ impl ShardedController {
             }
         }
 
-        let (resolved_shards, boundary_rerun) = self.settle(&arrivals, &pre_local_used);
-        self.diff_outcome(&before, &arrivals, resolved_shards, boundary_rerun)
+        self.settle(&arrivals, &pre_local_used)
     }
 
     fn flip_link(&mut self, l: LinkId, up: bool) {
@@ -456,11 +456,14 @@ impl ShardedController {
     // ----- the settle pass ----------------------------------------------
 
     /// Drain the dirty set: parallel per-shard local re-solves, then the
-    /// sequential boundary reconciliation. Returns (resolved shard ids,
-    /// whether the boundary sweep reran).
-    fn settle(&mut self, arrivals: &[u32], pre_local_used: &[usize]) -> (Vec<u32>, bool) {
+    /// sequential boundary reconciliation. Every placement changes here
+    /// and nowhere else, and each live demand is rewritten at most once
+    /// (by its shard or by the boundary sweep), so the outcome is read
+    /// off the rewrites themselves instead of a before/after snapshot.
+    fn settle(&mut self, arrivals: &[u32], pre_local_used: &[usize]) -> EventOutcome {
         let eff_cap = self.eff_capacity();
         let new_ids: BTreeSet<u32> = arrivals.iter().copied().collect();
+        let mut out = EventOutcome::default();
 
         // Phase 1: dirty shards in parallel. Workers read shared state
         // and return replacement caches + choices; merging is ordered.
@@ -488,12 +491,7 @@ impl ShardedController {
             if let Some(sites) = res.sites {
                 shard.sites = sites;
             }
-            for (id, options) in res.options {
-                self.demands.get_mut(&id).unwrap().options = options;
-            }
-            for (id, choice) in res.choices {
-                self.demands.get_mut(&id).unwrap().choice = choice;
-            }
+            self.install(res.choices, res.options, &new_ids, &mut out);
         }
         self.dirty.shards.clear();
 
@@ -534,22 +532,11 @@ impl ShardedController {
                     ));
                 }
             }
-            for (id, options) in fresh {
-                self.demands.get_mut(&id).unwrap().options = options;
-            }
             let from = if rerun_full { None } else { boundary_from };
-            let mut used = post_local_used.clone();
-            let seq: Vec<(u32, &[AllocOption], Option<usize>)> = boundary_ids
-                .iter()
-                .map(|&id| {
-                    let e = &self.demands[&id];
-                    (id, e.options.as_slice(), e.choice)
-                })
-                .collect();
+            let mut used = post_local_used;
+            let seq = self.placement_seq(&boundary_ids, &fresh);
             let choices = place_suffix(&seq, from, &eff_cap, &mut used);
-            for (id, choice) in choices {
-                self.demands.get_mut(&id).unwrap().choice = choice;
-            }
+            self.install(choices, fresh, &new_ids, &mut out);
             true
         } else {
             false
@@ -557,7 +544,76 @@ impl ShardedController {
         debug_assert!(self.dirty.is_clean());
 
         self.emit_spans(&resolved_shards, run);
-        (resolved_shards, run)
+        for &id in arrivals {
+            if let Some(e) = self.demands.get(&id) {
+                if e.choice.is_some() {
+                    out.admitted.push(id);
+                } else {
+                    out.rejected.push(id);
+                }
+            }
+        }
+        // Shards report in region order; the lists read in id order.
+        out.displaced.sort_unstable();
+        out.revived.sort_unstable();
+        out.replanned.sort_unstable();
+        out.resolved_shards = resolved_shards;
+        out.boundary_rerun = run;
+        out
+    }
+
+    /// The id-ordered `(id, options, previous choice)` sequence
+    /// [`place_suffix`] walks. `fresh` holds re-enumerated option lists
+    /// for a subsequence of `ids` and overrides the cached ones.
+    fn placement_seq<'a>(
+        &'a self,
+        ids: &[u32],
+        fresh: &'a [(u32, Vec<AllocOption>)],
+    ) -> Vec<(u32, &'a [AllocOption], Option<usize>)> {
+        let mut fresh = fresh.iter().peekable();
+        ids.iter()
+            .map(|&id| {
+                let e = &self.demands[&id];
+                let options = fresh
+                    .next_if(|(f, _)| *f == id)
+                    .map_or(e.options.as_slice(), |(_, o)| o.as_slice());
+                (id, options, e.choice)
+            })
+            .collect()
+    }
+
+    /// Install re-solved `choices` (ascending id) together with the
+    /// re-enumerated option lists in `fresh` (a subsequence of the same
+    /// ids), and book how each demand that predates the batch moved.
+    fn install(
+        &mut self,
+        choices: Vec<(u32, Option<usize>)>,
+        fresh: Vec<(u32, Vec<AllocOption>)>,
+        new_ids: &BTreeSet<u32>,
+        out: &mut EventOutcome,
+    ) {
+        let mut fresh = fresh.into_iter().peekable();
+        for (id, choice) in choices {
+            let e = self.demands.get_mut(&id).expect("settled demands are live");
+            let retired = fresh
+                .next_if(|(f, _)| *f == id)
+                .map(|(_, o)| std::mem::replace(&mut e.options, o));
+            let old = retired.as_ref().unwrap_or(&e.options);
+            let before = e.choice.map(|c| old[c].placement.as_slice());
+            let after = choice.map(|c| e.options[c].placement.as_slice());
+            let moved = match (before, after) {
+                // Arrivals are booked as admitted or rejected instead.
+                _ if new_ids.contains(&id) => None,
+                (Some(_), None) => Some(&mut out.displaced),
+                (None, Some(_)) => Some(&mut out.revived),
+                (Some(a), Some(b)) if a != b => Some(&mut out.replanned),
+                _ => None,
+            };
+            if let Some(list) = moved {
+                list.push(id);
+            }
+            e.choice = choice;
+        }
     }
 
     /// One shard's settle work — a pure function of shared state, safe
@@ -597,16 +653,7 @@ impl ShardedController {
                 ));
             }
         }
-        let fresh: BTreeMap<u32, &[AllocOption]> =
-            options.iter().map(|(id, o)| (*id, o.as_slice())).collect();
-        let seq: Vec<(u32, &[AllocOption], Option<usize>)> = ids
-            .iter()
-            .map(|&id| {
-                let e = &self.demands[&id];
-                let opts = fresh.get(&id).copied().unwrap_or(e.options.as_slice());
-                (id, opts, e.choice)
-            })
-            .collect();
+        let seq = self.placement_seq(ids, &options);
         let from = match work {
             Work::Full => None,
             Work::From(id) => Some(id),
@@ -623,18 +670,17 @@ impl ShardedController {
     }
 
     /// Intra-region distance matrix: rows for region nodes, routes over
-    /// up links with both endpoints inside the region.
+    /// up links with both endpoints inside the region. The other rows
+    /// stay empty: a local demand's legs all start inside its region.
     fn shard_matrix(&self, region: u32) -> Matrix {
-        let v = self.topo.node_count();
-        let mut dist = vec![vec![None; v]; v];
         let link_ok = |l: LinkId| {
             let link = &self.topo.links[l.0 as usize];
             self.link_up[l.0 as usize] && self.regions.link_in_region(link.a, link.b, region)
         };
-        for &n in self.regions.nodes(region) {
-            for (m, (d, _)) in shortest_paths_filtered(&self.topo, n, &link_ok) {
-                dist[n.0 as usize][m.0 as usize] = Some(d);
-            }
+        let nodes = self.regions.nodes(region);
+        let mut dist = vec![Vec::new(); self.topo.node_count()];
+        for (&n, row) in nodes.iter().zip(distance_rows(&self.topo, nodes, &link_ok)) {
+            dist[n.0 as usize] = row;
         }
         dist
     }
@@ -665,39 +711,6 @@ impl ShardedController {
             );
             self.seq += 1;
         }
-    }
-
-    fn diff_outcome(
-        &self,
-        before: &BTreeMap<u32, Option<Vec<NodeId>>>,
-        arrivals: &[u32],
-        resolved_shards: Vec<u32>,
-        boundary_rerun: bool,
-    ) -> EventOutcome {
-        let mut out = EventOutcome {
-            resolved_shards,
-            boundary_rerun,
-            ..EventOutcome::default()
-        };
-        let new_ids: BTreeSet<u32> = arrivals.iter().copied().collect();
-        for (&id, entry) in &self.demands {
-            let now = entry.placement();
-            if new_ids.contains(&id) {
-                if now.is_some() {
-                    out.admitted.push(id);
-                } else {
-                    out.rejected.push(id);
-                }
-                continue;
-            }
-            match (before.get(&id).and_then(|p| p.as_deref()), now) {
-                (Some(_), None) => out.displaced.push(id),
-                (None, Some(_)) => out.revived.push(id),
-                (Some(a), Some(b)) if a != b => out.replanned.push(id),
-                _ => {}
-            }
-        }
-        out
     }
 
     // ----- invariant checking -------------------------------------------
@@ -761,16 +774,18 @@ fn place_suffix(
 
 /// Check a placement against residual capacity (with per-node
 /// multiplicity — chains may revisit a site) and commit it if it fits.
+/// Slots are taken one task at a time and handed back if any node
+/// overflows, so a refused placement leaves `used` as it was.
 fn try_place(placement: &[NodeId], cap: &[usize], used: &mut [usize]) -> bool {
-    let mut need: BTreeMap<usize, usize> = BTreeMap::new();
-    for n in placement {
-        *need.entry(n.0 as usize).or_insert(0) += 1;
-    }
-    if need.iter().any(|(&n, &k)| used[n] + k > cap[n]) {
-        return false;
-    }
-    for (&n, &k) in &need {
-        used[n] += k;
+    for (i, n) in placement.iter().enumerate() {
+        let n = n.0 as usize;
+        used[n] += 1;
+        if used[n] > cap[n] {
+            for taken in &placement[..=i] {
+                used[taken.0 as usize] -= 1;
+            }
+            return false;
+        }
     }
     true
 }

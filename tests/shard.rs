@@ -18,8 +18,8 @@ use ofpc_engine::Primitive;
 use ofpc_net::{LinkId, NodeId, Topology};
 use ofpc_par::WorkerPool;
 use ofpc_photonics::SimRng;
-use ofpc_shard::{RegionMap, ShardEvent, ShardedController};
-use std::collections::BTreeSet;
+use ofpc_shard::{EventOutcome, RegionMap, ShardEvent, ShardedController};
+use std::collections::{BTreeMap, BTreeSet};
 
 const PRIMS: [Primitive; 3] = [
     Primitive::VectorDotProduct,
@@ -41,8 +41,36 @@ fn random_demand(id: u32, nodes: usize, rng: &mut SimRng) -> Demand {
     Demand::new(id, src, dst, dag)
 }
 
+type Placements = BTreeMap<u32, Option<Vec<NodeId>>>;
+
+/// The outcome lists an event must report, read off placement snapshots
+/// taken before and after it: the ground truth for the controller's
+/// snapshot-free bookkeeping. `arrival` is the id the event admitted or
+/// rejected, if it was an arrival.
+fn snapshot_diff(before: &Placements, after: &Placements, arrival: Option<u32>) -> EventOutcome {
+    let mut out = EventOutcome::default();
+    for (&id, now) in after {
+        if Some(id) == arrival {
+            if now.is_some() {
+                out.admitted.push(id);
+            } else {
+                out.rejected.push(id);
+            }
+            continue;
+        }
+        match (before.get(&id).and_then(|p| p.as_deref()), now.as_deref()) {
+            (Some(_), None) => out.displaced.push(id),
+            (None, Some(_)) => out.revived.push(id),
+            (Some(a), Some(b)) if a != b => out.replanned.push(id),
+            _ => {}
+        }
+    }
+    out
+}
+
 /// Drive `steps` random events through `ctl`, comparing against a
-/// from-scratch re-solve after every single event.
+/// from-scratch re-solve after every single event, and the reported
+/// outcome against the diff of the placements around it.
 fn differential_stream(
     mut ctl: ShardedController,
     links: usize,
@@ -72,13 +100,28 @@ fn differential_stream(
         } else {
             ShardEvent::RepairSite(NodeId(rng.below(nodes) as u32))
         };
-        ctl.apply(event.clone());
+        let before = ctl.placements();
+        let arrival = match &event {
+            ShardEvent::Arrive(d) => Some(d.id.0),
+            _ => None,
+        };
+        let out = ctl.apply(event.clone());
         ctl.check_invariants()
             .unwrap_or_else(|e| panic!("invariant after step {step} ({event:?}): {e}"));
+        let after = ctl.placements();
+        assert_eq!(
+            out,
+            EventOutcome {
+                resolved_shards: out.resolved_shards.clone(),
+                boundary_rerun: out.boundary_rerun,
+                ..snapshot_diff(&before, &after, arrival)
+            },
+            "outcome disagrees with the placement diff at step {step} ({event:?}, seed {seed})"
+        );
         let mut scratch = ctl.clone();
         scratch.full_resolve();
         assert_eq!(
-            ctl.placements(),
+            after,
             scratch.placements(),
             "incremental drifted from scratch at step {step} ({event:?}, seed {seed})"
         );
