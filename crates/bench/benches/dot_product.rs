@@ -1,4 +1,4 @@
-//! Criterion bench: P1 photonic dot product (simulator throughput).
+//! Bench: P1 photonic dot product (simulator throughput).
 //!
 //! Measures how fast the *simulation* of the Fig.-2a pipeline runs per
 //! vector length — the number that bounds every higher-level experiment
@@ -7,13 +7,12 @@
 //! fused-power-domain path), and a summary table reports throughput in
 //! GMAC/s — multiply-accumulates per wall-clock second, the figure of
 //! merit the photonic-computing literature quotes — next to the
-//! wall-time criterion prints.
+//! per-config wall times.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use ofpc_bench::gate::{best_time, per_call, report};
 use ofpc_engine::dot::{DotProductUnit, DotUnitConfig, KernelBackend};
 use ofpc_photonics::SimRng;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// A calibrated unit from a fixed seed on the given config + backend.
 fn calibrated(mut config: DotUnitConfig, backend: KernelBackend) -> DotProductUnit {
@@ -24,10 +23,8 @@ fn calibrated(mut config: DotUnitConfig, backend: KernelBackend) -> DotProductUn
     unit
 }
 
-fn bench_dot(c: &mut Criterion) {
-    let mut group = c.benchmark_group("p1_dot_product");
+fn bench_dot() {
     for &n in &[16usize, 64, 256] {
-        group.throughput(Throughput::Elements(n as u64));
         for (label, config) in [
             ("ideal", DotUnitConfig::ideal()),
             ("realistic", DotUnitConfig::realistic()),
@@ -36,25 +33,25 @@ fn bench_dot(c: &mut Criterion) {
                 ("", KernelBackend::Scalar),
                 ("-vectorized", KernelBackend::Vectorized),
             ] {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{label}{suffix}"), n),
-                    &n,
-                    |b, &n| {
-                        let mut unit = calibrated(config.clone(), backend);
-                        let a = vec![0.5; n];
-                        let w = vec![0.25; n];
-                        b.iter(|| black_box(unit.dot_nonneg(black_box(&a), black_box(&w))));
-                    },
+                let mut unit = calibrated(config.clone(), backend);
+                let a = vec![0.5; n];
+                let w = vec![0.25; n];
+                let t = per_call(|| {
+                    black_box(unit.dot_nonneg(black_box(&a), black_box(&w)));
+                });
+                report(
+                    &format!("p1_dot_product/{label}{suffix}/{n}"),
+                    t,
+                    Some(n as u64),
                 );
             }
         }
     }
-    group.finish();
 }
 
 /// Explicit GMAC/s summary for the hot configuration (realistic, both
 /// backends): MACs per wall-clock second over a sustained run.
-fn bench_gmacs(_c: &mut Criterion) {
+fn bench_gmacs() {
     let n = 256usize;
     let reps = 200usize;
     for (label, backend) in [
@@ -68,14 +65,11 @@ fn bench_gmacs(_c: &mut Criterion) {
         for _ in 0..reps {
             black_box(unit.dot_nonneg(black_box(&a), black_box(&w)));
         }
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let t0 = Instant::now();
+        let best = best_time(5, || {
             for _ in 0..reps {
                 black_box(unit.dot_nonneg(black_box(&a), black_box(&w)));
             }
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
+        });
         let gmacs = (n * reps) as f64 / best / 1e9;
         println!(
             "p1_dot_product/gmacs/realistic-{label:<10}  {:>8.2} ms for {} MACs -> {gmacs:.4} GMAC/s",
@@ -85,14 +79,18 @@ fn bench_gmacs(_c: &mut Criterion) {
     }
 }
 
-fn bench_signed(c: &mut Criterion) {
-    c.bench_function("p1_dot_signed_64", |b| {
-        let mut unit = DotProductUnit::ideal();
-        let a: Vec<f64> = (0..64).map(|i| (i as f64 / 32.0) - 1.0).collect();
-        let w: Vec<f64> = (0..64).map(|i| 1.0 - (i as f64 / 32.0)).collect();
-        b.iter(|| black_box(unit.dot_signed(black_box(&a), black_box(&w))));
+fn bench_signed() {
+    let mut unit = DotProductUnit::ideal();
+    let a: Vec<f64> = (0..64).map(|i| (i as f64 / 32.0) - 1.0).collect();
+    let w: Vec<f64> = (0..64).map(|i| 1.0 - (i as f64 / 32.0)).collect();
+    let t = per_call(|| {
+        black_box(unit.dot_signed(black_box(&a), black_box(&w)));
     });
+    report("p1_dot_signed_64", t, None);
 }
 
-criterion_group!(benches, bench_dot, bench_gmacs, bench_signed);
-criterion_main!(benches);
+fn main() {
+    bench_dot();
+    bench_gmacs();
+    bench_signed();
+}

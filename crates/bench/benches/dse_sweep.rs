@@ -15,8 +15,8 @@
 //!    `OFPC_BENCH_RECORD=1` re-records this gate's keys through
 //!    [`ofpc_bench::gate`] instead of failing.
 
+use ofpc_bench::dse;
 use ofpc_bench::gate::{best_time, cores, Baseline};
-use ofpc_bench::golden;
 use ofpc_dse::{run_sweep, SweepSpec};
 use ofpc_par::WorkerPool;
 use std::hint::black_box;
@@ -43,8 +43,8 @@ fn sweep_kernel() {
 }
 
 fn check_determinism() {
-    let reference = golden::e17_mini(&WorkerPool::new(1));
-    let wide = golden::e17_mini(&WorkerPool::new(4));
+    let reference = dse::e17_mini(&WorkerPool::new(1));
+    let wide = dse::e17_mini(&WorkerPool::new(4));
     assert!(
         reference == wide,
         "dse_sweep: 4-worker mini-E17 sweep diverged from the 1-worker bytes"

@@ -1,8 +1,8 @@
-//! Criterion bench: discrete-event simulator throughput — packets per
+//! Bench: discrete-event simulator throughput — packets per
 //! second of wall time through the Fig.-1 and Abilene WANs, plain and
 //! compute traffic.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use ofpc_bench::gate::{per_call, report};
 use ofpc_engine::Primitive;
 use ofpc_net::packet::Packet;
 use ofpc_net::pch::PchHeader;
@@ -50,10 +50,8 @@ fn run_batch(topo: Topology, compute: bool, packets: usize) -> usize {
     net.stats.delivered_count()
 }
 
-fn bench_sim(c: &mut Criterion) {
-    let mut group = c.benchmark_group("des_throughput");
+fn main() {
     let packets = 500usize;
-    group.throughput(Throughput::Elements(packets as u64));
     for (name, topo_fn, compute) in [
         ("fig1_plain", Topology::fig1 as fn() -> Topology, false),
         ("fig1_compute", Topology::fig1 as fn() -> Topology, true),
@@ -68,16 +66,9 @@ fn bench_sim(c: &mut Criterion) {
             true,
         ),
     ] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(name),
-            &compute,
-            |b, &compute| {
-                b.iter(|| black_box(run_batch(topo_fn(), compute, packets)));
-            },
-        );
+        let t = per_call(|| {
+            black_box(run_batch(topo_fn(), compute, packets));
+        });
+        report(&format!("des_throughput/{name}"), t, Some(packets as u64));
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_sim);
-criterion_main!(benches);

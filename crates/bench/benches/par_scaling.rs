@@ -22,7 +22,7 @@
 //!    gates' keys in the shared file untouched.
 
 use ofpc_bench::gate::{best_time, cores, Baseline};
-use ofpc_bench::golden;
+use ofpc_bench::serving;
 use ofpc_engine::dot::{DotProductUnit, DotUnitConfig};
 use ofpc_engine::Primitive;
 use ofpc_net::packet::Packet;
@@ -88,8 +88,8 @@ fn network_sim_kernel() {
 // ------------------------------------------------------------------- checks
 
 fn check_determinism() {
-    let reference = golden::e12_mini(&WorkerPool::new(1));
-    let wide = golden::e12_mini(&WorkerPool::new(4));
+    let reference = serving::e12_mini(&WorkerPool::new(1));
+    let wide = serving::e12_mini(&WorkerPool::new(4));
     assert!(
         reference == wide,
         "par_scaling: 4-worker mini-E12 sweep diverged from the 1-worker bytes"
@@ -110,10 +110,10 @@ fn check_speedup() {
         return;
     }
     let seq = best_time(TIMING_REPS, || {
-        black_box(golden::e12_mini(&WorkerPool::new(1)));
+        black_box(serving::e12_mini(&WorkerPool::new(1)));
     });
     let par = best_time(TIMING_REPS, || {
-        black_box(golden::e12_mini(&WorkerPool::new(4)));
+        black_box(serving::e12_mini(&WorkerPool::new(4)));
     });
     let speedup = seq / par;
     println!(

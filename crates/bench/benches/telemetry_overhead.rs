@@ -1,13 +1,12 @@
-//! Criterion bench: cost of the *disabled* telemetry handle on the
+//! Bench: cost of the *disabled* telemetry handle on the
 //! serving hot path.
 //!
 //! The whole point of `ofpc_telemetry::Telemetry` being an
 //! `Option<Arc<_>>` is that a disconnected handle costs one branch per
 //! hook — a serving run with telemetry disabled must be
-//! indistinguishable from one that never heard of telemetry. The
-//! vendored criterion stand-in reports means but exposes no statistics
-//! to assert on, so alongside the criterion groups this bench
-//! self-measures and **fails** if disabled telemetry costs real time.
+//! indistinguishable from one that never heard of telemetry. Besides
+//! printing per-variant times, this bench self-measures and **fails**
+//! if disabled telemetry costs real time.
 //!
 //! # The gate (and why it is shaped this way)
 //!
@@ -32,7 +31,7 @@
 //! same way and is still caught. The 5% headroom is far above the
 //! per-hook branch cost observed on an idle machine (<0.5%).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use ofpc_bench::gate::{per_call, report};
 use ofpc_engine::Primitive;
 use ofpc_net::NodeId;
 use ofpc_serve::{
@@ -167,30 +166,29 @@ fn assert_disabled_telemetry_is_free() {
     );
 }
 
-fn bench_telemetry_overhead(c: &mut Criterion) {
+fn main() {
     let arrivals = runtime(None).run().arrivals;
-    let mut group = c.benchmark_group("telemetry_overhead");
-    group.throughput(Throughput::Elements(arrivals));
-    group.bench_with_input(BenchmarkId::new("serve", "baseline"), &(), |b, ()| {
-        b.iter(|| black_box(runtime(None).run()));
-    });
     let disabled = Telemetry::disabled();
-    group.bench_with_input(BenchmarkId::new("serve", "disabled"), &(), |b, ()| {
-        b.iter(|| black_box(runtime(Some(&disabled)).run()));
+    let baseline = per_call(|| {
+        black_box(runtime(None).run());
     });
+    report(
+        "telemetry_overhead/serve/baseline",
+        baseline,
+        Some(arrivals),
+    );
+    let off = per_call(|| {
+        black_box(runtime(Some(&disabled)).run());
+    });
+    report("telemetry_overhead/serve/disabled", off, Some(arrivals));
     // Enabled telemetry is allowed to cost (it records every request's
     // trace tree); measured here so the overhead stays visible. A fresh
     // handle per run keeps the trace buffer from compounding across
     // iterations.
-    group.bench_with_input(BenchmarkId::new("serve", "enabled"), &(), |b, ()| {
-        b.iter(|| {
-            let enabled = Telemetry::enabled();
-            black_box(runtime(Some(&enabled)).run())
-        });
+    let on = per_call(|| {
+        let enabled = Telemetry::enabled();
+        black_box(runtime(Some(&enabled)).run());
     });
-    group.finish();
+    report("telemetry_overhead/serve/enabled", on, Some(arrivals));
     assert_disabled_telemetry_is_free();
 }
-
-criterion_group!(benches, bench_telemetry_overhead);
-criterion_main!(benches);

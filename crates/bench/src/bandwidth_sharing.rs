@@ -9,13 +9,14 @@
 //! full fairness and full coverage until the wavelength saturates, then
 //! graceful queue-drop degradation.
 
-use ofpc_bench::table::{dump_json, Table};
+use crate::table::{versioned_pretty, Table};
 use ofpc_engine::Primitive;
 use ofpc_net::packet::Packet;
 use ofpc_net::pch::PchHeader;
 use ofpc_net::sim::{Network, OpSpec};
 use ofpc_net::stats::jain_fairness;
 use ofpc_net::Topology;
+use ofpc_par::WorkerPool;
 use ofpc_photonics::SimRng;
 use serde::Serialize;
 
@@ -91,7 +92,7 @@ fn run_sharing(users: usize, load_frac: f64) -> E8Row {
     }
 }
 
-fn main() {
+pub fn expt(_pool: &WorkerPool) -> String {
     println!("E8: sharing one 800 Gbps compute wavelength among N users\n");
     let mut t = Table::new(
         "per-load sweep",
@@ -145,5 +146,5 @@ fn main() {
         "overload must drop"
     );
     println!("\nall sharing invariants hold (full coverage, Jain > 0.9, overload drops)");
-    dump_json("e8_bandwidth_sharing", &rows);
+    versioned_pretty(&rows)
 }

@@ -10,7 +10,7 @@
 //! solver's search-node count should blow up with scale while LP/greedy
 //! stay flat: that is the §5 scalability discussion, measured.
 
-use ofpc_bench::table::{dump_json, Table};
+use crate::table::{versioned_pretty, Table};
 use ofpc_controller::demand::{Demand, TaskDag};
 use ofpc_controller::greedy::solve_greedy;
 use ofpc_controller::ilp::solve_exact;
@@ -20,6 +20,7 @@ use ofpc_controller::{is_feasible, score};
 use ofpc_core::topo::{multi_region, MultiRegionSpec};
 use ofpc_engine::Primitive;
 use ofpc_net::{NodeId, Topology};
+use ofpc_par::WorkerPool;
 use ofpc_photonics::SimRng;
 use ofpc_shard::{RegionMap, ShardEvent, ShardedController};
 use serde::Serialize;
@@ -135,7 +136,7 @@ fn random_demands(topo: &Topology, n: usize, rng: &mut SimRng) -> Vec<Demand> {
         .collect()
 }
 
-fn main() {
+pub fn expt(_pool: &WorkerPool) -> String {
     println!("E6: controller allocation — exact vs LP-rounding vs greedy\n");
     let mut t = Table::new(
         "solver scaling (capacity: 2 slots at 1/3 of sites)",
@@ -280,11 +281,8 @@ fn main() {
         solver_rows: Vec<E6Row>,
         incremental_rows: Vec<E6IncrementalRow>,
     }
-    dump_json(
-        "e6_controller_scaling",
-        &E6Dump {
-            solver_rows: rows,
-            incremental_rows: inc_rows,
-        },
-    );
+    versioned_pretty(&E6Dump {
+        solver_rows: rows,
+        incremental_rows: inc_rows,
+    })
 }

@@ -18,8 +18,8 @@
 //!   also price differently from either single-variant lowering — the
 //!   selection is load-bearing, not cosmetic.
 
+use crate::table::{versioned_pretty, Table};
 use ofpc_apps::digital::ComputeModel;
-use ofpc_bench::table::{dump_json, Table};
 use ofpc_dse::{hardware_variant, run_sweep, ConverterChoice, DesignPoint, SweepSpec};
 use ofpc_graph::lower::{lower, lower_traced, ErrorBudget, LowerConfig, Stage};
 use ofpc_graph::Target;
@@ -182,17 +182,21 @@ fn mixed_lowering() -> Vec<StageBinding> {
     plan.stages.iter().map(StageBinding::of).collect()
 }
 
-fn main() {
-    let pool = WorkerPool::from_env();
+pub fn expt(pool: &WorkerPool) -> String {
     println!("E17: design-space exploration ({} workers)", pool.workers());
-    let points = sweep(&pool);
+    let points = sweep(pool);
     let mixed = mixed_lowering();
-    dump_json(
-        "e17_dse",
-        &E17Result {
-            points,
-            mixed_lowering: mixed,
-        },
-    );
+    let doc = versioned_pretty(&E17Result {
+        points,
+        mixed_lowering: mixed,
+    });
     println!("E17: wrote results/e17_dse.json");
+    doc
+}
+
+/// Mini E17: the design-space sweep miniature — 2 apps × 3 converter
+/// pairings × 2 core sizes × 2 wavelength counts with the per-app
+/// Pareto frontier marked.
+pub fn e17_mini(pool: &WorkerPool) -> String {
+    versioned_pretty(&run_sweep(pool, &SweepSpec::mini()))
 }

@@ -8,10 +8,11 @@
 //! must land on the constant — and (b) reports latency/energy for a DNN
 //! workload across all platform models.
 
+use crate::table::{versioned_pretty, Table};
 use ofpc_apps::digital::ComputeModel;
-use ofpc_bench::table::{dump_json, Table};
 use ofpc_core::metrics::SystemReport;
 use ofpc_core::scenario::Fig1Scenario;
+use ofpc_par::WorkerPool;
 use ofpc_photonics::energy::constants;
 use ofpc_photonics::SimRng;
 use serde::Serialize;
@@ -32,7 +33,7 @@ struct E5Result {
     clock_ratio_photonic_vs_tpu: f64,
 }
 
-fn main() {
+pub fn expt(_pool: &WorkerPool) -> String {
     println!("E5: §2.2 energy & speed claims\n");
     let platforms = [
         ComputeModel::photonic(),
@@ -105,13 +106,10 @@ fn main() {
         "per-op readout must stay below a picojoule per MAC"
     );
 
-    dump_json(
-        "e5_energy_speed",
-        &E5Result {
-            platforms: rows,
-            paper_energy_ratio: ratio,
-            measured_engine_j_per_mac: measured,
-            clock_ratio_photonic_vs_tpu: clock_ratio,
-        },
-    );
+    versioned_pretty(&E5Result {
+        platforms: rows,
+        paper_energy_ratio: ratio,
+        measured_engine_j_per_mac: measured,
+        clock_ratio_photonic_vs_tpu: clock_ratio,
+    })
 }

@@ -10,13 +10,14 @@
 //! * **Coherent transponders** — QPSK IQ path with LO-gain sensitivity,
 //!   the hardware the Fig.-3 architecture actually ships with.
 
+use crate::table::{versioned_pretty, Table};
 use ofpc_apps::secure_match::{encrypt_bits, SecureMatcher};
-use ofpc_bench::table::{dump_json, Table};
 use ofpc_core::distributed::install_distributed_dot;
 use ofpc_core::protocol::tag_request;
 use ofpc_engine::Primitive;
 use ofpc_net::sim::{Network, OpSpec};
 use ofpc_net::{NodeId, Topology};
+use ofpc_par::WorkerPool;
 use ofpc_photonics::SimRng;
 use ofpc_transponder::coherent::{span_carrier_phase, CoherentRx, CoherentTx};
 use serde::Serialize;
@@ -33,7 +34,7 @@ struct E11Result {
     coherent_bits: usize,
 }
 
-fn main() {
+pub fn expt(_pool: &WorkerPool) -> String {
     println!("E11: §5 extension experiments\n");
     let mut result = E11Result::default();
 
@@ -163,6 +164,7 @@ fn main() {
     );
     assert_eq!(result.coherent_span_errors, 0);
 
-    dump_json("e11_extensions", &result);
+    let doc = versioned_pretty(&result);
     println!("\nall §5 extension experiments verified");
+    doc
 }

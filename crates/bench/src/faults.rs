@@ -19,8 +19,9 @@
 //!   analog noise) at worse latency/energy, so the shed rate must drop
 //!   below the no-fallback baseline while correctness stays 100%.
 
+use crate::serving::{metro_runtime, mini_config};
+use crate::table::{versioned_pretty, Table};
 use ofpc_apps::digital::ComputeModel;
-use ofpc_bench::table::{dump_json, Table};
 use ofpc_controller::demand::{Demand, TaskDag};
 use ofpc_controller::protection::RecoveryParams;
 use ofpc_core::{OnFiberNetwork, Solver};
@@ -32,23 +33,24 @@ use ofpc_net::sim::{Network, OpSpec};
 use ofpc_net::{NodeId, Topology};
 use ofpc_par::WorkerPool;
 use ofpc_photonics::SimRng;
-use ofpc_serve::{
-    ArrivalSpec, BatchPolicy, EngineFaultEvent, ServeConfig, ServeReport, ServeRuntime, TenantSpec,
-};
-use ofpc_transponder::compute::ComputeTransponderConfig;
+use ofpc_serve::{ArrivalSpec, BatchPolicy, ServeConfig, ServeReport, ServeRuntime, TenantSpec};
 use serde::Serialize;
 
 const SEED: u64 = 13;
 const P1: Primitive = Primitive::VectorDotProduct;
 
-fn solver() -> Solver {
-    Solver::Exact {
-        node_budget: 1_000_000,
-    }
+/// The recovery loop: default recovery timing over the exact solver.
+pub fn orchestrator() -> Orchestrator {
+    Orchestrator::new(
+        RecoveryParams::default(),
+        Solver::Exact {
+            node_budget: 1_000_000,
+        },
+    )
 }
 
 /// Fig. 1 WAN with compute sites at B and C and one A→D demand.
-fn fig1_system() -> OnFiberNetwork {
+pub fn fig1_system() -> OnFiberNetwork {
     let mut sys = OnFiberNetwork::new(Topology::fig1(), SEED);
     sys.upgrade_site(NodeId(1), 1);
     sys.upgrade_site(NodeId(2), 1);
@@ -96,7 +98,7 @@ fn percentile(sorted: &[u64], p: f64) -> f64 {
 /// outage into the ledger. Returns (row, ttrs).
 fn availability_run(mtbf_ps: u64, horizon_ps: u64) -> AvailRow {
     let mut sys = fig1_system();
-    let orch = Orchestrator::new(RecoveryParams::default(), solver());
+    let orch = orchestrator();
     sys.allocate_and_apply(orch.solver);
 
     let mut rng = SimRng::seed_from_u64(SEED);
@@ -185,11 +187,18 @@ struct CutRow {
     routers_updated: usize,
 }
 
+/// Cut the first link out of A (on the installed primary path).
+pub fn cut_primary(sys: &mut OnFiberNetwork) {
+    let a = sys.net.topo.find_node("A").unwrap();
+    let (cut_link, _) = sys.net.topo.neighbors(a)[0];
+    sys.net.set_link_up(cut_link, false);
+}
+
 /// Targeted cut on the A-side primary link: compare computed-delivery
 /// goodput before the fault and after recovery.
 fn cut_and_recover() -> CutRow {
     let mut sys = fig1_system();
-    let orch = Orchestrator::new(RecoveryParams::default(), solver());
+    let orch = orchestrator();
     sys.allocate_and_apply(orch.solver);
 
     const N: u64 = 200;
@@ -207,10 +216,7 @@ fn cut_and_recover() -> CutRow {
         .filter(|d| d.computed)
         .count() as u64;
 
-    // Cut the first link out of A (on the installed primary path).
-    let a = sys.net.topo.find_node("A").unwrap();
-    let (cut_link, _) = sys.net.topo.neighbors(a)[0];
-    sys.net.set_link_up(cut_link, false);
+    cut_primary(&mut sys);
     let fault_at = sys.net.now_ps(); // cut strikes once phase 1 quiesced
     let out = orch.recover_from_cut(&mut sys, fault_at);
     assert!(out.fully_applied, "recovery re-install must apply cleanly");
@@ -264,29 +270,28 @@ struct FallbackRow {
 
 /// A double-site outage window mid-run: node 1 fails first, node 2
 /// joins (zero photonic capacity), then both repair in reverse order.
-fn outage_schedule() -> Vec<EngineFaultEvent> {
-    vec![
-        EngineFaultEvent {
-            at_ps: 500_000_000,
-            node: NodeId(1),
-            up: false,
-        },
-        EngineFaultEvent {
-            at_ps: 800_000_000,
-            node: NodeId(2),
-            up: false,
-        },
-        EngineFaultEvent {
-            at_ps: 1_200_000_000,
-            node: NodeId(2),
-            up: true,
-        },
-        EngineFaultEvent {
-            at_ps: 1_500_000_000,
-            node: NodeId(1),
-            up: true,
-        },
-    ]
+fn outage() -> FaultPlan {
+    FaultPlan::new()
+        .engine_outage(500_000_000, NodeId(1), 1_000_000_000)
+        .engine_outage(800_000_000, NodeId(2), 400_000_000)
+}
+
+/// The outage window scaled to the minis' 100 µs horizon.
+pub fn mini_outage() -> FaultPlan {
+    FaultPlan::new()
+        .engine_outage(25_000_000, NodeId(1), 50_000_000)
+        .engine_outage(40_000_000, NodeId(2), 20_000_000)
+}
+
+/// `config` on the metro deployment under `outage`, answering
+/// displaced requests on the CPU when `fallback` is set.
+pub fn under_outage(config: ServeConfig, outage: &FaultPlan, fallback: bool) -> ServeRuntime {
+    let rt = metro_runtime(config).with_storm(outage);
+    if fallback {
+        rt.with_digital_fallback(ComputeModel::cpu())
+    } else {
+        rt
+    }
 }
 
 fn serve_config() -> ServeConfig {
@@ -311,30 +316,17 @@ fn serve_config() -> ServeConfig {
     }
 }
 
-fn serve_under_faults(fallback: bool) -> ServeReport {
-    let mut sys = OnFiberNetwork::new(Topology::line(3, 10.0), SEED);
-    sys.upgrade_site(NodeId(1), 1);
-    sys.upgrade_site(NodeId(2), 1);
-    let mut rt = ServeRuntime::over_network(
-        &sys,
-        NodeId(0),
-        &ComputeTransponderConfig::realistic(),
-        4,
-        serve_config(),
-    )
-    .with_engine_faults(&outage_schedule());
-    if fallback {
-        rt = rt.with_digital_fallback(ComputeModel::cpu());
-    }
-    rt.run()
+/// The E13c serving run under the outage window.
+pub fn fallback_runtime(fallback: bool) -> ServeRuntime {
+    under_outage(serve_config(), &outage(), fallback)
 }
 
-fn main() {
+/// E13: availability vs MTBF, cut recovery and the digital fallback.
+pub fn expt(pool: &WorkerPool) -> String {
     // --- E13a: availability vs MTBF ---
     // Each MTBF point replays its own seeded fault plan against its own
     // copy of the system: independent scenarios, scattered across the
     // pool with rows gathered in sweep order.
-    let pool = WorkerPool::from_env();
     let horizon_ps = 2_000_000_000_000; // 2 s of virtual time
     let mtbf_ms = [20.0_f64, 80.0, 320.0, 1_280.0];
     let avail: Vec<AvailRow> = pool.scatter_gather("e13a-mtbf", mtbf_ms.to_vec(), |_, m| {
@@ -419,7 +411,7 @@ fn main() {
     // --- E13c: graceful digital fallback ---
     let rows: Vec<FallbackRow> =
         pool.scatter_gather("e13c-fallback", vec![false, true], |_, fb| {
-            let report = serve_under_faults(fb);
+            let report = fallback_runtime(fb).run();
             FallbackRow {
                 fallback: fb,
                 arrivals: report.arrivals,
@@ -481,7 +473,7 @@ fn main() {
         "fallback must answer more requests than the shedding baseline"
     );
     // Determinism: the fault scenario replays byte-identical.
-    let replay = serde_json::to_string(&serve_under_faults(true)).unwrap();
+    let replay = serde_json::to_string(&fallback_runtime(true).run()).unwrap();
     let first = serde_json::to_string(&fb.report).unwrap();
     assert_eq!(first, replay, "same seed + same fault plan ⇒ same report");
 
@@ -499,12 +491,18 @@ fn main() {
         cut_recovery: CutRow,
         fallback: Vec<FallbackRow>,
     }
-    dump_json(
-        "e13_faults",
-        &E13 {
-            availability: avail,
-            cut_recovery: cut,
-            fallback: rows,
-        },
-    );
+    versioned_pretty(&E13 {
+        availability: avail,
+        cut_recovery: cut,
+        fallback: rows,
+    })
+}
+
+/// Mini E13: the engine-outage window replayed with and without the
+/// digital fallback, verifying on the scalar kernels.
+pub fn e13_mini(pool: &WorkerPool) -> String {
+    let reports = pool.scatter_gather("e13-mini", vec![false, true], |_, fallback| {
+        under_outage(mini_config(13, 6e6, true), &mini_outage(), fallback).run()
+    });
+    versioned_pretty(&reports)
 }

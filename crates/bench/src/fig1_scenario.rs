@@ -11,10 +11,11 @@
 //! latency by performing computation inside the network" — latency
 //! should collapse to essentially one propagation delay.
 
+use crate::table::{versioned_pretty, Table};
 use ofpc_apps::digital::{ComputeModel, Placement, RequestModel};
-use ofpc_bench::table::{dump_json, Table};
 use ofpc_core::metrics::SystemReport;
 use ofpc_core::scenario::Fig1Scenario;
+use ofpc_par::WorkerPool;
 use ofpc_photonics::SimRng;
 use serde::Serialize;
 
@@ -29,7 +30,7 @@ struct E1Result {
     speedup_vs_cloud: f64,
 }
 
-fn main() {
+pub fn expt(_pool: &WorkerPool) -> String {
     println!("E1: Fig. 1 scenario — on-fiber vs cloud vs edge\n");
 
     // --- On-fiber: run the assembled scenario. ---
@@ -101,5 +102,5 @@ fn main() {
         "on-fiber must beat the cloud round trip"
     );
     assert!((result.compute_coverage - 1.0).abs() < 1e-9);
-    dump_json("e1_fig1_scenario", &result);
+    versioned_pretty(&result)
 }

@@ -9,11 +9,12 @@
 //! * **E2c (Fig. 2c, P3)**: the nonlinear transfer curve and its
 //!   deviation from an ideal shifted ReLU.
 
-use ofpc_bench::table::{dump_json, Table};
+use crate::table::{versioned_pretty, Table};
 use ofpc_engine::dot::{DotProductUnit, DotUnitConfig};
 use ofpc_engine::matcher::{MatcherConfig, PatternMatcher};
 use ofpc_engine::nonlinear::{relu_reference, NonlinearUnit};
 use ofpc_engine::precision::measure_precision;
+use ofpc_par::WorkerPool;
 use ofpc_photonics::SimRng;
 use serde::Serialize;
 
@@ -43,7 +44,7 @@ struct E2Result {
     c_max_relu_dev: f64,
 }
 
-fn main() {
+pub fn expt(_pool: &WorkerPool) -> String {
     let mut result = E2Result::default();
 
     // ---------- E2a: P1 precision sweep ----------
@@ -189,5 +190,5 @@ fn main() {
     result.c_max_relu_dev = max_dev;
     assert!(max_dev < 0.3, "P3 must be ReLU-like above the knee");
 
-    dump_json("e2_primitives", &result);
+    versioned_pretty(&result)
 }

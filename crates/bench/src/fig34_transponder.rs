@@ -11,7 +11,8 @@
 //!   (Lightning-style): full RX (ADC every sample) + DAC per element
 //!   back into a photonic core + result ADC.
 
-use ofpc_bench::table::{dump_json, Table};
+use crate::table::{versioned_pretty, Table};
+use ofpc_par::WorkerPool;
 use ofpc_photonics::energy::constants;
 use ofpc_photonics::SimRng;
 use ofpc_transponder::compute::{
@@ -38,7 +39,7 @@ struct E3Result {
     dot_result_error: f64,
 }
 
-fn main() {
+pub fn expt(_pool: &WorkerPool) -> String {
     println!("E3: transponder paths — Fig. 3 (commodity) vs Fig. 4 (photonic compute)\n");
     let mut result = E3Result::default();
 
@@ -133,5 +134,5 @@ fn main() {
         );
         assert!(row.on_fiber_added_latency_ns < 1_000.0);
     }
-    dump_json("e3_transponder", &result);
+    versioned_pretty(&result)
 }

@@ -1,7 +1,8 @@
-//! Shared plumbing for the bench gates (`kernel_speedup`,
+//! Shared plumbing for the benches: the host's core count, the
+//! best-of-N timer and its per-call form with a timing-line printer,
+//! and the one baseline file the gates (`kernel_speedup`,
 //! `par_scaling`, `resil_overhead`, `serve_scale`, `shard_scaling`,
-//! `dse_sweep`): the host's core count, the best-of-N timer, and the
-//! one baseline file they all read and write.
+//! `dse_sweep`) read and write.
 //!
 //! `BENCH_BASELINE.json` at the repo root is a flat JSON object. Each
 //! gate owns a few figures plus a core stamp (`<gate>_cores`, or plain
@@ -36,6 +37,38 @@ pub fn best_time(reps: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best
+}
+
+/// Best-of-five seconds per call of `f`, each trial a batch of calls
+/// long enough (at least 20 ms) for the clock to resolve.
+pub fn per_call(mut f: impl FnMut()) -> f64 {
+    let mut calls = 1u32;
+    while calls < 1 << 24 && best_time(1, || (0..calls).for_each(|_| f())) < 0.02 {
+        calls *= 4;
+    }
+    best_time(5, || (0..calls).for_each(|_| f())) / f64::from(calls)
+}
+
+/// Print one timing line: `name`, the seconds one call takes, and the
+/// throughput when a call processes `elements` items.
+pub fn report(name: &str, seconds: f64, elements: Option<u64>) {
+    let time = if seconds < 1e-6 {
+        format!("{:.2} ns", seconds * 1e9)
+    } else if seconds < 1e-3 {
+        format!("{:.2} µs", seconds * 1e6)
+    } else if seconds < 1.0 {
+        format!("{:.2} ms", seconds * 1e3)
+    } else {
+        format!("{seconds:.3} s")
+    };
+    let mut line = format!("{name:<48} time: {time}");
+    if let Some(n) = elements {
+        line.push_str(&format!(
+            "  thrpt: {:.3e} elem/s",
+            n as f64 / seconds.max(1e-12)
+        ));
+    }
+    println!("{line}");
 }
 
 /// A baseline file held as an ordered key/value map, so rewriting it

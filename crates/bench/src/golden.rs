@@ -1,230 +1,22 @@
-//! Miniature replicas of the E12/E13/E14/E17/E18 experiment scenarios for the
-//! golden-replay regression suite and the parallel differential tests.
+//! The kernel golden fixture and the first-divergence report every
+//! fixture check prints.
 //!
-//! Each `*_mini` function is a scaled-down (µs-horizon) version of the
-//! corresponding harness sweep, returning the result as pretty-printed
-//! JSON. The contract, enforced by `tests/golden.rs` against the pinned
-//! fixtures under `results/golden/` and by `tests/parallel.rs` across
-//! worker counts:
+//! The golden fixtures under `results/golden/` are the registry's
+//! `*_mini` entries ([`crate::REGISTRY`]): scaled-down versions of the
+//! E12/E13/E14/E17/E18/E20/E21 scenarios plus [`kernels_mini`]. The
+//! contract, enforced by `tests/golden.rs` against the pinned fixtures
+//! and by `tests/parallel.rs` across worker counts:
 //!
 //! * the bytes are a pure function of the scenario — same fixture on
 //!   every run, every machine, every `OFPC_WORKERS` setting;
 //! * any behavioral drift in the serving/fault/telemetry stacks shows
 //!   up as a fixture diff, reviewed like any other golden change
-//!   (regenerate with `cargo run -p ofpc-bench --bin golden_regen`).
+//!   (regenerate with `cargo run --release -p ofpc-bench --bin expt <id>`).
 
 use ofpc_engine::batch::{BatchEngine, KernelOutput, KernelSpec};
 use ofpc_engine::dot::KernelBackend;
 use ofpc_par::WorkerPool;
-use ofpc_serve::{
-    run_sweep, ArrivalSpec, BatchPolicy, EngineFaultEvent, ServeConfig, SweepScenario, TenantSpec,
-};
-use ofpc_telemetry::{validate_balanced, Telemetry};
 use serde::Serialize;
-
-const OPERAND_LEN: usize = 512;
-
-fn mini_config(seed: u64, total_rps: f64, batching: bool) -> ServeConfig {
-    ServeConfig {
-        seed,
-        horizon_ps: 100_000_000, // 100 µs of arrivals
-        drain_grace_ps: 100_000_000,
-        batch: if batching {
-            BatchPolicy {
-                max_batch: 8,
-                max_wait_ps: 2_000_000,
-            }
-        } else {
-            BatchPolicy::disabled()
-        },
-        tenants: vec![
-            TenantSpec {
-                name: "steady".to_string(),
-                weight: 3,
-                queue_capacity: 48,
-                arrivals: ArrivalSpec::Poisson {
-                    rate_rps: total_rps * 0.75,
-                },
-                primitive: ofpc_engine::Primitive::VectorDotProduct,
-                operand_len: OPERAND_LEN,
-                deadline_ps: 400_000_000,
-            },
-            TenantSpec {
-                name: "bursty".to_string(),
-                weight: 1,
-                queue_capacity: 16,
-                arrivals: ArrivalSpec::Mmpp {
-                    calm_rps: total_rps * 0.125,
-                    burst_rps: total_rps * 1.125,
-                    mean_calm_s: 20e-6,
-                    mean_burst_s: 5e-6,
-                },
-                primitive: ofpc_engine::Primitive::VectorDotProduct,
-                operand_len: OPERAND_LEN,
-                deadline_ps: 400_000_000,
-            },
-        ],
-        verify_every: 64,
-    }
-}
-
-/// The E13c-style double-site outage window, scaled to the µs horizon.
-fn mini_outage() -> Vec<EngineFaultEvent> {
-    vec![
-        EngineFaultEvent {
-            at_ps: 25_000_000,
-            node: ofpc_net::NodeId(1),
-            up: false,
-        },
-        EngineFaultEvent {
-            at_ps: 40_000_000,
-            node: ofpc_net::NodeId(2),
-            up: false,
-        },
-        EngineFaultEvent {
-            at_ps: 60_000_000,
-            node: ofpc_net::NodeId(2),
-            up: true,
-        },
-        EngineFaultEvent {
-            at_ps: 75_000_000,
-            node: ofpc_net::NodeId(1),
-            up: true,
-        },
-    ]
-}
-
-/// The mini-E12 scenario grid: 2 batching modes × 3 load points on the
-/// metro deployment, verifying on `backend`.
-fn e12_scenarios(backend: KernelBackend) -> Vec<SweepScenario> {
-    let mut scenarios = Vec::new();
-    for &batching in &[true, false] {
-        for &rps in &[1.5e6, 4e6, 8e6] {
-            let mut s = SweepScenario::metro(
-                &format!("e12-{}-{}", batching, rps as u64),
-                12,
-                4,
-                mini_config(12, rps, batching),
-            );
-            s.verify_backend = backend;
-            scenarios.push(s);
-        }
-    }
-    scenarios
-}
-
-/// Mini E12: the serving knee in miniature — 2 batching modes × 3 load
-/// points on the metro deployment. Verifies on the production
-/// `Vectorized` backend (the fixture pins those bytes); `e13_mini`
-/// stays on `Scalar` so both backends remain exercised in CI.
-pub fn e12_mini(pool: &WorkerPool) -> String {
-    e12_mini_with_backend(pool, KernelBackend::Vectorized)
-}
-
-/// [`e12_mini`] with the runtime verification engine on an explicit
-/// kernel backend. `Vectorized` reproduces the pinned fixture; `Scalar`
-/// must differ from it only in the verify-error statistics — the
-/// differential golden tests pin both claims.
-pub fn e12_mini_with_backend(pool: &WorkerPool, backend: KernelBackend) -> String {
-    let reports = run_sweep(pool, e12_scenarios(backend));
-    crate::table::versioned_pretty(&reports)
-}
-
-/// The mini-E13 scenario pair: the engine-outage window with and
-/// without the digital fallback, verifying on `backend`.
-fn e13_scenarios(backend: KernelBackend) -> Vec<SweepScenario> {
-    [false, true]
-        .iter()
-        .map(|&fallback| {
-            let mut s = SweepScenario::metro(
-                &format!("e13-fallback-{fallback}"),
-                13,
-                4,
-                mini_config(13, 6e6, true),
-            );
-            s.engine_faults = mini_outage();
-            s.digital_fallback = fallback;
-            s.verify_backend = backend;
-            s
-        })
-        .collect()
-}
-
-/// Mini E13: the engine-outage window replayed with and without the
-/// digital fallback.
-pub fn e13_mini(pool: &WorkerPool) -> String {
-    e13_mini_with_backend(pool, KernelBackend::Scalar)
-}
-
-/// [`e13_mini`] with the runtime verification engine on an explicit
-/// kernel backend (see [`e12_mini_with_backend`]).
-pub fn e13_mini_with_backend(pool: &WorkerPool, backend: KernelBackend) -> String {
-    let reports = run_sweep(pool, e13_scenarios(backend));
-    crate::table::versioned_pretty(&reports)
-}
-
-#[derive(Debug, Serialize)]
-struct E14Mini {
-    report: ofpc_serve::ServeReport,
-    trace_events: usize,
-    trace_spans: usize,
-    metrics: ofpc_telemetry::MetricsSnapshot,
-}
-
-/// Mini E14: one instrumented replay of the mini fault scenario — the
-/// report, the balanced-span count, and the full metrics snapshot.
-/// Runs the scenario twice through the pool (instrumented + bare) and
-/// asserts telemetry perturbed nothing before snapshotting. Verifies on
-/// the production `Vectorized` backend, like [`e12_mini`].
-pub fn e14_mini(pool: &WorkerPool) -> String {
-    e14_mini_with_backend(pool, KernelBackend::Vectorized)
-}
-
-/// [`e14_mini`] with the runtime verification engine on an explicit
-/// kernel backend (see [`e12_mini_with_backend`]).
-pub fn e14_mini_with_backend(pool: &WorkerPool, backend: KernelBackend) -> String {
-    let mut scenario = SweepScenario::metro("e14", 14, 4, mini_config(14, 6e6, true));
-    scenario.engine_faults = mini_outage();
-    scenario.digital_fallback = true;
-    scenario.verify_backend = backend;
-    let runs = pool.scatter_gather("e14-mini", vec![true, false], |_, instrument| {
-        let tel = instrument.then(Telemetry::enabled);
-        let report = match &tel {
-            Some(tel) => scenario.run_with_telemetry(tel),
-            None => scenario.run(),
-        };
-        (report, tel)
-    });
-    let [(report, tel), (bare_report, _)] = <[_; 2]>::try_from(runs).expect("two runs");
-    let tel = tel.expect("first run instrumented");
-    assert_eq!(
-        serde_json::to_string(&report).expect("report serializes"),
-        serde_json::to_string(&bare_report).expect("report serializes"),
-        "telemetry must not perturb the mini scenario"
-    );
-    let events = tel.trace_events();
-    let spans = validate_balanced(&events).expect("mini trace must balance");
-    crate::table::versioned_pretty(&E14Mini {
-        report,
-        trace_events: events.len(),
-        trace_spans: spans,
-        metrics: tel.snapshot(),
-    })
-}
-
-/// Mini E18: the resilience comparison miniature — unprotected vs
-/// replica vs XOR-parity under one byte-identical fault storm.
-pub fn e18_mini(pool: &WorkerPool) -> String {
-    crate::resil::e18_mini(pool)
-}
-
-/// Mini E17: the design-space sweep miniature — 2 apps × 3 converter
-/// pairings × 2 core sizes × 2 wavelength counts with the per-app
-/// Pareto frontier marked.
-pub fn e17_mini(pool: &WorkerPool) -> String {
-    let points = ofpc_dse::run_sweep(pool, &ofpc_dse::SweepSpec::mini());
-    crate::table::versioned_pretty(&points)
-}
 
 /// The mixed kernel batch the `kernels_mini` fixture replays: signed
 /// and non-negative MVMs (multi-lane WDM), a correlator scan, and a
@@ -282,23 +74,6 @@ pub fn kernels_mini(pool: &WorkerPool) -> String {
     crate::table::versioned_pretty(&KernelsMini { scalar, vectorized })
 }
 
-/// A named golden-fixture generator.
-pub type GoldenCase = (&'static str, fn(&WorkerPool) -> String);
-
-/// The golden fixture set: `(name, generator)` in fixture order.
-pub fn cases() -> Vec<GoldenCase> {
-    vec![
-        ("e12_mini", e12_mini as fn(&WorkerPool) -> String),
-        ("e13_mini", e13_mini),
-        ("e14_mini", e14_mini),
-        ("e17_mini", e17_mini),
-        ("e18_mini", e18_mini),
-        ("e20_mini", crate::shard::e20_mini),
-        ("e21_mini", crate::ingest::e21_mini),
-        ("kernels_mini", kernels_mini),
-    ]
-}
-
 /// First-divergence diff between a fixture and a regenerated document:
 /// `None` when identical, otherwise a readable report naming the first
 /// differing line with two lines of context on each side.
@@ -325,7 +100,9 @@ pub fn first_divergence(name: &str, golden: &str, current: &str) -> Option<Strin
             out.push_str(&format!("{marker} {label} {:>5} | {text}\n", i + 1));
         }
     }
-    out.push_str("regenerate with: cargo run -p ofpc-bench --bin golden_regen\n");
+    out.push_str(&format!(
+        "regenerate with: cargo run --release -p ofpc-bench --bin expt {name}\n"
+    ));
     Some(out)
 }
 
@@ -338,24 +115,6 @@ mod tests {
         assert!(first_divergence("x", "a\nb\nc", "a\nb\nc").is_none());
         let diff = first_divergence("x", "a\nb\nc", "a\nB\nc").expect("differs");
         assert!(diff.contains("line 2"), "{diff}");
-        assert!(diff.contains("golden_regen"), "{diff}");
-    }
-
-    #[test]
-    fn case_names_are_unique_and_stable() {
-        let names: Vec<&str> = cases().iter().map(|(n, _)| *n).collect();
-        assert_eq!(
-            names,
-            vec![
-                "e12_mini",
-                "e13_mini",
-                "e14_mini",
-                "e17_mini",
-                "e18_mini",
-                "e20_mini",
-                "e21_mini",
-                "kernels_mini"
-            ]
-        );
+        assert!(diff.contains("--bin expt"), "{diff}");
     }
 }

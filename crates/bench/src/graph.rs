@@ -22,7 +22,7 @@
 //!   re-lower *only that site's stages* to digital; repair must restore
 //!   the healthy plan byte-for-byte.
 
-use ofpc_bench::table::{dump_json, Table};
+use crate::table::{versioned_pretty, Table};
 use ofpc_engine::dnn::Mlp;
 use ofpc_faults::{FaultEvent, FaultKind, FaultPlan};
 use ofpc_graph::exec::{ExecConfig, ExecMode, ExecReport};
@@ -30,6 +30,7 @@ use ofpc_graph::ir::{self, WorkGraph};
 use ofpc_graph::lower::{lower, ErrorBudget, LowerConfig};
 use ofpc_graph::{compile, GraphExecutor};
 use ofpc_net::{NodeId, Topology};
+use ofpc_par::WorkerPool;
 use ofpc_photonics::SimRng;
 use serde::Serialize;
 
@@ -365,7 +366,7 @@ struct E16Report {
     fault: FaultReport,
 }
 
-fn main() {
+pub fn expt(_pool: &WorkerPool) -> String {
     println!("# E16: workload graph compiler (ofpc-graph)\n");
     let ex = compiled(ErrorBudget::realistic());
     let placed = ex.placed();
@@ -387,17 +388,15 @@ fn main() {
     let budget_partitioning = e16c_budget_partitioning();
     let fault = e16d_fault_relowering(&ex);
 
-    dump_json(
-        "e16_graph",
-        &E16Report {
-            seed: SEED,
-            requests: REQUESTS,
-            pipeline,
-            pipeline_gain,
-            table1_lowering,
-            budget_partitioning,
-            fault,
-        },
-    );
+    let doc = versioned_pretty(&E16Report {
+        seed: SEED,
+        requests: REQUESTS,
+        pipeline,
+        pipeline_gain,
+        table1_lowering,
+        budget_partitioning,
+        fault,
+    });
     println!("expt_graph: all gates passed (results/e16_graph.json)");
+    doc
 }

@@ -6,14 +6,15 @@
 //! (hubs first) and report the satisfied-demand fraction and the mean
 //! detour penalty — the curve an operator would use to plan a rollout.
 
-use ofpc_bench::table::{dump_json, Table};
+use crate::table::{versioned_pretty, Table};
 use ofpc_controller::demand::{Demand, TaskDag};
 use ofpc_core::deployment::{deployment_sweep, upgrade_order_by_degree};
 use ofpc_engine::Primitive;
 use ofpc_net::{NodeId, Topology};
+use ofpc_par::WorkerPool;
 use ofpc_photonics::SimRng;
 
-fn main() {
+pub fn expt(_pool: &WorkerPool) -> String {
     println!("E9: incremental deployment on Abilene (hubs first)\n");
     let topo = Topology::abilene();
     let mut rng = SimRng::seed_from_u64(9);
@@ -73,5 +74,5 @@ fn main() {
         first_full.mean_added_latency_ms,
         full.mean_added_latency_ms
     );
-    dump_json("e9_incremental_deployment", &points);
+    versioned_pretty(&points)
 }

@@ -1,7 +1,7 @@
 //! E21 harness core: the sharded million-tenant ingest front-end
 //! (ofpc-ingest) driven at population scale.
 //!
-//! The full experiment (`expt_ingest`) fronts **1,000,064 tenants**
+//! The full experiment ([`expt`]) fronts **1,000,064 tenants**
 //! offering ≥10⁶ req/s at a deliberately under-provisioned transponder
 //! fleet, and checks that the overload lands where the paper's serving
 //! story says it must: bounded queues shed the abusive heavy-hitter
@@ -12,6 +12,7 @@
 //! family; the report bytes are a pure function of it on any
 //! `OFPC_WORKERS`.
 
+use crate::table::{versioned_pretty, Table};
 use ofpc_engine::Primitive;
 use ofpc_ingest::{IngestConfig, IngestFrontEnd, IngestReport, RebalanceConfig, TenantClass};
 use ofpc_net::NodeId;
@@ -183,10 +184,165 @@ pub fn run_e21(config: IngestConfig, pool: &WorkerPool) -> IngestReport {
     IngestFrontEnd::new(config).run(pool)
 }
 
+/// E21: the full million-tenant run. Claims checked here, beyond the
+/// differential suite in `tests/ingest.rs`:
+///
+/// * ≥10⁶ tenants and ≥10⁶ req/s offered over the run;
+/// * overload lands entirely on the abusive class: every shed is a
+///   whale bounded-queue rejection, steady/tail shed nothing;
+/// * weighted fairness: whale goodput-per-weight stays ≥ steady's
+///   while whale *completion ratio* stays below steady's;
+/// * per-tenant admission state stays bounded by the backlog, not the
+///   population.
+pub fn expt(pool: &WorkerPool) -> String {
+    let config = full_config();
+    let tenants: u32 = config.classes.iter().map(|c| c.population).sum();
+    println!(
+        "E21: sharded ingest front-end — {} tenants / {} shards, {} epochs x {} ms, {} workers\n",
+        tenants,
+        config.shards,
+        config.epochs,
+        config.epoch_ps / 1_000_000_000,
+        pool.workers()
+    );
+
+    let report = run_e21(config, pool);
+
+    let mut t = Table::new("E21 run summary", &["metric", "value"]);
+    for (k, v) in [
+        ("tenants", report.tenants.to_string()),
+        ("shards", report.shards.to_string()),
+        ("offered req/s", format!("{:.0}", report.offered_rps)),
+        ("frames parsed", report.parsed.to_string()),
+        (
+            "frames rejected (typed)",
+            report.frames.rejected_total.to_string(),
+        ),
+        ("completed", report.completed.to_string()),
+        ("shed", report.shed.to_string()),
+        ("unfinished at horizon", report.unfinished.to_string()),
+        ("goodput req/s", format!("{:.0}", report.goodput_rps)),
+        (
+            "distinct active tenants",
+            report.distinct_active_tenants.to_string(),
+        ),
+        (
+            "p50 latency µs",
+            format!("{:.1}", report.p50_latency_us.unwrap_or(0.0)),
+        ),
+        (
+            "p99 latency µs",
+            format!("{:.1}", report.p99_latency_us.unwrap_or(0.0)),
+        ),
+        ("energy J", format!("{:.4}", report.energy_total_j)),
+        ("rebalance passes", report.rebalance.passes.to_string()),
+        ("tenant migrations", report.rebalance.migrations.to_string()),
+        ("slot moves", report.rebalance.slot_moves.to_string()),
+    ] {
+        t.row(&[k.to_string(), v]);
+    }
+    t.print();
+
+    let mut ct = Table::new(
+        "E21 per-class fairness",
+        &[
+            "class",
+            "tenants",
+            "arrivals",
+            "completed",
+            "shed",
+            "goodput/s",
+            "per-weight",
+            "p50 µs",
+        ],
+    );
+    for c in &report.classes {
+        ct.row(&[
+            c.name.clone(),
+            c.tenants.to_string(),
+            c.arrivals.to_string(),
+            c.completed.to_string(),
+            (c.shed_queue_full
+                + c.shed_expired_queued
+                + c.shed_expired_serving
+                + c.shed_engine_failed)
+                .to_string(),
+            format!("{:.0}", c.goodput_rps),
+            format!("{:.2}", c.goodput_per_weight),
+            format!("{:.1}", c.p50_latency_us.unwrap_or(0.0)),
+        ]);
+    }
+    ct.print();
+
+    let class = |name: &str| {
+        report
+            .classes
+            .iter()
+            .find(|c| c.name == name)
+            .unwrap_or_else(|| panic!("missing class {name}"))
+    };
+    let whale = class("whale");
+    let steady = class("steady");
+    let tail = class("tail");
+    let completion = |c: &ofpc_ingest::ClassReport| c.completed as f64 / c.arrivals as f64;
+
+    assert!(report.shed > 0, "E21 must be overloaded enough to shed");
+    assert!(
+        report.frames.rejected_total > 0,
+        "corrupt frames must exercise the typed-error path"
+    );
+    // Backpressure lands on the class that overdrives its queues…
+    assert_eq!(
+        whale.shed_queue_full, report.shed,
+        "all shedding should be whale bounded-queue backpressure"
+    );
+    assert_eq!(steady.shed_queue_full, 0, "steady class must not shed");
+    assert_eq!(tail.shed_queue_full, 0, "tail class must not shed");
+    assert!(
+        completion(whale) < completion(steady),
+        "the abusive class must bear the overload"
+    );
+    // …while weighted DRR still grants the heavy class its share.
+    assert!(
+        whale.goodput_per_weight >= steady.goodput_per_weight,
+        "whales should retain at least their weight share of goodput"
+    );
+    // Sparse admission state is bounded by backlog, not population.
+    let held: u64 = report
+        .shard_reports
+        .iter()
+        .map(|s| s.active_tenant_state as u64)
+        .sum();
+    assert!(
+        held <= report.unfinished + u64::from(report.shards),
+        "admission state ({held}) outgrew the backlog ({})",
+        report.unfinished
+    );
+
+    // The headline E21 acceptance numbers.
+    assert!(
+        report.tenants >= 1_000_000,
+        "E21 must front >=1e6 tenants, got {}",
+        report.tenants
+    );
+    assert!(
+        report.offered_rps >= 1e6,
+        "E21 must offer >=1e6 req/s, got {:.0}",
+        report.offered_rps
+    );
+    assert!(
+        report.distinct_active_tenants >= 50_000,
+        "traffic should touch a broad slice of the population, got {}",
+        report.distinct_active_tenants
+    );
+    assert!(report.rebalance.migrations > 0, "rebalance never engaged");
+    versioned_pretty(&report)
+}
+
 /// Mini E21: the golden-fixture miniature (see [`mini_config`]).
 pub fn e21_mini(pool: &WorkerPool) -> String {
     let report = run_e21(mini_config(), pool);
-    crate::table::versioned_pretty(&report)
+    versioned_pretty(&report)
 }
 
 #[cfg(test)]

@@ -11,17 +11,18 @@
 //!    training against the measured transfer curve (matched). Accuracy
 //!    recovers under matched training.
 
+use crate::table::{versioned_pretty, Table};
 use ofpc_apps::ml::{
     accuracy_photonic, accuracy_with_activation, deploy_curve_trained, synthetic_glyphs, train_mlp,
     TrainActivation, TrainConfig,
 };
-use ofpc_bench::table::{dump_json, Table};
 use ofpc_engine::calibration::DotCalibration;
 use ofpc_engine::dnn::PhotonicDnn;
 use ofpc_engine::dot::{DotProductUnit, DotUnitConfig};
 use ofpc_engine::mvm::PhotonicMatVec;
 use ofpc_engine::nonlinear::NonlinearUnit;
 use ofpc_engine::precision::measure_precision;
+use ofpc_par::WorkerPool;
 use ofpc_photonics::SimRng;
 use serde::Serialize;
 
@@ -37,7 +38,7 @@ struct E10Result {
     curve_trained_photonic_acc: f64,
 }
 
-fn main() {
+pub fn expt(_pool: &WorkerPool) -> String {
     println!("E10: noise-mitigation ablations\n");
     let mut result = E10Result::default();
 
@@ -156,5 +157,5 @@ fn main() {
         "\nphotonic accuracy: {:.2} (ReLU-trained) → {:.2} (curve-trained)",
         result.relu_trained_photonic_acc, result.curve_trained_photonic_acc
     );
-    dump_json("e10_noise_ablation", &result);
+    versioned_pretty(&result)
 }

@@ -11,13 +11,14 @@
 //!    their engine while the controller's next-hop updates propagate
 //!    router by router, as a function of the update gap.
 
-use ofpc_bench::table::{dump_json, Table};
+use crate::table::{versioned_pretty, Table};
 use ofpc_core::protocol::{protocol_overhead, staged_rollout};
 use ofpc_engine::Primitive;
 use ofpc_net::packet::{Packet, IP_HEADER_BYTES};
 use ofpc_net::pch::PchHeader;
 use ofpc_net::sim::{Network, OpSpec};
 use ofpc_net::{NodeId, Topology};
+use ofpc_par::WorkerPool;
 use ofpc_photonics::SimRng;
 use serde::Serialize;
 
@@ -31,7 +32,7 @@ struct E7Result {
     rollout: Vec<(u64, usize, usize)>, // (gap_ps, computed, missed)
 }
 
-fn main() {
+pub fn expt(_pool: &WorkerPool) -> String {
     println!("E7: compute-communication protocol\n");
     let mut result = E7Result::default();
 
@@ -167,5 +168,5 @@ fn main() {
     );
     assert!(slowest_missed > 1, "slow rollout must miss more");
 
-    dump_json("e7_protocol", &result);
+    versioned_pretty(&result)
 }

@@ -35,6 +35,7 @@
 //! early. That asymmetry — not an artificially hostile deadline — is
 //! what separates the protected and unprotected availability curves.
 
+use crate::table::{versioned_pretty, Table};
 use ofpc_faults::{generate_storm, FaultKind, FaultPlan, StormSpec};
 use ofpc_net::{NodeId, Topology};
 use ofpc_par::WorkerPool;
@@ -198,7 +199,7 @@ pub struct E18Run {
 }
 
 /// The E18 comparison document (serialized into `results/e18_resil.json`
-/// by `expt_resil`, and — in mini form — pinned as a golden fixture).
+/// by the E18 entry, and — in mini form — pinned as a golden fixture).
 #[derive(Debug, Clone, Serialize)]
 pub struct E18Report {
     pub config: E18Config,
@@ -283,10 +284,98 @@ pub fn run_e18(pool: &WorkerPool, cfg: &E18Config) -> E18Report {
     }
 }
 
+/// E18: the full storm (eight single-cut bursts over 4 ms) against
+/// all three protection modes. Acceptance gates:
+///
+/// * the storm forces failures on the unprotected baseline;
+/// * both protected modes finish with **zero** failed requests and
+///   every redundancy-set member accounted for;
+/// * replica ≤ 2.1× and parity ≤ 1.5× of the baseline's joules per
+///   completed request.
+pub fn expt(pool: &WorkerPool) -> String {
+    let cfg = E18Config::full();
+    println!(
+        "E18: resilience under a {}-burst storm ({} workers)",
+        cfg.storm.bursts,
+        pool.workers()
+    );
+    let rep = run_e18(pool, &cfg);
+
+    let mut t = Table::new(
+        "E18 — availability and energy under one byte-identical storm",
+        &[
+            "mode",
+            "arrivals",
+            "completed",
+            "failed",
+            "availability",
+            "goodput",
+            "p99",
+            "energy/req",
+            "overhead",
+        ],
+    );
+    for r in &rep.runs {
+        t.row(&[
+            r.mode.clone(),
+            r.report.arrivals.to_string(),
+            r.report.completed.to_string(),
+            r.failed.to_string(),
+            format!("{:.4}", r.availability),
+            format!("{:.2} Mrps", r.goodput_rps / 1e6),
+            r.p99_latency_us
+                .map(|v| format!("{v:.1} us"))
+                .unwrap_or_else(|| "-".to_string()),
+            format!("{:.2} nJ", r.energy_per_completed_j * 1e9),
+            format!("{:.3}x", r.energy_overhead),
+        ]);
+    }
+    t.print();
+
+    let base = &rep.runs[0];
+    assert!(base.failed > 0, "E18: the storm must hurt the baseline");
+    assert!(
+        rep.link_cuts >= cfg.storm.bursts,
+        "E18: expected at least one cut per burst"
+    );
+    for r in &rep.runs[1..] {
+        assert_eq!(
+            r.failed, 0,
+            "E18: {} must ride out the storm with zero lost work",
+            r.mode
+        );
+        assert_eq!(r.report.arrivals, r.report.completed);
+        assert_eq!(r.resil.unsettled_sets, 0, "E18: unaccounted member");
+        assert!(r.resil.link_cuts_seen as usize >= cfg.storm.bursts);
+    }
+    let replica = &rep.runs[1];
+    let parity = &rep.runs[2];
+    assert!(replica.resil.replica_sets > 0 && replica.resil.losses_absorbed > 0);
+    assert!(parity.resil.parity_sets > 0 && parity.resil.reconstructions > 0);
+    assert!(
+        replica.energy_overhead <= 2.1,
+        "E18: replica overhead {:.3} above the 2.1x gate",
+        replica.energy_overhead
+    );
+    assert!(
+        parity.energy_overhead <= 1.5,
+        "E18: parity overhead {:.3} above the 1.5x gate",
+        parity.energy_overhead
+    );
+    assert!(
+        parity.energy_overhead < replica.energy_overhead,
+        "E18: coding must beat full replication on energy"
+    );
+
+    let doc = versioned_pretty(&rep);
+    println!("E18: wrote results/e18_resil.json");
+    doc
+}
+
 /// Mini E18 for the golden-replay suite: the full comparison document,
 /// versioned and pretty-printed.
 pub fn e18_mini(pool: &WorkerPool) -> String {
-    crate::table::versioned_pretty(&run_e18(pool, &E18Config::mini()))
+    versioned_pretty(&run_e18(pool, &E18Config::mini()))
 }
 
 #[cfg(test)]

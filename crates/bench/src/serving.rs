@@ -18,8 +18,9 @@
 //! * **bit-for-bit reproducible** under the fixed seed (the replay tests
 //!   pin the same property).
 
-use ofpc_bench::table::{dump_json, Table};
+use crate::table::{versioned_pretty, Table};
 use ofpc_core::OnFiberNetwork;
+use ofpc_engine::dot::KernelBackend;
 use ofpc_engine::Primitive;
 use ofpc_net::{NodeId, Topology};
 use ofpc_par::WorkerPool;
@@ -36,24 +37,36 @@ const OPERAND_LEN: usize = 2048;
 const HORIZON_PS: u64 = 2_000_000_000; // 2 ms of arrivals
 const DRAIN_PS: u64 = 1_000_000_000;
 
-fn deployment() -> OnFiberNetwork {
-    // Front-end at node 0; compute transponders at the two downstream
-    // metro sites (10 km spans — ~49 µs of glass each way per span).
-    let mut sys = OnFiberNetwork::new(Topology::line(3, 10.0), SEED);
+/// The metro deployment the serving experiments (E12–E14 and their
+/// minis) run on: front-end at node 0, one realistic compute
+/// transponder with four WDM channels at each of the two downstream
+/// metro sites (10 km spans — ~49 µs of glass each way per span). The
+/// runtime reads only the topology and the upgraded sites, so the
+/// network seed (the serving seed) never reaches the report.
+pub fn metro_runtime(config: ServeConfig) -> ServeRuntime {
+    let mut sys = OnFiberNetwork::new(Topology::line(3, 10.0), config.seed);
     sys.upgrade_site(NodeId(1), 1);
     sys.upgrade_site(NodeId(2), 1);
-    sys
+    ServeRuntime::over_network(
+        &sys,
+        NodeId(0),
+        &ComputeTransponderConfig::realistic(),
+        WDM_CHANNELS,
+        config,
+    )
 }
 
-/// Aggregate slot capacity in requests/s with full, affinity-hot batches
-/// — the expected saturation knee.
-fn capacity_rps(model: &ServiceModel, slots: usize, max_batch: usize) -> f64 {
+/// Aggregate capacity of the two metro slots in requests/s with full,
+/// affinity-hot batches — the expected saturation knee.
+pub fn knee_rps() -> f64 {
+    let model =
+        ServiceModel::from_transponder(&ComputeTransponderConfig::realistic(), WDM_CHANNELS);
     let class = BatchClass {
         primitive: Primitive::VectorDotProduct,
         operand_len: OPERAND_LEN as u32,
     };
-    let (service_ps, _) = model.batch_service(class, max_batch, Some(class));
-    slots as f64 * max_batch as f64 / (service_ps as f64 * 1e-12)
+    let (service_ps, _) = model.batch_service(class, 8, Some(class));
+    2.0 * 8.0 / (service_ps as f64 * 1e-12)
 }
 
 fn config(total_rps: f64, batching: bool) -> ServeConfig {
@@ -101,17 +114,10 @@ fn config(total_rps: f64, batching: bool) -> ServeConfig {
     }
 }
 
-fn run(total_rps: f64, batching: bool) -> ServeReport {
-    let sys = deployment();
-    ServeRuntime::over_network(
-        &sys,
-        NodeId(0),
-        &ComputeTransponderConfig::realistic(),
-        WDM_CHANNELS,
-        config(total_rps, batching),
-    )
-    .with_verify_backend(ofpc_engine::dot::KernelBackend::Vectorized)
-    .run()
+/// One E12 load point: the two-tenant mix at `total_rps` on the metro
+/// deployment, verifying on the vectorized kernels.
+pub fn runtime(total_rps: f64, batching: bool) -> ServeRuntime {
+    metro_runtime(config(total_rps, batching)).with_verify_backend(KernelBackend::Vectorized)
 }
 
 #[derive(Debug, Serialize)]
@@ -130,10 +136,9 @@ struct E12Row {
     report: ServeReport,
 }
 
-fn main() {
-    let model =
-        ServiceModel::from_transponder(&ComputeTransponderConfig::realistic(), WDM_CHANNELS);
-    let knee = capacity_rps(&model, 2, 8);
+/// E12: the batching-on/off load sweep across the saturation knee.
+pub fn expt(pool: &WorkerPool) -> String {
+    let knee = knee_rps();
     println!(
         "estimated slot capacity (batched, hot): {:.2} M req/s\n",
         knee / 1e6
@@ -149,10 +154,9 @@ fn main() {
             grid.push((batching, f));
         }
     }
-    let pool = WorkerPool::from_env();
     let rows: Vec<E12Row> = pool.scatter_gather("e12-sweep", grid, |_, (batching, f)| {
         let offered = f * knee;
-        let report = run(offered, batching);
+        let report = runtime(offered, batching).run();
         E12Row {
             load_frac: f,
             offered_rps: offered,
@@ -234,5 +238,78 @@ fn main() {
         }
     }
 
-    dump_json("expt_serving", &rows);
+    versioned_pretty(&rows)
+}
+
+/// The config family of the e12/e13/e14 golden minis: E12's two-tenant
+/// mix on 512-element operands over a 100 µs horizon.
+pub fn mini_config(seed: u64, total_rps: f64, batching: bool) -> ServeConfig {
+    ServeConfig {
+        seed,
+        horizon_ps: 100_000_000, // 100 µs of arrivals
+        drain_grace_ps: 100_000_000,
+        batch: if batching {
+            BatchPolicy {
+                max_batch: 8,
+                max_wait_ps: 2_000_000,
+            }
+        } else {
+            BatchPolicy::disabled()
+        },
+        tenants: vec![
+            TenantSpec {
+                name: "steady".to_string(),
+                weight: 3,
+                queue_capacity: 48,
+                arrivals: ArrivalSpec::Poisson {
+                    rate_rps: total_rps * 0.75,
+                },
+                primitive: Primitive::VectorDotProduct,
+                operand_len: 512,
+                deadline_ps: 400_000_000,
+            },
+            TenantSpec {
+                name: "bursty".to_string(),
+                weight: 1,
+                queue_capacity: 16,
+                arrivals: ArrivalSpec::Mmpp {
+                    calm_rps: total_rps * 0.125,
+                    burst_rps: total_rps * 1.125,
+                    mean_calm_s: 20e-6,
+                    mean_burst_s: 5e-6,
+                },
+                primitive: Primitive::VectorDotProduct,
+                operand_len: 512,
+                deadline_ps: 400_000_000,
+            },
+        ],
+        verify_every: 64,
+    }
+}
+
+/// Mini E12: the serving knee in miniature — 2 batching modes × 3 load
+/// points on the metro deployment. Verifies on the production
+/// `Vectorized` backend (the fixture pins those bytes); `e13_mini`
+/// stays on `Scalar` so both backends remain exercised in CI.
+pub fn e12_mini(pool: &WorkerPool) -> String {
+    e12_mini_with_backend(pool, KernelBackend::Vectorized)
+}
+
+/// [`e12_mini`] with the runtime verification engine on an explicit
+/// kernel backend. `Vectorized` reproduces the pinned fixture; `Scalar`
+/// must differ from it only in the verify-error statistics — the
+/// differential golden tests pin both claims.
+pub fn e12_mini_with_backend(pool: &WorkerPool, backend: KernelBackend) -> String {
+    let mut grid = Vec::new();
+    for batching in [true, false] {
+        for rps in [1.5e6, 4e6, 8e6] {
+            grid.push((batching, rps));
+        }
+    }
+    let reports = pool.scatter_gather("e12-mini", grid, |_, (batching, rps)| {
+        metro_runtime(mini_config(12, rps, batching))
+            .with_verify_backend(backend)
+            .run()
+    });
+    versioned_pretty(&reports)
 }

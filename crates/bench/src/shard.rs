@@ -1,7 +1,7 @@
 //! E20 harness core: churn + fault-storm event streams driven through
 //! the sharded incremental controller (ofpc-shard).
 //!
-//! The full experiment (`expt_controller_shard`) sustains ≥10⁵ admitted
+//! The full experiment ([`expt`]) sustains ≥10⁵ admitted
 //! requests on a ≥100-site multi-region WAN; [`e20_mini`] is the same
 //! machinery on a 12-site toy, pinned as a golden fixture and replayed
 //! across worker counts by the differential tests. Both share one
@@ -11,6 +11,7 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
+use crate::table::{versioned_pretty, Table};
 use ofpc_controller::build_plan_from_placements;
 use ofpc_controller::demand::{Demand, TaskDag};
 use ofpc_core::topo::{multi_region, MultiRegionSpec};
@@ -300,10 +301,79 @@ pub fn run_e20(spec: &E20Spec, pool: &WorkerPool) -> (E20Report, Vec<u64>) {
     (report, decision_ns)
 }
 
+/// E20: a 120-site, 12-region WAN (30× fig1) absorbing 115k arrivals,
+/// trailing FIFO departures, and an 8-burst correlated fault storm.
+/// Claims checked here, beyond the differential suite in
+/// `tests/shard.rs`:
+///
+/// * ≥10⁵ admitted requests over the run on a ≥100-site topology;
+/// * bounded per-decision latency (p99 / max asserted in release);
+/// * periodic clone + from-scratch re-solves agree with the
+///   incremental state exactly ([`E20Spec::check_every`]).
+pub fn expt(pool: &WorkerPool) -> String {
+    let spec = E20Spec::full();
+    println!(
+        "E20: sharded incremental controller — {} sites / {} regions, {} arrivals, {} workers\n",
+        spec.node_count(),
+        spec.regions,
+        spec.arrivals,
+        pool.workers()
+    );
+
+    let (report, mut decision_ns) = run_e20(&spec, pool);
+    let (p50, p99, max) = latency_us(&mut decision_ns);
+
+    let mut t = Table::new("E20 run summary", &["metric", "value"]);
+    for (k, v) in [
+        ("sites", report.nodes.to_string()),
+        ("slots installed", report.slots_total.to_string()),
+        ("arrivals", report.arrivals.to_string()),
+        ("admitted", report.admitted.to_string()),
+        ("rejected at arrival", report.rejected.to_string()),
+        ("displaced by faults", report.displaced.to_string()),
+        ("revived", report.revived.to_string()),
+        ("fault events", report.fault_events.to_string()),
+        ("shard re-solves", report.shard_resolves.to_string()),
+        ("boundary reruns", report.boundary_reruns.to_string()),
+        (
+            "differential checks",
+            report.differential_checks.to_string(),
+        ),
+        ("decision p50 µs", format!("{p50:.1}")),
+        ("decision p99 µs", format!("{p99:.1}")),
+        ("decision max µs", format!("{max:.1}")),
+    ] {
+        t.row(&[k.to_string(), v]);
+    }
+    t.print();
+
+    let decisions = report.arrivals + report.fault_batches;
+    println!(
+        "\n{} decisions; boundary sweep ran on {:.1}% of them (skipped when provably unchanged)",
+        decisions,
+        100.0 * report.boundary_reruns as f64 / decisions as f64
+    );
+
+    assert!(report.differential_checks > 0, "checkpoints must run");
+    // The headline E20 acceptance numbers.
+    assert!(report.nodes >= 100, "E20 must run on a >=100-site topology");
+    assert!(
+        report.admitted >= 100_000,
+        "E20 must admit >=1e5 requests, got {}",
+        report.admitted
+    );
+    // Latency bounds only mean something in release builds.
+    if !cfg!(debug_assertions) {
+        assert!(p99 < 5_000.0, "p99 decision latency {p99:.0}µs >= 5ms");
+        assert!(max < 250_000.0, "max decision latency {max:.0}µs >= 250ms");
+    }
+    versioned_pretty(&report)
+}
+
 /// Mini E20: the golden-fixture miniature (see [`E20Spec::mini`]).
 pub fn e20_mini(pool: &WorkerPool) -> String {
     let (report, _) = run_e20(&E20Spec::mini(), pool);
-    crate::table::versioned_pretty(&report)
+    versioned_pretty(&report)
 }
 
 /// Latency percentiles over a decision-latency series, in microseconds.

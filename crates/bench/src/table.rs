@@ -1,5 +1,6 @@
-//! Result tables: aligned text output for the terminal plus JSON dumps
-//! under `results/` so EXPERIMENTS.md numbers are regenerable.
+//! Result tables: aligned text output for the terminal plus the
+//! versioned JSON documents under `results/` that keep EXPERIMENTS.md
+//! numbers regenerable.
 
 use serde::Serialize;
 use std::path::Path;
@@ -104,19 +105,14 @@ pub fn versioned_trace(trace_array_json: &str) -> String {
     format!("{{\"schema_version\":{SCHEMA_VERSION},\"traceEvents\":\n{trace_array_json}\n}}")
 }
 
-/// Dump any serializable result to `results/<name>.json` (creating the
-/// directory) in the versioned envelope, so experiment outputs are
-/// machine-readable and schema drift is explicit.
-pub fn dump_json<T: Serialize>(name: &str, value: &T) {
-    let dir = Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        eprintln!("warning: could not create results/; skipping JSON dump");
-        return;
+/// Write one results document (or trace dump) to `path`, creating its
+/// directory first.
+pub fn write_result(path: &str, contents: &str) -> std::io::Result<()> {
+    let path = Path::new(path);
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
     }
-    let path = dir.join(format!("{name}.json"));
-    if let Err(e) = std::fs::write(&path, versioned_pretty(value)) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
+    std::fs::write(path, contents)
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! answers while cutting the compute-energy bill and (for the
 //! cloud-served rows) the latency.
 
+use crate::table::{versioned_pretty, Table};
 use ofpc_apps::digital::{ComputeModel, Placement, RequestModel};
 use ofpc_apps::encryption::{bits_of, DigitalCipher, PhotonicCipher};
 use ofpc_apps::intrusion::{synthesize_traffic, AhoCorasick, PhotonicIds};
@@ -19,10 +20,10 @@ use ofpc_apps::ml::{
     TrainActivation, TrainConfig,
 };
 use ofpc_apps::video::{decode_frame, encode_frame, psnr, synthetic_frame, Transform};
-use ofpc_bench::table::{dump_json, Table};
 use ofpc_engine::comparator::{ComparatorConfig, PhotonicComparator};
 use ofpc_engine::mvm::PhotonicMatVec;
 use ofpc_engine::nonlinear::NonlinearUnit;
+use ofpc_par::WorkerPool;
 use ofpc_photonics::SimRng;
 use serde::Serialize;
 
@@ -35,7 +36,7 @@ struct UseCaseRow {
     verdict: String,
 }
 
-fn main() {
+pub fn expt(_pool: &WorkerPool) -> String {
     println!("E4: Table 1 — all use cases, photonic vs current compute location\n");
     let mut rows: Vec<UseCaseRow> = Vec::new();
     let mut t = Table::new(
@@ -284,6 +285,7 @@ fn main() {
     }
 
     t.print();
-    dump_json("e4_table1_usecases", &rows);
+    let doc = versioned_pretty(&rows);
     println!("all {} use-case rows verified", rows.len());
+    doc
 }

@@ -18,197 +18,43 @@
 //!   byte-identical (same seed ⇒ same trace JSON, same metrics JSON),
 //!   and the report equals the un-instrumented baseline's.
 
-use ofpc_apps::digital::ComputeModel;
-use ofpc_bench::table::{dump_json, Table};
-use ofpc_controller::demand::{Demand, TaskDag};
-use ofpc_controller::protection::RecoveryParams;
-use ofpc_core::{OnFiberNetwork, Solver};
-use ofpc_engine::Primitive;
-use ofpc_faults::{trace_recovery, Orchestrator};
-use ofpc_net::sim::OpSpec;
-use ofpc_net::{NodeId, Topology};
+use crate::faults::{self, mini_outage, under_outage};
+use crate::serving::{self, mini_config};
+use crate::table::{versioned_pretty, versioned_trace, write_result, Table};
+use ofpc_engine::dot::KernelBackend;
+use ofpc_faults::trace_recovery;
 use ofpc_par::WorkerPool;
-use ofpc_serve::{
-    ArrivalSpec, BatchClass, BatchPolicy, EngineFaultEvent, ServeConfig, ServeReport, ServeRuntime,
-    ServiceModel, TenantSpec,
-};
+use ofpc_serve::{ServeReport, ServeRuntime};
 use ofpc_telemetry::{labels, validate_balanced, Telemetry};
-use ofpc_transponder::compute::ComputeTransponderConfig;
 use serde::Serialize;
-
-const SEED: u64 = 14;
-const WDM_CHANNELS: usize = 4;
-const OPERAND_LEN: usize = 2048;
-const P1: Primitive = Primitive::VectorDotProduct;
 
 /// Worst-case relative error of a histogram percentile: ±3.2% bucket
 /// quantization plus nearest-rank slack on small samples.
 const PCTL_TOL: f64 = 0.08;
 
-// ------------------------------------------------------------- E12 replay
+/// The Chrome-trace dumps written next to the summary document: the
+/// E13 fallback + cut replay, then the E12 knee. Tens of MB, so they
+/// are regenerated rather than committed.
+pub const TRACE_DUMPS: [&str; 2] = [
+    "results/e14_telemetry_trace.json",
+    "results/e14_telemetry_trace_e12.json",
+];
 
-fn metro() -> OnFiberNetwork {
-    let mut sys = OnFiberNetwork::new(Topology::line(3, 10.0), SEED);
-    sys.upgrade_site(NodeId(1), 1);
-    sys.upgrade_site(NodeId(2), 1);
-    sys
-}
-
-/// The E12 knee estimate (full, affinity-hot batches across both slots).
-fn capacity_rps() -> f64 {
-    let model =
-        ServiceModel::from_transponder(&ComputeTransponderConfig::realistic(), WDM_CHANNELS);
-    let class = BatchClass {
-        primitive: P1,
-        operand_len: OPERAND_LEN as u32,
-    };
-    let (service_ps, _) = model.batch_service(class, 8, Some(class));
-    2.0 * 8.0 / (service_ps as f64 * 1e-12)
-}
-
-/// The E12 two-tenant mix at the saturation knee, batching on.
-fn e12_config(total_rps: f64) -> ServeConfig {
-    ServeConfig {
-        seed: 12,
-        horizon_ps: 2_000_000_000,
-        drain_grace_ps: 1_000_000_000,
-        batch: BatchPolicy {
-            max_batch: 8,
-            max_wait_ps: 5_000_000,
-        },
-        tenants: vec![
-            TenantSpec {
-                name: "steady".to_string(),
-                weight: 3,
-                queue_capacity: 96,
-                arrivals: ArrivalSpec::Poisson {
-                    rate_rps: total_rps * 0.75,
-                },
-                primitive: P1,
-                operand_len: OPERAND_LEN,
-                deadline_ps: 2_000_000_000,
-            },
-            TenantSpec {
-                name: "bursty".to_string(),
-                weight: 1,
-                queue_capacity: 32,
-                arrivals: ArrivalSpec::Mmpp {
-                    calm_rps: total_rps * 0.125,
-                    burst_rps: total_rps * 1.125,
-                    mean_calm_s: 200e-6,
-                    mean_burst_s: 50e-6,
-                },
-                primitive: P1,
-                operand_len: OPERAND_LEN,
-                deadline_ps: 2_000_000_000,
-            },
-        ],
-        verify_every: 256,
+fn run(rt: ServeRuntime, tel: Option<&Telemetry>) -> ServeReport {
+    match tel {
+        Some(tel) => rt.with_telemetry(tel).run(),
+        None => rt.run(),
     }
 }
 
-fn run_e12(tel: Option<&Telemetry>) -> ServeReport {
-    let sys = metro();
-    let mut rt = ServeRuntime::over_network(
-        &sys,
-        NodeId(0),
-        &ComputeTransponderConfig::realistic(),
-        WDM_CHANNELS,
-        e12_config(capacity_rps()),
-    )
-    .with_verify_backend(ofpc_engine::dot::KernelBackend::Vectorized);
-    if let Some(tel) = tel {
-        rt = rt.with_telemetry(tel);
-    }
-    rt.run()
-}
-
-// ------------------------------------------------------------ E13 replays
-
-/// The E13c double-site outage window.
-fn outage_schedule() -> Vec<EngineFaultEvent> {
-    vec![
-        EngineFaultEvent {
-            at_ps: 500_000_000,
-            node: NodeId(1),
-            up: false,
-        },
-        EngineFaultEvent {
-            at_ps: 800_000_000,
-            node: NodeId(2),
-            up: false,
-        },
-        EngineFaultEvent {
-            at_ps: 1_200_000_000,
-            node: NodeId(2),
-            up: true,
-        },
-        EngineFaultEvent {
-            at_ps: 1_500_000_000,
-            node: NodeId(1),
-            up: true,
-        },
-    ]
-}
-
-fn run_e13_fallback(tel: Option<&Telemetry>) -> ServeReport {
-    let sys = metro();
-    let mut rt = ServeRuntime::over_network(
-        &sys,
-        NodeId(0),
-        &ComputeTransponderConfig::realistic(),
-        WDM_CHANNELS,
-        ServeConfig {
-            seed: 13,
-            horizon_ps: 2_000_000_000,
-            drain_grace_ps: 1_000_000_000,
-            batch: BatchPolicy {
-                max_batch: 8,
-                max_wait_ps: 5_000_000,
-            },
-            tenants: vec![TenantSpec {
-                name: "steady".to_string(),
-                weight: 1,
-                queue_capacity: 96,
-                arrivals: ArrivalSpec::Poisson { rate_rps: 6e6 },
-                primitive: P1,
-                operand_len: OPERAND_LEN,
-                deadline_ps: 2_000_000_000,
-            }],
-            verify_every: 256,
-        },
-    )
-    .with_engine_faults(&outage_schedule())
-    .with_digital_fallback(ComputeModel::cpu())
-    .with_verify_backend(ofpc_engine::dot::KernelBackend::Vectorized);
-    if let Some(tel) = tel {
-        rt = rt.with_telemetry(tel);
-    }
-    rt.run()
-}
-
-/// The E13b targeted fiber cut, with the recovery pass traced.
+/// The E13b targeted fiber cut, with allocation and the recovery pass
+/// traced.
 fn run_e13_cut(tel: &Telemetry) -> u64 {
-    let mut sys = OnFiberNetwork::new(Topology::fig1(), 13);
-    sys.upgrade_site(NodeId(1), 1);
-    sys.upgrade_site(NodeId(2), 1);
+    let mut sys = faults::fig1_system();
     sys.set_telemetry(tel);
-    sys.submit_demand(
-        Demand::new(1, NodeId(0), NodeId(3), TaskDag::single(P1)),
-        OpSpec::Dot {
-            weights: vec![0.25; 8],
-        },
-    );
-    let orch = Orchestrator::new(
-        RecoveryParams::default(),
-        Solver::Exact {
-            node_budget: 1_000_000,
-        },
-    );
+    let orch = faults::orchestrator();
     sys.allocate_and_apply(orch.solver);
-    let a = sys.net.topo.find_node("A").unwrap();
-    let (cut_link, _) = sys.net.topo.neighbors(a)[0];
-    sys.net.set_link_up(cut_link, false);
+    faults::cut_primary(&mut sys);
     let out = orch.recover_from_cut(&mut sys, 1_000_000);
     trace_recovery(tel, "fiber-cut", &out);
     assert!(out.fully_applied && out.unsatisfied == 0);
@@ -337,15 +183,16 @@ struct E14Summary {
     e13_metrics: ofpc_telemetry::MetricsSnapshot,
 }
 
-fn main() {
+/// E14: the E12 knee and the E13 fallback and cut, replayed with
+/// telemetry on and cross-checked against the reports.
+pub fn expt(pool: &WorkerPool) -> String {
     // --- E12 replay: instrumented twice (replay determinism) and once
     // bare (telemetry must not perturb the simulation). The three runs
     // are independent seeded scenarios, so they scatter across the pool;
     // validation happens on this thread from the gathered handles. ---
-    let pool = WorkerPool::from_env();
     let mut e12 = pool.scatter_gather("e14-e12", vec![true, true, false], |_, instrument| {
         let tel = instrument.then(Telemetry::enabled);
-        let report = run_e12(tel.as_ref());
+        let report = run(serving::runtime(serving::knee_rps(), true), tel.as_ref());
         (report, tel)
     });
     let (baseline, _) = e12.pop().expect("three E12 runs");
@@ -385,7 +232,8 @@ fn main() {
 
     // --- E13 replay: the fallback scenario plus a traced recovery. ---
     let tel_f = Telemetry::enabled();
-    let report_f = run_e13_fallback(Some(&tel_f));
+    let fallback = faults::fallback_runtime(true).with_verify_backend(KernelBackend::Vectorized);
+    let report_f = run(fallback, Some(&tel_f));
     assert!(report_f.degraded > 0, "fallback must absorb displaced work");
     let ttr_ps = run_e13_cut(&tel_f);
     let trace_f = tel_f.chrome_trace_json();
@@ -443,31 +291,60 @@ fn main() {
     );
 
     // --- Artifacts: the Chrome trace and the metrics snapshot. ---
-    if std::fs::create_dir_all("results").is_ok() {
-        let _ = std::fs::write(
-            "results/e14_telemetry_trace.json",
-            ofpc_bench::table::versioned_trace(&trace_f),
-        );
-        let _ = std::fs::write(
-            "results/e14_telemetry_trace_e12.json",
-            ofpc_bench::table::versioned_trace(&trace_a),
-        );
+    for (path, trace) in TRACE_DUMPS.into_iter().zip([&trace_f, &trace_a]) {
+        write_result(path, &versioned_trace(trace))
+            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     }
-    dump_json(
-        "e14_telemetry",
-        &E14Summary {
-            e12_trace_events: e12_events,
-            e12_spans,
-            e13_trace_events: e13_events,
-            e13_spans,
-            e13_cut_ttr_us: ttr_ps as f64 / 1e6,
-            e12_report: report_a,
-            e13_report: report_f,
-            e12_metrics: tel_a.snapshot(),
-            e13_metrics: snap_f,
-        },
-    );
+    let doc = versioned_pretty(&E14Summary {
+        e12_trace_events: e12_events,
+        e12_spans,
+        e13_trace_events: e13_events,
+        e13_spans,
+        e13_cut_ttr_us: ttr_ps as f64 / 1e6,
+        e12_report: report_a,
+        e13_report: report_f,
+        e12_metrics: tel_a.snapshot(),
+        e13_metrics: snap_f,
+    });
     println!(
         "\nwrote results/e14_telemetry{{_trace,_trace_e12}}.json and results/e14_telemetry.json"
     );
+    doc
+}
+
+#[derive(Debug, Serialize)]
+struct E14Mini {
+    report: ServeReport,
+    trace_events: usize,
+    trace_spans: usize,
+    metrics: ofpc_telemetry::MetricsSnapshot,
+}
+
+/// Mini E14: one instrumented replay of the mini fault scenario — the
+/// report, the balanced-span count, and the full metrics snapshot.
+/// Runs the scenario twice through the pool (instrumented + bare) and
+/// asserts telemetry perturbed nothing before snapshotting. Verifies on
+/// the production `Vectorized` backend, like the E12 mini.
+pub fn e14_mini(pool: &WorkerPool) -> String {
+    let runs = pool.scatter_gather("e14-mini", vec![true, false], |_, instrument| {
+        let tel = instrument.then(Telemetry::enabled);
+        let rt = under_outage(mini_config(14, 6e6, true), &mini_outage(), true)
+            .with_verify_backend(KernelBackend::Vectorized);
+        (run(rt, tel.as_ref()), tel)
+    });
+    let [(report, tel), (bare_report, _)] = <[_; 2]>::try_from(runs).expect("two runs");
+    let tel = tel.expect("first run instrumented");
+    assert_eq!(
+        serde_json::to_string(&report).expect("report serializes"),
+        serde_json::to_string(&bare_report).expect("report serializes"),
+        "telemetry must not perturb the mini scenario"
+    );
+    let events = tel.trace_events();
+    let spans = validate_balanced(&events).expect("mini trace must balance");
+    versioned_pretty(&E14Mini {
+        report,
+        trace_events: events.len(),
+        trace_spans: spans,
+        metrics: tel.snapshot(),
+    })
 }

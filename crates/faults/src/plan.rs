@@ -238,9 +238,16 @@ mod tests {
         let plan = FaultPlan::new()
             .cut(500, LinkId(1))
             .engine_fail(100, NodeId(2))
-            .flap(300, LinkId(0), 50);
+            .flap(300, LinkId(0), 50)
+            .engine_fail(300, NodeId(3));
         let times: Vec<u64> = plan.events.iter().map(|e| e.at_ps).collect();
-        assert_eq!(times, vec![100, 300, 350, 500]);
+        assert_eq!(times, vec![100, 300, 300, 350, 500]);
+        // Same-instant events keep insertion order.
+        assert_eq!(plan.events[1].kind, FaultKind::FiberCut { link: LinkId(0) });
+        assert_eq!(
+            plan.events[2].kind,
+            FaultKind::EngineFail { node: NodeId(3) }
+        );
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub mod admission;
 pub mod arrivals;
 pub mod batcher;
 pub mod metrics;
-pub mod parsweep;
 pub mod request;
 pub mod runtime;
 pub mod scheduler;
@@ -42,9 +41,6 @@ pub use admission::{SparseAdmission, TenantShape};
 pub use arrivals::{ArrivalProcess, ArrivalSpec, PS_PER_SEC};
 pub use batcher::{Batch, BatchPolicy, Batcher};
 pub use metrics::{MetricsSink, ServeReport, TenantReport};
-pub use parsweep::{run_sweep, SweepScenario};
 pub use request::{BatchClass, ComputeRequest, Outcome, RequestId, ShedReason, TenantId};
-pub use runtime::{
-    EngineFaultEvent, ResilSummary, RetryPolicy, ServeConfig, ServeRuntime, TenantSpec,
-};
+pub use runtime::{ResilSummary, RetryPolicy, ServeConfig, ServeRuntime, TenantSpec};
 pub use scheduler::{Dispatch, Scheduler, ServiceModel, SiteSpec};

@@ -80,16 +80,6 @@ impl ServeConfig {
     }
 }
 
-/// One scheduled engine-site fault transition for a serving run
-/// (injected via [`ServeRuntime::with_engine_faults`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineFaultEvent {
-    pub at_ps: u64,
-    pub node: NodeId,
-    /// `false` hard-fails every slot at the site; `true` repairs it.
-    pub up: bool,
-}
-
 /// Capped exponential backoff for requests displaced by engine faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -361,27 +351,12 @@ impl ServeRuntime {
         ServeRuntime::new(config, model, sites)
     }
 
-    /// Inject a schedule of engine-site hard-fails and repairs. The plan
-    /// is part of the run's identity: same seed + same faults ⇒
-    /// byte-identical report.
-    pub fn with_engine_faults(mut self, faults: &[EngineFaultEvent]) -> Self {
-        for f in faults {
-            self.push_event(
-                f.at_ps,
-                Event::SiteFault {
-                    node: f.node,
-                    up: f.up,
-                },
-            );
-        }
-        self
-    }
-
-    /// Inject a full fault storm (`ofpc-faults` plan): fiber cuts and
+    /// Inject an `ofpc-faults` plan — a generated storm or a hand-built
+    /// schedule such as [`FaultPlan::engine_outage`]: fiber cuts and
     /// splices become link-fault events, engine fails/repairs become
     /// site faults, analog noise steps are out of the serving loop's
-    /// scope and are ignored. Same storm + same seed ⇒ byte-identical
-    /// report.
+    /// scope and are ignored. Events enter in plan order, so same plan
+    /// + same seed ⇒ byte-identical report.
     pub fn with_storm(mut self, plan: &FaultPlan) -> Self {
         for ev in &plan.events {
             match ev.kind {
@@ -1443,18 +1418,14 @@ mod tests {
 
     // A fault plan that takes the only site down mid-run and never
     // repairs it.
-    fn outage(at_ps: u64) -> Vec<EngineFaultEvent> {
-        vec![EngineFaultEvent {
-            at_ps,
-            node: NodeId(1),
-            up: false,
-        }]
+    fn outage(at_ps: u64) -> FaultPlan {
+        FaultPlan::new().engine_fail(at_ps, NodeId(1))
     }
 
     #[test]
     fn engine_fault_without_fallback_sheds_displaced_work() {
         let report = runtime(small_config(500_000.0))
-            .with_engine_faults(&outage(1_000_000_000))
+            .with_storm(&outage(1_000_000_000))
             .run();
         assert!(report.completed > 0, "pre-fault work completes");
         assert_eq!(report.degraded, 0, "no fallback configured");
@@ -1470,10 +1441,10 @@ mod tests {
     fn digital_fallback_converts_shed_into_degraded() {
         let cfg = small_config(500_000.0);
         let without = runtime(cfg.clone())
-            .with_engine_faults(&outage(1_000_000_000))
+            .with_storm(&outage(1_000_000_000))
             .run();
         let with = runtime(cfg)
-            .with_engine_faults(&outage(1_000_000_000))
+            .with_storm(&outage(1_000_000_000))
             .with_digital_fallback(ofpc_apps::digital::ComputeModel::edge_soc())
             .run();
         assert!(with.degraded > 0, "outage work goes digital");
@@ -1494,14 +1465,9 @@ mod tests {
 
     #[test]
     fn service_resumes_after_repair() {
-        let mut faults = outage(500_000_000);
-        faults.push(EngineFaultEvent {
-            at_ps: 1_000_000_000,
-            node: NodeId(1),
-            up: true,
-        });
+        let faults = FaultPlan::new().engine_outage(500_000_000, NodeId(1), 500_000_000);
         let report = runtime(small_config(500_000.0))
-            .with_engine_faults(&faults)
+            .with_storm(&faults)
             .with_digital_fallback(ofpc_apps::digital::ComputeModel::edge_soc())
             .run();
         // The outage degrades, the repair restores photonic service: both
@@ -1896,7 +1862,7 @@ mod tests {
     fn same_seed_same_fault_plan_same_report() {
         let build = || {
             runtime(small_config(500_000.0))
-                .with_engine_faults(&outage(700_000_000))
+                .with_storm(&outage(700_000_000))
                 .with_digital_fallback(ofpc_apps::digital::ComputeModel::edge_soc())
                 .with_retry_policy(RetryPolicy::default())
                 .run()

@@ -4,7 +4,7 @@
 //! lowerer must demonstrate (ISSUE 6).
 
 use ofpc_apps::digital::ComputeModel;
-use ofpc_bench::golden;
+use ofpc_bench::dse::e17_mini;
 use ofpc_dse::{hardware_variant, run_sweep, App, ConverterChoice, SweepSpec};
 use ofpc_graph::lower::{lower, ErrorBudget, LowerConfig};
 use ofpc_par::WorkerPool;
@@ -32,11 +32,11 @@ fn e17_sweep_is_byte_identical_across_worker_counts() {
 /// Same contract for the golden miniature, envelope included.
 #[test]
 fn e17_mini_is_byte_identical_across_worker_counts() {
-    let reference = golden::e17_mini(&WorkerPool::new(WORKER_COUNTS[0]));
+    let reference = e17_mini(&WorkerPool::new(WORKER_COUNTS[0]));
     for &workers in &WORKER_COUNTS[1..] {
         assert_eq!(
             reference,
-            golden::e17_mini(&WorkerPool::new(workers)),
+            e17_mini(&WorkerPool::new(workers)),
             "E17 mini: {workers}-worker output diverged"
         );
     }

@@ -15,9 +15,7 @@ use ofpc_net::sim::{Network, OpSpec};
 use ofpc_net::stats::DropReason;
 use ofpc_net::{LinkId, NodeId, Topology};
 use ofpc_photonics::SimRng;
-use ofpc_serve::{
-    ArrivalSpec, BatchPolicy, EngineFaultEvent, ServeConfig, ServeReport, ServeRuntime, TenantSpec,
-};
+use ofpc_serve::{ArrivalSpec, BatchPolicy, ServeConfig, ServeReport, ServeRuntime, TenantSpec};
 use ofpc_transponder::compute::ComputeTransponderConfig;
 
 const P1: Primitive = Primitive::VectorDotProduct;
@@ -111,29 +109,12 @@ fn cut_recovery_ttr_is_bounded_and_service_resumes() {
     assert!(sys.net.stats.delivered[0].computed);
 }
 
-fn outage_schedule() -> Vec<EngineFaultEvent> {
-    vec![
-        EngineFaultEvent {
-            at_ps: 500_000_000,
-            node: NodeId(1),
-            up: false,
-        },
-        EngineFaultEvent {
-            at_ps: 800_000_000,
-            node: NodeId(2),
-            up: false,
-        },
-        EngineFaultEvent {
-            at_ps: 1_200_000_000,
-            node: NodeId(2),
-            up: true,
-        },
-        EngineFaultEvent {
-            at_ps: 1_500_000_000,
-            node: NodeId(1),
-            up: true,
-        },
-    ]
+/// Node 1 fails first, node 2 joins (zero photonic capacity), then both
+/// repair in reverse order.
+fn outage_schedule() -> FaultPlan {
+    FaultPlan::new()
+        .engine_outage(500_000_000, NodeId(1), 1_000_000_000)
+        .engine_outage(800_000_000, NodeId(2), 400_000_000)
 }
 
 fn serve_under_outage(seed: u64, fallback: bool) -> ServeReport {
@@ -166,7 +147,7 @@ fn serve_under_outage(seed: u64, fallback: bool) -> ServeReport {
         4,
         config,
     )
-    .with_engine_faults(&outage_schedule());
+    .with_storm(&outage_schedule());
     if fallback {
         rt = rt.with_digital_fallback(ComputeModel::cpu());
     }

@@ -3,22 +3,24 @@
 //! `results/golden/`. Any behavioral drift in the serving, fault, or
 //! telemetry stacks fails here with a readable first-divergence diff;
 //! intentional changes are re-pinned with
-//! `cargo run -p ofpc-bench --bin golden_regen` and reviewed like any
-//! other diff.
+//! `cargo run --release -p ofpc-bench --bin expt <id>` and reviewed like
+//! any other diff. The registry test below keeps the entry list and
+//! the committed `results/` documents in one-to-one correspondence.
 
-use ofpc_bench::golden;
+use ofpc_bench::{fixtures, golden, serving, REGISTRY};
 use ofpc_par::WorkerPool;
 
 fn check(name: &str) {
-    let (_, generate) = golden::cases()
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .unwrap_or_else(|| panic!("unknown golden case {name:?}"));
-    let path = format!("results/golden/{name}.json");
-    let fixture = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("cannot read fixture {path}: {e}; run `cargo run -p ofpc-bench --bin golden_regen`")
+    let entry = fixtures()
+        .find(|e| e.id == name)
+        .unwrap_or_else(|| panic!("unknown golden fixture {name:?}"));
+    let fixture = std::fs::read_to_string(entry.path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read fixture {}: {e}; run `cargo run --release -p ofpc-bench --bin expt {name}`",
+            entry.path
+        )
     });
-    let current = generate(&WorkerPool::sequential());
+    let current = (entry.run)(&WorkerPool::sequential());
     if let Some(diff) = golden::first_divergence(name, &fixture, &current) {
         panic!("{diff}");
     }
@@ -82,9 +84,9 @@ fn vectorized_verify_replays_e12_byte_identically_across_worker_counts() {
     // the whole mini-E12 sweep must replay byte-identically at any
     // worker count with verification on the fused kernels.
     use ofpc_engine::dot::KernelBackend;
-    let narrow = golden::e12_mini_with_backend(&WorkerPool::new(1), KernelBackend::Vectorized);
-    let two = golden::e12_mini_with_backend(&WorkerPool::new(2), KernelBackend::Vectorized);
-    let wide = golden::e12_mini_with_backend(&WorkerPool::new(8), KernelBackend::Vectorized);
+    let narrow = serving::e12_mini_with_backend(&WorkerPool::new(1), KernelBackend::Vectorized);
+    let two = serving::e12_mini_with_backend(&WorkerPool::new(2), KernelBackend::Vectorized);
+    let wide = serving::e12_mini_with_backend(&WorkerPool::new(8), KernelBackend::Vectorized);
     assert_eq!(
         narrow, two,
         "1-worker vs 2-worker vectorized-verify E12 diverged"
@@ -104,7 +106,7 @@ fn scalar_verify_differs_from_fixture_only_in_verify_stats() {
     // claim is scoped to the serving minis.)
     use ofpc_engine::dot::KernelBackend;
     let fixture = std::fs::read_to_string("results/golden/e12_mini.json").expect("fixture");
-    let current = golden::e12_mini_with_backend(&WorkerPool::sequential(), KernelBackend::Scalar);
+    let current = serving::e12_mini_with_backend(&WorkerPool::sequential(), KernelBackend::Scalar);
     let g: Vec<&str> = fixture.lines().collect();
     let c: Vec<&str> = current.lines().collect();
     assert_eq!(g.len(), c.len(), "line counts diverged");
@@ -151,29 +153,72 @@ fn e18_replay_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn fixtures_carry_the_report_schema_version() {
-    for (name, _) in golden::cases() {
-        let path = format!("results/golden/{name}.json");
-        let fixture = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read fixture {path}: {e}"));
+    for entry in fixtures() {
+        let fixture = std::fs::read_to_string(entry.path)
+            .unwrap_or_else(|e| panic!("cannot read fixture {}: {e}", entry.path));
         let expected = format!(
             "{{\n  \"schema_version\": {},\n  \"data\":",
             ofpc_bench::table::SCHEMA_VERSION
         );
         assert!(
             fixture.starts_with(&expected),
-            "fixture {name} missing the versioned envelope; \
-             run `cargo run -p ofpc-bench --bin golden_regen`"
+            "fixture {} missing the versioned envelope; \
+             run `cargo run --release -p ofpc-bench --bin expt {}`",
+            entry.id,
+            entry.id
         );
     }
 }
 
 #[test]
 fn fixtures_exist_for_every_case() {
-    for (name, _) in golden::cases() {
-        let path = format!("results/golden/{name}.json");
+    for entry in fixtures() {
         assert!(
-            std::path::Path::new(&path).exists(),
-            "missing fixture {path}; run `cargo run -p ofpc-bench --bin golden_regen`"
+            std::path::Path::new(entry.path).exists(),
+            "missing fixture {}; run `cargo run --release -p ofpc-bench --bin expt {}`",
+            entry.path,
+            entry.id
+        );
+    }
+}
+
+#[test]
+fn registry_writes_every_results_document_exactly_once() {
+    let mut ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), REGISTRY.len(), "registry ids must be unique");
+    let mut paths: Vec<&str> = REGISTRY.iter().map(|e| e.path).collect();
+    paths.sort_unstable();
+    paths.dedup();
+    assert_eq!(paths.len(), REGISTRY.len(), "registry paths must be unique");
+
+    // Every JSON document under results/ is some entry's output, apart
+    // from E14's regenerated (gitignored) trace dumps.
+    for dir in ["results", "results/golden"] {
+        for file in std::fs::read_dir(dir).expect("results directory") {
+            let path = format!(
+                "{dir}/{}",
+                file.expect("dir entry").file_name().to_string_lossy()
+            );
+            if !path.ends_with(".json")
+                || ofpc_bench::telemetry::TRACE_DUMPS.contains(&path.as_str())
+            {
+                continue;
+            }
+            let writers = REGISTRY.iter().filter(|e| e.path == path).count();
+            assert_eq!(
+                writers, 1,
+                "{path} is written by {writers} registry entries"
+            );
+        }
+    }
+    for entry in REGISTRY {
+        assert!(
+            std::path::Path::new(entry.path).exists(),
+            "{} writes {}, which is not committed",
+            entry.id,
+            entry.path
         );
     }
 }

@@ -2,7 +2,7 @@
 //! (DESIGN.md §8): every parallelized path must produce byte-identical
 //! output to its sequential reference at 1, 2, and 8 workers.
 
-use ofpc_bench::golden;
+use ofpc_bench::{faults, serving, telemetry};
 use ofpc_engine::batch::{BatchEngine, KernelSpec};
 use ofpc_par::{split_seed, WorkerPool};
 
@@ -63,17 +63,17 @@ fn engine_mvm_batches_are_byte_identical_across_worker_counts() {
 
 #[test]
 fn e12_serving_knee_is_byte_identical_across_worker_counts() {
-    diff_across_workers("E12 mini serving knee", golden::e12_mini);
+    diff_across_workers("E12 mini serving knee", serving::e12_mini);
 }
 
 #[test]
 fn e13_fault_replay_is_byte_identical_across_worker_counts() {
-    diff_across_workers("E13 mini fault replay", golden::e13_mini);
+    diff_across_workers("E13 mini fault replay", faults::e13_mini);
 }
 
 #[test]
 fn e14_telemetry_snapshot_is_byte_identical_across_worker_counts() {
-    diff_across_workers("E14 mini telemetry snapshot", golden::e14_mini);
+    diff_across_workers("E14 mini telemetry snapshot", telemetry::e14_mini);
 }
 
 // ------------------------------------------------------------- seed splitting
