@@ -78,15 +78,14 @@ run_no_warnings cargo test --offline --test faults -q
 # Every experiment and golden fixture, through the one `expt` runner
 # in release. The step fails when an experiment's own assert fails or
 # when the run changes a committed document: anything under
-# results/golden/, and every results/*.json except the eight that
-# ROADMAP item 1 has yet to pin. E1, E3 and E5 drift in float format,
-# E2, E4, E9 and E10 in value, and E6 carries wall-clock solver times.
-# E14's two trace dumps are gitignored, not committed. results/ is
-# copied aside first and restored right after the check, pass or fail.
+# results/golden/, and every results/*.json except the five that
+# ROADMAP item 1 has yet to pin. E2, E4, E9 and E10 drift in value, and
+# E6 carries wall-clock solver times. E14's two trace dumps are
+# gitignored, not committed. results/ is copied aside first and
+# restored right after the check, pass or fail.
 echo "==> every experiment and golden fixture (expt, release; committed documents unchanged)"
-unpinned=" e1_fig1_scenario e2_primitives e3_transponder e4_table1_usecases e5_energy_speed \
-e6_controller_scaling e9_incremental_deployment e10_noise_ablation \
-e14_telemetry_trace e14_telemetry_trace_e12 "
+unpinned=" e2_primitives e4_table1_usecases e6_controller_scaling e9_incremental_deployment \
+e10_noise_ablation e14_telemetry_trace e14_telemetry_trace_e12 "
 results_copy="$(mktemp -d)"
 cp -a results/. "$results_copy"
 set +e

@@ -25,7 +25,6 @@ pub struct SigHit {
 pub struct AhoCorasick {
     /// goto[state][byte] — dense next-state table.
     next: Vec<[u32; 256]>,
-    fail: Vec<u32>,
     /// Output signatures (index, length) per state.
     out: Vec<Vec<(usize, usize)>>,
     pub bytes_scanned: u64,
@@ -86,7 +85,6 @@ impl AhoCorasick {
         }
         AhoCorasick {
             next,
-            fail,
             out,
             bytes_scanned: 0,
         }
@@ -94,12 +92,6 @@ impl AhoCorasick {
 
     pub fn state_count(&self) -> usize {
         self.next.len()
-    }
-
-    /// Fail-link of a state (diagnostic; the dense DFA already folds
-    /// fail transitions into `next`).
-    pub fn fail_link(&self, state: usize) -> u32 {
-        self.fail[state]
     }
 
     /// Scan a payload, reporting every signature occurrence.

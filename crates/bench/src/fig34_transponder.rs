@@ -1,15 +1,17 @@
-//! E3 — Fig. 3 vs Fig. 4: the transponder paths.
+//! E3 — the compute transponder (Fig. 4) against a conventional
+//! accelerator's conversions.
 //!
-//! Drives real optical-field frames through the commodity transponder
-//! (Fig. 3) and the photonic compute transponder (Fig. 4) and reports:
+//! Drives real optical-field frames through the photonic compute
+//! transponder and reports:
 //!
 //! * through-path integrity (frames survive the photonic engine),
 //! * the added in-node latency of on-fiber computing,
-//! * per-stage energy — in particular the §2.2 claim that on-fiber
-//!   computing avoids per-element DAC/ADC conversions. The comparison
-//!   point is a "conventional photonic accelerator" receive chain
-//!   (Lightning-style): full RX (ADC every sample) + DAC per element
-//!   back into a photonic core + result ADC.
+//! * the §2.2 claim that on-fiber computing avoids per-element DAC/ADC
+//!   conversions: the transponder's own energy ledger against the DAC/ADC
+//!   bill of a "conventional photonic accelerator" receive chain
+//!   (Lightning-style: full RX with an ADC every sample, a DAC per
+//!   element back into a photonic core, and a result ADC), computed from
+//!   the per-sample energy constants.
 
 use crate::table::{versioned_pretty, Table};
 use ofpc_par::WorkerPool;
@@ -40,7 +42,7 @@ struct E3Result {
 }
 
 pub fn expt(_pool: &WorkerPool) -> String {
-    println!("E3: transponder paths — Fig. 3 (commodity) vs Fig. 4 (photonic compute)\n");
+    println!("E3: compute transponder (Fig. 4) vs conventional accelerator DAC/ADC costs\n");
     let mut result = E3Result::default();
 
     let mut t = Table::new(

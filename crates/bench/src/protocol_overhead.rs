@@ -12,10 +12,10 @@
 //!    router by router, as a function of the update gap.
 
 use crate::table::{versioned_pretty, Table};
-use ofpc_core::protocol::{protocol_overhead, staged_rollout};
+use ofpc_core::protocol::staged_rollout;
 use ofpc_engine::Primitive;
 use ofpc_net::packet::{Packet, IP_HEADER_BYTES};
-use ofpc_net::pch::PchHeader;
+use ofpc_net::pch::{PchHeader, PCH_WIRE_BYTES};
 use ofpc_net::sim::{Network, OpSpec};
 use ofpc_net::{NodeId, Topology};
 use ofpc_par::WorkerPool;
@@ -43,8 +43,8 @@ pub fn expt(_pool: &WorkerPool) -> String {
     );
     for &payload in &[64usize, 256, 1500] {
         let plain = IP_HEADER_BYTES + payload;
-        let tagged = plain + protocol_overhead(payload);
-        let pct = 100.0 * protocol_overhead(payload) as f64 / plain as f64;
+        let tagged = plain + PCH_WIRE_BYTES;
+        let pct = 100.0 * PCH_WIRE_BYTES as f64 / plain as f64;
         t.row(&[
             payload.to_string(),
             plain.to_string(),

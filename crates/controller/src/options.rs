@@ -37,10 +37,6 @@ impl ProblemInstance {
     pub fn demand_count(&self) -> usize {
         self.options.len()
     }
-
-    pub fn total_options(&self) -> usize {
-        self.options.iter().map(|o| o.len()).sum()
-    }
 }
 
 /// Weight of one consumed slot in the cost term, expressed in

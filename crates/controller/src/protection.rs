@@ -10,7 +10,7 @@
 //! of the slot inventory so the allocator re-runs over survivors only.
 //!
 //! Recovery time is modeled as three sequential stages —
-//! loss-of-light/watchdog **detection**, allocator **re-run**, and the
+//! loss-of-light **detection**, allocator **re-run**, and the
 //! staged per-router **install** of the new `UpdatePlan` (same model as
 //! `ofpc_core::protocol::staged_rollout`) — accounted by
 //! [`RecoveryParams::timeline`]. The bound in
@@ -168,15 +168,6 @@ pub fn disjoint_pair(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Protec
     })
 }
 
-/// Precompute protected pairs for many (src, dst) tuples (skipping
-/// unreachable ones).
-pub fn precompute_protection(topo: &Topology, pairs: &[(NodeId, NodeId)]) -> Vec<ProtectedPair> {
-    pairs
-        .iter()
-        .filter_map(|&(s, d)| disjoint_pair(topo, s, d))
-        .collect()
-}
-
 /// Slot inventory with failed sites excluded: the allocator input for
 /// the re-run after an engine hard-fail (a failed site contributes zero
 /// usable transponders until repaired).
@@ -197,9 +188,9 @@ pub fn surviving_slots(slots: &[usize], failed: &[NodeId]) -> Vec<usize> {
 /// Recovery-stage durations (all picoseconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryParams {
-    /// Fault → detection: loss-of-light at the photodetector or the
-    /// watchdog's debounced trip. Default 50 µs (SONET-class LOS
-    /// detection is tens of microseconds).
+    /// Fault → detection: loss-of-light at the photodetector, charged
+    /// as this fixed delay. Default 50 µs (SONET-class LOS detection is
+    /// tens of microseconds).
     pub detection_ps: u64,
     /// Detection → new allocation: the controller's solver re-run over
     /// surviving sites. Default 1 ms.
@@ -413,17 +404,5 @@ mod tests {
         assert!(t.ttr_ps() <= p.ttr_bound_ps(4));
         // Bound is tight at full-network installs.
         assert_eq!(p.ttr_bound_ps(4), 130);
-    }
-
-    #[test]
-    fn precompute_skips_unreachable_pairs() {
-        let mut t = Topology::new();
-        let x = t.add_node("x");
-        let y = t.add_node("y");
-        let z = t.add_node("z");
-        t.add_link(x, y, 10.0);
-        let pairs = precompute_protection(&t, &[(x, y), (x, z)]);
-        assert_eq!(pairs.len(), 1);
-        assert_eq!(pairs[0].dst, y);
     }
 }

@@ -33,7 +33,6 @@ use ofpc_controller::options::enumerate_options_filtered;
 use ofpc_controller::protection::surviving_slots;
 use ofpc_controller::teupdate::{apply_plan, build_plan, ApplyReport, UpdatePlan};
 use ofpc_controller::Allocation;
-use ofpc_engine::Primitive;
 use ofpc_net::sim::{Network, OpSpec};
 use ofpc_net::{NodeId, Topology};
 use ofpc_photonics::SimRng;
@@ -268,11 +267,6 @@ impl OnFiberNetwork {
         self.last_plan.as_ref().expect("just set")
     }
 
-    /// The primitive a demand's first task needs (None for empty DAGs).
-    pub fn demand_primitive(&self, idx: usize) -> Option<Primitive> {
-        self.demands[idx].dag.linearize()?.first().copied()
-    }
-
     /// Direct access to a registered demand.
     pub fn demand(&self, idx: usize) -> &Demand {
         &self.demands[idx]
@@ -283,6 +277,7 @@ impl OnFiberNetwork {
 mod tests {
     use super::*;
     use ofpc_controller::demand::TaskDag;
+    use ofpc_engine::Primitive;
     use ofpc_net::packet::Packet;
     use ofpc_net::pch::PchHeader;
 

@@ -1,15 +1,15 @@
 //! The compute-communication protocol (paper §3), end-host side and
 //! control-plane rollout.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! 1. **End-host tagging** — [`tag_request`] builds a compute packet:
 //!    PCH layered over the IP header, operands fixed-point-encoded at the
 //!    payload front. [`read_result`] extracts the in-band result at the
-//!    destination.
-//! 2. **Overhead accounting** — [`protocol_overhead`] reports the extra
-//!    bytes the protocol costs per packet (experiment E7).
-//! 3. **Staged rollout** — [`staged_rollout`] models the §3 controller
+//!    destination. The protocol's per-packet overhead is the PCH alone,
+//!    [`ofpc_net::pch::PCH_WIRE_BYTES`]: operands replace payload the
+//!    application would send anyway (experiment E7).
+//! 2. **Staged rollout** — [`staged_rollout`] models the §3 controller
 //!    "delivering next-hop updates to all routers": updates land router
 //!    by router with a control-plane delay, and the function reports how
 //!    many in-flight compute packets miss their engine during
@@ -85,14 +85,6 @@ pub fn mark_timed_out(packet: &mut Packet) {
     if let Some(pch) = packet.pch.as_mut() {
         pch.set_status(ResultStatus::TimedOut);
     }
-}
-
-/// Per-packet protocol overhead in bytes for an operand vector of length
-/// `n` (PCH bytes; operands replace payload the application would send
-/// anyway, so they are not counted as overhead).
-pub fn protocol_overhead(n_operands: usize) -> usize {
-    let _ = n_operands;
-    ofpc_net::pch::PCH_WIRE_BYTES
 }
 
 /// Outcome of a staged control-plane rollout.
@@ -260,9 +252,7 @@ mod tests {
 
     #[test]
     fn overhead_is_the_pch() {
-        assert_eq!(protocol_overhead(0), 8);
-        assert_eq!(protocol_overhead(1024), 8);
-        // Cross-check against actual wire sizes.
+        // Tagging adds exactly the PCH to the wire size.
         let plain = Packet::data(
             Addr::new(10, 0, 0, 1),
             Addr::new(10, 0, 1, 1),
@@ -279,7 +269,7 @@ mod tests {
         );
         assert_eq!(
             tagged.wire_bytes() - plain.wire_bytes(),
-            protocol_overhead(64)
+            ofpc_net::pch::PCH_WIRE_BYTES
         );
     }
 

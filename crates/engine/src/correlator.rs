@@ -78,10 +78,6 @@ impl Correlator {
         )
     }
 
-    pub fn signature_count(&self) -> usize {
-        self.signatures.len()
-    }
-
     /// Scan a bit stream, returning all hits across all signatures.
     pub fn scan(&mut self, stream: &[bool]) -> Vec<CorrelationHit> {
         let mut hits = Vec::new();
@@ -106,11 +102,6 @@ impl Correlator {
         }
         hits.sort_by_key(|h| (h.offset, h.pattern_index));
         hits
-    }
-
-    /// Symbols pushed through the optical matcher so far (cost metric).
-    pub fn symbols_scanned(&self) -> u64 {
-        self.matcher.symbols_matched
     }
 
     /// Wall-clock time to scan `stream_bits` against the signature set,

@@ -59,10 +59,6 @@ impl PhotonicMatVec {
         engine
     }
 
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     pub fn grid(&self) -> &WdmGrid {
         &self.grid
     }

@@ -11,29 +11,26 @@
 //!
 //! * [`plan`] — [`plan::FaultPlan`]: a deterministic, seedable schedule
 //!   of timed fault events (fiber cuts, link flaps, engine hard-fails,
-//!   analog noise steps), including Poisson MTBF/MTTR generation.
+//!   analog noise steps), including Poisson MTBF/MTTR generation. Slow
+//!   analog drift enters only as noise-step staircases
+//!   ([`plan::FaultPlan::noise_ramp`], [`storm::StormSpec::drift_sigmas`]).
 //! * [`mod@inject`] — threads a plan into `ofpc-net`'s discrete-event
 //!   simulator as scheduled events, so faults interleave with packets
-//!   in one deterministic timeline.
-//! * [`drift`] — slow analog failure models (EDFA gain drift, laser
-//!   power droop, photodetector responsivity degradation) mapped to the
-//!   observables the `ofpc-transponder` watchdog consumes.
-//! * [`orchestrator`] — the recovery loop: reconverge routes, re-run the
-//!   allocator excluding failed sites, re-install the plan, and account
-//!   time-to-recovery ([`ofpc_controller::RecoveryTimeline`]) and
+//!   in one deterministic timeline; noise steps set the engines' noise.
+//! * [`orchestrator`] — the recovery loop: charge a fixed detection
+//!   delay, reconverge routes, re-run the allocator excluding failed
+//!   sites, re-install the plan, and account time-to-recovery ([`ofpc_controller::RecoveryTimeline`]) and
 //!   availability.
 //! * [`storm`] — seeded fault *storms*: bursts of correlated fiber cuts
 //!   with engine fails and analog drift riding along, the adversarial
 //!   input the proactive multipath layer (`ofpc-resil`) is gated
 //!   against.
 
-pub mod drift;
 pub mod inject;
 pub mod orchestrator;
 pub mod plan;
 pub mod storm;
 
-pub use drift::{EdfaGainDrift, LaserDroop, PdDegradation};
 pub use inject::inject;
 pub use orchestrator::{trace_recovery, AvailabilityLedger, Orchestrator, RecoveryOutcome};
 pub use plan::{FaultEvent, FaultKind, FaultPlan, MtbfSpec};

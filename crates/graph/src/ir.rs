@@ -217,11 +217,6 @@ impl WorkGraph {
         g
     }
 
-    /// Total bytes moved across all edges per invocation.
-    pub fn total_edge_bytes(&self) -> u64 {
-        self.edges.iter().map(|e| e.bytes).sum()
-    }
-
     /// Total MACs per invocation.
     pub fn total_macs(&self) -> u64 {
         self.nodes.iter().map(|n| n.kind.macs()).sum()

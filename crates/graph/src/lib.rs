@@ -60,7 +60,7 @@ pub use ir::{dnn_graph, OpId, OpKind, OpNode, WorkGraph};
 pub use lower::{
     lower, lower_traced, CompiledPlan, ErrorBudget, HardwareVariant, LowerConfig, Stage, Target,
 };
-pub use place::{place, place_disjoint, PlaceError, PlacedPlan, StageBinding};
+pub use place::{place, PlaceError, PlacedPlan, StageBinding};
 
 use ofpc_net::{NodeId, Topology};
 

@@ -7,15 +7,13 @@
 //! §3 protocol requires — longest-prefix match on the destination *plus*
 //! an exact match on the compute primitive ID ([`routing`]) — and a
 //! deterministic, sans-IO discrete-event simulator ([`sim`]) with router
-//! queues ([`queue`]), traffic generators ([`flow`]), and measurement
-//! collectors ([`stats`]).
+//! queues ([`queue`]) and measurement collectors ([`stats`]).
 //!
 //! Timestamps are integer **picoseconds** everywhere; ties break on a
 //! monotone sequence number, so simulations are exactly reproducible.
 
 pub mod addr;
 pub mod events;
-pub mod flow;
 pub mod frame;
 pub mod packet;
 pub mod pch;

@@ -31,8 +31,6 @@ pub const PCH_WIRE_BYTES: usize = 8;
 
 /// Flag bit 0: the operation has been executed by some transponder.
 pub const FLAG_COMPUTED: u8 = 0b0000_0001;
-/// Flag bit 1: the full result rides in the payload.
-pub const FLAG_RESULT_IN_PAYLOAD: u8 = 0b0000_0010;
 /// Flag bits 2–3: result status ([`ResultStatus`]), so a receiver can
 /// tell a valid analog result from one skipped or corrupted by a fault.
 pub const STATUS_MASK: u8 = 0b0000_1100;
@@ -46,8 +44,8 @@ pub const STATUS_SHIFT: u8 = 2;
 pub enum ResultStatus {
     /// Result (if computed) came from a healthy engine.
     Ok = 0,
-    /// A matching engine was found but its watchdog marked it unhealthy;
-    /// the op was skipped rather than emitting a garbage analog value.
+    /// A matching engine was found but had hard-failed; the op was
+    /// skipped rather than emitting a garbage analog value.
     EngineUnhealthy = 1,
     /// The request waited past its deadline before any engine ran it.
     TimedOut = 2,

@@ -17,7 +17,7 @@ use crate::addr::{Addr, Prefix};
 use crate::events::EventQueue;
 use crate::packet::Packet;
 use crate::pch::ResultStatus;
-use crate::queue::{DropTailQueue, QueueStats};
+use crate::queue::DropTailQueue;
 use crate::routing::{shortest_paths_filtered, RouteEntry, RoutingTable};
 use crate::stats::{DeliveryRecord, DropReason, StatsCollector};
 use crate::topology::{LinkId, NodeId, Topology};
@@ -76,8 +76,8 @@ pub struct EngineSlot {
     pub spec: OpSpec,
     /// Additive Gaussian noise on analog results (0 = ideal).
     pub noise_sigma: f64,
-    /// Whether the watchdog considers this engine trustworthy. Unhealthy
-    /// slots skip execution (packets pass through tagged
+    /// Whether this engine is trustworthy: an injected hard-fail clears
+    /// it and the repair sets it again. Unhealthy slots skip execution (packets pass through tagged
     /// [`ResultStatus::EngineUnhealthy`]) instead of emitting garbage.
     pub healthy: bool,
     pub executions: u64,
@@ -367,12 +367,6 @@ impl Network {
         self.engines.get(&node).map_or(&[], |v| v.as_slice())
     }
 
-    /// Remove all engine slots at a node, returning them (controller
-    /// reconfiguration).
-    pub fn clear_engines(&mut self, node: NodeId) -> Vec<EngineSlot> {
-        self.engines.remove(&node).unwrap_or_default()
-    }
-
     /// Inject a packet into the network at `node` at absolute `at_ps`.
     pub fn inject(&mut self, at_ps: u64, node: NodeId, packet: Packet) {
         self.events.schedule_at(at_ps, Ev::Inject { node, packet });
@@ -449,7 +443,8 @@ impl Network {
     }
 
     /// Immediately set the effective analog noise sigma of every engine
-    /// slot at `node` (drift models feed their current value here).
+    /// slot at `node` (each rung of an injected drift staircase lands
+    /// here).
     pub fn set_engine_noise(&mut self, node: NodeId, sigma: f64) {
         if let Some(slots) = self.engines.get_mut(&node) {
             for s in slots {
@@ -474,12 +469,6 @@ impl Network {
     /// Current simulation time.
     pub fn now_ps(&self) -> u64 {
         self.events.now_ps()
-    }
-
-    /// Queue statistics for a link direction (`a_to_b` selects the
-    /// direction from `link.a` to `link.b`).
-    pub fn queue_stats(&self, link: LinkId, a_to_b: bool) -> QueueStats {
-        self.dirs[Self::dir_index(link, a_to_b)].queue.stats()
     }
 
     /// Queue occupancy in `[0,1]` — the analog the load balancer reads.
@@ -655,8 +644,8 @@ impl Network {
             .iter()
             .position(|s| s.op_id == op_id && s.spec.primitive() == pending)?;
         if !slots[idx].healthy {
-            // A matching engine exists but its watchdog tripped: skip the
-            // op and tag the header so the receiver can tell this from a
+            // A matching engine exists but has hard-failed: skip the op
+            // and tag the header so the receiver can tell this from a
             // valid analog result.
             packet
                 .pch

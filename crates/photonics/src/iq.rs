@@ -170,11 +170,6 @@ impl CoherentReceiver {
         (diff(&i_p, &i_n), diff(&q_p, &q_n))
     }
 
-    /// LO power (sets the coherent gain).
-    pub fn lo_power_w(&self) -> f64 {
-        self.lo.power_w()
-    }
-
     /// Vectorized [`CoherentReceiver::detect`]: same hybrid + balanced
     /// pairs, operating on a struct-of-arrays block.
     ///

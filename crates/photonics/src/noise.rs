@@ -13,7 +13,6 @@
 //! * **ASE** — amplified spontaneous emission added by EDFAs, power
 //!   spectral density `S = (G − 1) · nsp · hν` per polarization.
 
-use crate::rng::SimRng;
 use crate::units;
 
 /// Shot-noise standard deviation (amps) for mean photocurrent
@@ -38,54 +37,6 @@ pub fn thermal_noise_sigma_a(load_ohms: f64, bandwidth_hz: f64, temp_k: f64) -> 
 pub fn rin_sigma_w(power_w: f64, rin_db_hz: f64, bandwidth_hz: f64) -> f64 {
     let rin_linear = units::db_to_linear(rin_db_hz);
     (power_w * power_w * rin_linear * bandwidth_hz.max(0.0)).sqrt()
-}
-
-/// ASE power (watts) added by an amplifier with linear gain `gain` and
-/// spontaneous-emission factor `nsp` over optical bandwidth
-/// `bandwidth_hz` at wavelength `wavelength_m`, both polarizations.
-#[inline]
-pub fn ase_power_w(gain: f64, nsp: f64, bandwidth_hz: f64, wavelength_m: f64) -> f64 {
-    if gain <= 1.0 {
-        return 0.0;
-    }
-    2.0 * (gain - 1.0) * nsp * units::photon_energy(wavelength_m) * bandwidth_hz.max(0.0)
-}
-
-/// A zero-mean additive Gaussian noise source with fixed sigma, drawing
-/// from its own derived RNG stream.
-#[derive(Debug, Clone)]
-pub struct GaussianNoise {
-    pub sigma: f64,
-    rng: SimRng,
-}
-
-impl GaussianNoise {
-    pub fn new(sigma: f64, rng: SimRng) -> Self {
-        GaussianNoise {
-            sigma: sigma.max(0.0),
-            rng,
-        }
-    }
-
-    /// Draw one noise sample.
-    #[inline]
-    pub fn sample(&mut self) -> f64 {
-        if self.sigma == 0.0 {
-            0.0
-        } else {
-            self.rng.normal(0.0, self.sigma)
-        }
-    }
-
-    /// Add noise in place to a slice of samples.
-    pub fn corrupt(&mut self, samples: &mut [f64]) {
-        if self.sigma == 0.0 {
-            return;
-        }
-        for s in samples {
-            *s += self.rng.normal(0.0, self.sigma);
-        }
-    }
 }
 
 /// Signal-to-noise ratio in dB given signal power and noise variance
@@ -137,42 +88,6 @@ mod tests {
         let a = rin_sigma_w(1e-3, -150.0, 10e9);
         let b = rin_sigma_w(2e-3, -150.0, 10e9);
         assert!((b / a - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ase_zero_below_unity_gain() {
-        assert_eq!(ase_power_w(1.0, 1.5, 50e9, units::C_BAND_WAVELENGTH_M), 0.0);
-        assert_eq!(ase_power_w(0.5, 1.5, 50e9, units::C_BAND_WAVELENGTH_M), 0.0);
-        assert!(ase_power_w(100.0, 1.5, 50e9, units::C_BAND_WAVELENGTH_M) > 0.0);
-    }
-
-    #[test]
-    fn gaussian_noise_statistics() {
-        let rng = SimRng::seed_from_u64(3);
-        let mut n = GaussianNoise::new(0.5, rng);
-        let mut v = vec![0.0f64; 20_000];
-        n.corrupt(&mut v);
-        let mean = v.iter().sum::<f64>() / v.len() as f64;
-        let var = v.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / v.len() as f64;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var.sqrt() - 0.5).abs() < 0.02, "sigma {}", var.sqrt());
-    }
-
-    #[test]
-    fn zero_sigma_noise_is_silent() {
-        let rng = SimRng::seed_from_u64(3);
-        let mut n = GaussianNoise::new(0.0, rng);
-        let mut v = vec![1.0f64; 8];
-        n.corrupt(&mut v);
-        assert!(v.iter().all(|&x| x == 1.0));
-        assert_eq!(n.sample(), 0.0);
-    }
-
-    #[test]
-    fn negative_sigma_clamps_to_zero() {
-        let rng = SimRng::seed_from_u64(3);
-        let n = GaussianNoise::new(-1.0, rng);
-        assert_eq!(n.sigma, 0.0);
     }
 
     #[test]

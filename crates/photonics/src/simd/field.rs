@@ -78,17 +78,6 @@ impl FieldBlock {
         self.re[k] * self.re[k] + self.im[k] * self.im[k]
     }
 
-    /// Fill `out` with the per-sample instantaneous powers.
-    pub fn powers_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(
-            self.re
-                .iter()
-                .zip(&self.im)
-                .map(|(&re, &im)| re * re + im * im),
-        );
-    }
-
     /// Mean optical power over the block, watts (0 for an empty block).
     pub fn mean_power_w(&self) -> f64 {
         if self.is_empty() {

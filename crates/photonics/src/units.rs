@@ -71,12 +71,6 @@ pub fn photon_energy(wavelength_m: f64) -> f64 {
     PLANCK * C_VACUUM / wavelength_m
 }
 
-/// Optical frequency for a given wavelength, Hz.
-#[inline]
-pub fn wavelength_to_frequency(wavelength_m: f64) -> f64 {
-    C_VACUUM / wavelength_m
-}
-
 /// Propagation delay through `km` kilometers of standard fiber, seconds.
 #[inline]
 pub fn fiber_delay_s(km: f64) -> f64 {

@@ -47,14 +47,6 @@ impl SetKind {
             SetKind::Parity { data_members } => data_members + 1,
         }
     }
-
-    /// The parity member id, if this kind has one.
-    pub fn parity_member(&self) -> Option<u8> {
-        match self {
-            SetKind::Replica => None,
-            SetKind::Parity { data_members } => Some(*data_members),
-        }
-    }
 }
 
 /// What the runtime must do after a member delivers.

@@ -22,10 +22,9 @@
 //!   groups reconstruct at the k-th delivery, double losses requeue —
 //!   every transition a pure state-machine step, so the whole recovery
 //!   dance replays byte-identically on the `ofpc-par` worker pool.
-//! * [`overhead`] — redundancy overhead accounting through whatever
-//!   batch price model the caller supplies (the serving layer passes
-//!   its transponder-derived `ServiceModel`), plus the digital
-//!   reconstruction cost model.
+//! * [`overhead`] — the digital reconstruction cost model; redundant
+//!   members themselves are priced by the serving layer's
+//!   transponder-derived `ServiceModel`, like primary work.
 
 pub mod ledger;
 pub mod mode;
@@ -36,5 +35,5 @@ pub mod parity;
 pub use ledger::{DoneAction, LostAction, SetKind, WorkLedger};
 pub use mode::{RedundancyMode, ResilTag};
 pub use multipath::{MultipathPlan, SiteRoute};
-pub use overhead::{energy_factor_with, ReconstructModel};
+pub use overhead::ReconstructModel;
 pub use parity::{encode_parity, quantize_bytes, reconstruct_group, split_groups};

@@ -1859,6 +1859,57 @@ mod tests {
     }
 
     #[test]
+    fn analog_drift_rungs_leave_serving_byte_identical() {
+        // Serving models no analog noise: a storm's drift staircase must
+        // change neither the report nor the resilience summary.
+        let build = |drift_sigmas: Vec<f64>| {
+            let (sites, plan) = star_plant(3);
+            let links: Vec<LinkId> = plan
+                .routes
+                .iter()
+                .flat_map(|r| r.route.links.clone())
+                .collect();
+            let nodes: Vec<NodeId> = sites.iter().map(|s| s.node).collect();
+            let spec = ofpc_faults::StormSpec {
+                drift_sigmas,
+                ..ofpc_faults::StormSpec::serving_default()
+            };
+            let mut rng = SimRng::seed_from_u64(9);
+            let storm = ofpc_faults::generate_storm(&links, &nodes, 2_000_000_000, &spec, &mut rng);
+            let noise_steps = storm
+                .events
+                .iter()
+                .filter(|e| matches!(e.kind, FaultKind::NoiseStep { .. }))
+                .count();
+            let model = ServiceModel::from_transponder(&ComputeTransponderConfig::ideal(), 4);
+            let (report, resil) = ServeRuntime::new(small_config(500_000.0), model, sites)
+                .with_redundancy(
+                    &[
+                        RedundancyMode::Replica,
+                        RedundancyMode::XorParity { data_groups: 2 },
+                    ],
+                    plan,
+                )
+                .with_storm(&storm)
+                .run_with_resil();
+            (
+                noise_steps,
+                serde_json::to_string_pretty(&report).unwrap(),
+                serde_json::to_string_pretty(&resil).unwrap(),
+            )
+        };
+        let (steps, report, resil) = build(vec![0.002, 0.005, 0.01]);
+        let (no_steps, plain_report, plain_resil) = build(Vec::new());
+        assert_eq!(
+            (steps, no_steps),
+            (9, 0),
+            "three rungs at each of three sites"
+        );
+        assert_eq!(report, plain_report);
+        assert_eq!(resil, plain_resil);
+    }
+
+    #[test]
     fn same_seed_same_fault_plan_same_report() {
         let build = || {
             runtime(small_config(500_000.0))

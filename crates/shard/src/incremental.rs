@@ -270,11 +270,6 @@ impl ShardedController {
         &self.regions
     }
 
-    /// Shards currently marked dirty (0 after every `apply_batch`).
-    pub fn dirty_shard_count(&self) -> usize {
-        self.dirty.shards.len()
-    }
-
     // ----- internal pure helpers ----------------------------------------
 
     fn eff_capacity(&self) -> Vec<usize> {

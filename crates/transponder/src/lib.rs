@@ -9,23 +9,20 @@
 //! frame field.
 //!
 //! Everything is accounted: per-stage energy ([`energy`]), added latency,
-//! bit errors ([`ber`]), form-factor power/area budgets (§5), and
-//! reconfiguration latency ([`config`]). The comparison between
-//! [`commodity::CommodityTransponder`] + an external accelerator and
-//! [`compute::PhotonicComputeTransponder`] is experiment E3's subject.
+//! bit errors ([`ber`]), and form-factor power/area budgets (§5).
+//! Experiment E3 compares [`compute::PhotonicComputeTransponder`]'s own
+//! energy ledger with a conventional accelerator's DAC/ADC costs,
+//! computed from constants.
 
 pub mod ber;
 pub mod coherent;
 pub mod commodity;
 pub mod compute;
-pub mod config;
 pub mod energy;
 pub mod frame;
 pub mod rxpath;
 pub mod txpath;
-pub mod watchdog;
 
 pub use commodity::CommodityTransponder;
 pub use compute::{ComputeOp, PhotonicComputeTransponder};
 pub use frame::Frame;
-pub use watchdog::{EngineWatchdog, Health, WatchdogConfig};
