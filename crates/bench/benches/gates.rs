@@ -1,0 +1,602 @@
+//! The bench gates: every timing and check that no test or `expt`
+//! assert already runs, in one plain `fn main` program that fails
+//! `ci.sh` with a nonzero exit.
+//!
+//! 1. **Timing table**, printed, not asserted: the P1 dot product on
+//!    both kernel backends, the signed dot product, and the
+//!    discrete-event simulator's packet throughput.
+//! 2. **Telemetry overhead**: a disabled `Telemetry` handle must cost
+//!    nothing on the serving hot path ([`telemetry_overhead`]).
+//! 3. **Kernel speedup**: the vectorized P1 kernel must beat the scalar
+//!    one by [`MIN_KERNEL_SPEEDUP`]× in this process, and also the
+//!    pinned scalar `dot_product_ms` when the baseline's core stamp
+//!    matches this host.
+//! 4. **4-worker speedup** on three parallel workloads
+//!    ([`four_worker_speedup`]).
+//! 5. **Pinned figures**: seven single-threaded timings against
+//!    `BENCH_BASELINE.json` ([`pinned_figures`]). Each figure is the
+//!    best of several trials, the robust estimator for "how fast can
+//!    this machine run it".
+
+use ofpc_bench::gate::{best_time, cores, per_call, report, Baseline};
+use ofpc_bench::ingest::{mini_config, run_e21};
+use ofpc_bench::resil::{run_e18, E18Config};
+use ofpc_bench::serving;
+use ofpc_controller::demand::{Demand, TaskDag};
+use ofpc_core::topo::{multi_region, MultiRegionSpec};
+use ofpc_dse::{run_sweep, SweepSpec};
+use ofpc_engine::dot::{DotProductUnit, DotUnitConfig, KernelBackend};
+use ofpc_engine::Primitive;
+use ofpc_ingest::IngestConfig;
+use ofpc_net::packet::Packet;
+use ofpc_net::pch::PchHeader;
+use ofpc_net::sim::{Network, OpSpec};
+use ofpc_net::{NodeId, Topology};
+use ofpc_par::WorkerPool;
+use ofpc_photonics::SimRng;
+use ofpc_serve::{
+    ArrivalSpec, BatchPolicy, ServeConfig, ServeRuntime, ServiceModel, SiteSpec, TenantSpec,
+};
+use ofpc_shard::{RegionMap, ShardEvent, ShardedController};
+use ofpc_telemetry::Telemetry;
+use ofpc_transponder::compute::ComputeTransponderConfig;
+use std::hint::black_box;
+use std::time::Instant;
+
+/// The vectorized kernel must beat the scalar one by this factor.
+const MIN_KERNEL_SPEEDUP: f64 = 5.0;
+/// 4 workers must beat 1 worker by this factor.
+const MIN_PAR_SPEEDUP: f64 = 2.0;
+/// Rows per dot-product kernel call, and the length of each.
+const ROWS: usize = 200;
+const ROW_LEN: usize = 256;
+
+// ------------------------------------------------------------ timing table
+
+/// A calibrated unit from a fixed seed on the given config and backend.
+fn calibrated(mut config: DotUnitConfig, backend: KernelBackend) -> DotProductUnit {
+    config.backend = backend;
+    let mut rng = SimRng::seed_from_u64(1);
+    let mut unit = DotProductUnit::new(config, &mut rng);
+    unit.calibrate(256);
+    unit
+}
+
+/// `packets` packets from the first node of `topo` to its last, to
+/// idle; with `compute`, through a dot-product engine at node 1.
+fn run_batch(topo: Topology, compute: bool, packets: usize) -> usize {
+    let mut net = Network::new(topo, SimRng::seed_from_u64(0));
+    net.install_shortest_path_routes();
+    let last = NodeId(net.topo.node_count() as u32 - 1);
+    if compute {
+        net.add_engine(
+            NodeId(1),
+            1,
+            OpSpec::Dot {
+                weights: vec![0.5; 16],
+            },
+            0.0,
+        );
+        net.install_compute_detour(Primitive::VectorDotProduct, NodeId(1));
+    }
+    for i in 0..packets {
+        let p = if compute {
+            let pch = PchHeader::request(Primitive::VectorDotProduct, 1, 16);
+            Packet::compute(
+                Network::node_addr(NodeId(0), 1),
+                Network::node_addr(last, 1),
+                i as u32,
+                pch,
+                Packet::encode_operands(&[0.5; 16]),
+            )
+        } else {
+            Packet::data(
+                Network::node_addr(NodeId(0), 1),
+                Network::node_addr(last, 1),
+                i as u32,
+                vec![0u8; 256],
+            )
+        };
+        net.inject(i as u64 * 10_000, NodeId(0), p);
+    }
+    net.run_to_idle();
+    net.stats.delivered_count()
+}
+
+fn timing_table() {
+    for &n in &[16usize, 64, 256] {
+        for (label, config) in [
+            ("ideal", DotUnitConfig::ideal()),
+            ("realistic", DotUnitConfig::realistic()),
+        ] {
+            for (suffix, backend) in [
+                ("", KernelBackend::Scalar),
+                ("-vectorized", KernelBackend::Vectorized),
+            ] {
+                let mut unit = calibrated(config.clone(), backend);
+                let a = vec![0.5; n];
+                let w = vec![0.25; n];
+                let t = per_call(|| {
+                    black_box(unit.dot_nonneg(black_box(&a), black_box(&w)));
+                });
+                report(
+                    &format!("p1_dot_product/{label}{suffix}/{n}"),
+                    t,
+                    Some(n as u64),
+                );
+            }
+        }
+    }
+
+    let mut unit = DotProductUnit::ideal();
+    let a: Vec<f64> = (0..64).map(|i| (i as f64 / 32.0) - 1.0).collect();
+    let w: Vec<f64> = (0..64).map(|i| 1.0 - (i as f64 / 32.0)).collect();
+    let t = per_call(|| {
+        black_box(unit.dot_signed(black_box(&a), black_box(&w)));
+    });
+    report("p1_dot_signed_64", t, None);
+
+    let packets = 500usize;
+    for (topo_name, topo) in [
+        ("fig1", Topology::fig1 as fn() -> Topology),
+        ("abilene", Topology::abilene),
+    ] {
+        for (kind, compute) in [("plain", false), ("compute", true)] {
+            let t = per_call(|| {
+                black_box(run_batch(topo(), compute, packets));
+            });
+            report(
+                &format!("des_throughput/{topo_name}_{kind}"),
+                t,
+                Some(packets as u64),
+            );
+        }
+    }
+}
+
+// ------------------------------------------------------- telemetry overhead
+
+/// Independent repetitions; the gate takes the median of their ratios.
+const REPS: usize = 5;
+/// Interleaved trials per variant within one repetition.
+const TRIALS_PER_REP: usize = 5;
+/// Fail if the median over repetitions of
+/// `median(disabled) / median(bare)` exceeds this.
+const MAX_TELEMETRY_RATIO: f64 = 1.05;
+
+fn serve_config() -> ServeConfig {
+    // Two tenants splitting 8 M requests/s.
+    let tenant = |name: &str, weight, queue_capacity| TenantSpec {
+        name: name.to_string(),
+        weight,
+        queue_capacity,
+        arrivals: ArrivalSpec::Poisson {
+            rate_rps: 8_000_000.0 / 2.0,
+        },
+        primitive: Primitive::VectorDotProduct,
+        operand_len: 2048,
+        deadline_ps: 1_000_000_000,
+    };
+    ServeConfig {
+        seed: 14,
+        horizon_ps: 500_000_000, // 0.5 ms of virtual time
+        drain_grace_ps: 200_000_000,
+        batch: BatchPolicy {
+            max_batch: 8,
+            max_wait_ps: 5_000_000,
+        },
+        tenants: vec![tenant("steady", 3, 96), tenant("bursty", 1, 32)],
+        verify_every: 0,
+    }
+}
+
+/// `telemetry: None` builds the runtime bare; `Some(tel)` threads the
+/// handle through every hook.
+fn runtime(telemetry: Option<&Telemetry>) -> ServeRuntime {
+    let model = ServiceModel::from_transponder(&ComputeTransponderConfig::ideal(), 4);
+    let sites = vec![
+        SiteSpec {
+            node: NodeId(1),
+            slots: 1,
+            access_ps: 100_000,
+        },
+        SiteSpec {
+            node: NodeId(2),
+            slots: 1,
+            access_ps: 200_000,
+        },
+    ];
+    let rt = ServeRuntime::new(serve_config(), model, sites);
+    match telemetry {
+        Some(tel) => rt.with_telemetry(tel),
+        None => rt,
+    }
+}
+
+fn time_run(telemetry: Option<&Telemetry>) -> f64 {
+    let rt = runtime(telemetry);
+    let t0 = Instant::now();
+    black_box(rt.run());
+    t0.elapsed().as_secs_f64()
+}
+
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    samples[samples.len() / 2]
+}
+
+/// One repetition: interleave [`TRIALS_PER_REP`] trials of each variant
+/// and return `median(disabled) / median(bare)`.
+fn overhead_ratio(disabled: &Telemetry) -> f64 {
+    let mut base = Vec::with_capacity(TRIALS_PER_REP);
+    let mut dis = Vec::with_capacity(TRIALS_PER_REP);
+    for trial in 0..TRIALS_PER_REP {
+        // Alternate order so slow-drift bias cancels.
+        if trial % 2 == 0 {
+            base.push(time_run(None));
+            dis.push(time_run(Some(disabled)));
+        } else {
+            dis.push(time_run(Some(disabled)));
+            base.push(time_run(None));
+        }
+    }
+    median(&mut dis) / median(&mut base)
+}
+
+/// The whole point of `Telemetry` being an `Option<Arc<_>>` is that a
+/// disconnected handle costs one branch per hook, so a serving run with
+/// telemetry disabled must be indistinguishable from one that never
+/// heard of telemetry.
+///
+/// The gate is a ratio of medians over [`REPS`] independent
+/// repetitions. An earlier gate compared one pass of medians against
+/// `base·1.02 + IQR` and flaked: on a busy 1-core CI box a single noisy
+/// window skews both the median and the IQR of the same pass. Here each
+/// repetition interleaves [`TRIALS_PER_REP`] trials of both variants
+/// (alternating order, so slow clock drift cancels) and scores
+/// `median(disabled) / median(bare)`; the gate fires only if the median
+/// of those ratios exceeds [`MAX_TELEMETRY_RATIO`]. A transient stall
+/// has to corrupt a majority of repetitions to misfire, while a genuine
+/// per-hook cost shifts every ratio the same way. The 5% headroom is
+/// far above the per-hook branch cost on an idle machine (<0.5%).
+fn telemetry_overhead() {
+    let arrivals = runtime(None).run().arrivals;
+    let disabled = Telemetry::disabled();
+    let bare = per_call(|| {
+        black_box(runtime(None).run());
+    });
+    report("telemetry_overhead/serve/baseline", bare, Some(arrivals));
+    let off = per_call(|| {
+        black_box(runtime(Some(&disabled)).run());
+    });
+    report("telemetry_overhead/serve/disabled", off, Some(arrivals));
+    // Enabled telemetry is allowed to cost (it records every request's
+    // trace tree); timed so the overhead stays visible. A fresh handle
+    // per run keeps the trace buffer from compounding across calls.
+    let on = per_call(|| {
+        let enabled = Telemetry::enabled();
+        black_box(runtime(Some(&enabled)).run());
+    });
+    report("telemetry_overhead/serve/enabled", on, Some(arrivals));
+
+    // Warm both paths (the first run pays allocator and page-cache costs).
+    time_run(None);
+    time_run(Some(&disabled));
+    let mut ratios: Vec<f64> = (0..REPS).map(|_| overhead_ratio(&disabled)).collect();
+    let m = median(&mut ratios);
+    println!(
+        "telemetry_overhead: per-repetition ratios {:?} -> median {m:.4} (gate {MAX_TELEMETRY_RATIO})",
+        ratios
+            .iter()
+            .map(|r| (r * 1e4).round() / 1e4)
+            .collect::<Vec<_>>(),
+    );
+    assert!(
+        m <= MAX_TELEMETRY_RATIO,
+        "disabled telemetry must be within {:.0}% of the bare serve path: \
+         median ratio {m:.4} over {REPS} repetitions",
+        (MAX_TELEMETRY_RATIO - 1.0) * 100.0,
+    );
+}
+
+// ----------------------------------------------------------- kernel speedup
+
+/// The P1 hot loop: a calibrated realistic unit, [`ROWS`] rows of
+/// length [`ROW_LEN`].
+fn dot_product_kernel(backend: KernelBackend) {
+    let mut unit = calibrated(DotUnitConfig::realistic(), backend);
+    let a = vec![0.5; ROW_LEN];
+    let w = vec![0.25; ROW_LEN];
+    for _ in 0..ROWS {
+        black_box(unit.dot_nonneg(black_box(&a), black_box(&w)));
+    }
+}
+
+/// Milliseconds of `kernel`: one warm-up call (allocator, page cache,
+/// lookup tables), then the best of `reps` trials.
+fn warm_best_ms(reps: usize, mut kernel: impl FnMut()) -> f64 {
+    kernel();
+    best_time(reps, kernel) * 1e3
+}
+
+/// The scalar and the vectorized kernel's milliseconds, after checking
+/// their ratio. Throughput is also given in GMAC/s, the unit the
+/// photonics literature quotes for analog compute engines.
+fn kernel_speedup() -> (f64, f64) {
+    let scalar_ms = warm_best_ms(5, || dot_product_kernel(KernelBackend::Scalar));
+    let vec_ms = warm_best_ms(5, || dot_product_kernel(KernelBackend::Vectorized));
+    let gmacs = |ms: f64| (ROWS * ROW_LEN) as f64 / ms / 1e6;
+    let speedup = scalar_ms / vec_ms;
+    println!(
+        "kernel_speedup: scalar {scalar_ms:.2} ms ({:.3} GMAC/s), vectorized {vec_ms:.3} ms \
+         ({:.3} GMAC/s) -> {speedup:.2}x",
+        gmacs(scalar_ms),
+        gmacs(vec_ms),
+    );
+    assert!(
+        speedup >= MIN_KERNEL_SPEEDUP,
+        "kernel_speedup: vectorized backend is only {speedup:.2}x the scalar reference, \
+         gate requires {MIN_KERNEL_SPEEDUP}x"
+    );
+    (scalar_ms, vec_ms)
+}
+
+// --------------------------------------------------------- 4-worker speedup
+
+/// On a host with at least 4 cores, a trial must finish at least
+/// [`MIN_PAR_SPEEDUP`]× faster on 4 workers than on 1, best of `reps`
+/// each. `trial` builds the trial for a pool, doing its setup outside
+/// the timing. Below 4 cores the check is skipped: a speedup gate
+/// without cores would only measure scheduler noise.
+fn four_worker_speedup<T: FnMut()>(name: &str, reps: usize, trial: impl Fn(WorkerPool) -> T) {
+    if cores() < 4 {
+        println!(
+            "{name}: 4-worker speedup check skipped ({} core(s) < 4)",
+            cores()
+        );
+        return;
+    }
+    let t1 = best_time(reps, trial(WorkerPool::new(1)));
+    let t4 = best_time(reps, trial(WorkerPool::new(4)));
+    let speedup = t1 / t4;
+    println!(
+        "{name}: {:.2} ms @1w, {:.2} ms @4w -> {speedup:.2}x (gate {MIN_PAR_SPEEDUP}x)",
+        t1 * 1e3,
+        t4 * 1e3
+    );
+    assert!(
+        speedup >= MIN_PAR_SPEEDUP,
+        "{name}: speedup at 4 workers is {speedup:.2}x, gate requires {MIN_PAR_SPEEDUP}x"
+    );
+}
+
+/// A demand local to `region` of the 12×10 scaling WAN.
+fn local_demand(id: u32, region: u32, sites_per_region: u32, rng: &mut SimRng) -> Demand {
+    let base = region * sites_per_region;
+    let src = NodeId(base + rng.below(sites_per_region as usize) as u32);
+    let mut dst = src;
+    while dst == src {
+        dst = NodeId(base + rng.below(sites_per_region as usize) as u32);
+    }
+    Demand::new(id, src, dst, TaskDag::single(Primitive::VectorDotProduct))
+}
+
+/// A 12-region, 120-site controller loaded with 20 local demands per
+/// region: every shard is dirty on a `full_resolve`, and all twelve
+/// shard solves are independent.
+fn loaded_controller(pool: &WorkerPool) -> ShardedController {
+    const REGIONS: u32 = 12;
+    const SITES: u32 = 10;
+    let mut rng = SimRng::seed_from_u64(2040);
+    let wan = multi_region(
+        &MultiRegionSpec::new(REGIONS as usize, SITES as usize),
+        &mut rng,
+    );
+    let n = wan.topo.node_count();
+    let capacity: Vec<usize> = (0..n).map(|i| if i % 3 == 0 { 4 } else { 0 }).collect();
+    let map = RegionMap::from_assignment(wan.region_of.clone());
+    let mut ctl = ShardedController::new(wan.topo, map, capacity, 8).with_pool(pool.clone());
+    let mut events = Vec::new();
+    for id in 0..20 * REGIONS {
+        events.push(ShardEvent::Arrive(local_demand(
+            id,
+            id % REGIONS,
+            SITES,
+            &mut rng,
+        )));
+    }
+    ctl.apply_batch(events);
+    ctl
+}
+
+/// The ingest mini class mix spread over 8 shards with a longer
+/// horizon, so per-epoch shard work dwarfs the sequential rebalance
+/// barrier and the shard epochs are independent.
+fn scaling_config() -> IngestConfig {
+    let mut c = mini_config();
+    c.shards = 8;
+    c.epochs = 2;
+    c.epoch_ps = 30_000_000_000;
+    for class in &mut c.classes {
+        class.population *= 4;
+    }
+    // 8 shards need >= 8 slots (split_slots' one-slot-per-shard floor).
+    c.sites[0].slots = 5;
+    c.sites[1].slots = 3;
+    c
+}
+
+// ---------------------------------------------------------- pinned figures
+
+/// How far a pinned figure may move, as a factor on its pinned value.
+enum Bound {
+    /// A time: this run's value may be at most `pinned * factor`.
+    AtMost(f64),
+    /// A throughput: this run's value must be at least `pinned * factor`.
+    AtLeast(f64),
+}
+
+/// 200 compute packets through the Fig. 1 WAN's dot-product engine.
+fn network_sim_ms() -> f64 {
+    warm_best_ms(5, || {
+        black_box(run_batch(Topology::fig1(), true, 200));
+    })
+}
+
+/// Ten sequential full E17 sweeps (54 design points, closed-form
+/// pricing) per trial, so one trial is well above timer resolution.
+fn dse_sweep_ms() -> f64 {
+    warm_best_ms(15, || {
+        let pool = WorkerPool::sequential();
+        let spec = SweepSpec::e17();
+        for _ in 0..10 {
+            black_box(run_sweep(&pool, black_box(&spec)));
+        }
+    })
+}
+
+/// One sequential mini-E18 comparison: three serving runs under the
+/// same storm.
+fn resil_overhead_ms() -> f64 {
+    warm_best_ms(10, || {
+        black_box(run_e18(&WorkerPool::sequential(), &E18Config::mini()));
+    })
+}
+
+/// Mean sequential `apply_batch` latency over a 200-event churn window
+/// on the loaded 12-region controller.
+fn shard_decision_us() -> f64 {
+    let mut ctl = loaded_controller(&WorkerPool::sequential());
+    let mut rng = SimRng::seed_from_u64(2041);
+    let mut id = 20 * 12;
+    let secs = best_time(15, || {
+        for i in 0..200u32 {
+            let region = i % 12;
+            ctl.apply_batch(vec![
+                ShardEvent::Arrive(local_demand(id, region, 10, &mut rng)),
+                ShardEvent::Depart(id - 20 * 12),
+            ]);
+            id += 1;
+        }
+    });
+    secs * 1e6 / 200.0
+}
+
+/// Sequential front-end throughput: parsed requests per wall-second on
+/// one worker.
+fn serve_scale_krps_per_core() -> f64 {
+    let pool = WorkerPool::sequential();
+    let parsed = run_e21(scaling_config(), &pool).parsed;
+    let secs = best_time(5, || {
+        black_box(run_e21(scaling_config(), &pool));
+    });
+    parsed as f64 / secs / 1e3
+}
+
+/// Compare every figure (key, this run's value, bound) with its pinned
+/// value, or re-record them all when [`Baseline::pinned`] gives a
+/// reason to. Every figure is checked before the gate fails, so one run
+/// names every regression. With the figures pinned, the vectorized
+/// kernel must also beat the pinned scalar `dot_product_ms` by
+/// [`MIN_KERNEL_SPEEDUP`]×.
+fn pinned_figures(base: &mut Baseline, figures: &[(&str, f64, Bound)], dot_product_vec_ms: f64) {
+    let keys: Vec<&str> = figures.iter().map(|f| f.0).collect();
+    let pinned = match base.pinned(&keys) {
+        Ok(pinned) => pinned,
+        Err(reason) => {
+            let values: Vec<(&str, f64)> = figures.iter().map(|f| (f.0, f.1)).collect();
+            base.record(&values);
+            println!("kernel_speedup: absolute gate skipped ({reason})");
+            println!(
+                "baseline: recorded new figures ({reason}) on {} core(s):",
+                cores()
+            );
+            for (key, value) in values {
+                println!("baseline:   {key} {value:.3}");
+            }
+            return;
+        }
+    };
+
+    let scalar_ms = base.get_num("dot_product_ms").expect("pinned above");
+    let abs_speedup = scalar_ms / dot_product_vec_ms;
+    println!(
+        "kernel_speedup: vectorized vs pinned scalar baseline {scalar_ms:.2} ms \
+         -> {abs_speedup:.2}x"
+    );
+    assert!(
+        abs_speedup >= MIN_KERNEL_SPEEDUP,
+        "kernel_speedup: vectorized kernel is only {abs_speedup:.2}x the pinned \
+         scalar baseline ({scalar_ms:.2} ms), gate requires {MIN_KERNEL_SPEEDUP}x"
+    );
+
+    let mut regressed = Vec::new();
+    for (&(key, value, ref bound), want) in figures.iter().zip(pinned) {
+        let (limit, ok) = match *bound {
+            Bound::AtMost(factor) => (want * factor, value <= want * factor),
+            Bound::AtLeast(factor) => (want * factor, value >= want * factor),
+        };
+        println!("baseline: {key} {value:.3} vs pinned {want:.3} (gate {limit:.3})");
+        if !ok {
+            regressed.push(key);
+        }
+    }
+    assert!(
+        regressed.is_empty(),
+        "regressed against BENCH_BASELINE.json: {}; if intentional, re-pin with \
+         OFPC_BENCH_RECORD=1",
+        regressed.join(", ")
+    );
+}
+
+fn main() {
+    // A baseline file that exists but does not parse fails here, before
+    // any timing, and is left as it is.
+    let mut base = Baseline::load().unwrap_or_else(|e| panic!("{e}"));
+    timing_table();
+    telemetry_overhead();
+    let (dot_product_ms, dot_product_vec_ms) = kernel_speedup();
+
+    four_worker_speedup("mini-E12 sweep", 5, |pool| {
+        move || {
+            black_box(serving::e12_mini(&pool));
+        }
+    });
+    four_worker_speedup("12-shard full re-solve", 15, |pool| {
+        let mut ctl = loaded_controller(&pool);
+        ctl.full_resolve(); // warm-up
+        move || {
+            ctl.full_resolve();
+            black_box(&ctl);
+        }
+    });
+    four_worker_speedup("8-shard ingest run", 5, |pool| {
+        move || {
+            black_box(run_e21(scaling_config(), &pool));
+        }
+    });
+
+    // The short trials (one vectorized kernel call is ~1 ms, one sweep
+    // ~10 ms, one decision tens of µs) suffer most from scheduler
+    // interference during a full `ci.sh` run, which can inflate even a
+    // best-of minimum well past 10%: they get 1.5 where the two scalar
+    // kernels keep 1.10.
+    pinned_figures(
+        &mut base,
+        &[
+            ("dot_product_ms", dot_product_ms, Bound::AtMost(1.10)),
+            ("network_sim_ms", network_sim_ms(), Bound::AtMost(1.10)),
+            ("dot_product_vec_ms", dot_product_vec_ms, Bound::AtMost(1.5)),
+            ("dse_sweep_ms", dse_sweep_ms(), Bound::AtMost(1.5)),
+            ("resil_overhead_ms", resil_overhead_ms(), Bound::AtMost(1.5)),
+            ("shard_decision_us", shard_decision_us(), Bound::AtMost(1.5)),
+            (
+                "serve_scale_krps_per_core",
+                serve_scale_krps_per_core(),
+                Bound::AtLeast(1.0 / 1.5),
+            ),
+        ],
+        dot_product_vec_ms,
+    );
+    println!("gates: all gates passed");
+}

@@ -1,25 +1,26 @@
-//! Shared plumbing for the benches: the host's core count, the
+//! Shared plumbing for the `gates` bench: the host's core count, the
 //! best-of-N timer and its per-call form with a timing-line printer,
-//! and the one baseline file the gates (`kernel_speedup`,
-//! `par_scaling`, `resil_overhead`, `serve_scale`, `shard_scaling`,
-//! `dse_sweep`) read and write.
+//! and the baseline file its pinned figures are compared with.
 //!
-//! `BENCH_BASELINE.json` at the repo root is a flat JSON object. Each
-//! gate owns a few figures plus a core stamp (`<gate>_cores`, or plain
-//! `cores` for `par_scaling`) naming the machine shape the figures were
-//! taken on. A gate compares against its figures only when they are all
-//! present and stamped with this host's core count; otherwise — or when
-//! `OFPC_BENCH_RECORD` is set — it re-records them instead of failing,
-//! so no gate ever compares numbers from different hardware.
-//! Re-recording rewrites only the recording gate's keys and leaves
-//! every other gate's in place.
+//! `BENCH_BASELINE.json` at the repo root is a flat JSON object: the
+//! figures, plus one core stamp (`cores`) naming the machine shape they
+//! were taken on. The gate compares against them only when they are all
+//! present and stamped with this host's core count; otherwise, or when
+//! `OFPC_BENCH_RECORD` is set, it re-records them instead of failing,
+//! so no gate ever compares numbers from different hardware. A file
+//! that exists but cannot be read or parsed fails the gate and is left
+//! as it is.
 
 use serde_json::Value;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// The shared baseline file at the repo root, tracked in git.
 const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_BASELINE.json");
+
+/// The key of the core stamp.
+const STAMP: &str = "cores";
 
 /// Cores available to this process.
 pub fn cores() -> usize {
@@ -81,24 +82,28 @@ pub struct Baseline {
 
 impl Baseline {
     /// Load the shared `BENCH_BASELINE.json` at the repo root.
-    pub fn load() -> Self {
+    pub fn load() -> Result<Self, String> {
         Baseline::load_from(BASELINE_PATH)
     }
 
-    /// Load a baseline file. A missing or unreadable file loads empty,
-    /// which makes every gate re-record.
-    pub fn load_from(path: impl AsRef<Path>) -> Self {
-        let map = match std::fs::read_to_string(path.as_ref()) {
+    /// Load a baseline file. A missing file loads empty, which makes the
+    /// gate record its figures. A file that cannot be read, or that is
+    /// not a JSON object, is an error naming the path and the reason.
+    fn load_from(path: impl AsRef<Path>) -> Result<Self, String> {
+        let path = path.as_ref();
+        let map = match std::fs::read_to_string(path) {
             Ok(text) => match serde_json::from_str(&text) {
                 Ok(Value::Map(m)) => m,
-                _ => Vec::new(),
+                Ok(_) => return Err(format!("{}: not a JSON object", path.display())),
+                Err(e) => return Err(format!("{}: {e}", path.display())),
             },
-            Err(_) => Vec::new(),
+            Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(format!("{}: {e}", path.display())),
         };
-        Baseline {
-            path: path.as_ref().to_path_buf(),
+        Ok(Baseline {
+            path: path.to_path_buf(),
             map,
-        }
+        })
     }
 
     /// A numeric key, if present.
@@ -117,30 +122,30 @@ impl Baseline {
         }
     }
 
-    /// `gate`'s pinned figures for `keys`, in order, when `cores_key`
-    /// stamps them as taken on a host with this many cores. Otherwise
-    /// the reason to re-record: `OFPC_BENCH_RECORD` is set, a key is
-    /// missing, or the core counts differ.
-    pub fn pinned(&self, gate: &str, cores_key: &str, keys: &[&str]) -> Result<Vec<f64>, String> {
+    /// The pinned figures for `keys`, in order, when the core stamp says
+    /// they were taken on a host with this many cores. Otherwise the
+    /// reason to re-record: `OFPC_BENCH_RECORD` is set, the stamp or a
+    /// key is missing, or the core counts differ.
+    pub fn pinned(&self, keys: &[&str]) -> Result<Vec<f64>, String> {
         if std::env::var_os("OFPC_BENCH_RECORD").is_some() {
             return Err("OFPC_BENCH_RECORD set".to_string());
         }
         let figures: Option<Vec<f64>> = keys.iter().map(|k| self.get_num(k)).collect();
-        match (self.get_num(cores_key), figures) {
+        match (self.get_num(STAMP), figures) {
             (Some(c), Some(figures)) if c as usize == cores() => Ok(figures),
             (Some(c), Some(_)) => Err(format!(
                 "baseline is from a {}-core machine, this one has {}",
                 c as usize,
                 cores()
             )),
-            _ => Err(format!("no {gate} baseline keys")),
+            _ => Err("baseline keys missing".to_string()),
         }
     }
 
-    /// Stamp `cores_key` with this host's core count, set each figure,
-    /// and write the file. Keys of other gates are left untouched.
-    pub fn record(&mut self, cores_key: &str, figures: &[(&str, f64)]) {
-        self.set_key(cores_key, Value::UInt(cores() as u64));
+    /// Stamp the file with this host's core count, set each figure, and
+    /// write it. Keys not named are left in place.
+    pub fn record(&mut self, figures: &[(&str, f64)]) {
+        self.set_key(STAMP, Value::UInt(cores() as u64));
         for &(key, value) in figures {
             self.set_key(key, Value::Float(value));
         }
@@ -155,27 +160,27 @@ impl Baseline {
 mod tests {
     use super::*;
 
+    fn temp_path(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "ofpc-bench-gate-{}-{name}.json",
+            std::process::id()
+        ))
+    }
+
     #[test]
     fn recording_one_gate_keeps_every_other_key() {
-        let path = std::env::temp_dir().join(format!(
-            "ofpc-bench-gate-{}-baseline.json",
-            std::process::id()
-        ));
+        let path = temp_path("baseline");
         std::fs::write(
             &path,
             r#"{"cores": 1, "dot_product_ms": 12.5, "network_sim_ms": 0.25,
-                "dse_sweep_cores": 1, "dse_sweep_ms": 9.0,
-                "shard_cores": 1, "shard_decision_us": 23.0}"#,
+                "dse_sweep_ms": 9.0, "shard_decision_us": 23.0}"#,
         )
         .unwrap();
 
-        let mut base = Baseline::load_from(&path);
-        base.record(
-            "cores",
-            &[("dot_product_ms", 10.0), ("network_sim_ms", 0.5)],
-        );
+        let mut base = Baseline::load_from(&path).unwrap();
+        base.record(&[("dot_product_ms", 10.0), ("network_sim_ms", 0.5)]);
 
-        let back = Baseline::load_from(&path);
+        let back = Baseline::load_from(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         let keys: Vec<&str> = back.map.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
@@ -184,16 +189,13 @@ mod tests {
                 "cores",
                 "dot_product_ms",
                 "network_sim_ms",
-                "dse_sweep_cores",
                 "dse_sweep_ms",
-                "shard_cores",
                 "shard_decision_us"
             ]
         );
         assert_eq!(back.get_num("cores"), Some(cores() as f64));
         assert_eq!(back.get_num("dot_product_ms"), Some(10.0));
         assert_eq!(back.get_num("network_sim_ms"), Some(0.5));
-        assert_eq!(back.get_num("dse_sweep_cores"), Some(1.0));
         assert_eq!(back.get_num("dse_sweep_ms"), Some(9.0));
         assert_eq!(back.get_num("shard_decision_us"), Some(23.0));
     }
@@ -203,15 +205,25 @@ mod tests {
         let base = Baseline {
             path: PathBuf::new(),
             map: vec![
-                ("shard_cores".to_string(), Value::UInt(cores() as u64 + 1)),
+                ("cores".to_string(), Value::UInt(cores() as u64 + 1)),
                 ("shard_decision_us".to_string(), Value::Float(23.0)),
             ],
         };
-        assert!(base
-            .pinned("dse_sweep", "dse_sweep_cores", &["dse_sweep_ms"])
-            .is_err());
-        assert!(base
-            .pinned("shard_scaling", "shard_cores", &["shard_decision_us"])
-            .is_err());
+        assert!(base.pinned(&["dse_sweep_ms"]).is_err());
+        assert!(base.pinned(&["shard_decision_us"]).is_err());
+    }
+
+    #[test]
+    fn a_truncated_file_fails_to_load_and_is_left_unchanged() {
+        let path = temp_path("truncated");
+        let truncated = r#"{"cores": 1, "dot_product_ms": 12.5, "network_sim"#;
+        std::fs::write(&path, truncated).unwrap();
+
+        let err = Baseline::load_from(&path).unwrap_err();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let reason = serde_json::from_str(truncated).unwrap_err();
+        assert_eq!(err, format!("{}: {reason}", path.display()));
+        assert_eq!(bytes, truncated.as_bytes());
     }
 }

@@ -377,52 +377,3 @@ pub fn expt(pool: &WorkerPool) -> String {
 pub fn e18_mini(pool: &WorkerPool) -> String {
     versioned_pretty(&run_e18(pool, &E18Config::mini()))
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mini_storm_separates_protected_from_unprotected() {
-        let pool = WorkerPool::new(2);
-        let rep = run_e18(&pool, &E18Config::mini());
-        assert_eq!(rep.runs.len(), 3);
-        let base = &rep.runs[0];
-        assert!(
-            base.failed > 0,
-            "the storm must force failures on the unprotected baseline"
-        );
-        for run in &rep.runs[1..] {
-            assert_eq!(
-                run.failed, 0,
-                "{} must survive the storm with zero lost work",
-                run.mode
-            );
-            assert_eq!(run.report.arrivals, run.report.completed);
-            assert_eq!(run.resil.unsettled_sets, 0);
-            assert!(run.resil.link_cuts_seen > 0, "the storm must be observed");
-        }
-    }
-
-    #[test]
-    fn energy_overhead_stays_within_the_acceptance_gates() {
-        let pool = WorkerPool::new(2);
-        let rep = run_e18(&pool, &E18Config::mini());
-        let replica = &rep.runs[1];
-        let parity = &rep.runs[2];
-        assert!(
-            replica.energy_overhead <= 2.1,
-            "replica overhead {} above the 2.1x gate",
-            replica.energy_overhead
-        );
-        assert!(
-            parity.energy_overhead <= 1.5,
-            "parity overhead {} above the 1.5x gate",
-            parity.energy_overhead
-        );
-        assert!(
-            parity.energy_overhead < replica.energy_overhead,
-            "coding must beat full replication"
-        );
-    }
-}

@@ -19,16 +19,6 @@ pub struct DropTailQueue {
     pub peak_bytes: usize,
 }
 
-/// Snapshot of queue state (what a controller or load balancer reads).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueueStats {
-    pub depth_packets: usize,
-    pub depth_bytes: usize,
-    pub enqueued: u64,
-    pub dropped: u64,
-    pub peak_bytes: usize,
-}
-
 impl DropTailQueue {
     pub fn new(capacity_bytes: usize) -> Self {
         assert!(capacity_bytes > 0, "queue capacity must be positive");
@@ -80,16 +70,6 @@ impl DropTailQueue {
     /// value a photonic comparator reads for load balancing.
     pub fn occupancy(&self) -> f64 {
         self.bytes_queued as f64 / self.capacity_bytes as f64
-    }
-
-    pub fn stats(&self) -> QueueStats {
-        QueueStats {
-            depth_packets: self.queue.len(),
-            depth_bytes: self.bytes_queued,
-            enqueued: self.enqueued,
-            dropped: self.dropped,
-            peak_bytes: self.peak_bytes,
-        }
     }
 }
 
@@ -158,9 +138,6 @@ mod tests {
         assert!((q.occupancy() - 0.25).abs() < 1e-12);
         // Peak remembers the high-water mark.
         assert_eq!(q.peak_bytes, p.wire_bytes() * 2);
-        let s = q.stats();
-        assert_eq!(s.depth_packets, 1);
-        assert_eq!(s.enqueued, 2);
     }
 
     #[test]

@@ -4,9 +4,6 @@
 //! meters, joules). Conversions to the units optical engineers actually
 //! quote (dBm, dB, nm, ps) live here so they appear exactly once.
 
-/// Planck constant, J·s.
-pub const PLANCK: f64 = 6.626_070_15e-34;
-
 /// Speed of light in vacuum, m/s.
 pub const C_VACUUM: f64 = 299_792_458.0;
 
@@ -63,12 +60,6 @@ pub fn linear_to_db(linear: f64) -> f64 {
     } else {
         10.0 * linear.log10()
     }
-}
-
-/// Photon energy at a given wavelength, J.
-#[inline]
-pub fn photon_energy(wavelength_m: f64) -> f64 {
-    PLANCK * C_VACUUM / wavelength_m
 }
 
 /// Propagation delay through `km` kilometers of standard fiber, seconds.
@@ -130,13 +121,6 @@ mod tests {
         for db in [-20.0, -3.0, 0.0, 3.0, 10.0] {
             assert!(close(linear_to_db(db_to_linear(db)), db, 1e-12));
         }
-    }
-
-    #[test]
-    fn photon_energy_at_1550nm() {
-        // hc/λ at 1550 nm ≈ 1.28e-19 J (≈ 0.8 eV).
-        let e = photon_energy(C_BAND_WAVELENGTH_M);
-        assert!(close(e, 1.28e-19, 0.01), "got {e}");
     }
 
     #[test]

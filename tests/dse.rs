@@ -3,8 +3,10 @@
 //! grid coverage, and the per-stage hardware-variant selection the
 //! lowerer must demonstrate (ISSUE 6).
 
+mod common;
+
+use common::diff_fixture_across_workers;
 use ofpc_apps::digital::ComputeModel;
-use ofpc_bench::dse::e17_mini;
 use ofpc_dse::{hardware_variant, run_sweep, App, ConverterChoice, SweepSpec};
 use ofpc_graph::lower::{lower, ErrorBudget, LowerConfig};
 use ofpc_par::WorkerPool;
@@ -32,14 +34,7 @@ fn e17_sweep_is_byte_identical_across_worker_counts() {
 /// Same contract for the golden miniature, envelope included.
 #[test]
 fn e17_mini_is_byte_identical_across_worker_counts() {
-    let reference = e17_mini(&WorkerPool::new(WORKER_COUNTS[0]));
-    for &workers in &WORKER_COUNTS[1..] {
-        assert_eq!(
-            reference,
-            e17_mini(&WorkerPool::new(workers)),
-            "E17 mini: {workers}-worker output diverged"
-        );
-    }
+    diff_fixture_across_workers("e17_mini");
 }
 
 /// Acceptance: the frontier covers ≥3 converter variants × ≥3 core

@@ -7,6 +7,9 @@
 //! any other diff. The registry test below keeps the entry list and
 //! the committed `results/` documents in one-to-one correspondence.
 
+mod common;
+
+use common::diff_fixture_across_workers;
 use ofpc_bench::{fixtures, golden, serving, REGISTRY};
 use ofpc_par::WorkerPool;
 
@@ -68,33 +71,7 @@ fn kernels_differential_matches_golden() {
 
 #[test]
 fn kernels_replay_is_byte_identical_across_worker_counts() {
-    // Both halves of the kernel fixture — scalar and vectorized — fan
-    // the batch out over the pool; the document must not depend on how
-    // many workers carried it.
-    let narrow = ofpc_bench::golden::kernels_mini(&WorkerPool::new(1));
-    let two = ofpc_bench::golden::kernels_mini(&WorkerPool::new(2));
-    let wide = ofpc_bench::golden::kernels_mini(&WorkerPool::new(8));
-    assert_eq!(narrow, two, "1-worker vs 2-worker kernel bytes diverged");
-    assert_eq!(narrow, wide, "1-worker vs 8-worker kernel bytes diverged");
-}
-
-#[test]
-fn vectorized_verify_replays_e12_byte_identically_across_worker_counts() {
-    // The vectorized verification engine is deterministic per seed too:
-    // the whole mini-E12 sweep must replay byte-identically at any
-    // worker count with verification on the fused kernels.
-    use ofpc_engine::dot::KernelBackend;
-    let narrow = serving::e12_mini_with_backend(&WorkerPool::new(1), KernelBackend::Vectorized);
-    let two = serving::e12_mini_with_backend(&WorkerPool::new(2), KernelBackend::Vectorized);
-    let wide = serving::e12_mini_with_backend(&WorkerPool::new(8), KernelBackend::Vectorized);
-    assert_eq!(
-        narrow, two,
-        "1-worker vs 2-worker vectorized-verify E12 diverged"
-    );
-    assert_eq!(
-        narrow, wide,
-        "1-worker vs 8-worker vectorized-verify E12 diverged"
-    );
+    diff_fixture_across_workers("kernels_mini");
 }
 
 #[test]
@@ -129,26 +106,12 @@ fn scalar_verify_differs_from_fixture_only_in_verify_stats() {
 
 #[test]
 fn e21_replay_is_byte_identical_across_worker_counts() {
-    // Each epoch fans the shards out over the pool and the rebalance
-    // barrier runs sequentially in between; the report must not depend
-    // on how many workers carried the shards.
-    let narrow = ofpc_bench::ingest::e21_mini(&WorkerPool::new(1));
-    let two = ofpc_bench::ingest::e21_mini(&WorkerPool::new(2));
-    let wide = ofpc_bench::ingest::e21_mini(&WorkerPool::new(8));
-    assert_eq!(narrow, two, "1-worker vs 2-worker E21 bytes diverged");
-    assert_eq!(narrow, wide, "1-worker vs 8-worker E21 bytes diverged");
+    diff_fixture_across_workers("e21_mini");
 }
 
 #[test]
 fn e18_replay_is_byte_identical_across_worker_counts() {
-    // The three protection-mode runs fan out over the pool; the
-    // comparison document must not depend on how many workers carried
-    // them.
-    let narrow = ofpc_bench::resil::e18_mini(&WorkerPool::new(1));
-    let two = ofpc_bench::resil::e18_mini(&WorkerPool::new(2));
-    let wide = ofpc_bench::resil::e18_mini(&WorkerPool::new(8));
-    assert_eq!(narrow, two, "1-worker vs 2-worker E18 bytes diverged");
-    assert_eq!(narrow, wide, "1-worker vs 8-worker E18 bytes diverged");
+    diff_fixture_across_workers("e18_mini");
 }
 
 #[test]

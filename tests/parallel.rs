@@ -1,23 +1,12 @@
 //! Differential tests for the deterministic parallel execution layer
 //! (DESIGN.md §8): every parallelized path must produce byte-identical
-//! output to its sequential reference at 1, 2, and 8 workers.
+//! output to its sequential reference at 1, 2, 4 and 8 workers.
 
-use ofpc_bench::{faults, serving, telemetry};
+mod common;
+
+use common::{diff_across_workers, diff_fixture_across_workers};
 use ofpc_engine::batch::{BatchEngine, KernelSpec};
-use ofpc_par::{split_seed, WorkerPool};
-
-const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
-
-fn diff_across_workers(label: &str, run: impl Fn(&WorkerPool) -> String) {
-    let reference = run(&WorkerPool::new(WORKER_COUNTS[0]));
-    for &workers in &WORKER_COUNTS[1..] {
-        let got = run(&WorkerPool::new(workers));
-        assert_eq!(
-            reference, got,
-            "{label}: {workers}-worker output diverged from the sequential reference"
-        );
-    }
-}
+use ofpc_par::split_seed;
 
 // ------------------------------------------------------------ engine batches
 
@@ -63,17 +52,17 @@ fn engine_mvm_batches_are_byte_identical_across_worker_counts() {
 
 #[test]
 fn e12_serving_knee_is_byte_identical_across_worker_counts() {
-    diff_across_workers("E12 mini serving knee", serving::e12_mini);
+    diff_fixture_across_workers("e12_mini");
 }
 
 #[test]
 fn e13_fault_replay_is_byte_identical_across_worker_counts() {
-    diff_across_workers("E13 mini fault replay", faults::e13_mini);
+    diff_fixture_across_workers("e13_mini");
 }
 
 #[test]
 fn e14_telemetry_snapshot_is_byte_identical_across_worker_counts() {
-    diff_across_workers("E14 mini telemetry snapshot", telemetry::e14_mini);
+    diff_fixture_across_workers("e14_mini");
 }
 
 // ------------------------------------------------------------- seed splitting

@@ -10,7 +10,10 @@
 //! 10k-event churn property test over the structural invariants, and
 //! an objective-quality bound against the monolithic solver.
 
-use ofpc_bench::shard::{e20_mini, run_e20, E20Spec};
+mod common;
+
+use common::diff_fixture_across_workers;
+use ofpc_bench::shard::{run_e20, E20Spec};
 use ofpc_controller::demand::{Demand, TaskDag};
 use ofpc_controller::options::enumerate_options;
 use ofpc_core::topo::{multi_region, MultiRegionSpec};
@@ -282,14 +285,7 @@ fn churn_property_10k_events() {
 
 #[test]
 fn e20_report_is_byte_identical_across_worker_counts() {
-    let reference = e20_mini(&WorkerPool::new(1));
-    for workers in [2, 8] {
-        let wide = e20_mini(&WorkerPool::new(workers));
-        assert!(
-            reference == wide,
-            "E20 report diverged between 1 and {workers} workers"
-        );
-    }
+    diff_fixture_across_workers("e20_mini");
 }
 
 #[test]
