@@ -66,11 +66,13 @@ done
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# --no-fail-fast: one failing test binary must not hide the failures of
+# the binaries after it; every suite runs and reports.
 echo "==> cargo test -q (debug, no warnings tolerated)"
-run_no_warnings cargo test --offline --workspace -q
+run_no_warnings cargo test --offline --workspace -q --no-fail-fast
 
 echo "==> cargo test -q --release (tier-1)"
-run_no_warnings cargo test --offline --workspace -q --release
+run_no_warnings cargo test --offline --workspace -q --release --no-fail-fast
 
 # Every experiment and golden fixture, through the one `expt` runner
 # in release. The step fails when an experiment's own assert fails or

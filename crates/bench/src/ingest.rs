@@ -17,7 +17,7 @@ use ofpc_engine::Primitive;
 use ofpc_ingest::{IngestConfig, IngestFrontEnd, IngestReport, RebalanceConfig, TenantClass};
 use ofpc_net::NodeId;
 use ofpc_par::WorkerPool;
-use ofpc_serve::{BatchPolicy, ServiceModel, SiteSpec};
+use ofpc_serve::{BatchClass, BatchPolicy, ServiceModel, SiteSpec};
 
 /// The service model both E21 instances share: a 100 Gbps line with 8
 /// WDM channels per transponder slot. The thermo-optic engine settle
@@ -178,6 +178,26 @@ pub fn mini_config() -> IngestConfig {
     }
 }
 
+/// The fleet's goodput ceiling, req/s: every slot serving full batches
+/// of the fastest class with its weights already loaded.
+pub fn slot_capacity_rps(config: &IngestConfig) -> f64 {
+    let slots: usize = config.sites.iter().map(|s| s.slots).sum();
+    let n = config.batch.max_batch;
+    let service_ps = config
+        .classes
+        .iter()
+        .map(|c| {
+            let class = BatchClass {
+                primitive: c.primitive,
+                operand_len: u32::from(c.operand_len),
+            };
+            config.model.batch_service(class, n, Some(class)).0
+        })
+        .min()
+        .expect("at least one tenant class");
+    (slots * n) as f64 / (service_ps as f64 * 1e-12)
+}
+
 /// Run an E21 instance. The report is a deterministic function of the
 /// config; `pool` only changes how fast it arrives.
 pub fn run_e21(config: IngestConfig, pool: &WorkerPool) -> IngestReport {
@@ -193,9 +213,12 @@ pub fn run_e21(config: IngestConfig, pool: &WorkerPool) -> IngestReport {
 /// * weighted fairness: whale goodput-per-weight stays ≥ steady's
 ///   while whale *completion ratio* stays below steady's;
 /// * per-tenant admission state stays bounded by the backlog, not the
-///   population.
+///   population;
+/// * the fleet stays busy: goodput is at least 90% of
+///   [`slot_capacity_rps`].
 pub fn expt(pool: &WorkerPool) -> String {
     let config = full_config();
+    let capacity = slot_capacity_rps(&config);
     let tenants: u32 = config.classes.iter().map(|c| c.population).sum();
     println!(
         "E21: sharded ingest front-end — {} tenants / {} shards, {} epochs x {} ms, {} workers\n",
@@ -222,6 +245,7 @@ pub fn expt(pool: &WorkerPool) -> String {
         ("shed", report.shed.to_string()),
         ("unfinished at horizon", report.unfinished.to_string()),
         ("goodput req/s", format!("{:.0}", report.goodput_rps)),
+        ("slot capacity req/s", format!("{capacity:.0}")),
         (
             "distinct active tenants",
             report.distinct_active_tenants.to_string(),
@@ -317,6 +341,14 @@ pub fn expt(pool: &WorkerPool) -> String {
         held <= report.unfinished + u64::from(report.shards),
         "admission state ({held}) outgrew the backlog ({})",
         report.unfinished
+    );
+
+    // Overload must not idle the fleet: the drain keeps every free slot
+    // fed with full batches.
+    assert!(
+        report.goodput_rps >= 0.9 * capacity,
+        "goodput {:.0} req/s is under 90% of the {capacity:.0} req/s slot capacity",
+        report.goodput_rps
     );
 
     // The headline E21 acceptance numbers.

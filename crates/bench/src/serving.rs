@@ -225,6 +225,35 @@ pub fn expt(pool: &WorkerPool) -> String {
         on > off,
         "batching must beat no-batching on goodput at high load"
     );
+    // Past the knee the batched fleet stays saturated: goodput at every
+    // load of at least 1.25x holds 95% of the analytic capacity.
+    for r in rows.iter().filter(|r| r.batching && r.load_frac >= 1.25) {
+        assert!(
+            r.goodput_rps >= 0.95 * knee,
+            "batched goodput at {:.2}x load is {:.2} Mrps, under 95% of the {:.2} Mrps knee",
+            r.load_frac,
+            r.goodput_rps / 1e6,
+            knee / 1e6
+        );
+    }
+    // Latency is bimodal by site (near ≈ 99 µs, far ≈ 197 µs round
+    // trip) and near the knee each site serves about half the requests,
+    // so the median lands on either mode. Bound it by the far site's
+    // light-load tail plus one batch timeout: queueing at the knee may
+    // not add more than that to the median request.
+    let batched = |f: f64| {
+        rows.iter()
+            .find(|r| r.batching && r.load_frac == f)
+            .expect("grid point")
+    };
+    let light_p99 = batched(0.1).p99_latency_us.expect("light-load completions");
+    let max_wait_us = config(knee, true).batch.max_wait_ps as f64 / 1e6;
+    let knee_p50 = batched(1.0).p50_latency_us.expect("knee completions");
+    assert!(
+        knee_p50 <= light_p99 + max_wait_us,
+        "batched p50 at the knee is {knee_p50:.1} µs, over the light-load p99 \
+         {light_p99:.1} µs plus one {max_wait_us:.0} µs batch timeout"
+    );
     for batching in [true, false] {
         let past_knee: Vec<&E12Row> = rows
             .iter()

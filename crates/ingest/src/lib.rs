@@ -57,7 +57,8 @@ pub struct IngestConfig {
     /// Corrupt every Nth synthesized frame (0 = never) to keep the
     /// typed-error path hot.
     pub corrupt_every: u64,
-    /// Max requests pulled from admission per pump round.
+    /// Max requests a shard pulls from admission per pump: the
+    /// `max_drain` cap of `ofpc_serve::Batcher::fill`.
     pub drain_quantum: usize,
 }
 
@@ -213,10 +214,6 @@ impl IngestFrontEnd {
     pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
         self.tel = tel.clone();
         self
-    }
-
-    pub fn directory(&self) -> &TenantDirectory {
-        &self.directory
     }
 
     /// Run all epochs on `pool` and produce the report. The report is a

@@ -150,8 +150,6 @@ pub struct ShardState {
     batcher: Batcher,
     scheduler: Scheduler,
     events: EventQueue<Ev>,
-    /// Earliest armed batch-timeout tick (dedup guard).
-    armed_tick: Option<u64>,
     in_flight: BTreeMap<u64, Flight>,
     next_flight: u64,
     req_counter: u64,
@@ -159,7 +157,7 @@ pub struct ShardState {
     /// typed-error path continuously exercised in the same run.
     corrupt_every: u64,
     frames_seen: u64,
-    /// Max requests pulled from admission per pump round.
+    /// Max requests pulled from admission per pump.
     drain_quantum: usize,
     pub(crate) stats: Vec<ClassStats>,
     pub(crate) frames: FrameStats,
@@ -223,7 +221,6 @@ impl ShardState {
             batcher: Batcher::new(batch),
             scheduler: Scheduler::new(model, seed_sites),
             events: EventQueue::new(),
-            armed_tick: None,
             in_flight: BTreeMap::new(),
             next_flight: 0,
             req_counter: 0,
@@ -297,14 +294,7 @@ impl ShardState {
                 self.schedule_next_arrival();
                 self.pump();
             }
-            Ev::BatchTick => {
-                if self.armed_tick == Some(self.now_ps) {
-                    self.armed_tick = None;
-                }
-                self.batcher.flush_timeouts(self.now_ps);
-                self.pump();
-            }
-            Ev::SlotFree => self.pump(),
+            Ev::BatchTick | Ev::SlotFree => self.pump(),
             Ev::Deliver { seq } => self.settle(seq),
         }
     }
@@ -406,31 +396,26 @@ impl ShardState {
     }
 
     /// Move admitted work as far toward the fiber as capacity allows:
-    /// admission → batcher → scheduler, repeating while dispatches land.
+    /// the shared drain-and-batch rule ([`Batcher::fill`], capped by the
+    /// drain quantum), then EDF dispatch and the batch-timeout alarm.
     fn pump(&mut self) {
         let now = self.now_ps;
-        self.admission.expire_stale(now);
-        loop {
-            let idle = self.scheduler.idle_slots(now);
-            let budget = (idle * self.batcher.policy().max_batch).min(self.drain_quantum);
-            if budget > 0 {
-                for req in self.admission.drain_fair(budget, now) {
-                    self.batcher.push(req, now);
-                }
-            }
-            self.batcher.flush_timeouts(now);
-            for b in self.batcher.take_closed() {
-                self.scheduler.enqueue(b);
-            }
-            let dispatches = self.scheduler.try_dispatch(now);
-            if dispatches.is_empty() {
-                break;
-            }
-            for d in dispatches {
-                self.on_dispatch(d);
-            }
+        let closed = self.batcher.fill(
+            &mut self.admission,
+            &self.scheduler,
+            now,
+            self.drain_quantum,
+            |_| 0,
+        );
+        for b in closed {
+            self.scheduler.enqueue(b);
         }
-        self.arm_tick();
+        for d in self.scheduler.try_dispatch(now) {
+            self.on_dispatch(d);
+        }
+        if let Some(t) = self.batcher.next_timeout_ps() {
+            self.events.schedule_at(t.max(now), Ev::BatchTick);
+        }
         for (req, reason) in self.admission.take_shed() {
             self.record_shed(&req, reason);
         }
@@ -445,8 +430,7 @@ impl ShardState {
         }
         // Wake the pump when dispatching to this slot becomes useful
         // again; without it a lull in arrivals would strand ready work.
-        self.events
-            .schedule_at(d.free_ps.max(self.now_ps + 1), Ev::SlotFree);
+        self.events.schedule_at(d.free_ps, Ev::SlotFree);
         let seq = self.next_flight;
         self.next_flight += 1;
         let n = d.batch.len() as u32;
@@ -458,8 +442,7 @@ impl ShardState {
                 batch_size: n,
             },
         );
-        self.events
-            .schedule_at(d.delivered_ps.max(self.now_ps + 1), Ev::Deliver { seq });
+        self.events.schedule_at(d.delivered_ps, Ev::Deliver { seq });
     }
 
     fn settle(&mut self, seq: u64) {
@@ -484,16 +467,6 @@ impl ShardState {
             ShedReason::DeadlineExpiredQueued => s.shed_expired_queued += 1,
             ShedReason::DeadlineExpiredServing => s.shed_expired_serving += 1,
             ShedReason::EngineFailed => s.shed_engine_failed += 1,
-        }
-    }
-
-    fn arm_tick(&mut self) {
-        if let Some(t) = self.batcher.next_timeout_ps() {
-            let due = t.max(self.now_ps + 1);
-            if self.armed_tick.is_none_or(|a| due < a) {
-                self.events.schedule_at(due, Ev::BatchTick);
-                self.armed_tick = Some(due);
-            }
         }
     }
 

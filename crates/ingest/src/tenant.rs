@@ -17,7 +17,7 @@
 //! population.
 
 use ofpc_engine::Primitive;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 /// A behavioral template shared by a block of tenants.
 #[derive(Debug, Clone)]
@@ -61,7 +61,7 @@ pub struct TenantDirectory {
     class_start: Vec<u32>,
     shards: u32,
     /// Tenants the rebalancer moved off their hash-home shard.
-    overrides: BTreeMap<u32, u32>,
+    overrides: BTreeSet<u32>,
 }
 
 impl TenantDirectory {
@@ -81,16 +81,12 @@ impl TenantDirectory {
         TenantDirectory {
             class_start,
             shards,
-            overrides: BTreeMap::new(),
+            overrides: BTreeSet::new(),
         }
     }
 
     pub fn total_tenants(&self) -> u32 {
         *self.class_start.last().expect("non-empty prefix sums")
-    }
-
-    pub fn shards(&self) -> u32 {
-        self.shards
     }
 
     /// Which class block a tenant id falls in.
@@ -109,14 +105,6 @@ impl TenantDirectory {
         (place_hash(tenant) % u64::from(self.shards)) as u32
     }
 
-    /// Current owning shard (override-aware).
-    pub fn shard_of(&self, tenant: u32) -> u32 {
-        self.overrides
-            .get(&tenant)
-            .copied()
-            .unwrap_or_else(|| self.home_shard(tenant))
-    }
-
     /// Record a migration. Moving a tenant back to its home shard drops
     /// the override, so the table stays bounded by the *displaced* set.
     pub fn migrate(&mut self, tenant: u32, to: u32) {
@@ -124,7 +112,7 @@ impl TenantDirectory {
         if to == self.home_shard(tenant) {
             self.overrides.remove(&tenant);
         } else {
-            self.overrides.insert(tenant, to);
+            self.overrides.insert(tenant);
         }
     }
 
@@ -195,10 +183,10 @@ mod tests {
         let home = d.home_shard(t);
         let away = (home + 1) % 4;
         d.migrate(t, away);
-        assert_eq!(d.shard_of(t), away);
         assert_eq!(d.displaced(), 1);
+        d.migrate(t, away);
+        assert_eq!(d.displaced(), 1, "one override per displaced tenant");
         d.migrate(t, home);
-        assert_eq!(d.shard_of(t), home);
         assert_eq!(d.displaced(), 0, "returning home clears the override");
     }
 }

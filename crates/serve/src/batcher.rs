@@ -8,8 +8,15 @@
 //! closes it when it reaches `max_batch` (the wavelength-parallel width)
 //! or when its oldest member has waited `max_wait_ps` — the same
 //! size-or-timeout rule digital inference servers use.
+//!
+//! [`Batcher::fill`] is the one drain-and-batch rule both event loops
+//! run at every wake-up: the serving runtime and each ingest shard call
+//! it with their own admission controller and scheduler, then enqueue
+//! and dispatch what it closes.
 
+use crate::admission::SparseAdmission;
 use crate::request::{BatchClass, ComputeRequest};
+use crate::scheduler::Scheduler;
 use ofpc_resil::ResilTag;
 use std::collections::BTreeMap;
 
@@ -100,16 +107,6 @@ impl Batcher {
         }
     }
 
-    pub fn policy(&self) -> BatchPolicy {
-        self.policy
-    }
-
-    /// Add a request to its class's open batch, closing the batch when
-    /// it fills. Unprotected shorthand for [`Batcher::push_with_mode`].
-    pub fn push(&mut self, req: ComputeRequest, now_ps: u64) {
-        self.push_with_mode(req, 0, now_ps);
-    }
-
     /// Add a request under its tenant's redundancy-mode rank (see
     /// `ofpc_resil::RedundancyMode::rank`): batches stay pure per mode
     /// so the redundancy layer can expand whole batches into sets.
@@ -152,9 +149,9 @@ impl Batcher {
         }
     }
 
-    /// Force-close everything (end of run, or scheduler idle with free
-    /// capacity — holding requests while transponders sit idle only adds
-    /// latency).
+    /// Force-close everything (the fallback divert, or the scheduler
+    /// idle with free capacity — holding requests while transponders sit
+    /// idle only adds latency).
     pub fn flush_all(&mut self, now_ps: u64) {
         let keys: Vec<(u8, BatchClass)> = self.open.keys().copied().collect();
         for key in keys {
@@ -185,6 +182,42 @@ impl Batcher {
     pub fn take_closed(&mut self) -> Vec<Batch> {
         std::mem::take(&mut self.closed)
     }
+
+    /// One wake-up of the drain-and-batch rule; returns the batches it
+    /// closed, in close order.
+    ///
+    /// Stale queue heads are shed first. The drain budget is what the
+    /// idle slots can take in full batches (`idle × max_batch`), less
+    /// the requests already waiting in queued redundancy-set members,
+    /// and never more than `max_drain`; the budget is drained by DRR and
+    /// each request batched under its redundancy-mode rank
+    /// (`rank` runs once per drained request, in drain order). Timed-out
+    /// batches close next, and when admission is empty, nothing waits
+    /// for a slot and a slot is idle, every partial batch closes too:
+    /// holding requests while transponders sit idle only adds latency.
+    pub fn fill(
+        &mut self,
+        admission: &mut SparseAdmission,
+        scheduler: &Scheduler,
+        now_ps: u64,
+        max_drain: usize,
+        mut rank: impl FnMut(&ComputeRequest) -> u8,
+    ) -> Vec<Batch> {
+        admission.expire_stale(now_ps);
+        let idle = scheduler.idle_slots(now_ps);
+        let budget = (idle * self.policy.max_batch)
+            .saturating_sub(scheduler.set_backlog_requests())
+            .min(max_drain);
+        for req in admission.drain_fair(budget, now_ps) {
+            let mode_rank = rank(&req);
+            self.push_with_mode(req, mode_rank, now_ps);
+        }
+        self.flush_timeouts(now_ps);
+        if admission.queued() == 0 && scheduler.backlog_requests() == 0 && idle > 0 {
+            self.flush_all(now_ps);
+        }
+        self.take_closed()
+    }
 }
 
 #[cfg(test)]
@@ -211,7 +244,7 @@ mod tests {
             max_wait_ps: 1_000,
         });
         for i in 0..7 {
-            b.push(req(i, 8, i), i);
+            b.push_with_mode(req(i, 8, i), 0, i);
         }
         let closed = b.take_closed();
         assert_eq!(closed.len(), 2);
@@ -225,7 +258,7 @@ mod tests {
             max_batch: 8,
             max_wait_ps: 100,
         });
-        b.push(req(1, 8, 0), 0);
+        b.push_with_mode(req(1, 8, 0), 0, 0);
         b.flush_timeouts(50);
         assert!(b.take_closed().is_empty());
         b.flush_timeouts(100);
@@ -241,14 +274,14 @@ mod tests {
             max_batch: 2,
             max_wait_ps: 1_000,
         });
-        b.push(req(1, 8, 0), 0);
-        b.push(req(2, 16, 0), 0); // different shape
+        b.push_with_mode(req(1, 8, 0), 0, 0);
+        b.push_with_mode(req(2, 16, 0), 0, 0); // different shape
         let mut r3 = req(3, 8, 0);
         r3.primitive = Primitive::NonlinearFunction; // different primitive
-        b.push(r3, 0);
+        b.push_with_mode(r3, 0, 0);
         assert!(b.take_closed().is_empty());
         assert_eq!(b.open_len(), 3);
-        b.push(req(4, 8, 1), 1); // completes the (P1, 8) batch
+        b.push_with_mode(req(4, 8, 1), 0, 1); // completes the (P1, 8) batch
         let closed = b.take_closed();
         assert_eq!(closed.len(), 1);
         assert_eq!(closed[0].class.operand_len, 8);
@@ -259,7 +292,7 @@ mod tests {
     fn disabled_policy_is_one_request_per_batch() {
         let mut b = Batcher::new(BatchPolicy::disabled());
         for i in 0..4 {
-            b.push(req(i, 8, i), i);
+            b.push_with_mode(req(i, 8, i), 0, i);
         }
         let closed = b.take_closed();
         assert_eq!(closed.len(), 4);
@@ -276,8 +309,8 @@ mod tests {
         r1.deadline_ps = 500;
         let mut r2 = req(2, 8, 0);
         r2.deadline_ps = 300;
-        b.push(r1, 0);
-        b.push(r2, 0);
+        b.push_with_mode(r1, 0, 0);
+        b.push_with_mode(r2, 0, 0);
         let closed = b.take_closed();
         assert_eq!(closed[0].deadline_ps(), 300);
     }
@@ -318,6 +351,177 @@ mod tests {
         assert_eq!(parity.deadline_ps(), 777);
     }
 
+    mod fill {
+        use super::*;
+        use crate::admission::TenantShape;
+        use crate::scheduler::{ServiceModel, SiteSpec};
+        use ofpc_net::NodeId;
+        use ofpc_transponder::compute::ComputeTransponderConfig;
+
+        const SHAPE: TenantShape = TenantShape {
+            capacity: 64,
+            weight: 1,
+        };
+
+        fn scheduler(slots: usize) -> Scheduler {
+            let model = ServiceModel::from_transponder(&ComputeTransponderConfig::ideal(), 4);
+            let site = SiteSpec {
+                node: NodeId(1),
+                slots,
+                access_ps: 1_000,
+            };
+            Scheduler::new(model, vec![site])
+        }
+
+        fn batcher() -> Batcher {
+            Batcher::new(BatchPolicy {
+                max_batch: 4,
+                max_wait_ps: 1_000_000,
+            })
+        }
+
+        fn admission(n: u64) -> SparseAdmission {
+            let mut ac = SparseAdmission::new();
+            for i in 0..n {
+                ac.offer(req(i, 8, 0), SHAPE);
+            }
+            ac
+        }
+
+        fn set_member(ids: std::ops::Range<u64>) -> Batch {
+            Batch {
+                class: req(0, 8, 0).batch_class(),
+                requests: ids
+                    .map(|i| ComputeRequest {
+                        deadline_ps: u64::MAX,
+                        ..req(i, 8, 0)
+                    })
+                    .collect(),
+                closed_ps: 0,
+                resil: Some(ResilTag {
+                    set: 0,
+                    member: 0,
+                    pin: NodeId(1),
+                    phantom: 0,
+                    deadline_ps: u64::MAX,
+                }),
+            }
+        }
+
+        /// Requests `fill` took out of admission.
+        fn drained(ac: &mut SparseAdmission, s: &Scheduler, max_drain: usize) -> usize {
+            let before = ac.queued();
+            batcher().fill(ac, s, 0, max_drain, |_| 0);
+            before - ac.queued()
+        }
+
+        #[test]
+        fn budget_is_idle_slots_times_max_batch() {
+            let s = scheduler(2);
+            let mut ac = admission(20);
+            let mut b = batcher();
+            let closed = b.fill(&mut ac, &s, 0, usize::MAX, |_| 0);
+            assert_eq!(closed.len(), 2, "two idle slots take two full batches");
+            assert!(closed.iter().all(|c| c.len() == 4));
+            assert_eq!(ac.queued(), 12);
+        }
+
+        #[test]
+        fn budget_subtracts_queued_set_members_and_obeys_the_cap() {
+            let mut s = scheduler(2);
+            s.enqueue(set_member(100..103));
+            assert_eq!(drained(&mut admission(20), &s, usize::MAX), 8 - 3);
+            assert_eq!(drained(&mut admission(20), &s, 2), 2, "max_drain binds");
+            // A backlog of plain batches does not shrink the budget...
+            let mut plain = scheduler(2);
+            let mut unpinned = set_member(100..103);
+            unpinned.resil = None;
+            plain.enqueue(unpinned);
+            assert_eq!(drained(&mut admission(20), &plain, usize::MAX), 8);
+            // ...and a set backlog past the idle capacity saturates at 0.
+            s.enqueue(set_member(103..110));
+            assert_eq!(drained(&mut admission(20), &s, usize::MAX), 0);
+        }
+
+        #[test]
+        fn partial_batches_close_only_when_idle_with_nothing_waiting() {
+            // Admission drained dry, no backlog, a slot idle: close.
+            let s = scheduler(2);
+            let closed = batcher().fill(&mut admission(3), &s, 0, usize::MAX, |_| 0);
+            assert_eq!(closed.len(), 1);
+            assert_eq!(closed[0].len(), 3);
+
+            // Admission still holds work: the partial batch stays open.
+            let mut b = batcher();
+            let mut ac = admission(3);
+            assert!(b.fill(&mut ac, &s, 0, 2, |_| 0).is_empty());
+            assert_eq!((b.open_len(), ac.queued()), (2, 1));
+
+            // A batch waits for a slot: the partial batch stays open.
+            let mut waiting = scheduler(2);
+            waiting.enqueue(Batch {
+                resil: None,
+                ..set_member(100..101)
+            });
+            let mut b = batcher();
+            assert!(b
+                .fill(&mut admission(3), &waiting, 0, usize::MAX, |_| 0)
+                .is_empty());
+            assert_eq!(b.open_len(), 3);
+
+            // No idle slot: the open batch stays open too.
+            let mut busy = scheduler(1);
+            busy.enqueue(Batch {
+                resil: None,
+                ..set_member(100..101)
+            });
+            assert_eq!(busy.try_dispatch(0).len(), 1);
+            let mut b = batcher();
+            b.push_with_mode(req(1, 8, 0), 0, 0);
+            assert!(b
+                .fill(&mut SparseAdmission::new(), &busy, 0, usize::MAX, |_| 0)
+                .is_empty());
+            assert_eq!(b.open_len(), 1);
+        }
+
+        #[test]
+        fn zero_budget_still_expires_stale_heads() {
+            let s = scheduler(2);
+            let mut ac = SparseAdmission::new();
+            let mut stale = req(1, 8, 0);
+            stale.deadline_ps = 10;
+            ac.offer(stale, SHAPE);
+            let closed = batcher().fill(&mut ac, &s, 100, 0, |_| 0);
+            assert!(closed.is_empty());
+            assert_eq!(ac.queued(), 0);
+            let shed = ac.take_shed();
+            assert_eq!(shed.len(), 1);
+            assert_eq!(shed[0].1, crate::request::ShedReason::DeadlineExpiredQueued);
+        }
+
+        #[test]
+        fn rank_keys_each_drained_request() {
+            let s = scheduler(2);
+            let mut ac = SparseAdmission::new();
+            for i in 0..4 {
+                ac.offer(req(i, 8, 0), SHAPE);
+                let mut other = req(10 + i, 8, 0);
+                other.tenant = TenantId(1);
+                ac.offer(other, SHAPE);
+            }
+            let mut ranked = Vec::new();
+            let closed = batcher().fill(&mut ac, &s, 0, usize::MAX, |r| {
+                ranked.push(r.id);
+                r.tenant.0 as u8
+            });
+            assert_eq!(ranked.len(), 8, "once per drained request");
+            assert_eq!(closed.len(), 2, "one pure batch per rank");
+            for c in &closed {
+                assert!(c.requests.iter().all(|r| r.tenant == c.requests[0].tenant));
+            }
+        }
+    }
+
     #[test]
     fn next_timeout_tracks_oldest_open_batch() {
         let mut b = Batcher::new(BatchPolicy {
@@ -325,8 +529,8 @@ mod tests {
             max_wait_ps: 100,
         });
         assert_eq!(b.next_timeout_ps(), None);
-        b.push(req(1, 8, 10), 10);
-        b.push(req(2, 16, 30), 30);
+        b.push_with_mode(req(1, 8, 10), 0, 10);
+        b.push_with_mode(req(2, 16, 30), 0, 30);
         assert_eq!(b.next_timeout_ps(), Some(110));
     }
 }

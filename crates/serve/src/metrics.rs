@@ -174,26 +174,6 @@ impl MetricsSink {
         *self.energy_stages.entry(stage.to_string()).or_insert(0.0) += joules;
     }
 
-    pub fn tenant(&self, t: TenantId) -> &TenantCollector {
-        &self.tenants[t.0 as usize]
-    }
-
-    pub fn arrivals_total(&self) -> u64 {
-        self.tenants.iter().map(|t| t.arrivals).sum()
-    }
-
-    pub fn completed_total(&self) -> u64 {
-        self.tenants.iter().map(|t| t.completed).sum()
-    }
-
-    pub fn shed_total(&self) -> u64 {
-        self.tenants.iter().map(TenantCollector::shed_total).sum()
-    }
-
-    pub fn degraded_total(&self) -> u64 {
-        self.tenants.iter().map(|t| t.degraded).sum()
-    }
-
     /// Build the final report. `unfinished` are requests still queued or
     /// in flight at the horizon; they must make conservation hold.
     pub fn report(&self, duration_s: f64, unfinished: u64, max_batch: usize) -> ServeReport {
@@ -227,10 +207,11 @@ impl MetricsSink {
                 },
             });
         }
-        let arrivals = self.arrivals_total();
-        let completed = self.completed_total();
-        let shed = self.shed_total();
-        let degraded = self.degraded_total();
+        let total = |f: fn(&TenantCollector) -> u64| self.tenants.iter().map(f).sum::<u64>();
+        let arrivals = total(|t| t.arrivals);
+        let completed = total(|t| t.completed);
+        let shed = total(TenantCollector::shed_total);
+        let degraded = total(|t| t.degraded);
         assert_eq!(
             arrivals,
             completed + shed + degraded + unfinished,

@@ -4,9 +4,10 @@
 //! Time is virtual (integer picoseconds) and every data structure
 //! iterates in a fixed order, so two runs with the same [`ServeConfig`]
 //! produce byte-identical metrics JSON — the serving replay test pins
-//! this. The loop is event-driven: arrivals, batch timeouts, and slot
-//! releases are the only wake-ups, and after each one the pipeline
-//! (expire → fair drain → batch → dispatch) runs to a fixed point.
+//! this. The loop is event-driven: after every event (arrival, batch
+//! timeout, slot release, fault, delivery, retry) the pipeline runs once
+//! — the shared drain-and-batch rule ([`Batcher::fill`]), then the
+//! redundancy expansion and EDF dispatch.
 //!
 //! Completions are recorded at their computed delivery time when the
 //! batch is dispatched; after the arrival horizon the loop keeps running
@@ -15,7 +16,7 @@
 //! (`arrivals = completed + shed + unfinished`) is asserted in the
 //! report.
 
-use crate::admission::AdmissionControl;
+use crate::admission::{SparseAdmission, TenantShape};
 use crate::arrivals::{ArrivalProcess, ArrivalSpec};
 use crate::batcher::{Batch, BatchPolicy, Batcher};
 use crate::metrics::{MetricsSink, ServeReport};
@@ -68,16 +69,6 @@ pub struct ServeConfig {
     /// Cross-check every Nth dispatched batch against the real photonic
     /// engine (0 disables verification sampling).
     pub verify_every: u64,
-}
-
-impl ServeConfig {
-    /// Total offered load across tenants, requests/second.
-    pub fn offered_rps(&self) -> f64 {
-        self.tenants
-            .iter()
-            .map(|t| t.arrivals.mean_rate_rps())
-            .sum()
-    }
 }
 
 /// Capped exponential backoff for requests displaced by engine faults.
@@ -201,7 +192,13 @@ pub struct ResilSummary {
 /// The assembled serving runtime.
 pub struct ServeRuntime {
     config: ServeConfig,
-    admission: AdmissionControl,
+    admission: SparseAdmission,
+    /// Each tenant's admission shape, indexed by tenant.
+    shapes: Vec<TenantShape>,
+    /// Each tenant's resilience contract, indexed by tenant (default
+    /// [`RedundancyMode::Unprotected`]; see
+    /// [`ServeRuntime::with_redundancy`]).
+    redundancy: Vec<RedundancyMode>,
     batcher: Batcher,
     scheduler: Scheduler,
     metrics: MetricsSink,
@@ -261,12 +258,25 @@ impl ServeRuntime {
     pub fn new(config: ServeConfig, model: ServiceModel, sites: Vec<SiteSpec>) -> Self {
         assert!(!config.tenants.is_empty(), "need at least one tenant");
         assert!(config.horizon_ps > 0, "horizon must be positive");
-        let mut rng = SimRng::seed_from_u64(config.seed);
-        let caps: Vec<(usize, u32)> = config
+        // DRR grants credit per weight unit per round: a zero-weight
+        // tenant would bank nothing forever and starve while holding a
+        // live queue, so construction refuses the config outright.
+        let shapes: Vec<TenantShape> = config
             .tenants
             .iter()
-            .map(|t| (t.queue_capacity, t.weight))
+            .map(|t| {
+                assert!(
+                    t.queue_capacity > 0,
+                    "tenant queue capacity must be positive"
+                );
+                assert!(t.weight > 0, "tenant weight must be positive");
+                TenantShape {
+                    capacity: t.queue_capacity,
+                    weight: t.weight,
+                }
+            })
             .collect();
+        let mut rng = SimRng::seed_from_u64(config.seed);
         let arrivals: Vec<ArrivalProcess> = config
             .tenants
             .iter()
@@ -281,7 +291,9 @@ impl ServeRuntime {
         });
         let tenant_count = config.tenants.len();
         let mut rt = ServeRuntime {
-            admission: AdmissionControl::new(&caps),
+            admission: SparseAdmission::new(),
+            shapes,
+            redundancy: vec![RedundancyMode::Unprotected; tenant_count],
             batcher: Batcher::new(config.batch),
             scheduler: Scheduler::new(model, sites),
             metrics: MetricsSink::new(tenant_count),
@@ -390,9 +402,7 @@ impl ServeRuntime {
             self.config.tenants.len(),
             "one redundancy policy per tenant"
         );
-        for (i, &p) in policies.iter().enumerate() {
-            self.admission.set_policy(TenantId(i as u32), p);
-        }
+        self.redundancy = policies.to_vec();
         for r in &plan.routes {
             self.site_routes
                 .entry(r.node)
@@ -475,12 +485,14 @@ impl ServeRuntime {
             deadline_ps: self.now_ps.saturating_add(spec.deadline_ps),
         };
         self.metrics.on_arrival(TenantId(tenant));
-        self.admission.offer(req);
+        self.admission.offer(req, self.shapes[tenant as usize]);
         self.schedule_next_arrival(tenant);
     }
 
-    /// Move work through admission → batcher → scheduler until nothing
-    /// changes at the current instant.
+    /// Move work through admission → batcher → scheduler once: the
+    /// shared drain-and-batch rule ([`Batcher::fill`], capped so the
+    /// downstream stays bounded), then redundancy expansion, EDF
+    /// dispatch and the batch-timeout alarm.
     fn run_pipeline(&mut self) {
         let now = self.now_ps;
         // Every photonic slot hard-failed: with a fallback configured,
@@ -490,35 +502,25 @@ impl ServeRuntime {
             self.divert_all_to_fallback(now);
             return;
         }
-        self.admission.expire_stale(now);
-
-        // Keep the downstream (open batches + closed backlog) bounded so
-        // overload backs up into the per-tenant queues where weighted
-        // fairness and QueueFull shedding apply.
-        let cap = self.scheduler.total_slots() * self.batcher.policy().max_batch * 2;
+        // Bound open + ready work: a cut-off site's slots still count as
+        // idle, and a cut under load must back up into the tenant queues
+        // (DRR weights, QueueFull), not into batches nothing dispatches.
+        let cap = 2 * self.scheduler.total_slots() * self.config.batch.max_batch;
         let downstream = self.batcher.open_len() + self.scheduler.backlog_requests();
-        let budget = cap.saturating_sub(downstream);
-        let drained = self.admission.drain_fair(budget, now);
-        let had_queue_left = self.admission.queued() > 0;
         let tracing = self.tel.is_enabled();
-        for req in drained {
-            if tracing {
-                self.drained_ps.insert(req.id.0, now);
-            }
-            let rank = self.admission.policy_of(req.tenant).rank();
-            self.batcher.push_with_mode(req, rank, now);
-        }
-        self.batcher.flush_timeouts(now);
-        // Idle capacity with no backlog and nothing else queued: waiting
-        // longer only adds latency, so close what we have (continuous
-        // batching, as inference servers do).
-        if !had_queue_left
-            && self.scheduler.backlog_requests() == 0
-            && self.scheduler.idle_slots(now) > 0
-        {
-            self.batcher.flush_all(now);
-        }
-        for batch in self.batcher.take_closed() {
+        let closed = self.batcher.fill(
+            &mut self.admission,
+            &self.scheduler,
+            now,
+            cap.saturating_sub(downstream),
+            |req| {
+                if tracing {
+                    self.drained_ps.insert(req.id.0, now);
+                }
+                self.redundancy[req.tenant.0 as usize].rank()
+            },
+        );
+        for batch in closed {
             self.metrics.on_batch(batch.len() as u32);
             self.enqueue_with_redundancy(batch);
         }
@@ -622,7 +624,7 @@ impl ServeRuntime {
         if batch.is_empty() {
             return;
         }
-        let mode = self.admission.policy_of(batch.requests[0].tenant);
+        let mode = self.redundancy[batch.requests[0].tenant.0 as usize];
         let Some(plan) = self.site_plan.as_ref() else {
             self.scheduler.enqueue(batch);
             return;
@@ -1105,7 +1107,8 @@ impl ServeRuntime {
             // Back through admission: the retry competes fairly with new
             // arrivals for the surviving slots (no second arrival count —
             // the request was counted once).
-            self.admission.offer(req);
+            let shape = self.shapes[req.tenant.0 as usize];
+            self.admission.offer(req, shape);
         }
     }
 
@@ -1183,8 +1186,10 @@ impl ServeRuntime {
     }
 
     /// Photonic capacity is gone: push everything queued anywhere to the
-    /// digital fallback (deadlines included — a correct late answer beats
-    /// a shed).
+    /// digital fallback. Requests still in admission whose deadline has
+    /// already passed are shed (`DeadlineExpiredQueued`) by the drain
+    /// instead; everything in open or ready batches degrades, late or
+    /// not.
     fn divert_all_to_fallback(&mut self, now: u64) {
         let queued = self.admission.queued();
         for req in self.admission.drain_fair(queued, now) {
@@ -1225,7 +1230,7 @@ impl ServeRuntime {
                 }
             }
         }
-        // QueueFull sheds recorded at offer time still surface.
+        // Sheds recorded at offer time and by the drain above surface.
         for (req, reason) in self.admission.take_shed() {
             self.note_shed(&req, reason);
             self.metrics
@@ -1273,33 +1278,40 @@ impl ServeRuntime {
         self.run_with_resil().0
     }
 
+    /// Handle the next event, then run the pipeline once. Returns
+    /// `false` when no event is left.
+    fn step(&mut self) -> bool {
+        let Some((t, ev)) = self.events.pop() else {
+            return false;
+        };
+        if t > self.config.horizon_ps + self.config.drain_grace_ps {
+            // Past the drain window no new work starts, but results
+            // already dispatched are light in the fiber — their
+            // deliveries still count.
+            if let Event::Deliver { key } = ev {
+                self.now_ps = t;
+                self.handle_deliver(key);
+            }
+            return true;
+        }
+        self.now_ps = t;
+        match ev {
+            Event::Arrival { tenant } => self.handle_arrival(tenant),
+            // The pipeline below re-checks timeouts and idle slots.
+            Event::BatchDue | Event::SlotFree => {}
+            Event::SiteFault { node, up } => self.handle_site_fault(node, up),
+            Event::LinkFault { link, up } => self.handle_link_fault(link, up),
+            Event::Deliver { key } => self.handle_deliver(key),
+            Event::Retry { key } => self.handle_retry(key),
+        }
+        self.run_pipeline();
+        true
+    }
+
     /// Run to completion, returning the report plus the redundancy
     /// layer's summary (all-zero when no redundancy was configured).
     pub fn run_with_resil(mut self) -> (ServeReport, ResilSummary) {
-        let end_ps = self.config.horizon_ps + self.config.drain_grace_ps;
-        while let Some((t, ev)) = self.events.pop() {
-            if t > end_ps {
-                // Past the drain window no new work starts, but results
-                // already dispatched are light in the fiber — their
-                // deliveries still count.
-                if let Event::Deliver { key } = ev {
-                    self.now_ps = t;
-                    self.handle_deliver(key);
-                }
-                continue;
-            }
-            self.now_ps = t;
-            match ev {
-                Event::Arrival { tenant } => self.handle_arrival(tenant),
-                // The pipeline below re-checks timeouts and idle slots.
-                Event::BatchDue | Event::SlotFree => {}
-                Event::SiteFault { node, up } => self.handle_site_fault(node, up),
-                Event::LinkFault { link, up } => self.handle_link_fault(link, up),
-                Event::Deliver { key } => self.handle_deliver(key),
-                Event::Retry { key } => self.handle_retry(key),
-            }
-            self.run_pipeline();
-        }
+        while self.step() {}
         assert!(self.in_service.is_empty(), "all dispatches delivered");
         let names = self.config.tenants.iter().map(|t| t.name.as_str());
         self.metrics.publish(&self.tel, names);
@@ -1373,6 +1385,18 @@ mod tests {
         assert_eq!(report.unfinished, 0);
         assert_eq!(report.completed, report.arrivals);
         assert!(report.p99_latency_us.unwrap() < 1_000.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant weight must be positive")]
+    fn zero_weight_tenant_is_rejected_at_construction() {
+        // DRR grants credit per weight unit per round: a zero-weight
+        // tenant would bank nothing forever and starve while holding a
+        // live queue. Construction refuses the config outright rather
+        // than letting the scheduler discover the black hole at runtime.
+        let mut cfg = small_config(20_000.0);
+        cfg.tenants[1].weight = 0;
+        let _ = runtime(cfg);
     }
 
     #[test]
@@ -1828,6 +1852,45 @@ mod tests {
             .run_with_resil();
         assert!(resil.unprotected_downgrades > 0);
         assert!(resil.replica_sets > 0, "protection resumes after splice");
+        assert_eq!(
+            report.arrivals,
+            report.completed + report.shed + report.unfinished
+        );
+    }
+
+    #[test]
+    fn a_cut_under_overload_backs_up_into_the_tenant_queues() {
+        // The only span is dark for 1.5 ms at about twice the slot
+        // capacity. The dark site's slots still count as idle, so only
+        // the drain cap keeps open + ready work bounded: the excess must
+        // wait in admission, where DRR weights and QueueFull apply.
+        let (sites, plan) = star_plant(1);
+        let only_link = plan.routes[0].route.links[0];
+        let model = ServiceModel::from_transponder(&ComputeTransponderConfig::ideal(), 4);
+        let cfg = small_config(16_000_000.0);
+        let cap = 2 * 2 * cfg.batch.max_batch;
+        let queue_bound: usize = cfg.tenants.iter().map(|t| t.queue_capacity).sum();
+        let mut rt = ServeRuntime::new(cfg, model, sites)
+            .with_redundancy(&[RedundancyMode::Unprotected; 2], plan)
+            .with_storm(&storm_cut(only_link, 200_000_000, 1_700_000_000));
+        let mut peak_queued_in_cut = 0;
+        while rt.step() {
+            let downstream = rt.batcher.open_len() + rt.scheduler.backlog_requests();
+            assert!(
+                downstream <= cap,
+                "open + ready {downstream} > {cap} at {} ps",
+                rt.now_ps
+            );
+            if rt.link_down.contains(&only_link) {
+                peak_queued_in_cut = peak_queued_in_cut.max(rt.admission.queued());
+            }
+        }
+        assert_eq!(
+            peak_queued_in_cut, queue_bound,
+            "the cut backs up into admission"
+        );
+        let report = rt.run();
+        assert!(report.tenants.iter().all(|t| t.shed_queue_full > 0));
         assert_eq!(
             report.arrivals,
             report.completed + report.shed + report.unfinished

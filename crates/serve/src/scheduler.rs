@@ -220,10 +220,6 @@ impl Scheduler {
         }
     }
 
-    pub fn model(&self) -> &ServiceModel {
-        &self.model
-    }
-
     pub fn total_slots(&self) -> usize {
         self.slots.len()
     }
@@ -315,6 +311,17 @@ impl Scheduler {
     /// Requests queued in closed batches not yet dispatched.
     pub fn backlog_requests(&self) -> usize {
         self.ready.iter().map(Batch::len).sum()
+    }
+
+    /// The part of [`Scheduler::backlog_requests`] queued in
+    /// redundancy-set members: pinned to one site, they can wait behind
+    /// it while other slots sit idle.
+    pub fn set_backlog_requests(&self) -> usize {
+        self.ready
+            .iter()
+            .filter(|b| b.resil.is_some())
+            .map(Batch::len)
+            .sum()
     }
 
     pub fn enqueue(&mut self, batch: Batch) {
