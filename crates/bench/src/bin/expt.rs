@@ -8,11 +8,14 @@
 //! No id runs every entry in registry order. Each entry prints its
 //! tables, asserts its claims, and has its document written to its
 //! `results/` path; a failed assert or an unwritable document exits
-//! non-zero.
+//! non-zero. Each entry's wall time goes to stderr as one line,
+//! `<id>: <seconds> s`, so a speedup shows in a full experiment's time
+//! without touching any document.
 
 use ofpc_bench::{Entry, REGISTRY};
 use ofpc_par::WorkerPool;
 use std::process::ExitCode;
+use std::time::Instant;
 
 fn main() -> ExitCode {
     let ids: Vec<String> = std::env::args().skip(1).collect();
@@ -32,7 +35,9 @@ fn main() -> ExitCode {
     }
     let pool = WorkerPool::from_env();
     for e in entries {
+        let t0 = Instant::now();
         let doc = (e.run)(&pool);
+        eprintln!("{}: {:.3} s", e.id, t0.elapsed().as_secs_f64());
         if let Err(err) = ofpc_bench::table::write_result(e.path, &doc) {
             eprintln!("cannot write {}: {err}", e.path);
             return ExitCode::FAILURE;

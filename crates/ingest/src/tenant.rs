@@ -73,6 +73,12 @@ impl TenantDirectory {
         class_start.push(0);
         for c in classes {
             assert!(c.population > 0, "class {} has no tenants", c.name);
+            assert!(c.weight > 0, "class {} has zero DRR weight", c.name);
+            assert!(
+                c.queue_capacity > 0,
+                "class {} has zero queue capacity",
+                c.name
+            );
             acc = acc
                 .checked_add(c.population)
                 .expect("tenant population overflows u32");
@@ -149,6 +155,22 @@ mod tests {
                 deadline_ps: 80_000_000,
             },
         ]
+    }
+
+    #[test]
+    #[should_panic(expected = "class tail has zero DRR weight")]
+    fn zero_weight_class_is_rejected_at_construction() {
+        let mut c = classes();
+        c[1].weight = 0;
+        TenantDirectory::new(&c, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "class heavy has zero queue capacity")]
+    fn zero_capacity_class_is_rejected_at_construction() {
+        let mut c = classes();
+        c[0].queue_capacity = 0;
+        TenantDirectory::new(&c, 4);
     }
 
     #[test]

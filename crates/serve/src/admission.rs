@@ -12,8 +12,12 @@
 //!
 //! One controller, [`SparseAdmission`], serves both the serving runtime
 //! (a handful of configured tenants) and the million-tenant ingest
-//! shards: it holds state only for backlogged tenants, so its cost is
-//! bounded by the backlog in either setting.
+//! shards: it holds state only for backlogged tenants, so its memory is
+//! bounded by the backlog in either setting. Its cost per wake-up is
+//! bounded by the work the wake-up does plus `log` of the backlog: the
+//! expiry sweep runs only once a queue head can have expired, and a
+//! drain walks the backlogged tenants from its cursor one `BTreeMap`
+//! step at a time instead of listing them all.
 
 use crate::request::{ComputeRequest, ShedReason, TenantId};
 use std::collections::{BTreeMap, VecDeque};
@@ -93,8 +97,10 @@ pub struct SparseAdmission {
     /// The last drained queue, emptied, kept so the next tenant to
     /// become backlogged reuses its buffer instead of allocating.
     spare: VecDeque<ComputeRequest>,
-    /// One DRR round's visit order, kept to reuse its buffer.
-    order: Vec<TenantId>,
+    /// A lower bound on every queue head's deadline: no head has
+    /// expired while `now_ps <= head_floor`. Whatever exposes a new head
+    /// lowers it; the expiry sweep recomputes it exactly.
+    head_floor: u64,
 }
 
 impl SparseAdmission {
@@ -122,6 +128,9 @@ impl SparseAdmission {
             self.shed.push((req, ShedReason::QueueFull));
             false
         } else {
+            if t.queue.is_empty() {
+                self.head_floor = self.head_floor.min(req.deadline_ps);
+            }
             t.queue.push_back(req);
             self.queued += 1;
             true
@@ -139,9 +148,15 @@ impl SparseAdmission {
     }
 
     /// Drop queued requests whose deadline has passed, shedding them
-    /// explicitly, and evict tenants drained empty by the sweep.
+    /// explicitly, and evict tenants drained empty by the sweep. Returns
+    /// at once, touching no queue, while no head can have expired.
     pub fn expire_stale(&mut self, now_ps: u64) -> usize {
+        if now_ps <= self.head_floor {
+            return 0;
+        }
         let mut n = 0;
+        let mut floor = u64::MAX;
+        let mut emptied = false;
         for t in self.active.values_mut() {
             while let Some(front) = t.queue.front() {
                 if front.expired(now_ps) {
@@ -150,38 +165,48 @@ impl SparseAdmission {
                     self.queued -= 1;
                     n += 1;
                 } else {
+                    floor = floor.min(front.deadline_ps);
                     break;
                 }
             }
+            emptied |= t.queue.is_empty();
         }
-        self.active.retain(|_, t| !t.queue.is_empty());
+        if emptied {
+            self.active.retain(|_, t| !t.queue.is_empty());
+        }
+        self.head_floor = floor;
         n
     }
 
     /// Weighted-fair drain of up to `max` requests (deficit round
     /// robin over the backlogged tenants, resuming after the cursor).
+    ///
+    /// A round visits the ids after the cursor, then wraps to the ids up
+    /// to and including it, stepping through the map from the last
+    /// tenant visited. That is the round's snapshot order without the
+    /// snapshot: a drain adds no tenant and evicts only the one it just
+    /// visited.
     pub fn drain_fair(&mut self, max: usize, now_ps: u64) -> Vec<ComputeRequest> {
         let mut out = Vec::new();
         if max == 0 || self.queued == 0 {
             return out;
         }
-        let mut order = std::mem::take(&mut self.order);
-        'rounds: while out.len() < max && self.queued > 0 {
-            // Cyclic visit order: ids after the cursor, then wrap.
-            match self.cursor {
-                Some(c) => {
-                    let after = (Bound::Excluded(c), Bound::Unbounded);
-                    let upto = (Bound::Unbounded, Bound::Included(c));
-                    order.extend(self.active.range(after).map(|(&t, _)| t));
-                    order.extend(self.active.range(upto).map(|(&t, _)| t));
-                }
-                None => order.extend(self.active.keys().copied()),
-            }
+        let round_end = self.cursor.map_or(Bound::Unbounded, Bound::Included);
+        while out.len() < max && self.queued > 0 {
+            let mut from = self.cursor.map_or(Bound::Unbounded, Bound::Excluded);
+            let mut wrapped = self.cursor.is_none();
             let mut progressed = false;
-            for tenant in order.drain(..) {
-                let Some(t) = self.active.get_mut(&tenant) else {
+            loop {
+                let upto = if wrapped { round_end } else { Bound::Unbounded };
+                let Some((&tenant, t)) = self.active.range_mut((from, upto)).next() else {
+                    if wrapped {
+                        break;
+                    }
+                    wrapped = true;
+                    from = Bound::Unbounded;
                     continue;
                 };
+                from = Bound::Excluded(tenant);
                 let before = out.len() + self.shed.len();
                 progressed |= drr_visit(
                     &mut t.queue,
@@ -193,20 +218,20 @@ impl SparseAdmission {
                     &mut self.shed,
                 );
                 self.queued -= out.len() + self.shed.len() - before;
-                if t.queue.is_empty() {
+                match t.queue.front() {
+                    Some(head) => self.head_floor = self.head_floor.min(head.deadline_ps),
                     // Idle tenants bank no credit; drop the state.
-                    self.spare = self.active.remove(&tenant).expect("visited").queue;
+                    None => self.spare = self.active.remove(&tenant).expect("visited").queue,
                 }
                 if out.len() >= max {
                     self.cursor = Some(tenant);
-                    break 'rounds;
+                    return out;
                 }
             }
             if !progressed {
                 break;
             }
         }
-        self.order = order;
         out
     }
 
@@ -243,6 +268,7 @@ mod tests {
     use super::*;
     use crate::request::RequestId;
     use ofpc_engine::Primitive;
+    use ofpc_photonics::SimRng;
 
     fn req(id: u64, tenant: u32, deadline: u64) -> ComputeRequest {
         ComputeRequest {
@@ -365,5 +391,176 @@ mod tests {
         let queued = ac.queued();
         assert!(queued > 0, "a partial drain leaves work queued");
         assert_eq!(drained + shed + queued, offered);
+    }
+
+    /// The `expire_stale` the head floor replaced, kept verbatim as the
+    /// differential oracle: sweep every queue head at every call.
+    fn reference_expire_stale(ac: &mut SparseAdmission, now_ps: u64) -> usize {
+        let mut n = 0;
+        for t in ac.active.values_mut() {
+            while let Some(front) = t.queue.front() {
+                if front.expired(now_ps) {
+                    let req = t.queue.pop_front().expect("front exists");
+                    ac.shed.push((req, ShedReason::DeadlineExpiredQueued));
+                    ac.queued -= 1;
+                    n += 1;
+                } else {
+                    break;
+                }
+            }
+        }
+        ac.active.retain(|_, t| !t.queue.is_empty());
+        n
+    }
+
+    /// The `drain_fair` the cursor walk replaced, kept verbatim as the
+    /// differential oracle: snapshot every backlogged id each round.
+    fn reference_drain_fair(
+        ac: &mut SparseAdmission,
+        max: usize,
+        now_ps: u64,
+    ) -> Vec<ComputeRequest> {
+        let mut out = Vec::new();
+        if max == 0 || ac.queued == 0 {
+            return out;
+        }
+        let mut order = Vec::new();
+        'rounds: while out.len() < max && ac.queued > 0 {
+            // Cyclic visit order: ids after the cursor, then wrap.
+            match ac.cursor {
+                Some(c) => {
+                    let after = (Bound::Excluded(c), Bound::Unbounded);
+                    let upto = (Bound::Unbounded, Bound::Included(c));
+                    order.extend(ac.active.range(after).map(|(&t, _)| t));
+                    order.extend(ac.active.range(upto).map(|(&t, _)| t));
+                }
+                None => order.extend(ac.active.keys().copied()),
+            }
+            let mut progressed = false;
+            for tenant in order.drain(..) {
+                let Some(t) = ac.active.get_mut(&tenant) else {
+                    continue;
+                };
+                let before = out.len() + ac.shed.len();
+                progressed |= drr_visit(
+                    &mut t.queue,
+                    &mut t.deficit,
+                    t.shape.weight,
+                    max,
+                    now_ps,
+                    &mut out,
+                    &mut ac.shed,
+                );
+                ac.queued -= out.len() + ac.shed.len() - before;
+                if t.queue.is_empty() {
+                    // Idle tenants bank no credit; drop the state.
+                    ac.spare = ac.active.remove(&tenant).expect("visited").queue;
+                }
+                if out.len() >= max {
+                    ac.cursor = Some(tenant);
+                    break 'rounds;
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+        out
+    }
+
+    fn ids(reqs: &[ComputeRequest]) -> Vec<u64> {
+        reqs.iter().map(|r| r.id.0).collect()
+    }
+
+    #[test]
+    fn head_floor_and_cursor_walk_match_the_full_sweep_and_snapshot() {
+        // Seeded streams over a few hundred sparse tenant ids with mixed
+        // capacities and weights. Deadlines go non-monotone within a
+        // tenant (a retry re-offers a request under its old deadline),
+        // tenants migrate out and back in under another shape, drains
+        // range from nothing through a few requests to the whole
+        // backlog, and `now` jumps past deadlines.
+        for case in 0..40u64 {
+            let mut rng = SimRng::seed_from_u64(0xD1FF ^ case);
+            let population = 50 + rng.below(400);
+            let ids_pool: Vec<u32> = (0..population)
+                .map(|_| rng.below(1_000_000) as u32)
+                .collect();
+            let shape_of = |t: u32| TenantShape {
+                capacity: 1 + (t as usize * 7) % 12,
+                weight: 1 + t % 5,
+            };
+            let mut new = SparseAdmission::new();
+            let mut old = SparseAdmission::new();
+            let mut now = 0u64;
+            let mut next_id = 0u64;
+            let mut moved: Vec<(Vec<ComputeRequest>, TenantShape)> = Vec::new();
+            for step in 0..3_000 {
+                match rng.below(20) {
+                    // A burst of arrivals, half of them on a few hot
+                    // tenants so their queues run deep.
+                    0..=9 => {
+                        for _ in 0..1 + rng.below(32) {
+                            let tenant = if rng.chance(0.5) {
+                                ids_pool[rng.below(8)]
+                            } else {
+                                ids_pool[rng.below(ids_pool.len())]
+                            };
+                            let deadline = match rng.below(6) {
+                                0 => u64::MAX,
+                                1 => now.saturating_sub(rng.below(2_000) as u64),
+                                _ => now + rng.below(5_000) as u64,
+                            };
+                            let r = req(next_id, tenant, deadline);
+                            next_id += 1;
+                            let shape = shape_of(tenant);
+                            assert_eq!(new.offer(r.clone(), shape), old.offer(r, shape));
+                        }
+                    }
+                    10..=12 => {
+                        assert_eq!(new.expire_stale(now), reference_expire_stale(&mut old, now));
+                    }
+                    13..=16 => {
+                        let max = match rng.below(4) {
+                            0 => 0,
+                            1 => old.queued(),
+                            2 => old.queued() + 1 + rng.below(5),
+                            _ => 1 + rng.below(12),
+                        };
+                        assert_eq!(
+                            ids(&new.drain_fair(max, now)),
+                            ids(&reference_drain_fair(&mut old, max, now)),
+                            "case {case} step {step}: drain of {max} at {now}"
+                        );
+                    }
+                    17 => {
+                        let tenant = TenantId(ids_pool[rng.below(ids_pool.len())]);
+                        let out = new.remove_tenant(tenant);
+                        assert_eq!(ids(&out), ids(&old.remove_tenant(tenant)));
+                        if !out.is_empty() {
+                            let tighter = TenantShape {
+                                capacity: 1 + rng.below(out.len()),
+                                weight: 1 + rng.below(6) as u32,
+                            };
+                            moved.push((out, tighter));
+                        }
+                    }
+                    18 if !moved.is_empty() => {
+                        let (reqs, shape) = moved.swap_remove(rng.below(moved.len()));
+                        new.adopt(reqs.clone(), shape);
+                        old.adopt(reqs, shape);
+                    }
+                    _ => now += rng.below(3_000) as u64,
+                }
+                let (a, b) = (new.take_shed(), old.take_shed());
+                assert_eq!(
+                    a.iter().map(|(r, why)| (r.id, *why)).collect::<Vec<_>>(),
+                    b.iter().map(|(r, why)| (r.id, *why)).collect::<Vec<_>>(),
+                    "case {case} step {step}: shed records"
+                );
+                assert_eq!(new.queued(), old.queued(), "case {case} step {step}");
+                assert_eq!(new.active_tenants(), old.active_tenants());
+            }
+        }
     }
 }

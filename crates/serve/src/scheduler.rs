@@ -348,6 +348,16 @@ impl Scheduler {
             .expect("dispatch to unknown site")
     }
 
+    /// Whether `slot` at `node` could take work dispatched at `now_ps`,
+    /// whatever the batch: it has not failed, its site is reachable,
+    /// and it frees by the time the work would arrive (the fiber
+    /// pipelines in-flight batches).
+    fn usable(&self, node: NodeId, slot: &SlotState, now_ps: u64) -> bool {
+        slot.healthy
+            && !self.unreachable.contains(&node)
+            && slot.busy_until_ps <= now_ps + self.access_ps(node)
+    }
+
     /// Dispatch as many ready batches as idle slots allow, EDF first.
     /// Returns the dispatches made (empty when blocked).
     ///
@@ -356,11 +366,17 @@ impl Scheduler {
     /// to the next-earliest-deadline batch rather than head-of-line
     /// blocking the whole queue behind one occupied site. For unpinned
     /// batches the slot filter is batch-independent, so the skip loop
-    /// dispatches in exactly the legacy EDF order.
+    /// dispatches in exactly the legacy EDF order. With no usable slot
+    /// at all, no batch can go, so the EDF order is never built.
     pub fn try_dispatch(&mut self, now_ps: u64) -> Vec<Dispatch> {
         let mut out = Vec::new();
         'outer: loop {
-            if self.ready.is_empty() {
+            if self.ready.is_empty()
+                || !self
+                    .slots
+                    .iter()
+                    .any(|(&(node, _), s)| self.usable(node, s, now_ps))
+            {
                 break;
             }
             // EDF candidate order: earliest min-member deadline; ties
@@ -372,18 +388,13 @@ impl Scheduler {
                 let pin = self.ready[best_idx].resil.map(|t| t.pin);
                 // Best usable slot: prefer one already loaded with this
                 // class (skips reconfiguration), then nearest, then
-                // lowest id. A slot is usable when it frees by the time
-                // work dispatched now would arrive (the fiber pipelines
-                // in-flight batches), its site is reachable, and — for a
-                // redundancy-set member — it sits at the planned site.
+                // lowest id. A redundancy-set member only uses slots at
+                // its planned site.
                 let slot_key = self
                     .slots
                     .iter()
                     .filter(|(&(node, _), s)| {
-                        s.healthy
-                            && !self.unreachable.contains(&node)
-                            && (pin.is_none() || pin == Some(node))
-                            && s.busy_until_ps <= now_ps + self.access_ps(node)
+                        (pin.is_none() || pin == Some(node)) && self.usable(node, s, now_ps)
                     })
                     .min_by_key(|(&(node, slot), s)| {
                         (s.loaded != Some(class), self.access_ps(node), node, slot)
@@ -401,12 +412,12 @@ impl Scheduler {
                 let phantom = batch.resil.map_or(0, |t| t.phantom as usize);
 
                 // Project completion, shed members that cannot make it,
-                // and re-price with the survivors. Redundancy-set
+                // and re-price only if some were shed. Redundancy-set
                 // members are exempt from pre-shedding: their loss
                 // accounting belongs to the work ledger, which must see
                 // every member launch or be cancelled — never silently
                 // shed here.
-                let (est_service, _) =
+                let (est_service, est_energy) =
                     self.model
                         .batch_service(class, batch.len() + phantom, loaded);
                 let est_delivered = now_ps + access + est_service + access;
@@ -437,7 +448,11 @@ impl Scheduler {
                     });
                     continue 'outer;
                 }
-                let (service_ps, energy) = self.model.batch_service(class, eff_len, loaded);
+                let (service_ps, energy) = if shed.is_empty() {
+                    (est_service, est_energy)
+                } else {
+                    self.model.batch_service(class, eff_len, loaded)
+                };
                 let start_ps = now_ps + access;
                 let done_ps = start_ps + service_ps;
                 let delivered_ps = done_ps + access;
@@ -704,6 +719,53 @@ mod tests {
         assert_eq!(d[0].batch.requests[0].id, RequestId(3));
         assert_eq!(d[0].node, NodeId(2));
         assert_eq!(s.backlog_requests(), 1, "pinned member still queued");
+    }
+
+    #[test]
+    fn dispatch_stops_early_only_when_no_slot_is_usable() {
+        // A slot that frees exactly when work dispatched now would reach
+        // it is usable; one picosecond earlier it is not.
+        let mut s = Scheduler::new(model(), one_site());
+        s.enqueue(batch(&[1], u64::MAX, 0));
+        let free = s.try_dispatch(0)[0].free_ps;
+        s.enqueue(batch(&[2], u64::MAX, 1));
+        assert!(s.try_dispatch(free - 1).is_empty());
+        assert_eq!(s.try_dispatch(free).len(), 1);
+
+        // Site 3 busy, site 1 failed, site 2 cut off: nothing
+        // dispatches, and the ready queue keeps its contents and order.
+        let mut three = two_sites();
+        three.push(SiteSpec {
+            node: NodeId(3),
+            slots: 1,
+            access_ps: 3_000,
+        });
+        let mut s = Scheduler::new(model(), three);
+        s.fail_site(NodeId(1));
+        s.set_reachable(NodeId(2), false);
+        s.enqueue(batch(&[1], u64::MAX, 0));
+        assert_eq!(s.try_dispatch(0)[0].node, NodeId(3));
+        s.enqueue(batch(&[2], 9_000_000, 1));
+        s.enqueue(pinned(batch(&[3], 1_000_000, 2), 4, 0, NodeId(3), 0));
+        s.enqueue(batch(&[4], 5_000_000, 3));
+        let before = s.ready_batches().to_vec();
+        assert!(s.try_dispatch(1).is_empty());
+        assert_eq!(s.ready_batches(), &before[..]);
+
+        // Site 1 back: the EDF head is pinned to the busy site 3, yet
+        // the next batch still reaches the one usable slot.
+        s.recover_site(NodeId(1));
+        let d = s.try_dispatch(1);
+        assert_eq!(d.len(), 1);
+        assert_eq!(
+            (d[0].node, d[0].batch.requests[0].id),
+            (NodeId(1), RequestId(4))
+        );
+        assert_eq!(
+            s.backlog_requests(),
+            2,
+            "the pinned member and batch 2 wait"
+        );
     }
 
     #[test]
