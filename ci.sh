@@ -63,6 +63,75 @@ for manifest in crates/*/Cargo.toml vendor/*/Cargo.toml; do
 done
 [ "$unnamed" -eq 0 ]
 
+# rustc's dead_code lint cannot see a `pub` item: keep `pub` for what
+# another crate names, so the compiler finds every orphan. A bare `pub`
+# fn, method, const or static in a crate's non-test library code (above
+# the file's #[cfg(test)]) must be named by a file outside the crate:
+# other crates' src/, tests/, benches/ and examples/; this crate's
+# src/bin/, tests/, benches/ and examples/; the root tests/, examples/
+# and src/; and perfbench/src. A bare `pub` type must be named outside
+# too, or be exposed by its crate's public interface (rustc's
+# private_interfaces lint keeps such a type `pub`). The awk below
+# approximates that interface by line: bare `pub` lines other than the
+# type's own definition and `pub use`, the rest of a multi-line `pub fn`
+# signature, the bodies of bare `pub` enums and traits, and associated
+# `type X =` lines. vendor/ is out of scope: its stubs mirror external
+# APIs.
+echo "==> every pub item in crates/*/src is named outside its crate"
+unnamed_pub=0
+outside_roots=()
+for root in crates/*/src crates/*/tests crates/*/benches crates/*/examples \
+    tests examples src perfbench/src; do
+    [ -d "$root" ] && outside_roots+=("$root")
+done
+for dir in crates/*; do
+    mapfile -t lib < <(find "$dir/src" -name '*.rs' -not -path '*/src/bin/*' | sort)
+    mapfile -t outside < <(
+        find "${outside_roots[@]}" -name '*.rs' | grep -v "^$dir/src/"
+        find "$dir/src" -path '*/src/bin/*' -name '*.rs'
+    )
+    outside_words="$(grep -ohE '[A-Za-z_][A-Za-z0-9_]*' "${outside[@]}" | sort -u)"
+    interface="$(for f in "${lib[@]}"; do sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" | awk '
+        BEGIN { body = -1 }
+        {
+            s = $0
+            sub(/^[ \t]+/, "", s)
+            if (s ~ /^\/\//) next
+            take = s ~ /^pub[ \t]/ && s !~ /^pub[ \t]+use[ \t]/
+            if (sig) {
+                take = 1
+                if (s ~ /^\{/ || s ~ /[{;][ \t]*$/) sig = 0
+            } else if (s ~ /^pub([ \t]+(const|async|unsafe))*[ \t]+fn[ \t]/ && s !~ /[{;][ \t]*$/) {
+                sig = 1
+            }
+            if (body >= 0 && depth > body) take = 1
+            if (s ~ /^type[ \t]+[A-Za-z0-9_]+[ \t]*=/) take = 1
+            if (s ~ /^pub[ \t]+(enum|trait)[ \t]/) body = depth
+            depth += gsub(/\{/, "{") - gsub(/\}/, "}")
+            if (body >= 0 && depth <= body && s ~ /\}/) body = -1
+            if (take) print
+        }'; done)"
+    for file in "${lib[@]}"; do
+        body="$(sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$file")"
+        while read -r kind name; do
+            [ -n "$name" ] || continue
+            grep -qxF -- "$name" <<< "$outside_words" && continue
+            if [ "$kind" = type ] && grep -qw -- "$name" <<< "$(
+                grep -vE "^[[:space:]]*pub (struct|enum|trait|type|union) ${name}\b" <<< "$interface"
+            )"; then
+                continue
+            fi
+            echo "==> FAIL: ${file}: pub ${kind} ${name} is named by no file outside its crate" >&2
+            unnamed_pub=1
+        done < <(sed -nE \
+            -e 's/^[[:space:]]*pub[[:space:]]+((const|async|unsafe|extern "C")[[:space:]]+)*fn[[:space:]]+([A-Za-z_][A-Za-z0-9_]*).*/fn \3/p' \
+            -e 's/^[[:space:]]*pub[[:space:]]+(const|static)[[:space:]]+(mut[[:space:]]+)?([A-Za-z_][A-Za-z0-9_]*).*/\1 \3/p' \
+            -e 's/^[[:space:]]*pub[[:space:]]+(struct|enum|trait|type|union)[[:space:]]+([A-Za-z_][A-Za-z0-9_]*).*/type \2/p' \
+            <<< "$body")
+    done
+done
+[ "$unnamed_pub" -eq 0 ]
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

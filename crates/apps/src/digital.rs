@@ -67,8 +67,7 @@ impl ComputeModel {
     }
 
     /// Programmable switch ASIC ALUs: fast per-op but a tiny op budget
-    /// per packet — the §1 "die already at capacity" constraint appears
-    /// as `max_ops_per_packet` in [`SwitchBudget`].
+    /// per packet — the §1 "die already at capacity" constraint.
     pub fn switch_asic() -> Self {
         ComputeModel {
             name: "switch-asic".into(),
@@ -97,29 +96,6 @@ impl ComputeModel {
     /// Energy to execute `macs` multiply-accumulates, J.
     pub fn energy_for_macs(&self, macs: u64) -> f64 {
         macs as f64 * self.mac_energy_j
-    }
-}
-
-/// The switch-ASIC op budget per packet (Taurus/Trio-class constraints).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SwitchBudget {
-    pub max_ops_per_packet: u64,
-}
-
-impl Default for SwitchBudget {
-    fn default() -> Self {
-        // A handful of ALU stages × lanes: order 10² ops per packet.
-        SwitchBudget {
-            max_ops_per_packet: 256,
-        }
-    }
-}
-
-impl SwitchBudget {
-    /// Whether an operation of `macs` MACs fits in the per-packet budget
-    /// — the reason complex models can't run on router ASICs (§1).
-    pub fn fits(&self, macs: u64) -> bool {
-        macs <= self.max_ops_per_packet
     }
 }
 
@@ -195,13 +171,6 @@ mod tests {
         assert!(m.time_for_macs(2_000) > m.time_for_macs(1_000));
         assert!((m.energy_for_macs(1_000) - 1_000.0 * m.mac_energy_j).abs() < 1e-18);
         assert_eq!(m.energy_for_macs(0), 0.0);
-    }
-
-    #[test]
-    fn switch_budget_rejects_big_models() {
-        let b = SwitchBudget::default();
-        assert!(b.fits(100));
-        assert!(!b.fits(1_000_000)); // a real DNN layer
     }
 
     #[test]

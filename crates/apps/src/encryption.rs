@@ -20,12 +20,12 @@ use ofpc_photonics::SimRng;
 /// Keystream generator (xoshiro256**-style; NOT a vetted cipher — a
 /// stand-in with the right interface and statistical behavior).
 #[derive(Debug, Clone)]
-pub struct Keystream {
+pub(crate) struct Keystream {
     s: [u64; 4],
 }
 
 impl Keystream {
-    pub fn from_key(key: u64) -> Self {
+    pub(crate) fn from_key(key: u64) -> Self {
         // SplitMix64 expansion of the key into the state.
         let mut z = key;
         let mut s = [0u64; 4];
@@ -210,19 +210,9 @@ impl PhotonicCipher {
     }
 }
 
-/// Convert bytes to bits (MSB first) and back.
+/// Convert bytes to bits (MSB first).
 pub fn bits_of(bytes: &[u8]) -> Vec<bool> {
     ofpc_engine::correlator::bytes_to_bits(bytes)
-}
-
-pub fn bytes_of(bits: &[bool]) -> Vec<u8> {
-    assert!(
-        bits.len().is_multiple_of(8),
-        "bit count must be a multiple of 8"
-    );
-    bits.chunks(8)
-        .map(|c| c.iter().fold(0u8, |acc, &b| (acc << 1) | b as u8))
-        .collect()
 }
 
 #[cfg(test)]
@@ -269,7 +259,6 @@ mod tests {
         let phases = alice.encrypt_bits(&msg);
         let got = bob.decrypt_phases(&phases);
         assert_eq!(got, msg);
-        assert_eq!(bytes_of(&got), b"photonic secret payload".to_vec());
     }
 
     #[test]
@@ -322,14 +311,13 @@ mod tests {
     }
 
     #[test]
-    fn bits_bytes_round_trip() {
-        let b = vec![0x00, 0xFF, 0xA5, 0x5A];
-        assert_eq!(bytes_of(&bits_of(&b)), b);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of 8")]
-    fn ragged_bits_panic() {
-        bytes_of(&[true, false, true]);
+    fn bits_of_is_msb_first() {
+        let bits = bits_of(&[0x00, 0xFF, 0xA5]);
+        assert_eq!(bits.len(), 24);
+        assert!(bits[..8].iter().all(|&b| !b));
+        assert!(bits[8..16].iter().all(|&b| b));
+        // MSB first: 0xA5 = 1010_0101.
+        let a5 = [true, false, true, false, false, true, false, true];
+        assert_eq!(bits[16..], a5);
     }
 }

@@ -90,10 +90,6 @@ impl AhoCorasick {
         }
     }
 
-    pub fn state_count(&self) -> usize {
-        self.next.len()
-    }
-
     /// Scan a payload, reporting every signature occurrence.
     pub fn scan(&mut self, payload: &[u8]) -> Vec<SigHit> {
         let mut hits = Vec::new();
@@ -293,7 +289,7 @@ mod tests {
     fn automaton_size_is_sum_of_lengths_plus_root() {
         let ac = AhoCorasick::new(&sigs());
         // Disjoint signatures: states = 1 + Σ|sig|.
-        assert_eq!(ac.state_count(), 1 + 6 + 4 + 7);
+        assert_eq!(ac.next.len(), 1 + 6 + 4 + 7);
     }
 
     #[test]

@@ -22,13 +22,13 @@ pub struct Rule {
 }
 
 /// Convert an address to its 32 bits, MSB first.
-pub fn addr_bits(addr: Addr) -> Vec<bool> {
+pub(crate) fn addr_bits(addr: Addr) -> Vec<bool> {
     (0..32).rev().map(|i| (addr.0 >> i) & 1 == 1).collect()
 }
 
 /// Compile a prefix to a ternary pattern: `len` literal bits then
 /// wildcards.
-pub fn prefix_pattern(prefix: Prefix) -> Vec<Tern> {
+pub(crate) fn prefix_pattern(prefix: Prefix) -> Vec<Tern> {
     let bits = addr_bits(prefix.network());
     (0..32)
         .map(|i| {
@@ -65,10 +65,6 @@ impl TcamModel {
             lookups: 0,
             energy_per_bit_search_j: 10e-15,
         }
-    }
-
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
     }
 
     /// LPM lookup.
@@ -118,10 +114,6 @@ impl PhotonicLpm {
     pub fn ideal(rules: Vec<Rule>) -> Self {
         let mut rng = SimRng::seed_from_u64(0);
         PhotonicLpm::new(TernaryConfig::ideal(), rules, &mut rng)
-    }
-
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
     }
 
     /// Photonic LPM lookup: match rules longest-first, first hit wins.
@@ -268,6 +260,5 @@ mod tests {
         plpm.lookup("10.9.9.9".parse().unwrap());
         assert_eq!(plpm.lookups, 2);
         assert!(plpm.symbols_matched() > 0);
-        assert_eq!(plpm.rule_count(), 3);
     }
 }

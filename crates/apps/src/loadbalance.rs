@@ -88,7 +88,7 @@ pub struct LbReport {
 /// Build the asymmetric two-path test network: Fig. 1 with the B path's
 /// A→B link capacity cut to stress precision. Returns the network and
 /// the two first-hop link IDs (A→B, A→C).
-pub fn build_two_path_network(rng: SimRng, capacity_ratio: f64) -> (Network, [LinkId; 2]) {
+pub(crate) fn build_two_path_network(rng: SimRng, capacity_ratio: f64) -> (Network, [LinkId; 2]) {
     assert!(capacity_ratio > 0.0 && capacity_ratio <= 1.0);
     let mut topo = Topology::new();
     let a = topo.add_node("A");

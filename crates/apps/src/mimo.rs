@@ -16,16 +16,16 @@ use ofpc_engine::mvm::PhotonicMatVec;
 use ofpc_photonics::SimRng;
 
 /// A real-valued matrix (row-major).
-pub type Mat = Vec<Vec<f64>>;
+pub(crate) type Mat = Vec<Vec<f64>>;
 
 /// QPSK symbol alphabet on the real/imag grid: each complex symbol is
 /// two real dimensions in `{−1/√2, +1/√2}`. We work in the real-valued
 /// equivalent model (dimension doubled), standard for MIMO detection.
-pub const QPSK_AMP: f64 = std::f64::consts::FRAC_1_SQRT_2;
+pub(crate) const QPSK_AMP: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
 /// Draw a random channel `H` (real-equivalent, `2·n_rx × 2·n_tx`) with
 /// i.i.d. Gaussian entries ~N(0, 1/(2·n_tx)).
-pub fn random_channel(n_rx: usize, n_tx: usize, rng: &mut SimRng) -> Mat {
+pub(crate) fn random_channel(n_rx: usize, n_tx: usize, rng: &mut SimRng) -> Mat {
     assert!(n_rx >= n_tx && n_tx >= 1, "need n_rx ≥ n_tx ≥ 1");
     let (rows, cols) = (2 * n_rx, 2 * n_tx);
     let sigma = (1.0 / (2.0 * n_tx as f64)).sqrt();
@@ -36,7 +36,7 @@ pub fn random_channel(n_rx: usize, n_tx: usize, rng: &mut SimRng) -> Mat {
 
 /// Random QPSK bit vector → real-equivalent symbol vector of length
 /// `2·n_tx` (bits map to ±QPSK_AMP).
-pub fn random_symbols(n_tx: usize, rng: &mut SimRng) -> (Vec<bool>, Vec<f64>) {
+pub(crate) fn random_symbols(n_tx: usize, rng: &mut SimRng) -> (Vec<bool>, Vec<f64>) {
     let bits: Vec<bool> = (0..2 * n_tx).map(|_| rng.chance(0.5)).collect();
     let symbols = bits
         .iter()
@@ -55,7 +55,7 @@ pub fn transmit(h: &Mat, x: &[f64], snr_db: f64, rng: &mut SimRng) -> Vec<f64> {
 }
 
 /// Matrix transpose.
-pub fn transpose(m: &Mat) -> Mat {
+pub(crate) fn transpose(m: &Mat) -> Mat {
     let rows = m.len();
     let cols = m[0].len();
     (0..cols)
@@ -64,7 +64,7 @@ pub fn transpose(m: &Mat) -> Mat {
 }
 
 /// Matrix product.
-pub fn matmul(a: &Mat, b: &Mat) -> Mat {
+pub(crate) fn matmul(a: &Mat, b: &Mat) -> Mat {
     let n = a.len();
     let k = b.len();
     let m = b[0].len();
@@ -80,7 +80,7 @@ pub fn matmul(a: &Mat, b: &Mat) -> Mat {
 
 /// Gauss–Jordan inverse. Panics on singular input (pivot < 1e-12).
 #[allow(clippy::needless_range_loop)] // elimination reads clearest with indices
-pub fn invert(m: &Mat) -> Mat {
+pub(crate) fn invert(m: &Mat) -> Mat {
     let n = m.len();
     assert!(m.iter().all(|r| r.len() == n), "matrix must be square");
     // Augment with identity.
@@ -117,14 +117,14 @@ pub fn invert(m: &Mat) -> Mat {
 }
 
 /// The zero-forcing equalizer `W = (HᵀH)⁻¹ Hᵀ` (computed offline).
-pub fn zero_forcing(h: &Mat) -> Mat {
+pub(crate) fn zero_forcing(h: &Mat) -> Mat {
     let ht = transpose(h);
     let gram = matmul(&ht, h);
     matmul(&invert(&gram), &ht)
 }
 
 /// Slice a real-equivalent estimate back to bits.
-pub fn slice_bits(x_hat: &[f64]) -> Vec<bool> {
+pub(crate) fn slice_bits(x_hat: &[f64]) -> Vec<bool> {
     x_hat.iter().map(|&v| v > 0.0).collect()
 }
 
@@ -138,7 +138,7 @@ impl Detector<'_> {
     /// Apply the equalizer: `x̂ = W·y`. The photonic path normalizes
     /// inputs to the engine's `[-1, 1]` encoding range and restores the
     /// scale digitally (a single scalar per vector).
-    pub fn equalize(&mut self, w: &Mat, y: &[f64]) -> Vec<f64> {
+    pub(crate) fn equalize(&mut self, w: &Mat, y: &[f64]) -> Vec<f64> {
         match self {
             Detector::Digital => w
                 .iter()

@@ -15,7 +15,7 @@ use ofpc_photonics::SimRng;
 pub const B: usize = 8;
 
 /// The 8×8 DCT-II basis matrix `D` (orthonormal).
-pub fn dct_matrix() -> Vec<Vec<f64>> {
+pub(crate) fn dct_matrix() -> Vec<Vec<f64>> {
     let mut d = vec![vec![0.0; B]; B];
     for (k, row) in d.iter_mut().enumerate() {
         let alpha = if k == 0 {
@@ -40,7 +40,7 @@ fn transpose(m: &[Vec<f64>]) -> Vec<Vec<f64>> {
 
 /// JPEG-style luminance quantization table scaled by `quality ∈ (0, 1]`
 /// (1 = finest).
-pub fn quant_table(quality: f64) -> Vec<Vec<f64>> {
+pub(crate) fn quant_table(quality: f64) -> Vec<Vec<f64>> {
     assert!(quality > 0.0 && quality <= 1.0, "quality must be in (0,1]");
     const BASE: [[f64; 8]; 8] = [
         [16.0, 11.0, 10.0, 16.0, 24.0, 40.0, 51.0, 61.0],
@@ -62,7 +62,7 @@ pub fn quant_table(quality: f64) -> Vec<Vec<f64>> {
 }
 
 /// Zigzag scan order for an 8×8 block.
-pub fn zigzag_order() -> Vec<(usize, usize)> {
+pub(crate) fn zigzag_order() -> Vec<(usize, usize)> {
     let mut order = Vec::with_capacity(B * B);
     for s in 0..(2 * B - 1) {
         let coords: Vec<(usize, usize)> = (0..=s.min(B - 1))
@@ -152,7 +152,7 @@ impl Transform<'_> {
     }
 
     /// 2-D DCT of a block: `D · block · Dᵀ`.
-    pub fn dct2(&mut self, block: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    pub(crate) fn dct2(&mut self, block: &[Vec<f64>]) -> Vec<Vec<f64>> {
         let d = dct_matrix();
         // rows: tmp = D · block  (column-wise matvecs on blockᵀ)
         let bt = transpose(block);
@@ -165,7 +165,7 @@ impl Transform<'_> {
 }
 
 /// Exact inverse 2-D DCT (digital; runs at the decoder).
-pub fn idct2(coeffs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+pub(crate) fn idct2(coeffs: &[Vec<f64>]) -> Vec<Vec<f64>> {
     let d = dct_matrix();
     let dt = transpose(&d);
     // block = Dᵀ · coeffs · D
@@ -183,7 +183,7 @@ pub fn idct2(coeffs: &[Vec<f64>]) -> Vec<Vec<f64>> {
 
 /// Encode one block (pixels in `[0,1]`): center, transform, quantize,
 /// zigzag, RLE.
-pub fn encode_block(block: &[Vec<f64>], quality: f64, tf: &mut Transform) -> EncodedBlock {
+pub(crate) fn encode_block(block: &[Vec<f64>], quality: f64, tf: &mut Transform) -> EncodedBlock {
     assert_eq!(block.len(), B, "block must be 8×8");
     let centered: Vec<Vec<f64>> = block
         .iter()
@@ -205,7 +205,7 @@ pub fn encode_block(block: &[Vec<f64>], quality: f64, tf: &mut Transform) -> Enc
 }
 
 /// Decode one block back to pixels in `[0,1]`.
-pub fn decode_block(enc: &EncodedBlock, quality: f64) -> Vec<Vec<f64>> {
+pub(crate) fn decode_block(enc: &EncodedBlock, quality: f64) -> Vec<Vec<f64>> {
     let q = quant_table(quality);
     let zz = zigzag_order();
     let scanned = rle_decode(&enc.rle, B * B);

@@ -188,7 +188,7 @@ struct CutRow {
 }
 
 /// Cut the first link out of A (on the installed primary path).
-pub fn cut_primary(sys: &mut OnFiberNetwork) {
+pub(crate) fn cut_primary(sys: &mut OnFiberNetwork) {
     let a = sys.net.topo.find_node("A").unwrap();
     let (cut_link, _) = sys.net.topo.neighbors(a)[0];
     sys.net.set_link_up(cut_link, false);
@@ -277,7 +277,7 @@ fn outage() -> FaultPlan {
 }
 
 /// The outage window scaled to the minis' 100 µs horizon.
-pub fn mini_outage() -> FaultPlan {
+pub(crate) fn mini_outage() -> FaultPlan {
     FaultPlan::new()
         .engine_outage(25_000_000, NodeId(1), 50_000_000)
         .engine_outage(40_000_000, NodeId(2), 20_000_000)
@@ -285,7 +285,11 @@ pub fn mini_outage() -> FaultPlan {
 
 /// `config` on the metro deployment under `outage`, answering
 /// displaced requests on the CPU when `fallback` is set.
-pub fn under_outage(config: ServeConfig, outage: &FaultPlan, fallback: bool) -> ServeRuntime {
+pub(crate) fn under_outage(
+    config: ServeConfig,
+    outage: &FaultPlan,
+    fallback: bool,
+) -> ServeRuntime {
     let rt = metro_runtime(config).with_storm(outage);
     if fallback {
         rt.with_digital_fallback(ComputeModel::cpu())
@@ -317,7 +321,7 @@ fn serve_config() -> ServeConfig {
 }
 
 /// The E13c serving run under the outage window.
-pub fn fallback_runtime(fallback: bool) -> ServeRuntime {
+pub(crate) fn fallback_runtime(fallback: bool) -> ServeRuntime {
     under_outage(serve_config(), &outage(), fallback)
 }
 

@@ -46,7 +46,7 @@ fn model() -> ServiceModel {
 /// past the 100 ms horizon, so every shed is bounded-queue backpressure
 /// rather than deadline expiry: exactly the fairness mechanism under
 /// test.
-pub fn full_config() -> IngestConfig {
+pub(crate) fn full_config() -> IngestConfig {
     IngestConfig {
         seed: 21,
         shards: 8,
@@ -180,7 +180,7 @@ pub fn mini_config() -> IngestConfig {
 
 /// The fleet's goodput ceiling, req/s: every slot serving full batches
 /// of the fastest class with its weights already loaded.
-pub fn slot_capacity_rps(config: &IngestConfig) -> f64 {
+pub(crate) fn slot_capacity_rps(config: &IngestConfig) -> f64 {
     let slots: usize = config.sites.iter().map(|s| s.slots).sum();
     let n = config.batch.max_batch;
     let service_ps = config
@@ -215,7 +215,7 @@ pub fn run_e21(config: IngestConfig, pool: &WorkerPool) -> IngestReport {
 /// * per-tenant admission state stays bounded by the backlog, not the
 ///   population;
 /// * the fleet stays busy: goodput is at least 90% of
-///   [`slot_capacity_rps`].
+///   `slot_capacity_rps`.
 pub fn expt(pool: &WorkerPool) -> String {
     let config = full_config();
     let capacity = slot_capacity_rps(&config);

@@ -168,7 +168,7 @@ impl E18Config {
     }
 
     /// The seeded storm all three runs replay byte-identically.
-    pub fn storm_plan(&self, plan: &MultipathPlan) -> FaultPlan {
+    pub(crate) fn storm_plan(&self, plan: &MultipathPlan) -> FaultPlan {
         let links: Vec<_> = plan
             .routes
             .iter()

@@ -43,7 +43,7 @@ const DRAIN_PS: u64 = 1_000_000_000;
 /// metro sites (10 km spans — ~49 µs of glass each way per span). The
 /// runtime reads only the topology and the upgraded sites, so the
 /// network seed (the serving seed) never reaches the report.
-pub fn metro_runtime(config: ServeConfig) -> ServeRuntime {
+pub(crate) fn metro_runtime(config: ServeConfig) -> ServeRuntime {
     let mut sys = OnFiberNetwork::new(Topology::line(3, 10.0), config.seed);
     sys.upgrade_site(NodeId(1), 1);
     sys.upgrade_site(NodeId(2), 1);
@@ -58,7 +58,7 @@ pub fn metro_runtime(config: ServeConfig) -> ServeRuntime {
 
 /// Aggregate capacity of the two metro slots in requests/s with full,
 /// affinity-hot batches — the expected saturation knee.
-pub fn knee_rps() -> f64 {
+pub(crate) fn knee_rps() -> f64 {
     let model =
         ServiceModel::from_transponder(&ComputeTransponderConfig::realistic(), WDM_CHANNELS);
     let class = BatchClass {

@@ -377,7 +377,7 @@ pub fn e20_mini(pool: &WorkerPool) -> String {
 }
 
 /// Latency percentiles over a decision-latency series, in microseconds.
-pub fn latency_us(decision_ns: &mut [u64]) -> (f64, f64, f64) {
+pub(crate) fn latency_us(decision_ns: &mut [u64]) -> (f64, f64, f64) {
     assert!(!decision_ns.is_empty());
     decision_ns.sort_unstable();
     let pick = |q: f64| decision_ns[((decision_ns.len() - 1) as f64 * q) as usize] as f64 / 1e3;

@@ -35,7 +35,7 @@ impl Table {
     }
 
     /// Render with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
@@ -86,7 +86,7 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// the envelope nests like ordinary pretty-printed JSON. The output is
 /// a pure function of the payload — golden fixtures stay
 /// byte-deterministic.
-pub fn versioned_pretty<T: Serialize>(value: &T) -> String {
+pub(crate) fn versioned_pretty<T: Serialize>(value: &T) -> String {
     let inner = serde_json::to_string_pretty(value).expect("payload serializes");
     let mut indented = String::with_capacity(inner.len());
     for (i, line) in inner.lines().enumerate() {
@@ -101,7 +101,7 @@ pub fn versioned_pretty<T: Serialize>(value: &T) -> String {
 /// Wrap a Chrome-trace event array in the versioned object format —
 /// still loadable by `chrome://tracing` / Perfetto, which accept
 /// `{"traceEvents": [...]}` with extra metadata keys.
-pub fn versioned_trace(trace_array_json: &str) -> String {
+pub(crate) fn versioned_trace(trace_array_json: &str) -> String {
     format!("{{\"schema_version\":{SCHEMA_VERSION},\"traceEvents\":\n{trace_array_json}\n}}")
 }
 

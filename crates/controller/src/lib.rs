@@ -33,17 +33,16 @@ pub mod options;
 pub mod protection;
 pub mod teupdate;
 
-pub use demand::{Demand, DemandId, TaskDag};
+pub use demand::{Demand, TaskDag};
 pub use ilp::solve_exact;
 pub use options::{
     enumerate_options, enumerate_options_filtered, options_from_matrix, AllocOption,
     ProblemInstance,
 };
 pub use protection::{
-    disjoint_pair, protected_paths, protected_paths_filtered, surviving_slots, ProtectedPair,
-    ProtectedPaths, ProtectionMode, RecoveryParams, RecoveryTimeline,
+    disjoint_pair, surviving_slots, ProtectionMode, RecoveryParams, RecoveryTimeline,
 };
-pub use teupdate::{build_plan_from_placements, ApplyError, ApplyReport, FailedCmd};
+pub use teupdate::{build_plan_from_placements, ApplyReport};
 
 /// An allocation: for each demand (by index), the chosen option index
 /// into its option list, or `None` if unsatisfied.

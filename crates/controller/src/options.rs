@@ -11,7 +11,6 @@
 use crate::demand::Demand;
 use ofpc_net::routing::distance_matrix;
 use ofpc_net::{LinkId, NodeId, Topology};
-use std::collections::HashMap;
 
 /// One candidate way to serve a demand.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,7 +40,7 @@ impl ProblemInstance {
 
 /// Weight of one consumed slot in the cost term, expressed in
 /// milliseconds of equivalent latency (cost units).
-pub const SLOT_COST_MS: f64 = 0.5;
+pub(crate) const SLOT_COST_MS: f64 = 0.5;
 
 /// Enumerate options for `demands` over `topo`, where `node_slots[n]` is
 /// the number of compute transponders at node `n`. Options per demand
@@ -203,15 +202,6 @@ impl TupleWalk<'_> {
             },
         );
     }
-}
-
-/// Aggregate slot demand of an option (per node), used by solvers.
-pub fn slots_used(option: &AllocOption) -> HashMap<NodeId, usize> {
-    let mut used = HashMap::new();
-    for &node in &option.placement {
-        *used.entry(node).or_insert(0) += 1;
-    }
-    used
 }
 
 #[cfg(test)]
@@ -488,17 +478,5 @@ mod tests {
                 "case {case}: {demand:?} over {sites:?}, cap {cap}"
             );
         }
-    }
-
-    #[test]
-    fn slots_used_counts_repeats() {
-        let opt = AllocOption {
-            placement: vec![NodeId(1), NodeId(1), NodeId(2)],
-            cost: 0.0,
-            added_latency_ps: 0,
-        };
-        let used = slots_used(&opt);
-        assert_eq!(used[&NodeId(1)], 2);
-        assert_eq!(used[&NodeId(2)], 1);
     }
 }

@@ -17,7 +17,7 @@
 //! [`RecoveryParams::ttr_bound_ps`] is what experiment E13 checks p99
 //! time-to-recovery against.
 
-use ofpc_net::routing::{k_disjoint_paths, k_disjoint_paths_filtered, RoutedPath};
+use ofpc_net::routing::k_disjoint_paths;
 use ofpc_net::{LinkId, NodeId, Topology};
 
 /// A protected (src, dst) pair: the primary path and, when the topology
@@ -50,11 +50,6 @@ pub enum ProtectionMode {
 }
 
 impl ProtectedPair {
-    /// Whether a cut of `link` takes down the primary path.
-    pub fn primary_uses(&self, link: LinkId) -> bool {
-        self.primary_links.contains(&link)
-    }
-
     /// The strongest protection the topology supports for this pair —
     /// the graceful-degradation classification consumers must act on
     /// (never treat `backup_links: None` as "run unprotected").
@@ -65,87 +60,6 @@ impl ProtectedPair {
             ProtectionMode::SerializedSamePath
         }
     }
-
-    /// The path to use given a set of downed links: primary if intact,
-    /// else the backup if *it* is intact, else `None` (recovery falls
-    /// back to a full reroute).
-    pub fn surviving_path(&self, down: &[LinkId]) -> Option<&[NodeId]> {
-        if !self.primary_links.iter().any(|l| down.contains(l)) {
-            return Some(&self.primary_nodes);
-        }
-        match (&self.backup_nodes, &self.backup_links) {
-            (Some(nodes), Some(links)) if !links.iter().any(|l| down.contains(l)) => Some(nodes),
-            _ => None,
-        }
-    }
-}
-
-/// A (src, dst) pair protected across up to `k` pairwise link-disjoint
-/// paths — the k-path generalization of [`ProtectedPair`], used by the
-/// proactive multipath layer (`ofpc-resil`) to pin redundant copies of
-/// one request to different fibers *before* any fault occurs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProtectedPaths {
-    pub src: NodeId,
-    pub dst: NodeId,
-    /// Pairwise link-disjoint paths, delay-shortest first. Non-empty.
-    pub paths: Vec<RoutedPath>,
-}
-
-impl ProtectedPaths {
-    /// Paths whose links all survive the given downed set, shortest
-    /// first (the proactive analogue of `surviving_path`).
-    pub fn surviving(&self, down: &[LinkId]) -> Vec<&RoutedPath> {
-        self.paths.iter().filter(|p| !p.uses_any(down)).collect()
-    }
-
-    /// Link-disjoint path diversity (1 = no redundancy possible).
-    pub fn diversity(&self) -> usize {
-        self.paths.len()
-    }
-
-    /// The protection classification consumers branch on.
-    pub fn protection_mode(&self) -> ProtectionMode {
-        if self.paths.len() >= 2 {
-            ProtectionMode::DisjointMultipath
-        } else {
-            ProtectionMode::SerializedSamePath
-        }
-    }
-}
-
-/// Precompute up to `k ≥ 1` pairwise link-disjoint paths for
-/// (src, dst), shortest first. Returns `None` when `dst` is
-/// unreachable.
-pub fn protected_paths(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-) -> Option<ProtectedPaths> {
-    assert!(k >= 1, "need at least one path");
-    let paths = k_disjoint_paths(topo, src, dst, k);
-    if paths.is_empty() {
-        return None;
-    }
-    Some(ProtectedPaths { src, dst, paths })
-}
-
-/// [`protected_paths`] over the links accepted by `link_ok` — the
-/// replanning entry point once some fibers are already down.
-pub fn protected_paths_filtered(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    link_ok: &dyn Fn(LinkId) -> bool,
-) -> Option<ProtectedPaths> {
-    assert!(k >= 1, "need at least one path");
-    let paths = k_disjoint_paths_filtered(topo, src, dst, k, link_ok);
-    if paths.is_empty() {
-        return None;
-    }
-    Some(ProtectedPaths { src, dst, paths })
 }
 
 /// Precompute a primary path and link-disjoint backup for (src, dst):
@@ -154,10 +68,9 @@ pub fn protected_paths_filtered(
 /// exists at all; `backup_*` are `None` when the pair is not
 /// 2-link-connected.
 pub fn disjoint_pair(topo: &Topology, src: NodeId, dst: NodeId) -> Option<ProtectedPair> {
-    let protected = protected_paths(topo, src, dst, 2)?;
-    let mut it = protected.paths.into_iter();
-    let primary = it.next().expect("protected_paths is non-empty");
-    let backup = it.next();
+    let mut paths = k_disjoint_paths(topo, src, dst, 2).into_iter();
+    let primary = paths.next()?;
+    let backup = paths.next();
     Some(ProtectedPair {
         src,
         dst,
@@ -292,30 +205,15 @@ mod tests {
     }
 
     #[test]
-    fn surviving_path_switches_on_cut() {
-        let t = Topology::fig1();
-        let a = t.find_node("A").unwrap();
-        let d = t.find_node("D").unwrap();
-        let pair = disjoint_pair(&t, a, d).unwrap();
-        // Intact: primary.
-        assert_eq!(pair.surviving_path(&[]), Some(&pair.primary_nodes[..]));
-        // Cut the primary's first link: backup takes over.
-        let cut = pair.primary_links[0];
-        assert!(pair.primary_uses(cut));
-        let surviving = pair.surviving_path(&[cut]).expect("backup survives");
-        assert_eq!(surviving, &pair.backup_nodes.as_ref().unwrap()[..]);
-        // Cut both paths: nothing precomputed survives.
-        let mut down = pair.primary_links.clone();
-        down.extend(pair.backup_links.as_ref().unwrap());
-        assert_eq!(pair.surviving_path(&down), None);
-    }
-
-    #[test]
     fn line_topology_has_no_backup() {
         let t = Topology::line(3, 100.0);
         let pair = disjoint_pair(&t, NodeId(0), NodeId(2)).unwrap();
         assert!(pair.backup_nodes.is_none());
-        assert_eq!(pair.surviving_path(&[pair.primary_links[0]]), None);
+        // Unreachable pair: no primary path, so no protection at all.
+        let mut iso = Topology::new();
+        let x = iso.add_node("x");
+        let y = iso.add_node("y");
+        assert!(disjoint_pair(&iso, x, y).is_none());
     }
 
     #[test]
@@ -333,52 +231,12 @@ mod tests {
         let pair = disjoint_pair(&t, a, b).unwrap();
         assert!(pair.backup_links.is_none());
         assert_eq!(pair.protection_mode(), ProtectionMode::SerializedSamePath);
-        let paths = protected_paths(&t, a, b, 3).unwrap();
-        assert_eq!(paths.diversity(), 1);
-        assert_eq!(paths.protection_mode(), ProtectionMode::SerializedSamePath);
 
         let fig1 = Topology::fig1();
         let fa = fig1.find_node("A").unwrap();
         let fd = fig1.find_node("D").unwrap();
         let pair = disjoint_pair(&fig1, fa, fd).unwrap();
         assert_eq!(pair.protection_mode(), ProtectionMode::DisjointMultipath);
-    }
-
-    #[test]
-    fn protected_paths_survive_single_cuts() {
-        let t = Topology::fig1();
-        let a = t.find_node("A").unwrap();
-        let d = t.find_node("D").unwrap();
-        let p = protected_paths(&t, a, d, 4).unwrap();
-        assert_eq!(p.diversity(), 2);
-        assert_eq!(p.protection_mode(), ProtectionMode::DisjointMultipath);
-        // Any single-link cut leaves at least one path standing.
-        for path in &p.paths {
-            for &cut in &path.links {
-                assert_eq!(p.surviving(&[cut]).len(), 1);
-            }
-        }
-        // Cut one link from each path: nothing survives.
-        let down = [p.paths[0].links[0], p.paths[1].links[0]];
-        assert!(p.surviving(&down).is_empty());
-        // Unreachable pair: no protection at all.
-        let mut iso = Topology::new();
-        let x = iso.add_node("x");
-        let y = iso.add_node("y");
-        assert!(protected_paths(&iso, x, y, 2).is_none());
-    }
-
-    #[test]
-    fn filtered_protection_replans_around_downed_fibers() {
-        let t = Topology::fig1();
-        let a = t.find_node("A").unwrap();
-        let d = t.find_node("D").unwrap();
-        let full = protected_paths(&t, a, d, 2).unwrap();
-        let down = full.paths[0].links.clone();
-        let ok = |l| !down.contains(&l);
-        let re = protected_paths_filtered(&t, a, d, 2, &ok).unwrap();
-        assert_eq!(re.diversity(), 1, "one fiber route left after the cut");
-        assert!(re.paths[0].links.iter().all(|&l| ok(l)));
     }
 
     #[test]

@@ -226,11 +226,6 @@ impl OnFiberNetwork {
         self.net.set_engine_health(node, true);
     }
 
-    /// Sites currently excluded from allocation.
-    pub fn failed_sites(&self) -> &[NodeId] {
-        &self.failed_sites
-    }
-
     fn solve_and_apply(&mut self, solver: Solver, slots: &[usize]) -> &UpdatePlan {
         // Enumerate over the links currently up: placements stranded
         // behind a cut price in their real detour (or drop out entirely
@@ -396,7 +391,7 @@ mod tests {
         assert_eq!(second.installs.len(), 1);
         let new_site = second.installs[0].node;
         assert_ne!(new_site, failed_site, "must move off the failed site");
-        assert_eq!(sys.failed_sites(), &[failed_site]);
+        assert_eq!(sys.failed_sites, vec![failed_site]);
         assert!(sys.last_apply.as_ref().unwrap().fully_applied());
 
         // Traffic still gets computed — by the survivor.
@@ -417,7 +412,7 @@ mod tests {
 
         // Repair re-admits the site to future allocations.
         sys.repair_site(failed_site);
-        assert!(sys.failed_sites().is_empty());
+        assert!(sys.failed_sites.is_empty());
     }
 
     #[test]

@@ -52,41 +52,6 @@ pub fn read_result(packet: &Packet) -> Option<f64> {
         .map(|pch| pch.result())
 }
 
-/// What a receiver learns from a delivered compute packet: the result
-/// status and the value (present only when computed).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResultOutcome {
-    pub status: ResultStatus,
-    /// The in-band result, if any engine executed the op (regardless of
-    /// status — callers deciding to salvage a degraded value see it
-    /// here; [`read_result`] is the strict accessor).
-    pub value: Option<f64>,
-}
-
-/// Full status-aware read of a delivered compute packet. Plain packets
-/// (no PCH) report `Ok` with no value.
-pub fn read_outcome(packet: &Packet) -> ResultOutcome {
-    match packet.pch.as_ref() {
-        None => ResultOutcome {
-            status: ResultStatus::Ok,
-            value: None,
-        },
-        Some(pch) => ResultOutcome {
-            status: pch.status(),
-            value: pch.is_computed().then(|| pch.result()),
-        },
-    }
-}
-
-/// Stamp a request as timed out (deadline passed before any engine ran
-/// it) — serving layers call this before returning the packet so the
-/// receiver never mistakes a stale field for a fresh result.
-pub fn mark_timed_out(packet: &mut Packet) {
-    if let Some(pch) = packet.pch.as_mut() {
-        pch.set_status(ResultStatus::TimedOut);
-    }
-}
-
 /// Outcome of a staged control-plane rollout.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RolloutReport {
@@ -221,33 +186,25 @@ mod tests {
         p.pch.as_ref().unwrap().write_to(&mut buf);
         let parsed = ofpc_net::pch::PchHeader::read_from(&mut buf.freeze()).unwrap();
         assert_eq!(parsed.status(), ResultStatus::EngineUnhealthy);
-        let outcome = read_outcome(&p);
-        assert_eq!(outcome.status, ResultStatus::EngineUnhealthy);
-        assert_eq!(outcome.value, None);
         assert_eq!(read_result(&p), None);
 
         // Timed-out request.
         let mut p = tag_request(src, dst, 2, P1, 9, &[1.0]);
-        mark_timed_out(&mut p);
-        assert_eq!(read_outcome(&p).status, ResultStatus::TimedOut);
+        p.pch.as_mut().unwrap().set_status(ResultStatus::TimedOut);
         assert_eq!(read_result(&p), None);
 
-        // Healthy compute: Ok status, value visible both ways.
+        // Healthy compute: Ok status, value visible.
         let mut p = tag_request(src, dst, 3, P1, 9, &[1.0]);
         p.pch.as_mut().unwrap().mark_computed(2.5);
-        let outcome = read_outcome(&p);
-        assert_eq!(outcome.status, ResultStatus::Ok);
-        assert!((outcome.value.unwrap() - 2.5).abs() < 0.01);
         assert!((read_result(&p).unwrap() - 2.5).abs() < 0.01);
 
-        // A computed value stamped non-Ok is salvageable via outcome but
-        // hidden from the strict accessor.
+        // A computed value stamped non-Ok is hidden from the strict
+        // accessor.
         p.pch
             .as_mut()
             .unwrap()
             .set_status(ResultStatus::EngineUnhealthy);
         assert_eq!(read_result(&p), None);
-        assert!(read_outcome(&p).value.is_some());
     }
 
     #[test]

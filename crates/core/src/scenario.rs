@@ -24,8 +24,8 @@ use ofpc_net::{NodeId, Topology};
 use ofpc_photonics::SimRng;
 
 /// Demand / op IDs for the two Fig.-1 applications.
-pub const OP_CLASSIFY: u16 = 1;
-pub const OP_RECOGNIZE: u16 = 2;
+pub(crate) const OP_CLASSIFY: u16 = 1;
+pub(crate) const OP_RECOGNIZE: u16 = 2;
 
 /// The assembled Fig.-1 scenario.
 #[derive(Debug)]

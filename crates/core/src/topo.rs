@@ -56,23 +56,6 @@ pub struct MultiRegionWan {
     pub region_of: Vec<u32>,
 }
 
-impl MultiRegionWan {
-    /// Nodes of one region, ascending.
-    pub fn region_nodes(&self, region: u32) -> Vec<NodeId> {
-        self.region_of
-            .iter()
-            .enumerate()
-            .filter(|&(_, &r)| r == region)
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
-    }
-
-    /// The gateway (backbone-attached) node of a region: its first node.
-    pub fn gateway(&self, region: u32) -> NodeId {
-        self.region_nodes(region)[0]
-    }
-}
-
 /// Generate a multi-region WAN.
 ///
 /// Each region is an independent random-geometric cluster (plus a
@@ -147,13 +130,9 @@ mod tests {
         assert_eq!(wan.topo.node_count(), 40);
         assert_eq!(wan.region_of.len(), 40);
         assert!(wan.topo.is_connected());
-        for r in 0..5u32 {
-            let nodes = wan.region_nodes(r);
-            assert_eq!(nodes.len(), 8);
-            // Contiguous id block.
-            assert_eq!(nodes[0], NodeId(r * 8));
-            assert_eq!(nodes[7], NodeId(r * 8 + 7));
-            assert_eq!(wan.gateway(r), NodeId(r * 8));
+        // Contiguous id blocks of 8 per region.
+        for (node, &r) in wan.region_of.iter().enumerate() {
+            assert_eq!(r, node as u32 / 8);
         }
     }
 

@@ -94,7 +94,7 @@ impl AdcPart for CatalogAdc {
 }
 
 /// SCATTER `DAC_list[1]`: 12 bit, 14 GS/s, 169 mW, 11000 µm².
-pub const DAC_12B_14G: CatalogDac = CatalogDac {
+pub(crate) const DAC_12B_14G: CatalogDac = CatalogDac {
     name: "dac-12b-14g",
     provenance: "SCATTER photonic_crossbar.py DAC_list[1]: 12 b, 14 GS/s, 169 mW, 11000 um^2",
     bits: 12,
@@ -104,7 +104,7 @@ pub const DAC_12B_14G: CatalogDac = CatalogDac {
 };
 
 /// SCATTER `DAC_list[2]`: 8 bit, 14 GS/s, 50 mW, 11000 µm².
-pub const DAC_8B_14G: CatalogDac = CatalogDac {
+pub(crate) const DAC_8B_14G: CatalogDac = CatalogDac {
     name: "dac-8b-14g",
     provenance: "SCATTER photonic_crossbar.py DAC_list[2]: 8 b, 14 GS/s, 50 mW, 11000 um^2",
     bits: 8,
@@ -114,7 +114,7 @@ pub const DAC_8B_14G: CatalogDac = CatalogDac {
 };
 
 /// SCATTER `DAC_list[3]`: 8 bit, 5 GS/s, 20 mW, 500000 µm².
-pub const DAC_8B_5G: CatalogDac = CatalogDac {
+pub(crate) const DAC_8B_5G: CatalogDac = CatalogDac {
     name: "dac-8b-5g",
     provenance: "SCATTER photonic_crossbar.py DAC_list[3]: 8 b, 5 GS/s, 20 mW, 500000 um^2",
     bits: 8,
@@ -123,20 +123,9 @@ pub const DAC_8B_5G: CatalogDac = CatalogDac {
     area_mm2: 0.5,
 };
 
-/// SCATTER `DAC_list[4]`: 8 bit, 1 MS/s, 20 mW, 500000 µm² — a slow
-/// control-plane-class part, kept for the sample-rate edge-case tests.
-pub const DAC_8B_1M: CatalogDac = CatalogDac {
-    name: "dac-8b-1m",
-    provenance: "SCATTER photonic_crossbar.py DAC_list[4]: 8 b, 0.001 GS/s, 20 mW, 500000 um^2",
-    bits: 8,
-    sample_rate_hz: 1e6,
-    power_w: 0.020,
-    area_mm2: 0.5,
-};
-
 /// SCATTER `ADC_list[1]`: 8 bit, 10 GS/s, 14.8 mW, 2850 µm² — the
 /// time-domain two-step SAR TDC (ISSCC'22).
-pub const ADC_8B_10G: CatalogAdc = CatalogAdc {
+pub(crate) const ADC_8B_10G: CatalogAdc = CatalogAdc {
     name: "adc-8b-10g",
     provenance: "SCATTER photonic_crossbar.py ADC_list[1] (\"A 10GS/s 8b 25fJ/c-s 2850um2 \
                  Two-Step Time-Domain ADC Using Delay-Tracking Pipelined-SAR TDC with 500fs \
@@ -149,7 +138,7 @@ pub const ADC_8B_10G: CatalogAdc = CatalogAdc {
 };
 
 /// SCATTER `ADC_list[2]`: 8 bit, 5 GS/s, 7.5 mW, 100000 µm².
-pub const ADC_8B_5G: CatalogAdc = CatalogAdc {
+pub(crate) const ADC_8B_5G: CatalogAdc = CatalogAdc {
     name: "adc-8b-5g",
     provenance: "SCATTER photonic_crossbar.py ADC_list[2]: 8 b, 5 GS/s, 7.5 mW, 100000 um^2",
     bits: 8,
@@ -161,7 +150,7 @@ pub const ADC_8B_5G: CatalogAdc = CatalogAdc {
 /// The repo's realistic silicon-photonic MZM as a catalog part (power
 /// and area from the form-factor block table).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CatalogModulator;
+pub(crate) struct CatalogModulator;
 
 impl HardwarePart for CatalogModulator {
     fn part_name(&self) -> &str {
@@ -187,7 +176,7 @@ impl ModulatorPart for CatalogModulator {
 
 /// The repo's realistic 13 dBm DFB laser as a catalog part.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CatalogLaser;
+pub(crate) struct CatalogLaser;
 
 impl HardwarePart for CatalogLaser {
     fn part_name(&self) -> &str {
@@ -300,7 +289,6 @@ mod tests {
             &DAC_12B_14G,
             &DAC_8B_14G,
             &DAC_8B_5G,
-            &DAC_8B_1M,
             &ADC_8B_10G,
             &ADC_8B_5G,
             &CatalogModulator,
@@ -346,22 +334,5 @@ mod tests {
         assert!(v12.model.dac_sample_j > 3.0 * v8.model.dac_sample_j);
         assert_eq!(v12.dac_bits, 12.0);
         assert_eq!(v12.adc_bits, v8.adc_bits, "same readout ADC");
-    }
-
-    #[test]
-    fn slow_control_dac_floors_the_weight_write_rate() {
-        // A 1 MS/s part cannot write weights faster than 1 µs/element;
-        // the variant's reconfig floor must reflect it.
-        let tcfg = ComputeTransponderConfig::with_parts(
-            &DAC_8B_1M,
-            &ADC_8B_10G,
-            &CatalogModulator,
-            &CatalogLaser,
-        );
-        let mut model = ServiceModel::from_transponder(&tcfg, 4);
-        model.reconfig_per_element_ps = model
-            .reconfig_per_element_ps
-            .max((1e12 / DacPart::sample_rate_hz(&DAC_8B_1M)).ceil() as u64);
-        assert_eq!(model.reconfig_per_element_ps, 1_000_000);
     }
 }

@@ -25,6 +25,6 @@ pub mod catalog;
 pub mod pareto;
 pub mod sweep;
 
-pub use catalog::{hardware_variant, CatalogAdc, CatalogDac, ConverterChoice};
-pub use pareto::{mark_pareto, DesignPoint};
+pub use catalog::{hardware_variant, ConverterChoice};
+pub use pareto::DesignPoint;
 pub use sweep::{run_sweep, App, SweepSpec};

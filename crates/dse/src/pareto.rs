@@ -1,7 +1,7 @@
 //! Design-point records and non-dominated-set marking.
 //!
 //! A sweep evaluates one [`DesignPoint`] per (app, converter, core
-//! size, wavelength count) tuple. [`mark_pareto`] then flags, per app,
+//! size, wavelength count) tuple. `mark_pareto` then flags, per app,
 //! the points no other point dominates on the three axes the paper's
 //! trade-off story turns on: energy per request (lower better), batch
 //! latency (lower better), and end-to-end effective bits (higher
@@ -40,7 +40,7 @@ pub struct DesignPoint {
     pub module_area_mm2: f64,
     /// Whether the module fits the OSFP envelope.
     pub fits_osfp: bool,
-    /// On the per-app Pareto frontier (set by [`mark_pareto`]).
+    /// On the per-app Pareto frontier (set by `mark_pareto`).
     pub pareto: bool,
 }
 
@@ -59,7 +59,7 @@ fn dominates(a: &DesignPoint, b: &DesignPoint) -> bool {
 
 /// Mark each point's `pareto` flag: true iff no other point *of the
 /// same app* dominates it. O(n²) over a sweep of dozens of points.
-pub fn mark_pareto(points: &mut [DesignPoint]) {
+pub(crate) fn mark_pareto(points: &mut [DesignPoint]) {
     for i in 0..points.len() {
         let dominated = points
             .iter()

@@ -18,8 +18,9 @@
 //!   is unaffected.
 //! * The photonic activation is *not* an exact ReLU; its measured
 //!   transfer curve can be fed back into training (see
-//!   [`Activation::Measured`]), which is the §4 "new algorithms to ...
-//!   achieve high accuracy" knob that experiment E10 ablates.
+//!   [`PhotonicDnn::digital_twin_forward`]), which is the §4 "new
+//!   algorithms to ... achieve high accuracy" knob that experiment E10
+//!   ablates.
 
 use crate::mvm::PhotonicMatVec;
 use crate::nonlinear::NonlinearUnit;
@@ -47,27 +48,6 @@ impl DenseLayer {
             .iter()
             .flatten()
             .fold(0.0f64, |m, &w| m.max(w.abs()))
-    }
-}
-
-/// The activation used in a digital forward pass.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Activation {
-    /// Exact ReLU.
-    Relu,
-    /// A measured photonic transfer curve `(x, f(x))`, interpolated
-    /// linearly — used for photonics-aware training.
-    Measured(Vec<(f64, f64)>),
-}
-
-impl Activation {
-    /// Evaluate the activation at `x` (input already normalized to the
-    /// unit scale for `Measured`; `Relu` takes raw values).
-    pub fn eval(&self, x: f64) -> f64 {
-        match self {
-            Activation::Relu => x.max(0.0),
-            Activation::Measured(curve) => interp_curve(curve, x),
-        }
     }
 }
 
@@ -115,17 +95,13 @@ impl Mlp {
         Mlp { layers }
     }
 
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         self.layers.first().map_or(0, |l| l.in_dim())
     }
 
-    pub fn output_dim(&self) -> usize {
-        self.layers.last().map_or(0, |l| l.out_dim())
-    }
-
-    /// Digital forward pass with the given hidden activation; the output
+    /// Digital forward pass with ReLU hidden activations; the output
     /// layer is linear (logits).
-    pub fn forward_digital(&self, x: &[f64], activation: &Activation) -> Vec<f64> {
+    pub(crate) fn forward_digital(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
         let mut a = x.to_vec();
         for (li, layer) in self.layers.iter().enumerate() {
@@ -137,7 +113,7 @@ impl Mlp {
                 .collect();
             if li + 1 < self.layers.len() {
                 for v in &mut z {
-                    *v = activation.eval(*v);
+                    *v = v.max(0.0);
                 }
             }
             a = z;
@@ -147,7 +123,7 @@ impl Mlp {
 
     /// Digital argmax prediction.
     pub fn predict_digital(&self, x: &[f64]) -> usize {
-        argmax(&self.forward_digital(x, &Activation::Relu))
+        argmax(&self.forward_digital(x))
     }
 
     /// Total MACs in one forward pass.
@@ -319,11 +295,6 @@ impl PhotonicDnn {
         argmax(&self.forward(x))
     }
 
-    /// The per-layer activation scales estimated at construction.
-    pub fn act_scales(&self) -> &[f64] {
-        &self.act_scales
-    }
-
     /// Exact digital replica of the photonic pipeline using a measured
     /// activation transfer `curve` in place of the analog P3 unit. This
     /// is the reference for validating photonic execution and the forward
@@ -373,10 +344,6 @@ impl PhotonicDnn {
         ledger.merge(&self.activation.energy_ledger());
         ledger
     }
-
-    pub fn macs_performed(&self) -> u64 {
-        self.engine.macs_performed()
-    }
 }
 
 #[cfg(test)]
@@ -392,9 +359,8 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(1);
         let mlp = tiny_mlp(&mut rng);
         assert_eq!(mlp.input_dim(), 4);
-        assert_eq!(mlp.output_dim(), 3);
         assert_eq!(mlp.macs_per_inference(), 4 * 6 + 6 * 3);
-        let y = mlp.forward_digital(&[0.1, 0.2, 0.3, 0.4], &Activation::Relu);
+        let y = mlp.forward_digital(&[0.1, 0.2, 0.3, 0.4]);
         assert_eq!(y.len(), 3);
     }
 
@@ -417,15 +383,6 @@ mod tests {
         assert_eq!(interp_curve(&curve, 2.0), 1.0);
         assert!((interp_curve(&curve, 0.25) - 0.1).abs() < 1e-12);
         assert!((interp_curve(&curve, 0.75) - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn measured_activation_uses_curve() {
-        let curve = vec![(0.0, 0.0), (1.0, 0.5)];
-        let act = Activation::Measured(curve);
-        assert!((act.eval(0.5) - 0.25).abs() < 1e-12);
-        assert_eq!(Activation::Relu.eval(-1.0), 0.0);
-        assert_eq!(Activation::Relu.eval(2.0), 2.0);
     }
 
     fn build_photonic(mlp: &Mlp, calib: &[Vec<f64>]) -> PhotonicDnn {
@@ -489,7 +446,6 @@ mod tests {
         let mut pdnn = build_photonic(&mlp, &calib);
         pdnn.forward(&[0.5; 4]);
         assert!(pdnn.latency_s() > 0.0);
-        assert!(pdnn.macs_performed() > 0);
     }
 
     #[test]
@@ -521,7 +477,7 @@ mod tests {
     fn rejects_wrong_input_size() {
         let mut rng = SimRng::seed_from_u64(5);
         let mlp = tiny_mlp(&mut rng);
-        mlp.forward_digital(&[0.0; 3], &Activation::Relu);
+        mlp.forward_digital(&[0.0; 3]);
     }
 
     #[test]

@@ -140,7 +140,7 @@ struct VecScratch {
 /// per-pass DAC energy and modulator symbol accounting still happen on
 /// every use).
 #[derive(Debug, Clone)]
-pub struct PrecodedOperand {
+pub(crate) struct PrecodedOperand {
     /// Per-element power transmission of the `b` modulator.
     t2: Vec<f64>,
 }
@@ -149,11 +149,6 @@ impl PrecodedOperand {
     /// Number of vector elements.
     pub fn len(&self) -> usize {
         self.t2.len()
-    }
-
-    /// Whether the operand holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.t2.is_empty()
     }
 }
 
@@ -458,7 +453,7 @@ impl DotProductUnit {
     /// Pre-encode a non-negative weight vector (elements in `[0, 1]`)
     /// for reuse across many [`DotProductUnit::dot_nonneg_precoded`]
     /// calls. Vectorized backend only.
-    pub fn precode(&mut self, b: &[f64]) -> PrecodedOperand {
+    pub(crate) fn precode(&mut self, b: &[f64]) -> PrecodedOperand {
         assert!(
             self.config.backend == KernelBackend::Vectorized,
             "precoding requires the vectorized backend"
@@ -483,7 +478,7 @@ impl DotProductUnit {
 
     /// Pre-encode a signed weight vector as its positive/negative
     /// decomposition, for [`DotProductUnit::dot_signed_precoded`].
-    pub fn precode_signed(&mut self, b: &[f64]) -> (PrecodedOperand, PrecodedOperand) {
+    pub(crate) fn precode_signed(&mut self, b: &[f64]) -> (PrecodedOperand, PrecodedOperand) {
         let bp: Vec<f64> = b.iter().map(|&x| x.clamp(0.0, 1.0)).collect();
         let bn: Vec<f64> = b.iter().map(|&x| (-x).clamp(0.0, 1.0)).collect();
         (self.precode(&bp), self.precode(&bn))
@@ -532,7 +527,7 @@ impl DotProductUnit {
 
     /// Non-negative dot product against a precoded weight operand
     /// (vectorized backend only; see [`PrecodedOperand`]).
-    pub fn dot_nonneg_precoded(&mut self, a: &[f64], b: &PrecodedOperand) -> f64 {
+    pub(crate) fn dot_nonneg_precoded(&mut self, a: &[f64], b: &PrecodedOperand) -> f64 {
         let n = a.len();
         let cal = *self
             .calibration
@@ -576,7 +571,7 @@ impl DotProductUnit {
     /// Signed dot product against a precoded weight decomposition from
     /// [`DotProductUnit::precode_signed`]: the same four passes, in the
     /// same order, as [`DotProductUnit::dot_signed`].
-    pub fn dot_signed_precoded(
+    pub(crate) fn dot_signed_precoded(
         &mut self,
         a: &[f64],
         bp: &PrecodedOperand,

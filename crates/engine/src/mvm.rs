@@ -77,7 +77,7 @@ impl PhotonicMatVec {
     /// of every per-row dot product) is precoded once — DAC quantization
     /// and MZM power transfer evaluated a single time instead of once per
     /// row — which is byte-identical to the per-row path (see
-    /// [`crate::dot::PrecodedOperand`]).
+    /// `PrecodedOperand` in `dot`).
     pub fn mat_vec_signed(&mut self, matrix: &[Vec<f64>], x: &[f64]) -> Vec<f64> {
         assert!(!matrix.is_empty(), "empty matrix");
         let precoded = (self.lanes[0].config.backend == KernelBackend::Vectorized)
@@ -105,7 +105,7 @@ impl PhotonicMatVec {
     /// `y = W·x` with entries in `[0, 1]`. Precodes the shared `x`
     /// operand once under the vectorized backend, like
     /// [`PhotonicMatVec::mat_vec_signed`].
-    pub fn mat_vec_nonneg(&mut self, matrix: &[Vec<f64>], x: &[f64]) -> Vec<f64> {
+    pub(crate) fn mat_vec_nonneg(&mut self, matrix: &[Vec<f64>], x: &[f64]) -> Vec<f64> {
         assert!(!matrix.is_empty(), "empty matrix");
         let precoded = (self.lanes[0].config.backend == KernelBackend::Vectorized)
             .then(|| self.lanes[0].precode(x));
@@ -128,11 +128,6 @@ impl PhotonicMatVec {
     pub fn latency_s(&self, rows: usize, cols: usize) -> f64 {
         let rounds = rows.div_ceil(self.lanes.len());
         rounds as f64 * self.lanes[0].latency_s(cols)
-    }
-
-    /// Total MACs across lanes.
-    pub fn macs_performed(&self) -> u64 {
-        self.lanes.iter().map(|l| l.macs_performed).sum()
     }
 
     /// Merged energy ledger across lanes.
@@ -224,7 +219,7 @@ mod tests {
         let m = vec![vec![0.1; 16]; 4];
         let x = vec![0.5; 16];
         e.mat_vec_nonneg(&m, &x);
-        assert_eq!(e.macs_performed(), 64);
+        assert_eq!(e.lanes.iter().map(|l| l.macs_performed).sum::<u64>(), 64);
     }
 
     #[test]
@@ -256,7 +251,9 @@ mod tests {
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits());
         }
-        assert_eq!(blocked.macs_performed(), manual.macs_performed());
+        for (b, m) in blocked.lanes.iter().zip(&manual.lanes) {
+            assert_eq!(b.macs_performed, m.macs_performed);
+        }
         assert_eq!(
             blocked.energy_ledger().total_j().to_bits(),
             manual.energy_ledger().total_j().to_bits()

@@ -139,7 +139,7 @@ impl NonlinearUnit {
     }
 
     /// Apply the nonlinearity to a value in `[0, 1]`.
-    pub fn activate(&mut self, x: f64) -> f64 {
+    pub(crate) fn activate(&mut self, x: f64) -> f64 {
         let fs = self
             .full_scale_current_a
             .expect("NonlinearUnit must be calibrated before use; call calibrate()");

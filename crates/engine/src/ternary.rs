@@ -29,22 +29,6 @@ pub enum Tern {
     Wild,
 }
 
-impl Tern {
-    pub fn from_char(c: char) -> Option<Tern> {
-        match c {
-            '0' => Some(Tern::Zero),
-            '1' => Some(Tern::One),
-            '*' | 'x' | 'X' => Some(Tern::Wild),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a ternary pattern string like `"10**01"`.
-pub fn parse_pattern(s: &str) -> Option<Vec<Tern>> {
-    s.chars().map(Tern::from_char).collect()
-}
-
 /// Configuration of a ternary matcher (superset of the P2 matcher: the
 /// pattern arm gains an intensity gate for wildcards).
 #[derive(Debug, Clone)]
@@ -230,18 +214,22 @@ mod tests {
         s.chars().map(|c| c == '1').collect()
     }
 
-    #[test]
-    fn parse_pattern_accepts_ternary_alphabet() {
-        let p = parse_pattern("10*x").unwrap();
-        assert_eq!(p, vec![Tern::One, Tern::Zero, Tern::Wild, Tern::Wild]);
-        assert!(parse_pattern("102").is_none());
+    /// `'1'`, `'0'`, and `'*'` (don't care) per symbol.
+    fn pattern(s: &str) -> Vec<Tern> {
+        s.chars()
+            .map(|c| match c {
+                '0' => Tern::Zero,
+                '1' => Tern::One,
+                _ => Tern::Wild,
+            })
+            .collect()
     }
 
     #[test]
     fn exact_pattern_matches() {
         let mut m = TernaryMatcher::ideal();
         let data = bits("10110010");
-        let pattern = parse_pattern("10110010").unwrap();
+        let pattern = pattern("10110010");
         let r = m.match_block(&data, &pattern);
         assert!(r.matched, "estimate {}", r.distance_estimate);
     }
@@ -250,7 +238,7 @@ mod tests {
     fn wildcards_ignore_disagreement() {
         let mut m = TernaryMatcher::ideal();
         // Pattern cares only about the first 4 bits.
-        let pattern = parse_pattern("1011****").unwrap();
+        let pattern = pattern("1011****");
         assert!(m.match_block(&bits("10110000"), &pattern).matched);
         assert!(m.match_block(&bits("10111111"), &pattern).matched);
         assert!(!m.match_block(&bits("00110000"), &pattern).matched);
@@ -259,7 +247,7 @@ mod tests {
     #[test]
     fn all_wild_pattern_matches_anything() {
         let mut m = TernaryMatcher::ideal();
-        let pattern = parse_pattern("********").unwrap();
+        let pattern = pattern("********");
         assert!(m.match_block(&bits("10110010"), &pattern).matched);
         assert!(m.match_block(&bits("01001101"), &pattern).matched);
     }
@@ -267,7 +255,7 @@ mod tests {
     #[test]
     fn distance_counts_only_cared_positions() {
         let mut m = TernaryMatcher::ideal();
-        let pattern = parse_pattern("1111****").unwrap();
+        let pattern = pattern("1111****");
         // Two mismatches in the cared half, garbage in the wild half.
         let r = m.match_block(&bits("10101010"), &pattern);
         assert!(
@@ -282,7 +270,7 @@ mod tests {
         // A /4 prefix rule on an 8-bit address space — exactly the IP
         // routing use-case shape from Table 1.
         let mut m = TernaryMatcher::ideal();
-        let rule_1010 = parse_pattern("1010****").unwrap();
+        let rule_1010 = pattern("1010****");
         assert!(m.match_block(&bits("10101111"), &rule_1010).matched);
         assert!(m.match_block(&bits("10100000"), &rule_1010).matched);
         assert!(!m.match_block(&bits("10111111"), &rule_1010).matched);

@@ -30,7 +30,7 @@ pub fn inject(plan: &FaultPlan, net: &mut Network) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FaultPlan;
+    use crate::plan::{FaultEvent, FaultPlan};
     use ofpc_net::packet::Packet;
     use ofpc_net::stats::DropReason;
     use ofpc_net::{LinkId, NodeId, Topology};
@@ -92,7 +92,16 @@ mod tests {
             },
             0.0,
         );
-        let plan = FaultPlan::new().noise_ramp(NodeId(1), 1_000, 1_000, &[0.05, 0.25]);
+        let mut plan = FaultPlan::new();
+        for (at_ps, sigma) in [(1_000, 0.05), (2_000, 0.25)] {
+            plan.push(FaultEvent {
+                at_ps,
+                kind: FaultKind::NoiseStep {
+                    node: NodeId(1),
+                    sigma,
+                },
+            });
+        }
         inject(&plan, &mut net);
         net.run_to_idle();
         let sigma = net.engines_at(NodeId(1))[0].noise_sigma;

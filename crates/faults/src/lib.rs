@@ -12,8 +12,8 @@
 //! * [`plan`] — [`plan::FaultPlan`]: a deterministic, seedable schedule
 //!   of timed fault events (fiber cuts, link flaps, engine hard-fails,
 //!   analog noise steps), including Poisson MTBF/MTTR generation. Slow
-//!   analog drift enters only as noise-step staircases
-//!   ([`plan::FaultPlan::noise_ramp`], [`storm::StormSpec::drift_sigmas`]).
+//!   analog drift enters only as the noise-step staircases of a storm's
+//!   [`storm::StormSpec::drift_sigmas`].
 //! * [`mod@inject`] — threads a plan into `ofpc-net`'s discrete-event
 //!   simulator as scheduled events, so faults interleave with packets
 //!   in one deterministic timeline; noise steps set the engines' noise.
@@ -32,6 +32,6 @@ pub mod plan;
 pub mod storm;
 
 pub use inject::inject;
-pub use orchestrator::{trace_recovery, AvailabilityLedger, Orchestrator, RecoveryOutcome};
+pub use orchestrator::{trace_recovery, AvailabilityLedger, Orchestrator};
 pub use plan::{FaultEvent, FaultKind, FaultPlan, MtbfSpec};
 pub use storm::{generate_storm, StormSpec};

@@ -44,7 +44,7 @@ pub struct Orchestrator {
 /// Distinct routers an update plan touches (install sites + override
 /// routers) — the staged-install count that sets the last recovery
 /// stage's duration.
-pub fn routers_touched(plan: &UpdatePlan) -> usize {
+pub(crate) fn routers_touched(plan: &UpdatePlan) -> usize {
     let mut nodes: BTreeSet<NodeId> = BTreeSet::new();
     for i in &plan.installs {
         nodes.insert(i.node);
@@ -180,10 +180,6 @@ impl AvailabilityLedger {
         self.record(t.fault_at_ps, t.installed_at_ps);
     }
 
-    pub fn outage_count(&self) -> usize {
-        self.outages.len()
-    }
-
     /// Total downtime with overlapping windows merged, ps.
     pub fn downtime_ps(&self) -> u64 {
         let mut sorted = self.outages.clone();
@@ -310,7 +306,7 @@ mod tests {
         l.record(200, 400); // overlaps the first
         l.record(400, 450); // touches: still one merged window
         l.record(900, 2_000); // clamped at the horizon
-        assert_eq!(l.outage_count(), 4);
+        assert_eq!(l.outages.len(), 4);
         assert_eq!(l.downtime_ps(), (450 - 100) + (1_000 - 900));
         assert!((l.availability() - 0.55).abs() < 1e-12);
     }

@@ -111,19 +111,6 @@ impl FaultPlan {
         self
     }
 
-    /// A staircase noise ramp at `node`: `steps` rungs starting at
-    /// `start_ps`, spaced `step_ps`, with sigma given per rung — how a
-    /// slow analog drift enters the packet simulator.
-    pub fn noise_ramp(mut self, node: NodeId, start_ps: u64, step_ps: u64, sigmas: &[f64]) -> Self {
-        for (i, &sigma) in sigmas.iter().enumerate() {
-            self.push(FaultEvent {
-                at_ps: start_ps + i as u64 * step_ps,
-                kind: FaultKind::NoiseStep { node, sigma },
-            });
-        }
-        self
-    }
-
     /// Link up/down transitions as `(at_ps, link, up)` tuples, time
     /// order preserved — the topology-level view a controller (rather
     /// than the packet simulator) consumes: the sharded allocator maps
@@ -252,10 +239,16 @@ mod tests {
 
     #[test]
     fn typed_event_views_split_by_kind() {
-        let plan = FaultPlan::new()
+        let mut plan = FaultPlan::new()
             .flap(300, LinkId(0), 50)
-            .engine_outage(100, NodeId(2), 400)
-            .noise_ramp(NodeId(1), 200, 100, &[0.01]);
+            .engine_outage(100, NodeId(2), 400);
+        plan.push(FaultEvent {
+            at_ps: 200,
+            kind: FaultKind::NoiseStep {
+                node: NodeId(1),
+                sigma: 0.01,
+            },
+        });
         assert_eq!(
             plan.link_events(),
             vec![(300, LinkId(0), false), (350, LinkId(0), true)]
@@ -283,14 +276,6 @@ mod tests {
             plan.events[3].kind,
             FaultKind::EngineRepair { node: NodeId(1) }
         );
-    }
-
-    #[test]
-    fn noise_ramp_is_a_staircase() {
-        let plan = FaultPlan::new().noise_ramp(NodeId(0), 100, 10, &[0.01, 0.02, 0.03]);
-        assert_eq!(plan.events.len(), 3);
-        assert_eq!(plan.events[2].at_ps, 120);
-        assert!(matches!(plan.events[2].kind, FaultKind::NoiseStep { sigma, .. } if sigma == 0.03));
     }
 
     #[test]

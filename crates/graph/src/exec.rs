@@ -16,7 +16,7 @@
 //!   one delivers. Throughput is `1 / (Σ services + path)`.
 //!
 //! A failed engine site re-lowers *only its own stages* to the local
-//! digital fallback ([`crate::lower::relower_stage_digital`]); healthy
+//! digital fallback (`crate::lower::relower_stage_digital`); healthy
 //! sites keep their photonic costing. Fault schedules arrive as
 //! [`ofpc_faults::FaultPlan`] events, the same currency the recovery
 //! orchestrator uses.

@@ -42,7 +42,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Elements consumed per invocation.
-    pub fn input_elems(&self) -> usize {
+    pub(crate) fn input_elems(&self) -> usize {
         match *self {
             OpKind::Mvm { cols, .. } => cols,
             OpKind::Nonlinear { width } => width,
@@ -54,7 +54,7 @@ impl OpKind {
     }
 
     /// Elements produced per invocation.
-    pub fn output_elems(&self) -> usize {
+    pub(crate) fn output_elems(&self) -> usize {
         match *self {
             OpKind::Mvm { rows, .. } => rows,
             OpKind::Nonlinear { width } => width,
@@ -183,7 +183,7 @@ impl WorkGraph {
     }
 
     /// Append an op; returns its id.
-    pub fn add_op(&mut self, kind: OpKind, min_bits: f64) -> OpId {
+    pub(crate) fn add_op(&mut self, kind: OpKind, min_bits: f64) -> OpId {
         let id = OpId(self.nodes.len() as u32);
         self.nodes.push(OpNode { id, kind, min_bits });
         id

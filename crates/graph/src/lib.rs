@@ -56,11 +56,9 @@ pub mod lower;
 pub mod place;
 
 pub use exec::{ExecConfig, ExecMode, ExecReport, GraphExecutor};
-pub use ir::{dnn_graph, OpId, OpKind, OpNode, WorkGraph};
-pub use lower::{
-    lower, lower_traced, CompiledPlan, ErrorBudget, HardwareVariant, LowerConfig, Stage, Target,
-};
-pub use place::{place, PlaceError, PlacedPlan, StageBinding};
+pub use ir::{dnn_graph, WorkGraph};
+pub use lower::{lower, lower_traced, ErrorBudget, HardwareVariant, LowerConfig, Stage, Target};
+pub use place::{place, StageBinding};
 
 use ofpc_net::{NodeId, Topology};
 
@@ -68,7 +66,7 @@ use ofpc_net::{NodeId, Topology};
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompileError {
     Lower(ir::GraphError),
-    Place(PlaceError),
+    Place(place::PlaceError),
 }
 
 impl std::fmt::Display for CompileError {

@@ -89,14 +89,14 @@ impl ErrorBudget {
     /// prediction capped by the operand DAC resolution and by the
     /// result ADC resolution plus the `½·log2(n)` integration gain of
     /// accumulating `n` operands, minus the safety margin.
-    pub fn effective_bits_with(&self, n: usize, v: &HardwareVariant) -> f64 {
+    pub(crate) fn effective_bits_with(&self, n: usize, v: &HardwareVariant) -> f64 {
         let link = predicted_effective_bits(self.pd_snr_db, n);
         let adc = v.adc_bits + 0.5 * (n.max(1) as f64).log2();
         link.min(v.dac_bits).min(adc) - self.margin_bits
     }
 
     /// Whether an op fits the budget on a specific hardware variant.
-    pub fn admits_with(&self, kind: &OpKind, min_bits: f64, v: &HardwareVariant) -> bool {
+    pub(crate) fn admits_with(&self, kind: &OpKind, min_bits: f64, v: &HardwareVariant) -> bool {
         kind.primitive().is_some() && self.effective_bits_with(kind.input_elems(), v) >= min_bits
     }
 
@@ -105,7 +105,7 @@ impl ErrorBudget {
     /// per-request energy, then service time, then name (a total,
     /// deterministic order). `None` when no variant admits the op —
     /// the stage goes digital.
-    pub fn select_variant(
+    pub(crate) fn select_variant(
         &self,
         kind: &OpKind,
         min_bits: f64,
@@ -244,7 +244,7 @@ pub struct LowerConfig {
     pub digital: ComputeModel,
     /// Candidate hardware variants from the component library. Empty =
     /// legacy behavior: every photonic stage priced by `model`. Non-empty
-    /// = per-stage selection via [`ErrorBudget::select_variant`]; ops no
+    /// = per-stage selection via `ErrorBudget::select_variant`; ops no
     /// variant admits go digital.
     pub variants: Vec<HardwareVariant>,
 }
@@ -388,7 +388,7 @@ pub fn lower(graph: &WorkGraph, cfg: &LowerConfig) -> Result<CompiledPlan, Graph
 /// Re-cost one photonic stage for digital execution on `digital` — the
 /// fault-recovery path: only the failed site's stages change target,
 /// everything else keeps its photonic costing.
-pub fn relower_stage_digital(stage: &Stage, digital: &ComputeModel) -> Stage {
+pub(crate) fn relower_stage_digital(stage: &Stage, digital: &ComputeModel) -> Stage {
     Stage {
         ops: stage.ops.clone(),
         label: format!("{}@digital", stage.label),

@@ -53,11 +53,6 @@ pub struct PlacedPlan {
 }
 
 impl PlacedPlan {
-    /// Total fiber propagation along the placed path, ps.
-    pub fn path_ps(&self) -> u64 {
-        self.bindings.iter().map(|b| b.hop_in_ps).sum::<u64>() + self.hop_out_ps
-    }
-
     /// The distinct engine sites the plan's photonic stages occupy.
     pub fn photonic_sites(&self) -> Vec<NodeId> {
         let mut sites: Vec<NodeId> = self
@@ -215,7 +210,8 @@ mod tests {
         let wl: Vec<usize> = placed.bindings.iter().map(|b| b.wavelength).collect();
         assert!(wl.windows(2).all(|w| w[0] != w[1]), "wavelengths {wl:?}");
         // The path hops add up and include the egress leg.
-        assert!(placed.path_ps() >= placed.direct_ps);
+        let path_ps = placed.bindings.iter().map(|b| b.hop_in_ps).sum::<u64>() + placed.hop_out_ps;
+        assert!(path_ps >= placed.direct_ps);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!    `ofpc_serve::SparseAdmission`): tenants are contiguous id blocks
 //!    over a handful of behavioral templates, and per-tenant state
 //!    exists only while a tenant has work queued.
-//! 2. **Shards as owned values** ([`shard::ShardState`]): tenants are
+//! 2. **Shards as owned values** (`shard::ShardState`): tenants are
 //!    hash-partitioned into shards; each shard runs its own event loop
 //!    (aggregate-Poisson arrivals, zero-copy PCH frame parsing, bounded
 //!    admission with DRR fair drain, WDM batching, EDF dispatch) with no
@@ -29,15 +29,16 @@ pub mod rebalance;
 pub mod shard;
 pub mod tenant;
 
-pub use rebalance::{RebalanceConfig, RebalanceOutcome};
-pub use shard::FrameStats;
-pub use tenant::{TenantClass, TenantDirectory};
+pub use rebalance::RebalanceConfig;
+pub use tenant::TenantClass;
 
 use ofpc_par::WorkerPool;
 use ofpc_serve::{BatchPolicy, ServiceModel, SiteSpec};
 use ofpc_telemetry::{track, LogHistogram, Telemetry};
+use rebalance::RebalanceOutcome;
 use serde::Serialize;
-use shard::{ClassStats, ShardState};
+use shard::{ClassStats, FrameStats, ShardState};
+use tenant::TenantDirectory;
 
 /// Everything that defines one ingest run.
 #[derive(Debug, Clone)]

@@ -41,7 +41,7 @@ impl Default for RebalanceConfig {
 
 /// What one rebalance pass did (accumulated into the report).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RebalanceOutcome {
+pub(crate) struct RebalanceOutcome {
     pub migrations: u64,
     /// Total |Δslots| across shards and sites.
     pub slot_moves: u64,

@@ -5,7 +5,7 @@
 //! parsing, sparse admission, batching, and a private EDF scheduler over
 //! the transponder slots the rebalancer has granted it — so an epoch of
 //! shard time runs with **no shared state**: the driver moves whole
-//! [`ShardState`] values through `ofpc_par::WorkerPool::scatter_gather`
+//! `ShardState` values through `ofpc_par::WorkerPool::scatter_gather`
 //! and gets them back in shard order, which is what makes the report
 //! byte-identical at any worker count.
 //!
@@ -85,7 +85,7 @@ impl ClassStats {
 /// Typed tallies of frames the parser refused. The ingest path must
 /// never panic on wire bytes; every rejection lands here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FrameStats {
+pub(crate) struct FrameStats {
     pub parsed: u64,
     pub rejected_truncated: u64,
     pub rejected_bad_proto: u64,
@@ -134,7 +134,7 @@ struct Flight {
 /// The moving parts of one shard. Owned, `Send`, and mutated only by
 /// the worker running its epoch — message passing by value, no locks.
 #[derive(Debug)]
-pub struct ShardState {
+pub(crate) struct ShardState {
     pub(crate) id: u32,
     now_ps: u64,
     rng: SimRng,

@@ -9,7 +9,7 @@
 //! a class lookup; per-tenant state materializes only while the tenant
 //! has work queued (see `ofpc_serve::SparseAdmission`).
 //!
-//! Placement is a pure hash of the tenant id ([`TenantDirectory::home_shard`]),
+//! Placement is a pure hash of the tenant id (`TenantDirectory::home_shard`),
 //! so any component can route a tenant without consulting a map. The
 //! exception is the small set of tenants the global rebalancer has
 //! migrated off their home shard; those live in an override table that
@@ -55,7 +55,7 @@ pub(crate) fn place_hash(tenant: u32) -> u64 {
 /// block `[class_start[c], class_start[c + 1])`. The directory is O(classes
 /// + migrated tenants) in memory regardless of population.
 #[derive(Debug, Clone)]
-pub struct TenantDirectory {
+pub(crate) struct TenantDirectory {
     /// Prefix sums of class populations; `class_start[classes.len()]`
     /// is the total tenant count.
     class_start: Vec<u32>,
@@ -91,12 +91,12 @@ impl TenantDirectory {
         }
     }
 
-    pub fn total_tenants(&self) -> u32 {
+    pub(crate) fn total_tenants(&self) -> u32 {
         *self.class_start.last().expect("non-empty prefix sums")
     }
 
     /// Which class block a tenant id falls in.
-    pub fn class_of(&self, tenant: u32) -> usize {
+    pub(crate) fn class_of(&self, tenant: u32) -> usize {
         debug_assert!(
             tenant < self.total_tenants(),
             "tenant {tenant} out of range"
@@ -107,7 +107,7 @@ impl TenantDirectory {
     }
 
     /// Hash-home shard, ignoring migrations.
-    pub fn home_shard(&self, tenant: u32) -> u32 {
+    pub(crate) fn home_shard(&self, tenant: u32) -> u32 {
         (place_hash(tenant) % u64::from(self.shards)) as u32
     }
 

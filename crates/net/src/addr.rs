@@ -8,7 +8,7 @@ use std::str::FromStr;
 pub struct Addr(pub u32);
 
 impl Addr {
-    pub const UNSPECIFIED: Addr = Addr(0);
+    pub(crate) const UNSPECIFIED: Addr = Addr(0);
 
     pub fn new(a: u8, b: u8, c: u8, d: u8) -> Self {
         Addr(u32::from_be_bytes([a, b, c, d]))
@@ -20,7 +20,7 @@ impl Addr {
 
     /// Deterministic site addressing used by topology builders:
     /// `10.<site>.0.<host>`.
-    pub fn site_host(site: u16, host: u8) -> Self {
+    pub(crate) fn site_host(site: u16, host: u8) -> Self {
         Addr::new(10, (site >> 8) as u8, site as u8, host)
     }
 }

@@ -84,7 +84,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule `payload` after a relative delay.
-    pub fn schedule_in(&mut self, delay_ps: u64, payload: E) {
+    pub(crate) fn schedule_in(&mut self, delay_ps: u64, payload: E) {
         self.schedule_at(self.now_ps.saturating_add(delay_ps), payload);
     }
 

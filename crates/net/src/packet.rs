@@ -18,12 +18,12 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 pub const IP_HEADER_BYTES: usize = 16;
 
 /// Protocol number for plain data.
-pub const PROTO_DATA: u8 = 0x11;
+pub(crate) const PROTO_DATA: u8 = 0x11;
 /// Protocol number indicating a photonic compute header follows.
-pub const PROTO_COMPUTE: u8 = 0xCC;
+pub(crate) const PROTO_COMPUTE: u8 = 0xCC;
 
 /// Default initial TTL.
-pub const DEFAULT_TTL: u8 = 64;
+pub(crate) const DEFAULT_TTL: u8 = 64;
 
 /// A network packet.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,16 +86,6 @@ impl Packet {
             + self.payload.len()
     }
 
-    /// Header overhead added by the compute-communication protocol for
-    /// this packet, bytes (0 for plain packets).
-    pub fn pch_overhead_bytes(&self) -> usize {
-        if self.pch.is_some() {
-            PCH_WIRE_BYTES
-        } else {
-            0
-        }
-    }
-
     /// Serialize to the wire.
     pub fn to_wire(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.wire_bytes());
@@ -147,7 +137,7 @@ impl Packet {
     }
 
     /// Decrement TTL; returns `false` when the packet must be dropped.
-    pub fn decrement_ttl(&mut self) -> bool {
+    pub(crate) fn decrement_ttl(&mut self) -> bool {
         if self.ttl == 0 {
             return false;
         }
@@ -219,7 +209,6 @@ mod tests {
         let parsed = Packet::from_wire(wire).unwrap();
         assert_eq!(parsed, p);
         assert!(!parsed.is_compute());
-        assert_eq!(parsed.pch_overhead_bytes(), 0);
     }
 
     #[test]
@@ -233,7 +222,6 @@ mod tests {
         let parsed = Packet::from_wire(wire).unwrap();
         assert_eq!(parsed, p);
         assert!(parsed.is_compute());
-        assert_eq!(parsed.pch_overhead_bytes(), PCH_WIRE_BYTES);
     }
 
     #[test]

@@ -30,12 +30,12 @@ use ofpc_engine::Primitive;
 pub const PCH_WIRE_BYTES: usize = 8;
 
 /// Flag bit 0: the operation has been executed by some transponder.
-pub const FLAG_COMPUTED: u8 = 0b0000_0001;
+pub(crate) const FLAG_COMPUTED: u8 = 0b0000_0001;
 /// Flag bits 2–3: result status ([`ResultStatus`]), so a receiver can
 /// tell a valid analog result from one skipped or corrupted by a fault.
-pub const STATUS_MASK: u8 = 0b0000_1100;
+pub(crate) const STATUS_MASK: u8 = 0b0000_1100;
 /// Bit offset of the status field inside `flags`.
-pub const STATUS_SHIFT: u8 = 2;
+pub(crate) const STATUS_SHIFT: u8 = 2;
 
 /// Result health carried in the PCH flags byte (bits 2–3). `Ok` is the
 /// wire default so pre-fault-aware senders stay compatible.
@@ -53,7 +53,7 @@ pub enum ResultStatus {
 
 impl ResultStatus {
     /// Decode from the flags byte.
-    pub fn from_flags(flags: u8) -> Self {
+    pub(crate) fn from_flags(flags: u8) -> Self {
         match (flags & STATUS_MASK) >> STATUS_SHIFT {
             1 => ResultStatus::EngineUnhealthy,
             2 => ResultStatus::TimedOut,

@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 
 /// Drop-tail FIFO with a byte capacity.
 #[derive(Debug, Clone)]
-pub struct DropTailQueue {
+pub(crate) struct DropTailQueue {
     queue: VecDeque<Packet>,
     bytes_queued: usize,
     pub capacity_bytes: usize,
@@ -54,18 +54,6 @@ impl DropTailQueue {
         Some(p)
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    pub fn bytes(&self) -> usize {
-        self.bytes_queued
-    }
-
     /// Occupancy as a fraction of capacity in `[0, 1]` — the analog
     /// value a photonic comparator reads for load balancing.
     pub fn occupancy(&self) -> f64 {
@@ -105,9 +93,9 @@ mod tests {
         let p = pkt(1, 100);
         let size = p.wire_bytes();
         q.push(p);
-        assert_eq!(q.bytes(), size);
+        assert_eq!(q.bytes_queued, size);
         q.pop();
-        assert_eq!(q.bytes(), 0);
+        assert_eq!(q.bytes_queued, 0);
     }
 
     #[test]
@@ -120,7 +108,7 @@ mod tests {
         assert!(q.push(pkt(2, 84)));
         assert!(!q.push(pkt(3, 84)));
         assert_eq!(q.dropped, 1);
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.queue.len(), 2);
         // Draining frees space again.
         q.pop();
         assert!(q.push(pkt(4, 84)));

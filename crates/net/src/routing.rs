@@ -193,11 +193,6 @@ impl RoutedPath {
     pub fn shares_link_with(&self, other: &RoutedPath) -> bool {
         self.links.iter().any(|l| other.links.contains(l))
     }
-
-    /// Whether any of `down` takes this path out.
-    pub fn uses_any(&self, down: &[LinkId]) -> bool {
-        self.links.iter().any(|l| down.contains(l))
-    }
 }
 
 /// Delay-shortest route from `src` to `dst` over links accepted by
@@ -249,18 +244,6 @@ pub fn shortest_route_filtered(
 /// Returns fewer than `k` paths when the topology runs out of disjoint
 /// capacity, and an empty vector when `dst` is unreachable.
 pub fn k_disjoint_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<RoutedPath> {
-    k_disjoint_paths_filtered(topo, src, dst, k, &|_| true)
-}
-
-/// [`k_disjoint_paths`] over the links accepted by `link_ok` (cut
-/// fibers are excluded before disjointness is even considered).
-pub fn k_disjoint_paths_filtered(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    link_ok: &dyn Fn(LinkId) -> bool,
-) -> Vec<RoutedPath> {
     let mut out: Vec<RoutedPath> = Vec::new();
     if src == dst {
         if k > 0 {
@@ -274,7 +257,7 @@ pub fn k_disjoint_paths_filtered(
     }
     let mut used: Vec<LinkId> = Vec::new();
     while out.len() < k {
-        let ok = |l: LinkId| link_ok(l) && !used.contains(&l);
+        let ok = |l: LinkId| !used.contains(&l);
         let Some(path) = shortest_route_filtered(topo, src, dst, &ok) else {
             break;
         };
@@ -343,7 +326,7 @@ impl RoutingTable {
     }
 
     /// Longest-prefix-match lookup of the raw entry.
-    pub fn lookup_entry(&self, dst: Addr) -> Option<&RouteEntry> {
+    pub(crate) fn lookup_entry(&self, dst: Addr) -> Option<&RouteEntry> {
         self.entries
             .iter()
             .find(|(p, _)| p.contains(dst))
@@ -362,7 +345,7 @@ impl RoutingTable {
     /// Like [`RoutingTable::lookup`], with optional op-granular routing:
     /// `pending` carries the packet's primitive and (optionally) its op
     /// id. Match precedence: (primitive, op) → primitive → default.
-    pub fn lookup_op(
+    pub(crate) fn lookup_op(
         &self,
         dst: Addr,
         pending: Option<(Primitive, Option<u16>)>,
@@ -400,11 +383,6 @@ impl RoutingTable {
                 .insert((primitive.wire_id(), op_id), link);
             self.install(prefix, entry);
         }
-    }
-
-    /// Whether any route (even local delivery) exists for `dst`.
-    pub fn has_route(&self, dst: Addr) -> bool {
-        self.lookup_entry(dst).is_some()
     }
 }
 
@@ -594,20 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_paths_respect_the_link_filter() {
-        let t = Topology::fig1();
-        let a = t.find_node("A").unwrap();
-        let b = t.find_node("B").unwrap();
-        let d = t.find_node("D").unwrap();
-        let b_links: Vec<LinkId> = t.neighbors(b).into_iter().map(|(l, _)| l).collect();
-        let ok = |l: LinkId| !b_links.contains(&l);
-        let paths = k_disjoint_paths_filtered(&t, a, d, 4, &ok);
-        assert_eq!(paths.len(), 1, "only the C route survives the filter");
-        assert!(!paths[0].nodes.contains(&b));
-        assert!(paths[0].links.iter().all(|&l| ok(l)));
-    }
-
-    #[test]
     fn self_route_is_trivial() {
         let t = Topology::fig1();
         let a = t.find_node("A").unwrap();
@@ -615,7 +579,6 @@ mod tests {
         assert_eq!(paths.len(), 1);
         assert!(paths[0].links.is_empty());
         assert_eq!(paths[0].delay_ps, 0);
-        assert!(!paths[0].uses_any(&[LinkId(0)]));
     }
 
     #[test]
@@ -653,7 +616,6 @@ mod tests {
             Some(LinkId(1))
         );
         assert_eq!(rt.lookup("11.0.0.1".parse().unwrap(), None), None);
-        assert!(!rt.has_route("11.0.0.1".parse().unwrap()));
     }
 
     #[test]

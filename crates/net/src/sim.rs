@@ -28,13 +28,13 @@ use ofpc_telemetry::{labels, track, Counter, Telemetry};
 use std::collections::HashMap;
 
 /// Default router egress queue capacity, bytes (1 MB class).
-pub const DEFAULT_QUEUE_BYTES: usize = 1 << 20;
+pub(crate) const DEFAULT_QUEUE_BYTES: usize = 1 << 20;
 
 /// Photonic engine symbol rate used for in-flight op latency, Hz.
-pub const ENGINE_SYMBOL_RATE_HZ: f64 = 32e9;
+pub(crate) const ENGINE_SYMBOL_RATE_HZ: f64 = 32e9;
 
 /// Fixed analog pipeline latency per in-flight operation, ps.
-pub const ENGINE_FIXED_LATENCY_PS: u64 = 5_000; // 5 ns
+pub(crate) const ENGINE_FIXED_LATENCY_PS: u64 = 5_000; // 5 ns
 
 /// The operation semantics installed in an engine slot.
 #[derive(Debug, Clone, PartialEq)]
@@ -255,7 +255,7 @@ impl Network {
     }
 
     /// The node that owns `addr`, if any.
-    pub fn addr_node(&self, addr: Addr) -> Option<NodeId> {
+    pub(crate) fn addr_node(&self, addr: Addr) -> Option<NodeId> {
         let o = addr.octets();
         if o[0] != 10 {
             return None;
@@ -344,10 +344,6 @@ impl Network {
         &mut self.tables[node.0 as usize]
     }
 
-    pub fn routing_table(&self, node: NodeId) -> &RoutingTable {
-        &self.tables[node.0 as usize]
-    }
-
     /// Install a photonic engine slot at `node`.
     pub fn add_engine(&mut self, node: NodeId, op_id: u16, spec: OpSpec, noise_sigma: f64) {
         assert!((node.0 as usize) < self.topo.node_count(), "unknown node");
@@ -379,14 +375,6 @@ impl Network {
     /// Whether a link currently carries light.
     pub fn link_is_up(&self, link: LinkId) -> bool {
         self.link_up[link.0 as usize]
-    }
-
-    /// Links currently down (cut fibers).
-    pub fn down_links(&self) -> Vec<LinkId> {
-        (0..self.topo.link_count() as u32)
-            .map(LinkId)
-            .filter(|l| !self.link_up[l.0 as usize])
-            .collect()
     }
 
     /// Immediately cut (`up = false`) or restore a fiber. Cutting drains
@@ -445,7 +433,7 @@ impl Network {
     /// Immediately set the effective analog noise sigma of every engine
     /// slot at `node` (each rung of an injected drift staircase lands
     /// here).
-    pub fn set_engine_noise(&mut self, node: NodeId, sigma: f64) {
+    pub(crate) fn set_engine_noise(&mut self, node: NodeId, sigma: f64) {
         if let Some(slots) = self.engines.get_mut(&node) {
             for s in slots {
                 s.noise_sigma = sigma.max(0.0);
@@ -1175,7 +1163,6 @@ mod tests {
         net.schedule_link_down(1_500_000, ab);
         net.run_to_idle();
         assert!(!net.link_is_up(ab));
-        assert_eq!(net.down_links(), vec![ab]);
         // If the default path used A–B, packets after the cut are lost to
         // loss-of-light; either way nothing leaks.
         assert_eq!(net.in_flight_count(), 0);
@@ -1282,7 +1269,7 @@ mod tests {
         let (a, d) = a_d(&net);
         let first_hop = {
             let pending = None;
-            net.routing_table(a)
+            net.routing_table_mut(a)
                 .lookup(Network::node_addr(d, 1), pending)
                 .unwrap()
         };

@@ -77,7 +77,7 @@ impl StatsCollector {
     }
 
     /// Attribute one drop to `reason`.
-    pub fn record_drop(&mut self, reason: DropReason) {
+    pub(crate) fn record_drop(&mut self, reason: DropReason) {
         match reason {
             DropReason::QueueFull => self.drops_queue += 1,
             DropReason::TtlExpired => self.drops_ttl += 1,
@@ -103,7 +103,7 @@ impl StatsCollector {
         self.injected == self.delivered.len() as u64 + self.total_drops() + in_flight as u64
     }
 
-    pub fn record_delivery(&mut self, record: DeliveryRecord) {
+    pub(crate) fn record_delivery(&mut self, record: DeliveryRecord) {
         self.delivered.push(record);
     }
 

@@ -15,8 +15,7 @@ pub struct Complex {
 }
 
 impl Complex {
-    pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
-    pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
+    pub(crate) const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
 
     #[inline]
     pub fn new(re: f64, im: f64) -> Self {
@@ -31,7 +30,7 @@ impl Complex {
 
     /// Unit phasor `e^{iθ}`.
     #[inline]
-    pub fn phasor(theta: f64) -> Self {
+    pub(crate) fn phasor(theta: f64) -> Self {
         Complex::from_polar(1.0, theta)
     }
 
@@ -53,12 +52,6 @@ impl Complex {
         self.im.atan2(self.re)
     }
 
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Complex::new(self.re, -self.im)
-    }
-
     /// Multiply by a real scalar.
     #[inline]
     pub fn scale(self, s: f64) -> Self {
@@ -67,7 +60,7 @@ impl Complex {
 
     /// Rotate by angle `theta` (multiply by `e^{iθ}`).
     #[inline]
-    pub fn rotate(self, theta: f64) -> Self {
+    pub(crate) fn rotate(self, theta: f64) -> Self {
         self * Complex::phasor(theta)
     }
 
@@ -167,19 +160,9 @@ mod tests {
     }
 
     #[test]
-    fn conjugate_negates_phase() {
-        let z = Complex::from_polar(1.5, 1.0);
-        assert!((z.conj().arg() + 1.0).abs() < EPS);
-        // z * conj(z) is |z|² on the real axis.
-        let p = z * z.conj();
-        assert!((p.re - z.norm_sqr()).abs() < EPS);
-        assert!(p.im.abs() < EPS);
-    }
-
-    #[test]
     fn interference_extremes() {
         // Constructive: |1 + 1|² = 4; destructive: |1 − 1|² = 0.
-        let a = Complex::ONE;
+        let a = Complex::new(1.0, 0.0);
         assert!(((a + a).norm_sqr() - 4.0).abs() < EPS);
         assert!((a - a).norm_sqr() < EPS);
         // Quadrature: |1 + i|² = 2.

@@ -9,7 +9,6 @@
 
 use crate::rng::SimRng;
 use crate::signal::AnalogWaveform;
-use crate::units;
 
 /// Configuration shared by both converter directions.
 #[derive(Debug, Clone)]
@@ -44,19 +43,13 @@ impl ConverterConfig {
 
     /// The rate the converter actually runs at when driven at
     /// `requested_hz`: clamped to the part's maximum when one is set.
-    pub fn effective_sample_rate_hz(&self, requested_hz: f64) -> f64 {
+    pub(crate) fn effective_sample_rate_hz(&self, requested_hz: f64) -> f64 {
         assert!(requested_hz > 0.0, "sample rate must be positive");
         if self.max_sample_rate_hz > 0.0 {
             requested_hz.min(self.max_sample_rate_hz)
         } else {
             requested_hz
         }
-    }
-
-    /// Symbol period at the effective rate, seconds — what a
-    /// rate-limited part stretches the line's symbol timing to.
-    pub fn symbol_time_s(&self, requested_hz: f64) -> f64 {
-        1.0 / self.effective_sample_rate_hz(requested_hz)
     }
 }
 
@@ -211,11 +204,6 @@ impl Adc {
         code.min(max_code) as f64 / max_code as f64
     }
 
-    /// Ideal quantization SNR of this converter, dB.
-    pub fn quantization_snr_db(&self) -> f64 {
-        units::bits_to_snr_db(self.config.bits as f64)
-    }
-
     pub fn energy_consumed_j(&self) -> f64 {
         self.samples_converted as f64 * self.config.energy_per_sample_j
     }
@@ -326,12 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn quantization_snr_matches_formula() {
-        let adc = Adc::ideal(8);
-        assert!((adc.quantization_snr_db() - 49.92).abs() < 0.01);
-    }
-
-    #[test]
     #[should_panic(expected = "unreasonable")]
     fn rejects_zero_bit_converter() {
         Dac::new(ConverterConfig::ideal(0), SimRng::seed_from_u64(0));
@@ -396,13 +378,11 @@ mod tests {
         let mut dac = Dac::new(slow.clone(), SimRng::seed_from_u64(0));
         let wave = dac.convert(&[0, 128, 255], 10e9);
         assert_eq!(wave.sample_rate_hz, 1e6);
-        assert!((slow.symbol_time_s(10e9) - 1e-6).abs() < 1e-18);
         // Below the wall the requested rate wins.
         assert_eq!(slow.effective_sample_rate_hz(0.5e6), 0.5e6);
         // No wall: pass-through.
         let free = ConverterConfig::ideal(8);
         assert_eq!(free.effective_sample_rate_hz(10e9), 10e9);
-        assert!((free.symbol_time_s(10e9) - 1e-10).abs() < 1e-22);
         let mut fast = Dac::new(free, SimRng::seed_from_u64(0));
         assert_eq!(fast.convert(&[1], 10e9).sample_rate_hz, 10e9);
     }

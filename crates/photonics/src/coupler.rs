@@ -87,23 +87,6 @@ pub fn split_n(input: &OpticalField, n: usize) -> Vec<OpticalField> {
         .collect()
 }
 
-/// Incoherent N×1 power combiner: sums the *fields* of sample-aligned
-/// inputs. Used by WDM-parallel dot-product accumulation where each input
-/// rides its own wavelength and the photodetector sums powers; for
-/// same-wavelength inputs this models coherent combination.
-pub fn combine_n(inputs: &[OpticalField]) -> OpticalField {
-    assert!(!inputs.is_empty(), "cannot combine zero inputs");
-    let n = inputs[0].len();
-    let mut out = inputs[0].clone();
-    for f in &inputs[1..] {
-        assert_eq!(f.len(), n, "combiner inputs must be sample-aligned");
-        for (o, s) in out.samples.iter_mut().zip(f.samples.iter()) {
-            *o += *s;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,14 +162,6 @@ mod tests {
         let outs = split_n(&input, 7);
         let total: f64 = outs.iter().map(|f| f.mean_power_w()).sum();
         assert!((total - 1e-3).abs() < 1e-15);
-    }
-
-    #[test]
-    fn combine_n_adds_fields() {
-        let a = OpticalField::cw(2, 1e-3, RATE, WL);
-        let out = combine_n(&[a.clone(), a.clone()]);
-        // Coherent in-phase combination quadruples power per the field sum.
-        assert!((out.power_at(0) - 4e-3).abs() < 1e-15);
     }
 
     #[test]

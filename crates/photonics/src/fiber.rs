@@ -49,18 +49,13 @@ impl FiberSpan {
         self.length_km * self.attenuation_db_per_km
     }
 
-    /// One-way propagation delay, seconds.
-    pub fn delay_s(&self) -> f64 {
-        units::fiber_delay_s(self.length_km)
-    }
-
     /// One-way propagation delay in integer picoseconds (DES timestamps).
     pub fn delay_ps(&self) -> u64 {
         units::fiber_delay_ps(self.length_km)
     }
 
     /// Accumulated dispersion, ps/nm.
-    pub fn accumulated_dispersion_ps_nm(&self) -> f64 {
+    pub(crate) fn accumulated_dispersion_ps_nm(&self) -> f64 {
         self.dispersion_ps_nm_km * self.length_km
     }
 
@@ -70,7 +65,7 @@ impl FiberSpan {
     /// signal spectral width `Δλ ≈ λ²·B/c` limits usable symbol rate to
     /// roughly `B ≤ sqrt(c / (2 D L λ²))` — the classic dispersion-length
     /// trade-off. Returns `f64::INFINITY` for a zero-dispersion span.
-    pub fn dispersion_limited_bandwidth_hz(&self, wavelength_m: f64) -> f64 {
+    pub(crate) fn dispersion_limited_bandwidth_hz(&self, wavelength_m: f64) -> f64 {
         let d_total = self.accumulated_dispersion_ps_nm() * 1e-12 / 1e-9; // s/m
         if d_total <= 0.0 {
             return f64::INFINITY;
@@ -129,8 +124,7 @@ mod tests {
     fn delay_matches_group_index() {
         let span = FiberSpan::smf(1000.0);
         // ~4.9 ms for 1000 km.
-        assert!((span.delay_s() - 4.9e-3).abs() < 0.1e-3);
-        assert_eq!(span.delay_ps(), (span.delay_s() * 1e12).round() as u64);
+        assert!((span.delay_ps() as f64 - 4.9e9).abs() < 0.1e9);
     }
 
     #[test]

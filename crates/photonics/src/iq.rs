@@ -169,60 +169,6 @@ impl CoherentReceiver {
         };
         (diff(&i_p, &i_n), diff(&q_p, &q_n))
     }
-
-    /// Vectorized [`CoherentReceiver::detect`]: same hybrid + balanced
-    /// pairs, operating on a struct-of-arrays block.
-    ///
-    /// Instead of materializing four intermediate [`OpticalField`] clones
-    /// (one per hybrid port), the port *powers* are computed directly into
-    /// flat `f64` buffers and fed through
-    /// [`Photodetector::detect_power_block`], which converts them to
-    /// photocurrents in place. The LO emission and every photodetector
-    /// noise draw consume the device RNGs in the same order as the scalar
-    /// path, so noiseless configurations are bit-identical to `detect`
-    /// (pinned by a test below); noisy configurations share distributions
-    /// but not streams (DESIGN.md §12).
-    pub fn detect_block(
-        &mut self,
-        signal: &crate::simd::FieldBlock,
-    ) -> (AnalogWaveform, AnalogWaveform) {
-        let n = signal.len();
-        let rate = signal.sample_rate_hz;
-        let lo = self.lo.emit(n, rate);
-        let mut p_ip = vec![0.0; n];
-        let mut p_in = vec![0.0; n];
-        let mut p_qp = vec![0.0; n];
-        let mut p_qn = vec![0.0; n];
-        for k in 0..n {
-            let (sr, si) = (signal.re[k], signal.im[k]);
-            let (lr, li) = (lo.samples[k].re, lo.samples[k].im);
-            // Port fields are (S ± L)/2 and (S ± iL)/2 with iL = (−Lᵢ, Lᵣ);
-            // square each half-amplitude exactly as scale(0.5) + norm_sqr
-            // would, to keep the noiseless path bit-identical.
-            let (a, b) = ((sr + lr) * 0.5, (si + li) * 0.5);
-            p_ip[k] = a * a + b * b;
-            let (a, b) = ((sr - lr) * 0.5, (si - li) * 0.5);
-            p_in[k] = a * a + b * b;
-            let (a, b) = ((sr - li) * 0.5, (si + lr) * 0.5);
-            p_qp[k] = a * a + b * b;
-            let (a, b) = ((sr + li) * 0.5, (si - lr) * 0.5);
-            p_qn[k] = a * a + b * b;
-        }
-        self.pd_ip.detect_power_block(&mut p_ip, rate);
-        self.pd_in.detect_power_block(&mut p_in, rate);
-        self.pd_qp.detect_power_block(&mut p_qp, rate);
-        self.pd_qn.detect_power_block(&mut p_qn, rate);
-        for (x, y) in p_ip.iter_mut().zip(&p_in) {
-            *x -= y;
-        }
-        for (x, y) in p_qp.iter_mut().zip(&p_qn) {
-            *x -= y;
-        }
-        (
-            AnalogWaveform::new(p_ip, rate),
-            AnalogWaveform::new(p_qp, rate),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -346,45 +292,5 @@ mod tests {
             bias: crate::modulator::BiasPoint::Quadrature,
             ..MzmConfig::ideal()
         });
-    }
-
-    #[test]
-    fn noiseless_detect_block_matches_detect_bit_exactly() {
-        let amp = 1e-3f64.sqrt();
-        let field = OpticalField {
-            samples: (0..64)
-                .map(|k| {
-                    let th = k as f64 * 0.37;
-                    Complex::new(amp * th.cos(), amp * th.sin())
-                })
-                .collect(),
-            sample_rate_hz: RATE,
-            wavelength_m: WL,
-        };
-        let mut rx_scalar = CoherentReceiver::ideal();
-        let mut rx_block = CoherentReceiver::ideal();
-        let (i_s, q_s) = rx_scalar.detect(&field);
-        let block = crate::simd::FieldBlock::from_field(&field);
-        let (i_b, q_b) = rx_block.detect_block(&block);
-        for (a, b) in i_s.samples.iter().zip(&i_b.samples) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in q_s.samples.iter().zip(&q_b.samples) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn noisy_detect_block_stays_balanced() {
-        let mut rng = SimRng::seed_from_u64(4);
-        let mut rx = CoherentReceiver::new(CoherentRxConfig::realistic(), &mut rng);
-        // A dark signal through a balanced receiver: both quadratures must
-        // average to ~0 (dark + noise cancels in the pair difference).
-        let block = crate::simd::FieldBlock::dark(8192, RATE, WL);
-        let (i, q) = rx.detect_block(&block);
-        let mi = i.samples.iter().sum::<f64>() / i.samples.len() as f64;
-        let mq = q.samples.iter().sum::<f64>() / q.samples.len() as f64;
-        assert!(mi.abs() < 1e-6, "I mean {mi}");
-        assert!(mq.abs() < 1e-6, "Q mean {mq}");
     }
 }

@@ -114,7 +114,7 @@ impl Laser {
     /// and draws RIN through the ziggurat sampler, so its noise stream
     /// differs from `emit`'s while staying deterministic per seed
     /// (DESIGN.md §12). Do **not** use it where phase matters (coherent
-    /// detection, interference); use [`Laser::emit_block`] there.
+    /// detection, interference); use [`Laser::emit`] there.
     pub fn emit_power_block(&mut self, n: usize, sample_rate_hz: f64, out: &mut Vec<f64>) {
         let p0 = self.power_w();
         let rin_sigma = if self.config.rin_db_hz.is_finite() {
@@ -129,15 +129,6 @@ impl Laser {
                 *v = (p0 + rin_sigma * crate::simd::gauss::standard_normal(&mut self.rng)).max(0.0);
             }
         }
-    }
-
-    /// Emit `n` samples straight into a struct-of-arrays block. Full
-    /// physics — RIN *and* the phase walk — with draw-for-draw the same
-    /// RNG consumption as [`Laser::emit`], so the two are bit-identical
-    /// per seed; only the output layout differs.
-    pub fn emit_block(&mut self, n: usize, sample_rate_hz: f64) -> crate::simd::FieldBlock {
-        let field = self.emit(n, sample_rate_hz);
-        crate::simd::FieldBlock::from_field(&field)
     }
 }
 
@@ -269,18 +260,5 @@ mod tests {
         l1.emit_power_block(128, 10e9, &mut a);
         l2.emit_power_block(128, 10e9, &mut b);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn emit_block_matches_emit_bit_exactly() {
-        let cfg = LaserConfig::default();
-        let mut l1 = Laser::new(cfg.clone(), SimRng::seed_from_u64(5));
-        let mut l2 = Laser::new(cfg, SimRng::seed_from_u64(5));
-        let field = l1.emit(64, 10e9);
-        let block = l2.emit_block(64, 10e9);
-        for (s, (&re, &im)) in field.samples.iter().zip(block.re.iter().zip(&block.im)) {
-            assert_eq!(s.re.to_bits(), re.to_bits());
-            assert_eq!(s.im.to_bits(), im.to_bits());
-        }
     }
 }

@@ -139,7 +139,7 @@ impl MachZehnderModulator {
 
     /// Whether the drive low-pass is a no-op at `sample_rate_hz`:
     /// either the bandwidth is unlimited (0) or it is at/above Nyquist,
-    /// where [`AnalogWaveform::lowpass`] passes the waveform through
+    /// where `AnalogWaveform::lowpass` passes the waveform through
     /// unchanged. When true, encode→modulate→detect pipelines may fuse
     /// the transfer per sample (see
     /// [`MachZehnderModulator::fused_power_transmission`]).
@@ -325,7 +325,7 @@ impl PhaseModulator {
 
     /// Phase shift for drive voltage `v`, radians.
     #[inline]
-    pub fn phase_for(&self, v: f64) -> f64 {
+    pub(crate) fn phase_for(&self, v: f64) -> f64 {
         std::f64::consts::PI * v / self.config.v_pi
     }
 

@@ -18,14 +18,14 @@ use crate::units;
 /// Shot-noise standard deviation (amps) for mean photocurrent
 /// `current_a` over bandwidth `bandwidth_hz`.
 #[inline]
-pub fn shot_noise_sigma_a(current_a: f64, bandwidth_hz: f64) -> f64 {
+pub(crate) fn shot_noise_sigma_a(current_a: f64, bandwidth_hz: f64) -> f64 {
     (2.0 * units::ELEMENTARY_CHARGE * current_a.abs() * bandwidth_hz.max(0.0)).sqrt()
 }
 
 /// Thermal-noise standard deviation (amps) for load resistance
 /// `load_ohms` over bandwidth `bandwidth_hz` at temperature `temp_k`.
 #[inline]
-pub fn thermal_noise_sigma_a(load_ohms: f64, bandwidth_hz: f64, temp_k: f64) -> f64 {
+pub(crate) fn thermal_noise_sigma_a(load_ohms: f64, bandwidth_hz: f64, temp_k: f64) -> f64 {
     assert!(load_ohms > 0.0, "load resistance must be positive");
     (4.0 * units::BOLTZMANN * temp_k * bandwidth_hz.max(0.0) / load_ohms).sqrt()
 }
@@ -34,7 +34,7 @@ pub fn thermal_noise_sigma_a(load_ohms: f64, bandwidth_hz: f64, temp_k: f64) -> 
 /// `power_w` for a laser with relative intensity noise `rin_db_hz`
 /// (dB/Hz, typically −145 to −160) over bandwidth `bandwidth_hz`.
 #[inline]
-pub fn rin_sigma_w(power_w: f64, rin_db_hz: f64, bandwidth_hz: f64) -> f64 {
+pub(crate) fn rin_sigma_w(power_w: f64, rin_db_hz: f64, bandwidth_hz: f64) -> f64 {
     let rin_linear = units::db_to_linear(rin_db_hz);
     (power_w * power_w * rin_linear * bandwidth_hz.max(0.0)).sqrt()
 }

@@ -83,7 +83,7 @@ impl SimRng {
     }
 
     /// Standard normal sample via Box–Muller (no `rand_distr` offline).
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         // Reject u1 == 0 so ln() stays finite.
         let mut u1 = self.uniform();
         while u1 <= f64::MIN_POSITIVE {

@@ -66,25 +66,12 @@ impl OpticalField {
         self.samples.iter().map(|s| s.norm_sqr()).sum::<f64>() / self.samples.len() as f64
     }
 
-    /// Peak instantaneous power, W.
-    pub fn peak_power_w(&self) -> f64 {
-        self.samples
-            .iter()
-            .map(|s| s.norm_sqr())
-            .fold(0.0, f64::max)
-    }
-
     /// Total energy in the block, J (mean power × duration).
     pub fn energy_j(&self) -> f64 {
         if self.sample_rate_hz <= 0.0 {
             return 0.0;
         }
         self.samples.iter().map(|s| s.norm_sqr()).sum::<f64>() / self.sample_rate_hz
-    }
-
-    /// Mean power in dBm.
-    pub fn mean_power_dbm(&self) -> f64 {
-        units::watts_to_dbm(self.mean_power_w())
     }
 
     /// Apply a flat power loss of `loss_db` ≥ 0 dB (amplitude scaling).
@@ -157,11 +144,6 @@ impl AnalogWaveform {
         (self.samples.iter().map(|s| s * s).sum::<f64>() / self.samples.len() as f64).sqrt()
     }
 
-    /// Peak absolute value.
-    pub fn peak_abs(&self) -> f64 {
-        self.samples.iter().fold(0.0, |m, s| m.max(s.abs()))
-    }
-
     /// Scale every sample by `gain` (e.g. a transimpedance gain).
     pub fn scale(&mut self, gain: f64) {
         for s in &mut self.samples {
@@ -172,7 +154,7 @@ impl AnalogWaveform {
     /// Single-pole low-pass filter with 3-dB cutoff `cutoff_hz`, modelling
     /// device bandwidth limits (modulator drivers, photodetector front
     /// ends). First-order IIR: `y[n] = y[n-1] + α (x[n] − y[n-1])`.
-    pub fn lowpass(&mut self, cutoff_hz: f64) {
+    pub(crate) fn lowpass(&mut self, cutoff_hz: f64) {
         if self.samples.is_empty() || cutoff_hz <= 0.0 || self.sample_rate_hz <= 0.0 {
             return;
         }
@@ -204,8 +186,6 @@ mod tests {
     fn cw_power_is_uniform() {
         let f = OpticalField::cw(64, 2e-3, RATE, WL);
         assert!((f.mean_power_w() - 2e-3).abs() < 1e-15);
-        assert!((f.peak_power_w() - 2e-3).abs() < 1e-15);
-        assert!((f.mean_power_dbm() - 3.0103).abs() < 1e-3);
     }
 
     #[test]
@@ -213,7 +193,6 @@ mod tests {
         let f = OpticalField::dark(16, RATE, WL);
         assert_eq!(f.mean_power_w(), 0.0);
         assert_eq!(f.energy_j(), 0.0);
-        assert_eq!(f.mean_power_dbm(), f64::NEG_INFINITY);
     }
 
     #[test]
@@ -252,7 +231,6 @@ mod tests {
         let w = AnalogWaveform::new(vec![1.0, -1.0, 1.0, -1.0], RATE);
         assert_eq!(w.mean(), 0.0);
         assert!((w.rms() - 1.0).abs() < 1e-15);
-        assert_eq!(w.peak_abs(), 1.0);
     }
 
     #[test]

@@ -92,16 +92,6 @@ impl FieldBlock {
         total / self.len() as f64
     }
 
-    /// Scale every sample's field amplitude by `s` (power by `s²`).
-    pub fn scale_all(&mut self, s: f64) {
-        for v in &mut self.re {
-            *v *= s;
-        }
-        for v in &mut self.im {
-            *v *= s;
-        }
-    }
-
     /// Duration of the block in seconds.
     pub fn duration_s(&self) -> f64 {
         if self.sample_rate_hz <= 0.0 {
@@ -155,14 +145,6 @@ mod tests {
             );
         }
         assert!((block.mean_power_w() - field.mean_power_w()).abs() < 1e-18);
-    }
-
-    #[test]
-    fn scale_all_scales_power_quadratically() {
-        let mut block = FieldBlock::from_field(&OpticalField::cw(4, 1e-3, RATE, WL));
-        let before = block.mean_power_w();
-        block.scale_all(0.5);
-        assert!((block.mean_power_w() - 0.25 * before).abs() < 1e-18);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Ziggurat sampler for the standard normal distribution.
 //!
 //! The scalar device models draw Gaussians through
-//! [`SimRng::standard_normal`] (Box–Muller: one `ln`, one `sqrt`, one
+//! `SimRng::standard_normal` (Box–Muller: one `ln`, one `sqrt`, one
 //! `cos` per draw) — fine at one draw per device event, far too slow at
 //! two draws per sample in the fused block kernels. This is the classic
 //! 256-layer ziggurat (Marsaglia & Tsang): one `u64` from the generator
@@ -16,8 +16,6 @@
 //! Box–Muller's, which is why the vectorized kernels that use this
 //! sampler are a distinct [`KernelBackend`](super::KernelBackend) rather
 //! than a drop-in swap.
-//!
-//! [`SimRng::standard_normal`]: crate::SimRng::standard_normal
 
 use crate::rng::SimRng;
 use std::sync::OnceLock;
@@ -111,7 +109,7 @@ fn uniform_positive(rng: &mut SimRng) -> f64 {
 }
 
 /// One standard-normal draw via the ziggurat.
-pub fn standard_normal(rng: &mut SimRng) -> f64 {
+pub(crate) fn standard_normal(rng: &mut SimRng) -> f64 {
     let t = tables();
     loop {
         let bits = rng.next_u64();
@@ -137,13 +135,6 @@ pub fn standard_normal(rng: &mut SimRng) -> f64 {
         if t.f[i + 1] + (t.f[i] - t.f[i + 1]) * rng.uniform() < pdf(x) {
             return sign * x;
         }
-    }
-}
-
-/// Fill `out` with standard-normal draws.
-pub fn fill_standard_normal(rng: &mut SimRng, out: &mut [f64]) {
-    for v in out {
-        *v = standard_normal(rng);
     }
 }
 
@@ -215,15 +206,12 @@ mod tests {
     fn draws_are_deterministic_per_seed() {
         let mut a = SimRng::seed_from_u64(9);
         let mut b = SimRng::seed_from_u64(9);
-        let mut xs = [0.0; 257];
-        let mut ys = [0.0; 257];
-        fill_standard_normal(&mut a, &mut xs);
-        fill_standard_normal(&mut b, &mut ys);
+        let xs: [f64; 257] = std::array::from_fn(|_| standard_normal(&mut a));
+        let ys: [f64; 257] = std::array::from_fn(|_| standard_normal(&mut b));
         assert_eq!(xs.map(f64::to_bits), ys.map(f64::to_bits));
         // And a different seed gives a different stream.
         let mut c = SimRng::seed_from_u64(10);
-        let mut zs = [0.0; 257];
-        fill_standard_normal(&mut c, &mut zs);
+        let zs: [f64; 257] = std::array::from_fn(|_| standard_normal(&mut c));
         assert_ne!(xs.map(f64::to_bits), zs.map(f64::to_bits));
     }
 }

@@ -12,7 +12,7 @@
 //!   [`OpticalField`](crate::signal::OpticalField);
 //! - [`gauss`] — a 256-layer ziggurat Gaussian sampler over [`SimRng`]
 //!   (several times cheaper per draw than the Box–Muller path in
-//!   [`SimRng::standard_normal`]), used by the fused block kernels;
+//!   `SimRng::standard_normal`), used by the fused block kernels;
 //! - [`KernelBackend`] — the selection contract between the scalar
 //!   reference implementations and the vectorized kernels.
 //!
@@ -30,7 +30,6 @@
 //! both bounds forever.
 //!
 //! [`SimRng`]: crate::SimRng
-//! [`SimRng::standard_normal`]: crate::SimRng::standard_normal
 
 pub mod field;
 pub mod gauss;

@@ -5,27 +5,27 @@
 //! quote (dBm, dB, nm, ps) live here so they appear exactly once.
 
 /// Speed of light in vacuum, m/s.
-pub const C_VACUUM: f64 = 299_792_458.0;
+pub(crate) const C_VACUUM: f64 = 299_792_458.0;
 
 /// Elementary charge, C.
-pub const ELEMENTARY_CHARGE: f64 = 1.602_176_634e-19;
+pub(crate) const ELEMENTARY_CHARGE: f64 = 1.602_176_634e-19;
 
 /// Boltzmann constant, J/K.
-pub const BOLTZMANN: f64 = 1.380_649e-23;
+pub(crate) const BOLTZMANN: f64 = 1.380_649e-23;
 
 /// Room temperature used for thermal-noise calculations, K.
-pub const ROOM_TEMP_K: f64 = 290.0;
+pub(crate) const ROOM_TEMP_K: f64 = 290.0;
 
 /// Group-velocity factor of standard single-mode fiber (n_g ≈ 1.468),
 /// i.e. light travels at `C_VACUUM / FIBER_GROUP_INDEX` inside fiber.
 /// This is the 2/3·c rule of thumb used in the paper's WAN latency story.
-pub const FIBER_GROUP_INDEX: f64 = 1.468;
+pub(crate) const FIBER_GROUP_INDEX: f64 = 1.468;
 
 /// Conventional C-band center wavelength, m (1550 nm).
 pub const C_BAND_WAVELENGTH_M: f64 = 1550e-9;
 
 /// Standard SMF attenuation at 1550 nm, dB/km.
-pub const SMF_ATTENUATION_DB_PER_KM: f64 = 0.2;
+pub(crate) const SMF_ATTENUATION_DB_PER_KM: f64 = 0.2;
 
 /// Convert optical power in dBm to watts.
 #[inline]
@@ -54,7 +54,7 @@ pub fn db_to_linear(db: f64) -> f64 {
 
 /// Convert a linear ratio to dB.
 #[inline]
-pub fn linear_to_db(linear: f64) -> f64 {
+pub(crate) fn linear_to_db(linear: f64) -> f64 {
     if linear <= 0.0 {
         f64::NEG_INFINITY
     } else {
@@ -80,13 +80,6 @@ pub fn fiber_delay_ps(km: f64) -> u64 {
 #[inline]
 pub fn snr_db_to_enob(snr_db: f64) -> f64 {
     ((snr_db - 1.76) / 6.02).max(0.0)
-}
-
-/// SNR in dB that a quantizer with `bits` bits achieves on a full-scale
-/// sinusoid: `SNR = 6.02·bits + 1.76`.
-#[inline]
-pub fn bits_to_snr_db(bits: f64) -> f64 {
-    6.02 * bits + 1.76
 }
 
 #[cfg(test)]
@@ -135,7 +128,8 @@ mod tests {
     #[test]
     fn enob_matches_quantizer_snr() {
         for bits in [4.0, 8.0, 12.0] {
-            let snr = bits_to_snr_db(bits);
+            // A full-scale sinusoid through a `bits`-bit quantizer.
+            let snr = 6.02 * bits + 1.76;
             assert!(close(snr_db_to_enob(snr), bits, 1e-12));
         }
         // Hopeless SNR clamps at zero bits rather than going negative.

@@ -30,7 +30,7 @@ impl WdmGrid {
     }
 
     /// Center frequency of channel `ch`, Hz.
-    pub fn frequency_hz(&self, ch: usize) -> f64 {
+    pub(crate) fn frequency_hz(&self, ch: usize) -> f64 {
         assert!(ch < self.channels, "channel {ch} out of range");
         self.anchor_hz + ch as f64 * self.spacing_hz
     }
@@ -38,11 +38,6 @@ impl WdmGrid {
     /// Center wavelength of channel `ch`, m.
     pub fn wavelength_m(&self, ch: usize) -> f64 {
         units::C_VACUUM / self.frequency_hz(ch)
-    }
-
-    /// Total grid capacity given per-channel data rate.
-    pub fn total_capacity_bps(&self, per_channel_bps: f64) -> f64 {
-        self.channels as f64 * per_channel_bps
     }
 }
 
@@ -58,13 +53,6 @@ mod tests {
         // C-band wavelengths near 1550 nm.
         let wl = g.wavelength_m(0);
         assert!((wl - 1552.5e-9).abs() < 1e-9, "wl {wl}");
-    }
-
-    #[test]
-    fn capacity_scales_with_channels() {
-        let g = WdmGrid::c_band(80);
-        // The paper's §5 headline: 800 Gbps on one wavelength.
-        assert_eq!(g.total_capacity_bps(800e9), 64e12);
     }
 
     #[test]

@@ -250,7 +250,7 @@ impl WorkLedger {
 
     /// True when every member of `set` has a terminal disposition
     /// (delivered, lost, or cancelled).
-    pub fn is_settled(&self, set: u64) -> bool {
+    pub(crate) fn is_settled(&self, set: u64) -> bool {
         self.sets.get(&set).is_some_and(|st| {
             let mut seen = st.delivered.clone();
             seen.extend(st.lost.iter().copied());

@@ -15,8 +15,9 @@
 //!   sites (built on `ofpc_net::routing::k_disjoint_paths` /
 //!   `ofpc_controller::protection`), with graceful degradation when the
 //!   topology is a tree ([`multipath::MultipathPlan::protection_mode`]).
-//! * [`parity`] — the byte-level XOR codec: one parity group over k
-//!   data groups reconstructs any single lost group digitally.
+//! * [`parity`] — the split of a batch into the k data groups one XOR
+//!   parity group protects; any single lost group reconstructs
+//!   digitally.
 //! * [`ledger`] — the deterministic in-flight work ledger: first valid
 //!   replica wins, the late duplicate is cancelled, single lost parity
 //!   groups reconstruct at the k-th delivery, double losses requeue —
@@ -34,6 +35,6 @@ pub mod parity;
 
 pub use ledger::{DoneAction, LostAction, SetKind, WorkLedger};
 pub use mode::{RedundancyMode, ResilTag};
-pub use multipath::{MultipathPlan, SiteRoute};
+pub use multipath::MultipathPlan;
 pub use overhead::ReconstructModel;
-pub use parity::{encode_parity, quantize_bytes, reconstruct_group, split_groups};
+pub use parity::split_groups;

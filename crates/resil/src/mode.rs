@@ -37,11 +37,11 @@ pub enum RedundancyMode {
 impl RedundancyMode {
     /// Stable small integer for keying batches by mode (batcher must
     /// never mix requests of different modes in one batch).
-    pub fn rank(&self) -> u8 {
+    pub fn rank(&self) -> u16 {
         match self {
             RedundancyMode::Unprotected => 0,
             RedundancyMode::Replica => 1,
-            RedundancyMode::XorParity { data_groups } => 2 + *data_groups,
+            RedundancyMode::XorParity { data_groups } => 2 + u16::from(*data_groups),
         }
     }
 
@@ -62,15 +62,6 @@ impl RedundancyMode {
                 let k = (*data_groups as usize).clamp(1, batch_len.max(1));
                 k + 1
             }
-        }
-    }
-
-    /// Minimum path diversity this mode wants for full protection:
-    /// surviving any single fiber cut needs ≥ 2 link-disjoint paths.
-    pub fn paths_wanted(&self) -> usize {
-        match self {
-            RedundancyMode::Unprotected => 1,
-            _ => 2,
         }
     }
 }
@@ -100,16 +91,16 @@ mod tests {
 
     #[test]
     fn ranks_separate_modes_for_batching() {
-        let modes = [
-            RedundancyMode::Unprotected,
-            RedundancyMode::Replica,
-            RedundancyMode::XorParity { data_groups: 2 },
-            RedundancyMode::XorParity { data_groups: 3 },
-        ];
-        let ranks: Vec<u8> = modes.iter().map(|m| m.rank()).collect();
-        let mut dedup = ranks.clone();
-        dedup.dedup();
-        assert_eq!(ranks, dedup, "distinct modes key distinct batches");
+        let modes: Vec<RedundancyMode> = [RedundancyMode::Unprotected, RedundancyMode::Replica]
+            .into_iter()
+            .chain((0..=u8::MAX).map(|data_groups| RedundancyMode::XorParity { data_groups }))
+            .collect();
+        let ranks: std::collections::BTreeSet<_> = modes.iter().map(|m| m.rank()).collect();
+        assert_eq!(
+            ranks.len(),
+            modes.len(),
+            "distinct modes key distinct batches"
+        );
     }
 
     #[test]
@@ -120,15 +111,5 @@ mod tests {
         // A parity batch smaller than k degenerates gracefully.
         assert_eq!(RedundancyMode::XorParity { data_groups: 3 }.members(2), 3);
         assert_eq!(RedundancyMode::XorParity { data_groups: 3 }.members(1), 2);
-    }
-
-    #[test]
-    fn protected_modes_want_two_paths() {
-        assert_eq!(RedundancyMode::Unprotected.paths_wanted(), 1);
-        assert_eq!(RedundancyMode::Replica.paths_wanted(), 2);
-        assert_eq!(
-            RedundancyMode::XorParity { data_groups: 3 }.paths_wanted(),
-            2
-        );
     }
 }

@@ -87,22 +87,6 @@ impl MultipathPlan {
             ProtectionMode::Unprotected
         }
     }
-
-    /// Indices (into `routes`) of routes currently usable: every link
-    /// on the route is up. Deterministic order (plan order).
-    pub fn up_routes(&self, down: &BTreeSet<LinkId>) -> Vec<usize> {
-        self.routes
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.route.links.iter().any(|l| down.contains(l)))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// The route landing on `node`, if planned.
-    pub fn route_to(&self, node: NodeId) -> Option<&SiteRoute> {
-        self.routes.iter().find(|r| r.node == node)
-    }
 }
 
 #[cfg(test)]
@@ -155,20 +139,9 @@ mod tests {
         let island = topo.add_node("island");
         let plan = MultipathPlan::plan(&topo, NodeId(0), &[NodeId(1), island]);
         assert_eq!(plan.routes.len(), 1);
-        assert!(plan.route_to(island).is_none());
+        assert!(plan.routes.iter().all(|r| r.node != island));
         let empty = MultipathPlan::plan(&topo, island, &[NodeId(1), NodeId(2)]);
         assert_eq!(empty.protection_mode(), ProtectionMode::Unprotected);
-    }
-
-    #[test]
-    fn up_routes_tracks_downed_fibers() {
-        let topo = star(3);
-        let sites: Vec<NodeId> = (1u32..=3).map(NodeId).collect();
-        let plan = MultipathPlan::plan(&topo, NodeId(0), &sites);
-        let mut down = BTreeSet::new();
-        assert_eq!(plan.up_routes(&down), vec![0, 1, 2]);
-        down.insert(plan.routes[1].route.links[0]);
-        assert_eq!(plan.up_routes(&down), vec![0, 2]);
     }
 
     #[test]

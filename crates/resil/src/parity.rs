@@ -1,66 +1,13 @@
-//! XOR-parity erasure coding over WDM sub-batches.
+//! XOR-parity grouping over WDM sub-batches.
 //!
 //! A protected batch is split into k data groups, each dispatched on
 //! its own fiber path; one extra *parity* group carries the byte-wise
 //! XOR of the k data payloads. Lose any single group to a fiber cut
 //! and the missing payload is `parity ⊕ (surviving data)` — a purely
 //! digital reconstruction at the front-end, no photonic re-execution.
-//! The codec is byte-level and exact, so reconstruction is
-//! deterministic and replayable: the recovered bytes are identical to
-//! the bytes that would have arrived on the lost wavelength group.
-//!
-//! Operand payloads in the serving simulator are `f64` activations in
-//! `[0, 1]` quantized from the 8-bit DAC grid (`k / 255`); see
-//! [`quantize_bytes`]. XOR over those bytes round-trips exactly.
-
-/// Quantize DAC-grid operands (`k / 255` values in `[0, 1]`) back to
-/// their 8-bit codes — the byte representation the parity code runs
-/// over.
-pub fn quantize_bytes(operands: &[f64]) -> Vec<u8> {
-    operands
-        .iter()
-        .map(|&v| (v.clamp(0.0, 1.0) * 255.0).round() as u8)
-        .collect()
-}
-
-/// Byte-wise XOR of all `groups` (shorter groups are zero-padded to the
-/// longest). The returned parity payload reconstructs any single
-/// missing group via [`reconstruct_group`].
-pub fn encode_parity(groups: &[Vec<u8>]) -> Vec<u8> {
-    let len = groups.iter().map(|g| g.len()).max().unwrap_or(0);
-    let mut parity = vec![0u8; len];
-    for g in groups {
-        for (i, &b) in g.iter().enumerate() {
-            parity[i] ^= b;
-        }
-    }
-    parity
-}
-
-/// Recover the single missing group: `surviving` holds each group slot
-/// with exactly one `None` (the lost one), `parity` is the payload from
-/// [`encode_parity`], and `lost_len` is the original length of the lost
-/// group (zero-padding is stripped back to it). Returns `None` unless
-/// exactly one group is missing.
-pub fn reconstruct_group(
-    surviving: &[Option<&[u8]>],
-    parity: &[u8],
-    lost_len: usize,
-) -> Option<Vec<u8>> {
-    if surviving.iter().filter(|g| g.is_none()).count() != 1 {
-        return None;
-    }
-    let mut out = parity.to_vec();
-    for g in surviving.iter().flatten() {
-        for (i, &b) in g.iter().enumerate() {
-            if i < out.len() {
-                out[i] ^= b;
-            }
-        }
-    }
-    out.truncate(lost_len);
-    Some(out)
-}
+//! The serving simulator carries no payload bytes: the work ledger
+//! ([`crate::ledger`]) books each reconstruction and
+//! [`crate::overhead`] prices it. [`split_groups`] sizes the groups.
 
 /// Split `n` items into `k` contiguous groups as evenly as possible:
 /// returns the group sizes (first `n % k` groups get one extra).
@@ -78,39 +25,6 @@ pub fn split_groups(n: usize, k: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parity_reconstructs_any_single_lost_group() {
-        let groups: Vec<Vec<u8>> = vec![vec![1, 2, 3], vec![250, 0], vec![9, 9, 9, 9]];
-        let parity = encode_parity(&groups);
-        for lost in 0..groups.len() {
-            let surviving: Vec<Option<&[u8]>> = groups
-                .iter()
-                .enumerate()
-                .map(|(i, g)| (i != lost).then_some(g.as_slice()))
-                .collect();
-            let rec = reconstruct_group(&surviving, &parity, groups[lost].len()).unwrap();
-            assert_eq!(rec, groups[lost], "group {lost} round-trips");
-        }
-    }
-
-    #[test]
-    fn reconstruction_refuses_double_losses() {
-        let groups: Vec<Vec<u8>> = vec![vec![1], vec![2], vec![3]];
-        let parity = encode_parity(&groups);
-        assert!(reconstruct_group(&[None, None, Some(&[3])], &parity, 1).is_none());
-        let all: Vec<Option<&[u8]>> = groups.iter().map(|g| Some(g.as_slice())).collect();
-        assert!(reconstruct_group(&all, &parity, 1).is_none());
-    }
-
-    #[test]
-    fn dac_grid_operands_round_trip_through_bytes() {
-        let ops: Vec<f64> = [0u8, 1, 17, 128, 254, 255]
-            .iter()
-            .map(|&k| k as f64 / 255.0)
-            .collect();
-        assert_eq!(quantize_bytes(&ops), vec![0, 1, 17, 128, 254, 255]);
-    }
 
     #[test]
     fn split_groups_is_even_and_exhaustive() {

@@ -150,7 +150,7 @@ impl SparseAdmission {
     /// Drop queued requests whose deadline has passed, shedding them
     /// explicitly, and evict tenants drained empty by the sweep. Returns
     /// at once, touching no queue, while no head can have expired.
-    pub fn expire_stale(&mut self, now_ps: u64) -> usize {
+    pub(crate) fn expire_stale(&mut self, now_ps: u64) -> usize {
         if now_ps <= self.head_floor {
             return 0;
         }
@@ -186,7 +186,7 @@ impl SparseAdmission {
     /// tenant visited. That is the round's snapshot order without the
     /// snapshot: a drain adds no tenant and evicts only the one it just
     /// visited.
-    pub fn drain_fair(&mut self, max: usize, now_ps: u64) -> Vec<ComputeRequest> {
+    pub(crate) fn drain_fair(&mut self, max: usize, now_ps: u64) -> Vec<ComputeRequest> {
         let mut out = Vec::new();
         if max == 0 || self.queued == 0 {
             return out;

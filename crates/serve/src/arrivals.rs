@@ -13,7 +13,7 @@
 use ofpc_photonics::SimRng;
 
 /// Picoseconds per second (the runtime's clock unit).
-pub const PS_PER_SEC: f64 = 1e12;
+pub(crate) const PS_PER_SEC: f64 = 1e12;
 
 /// Arrival process specification.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,7 +72,7 @@ impl ArrivalSpec {
 
 /// A running arrival process: yields successive absolute arrival times.
 #[derive(Debug, Clone)]
-pub struct ArrivalProcess {
+pub(crate) struct ArrivalProcess {
     spec: ArrivalSpec,
     rng: SimRng,
     /// Absolute time of the last arrival, ps.
@@ -140,7 +140,7 @@ impl ArrivalProcess {
     }
 
     /// Absolute time of the next arrival, ps. Monotonically increasing.
-    pub fn next_arrival_ps(&mut self) -> u64 {
+    pub(crate) fn next_arrival_ps(&mut self) -> u64 {
         loop {
             let rate = self.current_rate_rps();
             assert!(rate > 0.0, "arrival rate must be positive");

@@ -93,7 +93,7 @@ struct OpenBatch {
 pub struct Batcher {
     policy: BatchPolicy,
     /// BTreeMap for deterministic iteration order across runs.
-    open: BTreeMap<(u8, BatchClass), OpenBatch>,
+    open: BTreeMap<(u16, BatchClass), OpenBatch>,
     closed: Vec<Batch>,
 }
 
@@ -110,7 +110,7 @@ impl Batcher {
     /// Add a request under its tenant's redundancy-mode rank (see
     /// `ofpc_resil::RedundancyMode::rank`): batches stay pure per mode
     /// so the redundancy layer can expand whole batches into sets.
-    pub fn push_with_mode(&mut self, req: ComputeRequest, mode_rank: u8, now_ps: u64) {
+    pub(crate) fn push_with_mode(&mut self, req: ComputeRequest, mode_rank: u16, now_ps: u64) {
         let class = req.batch_class();
         let key = (mode_rank, class);
         let entry = self.open.entry(key).or_insert_with(|| OpenBatch {
@@ -131,8 +131,8 @@ impl Batcher {
 
     /// Close any open batch whose oldest member has waited out the
     /// policy timeout.
-    pub fn flush_timeouts(&mut self, now_ps: u64) {
-        let due: Vec<(u8, BatchClass)> = self
+    pub(crate) fn flush_timeouts(&mut self, now_ps: u64) {
+        let due: Vec<(u16, BatchClass)> = self
             .open
             .iter()
             .filter(|(_, b)| now_ps.saturating_sub(b.opened_ps) >= self.policy.max_wait_ps)
@@ -152,8 +152,8 @@ impl Batcher {
     /// Force-close everything (the fallback divert, or the scheduler
     /// idle with free capacity — holding requests while transponders sit
     /// idle only adds latency).
-    pub fn flush_all(&mut self, now_ps: u64) {
-        let keys: Vec<(u8, BatchClass)> = self.open.keys().copied().collect();
+    pub(crate) fn flush_all(&mut self, now_ps: u64) {
+        let keys: Vec<(u16, BatchClass)> = self.open.keys().copied().collect();
         for key in keys {
             let b = self.open.remove(&key).expect("listed above");
             self.closed.push(Batch {
@@ -179,7 +179,7 @@ impl Batcher {
     }
 
     /// Take all closed batches, in close order.
-    pub fn take_closed(&mut self) -> Vec<Batch> {
+    pub(crate) fn take_closed(&mut self) -> Vec<Batch> {
         std::mem::take(&mut self.closed)
     }
 
@@ -201,7 +201,7 @@ impl Batcher {
         scheduler: &Scheduler,
         now_ps: u64,
         max_drain: usize,
-        mut rank: impl FnMut(&ComputeRequest) -> u8,
+        mut rank: impl FnMut(&ComputeRequest) -> u16,
     ) -> Vec<Batch> {
         admission.expire_stale(now_ps);
         let idle = scheduler.idle_slots(now_ps);
@@ -512,7 +512,7 @@ mod tests {
             let mut ranked = Vec::new();
             let closed = batcher().fill(&mut ac, &s, 0, usize::MAX, |r| {
                 ranked.push(r.id);
-                r.tenant.0 as u8
+                r.tenant.0 as u16
             });
             assert_eq!(ranked.len(), 8, "once per drained request");
             assert_eq!(closed.len(), 2, "one pure batch per rank");

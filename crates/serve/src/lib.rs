@@ -38,9 +38,9 @@ pub mod runtime;
 pub mod scheduler;
 
 pub use admission::{SparseAdmission, TenantShape};
-pub use arrivals::{ArrivalProcess, ArrivalSpec, PS_PER_SEC};
+pub use arrivals::ArrivalSpec;
 pub use batcher::{Batch, BatchPolicy, Batcher};
-pub use metrics::{MetricsSink, ServeReport, TenantReport};
+pub use metrics::ServeReport;
 pub use request::{BatchClass, ComputeRequest, Outcome, RequestId, ShedReason, TenantId};
 pub use runtime::{ResilSummary, RetryPolicy, ServeConfig, ServeRuntime, TenantSpec};
 pub use scheduler::{Dispatch, Scheduler, ServiceModel, SiteSpec};

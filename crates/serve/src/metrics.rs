@@ -14,7 +14,7 @@ use serde::Serialize;
 
 /// Per-tenant running counters.
 #[derive(Debug, Clone, Default)]
-pub struct TenantCollector {
+pub(crate) struct TenantCollector {
     pub arrivals: u64,
     pub completed: u64,
     pub shed_queue_full: u64,
@@ -90,10 +90,10 @@ fn latency_quantiles_us(mut samples: Vec<u64>) -> [Option<f64>; 3] {
 /// The collectors are exact (integer-ps latency vectors, per-stage
 /// energy map) and back [`MetricsSink::report`]. The registry view is
 /// derived from them once, at the end of a run, by
-/// [`MetricsSink::publish`] — so the Prometheus/JSON exporters see the
-/// same counts the report does without a second booking per sample.
+/// [`MetricsSink::publish`] — so the JSON exporter sees the same counts
+/// the report does without a second booking per sample.
 #[derive(Debug)]
-pub struct MetricsSink {
+pub(crate) struct MetricsSink {
     tenants: Vec<TenantCollector>,
     /// Dispatched batch sizes (occupancy numerator/denominator).
     batch_sizes: Vec<u32>,
@@ -158,19 +158,19 @@ impl MetricsSink {
         }
     }
 
-    pub fn on_arrival(&mut self, tenant: TenantId) {
+    pub(crate) fn on_arrival(&mut self, tenant: TenantId) {
         self.tenants[tenant.0 as usize].arrivals += 1;
     }
 
-    pub fn on_outcome(&mut self, tenant: TenantId, outcome: &Outcome) {
+    pub(crate) fn on_outcome(&mut self, tenant: TenantId, outcome: &Outcome) {
         self.tenants[tenant.0 as usize].record(outcome);
     }
 
-    pub fn on_batch(&mut self, size: u32) {
+    pub(crate) fn on_batch(&mut self, size: u32) {
         self.batch_sizes.push(size);
     }
 
-    pub fn add_stage_energy(&mut self, stage: &str, joules: f64) {
+    pub(crate) fn add_stage_energy(&mut self, stage: &str, joules: f64) {
         *self.energy_stages.entry(stage.to_string()).or_insert(0.0) += joules;
     }
 

@@ -45,7 +45,7 @@ impl ComputeRequest {
     /// The batching compatibility class: requests batch together only
     /// when they run the same primitive over the same vector shape (one
     /// weight/pattern configuration per wavelength pass).
-    pub fn batch_class(&self) -> BatchClass {
+    pub(crate) fn batch_class(&self) -> BatchClass {
         BatchClass {
             primitive: self.primitive,
             operand_len: self.operand_len,

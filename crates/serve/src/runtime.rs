@@ -94,7 +94,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// Backoff before retry number `attempt` (0-based), ps.
-    pub fn backoff_ps(&self, attempt: u32) -> u64 {
+    pub(crate) fn backoff_ps(&self, attempt: u32) -> u64 {
         self.base_ps
             .saturating_mul(1u64 << attempt.min(20))
             .min(self.max_backoff_ps)
@@ -418,7 +418,7 @@ impl ServeRuntime {
     /// request track, per-slot service spans on the site track, and
     /// instant events for sheds, faults, and fallbacks), and at the end
     /// of the run publishes its metrics collectors onto the shared
-    /// registry (`serve_*` series, see [`MetricsSink::publish`])
+    /// registry (`serve_*` series, see `MetricsSink::publish`)
     /// together with the event-loop count `serve_events_total` and the
     /// dispatch count `serve_dispatches_total`. Call before
     /// [`ServeRuntime::run`]; a disabled handle (the default) costs one

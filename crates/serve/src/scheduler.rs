@@ -225,19 +225,19 @@ impl Scheduler {
     }
 
     /// Slots that have not hard-failed (photonic serving capacity).
-    pub fn healthy_slots(&self) -> usize {
+    pub(crate) fn healthy_slots(&self) -> usize {
         self.slots.values().filter(|s| s.healthy).count()
     }
 
     /// True when at least one slot at `node` is healthy.
-    pub fn site_healthy(&self, node: NodeId) -> bool {
+    pub(crate) fn site_healthy(&self, node: NodeId) -> bool {
         self.slots.iter().any(|(&(n, _), s)| n == node && s.healthy)
     }
 
     /// Mark `node` (un)reachable over the fiber plant. Unreachable
     /// sites keep their slot state but never dispatch: operands cannot
     /// get there while the route is severed.
-    pub fn set_reachable(&mut self, node: NodeId, reachable: bool) {
+    pub(crate) fn set_reachable(&mut self, node: NodeId, reachable: bool) {
         if reachable {
             self.unreachable.remove(&node);
         } else {
@@ -247,14 +247,14 @@ impl Scheduler {
 
     /// The queued batches awaiting dispatch (for group-aware
     /// end-of-run accounting).
-    pub fn ready_batches(&self) -> &[Batch] {
+    pub(crate) fn ready_batches(&self) -> &[Batch] {
         &self.ready
     }
 
     /// Remove a still-queued redundancy-set member (its sibling already
     /// delivered). Returns true when the member was found pre-launch —
     /// a cancellation that costs no slot time and no energy.
-    pub fn cancel_member(&mut self, set: u64, member: u8) -> bool {
+    pub(crate) fn cancel_member(&mut self, set: u64, member: u8) -> bool {
         let idx = self
             .ready
             .iter()
@@ -269,7 +269,7 @@ impl Scheduler {
     }
 
     /// Hard-fail every slot at `node`: nothing dispatches there until
-    /// [`Scheduler::recover_site`]. In-service state is wiped — the
+    /// `Scheduler::recover_site`. In-service state is wiped — the
     /// engine restarts cold (weights must reload) — and the runtime
     /// aborts whatever the site was computing. Returns the number of
     /// slots taken down.
@@ -287,7 +287,7 @@ impl Scheduler {
     }
 
     /// Repair every slot at `node`; they come back idle and unloaded.
-    pub fn recover_site(&mut self, node: NodeId) -> usize {
+    pub(crate) fn recover_site(&mut self, node: NodeId) -> usize {
         let mut n = 0;
         for (&(slot_node, _), s) in self.slots.iter_mut() {
             if slot_node == node && !s.healthy {
@@ -301,7 +301,7 @@ impl Scheduler {
     /// Slots that could start a batch dispatched *now* without waiting:
     /// work dispatched at `now` reaches node `n` at `now + access(n)`,
     /// so a slot is usable once its site-local busy window ends by then.
-    pub fn idle_slots(&self, now_ps: u64) -> usize {
+    pub(crate) fn idle_slots(&self, now_ps: u64) -> usize {
         self.slots
             .iter()
             .filter(|(&(node, _), s)| s.healthy && s.busy_until_ps <= now_ps + self.access_ps(node))
@@ -316,7 +316,7 @@ impl Scheduler {
     /// The part of [`Scheduler::backlog_requests`] queued in
     /// redundancy-set members: pinned to one site, they can wait behind
     /// it while other slots sit idle.
-    pub fn set_backlog_requests(&self) -> usize {
+    pub(crate) fn set_backlog_requests(&self) -> usize {
         self.ready
             .iter()
             .filter(|b| b.resil.is_some())
@@ -336,7 +336,7 @@ impl Scheduler {
     /// Pull every queued batch back out, in queue order — the runtime
     /// diverts them to the digital fallback when no photonic capacity
     /// remains.
-    pub fn drain_ready(&mut self) -> Vec<Batch> {
+    pub(crate) fn drain_ready(&mut self) -> Vec<Batch> {
         std::mem::take(&mut self.ready)
     }
 

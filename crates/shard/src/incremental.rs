@@ -261,11 +261,6 @@ impl ShardedController {
         score
     }
 
-    /// True for a cross-region demand.
-    pub fn is_boundary(&self, id: u32) -> Option<bool> {
-        self.demands.get(&id).map(|e| e.shard.is_none())
-    }
-
     pub fn region_map(&self) -> &RegionMap {
         &self.regions
     }
@@ -829,7 +824,7 @@ mod tests {
         let out = ctl.apply(ShardEvent::Arrive(demand(1, 0, 5)));
         assert_eq!(out.admitted, vec![1]);
         assert!(out.boundary_rerun);
-        assert_eq!(ctl.is_boundary(1), Some(true));
+        assert!(ctl.demands[&1].shard.is_none(), "demand 1 crosses regions");
         ctl.check_invariants().unwrap();
     }
 

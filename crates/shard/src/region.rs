@@ -38,7 +38,7 @@ impl RegionMap {
         RegionMap::from_assignment(vec![0; node_count])
     }
 
-    pub fn region_count(&self) -> usize {
+    pub(crate) fn region_count(&self) -> usize {
         self.nodes_by_region.len()
     }
 
@@ -57,13 +57,13 @@ impl RegionMap {
 
     /// True iff both endpoints sit in `region` — the link filter for a
     /// shard's intra-region distance matrix.
-    pub fn link_in_region(&self, a: NodeId, b: NodeId, region: u32) -> bool {
+    pub(crate) fn link_in_region(&self, a: NodeId, b: NodeId, region: u32) -> bool {
         self.region_of(a) == region && self.region_of(b) == region
     }
 
     /// The shard a demand belongs to: `Some(region)` when src and dst
     /// share one, `None` for a cross-region (boundary) demand.
-    pub fn demand_region(&self, src: NodeId, dst: NodeId) -> Option<u32> {
+    pub(crate) fn demand_region(&self, src: NodeId, dst: NodeId) -> Option<u32> {
         let r = self.region_of(src);
         (self.region_of(dst) == r).then_some(r)
     }

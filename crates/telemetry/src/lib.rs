@@ -4,7 +4,7 @@
 //!
 //! * a [`MetricsRegistry`] of typed counters, gauges, and log-linear
 //!   histograms (p50/p99/p999), labeled by tenant/site/link/stage, with
-//!   Prometheus-text and JSON exporters;
+//!   a JSON exporter;
 //! * sim-time **tracing spans** recording enter/exit in virtual
 //!   picoseconds, so one request's life — admission → queue → batch →
 //!   fiber → engine → result — reconstructs as a trace tree, dumpable
@@ -33,13 +33,12 @@
 pub mod registry;
 pub mod trace;
 
-pub use registry::{
-    labels, nearest_rank, Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram,
-    HistogramSnapshot, Labels, LogHistogram, MetricsRegistry, MetricsSnapshot,
-};
-pub use trace::{chrome_trace_json, track, validate_balanced, Phase, TraceBuffer, TraceEvent};
+pub use registry::{labels, nearest_rank, Counter, LogHistogram, MetricsRegistry, MetricsSnapshot};
+pub use trace::{chrome_trace_json, track, validate_balanced, Phase};
 
+use registry::{Gauge, Histogram, Labels};
 use std::sync::{Arc, Mutex};
+use trace::{TraceBuffer, TraceEvent};
 
 #[derive(Debug)]
 struct TelemetryInner {
@@ -112,14 +111,6 @@ impl Telemetry {
         }
     }
 
-    /// Prometheus text exposition (empty when disabled).
-    pub fn prometheus_text(&self) -> String {
-        match &self.inner {
-            Some(i) => i.registry.prometheus_text(),
-            None => String::new(),
-        }
-    }
-
     /// JSON form of [`Telemetry::snapshot`].
     pub fn metrics_json(&self) -> String {
         serde_json::to_string_pretty(&self.snapshot()).expect("snapshot serializes")
@@ -161,7 +152,7 @@ impl Telemetry {
     }
 
     /// Open a span whose end is emitted separately (see
-    /// [`TraceBuffer::begin`] for the ordering contract).
+    /// `TraceBuffer::begin` for the ordering contract).
     #[inline]
     pub fn begin(
         &self,
@@ -207,13 +198,6 @@ impl Telemetry {
         }
     }
 
-    /// Number of buffered trace events.
-    pub fn trace_len(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.trace.lock().unwrap().len())
-    }
-
     /// Export-ordered copy of the trace buffer (empty when disabled).
     pub fn trace_events(&self) -> Vec<TraceEvent> {
         self.inner
@@ -234,7 +218,7 @@ impl Telemetry {
 /// let tel = Telemetry::enabled();
 /// span!(tel, track::SITES, 65, "tx.dac", 1_000, 2_000);
 /// span!(tel, track::SITES, 65, "serve.batch", 2_000, 9_000; "size" => "4");
-/// assert_eq!(tel.trace_len(), 4);
+/// assert_eq!(tel.trace_events().len(), 4);
 /// ```
 #[macro_export]
 macro_rules! span {
@@ -264,9 +248,8 @@ mod tests {
         assert!(!tel.is_enabled());
         tel.counter("x_total", &Labels::new()).inc();
         tel.span(track::REQUESTS, 1, "serve", "request", 0, 10);
-        assert_eq!(tel.trace_len(), 0);
+        assert!(tel.trace_events().is_empty());
         assert_eq!(tel.snapshot(), MetricsSnapshot::default());
-        assert_eq!(tel.prometheus_text(), "");
         assert_eq!(tel.chrome_trace_json(), "[\n]");
     }
 
@@ -279,7 +262,7 @@ mod tests {
         c.inc();
         assert_eq!(tel.snapshot().counter("x_total", &Labels::new()), Some(6));
         span!(tel2, track::NET, 3, "tx.dac", 100, 200);
-        assert_eq!(tel.trace_len(), 2);
+        assert_eq!(tel.trace_events().len(), 2);
         assert!(validate_balanced(&tel.trace_events()).is_ok());
     }
 

@@ -1,6 +1,6 @@
 //! The metrics registry: typed counters, gauges, and log-linear
 //! histograms, labeled by arbitrary `key=value` pairs (tenant, site,
-//! link, stage, …), with deterministic Prometheus-text and JSON export.
+//! link, stage, …), with deterministic JSON export.
 //! [`LogHistogram`] is the same bucket scheme as a plain owned value,
 //! for collectors that are moved between threads rather than shared.
 //!
@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Sorted `key=value` label pairs identifying one series of a metric.
-pub type Labels = Vec<(String, String)>;
+pub(crate) type Labels = Vec<(String, String)>;
 
 /// Build a sorted label set from `(key, value)` pairs.
 pub fn labels(pairs: &[(&str, &str)]) -> Labels {
@@ -487,92 +487,6 @@ impl MetricsRegistry {
                 .collect(),
         }
     }
-
-    /// Prometheus text exposition of every series (sorted, hence
-    /// byte-deterministic for a deterministic run). Histograms emit
-    /// cumulative `_bucket{le=...}` lines for non-empty buckets plus
-    /// `+Inf`, `_sum`, and `_count`.
-    pub fn prometheus_text(&self) -> String {
-        let inner = self.inner.lock().unwrap();
-        let mut out = String::new();
-        let mut last_type: Option<(String, String)> = None;
-        let mut type_line = |out: &mut String, name: &str, kind: &str| {
-            if last_type.as_ref().map(|(n, k)| (n.as_str(), k.as_str())) != Some((name, kind)) {
-                out.push_str(&format!("# TYPE {name} {kind}\n"));
-                last_type = Some((name.to_string(), kind.to_string()));
-            }
-        };
-        for (k, c) in &inner.counters {
-            type_line(&mut out, &k.name, "counter");
-            out.push_str(&format!(
-                "{}{} {}\n",
-                k.name,
-                label_text(&k.labels),
-                c.load(Ordering::Relaxed)
-            ));
-        }
-        for (k, g) in &inner.gauges {
-            type_line(&mut out, &k.name, "gauge");
-            out.push_str(&format!(
-                "{}{} {}\n",
-                k.name,
-                label_text(&k.labels),
-                f64::from_bits(g.load(Ordering::Relaxed))
-            ));
-        }
-        for (k, h) in &inner.histograms {
-            type_line(&mut out, &k.name, "histogram");
-            let mut cum = 0u64;
-            for (idx, b) in h.buckets.iter().enumerate() {
-                let n = b.load(Ordering::Relaxed);
-                if n == 0 {
-                    continue;
-                }
-                cum += n;
-                let (_, hi) = bucket_bounds(idx);
-                out.push_str(&format!(
-                    "{}_bucket{} {}\n",
-                    k.name,
-                    label_text_with(&k.labels, "le", &hi.to_string()),
-                    cum
-                ));
-            }
-            out.push_str(&format!(
-                "{}_bucket{} {}\n",
-                k.name,
-                label_text_with(&k.labels, "le", "+Inf"),
-                h.count.load(Ordering::Relaxed)
-            ));
-            out.push_str(&format!(
-                "{}_sum{} {}\n",
-                k.name,
-                label_text(&k.labels),
-                f64::from_bits(h.sum_bits.load(Ordering::Relaxed))
-            ));
-            out.push_str(&format!(
-                "{}_count{} {}\n",
-                k.name,
-                label_text(&k.labels),
-                h.count.load(Ordering::Relaxed)
-            ));
-        }
-        out
-    }
-}
-
-fn label_text(labels: &Labels) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let body: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-    format!("{{{}}}", body.join(","))
-}
-
-fn label_text_with(labels: &Labels, extra_k: &str, extra_v: &str) -> String {
-    let mut all = labels.clone();
-    all.push((extra_k.to_string(), extra_v.to_string()));
-    all.sort();
-    label_text(&all)
 }
 
 #[cfg(test)]
@@ -691,22 +605,5 @@ mod tests {
         let h = Histogram::noop();
         h.record(5);
         assert_eq!(h.count(), 0);
-    }
-
-    #[test]
-    fn prometheus_text_has_type_lines_and_inf_bucket() {
-        let reg = MetricsRegistry::new();
-        reg.counter("req_total", &labels(&[("tenant", "0")])).inc();
-        reg.gauge("load", &Labels::new()).set(0.5);
-        let h = reg.histogram("lat_ps", &Labels::new());
-        h.record(10);
-        h.record(1_000);
-        let text = reg.prometheus_text();
-        assert!(text.contains("# TYPE req_total counter"));
-        assert!(text.contains("req_total{tenant=\"0\"} 1"));
-        assert!(text.contains("# TYPE load gauge"));
-        assert!(text.contains("# TYPE lat_ps histogram"));
-        assert!(text.contains("lat_ps_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("lat_ps_count 2"));
     }
 }

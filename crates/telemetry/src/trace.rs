@@ -4,7 +4,7 @@
 //!
 //! Because the simulator computes an event's end time rather than
 //! waiting for it, spans are not RAII drop-guards: callers emit a
-//! `B`/`E` pair explicitly (usually via [`TraceBuffer::span`], which
+//! `B`/`E` pair explicitly (usually via `TraceBuffer::span`, which
 //! pushes both at once from known start/end timestamps). Events carry a
 //! `(pid, tid)` track: `pid` groups a subsystem (requests, sites, net,
 //! recovery), `tid` an entity within it (request id, `node*64+slot`,
@@ -83,17 +83,13 @@ pub struct TraceEvent {
 
 /// Append-only event buffer behind the `Telemetry` handle's mutex.
 #[derive(Debug, Default)]
-pub struct TraceBuffer {
+pub(crate) struct TraceBuffer {
     events: Vec<TraceEvent>,
 }
 
 impl TraceBuffer {
     pub fn new() -> Self {
         TraceBuffer::default()
-    }
-
-    pub fn push(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
     }
 
     /// Emit a complete `[start_ps, end_ps]` span as a `B`/`E` pair.
@@ -191,17 +187,9 @@ impl TraceBuffer {
         });
     }
 
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Events sorted for export: by `(pid, tid, ts)`, stable so that
     /// zero-length spans keep their `B` before their `E`.
-    pub fn sorted_events(&self) -> Vec<TraceEvent> {
+    pub(crate) fn sorted_events(&self) -> Vec<TraceEvent> {
         let mut evs = self.events.clone();
         evs.sort_by_key(|a| (a.pid, a.tid, a.ts_ps));
         evs
@@ -248,7 +236,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 /// name, and nothing is left open). Returns the number of complete
 /// spans, or a description of the first violation.
 ///
-/// Expects events in export order ([`TraceBuffer::sorted_events`]).
+/// Expects events in export order (`TraceBuffer::sorted_events`).
 pub fn validate_balanced(events: &[TraceEvent]) -> Result<usize, String> {
     let mut spans = 0usize;
     let mut stack: Vec<(&str, u32, u64)> = Vec::new();
@@ -305,32 +293,32 @@ mod tests {
 
     #[test]
     fn mismatched_end_is_rejected() {
-        let mut buf = TraceBuffer::new();
-        buf.push(TraceEvent {
-            name: "a".into(),
-            cat: "c".into(),
-            phase: Phase::B,
-            ts_ps: 0,
-            pid: 1,
-            tid: 1,
-            args: Vec::new(),
-        });
-        buf.push(TraceEvent {
-            name: "b".into(),
-            cat: "c".into(),
-            phase: Phase::E,
-            ts_ps: 5,
-            pid: 1,
-            tid: 1,
-            args: Vec::new(),
-        });
-        assert!(validate_balanced(&buf.sorted_events()).is_err());
+        let evs = vec![
+            TraceEvent {
+                name: "a".into(),
+                cat: "c".into(),
+                phase: Phase::B,
+                ts_ps: 0,
+                pid: 1,
+                tid: 1,
+                args: Vec::new(),
+            },
+            TraceEvent {
+                name: "b".into(),
+                cat: "c".into(),
+                phase: Phase::E,
+                ts_ps: 5,
+                pid: 1,
+                tid: 1,
+                args: Vec::new(),
+            },
+        ];
+        assert!(validate_balanced(&evs).is_err());
     }
 
     #[test]
     fn unclosed_span_is_rejected() {
-        let mut buf = TraceBuffer::new();
-        buf.push(TraceEvent {
+        let evs = vec![TraceEvent {
             name: "a".into(),
             cat: "c".into(),
             phase: Phase::B,
@@ -338,8 +326,8 @@ mod tests {
             pid: 1,
             tid: 1,
             args: Vec::new(),
-        });
-        assert!(validate_balanced(&buf.sorted_events()).is_err());
+        }];
+        assert!(validate_balanced(&evs).is_err());
     }
 
     #[test]

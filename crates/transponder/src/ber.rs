@@ -1,45 +1,12 @@
 //! Bit-error-rate estimation.
 //!
-//! Link-quality math for the transponder paths: Q-factor from the
-//! received 0/1 current statistics, the standard `BER = ½·erfc(Q/√2)`
-//! mapping, and a Monte-Carlo BER measurement harness used by experiment
-//! E3 to show the photonic engine does not degrade the through-path.
+//! A Monte-Carlo BER measurement harness for the transponder paths:
+//! random bits from one transponder's TX path, over a fiber span, into
+//! another's RX path.
 
 use crate::commodity::CommodityTransponder;
 use ofpc_photonics::fiber::FiberSpan;
 use ofpc_photonics::SimRng;
-
-/// Complementary error function (Abramowitz–Stegun 7.1.26 rational
-/// approximation; max absolute error ~1.5e-7, ample for BER curves).
-pub fn erfc(x: f64) -> f64 {
-    let sign_negative = x < 0.0;
-    let x_abs = x.abs();
-    let t = 1.0 / (1.0 + 0.3275911 * x_abs);
-    let poly = t
-        * (0.254829592
-            + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
-    let erfc_pos = poly * (-x_abs * x_abs).exp();
-    if sign_negative {
-        2.0 - erfc_pos
-    } else {
-        erfc_pos
-    }
-}
-
-/// BER for a given Q-factor: `½·erfc(Q/√2)`.
-pub fn q_to_ber(q: f64) -> f64 {
-    0.5 * erfc(q / std::f64::consts::SQRT_2)
-}
-
-/// Q-factor from level statistics: `Q = (μ₁ − μ₀) / (σ₁ + σ₀)`.
-pub fn q_factor(mean_one: f64, mean_zero: f64, sigma_one: f64, sigma_zero: f64) -> f64 {
-    let denom = sigma_one + sigma_zero;
-    if denom <= 0.0 {
-        f64::INFINITY
-    } else {
-        (mean_one - mean_zero) / denom
-    }
-}
 
 /// Result of a Monte-Carlo BER run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,29 +42,6 @@ mod tests {
     use super::*;
     use crate::rxpath::RxConfig;
     use crate::txpath::TxConfig;
-
-    #[test]
-    fn erfc_known_values() {
-        assert!((erfc(0.0) - 1.0).abs() < 1e-7);
-        assert!((erfc(1.0) - 0.157299).abs() < 1e-5);
-        assert!((erfc(-1.0) - 1.842701).abs() < 1e-5);
-        assert!(erfc(5.0) < 1e-11);
-    }
-
-    #[test]
-    fn q_to_ber_benchmarks() {
-        // Q = 6 ⇒ BER ≈ 1e-9; Q = 7 ⇒ ≈ 1.3e-12 (textbook pairs).
-        let b6 = q_to_ber(6.0);
-        assert!(b6 > 5e-10 && b6 < 2e-9, "BER(6) = {b6}");
-        let b7 = q_to_ber(7.0);
-        assert!(b7 < 1e-11, "BER(7) = {b7}");
-    }
-
-    #[test]
-    fn q_factor_edge_cases() {
-        assert_eq!(q_factor(1.0, 0.0, 0.0, 0.0), f64::INFINITY);
-        assert!((q_factor(1.0, 0.0, 0.1, 0.1) - 5.0).abs() < 1e-12);
-    }
 
     #[test]
     fn clean_short_link_is_error_free() {

@@ -61,7 +61,7 @@ impl ComputeOp {
     }
 
     /// Wire tag carried in the frame's `op` byte.
-    pub fn wire_tag(&self) -> u8 {
+    pub(crate) fn wire_tag(&self) -> u8 {
         self.primitive().wire_id()
     }
 
@@ -102,7 +102,7 @@ pub struct ProcessOutcome {
 
 /// Encode a signed result value as 4 fixed-point bytes (Q16.16,
 /// big-endian) for the frame's result field.
-pub fn encode_result(value: f64) -> [u8; 4] {
+pub(crate) fn encode_result(value: f64) -> [u8; 4] {
     let fixed = (value * 65536.0)
         .round()
         .clamp(i32::MIN as f64, i32::MAX as f64) as i32;
@@ -302,10 +302,6 @@ impl PhotonicComputeTransponder {
     /// Install a compute operation (done by the centralized controller).
     pub fn load_op(&mut self, op: ComputeOp) {
         self.loaded_op = Some(op);
-    }
-
-    pub fn loaded_op(&self) -> Option<&ComputeOp> {
-        self.loaded_op.as_ref()
     }
 
     /// Build the on-the-wire optical signal for a compute frame: OOK

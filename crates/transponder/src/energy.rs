@@ -20,7 +20,7 @@ pub enum FormFactor {
 
 impl FormFactor {
     /// Maximum module power, W.
-    pub fn power_ceiling_w(self) -> f64 {
+    pub(crate) fn power_ceiling_w(self) -> f64 {
         match self {
             FormFactor::QsfpDd => 20.0,
             FormFactor::Osfp => 28.0,
@@ -30,7 +30,7 @@ impl FormFactor {
 
     /// Usable PIC area, mm² (order-of-magnitude per published module
     /// teardowns; silicon photonics dies in pluggables run tens of mm²).
-    pub fn pic_area_mm2(self) -> f64 {
+    pub(crate) fn pic_area_mm2(self) -> f64 {
         match self {
             FormFactor::QsfpDd => 40.0,
             FormFactor::Osfp => 60.0,
@@ -89,7 +89,7 @@ pub fn block(name: &str) -> BlockBudget {
 }
 
 /// The block set of a commodity transponder (Fig. 3).
-pub fn commodity_blocks() -> Vec<BlockBudget> {
+pub(crate) fn commodity_blocks() -> Vec<BlockBudget> {
     ["laser", "tx-mzm", "dac", "adc", "pd-tia", "dsp"]
         .iter()
         .map(|n| block(n))
@@ -98,7 +98,7 @@ pub fn commodity_blocks() -> Vec<BlockBudget> {
 
 /// The block set of a photonic compute transponder (Fig. 4): commodity
 /// blocks plus the engine additions.
-pub fn compute_blocks() -> Vec<BlockBudget> {
+pub(crate) fn compute_blocks() -> Vec<BlockBudget> {
     let mut blocks = commodity_blocks();
     for n in [
         "engine-weight-mzm",

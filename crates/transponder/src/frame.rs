@@ -18,10 +18,10 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 /// The fixed 16-bit optical preamble (alternating-rich pattern with good
 /// autocorrelation for the photonic matcher): `0xB7E1`.
-pub const PREAMBLE: u16 = 0xB7E1;
+pub(crate) const PREAMBLE: u16 = 0xB7E1;
 
 /// Preamble as a bit vector (MSB first).
-pub fn preamble_bits() -> Vec<bool> {
+pub(crate) fn preamble_bits() -> Vec<bool> {
     (0..16).rev().map(|i| (PREAMBLE >> i) & 1 == 1).collect()
 }
 
@@ -71,7 +71,7 @@ impl Frame {
     }
 
     /// CRC-16/CCITT over op, length, result, and payload.
-    pub fn crc(&self) -> u16 {
+    pub(crate) fn crc(&self) -> u16 {
         let mut bytes = BytesMut::new();
         bytes.put_u8(self.op);
         bytes.put_u16(self.payload.len() as u16);
@@ -139,7 +139,7 @@ impl Frame {
 
     /// Locate the preamble in a bit stream (exact match), returning the
     /// offset of its first bit.
-    pub fn find_preamble(bits: &[bool]) -> Option<usize> {
+    pub(crate) fn find_preamble(bits: &[bool]) -> Option<usize> {
         let pre = preamble_bits();
         if bits.len() < pre.len() {
             return None;
@@ -193,7 +193,7 @@ fn read_u16(bits: &[bool]) -> u16 {
 }
 
 /// CRC-16/CCITT-FALSE.
-pub fn crc16(data: &[u8]) -> u16 {
+pub(crate) fn crc16(data: &[u8]) -> u16 {
     let mut crc: u16 = 0xFFFF;
     for &byte in data {
         crc ^= (byte as u16) << 8;

@@ -82,7 +82,7 @@ impl RxPath {
 
     /// Set the decision threshold from the expected received '1' power
     /// (link budget): threshold at half the '1' photocurrent.
-    pub fn calibrate_for_one_level(&mut self, one_level_w: f64) {
+    pub(crate) fn calibrate_for_one_level(&mut self, one_level_w: f64) {
         assert!(one_level_w > 0.0, "one-level power must be positive");
         let i_one = self.pd.expected_current_a(one_level_w);
         let i_zero = self.pd.expected_current_a(0.0);
