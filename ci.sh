@@ -69,9 +69,12 @@ done
 # the file's #[cfg(test)]) must be named by a file outside the crate:
 # other crates' src/, tests/, benches/ and examples/; this crate's
 # src/bin/, tests/, benches/ and examples/; the root tests/, examples/
-# and src/; and perfbench/src. A bare `pub` type must be named outside
-# too, or be exposed by its crate's public interface (rustc's
-# private_interfaces lint keeps such a type `pub`). The awk below
+# and src/; and perfbench/src. A name that an outside file uses only on
+# comment lines (doc comments and intra-doc links included) is no use:
+# those lines are dropped before the words are collected. A bare `pub`
+# type must be named outside too, or be exposed by its crate's public
+# interface (rustc's private_interfaces lint keeps such a type `pub`).
+# The awk below
 # approximates that interface by line: bare `pub` lines other than the
 # type's own definition and `pub use`, the rest of a multi-line `pub fn`
 # signature, the bodies of bare `pub` enums and traits, and associated
@@ -90,7 +93,7 @@ for dir in crates/*; do
         find "${outside_roots[@]}" -name '*.rs' | grep -v "^$dir/src/"
         find "$dir/src" -path '*/src/bin/*' -name '*.rs'
     )
-    outside_words="$(grep -ohE '[A-Za-z_][A-Za-z0-9_]*' "${outside[@]}" | sort -u)"
+    outside_words="$(grep -hvE '^[[:space:]]*//' "${outside[@]}" | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)"
     interface="$(for f in "${lib[@]}"; do sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" | awk '
         BEGIN { body = -1 }
         {
@@ -146,14 +149,14 @@ run_no_warnings cargo test --offline --workspace -q --release --no-fail-fast
 # Every experiment and golden fixture, through the one `expt` runner
 # in release. The step fails when an experiment's own assert fails or
 # when the run changes a committed document: anything under
-# results/golden/, and every results/*.json except the five that
-# ROADMAP item 1 has yet to pin. E2, E4, E9 and E10 drift in value, and
+# results/golden/, and every results/*.json except the four that
+# ROADMAP item 1 has yet to pin. E2, E9 and E10 drift in value, and
 # E6 carries wall-clock solver times. E14's two trace dumps are
 # gitignored, not committed. results/ is copied aside first and
 # restored right after the check, pass or fail.
 echo "==> every experiment and golden fixture (expt, release; committed documents unchanged)"
-unpinned=" e2_primitives e4_table1_usecases e6_controller_scaling e9_incremental_deployment \
-e10_noise_ablation e14_telemetry_trace e14_telemetry_trace_e12 "
+unpinned=" e2_primitives e6_controller_scaling e9_incremental_deployment e10_noise_ablation \
+e14_telemetry_trace e14_telemetry_trace_e12 "
 results_copy="$(mktemp -d)"
 cp -a results/. "$results_copy"
 set +e

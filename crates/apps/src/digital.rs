@@ -12,15 +12,15 @@ use ofpc_photonics::energy::constants;
 use ofpc_photonics::units;
 
 /// A digital (or photonic) compute platform model.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ComputeModel {
     pub name: String,
     /// Energy per 8-bit MAC, J.
     pub mac_energy_j: f64,
     /// Sustained MAC throughput, MAC/s.
-    pub mac_rate_hz: f64,
+    pub(crate) mac_rate_hz: f64,
     /// Fixed invocation overhead, s (kernel launch, NIC, queueing).
-    pub fixed_latency_s: f64,
+    pub(crate) fixed_latency_s: f64,
 }
 
 impl ComputeModel {
@@ -100,7 +100,7 @@ impl ComputeModel {
 }
 
 /// Where the computation happens, with its path geometry.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Placement {
     /// Ship to a cloud DC `detour_km` of extra fiber away (each way),
     /// compute, ship onward/back.
@@ -113,7 +113,7 @@ pub enum Placement {
 
 /// End-to-end request model: a request travels `path_km` of fiber from
 /// source to destination and needs `macs` of computation somewhere.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct RequestModel {
     pub path_km: f64,
     pub macs: u64,

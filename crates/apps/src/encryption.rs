@@ -52,7 +52,7 @@ impl Keystream {
     }
 
     /// Next `n` keystream bits.
-    pub fn bits(&mut self, n: usize) -> Vec<bool> {
+    pub(crate) fn bits(&mut self, n: usize) -> Vec<bool> {
         let mut out = Vec::with_capacity(n);
         while out.len() < n {
             let word = self.next_u64();
@@ -67,7 +67,7 @@ impl Keystream {
     }
 
     /// Next `n` keystream bytes.
-    pub fn bytes(&mut self, n: usize) -> Vec<u8> {
+    pub(crate) fn bytes(&mut self, n: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(n);
         while out.len() < n {
             let word = self.next_u64();
@@ -86,10 +86,10 @@ impl Keystream {
 #[derive(Debug, Clone)]
 pub struct DigitalCipher {
     key: u64,
-    pub bytes_processed: u64,
+    pub(crate) bytes_processed: u64,
     /// CPU energy per byte (AES-class software: order 10 pJ/byte on
     /// modern cores with AES-NI; higher on edge devices).
-    pub energy_per_byte_j: f64,
+    pub(crate) energy_per_byte_j: f64,
 }
 
 impl DigitalCipher {
@@ -122,7 +122,6 @@ pub struct PhotonicCipher {
     laser: Laser,
     pm: PhaseModulator,
     sample_rate_hz: f64,
-    pub bits_processed: u64,
 }
 
 impl PhotonicCipher {
@@ -145,7 +144,6 @@ impl PhotonicCipher {
                 ..PhaseModulatorConfig::default()
             }),
             sample_rate_hz: 32e9,
-            bits_processed: 0,
         }
     }
 
@@ -183,7 +181,6 @@ impl PhotonicCipher {
             self.sample_rate_hz,
         );
         let cipher = self.pm.modulate(&encoded, &key_drive);
-        self.bits_processed += n as u64;
         cipher.samples.iter().map(|s| s.arg()).collect()
     }
 

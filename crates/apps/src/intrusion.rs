@@ -16,8 +16,8 @@ use std::collections::{HashMap, VecDeque};
 /// A match reported by either engine: `(byte_offset, signature_index)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SigHit {
-    pub offset: usize,
-    pub signature: usize,
+    pub(crate) offset: usize,
+    pub(crate) signature: usize,
 }
 
 /// Aho–Corasick multi-pattern matcher (digital baseline).
@@ -27,7 +27,7 @@ pub struct AhoCorasick {
     next: Vec<[u32; 256]>,
     /// Output signatures (index, length) per state.
     out: Vec<Vec<(usize, usize)>>,
-    pub bytes_scanned: u64,
+    pub(crate) bytes_scanned: u64,
 }
 
 impl AhoCorasick {
@@ -115,15 +115,13 @@ impl AhoCorasick {
 #[derive(Debug)]
 pub struct PhotonicIds {
     correlator: Correlator,
-    pub payloads_scanned: u64,
 }
 
 impl PhotonicIds {
-    pub fn new(signatures: &[Vec<u8>], tolerance_bits: f64, rng: &mut SimRng) -> Self {
+    pub(crate) fn new(signatures: &[Vec<u8>], tolerance_bits: f64, rng: &mut SimRng) -> Self {
         let bit_sigs: Vec<Vec<bool>> = signatures.iter().map(|s| bytes_to_bits(s)).collect();
         PhotonicIds {
             correlator: Correlator::new(MatcherConfig::ideal(), bit_sigs, tolerance_bits, 8, rng),
-            payloads_scanned: 0,
         }
     }
 
@@ -134,7 +132,6 @@ impl PhotonicIds {
 
     /// Scan a payload.
     pub fn scan(&mut self, payload: &[u8]) -> Vec<SigHit> {
-        self.payloads_scanned += 1;
         let bits = bytes_to_bits(payload);
         let mut hits: Vec<SigHit> = self
             .correlator

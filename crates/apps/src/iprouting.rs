@@ -15,10 +15,10 @@ use ofpc_net::{Addr, Prefix};
 use ofpc_photonics::SimRng;
 
 /// One forwarding rule.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Rule {
-    pub prefix: Prefix,
-    pub port: u16,
+    pub(crate) prefix: Prefix,
+    pub(crate) port: u16,
 }
 
 /// Convert an address to its 32 bits, MSB first.
@@ -51,9 +51,9 @@ pub(crate) fn prefix_pattern(prefix: Prefix) -> Vec<Tern> {
 #[derive(Debug, Clone)]
 pub struct TcamModel {
     rules: Vec<Rule>,
-    pub lookups: u64,
+    pub(crate) lookups: u64,
     /// Energy per bitcell per search, J.
-    pub energy_per_bit_search_j: f64,
+    pub(crate) energy_per_bit_search_j: f64,
 }
 
 impl TcamModel {
@@ -89,11 +89,11 @@ impl TcamModel {
 pub struct PhotonicLpm {
     matcher: TernaryMatcher,
     rules: Vec<(Rule, Vec<Tern>)>,
-    pub lookups: u64,
+    pub(crate) lookups: u64,
 }
 
 impl PhotonicLpm {
-    pub fn new(config: TernaryConfig, mut rules: Vec<Rule>, rng: &mut SimRng) -> Self {
+    pub(crate) fn new(config: TernaryConfig, mut rules: Vec<Rule>, rng: &mut SimRng) -> Self {
         rules.sort_by_key(|r| std::cmp::Reverse(r.prefix.len()));
         let compiled = rules
             .into_iter()
@@ -127,11 +127,6 @@ impl PhotonicLpm {
             }
         }
         None
-    }
-
-    /// Optical symbols pushed through the matcher (cost metric).
-    pub fn symbols_matched(&self) -> u64 {
-        self.matcher.symbols_matched
     }
 }
 
@@ -259,6 +254,6 @@ mod tests {
         plpm.lookup("10.1.2.3".parse().unwrap());
         plpm.lookup("10.9.9.9".parse().unwrap());
         assert_eq!(plpm.lookups, 2);
-        assert!(plpm.symbols_matched() > 0);
+        assert!(plpm.matcher.symbols_matched > 0);
     }
 }

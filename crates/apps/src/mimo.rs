@@ -47,7 +47,7 @@ pub(crate) fn random_symbols(n_tx: usize, rng: &mut SimRng) -> (Vec<bool>, Vec<f
 
 /// `y = H·x + noise` with per-dimension noise sigma from `snr_db`
 /// (signal power normalized to 1).
-pub fn transmit(h: &Mat, x: &[f64], snr_db: f64, rng: &mut SimRng) -> Vec<f64> {
+pub(crate) fn transmit(h: &Mat, x: &[f64], snr_db: f64, rng: &mut SimRng) -> Vec<f64> {
     let sigma = (10f64.powf(-snr_db / 10.0) / 2.0).sqrt();
     h.iter()
         .map(|row| row.iter().zip(x).map(|(a, b)| a * b).sum::<f64>() + rng.normal(0.0, sigma))

@@ -18,8 +18,8 @@ use ofpc_photonics::SimRng;
 #[derive(Debug, Clone)]
 pub struct Dataset {
     pub images: Vec<Vec<f64>>,
-    pub labels: Vec<usize>,
-    pub side: usize,
+    pub(crate) labels: Vec<usize>,
+    pub(crate) side: usize,
     pub classes: usize,
 }
 
@@ -130,8 +130,8 @@ impl TrainActivation {
 /// Training hyperparameters.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainConfig {
-    pub epochs: usize,
-    pub learning_rate: f64,
+    pub(crate) epochs: usize,
+    pub(crate) learning_rate: f64,
 }
 
 impl Default for TrainConfig {

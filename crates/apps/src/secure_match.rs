@@ -43,7 +43,7 @@ impl SecureMatcher {
     /// The *rule owner* (who shares `key` with the sender, not with the
     /// network) encrypts the plaintext pattern and installs only the
     /// ciphertext.
-    pub fn install(
+    pub(crate) fn install(
         config: MatcherConfig,
         plaintext_pattern: &[bool],
         key: u64,

@@ -12,7 +12,7 @@ use ofpc_engine::mvm::PhotonicMatVec;
 use ofpc_photonics::SimRng;
 
 /// Block size (8×8, the classic transform size).
-pub const B: usize = 8;
+pub(crate) const B: usize = 8;
 
 /// The 8×8 DCT-II basis matrix `D` (orthonormal).
 pub(crate) fn dct_matrix() -> Vec<Vec<f64>> {
@@ -116,16 +116,9 @@ pub fn rle_decode(rle: &[(i32, u8)], len: usize) -> Vec<i32> {
 }
 
 /// One encoded 8×8 block.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct EncodedBlock {
-    pub rle: Vec<(i32, u8)>,
-}
-
-impl EncodedBlock {
-    /// Compressed size in bytes (3 bytes per RLE symbol: i16 value + run).
-    pub fn bytes(&self) -> usize {
-        self.rle.len() * 3
-    }
+    pub(crate) rle: Vec<(i32, u8)>,
 }
 
 /// The transform backend: exact digital math or the photonic engine.
@@ -408,11 +401,11 @@ mod tests {
         let mut tf = Transform::Digital;
         let hi: usize = encode_frame(&frame, 1.0, &mut tf)
             .iter()
-            .map(|b| b.bytes())
+            .map(|b| b.rle.len() * 3)
             .sum();
         let lo: usize = encode_frame(&frame, 0.2, &mut tf)
             .iter()
-            .map(|b| b.bytes())
+            .map(|b| b.rle.len() * 3)
             .sum();
         assert!(lo < hi, "lo {lo} hi {hi}");
         // And both beat raw (512 pixels × 1 byte).

@@ -92,7 +92,7 @@ fn run_sharing(users: usize, load_frac: f64) -> E8Row {
     }
 }
 
-pub fn expt(_pool: &WorkerPool) -> String {
+pub(crate) fn expt(_pool: &WorkerPool) -> String {
     println!("E8: sharing one 800 Gbps compute wavelength among N users\n");
     let mut t = Table::new(
         "per-load sweep",

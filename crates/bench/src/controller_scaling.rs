@@ -136,7 +136,7 @@ fn random_demands(topo: &Topology, n: usize, rng: &mut SimRng) -> Vec<Demand> {
         .collect()
 }
 
-pub fn expt(_pool: &WorkerPool) -> String {
+pub(crate) fn expt(_pool: &WorkerPool) -> String {
     println!("E6: controller allocation — exact vs LP-rounding vs greedy\n");
     let mut t = Table::new(
         "solver scaling (capacity: 2 slots at 1/3 of sites)",

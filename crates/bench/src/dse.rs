@@ -182,7 +182,7 @@ fn mixed_lowering() -> Vec<StageBinding> {
     plan.stages.iter().map(StageBinding::of).collect()
 }
 
-pub fn expt(pool: &WorkerPool) -> String {
+pub(crate) fn expt(pool: &WorkerPool) -> String {
     println!("E17: design-space exploration ({} workers)", pool.workers());
     let points = sweep(pool);
     let mixed = mixed_lowering();
@@ -197,6 +197,6 @@ pub fn expt(pool: &WorkerPool) -> String {
 /// Mini E17: the design-space sweep miniature — 2 apps × 3 converter
 /// pairings × 2 core sizes × 2 wavelength counts with the per-app
 /// Pareto frontier marked.
-pub fn e17_mini(pool: &WorkerPool) -> String {
+pub(crate) fn e17_mini(pool: &WorkerPool) -> String {
     versioned_pretty(&run_sweep(pool, &SweepSpec::mini()))
 }

@@ -33,7 +33,7 @@ struct E5Result {
     clock_ratio_photonic_vs_tpu: f64,
 }
 
-pub fn expt(_pool: &WorkerPool) -> String {
+pub(crate) fn expt(_pool: &WorkerPool) -> String {
     println!("E5: §2.2 energy & speed claims\n");
     let platforms = [
         ComputeModel::photonic(),

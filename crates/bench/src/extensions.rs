@@ -34,7 +34,7 @@ struct E11Result {
     coherent_bits: usize,
 }
 
-pub fn expt(_pool: &WorkerPool) -> String {
+pub(crate) fn expt(_pool: &WorkerPool) -> String {
     println!("E11: §5 extension experiments\n");
     let mut result = E11Result::default();
 

@@ -40,7 +40,7 @@ const SEED: u64 = 13;
 const P1: Primitive = Primitive::VectorDotProduct;
 
 /// The recovery loop: default recovery timing over the exact solver.
-pub fn orchestrator() -> Orchestrator {
+pub(crate) fn orchestrator() -> Orchestrator {
     Orchestrator::new(
         RecoveryParams::default(),
         Solver::Exact {
@@ -50,7 +50,7 @@ pub fn orchestrator() -> Orchestrator {
 }
 
 /// Fig. 1 WAN with compute sites at B and C and one A→D demand.
-pub fn fig1_system() -> OnFiberNetwork {
+pub(crate) fn fig1_system() -> OnFiberNetwork {
     let mut sys = OnFiberNetwork::new(Topology::fig1(), SEED);
     sys.upgrade_site(NodeId(1), 1);
     sys.upgrade_site(NodeId(2), 1);
@@ -326,14 +326,14 @@ pub(crate) fn fallback_runtime(fallback: bool) -> ServeRuntime {
 }
 
 /// E13: availability vs MTBF, cut recovery and the digital fallback.
-pub fn expt(pool: &WorkerPool) -> String {
+pub(crate) fn expt(pool: &WorkerPool) -> String {
     // --- E13a: availability vs MTBF ---
     // Each MTBF point replays its own seeded fault plan against its own
     // copy of the system: independent scenarios, scattered across the
     // pool with rows gathered in sweep order.
     let horizon_ps = 2_000_000_000_000; // 2 s of virtual time
     let mtbf_ms = [20.0_f64, 80.0, 320.0, 1_280.0];
-    let avail: Vec<AvailRow> = pool.scatter_gather("e13a-mtbf", mtbf_ms.to_vec(), |_, m| {
+    let avail: Vec<AvailRow> = pool.scatter_gather(mtbf_ms.to_vec(), |_, m| {
         availability_run((m * 1e9) as u64, horizon_ps)
     });
 
@@ -413,23 +413,22 @@ pub fn expt(pool: &WorkerPool) -> String {
     assert!(cut.ttr_us <= cut.ttr_bound_us, "TTR exceeds bound");
 
     // --- E13c: graceful digital fallback ---
-    let rows: Vec<FallbackRow> =
-        pool.scatter_gather("e13c-fallback", vec![false, true], |_, fb| {
-            let report = fallback_runtime(fb).run();
-            FallbackRow {
-                fallback: fb,
-                arrivals: report.arrivals,
-                completed: report.completed,
-                shed: report.shed,
-                degraded: report.degraded,
-                shed_rate: report.shed_rate,
-                degraded_rate: report.degraded_rate,
-                goodput_rps: report.goodput_rps,
-                degraded_energy_j: report.degraded_energy_j,
-                energy_total_j: report.energy_total_j,
-                report,
-            }
-        });
+    let rows: Vec<FallbackRow> = pool.scatter_gather(vec![false, true], |_, fb| {
+        let report = fallback_runtime(fb).run();
+        FallbackRow {
+            fallback: fb,
+            arrivals: report.arrivals,
+            completed: report.completed,
+            shed: report.shed,
+            degraded: report.degraded,
+            shed_rate: report.shed_rate,
+            degraded_rate: report.degraded_rate,
+            goodput_rps: report.goodput_rps,
+            degraded_energy_j: report.degraded_energy_j,
+            energy_total_j: report.energy_total_j,
+            report,
+        }
+    });
 
     let mut t = Table::new(
         "E13c — engine outage: digital fallback vs shedding",
@@ -504,8 +503,8 @@ pub fn expt(pool: &WorkerPool) -> String {
 
 /// Mini E13: the engine-outage window replayed with and without the
 /// digital fallback, verifying on the scalar kernels.
-pub fn e13_mini(pool: &WorkerPool) -> String {
-    let reports = pool.scatter_gather("e13-mini", vec![false, true], |_, fallback| {
+pub(crate) fn e13_mini(pool: &WorkerPool) -> String {
+    let reports = pool.scatter_gather(vec![false, true], |_, fallback| {
         under_outage(mini_config(13, 6e6, true), &mini_outage(), fallback).run()
     });
     versioned_pretty(&reports)

@@ -30,7 +30,7 @@ struct E1Result {
     speedup_vs_cloud: f64,
 }
 
-pub fn expt(_pool: &WorkerPool) -> String {
+pub(crate) fn expt(_pool: &WorkerPool) -> String {
     println!("E1: Fig. 1 scenario — on-fiber vs cloud vs edge\n");
 
     // --- On-fiber: run the assembled scenario. ---

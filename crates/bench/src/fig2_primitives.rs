@@ -44,7 +44,7 @@ struct E2Result {
     c_max_relu_dev: f64,
 }
 
-pub fn expt(_pool: &WorkerPool) -> String {
+pub(crate) fn expt(_pool: &WorkerPool) -> String {
     let mut result = E2Result::default();
 
     // ---------- E2a: P1 precision sweep ----------

@@ -41,7 +41,7 @@ struct E3Result {
     dot_result_error: f64,
 }
 
-pub fn expt(_pool: &WorkerPool) -> String {
+pub(crate) fn expt(_pool: &WorkerPool) -> String {
     println!("E3: compute transponder (Fig. 4) vs conventional accelerator DAC/ADC costs\n");
     let mut result = E3Result::default();
 

@@ -3,7 +3,7 @@
 //!
 //! The golden fixtures under `results/golden/` are the registry's
 //! `*_mini` entries ([`crate::REGISTRY`]): scaled-down versions of the
-//! E12/E13/E14/E17/E18/E20/E21 scenarios plus [`kernels_mini`]. The
+//! E12/E13/E14/E17/E18/E20/E21 scenarios plus `kernels_mini`. The
 //! contract, enforced by `tests/golden.rs` against the pinned fixtures
 //! and by `tests/parallel.rs` across worker counts:
 //!
@@ -66,7 +66,7 @@ struct KernelsMini {
 /// the scalar bytes (any drift is a golden diff) *and* the vectorized
 /// bytes (the fused kernels are deterministic per seed too — their own
 /// noise stream, but a replay-stable one).
-pub fn kernels_mini(pool: &WorkerPool) -> String {
+pub(crate) fn kernels_mini(pool: &WorkerPool) -> String {
     let scalar = BatchEngine::realistic(81).execute(pool, kernels_batch());
     let vectorized = BatchEngine::realistic(81)
         .with_backend(KernelBackend::Vectorized)

@@ -366,7 +366,7 @@ struct E16Report {
     fault: FaultReport,
 }
 
-pub fn expt(_pool: &WorkerPool) -> String {
+pub(crate) fn expt(_pool: &WorkerPool) -> String {
     println!("# E16: workload graph compiler (ofpc-graph)\n");
     let ex = compiled(ErrorBudget::realistic());
     let placed = ex.placed();

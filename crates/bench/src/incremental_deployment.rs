@@ -14,7 +14,7 @@ use ofpc_net::{NodeId, Topology};
 use ofpc_par::WorkerPool;
 use ofpc_photonics::SimRng;
 
-pub fn expt(_pool: &WorkerPool) -> String {
+pub(crate) fn expt(_pool: &WorkerPool) -> String {
     println!("E9: incremental deployment on Abilene (hubs first)\n");
     let topo = Topology::abilene();
     let mut rng = SimRng::seed_from_u64(9);

@@ -1,12 +1,12 @@
 //! E21 harness core: the sharded million-tenant ingest front-end
 //! (ofpc-ingest) driven at population scale.
 //!
-//! The full experiment ([`expt`]) fronts **1,000,064 tenants**
+//! The full experiment (`expt`) fronts **1,000,064 tenants**
 //! offering ≥10⁶ req/s at a deliberately under-provisioned transponder
 //! fleet, and checks that the overload lands where the paper's serving
 //! story says it must: bounded queues shed the abusive heavy-hitter
 //! class while DRR keeps completed goodput per unit weight level across
-//! saturated classes. [`e21_mini`] is the same machinery on a
+//! saturated classes. `e21_mini` is the same machinery on a
 //! 5,008-tenant toy, pinned as a golden fixture and replayed across
 //! worker counts by the differential tests. Both share one config
 //! family; the report bytes are a pure function of it on any
@@ -216,7 +216,7 @@ pub fn run_e21(config: IngestConfig, pool: &WorkerPool) -> IngestReport {
 ///   population;
 /// * the fleet stays busy: goodput is at least 90% of
 ///   `slot_capacity_rps`.
-pub fn expt(pool: &WorkerPool) -> String {
+pub(crate) fn expt(pool: &WorkerPool) -> String {
     let config = full_config();
     let capacity = slot_capacity_rps(&config);
     let tenants: u32 = config.classes.iter().map(|c| c.population).sum();
@@ -372,7 +372,7 @@ pub fn expt(pool: &WorkerPool) -> String {
 }
 
 /// Mini E21: the golden-fixture miniature (see [`mini_config`]).
-pub fn e21_mini(pool: &WorkerPool) -> String {
+pub(crate) fn e21_mini(pool: &WorkerPool) -> String {
     let report = run_e21(mini_config(), pool);
     versioned_pretty(&report)
 }

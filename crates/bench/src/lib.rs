@@ -38,8 +38,6 @@ pub mod table;
 pub mod table1_usecases;
 pub mod telemetry;
 
-pub use table::Table;
-
 /// One experiment or golden fixture.
 #[derive(Debug, Clone, Copy)]
 pub struct Entry {

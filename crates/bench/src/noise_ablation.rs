@@ -38,7 +38,7 @@ struct E10Result {
     curve_trained_photonic_acc: f64,
 }
 
-pub fn expt(_pool: &WorkerPool) -> String {
+pub(crate) fn expt(_pool: &WorkerPool) -> String {
     println!("E10: noise-mitigation ablations\n");
     let mut result = E10Result::default();
 

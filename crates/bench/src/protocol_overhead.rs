@@ -32,7 +32,7 @@ struct E7Result {
     rollout: Vec<(u64, usize, usize)>, // (gap_ps, computed, missed)
 }
 
-pub fn expt(_pool: &WorkerPool) -> String {
+pub(crate) fn expt(_pool: &WorkerPool) -> String {
     println!("E7: compute-communication protocol\n");
     let mut result = E7Result::default();
 

@@ -51,28 +51,28 @@ use serde::Serialize;
 /// Full parameterization of one E18 run set.
 #[derive(Debug, Clone, Serialize)]
 pub struct E18Config {
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Arrivals are generated in `[0, horizon_ps)`.
-    pub horizon_ps: u64,
-    pub drain_grace_ps: u64,
+    pub(crate) horizon_ps: u64,
+    pub(crate) drain_grace_ps: u64,
     /// Compute sites, each on its own span from the front-end.
-    pub spokes: usize,
-    pub span_km: f64,
-    pub slots_per_site: usize,
-    pub wdm_channels: usize,
+    pub(crate) spokes: usize,
+    pub(crate) span_km: f64,
+    pub(crate) slots_per_site: usize,
+    pub(crate) wdm_channels: usize,
     /// Per-tenant MMPP base rate (two tenants; see [`E18Config::serve_config`]).
-    pub tenant_rps: f64,
-    pub operand_len: usize,
-    pub deadline_ps: u64,
+    pub(crate) tenant_rps: f64,
+    pub(crate) operand_len: usize,
+    pub(crate) deadline_ps: u64,
     /// XOR-parity data groups (`k`); the coding-rate floor is `(k+1)/k`.
-    pub data_groups: u8,
+    pub(crate) data_groups: u8,
     pub storm: StormSpec,
 }
 
 impl E18Config {
     /// The full E18 scenario: 5 spokes, 4 ms of arrivals, 8 single-cut
     /// storm bursts.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         E18Config {
             seed: 18,
             horizon_ps: 4_000_000_000,
@@ -114,7 +114,7 @@ impl E18Config {
     /// The serving config shared verbatim by all three runs: two bursty
     /// MMPP tenants whose burst rate exceeds plant capacity (full
     /// batches during bursts) over a calm trickle.
-    pub fn serve_config(&self) -> ServeConfig {
+    pub(crate) fn serve_config(&self) -> ServeConfig {
         let tenant = |name: &str| TenantSpec {
             name: name.to_string(),
             weight: 1,
@@ -145,7 +145,7 @@ impl E18Config {
     /// Build the hub-and-spoke plant: the topology, the link-disjoint
     /// route plan from the front-end, and the site list with access
     /// latency taken from each planned route's propagation delay.
-    pub fn plant(&self) -> (MultipathPlan, Vec<SiteSpec>) {
+    pub(crate) fn plant(&self) -> (MultipathPlan, Vec<SiteSpec>) {
         let mut topo = Topology::new();
         let fe = topo.add_node("fe");
         let mut nodes = Vec::new();
@@ -189,9 +189,9 @@ pub struct E18Run {
     pub failed: u64,
     /// completed / arrivals.
     pub availability: f64,
-    pub goodput_rps: f64,
-    pub p99_latency_us: Option<f64>,
-    pub energy_per_completed_j: f64,
+    pub(crate) goodput_rps: f64,
+    pub(crate) p99_latency_us: Option<f64>,
+    pub(crate) energy_per_completed_j: f64,
     /// `energy_per_completed_j` relative to the unprotected run.
     pub energy_overhead: f64,
     pub report: ServeReport,
@@ -203,7 +203,7 @@ pub struct E18Run {
 #[derive(Debug, Clone, Serialize)]
 pub struct E18Report {
     pub config: E18Config,
-    pub storm_events: usize,
+    pub(crate) storm_events: usize,
     pub link_cuts: usize,
     pub runs: Vec<E18Run>,
 }
@@ -228,7 +228,7 @@ pub fn run_e18(pool: &WorkerPool, cfg: &E18Config) -> E18Report {
             },
         ),
     ];
-    let runs = pool.scatter_gather("e18-resil", modes, |_, (mode, policy)| {
+    let runs = pool.scatter_gather(modes, |_, (mode, policy)| {
         let model =
             ServiceModel::from_transponder(&ComputeTransponderConfig::ideal(), cfg.wdm_channels);
         let policies = vec![policy; serve_cfg.tenants.len()];
@@ -292,7 +292,7 @@ pub fn run_e18(pool: &WorkerPool, cfg: &E18Config) -> E18Report {
 ///   every redundancy-set member accounted for;
 /// * replica ≤ 2.1× and parity ≤ 1.5× of the baseline's joules per
 ///   completed request.
-pub fn expt(pool: &WorkerPool) -> String {
+pub(crate) fn expt(pool: &WorkerPool) -> String {
     let cfg = E18Config::full();
     println!(
         "E18: resilience under a {}-burst storm ({} workers)",
@@ -374,6 +374,6 @@ pub fn expt(pool: &WorkerPool) -> String {
 
 /// Mini E18 for the golden-replay suite: the full comparison document,
 /// versioned and pretty-printed.
-pub fn e18_mini(pool: &WorkerPool) -> String {
+pub(crate) fn e18_mini(pool: &WorkerPool) -> String {
     versioned_pretty(&run_e18(pool, &E18Config::mini()))
 }

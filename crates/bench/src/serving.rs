@@ -116,7 +116,7 @@ fn config(total_rps: f64, batching: bool) -> ServeConfig {
 
 /// One E12 load point: the two-tenant mix at `total_rps` on the metro
 /// deployment, verifying on the vectorized kernels.
-pub fn runtime(total_rps: f64, batching: bool) -> ServeRuntime {
+pub(crate) fn runtime(total_rps: f64, batching: bool) -> ServeRuntime {
     metro_runtime(config(total_rps, batching)).with_verify_backend(KernelBackend::Vectorized)
 }
 
@@ -137,7 +137,7 @@ struct E12Row {
 }
 
 /// E12: the batching-on/off load sweep across the saturation knee.
-pub fn expt(pool: &WorkerPool) -> String {
+pub(crate) fn expt(pool: &WorkerPool) -> String {
     let knee = knee_rps();
     println!(
         "estimated slot capacity (batched, hot): {:.2} M req/s\n",
@@ -154,7 +154,7 @@ pub fn expt(pool: &WorkerPool) -> String {
             grid.push((batching, f));
         }
     }
-    let rows: Vec<E12Row> = pool.scatter_gather("e12-sweep", grid, |_, (batching, f)| {
+    let rows: Vec<E12Row> = pool.scatter_gather(grid, |_, (batching, f)| {
         let offered = f * knee;
         let report = runtime(offered, batching).run();
         E12Row {
@@ -272,7 +272,7 @@ pub fn expt(pool: &WorkerPool) -> String {
 
 /// The config family of the e12/e13/e14 golden minis: E12's two-tenant
 /// mix on 512-element operands over a 100 µs horizon.
-pub fn mini_config(seed: u64, total_rps: f64, batching: bool) -> ServeConfig {
+pub(crate) fn mini_config(seed: u64, total_rps: f64, batching: bool) -> ServeConfig {
     ServeConfig {
         seed,
         horizon_ps: 100_000_000, // 100 µs of arrivals
@@ -335,7 +335,7 @@ pub fn e12_mini_with_backend(pool: &WorkerPool, backend: KernelBackend) -> Strin
             grid.push((batching, rps));
         }
     }
-    let reports = pool.scatter_gather("e12-mini", grid, |_, (batching, rps)| {
+    let reports = pool.scatter_gather(grid, |_, (batching, rps)| {
         metro_runtime(mini_config(12, rps, batching))
             .with_verify_backend(backend)
             .run()

@@ -1,8 +1,8 @@
 //! E20 harness core: churn + fault-storm event streams driven through
 //! the sharded incremental controller (ofpc-shard).
 //!
-//! The full experiment ([`expt`]) sustains ≥10⁵ admitted
-//! requests on a ≥100-site multi-region WAN; [`e20_mini`] is the same
+//! The full experiment (`expt`) sustains ≥10⁵ admitted
+//! requests on a ≥100-site multi-region WAN; `e20_mini` is the same
 //! machinery on a 12-site toy, pinned as a golden fixture and replayed
 //! across worker counts by the differential tests. Both share one
 //! runner, [`run_e20`], whose report contains no wall-clock material —
@@ -29,28 +29,28 @@ const TICK_PS: u64 = 1_000;
 /// Scenario parameters for an E20 run.
 #[derive(Debug, Clone)]
 pub struct E20Spec {
-    pub seed: u64,
-    pub regions: usize,
-    pub sites_per_region: usize,
+    pub(crate) seed: u64,
+    pub(crate) regions: usize,
+    pub(crate) sites_per_region: usize,
     /// Slots at every third node (the paper's partial-upgrade story).
-    pub slots_per_site: usize,
+    pub(crate) slots_per_site: usize,
     /// Total arrivals; departures trail FIFO once `max_live` is reached.
-    pub arrivals: usize,
+    pub(crate) arrivals: usize,
     pub max_live: usize,
     /// Fraction of demands whose dst is in another region (boundary).
-    pub cross_region_pct: f64,
+    pub(crate) cross_region_pct: f64,
     /// Correlated fault storm over the run, `None` = fault-free.
-    pub storm: Option<StormSpec>,
+    pub(crate) storm: Option<StormSpec>,
     /// Differential checkpoint cadence (clone + from-scratch re-solve +
     /// placement equality assert); 0 disables.
-    pub check_every: usize,
-    pub max_options: usize,
+    pub(crate) check_every: usize,
+    pub(crate) max_options: usize,
 }
 
 impl E20Spec {
     /// The headline instance: 120 sites in 12 regions (30× fig1),
     /// 115k arrivals under an 8-burst fault storm.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         E20Spec {
             seed: 20,
             regions: 12,
@@ -98,7 +98,7 @@ impl E20Spec {
         }
     }
 
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.regions * self.sites_per_region
     }
 }
@@ -106,26 +106,26 @@ impl E20Spec {
 /// Deterministic E20 results — everything a golden fixture may pin.
 #[derive(Debug, Serialize)]
 pub struct E20Report {
-    pub nodes: usize,
-    pub regions: usize,
-    pub slots_total: usize,
+    pub(crate) nodes: usize,
+    pub(crate) regions: usize,
+    pub(crate) slots_total: usize,
     pub arrivals: usize,
     pub admitted: usize,
     pub rejected: usize,
-    pub displaced: usize,
-    pub revived: usize,
-    pub replanned: usize,
-    pub fault_events: usize,
-    pub fault_batches: usize,
-    pub shard_resolves: usize,
-    pub boundary_reruns: usize,
-    pub boundary_demands_seen: usize,
+    pub(crate) displaced: usize,
+    pub(crate) revived: usize,
+    pub(crate) replanned: usize,
+    pub(crate) fault_events: usize,
+    pub(crate) fault_batches: usize,
+    pub(crate) shard_resolves: usize,
+    pub(crate) boundary_reruns: usize,
+    pub(crate) boundary_demands_seen: usize,
     pub final_live: usize,
     pub final_satisfied: usize,
-    pub final_objective: f64,
-    pub te_installs: usize,
-    pub te_overrides: usize,
-    pub te_unsatisfied: usize,
+    pub(crate) final_objective: f64,
+    pub(crate) te_installs: usize,
+    pub(crate) te_overrides: usize,
+    pub(crate) te_unsatisfied: usize,
     pub differential_checks: usize,
 }
 
@@ -310,7 +310,7 @@ pub fn run_e20(spec: &E20Spec, pool: &WorkerPool) -> (E20Report, Vec<u64>) {
 /// * bounded per-decision latency (p99 / max asserted in release);
 /// * periodic clone + from-scratch re-solves agree with the
 ///   incremental state exactly ([`E20Spec::check_every`]).
-pub fn expt(pool: &WorkerPool) -> String {
+pub(crate) fn expt(pool: &WorkerPool) -> String {
     let spec = E20Spec::full();
     println!(
         "E20: sharded incremental controller — {} sites / {} regions, {} arrivals, {} workers\n",
@@ -371,7 +371,7 @@ pub fn expt(pool: &WorkerPool) -> String {
 }
 
 /// Mini E20: the golden-fixture miniature (see [`E20Spec::mini`]).
-pub fn e20_mini(pool: &WorkerPool) -> String {
+pub(crate) fn e20_mini(pool: &WorkerPool) -> String {
     let (report, _) = run_e20(&E20Spec::mini(), pool);
     versioned_pretty(&report)
 }

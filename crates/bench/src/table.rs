@@ -7,14 +7,14 @@ use std::path::Path;
 
 /// A simple column-aligned results table.
 #[derive(Debug, Clone, Default)]
-pub struct Table {
-    pub title: String,
-    pub headers: Vec<String>,
-    pub rows: Vec<Vec<String>>,
+pub(crate) struct Table {
+    pub(crate) title: String,
+    pub(crate) headers: Vec<String>,
+    pub(crate) rows: Vec<Vec<String>>,
 }
 
 impl Table {
-    pub fn new(title: &str, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: &str, headers: &[&str]) -> Self {
         Table {
             title: title.to_string(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -23,7 +23,7 @@ impl Table {
     }
 
     /// Append a row; must match the header count.
-    pub fn row(&mut self, cells: &[String]) {
+    pub(crate) fn row(&mut self, cells: &[String]) {
         assert_eq!(
             cells.len(),
             self.headers.len(),
@@ -63,7 +63,7 @@ impl Table {
     }
 
     /// Print to stdout.
-    pub fn print(&self) {
+    pub(crate) fn print(&self) {
         println!("{}", self.render());
     }
 }

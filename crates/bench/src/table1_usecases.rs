@@ -36,7 +36,7 @@ struct UseCaseRow {
     verdict: String,
 }
 
-pub fn expt(_pool: &WorkerPool) -> String {
+pub(crate) fn expt(_pool: &WorkerPool) -> String {
     println!("E4: Table 1 — all use cases, photonic vs current compute location\n");
     let mut rows: Vec<UseCaseRow> = Vec::new();
     let mut t = Table::new(

@@ -185,12 +185,12 @@ struct E14Summary {
 
 /// E14: the E12 knee and the E13 fallback and cut, replayed with
 /// telemetry on and cross-checked against the reports.
-pub fn expt(pool: &WorkerPool) -> String {
+pub(crate) fn expt(pool: &WorkerPool) -> String {
     // --- E12 replay: instrumented twice (replay determinism) and once
     // bare (telemetry must not perturb the simulation). The three runs
     // are independent seeded scenarios, so they scatter across the pool;
     // validation happens on this thread from the gathered handles. ---
-    let mut e12 = pool.scatter_gather("e14-e12", vec![true, true, false], |_, instrument| {
+    let mut e12 = pool.scatter_gather(vec![true, true, false], |_, instrument| {
         let tel = instrument.then(Telemetry::enabled);
         let report = run(serving::runtime(serving::knee_rps(), true), tel.as_ref());
         (report, tel)
@@ -325,8 +325,8 @@ struct E14Mini {
 /// Runs the scenario twice through the pool (instrumented + bare) and
 /// asserts telemetry perturbed nothing before snapshotting. Verifies on
 /// the production `Vectorized` backend, like the E12 mini.
-pub fn e14_mini(pool: &WorkerPool) -> String {
-    let runs = pool.scatter_gather("e14-mini", vec![true, false], |_, instrument| {
+pub(crate) fn e14_mini(pool: &WorkerPool) -> String {
+    let runs = pool.scatter_gather(vec![true, false], |_, instrument| {
         let tel = instrument.then(Telemetry::enabled);
         let rt = under_outage(mini_config(14, 6e6, true), &mini_outage(), true)
             .with_verify_backend(KernelBackend::Vectorized);

@@ -15,10 +15,10 @@ pub struct DemandId(pub u32);
 
 /// A computation DAG: nodes are primitive tasks, edges are dependencies
 /// (`from` must execute before `to`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct TaskDag {
-    pub tasks: Vec<Primitive>,
-    pub edges: Vec<(usize, usize)>,
+    pub(crate) tasks: Vec<Primitive>,
+    pub(crate) edges: Vec<(usize, usize)>,
 }
 
 impl TaskDag {
@@ -36,17 +36,9 @@ impl TaskDag {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
     /// Topological order of task indices, or `None` if the graph has a
     /// cycle (an invalid demand).
-    pub fn topo_order(&self) -> Option<Vec<usize>> {
+    pub(crate) fn topo_order(&self) -> Option<Vec<usize>> {
         let n = self.tasks.len();
         let mut indegree = vec![0usize; n];
         for &(from, to) in &self.edges {
@@ -91,14 +83,12 @@ impl TaskDag {
 
 /// A user's compute demand: traffic from `src` to `dst` that needs the
 /// DAG's tasks executed in-network along the way.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Demand {
     pub id: DemandId,
     pub src: NodeId,
     pub dst: NodeId,
     pub dag: TaskDag,
-    /// Offered rate, requests/s (for utilization accounting).
-    pub rate_rps: f64,
 }
 
 impl Demand {
@@ -108,7 +98,6 @@ impl Demand {
             src,
             dst,
             dag,
-            rate_rps: 1.0,
         }
     }
 }
@@ -125,7 +114,7 @@ mod tests {
     fn chain_linearizes_in_order() {
         let dag = TaskDag::chain(vec![P1, P3, P2]);
         assert_eq!(dag.linearize().unwrap(), vec![P1, P3, P2]);
-        assert_eq!(dag.len(), 3);
+        assert_eq!(dag.tasks.len(), 3);
     }
 
     #[test]
@@ -168,7 +157,7 @@ mod tests {
     fn single_and_empty() {
         assert_eq!(TaskDag::single(P2).linearize().unwrap(), vec![P2]);
         let empty = TaskDag::chain(vec![]);
-        assert!(empty.is_empty());
+        assert!(empty.tasks.is_empty());
         assert_eq!(empty.topo_order().unwrap(), Vec::<usize>::new());
     }
 

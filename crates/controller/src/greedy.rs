@@ -9,7 +9,7 @@ use crate::options::ProblemInstance;
 use crate::Allocation;
 
 /// Greedy allocation report.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct GreedySolution {
     pub allocation: Allocation,
     pub score: f64,

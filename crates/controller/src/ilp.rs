@@ -14,7 +14,7 @@ use crate::options::ProblemInstance;
 use crate::{score, Allocation};
 
 /// Solver report: the best allocation plus search statistics.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ExactSolution {
     pub allocation: Allocation,
     pub score: f64,

@@ -34,19 +34,14 @@ pub mod protection;
 pub mod teupdate;
 
 pub use demand::{Demand, TaskDag};
-pub use ilp::solve_exact;
-pub use options::{
-    enumerate_options, enumerate_options_filtered, options_from_matrix, AllocOption,
-    ProblemInstance,
-};
-pub use protection::{
-    disjoint_pair, surviving_slots, ProtectionMode, RecoveryParams, RecoveryTimeline,
-};
-pub use teupdate::{build_plan_from_placements, ApplyReport};
+pub(crate) use options::ProblemInstance;
+pub use options::{enumerate_options, options_from_matrix, AllocOption};
+pub use protection::{RecoveryParams, RecoveryTimeline};
+pub use teupdate::build_plan_from_placements;
 
 /// An allocation: for each demand (by index), the chosen option index
 /// into its option list, or `None` if unsatisfied.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Allocation {
     pub choices: Vec<Option<usize>>,
 }

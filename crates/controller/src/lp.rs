@@ -28,12 +28,10 @@ const BIG: f64 = 1e9;
 #[derive(Debug, Clone)]
 pub struct LpSolution {
     /// Fractional assignment per demand per option.
-    pub fractional: Vec<Vec<f64>>,
+    pub(crate) fractional: Vec<Vec<f64>>,
     /// LP objective value — an upper bound on any integer allocation's
     /// score.
     pub upper_bound: f64,
-    /// Simplex pivots performed.
-    pub pivots: u64,
 }
 
 /// Solve the LP relaxation with a dense simplex.
@@ -55,7 +53,6 @@ pub fn solve_lp(instance: &ProblemInstance) -> LpSolution {
                 .map(|o| vec![0.0; o.len()])
                 .collect(),
             upper_bound: 0.0,
-            pivots: 0,
         };
     }
     // Constraints: one per demand with options, one per node with finite
@@ -168,7 +165,6 @@ pub fn solve_lp(instance: &ProblemInstance) -> LpSolution {
     LpSolution {
         fractional,
         upper_bound,
-        pivots,
     }
 }
 
@@ -340,7 +336,6 @@ mod tests {
         };
         let lp = solve_lp(&inst);
         assert_eq!(lp.upper_bound, 0.0);
-        assert_eq!(lp.pivots, 0);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub struct AllocOption {
 }
 
 /// A fully-enumerated allocation problem.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ProblemInstance {
     /// Transponder slots available at each node (indexed by NodeId).
     pub node_slots: Vec<usize>,
@@ -33,7 +33,7 @@ pub struct ProblemInstance {
 }
 
 impl ProblemInstance {
-    pub fn demand_count(&self) -> usize {
+    pub(crate) fn demand_count(&self) -> usize {
         self.options.len()
     }
 }

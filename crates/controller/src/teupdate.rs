@@ -29,9 +29,9 @@ pub struct InstallCmd {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteOverrideCmd {
     pub router: NodeId,
-    pub dst_prefix: Prefix,
-    pub primitive: Primitive,
-    pub via: NodeId,
+    pub(crate) dst_prefix: Prefix,
+    pub(crate) primitive: Primitive,
+    pub(crate) via: NodeId,
 }
 
 /// The full update set produced from one allocation round.
@@ -114,37 +114,32 @@ fn plan_from_placements(demands: &[Demand], placements: &[Option<&[NodeId]>]) ->
     plan
 }
 
-/// Why a plan command could not be applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ApplyError {
-    /// The command's target node does not exist in the topology.
-    NodeMissing(NodeId),
+/// One command that failed to apply, by kind and reason.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FailedCmd {
+    /// An install's target node does not exist in the topology.
+    InstallNodeMissing,
+    /// An override's `via` node does not exist in the topology.
+    OverrideNodeMissing,
     /// No router can reach the override's `via` over the surviving
     /// links, so the override landed nowhere.
-    ViaUnreachable(NodeId),
-}
-
-/// One command that failed to apply, with the reason.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FailedCmd {
-    Install(InstallCmd, ApplyError),
-    Override(RouteOverrideCmd, ApplyError),
+    OverrideViaUnreachable,
 }
 
 /// What [`apply_plan`] actually did — the controller inspects this
 /// instead of assuming every command landed.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct ApplyReport {
     /// Engine slots newly installed.
-    pub installed: usize,
+    pub(crate) installed: usize,
     /// Installs skipped because an identical slot (same node, op id,
     /// spec) already exists — re-applying a plan is a no-op, not a
     /// duplicate.
-    pub skipped_installs: usize,
+    pub(crate) skipped_installs: usize,
     /// Override commands that landed on at least one router.
-    pub overrides_installed: usize,
+    pub(crate) overrides_installed: usize,
     /// Commands that could not be applied, with reasons.
-    pub failed: Vec<FailedCmd>,
+    pub(crate) failed: Vec<FailedCmd>,
 }
 
 impl ApplyReport {
@@ -162,7 +157,7 @@ impl ApplyReport {
 /// exists is skipped, so re-applying a plan — e.g. the staged re-install
 /// after protection switching — never duplicates engines. Commands that
 /// cannot be applied (missing node, `via` unreachable over surviving
-/// links) are returned in [`ApplyReport::failed`] rather than silently
+/// links) are returned in `ApplyReport::failed` rather than silently
 /// dropped. Override path computation avoids downed links.
 pub fn apply_plan(
     net: &mut Network,
@@ -174,10 +169,7 @@ pub fn apply_plan(
     let node_count = net.topo.node_count();
     for install in &plan.installs {
         if install.node.0 as usize >= node_count {
-            report.failed.push(FailedCmd::Install(
-                install.clone(),
-                ApplyError::NodeMissing(install.node),
-            ));
+            report.failed.push(FailedCmd::InstallNodeMissing);
             continue;
         }
         let spec = op_specs(install.op_id, install.primitive);
@@ -203,10 +195,7 @@ pub fn apply_plan(
     // over the links still up.
     for ov in &plan.overrides {
         if ov.via.0 as usize >= node_count {
-            report.failed.push(FailedCmd::Override(
-                ov.clone(),
-                ApplyError::NodeMissing(ov.via),
-            ));
+            report.failed.push(FailedCmd::OverrideNodeMissing);
             continue;
         }
         let link_ok = |l: LinkId| net.link_is_up(l);
@@ -222,10 +211,7 @@ pub fn apply_plan(
             }
         }
         if first_links.is_empty() && node_count > 1 {
-            report.failed.push(FailedCmd::Override(
-                ov.clone(),
-                ApplyError::ViaUnreachable(ov.via),
-            ));
+            report.failed.push(FailedCmd::OverrideViaUnreachable);
             continue;
         }
         for (router, first_link) in first_links {
@@ -401,14 +387,12 @@ mod tests {
         assert!(!report.fully_applied());
         assert_eq!(report.installed, 0);
         assert_eq!(report.overrides_installed, 0);
-        assert_eq!(report.failed.len(), 2);
         assert!(matches!(
-            report.failed[0],
-            FailedCmd::Install(_, ApplyError::NodeMissing(NodeId(99)))
-        ));
-        assert!(matches!(
-            report.failed[1],
-            FailedCmd::Override(_, ApplyError::NodeMissing(NodeId(42)))
+            report.failed[..],
+            [
+                FailedCmd::InstallNodeMissing,
+                FailedCmd::OverrideNodeMissing
+            ]
         ));
     }
 
@@ -438,7 +422,7 @@ mod tests {
         assert_eq!(report.overrides_installed, 0);
         assert!(matches!(
             report.failed[..],
-            [FailedCmd::Override(_, ApplyError::ViaUnreachable(v))] if v == b
+            [FailedCmd::OverrideViaUnreachable]
         ));
     }
 

@@ -16,7 +16,7 @@ use ofpc_net::{NodeId, Topology};
 use serde::Serialize;
 
 /// One point of the deployment sweep.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DeploymentPoint {
     /// Sites upgraded.
     pub upgraded_sites: usize,

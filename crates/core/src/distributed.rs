@@ -18,14 +18,12 @@ use ofpc_net::sim::{Network, OpSpec};
 use ofpc_net::{NodeId, Prefix};
 
 /// The plan for one distributed dot product.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct DistributedDot {
     /// `(site, op_id, offset, part_len)` per part, in execution order.
     pub parts: Vec<(NodeId, u16, usize, usize)>,
     /// The op id end hosts put in the PCH (the first part's id).
     pub entry_op: u16,
-    /// Total operand length.
-    pub operand_len: usize,
 }
 
 /// Split `weights` into `parts.len()` contiguous chunks, one per site
@@ -108,7 +106,6 @@ pub fn install_distributed_dot(
     DistributedDot {
         parts,
         entry_op: base_op,
-        operand_len: weights.len(),
     }
 }
 

@@ -39,7 +39,7 @@ use ofpc_photonics::SimRng;
 use std::collections::HashMap;
 
 /// Which allocation solver the controller runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum Solver {
     /// Exact branch and bound (node budget bounded).
     Exact { node_budget: u64 },
@@ -61,7 +61,7 @@ pub struct OnFiberNetwork {
     /// Operation semantics per (demand id, primitive wire id).
     op_specs: HashMap<(u16, u8), OpSpec>,
     /// Analog noise applied to in-flight results.
-    pub engine_noise_sigma: f64,
+    pub(crate) engine_noise_sigma: f64,
     rng: SimRng,
     /// The last applied update plan (for inspection).
     pub last_plan: Option<UpdatePlan>,
@@ -109,11 +109,6 @@ impl OnFiberNetwork {
             "unknown node {node:?}"
         );
         self.slots[node.0 as usize] += count;
-    }
-
-    /// Total upgraded slots across the WAN.
-    pub fn total_slots(&self) -> usize {
-        self.slots.iter().sum()
     }
 
     /// Slots per node (the controller's capacity vector).
@@ -184,10 +179,6 @@ impl OnFiberNetwork {
             self.op_specs.insert(key, specs[0].clone());
         }
         self.demands.push(demand);
-    }
-
-    pub fn demand_count(&self) -> usize {
-        self.demands.len()
     }
 
     /// Run the controller: enumerate options, solve, build the plan, and
@@ -261,11 +252,6 @@ impl OnFiberNetwork {
         self.last_plan = Some(plan);
         self.last_plan.as_ref().expect("just set")
     }
-
-    /// Direct access to a registered demand.
-    pub fn demand(&self, idx: usize) -> &Demand {
-        &self.demands[idx]
-    }
 }
 
 #[cfg(test)]
@@ -288,9 +274,9 @@ mod tests {
     #[test]
     fn upgrade_accounting() {
         let mut sys = fig1_system();
-        assert_eq!(sys.total_slots(), 2);
+        assert_eq!(sys.slots().iter().sum::<usize>(), 2);
         sys.upgrade_site(NodeId(1), 3);
-        assert_eq!(sys.total_slots(), 5);
+        assert_eq!(sys.slots().iter().sum::<usize>(), 5);
         assert_eq!(sys.slots(), &[0, 4, 1, 0]);
     }
 

@@ -4,15 +4,14 @@ use ofpc_net::sim::Network;
 
 /// One experiment run's summary — what EXPERIMENTS.md tables are built
 /// from. All latencies in milliseconds, energies in joules.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct SystemReport {
-    pub delivered: usize,
-    pub computed: usize,
-    pub drops: u64,
+    pub(crate) delivered: usize,
+    pub(crate) computed: usize,
+    pub(crate) drops: u64,
     pub mean_latency_ms: f64,
-    pub p50_latency_ms: f64,
+    pub(crate) p50_latency_ms: f64,
     pub p99_latency_ms: f64,
-    pub goodput_bps: f64,
     /// Total in-flight compute energy across all engines.
     pub engine_energy_j: f64,
     /// Total MACs executed by engines.
@@ -37,7 +36,6 @@ impl SystemReport {
             mean_latency_ms: net.stats.mean_latency_ms().unwrap_or(f64::NAN),
             p50_latency_ms: net.stats.latency_percentile_ms(0.5).unwrap_or(f64::NAN),
             p99_latency_ms: net.stats.latency_percentile_ms(0.99).unwrap_or(f64::NAN),
-            goodput_bps: net.stats.goodput_bps(),
             engine_energy_j,
             engine_macs,
         }

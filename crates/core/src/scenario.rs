@@ -31,14 +31,12 @@ pub(crate) const OP_RECOGNIZE: u16 = 2;
 #[derive(Debug)]
 pub struct Fig1Scenario {
     pub system: OnFiberNetwork,
-    pub site_a: NodeId,
-    pub site_b: NodeId,
-    pub site_c: NodeId,
-    pub site_d: NodeId,
+    pub(crate) site_a: NodeId,
+    pub(crate) site_b: NodeId,
+    pub(crate) site_c: NodeId,
+    pub(crate) site_d: NodeId,
     /// The classification pattern installed at B.
-    pub classify_pattern: Vec<bool>,
-    /// The recognition weights installed at C.
-    pub recognize_weights: Vec<f64>,
+    pub(crate) classify_pattern: Vec<bool>,
 }
 
 impl Fig1Scenario {
@@ -98,7 +96,6 @@ impl Fig1Scenario {
             site_c,
             site_d,
             classify_pattern,
-            recognize_weights,
         }
     }
 

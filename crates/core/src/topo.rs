@@ -19,15 +19,15 @@ use ofpc_photonics::SimRng;
 #[derive(Debug, Clone)]
 pub struct MultiRegionSpec {
     /// Number of metro regions (≥ 2).
-    pub regions: usize,
+    pub(crate) regions: usize,
     /// Nodes per region (≥ 2).
-    pub sites_per_region: usize,
+    pub(crate) sites_per_region: usize,
     /// Side of each region's square scatter area, km.
-    pub region_side_km: f64,
+    pub(crate) region_side_km: f64,
     /// Geometric-graph connection radius inside a region, km.
-    pub region_radius_km: f64,
+    pub(crate) region_radius_km: f64,
     /// Long-haul backbone link length between adjacent gateways, km.
-    pub backbone_km: f64,
+    pub(crate) backbone_km: f64,
 }
 
 impl MultiRegionSpec {
@@ -43,7 +43,7 @@ impl MultiRegionSpec {
         }
     }
 
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.regions * self.sites_per_region
     }
 }

@@ -24,14 +24,14 @@ use ofpc_serve::ServiceModel;
 use ofpc_transponder::compute::ComputeTransponderConfig;
 
 /// A DAC entry from the survey table.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CatalogDac {
-    pub name: &'static str,
-    pub provenance: &'static str,
-    pub bits: u32,
-    pub sample_rate_hz: f64,
-    pub power_w: f64,
-    pub area_mm2: f64,
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CatalogDac {
+    pub(crate) name: &'static str,
+    pub(crate) provenance: &'static str,
+    pub(crate) bits: u32,
+    pub(crate) sample_rate_hz: f64,
+    pub(crate) power_w: f64,
+    pub(crate) area_mm2: f64,
 }
 
 impl HardwarePart for CatalogDac {
@@ -59,14 +59,14 @@ impl DacPart for CatalogDac {
 }
 
 /// An ADC entry from the survey table.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CatalogAdc {
-    pub name: &'static str,
-    pub provenance: &'static str,
-    pub bits: u32,
-    pub sample_rate_hz: f64,
-    pub power_w: f64,
-    pub area_mm2: f64,
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CatalogAdc {
+    pub(crate) name: &'static str,
+    pub(crate) provenance: &'static str,
+    pub(crate) bits: u32,
+    pub(crate) sample_rate_hz: f64,
+    pub(crate) power_w: f64,
+    pub(crate) area_mm2: f64,
 }
 
 impl HardwarePart for CatalogAdc {
@@ -149,7 +149,7 @@ pub(crate) const ADC_8B_5G: CatalogAdc = CatalogAdc {
 
 /// The repo's realistic silicon-photonic MZM as a catalog part (power
 /// and area from the form-factor block table).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct CatalogModulator;
 
 impl HardwarePart for CatalogModulator {
@@ -175,7 +175,7 @@ impl ModulatorPart for CatalogModulator {
 }
 
 /// The repo's realistic 13 dBm DFB laser as a catalog part.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct CatalogLaser;
 
 impl HardwarePart for CatalogLaser {
@@ -223,7 +223,7 @@ impl ConverterChoice {
 
     /// Stable catalog name (doubles as the variant name in lowered
     /// plans, telemetry, and the E17 JSON).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ConverterChoice::Cv12bFast => "cv-12b-fast",
             ConverterChoice::Cv8bFast => "cv-8b-fast",
@@ -231,7 +231,7 @@ impl ConverterChoice {
         }
     }
 
-    pub fn dac(self) -> CatalogDac {
+    pub(crate) fn dac(self) -> CatalogDac {
         match self {
             ConverterChoice::Cv12bFast => DAC_12B_14G,
             ConverterChoice::Cv8bFast => DAC_8B_14G,
@@ -239,7 +239,7 @@ impl ConverterChoice {
         }
     }
 
-    pub fn adc(self) -> CatalogAdc {
+    pub(crate) fn adc(self) -> CatalogAdc {
         match self {
             ConverterChoice::Cv12bFast | ConverterChoice::Cv8bFast => ADC_8B_10G,
             ConverterChoice::Cv8bEco => ADC_8B_5G,

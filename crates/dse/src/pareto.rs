@@ -11,7 +11,7 @@
 use serde::Serialize;
 
 /// One evaluated point of the design space.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DesignPoint {
     /// Table-1 app name (`"dnn"`, `"correlation"`, `"pattern-match"`).
     pub app: String,
@@ -26,14 +26,14 @@ pub struct DesignPoint {
     /// Makespan of the request batch over the plan, ps.
     pub latency_ps: u64,
     /// One-time plan-install (weight write) charge, ps.
-    pub install_ps: u64,
+    pub(crate) install_ps: u64,
     /// Weakest photonic stage's predicted effective bits; 16.0 for
     /// all-digital plans (digital is exact at modeled precision).
     pub effective_bits: f64,
-    pub photonic_stages: usize,
-    pub digital_stages: usize,
+    pub(crate) photonic_stages: usize,
+    pub(crate) digital_stages: usize,
     /// Distinct hardware variants the lowerer bound, first-use order.
-    pub variants_used: Vec<String>,
+    pub(crate) variants_used: Vec<String>,
     /// Module totals from the form-factor budget (catalog parts swapped
     /// into the Fig.-4 block set).
     pub module_power_w: f64,

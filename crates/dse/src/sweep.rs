@@ -23,7 +23,7 @@ use ofpc_photonics::SimRng;
 use ofpc_transponder::energy::{check_budget, compute_blocks_with, FormFactor};
 
 /// A Table-1 application family, parameterized by core size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum App {
     /// MLP inference: hidden layers need 3.5 bits, the output layer
     /// 7.2 — the spread that forces per-stage variant escalation.
@@ -35,7 +35,7 @@ pub enum App {
 }
 
 impl App {
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             App::Dnn => "dnn",
             App::Correlation => "correlation",
@@ -70,9 +70,9 @@ pub struct SweepSpec {
     pub core_sizes: Vec<usize>,
     pub wavelength_counts: Vec<usize>,
     /// Requests per batch when computing the makespan axis.
-    pub requests: usize,
+    pub(crate) requests: usize,
     /// Base seed; per-point seeds are split deterministically.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl SweepSpec {
@@ -104,7 +104,7 @@ impl SweepSpec {
 
     /// The grid in canonical nested order (apps outermost, wavelengths
     /// innermost) — the order results come back in.
-    pub fn grid(&self) -> Vec<(App, ConverterChoice, usize, usize)> {
+    pub(crate) fn grid(&self) -> Vec<(App, ConverterChoice, usize, usize)> {
         let mut g = Vec::new();
         for &app in &self.apps {
             for &conv in &self.converters {
@@ -178,7 +178,7 @@ fn evaluate_point(
 }
 
 /// Run the sweep across `pool` and mark the per-app Pareto frontier.
-/// Results come back in [`SweepSpec::grid`] order for every worker
+/// Results come back in `SweepSpec::grid` order for every worker
 /// count — the byte-identity contract `tests/dse.rs` pins.
 pub fn run_sweep(pool: &WorkerPool, spec: &SweepSpec) -> Vec<DesignPoint> {
     let requests = spec.requests;

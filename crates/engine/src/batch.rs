@@ -49,7 +49,7 @@ pub enum KernelSpec {
 }
 
 /// The result of one [`KernelSpec`], mirroring its variant.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub enum KernelOutput {
     Vector(Vec<f64>),
     Hits(Vec<CorrelationHit>),
@@ -61,13 +61,13 @@ pub enum KernelOutput {
 #[derive(Debug)]
 pub struct BatchEngine {
     /// Root seed; task `i` runs from `split_seed(base_seed, i)`.
-    pub base_seed: u64,
+    pub(crate) base_seed: u64,
     /// P1 device config used by the MVM kernels.
-    pub dot_config: DotUnitConfig,
+    pub(crate) dot_config: DotUnitConfig,
     /// P2 device config used by the correlator/matcher kernels.
-    pub matcher_config: MatcherConfig,
+    pub(crate) matcher_config: MatcherConfig,
     /// Calibration symbols per freshly built unit.
-    pub calibration_symbols: usize,
+    pub(crate) calibration_symbols: usize,
 }
 
 impl BatchEngine {
@@ -77,16 +77,6 @@ impl BatchEngine {
             base_seed,
             dot_config: DotUnitConfig::realistic(),
             matcher_config: MatcherConfig::realistic(),
-            calibration_symbols: 128,
-        }
-    }
-
-    /// Ideal device models (algebra validation).
-    pub fn ideal(base_seed: u64) -> Self {
-        BatchEngine {
-            base_seed,
-            dot_config: DotUnitConfig::ideal(),
-            matcher_config: MatcherConfig::ideal(),
             calibration_symbols: 128,
         }
     }
@@ -103,7 +93,7 @@ impl BatchEngine {
 
     /// Execute `batch` across the pool, outputs in submission order.
     pub fn execute(&self, pool: &WorkerPool, batch: Vec<KernelSpec>) -> Vec<KernelOutput> {
-        pool.scatter_gather("engine-batch", batch, |i, spec| self.run_one(i, spec))
+        pool.scatter_gather(batch, |i, spec| self.run_one(i, spec))
     }
 
     /// Run task `i` from its split seed — the sequential reference the
@@ -198,7 +188,12 @@ mod tests {
 
     #[test]
     fn results_are_numerically_sane() {
-        let engine = BatchEngine::ideal(7);
+        let engine = BatchEngine {
+            base_seed: 7,
+            dot_config: DotUnitConfig::ideal(),
+            matcher_config: MatcherConfig::ideal(),
+            calibration_symbols: 128,
+        };
         let pool = WorkerPool::new(2);
         let out = engine.execute(&pool, mixed_batch());
         match &out[0] {

@@ -8,7 +8,6 @@
 //! **sign** is the comparison result. No ADC is needed for the decision —
 //! a single comparator latch reads the sign.
 
-use ofpc_photonics::energy::EnergyLedger;
 use ofpc_photonics::laser::{Laser, LaserConfig};
 use ofpc_photonics::modulator::{MachZehnderModulator, MzmConfig};
 use ofpc_photonics::photodetector::{Photodetector, PhotodetectorConfig};
@@ -18,15 +17,15 @@ use ofpc_photonics::SimRng;
 /// Configuration of a photonic comparator.
 #[derive(Debug, Clone)]
 pub struct ComparatorConfig {
-    pub laser: LaserConfig,
-    pub mzm_a: MzmConfig,
-    pub mzm_b: MzmConfig,
-    pub pd_a: PhotodetectorConfig,
-    pub pd_b: PhotodetectorConfig,
-    pub sample_rate_hz: f64,
+    pub(crate) laser: LaserConfig,
+    pub(crate) mzm_a: MzmConfig,
+    pub(crate) mzm_b: MzmConfig,
+    pub(crate) pd_a: PhotodetectorConfig,
+    pub(crate) pd_b: PhotodetectorConfig,
+    pub(crate) sample_rate_hz: f64,
     /// Number of symbol slots integrated per comparison (longer = less
     /// noise, more latency).
-    pub integration_symbols: usize,
+    pub(crate) integration_symbols: usize,
     /// Dead zone: |difference| below this fraction of full scale reports
     /// [`Comparison::TooClose`] instead of a possibly-noisy sign.
     pub dead_zone: f64,
@@ -50,23 +49,10 @@ impl ComparatorConfig {
             dead_zone: 0.0,
         }
     }
-
-    pub fn realistic() -> Self {
-        ComparatorConfig {
-            laser: LaserConfig::default(),
-            mzm_a: MzmConfig::default(),
-            mzm_b: MzmConfig::default(),
-            pd_a: PhotodetectorConfig::default(),
-            pd_b: PhotodetectorConfig::default(),
-            sample_rate_hz: 32e9,
-            integration_symbols: 8,
-            dead_zone: 0.02,
-        }
-    }
 }
 
 /// Outcome of a photonic comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Comparison {
     /// `a > b` with margin.
     AGreater,
@@ -79,13 +65,13 @@ pub enum Comparison {
 /// A balanced-photodetector comparator.
 #[derive(Debug, Clone)]
 pub struct PhotonicComparator {
-    pub config: ComparatorConfig,
+    pub(crate) config: ComparatorConfig,
     laser: Laser,
     mzm_a: MachZehnderModulator,
     mzm_b: MachZehnderModulator,
     pd_a: Photodetector,
     pd_b: Photodetector,
-    pub comparisons: u64,
+    pub(crate) comparisons: u64,
 }
 
 impl PhotonicComparator {
@@ -138,43 +124,25 @@ impl PhotonicComparator {
             Comparison::BGreater
         }
     }
-
-    /// Find the index of the maximum of `values` by a single-elimination
-    /// tournament of pairwise comparisons (ties broken toward the lower
-    /// index). This is the photonic "argmin queue-depth" kernel of the
-    /// load-balancing use case.
-    pub fn argmax(&mut self, values: &[f64]) -> usize {
-        assert!(!values.is_empty(), "argmax of empty slice");
-        let mut best = 0;
-        for i in 1..values.len() {
-            if self.compare(values[i], values[best]) == Comparison::AGreater {
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// Latency of one comparison, seconds.
-    pub fn latency_s(&self) -> f64 {
-        self.config.integration_symbols as f64 * 2.0 / self.config.sample_rate_hz + 1e-9
-    }
-
-    pub fn energy_ledger(&self) -> EnergyLedger {
-        let mut ledger = EnergyLedger::new();
-        let secs = self.comparisons as f64 * 2.0 * self.config.integration_symbols as f64
-            / self.config.sample_rate_hz;
-        ledger.add("laser", self.laser.config.wall_plug_w * secs);
-        ledger.add("mzm-a", self.mzm_a.energy_consumed_j());
-        ledger.add("mzm-b", self.mzm_b.energy_consumed_j());
-        ledger.add("pd-a", self.pd_a.energy_consumed_j());
-        ledger.add("pd-b", self.pd_b.energy_consumed_j());
-        ledger
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Default devices with an 8-symbol integration window.
+    fn realistic() -> ComparatorConfig {
+        ComparatorConfig {
+            laser: LaserConfig::default(),
+            mzm_a: MzmConfig::default(),
+            mzm_b: MzmConfig::default(),
+            pd_a: PhotodetectorConfig::default(),
+            pd_b: PhotodetectorConfig::default(),
+            sample_rate_hz: 32e9,
+            integration_symbols: 8,
+            dead_zone: 0.02,
+        }
+    }
 
     #[test]
     fn clear_differences_are_decided() {
@@ -201,7 +169,7 @@ mod tests {
     #[test]
     fn noisy_comparator_resolves_clear_margins() {
         let mut rng = SimRng::seed_from_u64(2);
-        let mut c = PhotonicComparator::new(ComparatorConfig::realistic(), &mut rng);
+        let mut c = PhotonicComparator::new(realistic(), &mut rng);
         let mut correct = 0;
         let trials = 100;
         for i in 0..trials {
@@ -219,33 +187,11 @@ mod tests {
     }
 
     #[test]
-    fn argmax_finds_the_maximum() {
-        let mut c = PhotonicComparator::ideal();
-        let values = [0.2, 0.9, 0.4, 0.7, 0.1];
-        assert_eq!(c.argmax(&values), 1);
-        assert_eq!(c.argmax(&[0.5]), 0);
-    }
-
-    #[test]
-    fn argmax_prefers_lower_index_on_ties() {
-        let mut c = PhotonicComparator::ideal();
-        assert_eq!(c.argmax(&[0.5, 0.5, 0.5]), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn argmax_rejects_empty() {
-        PhotonicComparator::ideal().argmax(&[]);
-    }
-
-    #[test]
-    fn comparison_count_and_energy() {
+    fn comparisons_are_counted() {
         let mut rng = SimRng::seed_from_u64(3);
-        let mut c = PhotonicComparator::new(ComparatorConfig::realistic(), &mut rng);
+        let mut c = PhotonicComparator::new(realistic(), &mut rng);
         c.compare(0.1, 0.9);
         c.compare(0.9, 0.1);
         assert_eq!(c.comparisons, 2);
-        assert!(c.energy_ledger().total_j() > 0.0);
-        assert!(c.latency_s() > 0.0);
     }
 }

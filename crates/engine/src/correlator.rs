@@ -12,14 +12,14 @@ use crate::matcher::{MatcherConfig, PatternMatcher};
 use ofpc_photonics::SimRng;
 
 /// A match hit produced by the correlator.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, serde::Serialize)]
 pub struct CorrelationHit {
     /// Bit offset in the stream where the pattern aligns.
     pub offset: usize,
     /// Index of the matched pattern in the signature set.
     pub pattern_index: usize,
     /// Analog distance estimate at the hit.
-    pub distance: f64,
+    pub(crate) distance: f64,
 }
 
 /// A photonic sliding correlator over a signature set.
@@ -28,9 +28,9 @@ pub struct Correlator {
     matcher: PatternMatcher,
     signatures: Vec<Vec<bool>>,
     /// Maximum Hamming distance still reported as a hit.
-    pub tolerance: f64,
+    pub(crate) tolerance: f64,
     /// Stride in bits between alignments (8 = byte-aligned signatures).
-    pub stride: usize,
+    pub(crate) stride: usize,
 }
 
 impl Correlator {
@@ -64,18 +64,6 @@ impl Correlator {
             tolerance: tolerance.max(0.0),
             stride,
         }
-    }
-
-    /// Ideal-hardware correlator (for algorithmic tests).
-    pub fn ideal(signatures: Vec<Vec<bool>>, tolerance: f64, stride: usize) -> Self {
-        let mut rng = SimRng::seed_from_u64(0);
-        Correlator::new(
-            MatcherConfig::ideal(),
-            signatures,
-            tolerance,
-            stride,
-            &mut rng,
-        )
     }
 
     /// Scan a bit stream, returning all hits across all signatures.
@@ -135,6 +123,18 @@ pub fn bytes_to_bits(bytes: &[u8]) -> Vec<bool> {
 mod tests {
     use super::*;
 
+    /// Ideal-hardware correlator (for algorithmic tests).
+    fn ideal(signatures: Vec<Vec<bool>>, tolerance: f64, stride: usize) -> Correlator {
+        let mut rng = SimRng::seed_from_u64(0);
+        Correlator::new(
+            MatcherConfig::ideal(),
+            signatures,
+            tolerance,
+            stride,
+            &mut rng,
+        )
+    }
+
     #[test]
     fn bytes_to_bits_msb_first() {
         assert_eq!(
@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn finds_planted_signature() {
         let sig = bytes_to_bits(b"EVIL");
-        let mut c = Correlator::ideal(vec![sig.clone()], 0.0, 8);
+        let mut c = ideal(vec![sig.clone()], 0.0, 8);
         let stream = bytes_to_bits(b"xxxxEVILyyyy");
         let hits = c.scan(&stream);
         assert_eq!(hits.len(), 1);
@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn clean_stream_has_no_hits() {
         let sig = bytes_to_bits(b"EVIL");
-        let mut c = Correlator::ideal(vec![sig], 0.0, 8);
+        let mut c = ideal(vec![sig], 0.0, 8);
         let hits = c.scan(&bytes_to_bits(b"perfectly benign payload"));
         assert!(hits.is_empty(), "{hits:?}");
     }
@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn multiple_signatures_and_occurrences() {
         let sigs = vec![bytes_to_bits(b"AB"), bytes_to_bits(b"CD")];
-        let mut c = Correlator::ideal(sigs, 0.0, 8);
+        let mut c = ideal(sigs, 0.0, 8);
         let hits = c.scan(&bytes_to_bits(b"ABxCDxAB"));
         let found: Vec<(usize, usize)> = hits.iter().map(|h| (h.offset, h.pattern_index)).collect();
         assert_eq!(found, vec![(0, 0), (24, 1), (48, 0)]);
@@ -179,9 +179,9 @@ mod tests {
         let mut stream = bytes_to_bits(b"...MALWARE!...");
         stream[3 * 8 + 5] = !stream[3 * 8 + 5];
         stream[3 * 8 + 13] = !stream[3 * 8 + 13];
-        let mut exact = Correlator::ideal(vec![sig.clone()], 0.0, 8);
+        let mut exact = ideal(vec![sig.clone()], 0.0, 8);
         assert!(exact.scan(&stream).is_empty());
-        let mut fuzzy = Correlator::ideal(vec![sig], 2.0, 8);
+        let mut fuzzy = ideal(vec![sig], 2.0, 8);
         let hits = fuzzy.scan(&stream);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].offset, 24);
@@ -195,9 +195,9 @@ mod tests {
         let mut stream = vec![false; 3];
         stream.extend(bytes_to_bits(b"XY"));
         stream.extend(vec![false; 5]);
-        let mut byte_aligned = Correlator::ideal(vec![sig.clone()], 0.0, 8);
+        let mut byte_aligned = ideal(vec![sig.clone()], 0.0, 8);
         assert!(byte_aligned.scan(&stream).is_empty());
-        let mut bit_aligned = Correlator::ideal(vec![sig], 0.0, 1);
+        let mut bit_aligned = ideal(vec![sig], 0.0, 1);
         let hits = bit_aligned.scan(&stream);
         assert!(hits.iter().any(|h| h.offset == 3), "{hits:?}");
     }
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn pattern_longer_than_stream_is_skipped() {
         let sig = bytes_to_bits(b"LONGPATTERN");
-        let mut c = Correlator::ideal(vec![sig], 0.0, 8);
+        let mut c = ideal(vec![sig], 0.0, 8);
         assert!(c.scan(&bytes_to_bits(b"hi")).is_empty());
         assert_eq!(c.scan_latency_s(16), 0.0);
     }
@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn latency_scales_with_stream_and_signatures() {
         let sigs = vec![bytes_to_bits(b"AAAA"), bytes_to_bits(b"BBBB")];
-        let c = Correlator::ideal(sigs, 0.0, 8);
+        let c = ideal(sigs, 0.0, 8);
         let short = c.scan_latency_s(256);
         let long = c.scan_latency_s(2560);
         assert!(long > 5.0 * short);
@@ -222,6 +222,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one signature")]
     fn rejects_empty_signature_set() {
-        Correlator::ideal(vec![], 0.0, 8);
+        ideal(vec![], 0.0, 8);
     }
 }

@@ -27,7 +27,7 @@ use crate::nonlinear::NonlinearUnit;
 use ofpc_photonics::SimRng;
 
 /// One fully-connected layer, row-major weights: `weights[out][in]`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct DenseLayer {
     pub weights: Vec<Vec<f64>>,
     pub bias: Vec<f64>,
@@ -73,7 +73,7 @@ pub fn interp_curve(curve: &[(f64, f64)], x: f64) -> f64 {
 
 /// A multi-layer perceptron (weights live in the digital domain; the
 /// photonic engine executes them).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     pub layers: Vec<DenseLayer>,
 }
@@ -158,7 +158,7 @@ pub struct PhotonicDnn {
     act_scales: Vec<f64>,
     engine: PhotonicMatVec,
     activation: NonlinearUnit,
-    pub inferences: u64,
+    pub(crate) inferences: u64,
 }
 
 impl PhotonicDnn {

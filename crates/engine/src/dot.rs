@@ -31,8 +31,8 @@ use ofpc_photonics::SimRng;
 pub use ofpc_photonics::simd::KernelBackend;
 
 /// Where the `a` operand comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OperandSource {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum OperandSource {
     /// `a` is digital and must be DAC-converted (conventional photonic
     /// accelerator, e.g. Lightning).
     Digital,
@@ -50,13 +50,13 @@ pub struct DotUnitConfig {
     pub mzm_b: MzmConfig,
     pub pd: PhotodetectorConfig,
     /// DAC used per vector element (weights always; data unless on-fiber).
-    pub dac: ConverterConfig,
+    pub(crate) dac: ConverterConfig,
     /// ADC used once per dot-product readout.
-    pub adc: ConverterConfig,
+    pub(crate) adc: ConverterConfig,
     /// Symbol rate: vector elements per second through the unit.
-    pub sample_rate_hz: f64,
+    pub(crate) sample_rate_hz: f64,
     /// Source of the `a` operand (see [`OperandSource`]).
-    pub source: OperandSource,
+    pub(crate) source: OperandSource,
     /// Which kernel implementation executes the physical pass.
     ///
     /// `Scalar` (the default) is the reference device-by-device walk and
@@ -147,7 +147,7 @@ pub(crate) struct PrecodedOperand {
 
 impl PrecodedOperand {
     /// Number of vector elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.t2.len()
     }
 }
@@ -165,9 +165,9 @@ pub struct DotProductUnit {
     calibration: Option<DotCalibration>,
     scratch: VecScratch,
     /// Total scalar multiply-accumulates performed.
-    pub macs_performed: u64,
+    pub(crate) macs_performed: u64,
     /// Dot products (readouts) performed.
-    pub readouts: u64,
+    pub(crate) readouts: u64,
 }
 
 impl DotProductUnit {
@@ -195,11 +195,6 @@ impl DotProductUnit {
         unit
     }
 
-    /// Whether the unit has been calibrated.
-    pub fn is_calibrated(&self) -> bool {
-        self.calibration.is_some()
-    }
-
     /// Run the calibration procedure: measure the photocurrent for a
     /// unit-product vector (all ones) and for a dark vector, storing the
     /// gain and offset that map integrated charge back to value. This is
@@ -225,10 +220,6 @@ impl DotProductUnit {
     /// ablation experiments).
     pub fn set_calibration(&mut self, cal: DotCalibration) {
         self.calibration = Some(cal);
-    }
-
-    pub fn calibration(&self) -> Option<&DotCalibration> {
-        self.calibration.as_ref()
     }
 
     /// One physical pass: quantize, modulate, detect, integrate.
@@ -597,12 +588,12 @@ impl DotProductUnit {
     /// Latency of one n-element dot product, seconds: the block occupies
     /// `n` symbol slots plus a fixed analog front-end latency (~1 ns for
     /// modulator + detector + readout).
-    pub fn latency_s(&self, n: usize) -> f64 {
+    pub(crate) fn latency_s(&self, n: usize) -> f64 {
         n as f64 / self.config.sample_rate_hz + 1e-9
     }
 
     /// Energy ledger over everything this unit has done so far.
-    pub fn energy_ledger(&self) -> EnergyLedger {
+    pub(crate) fn energy_ledger(&self) -> EnergyLedger {
         let mut ledger = EnergyLedger::new();
         ledger.add(
             "laser",
@@ -619,14 +610,6 @@ impl DotProductUnit {
     /// Seconds of optical signal processed.
     fn seconds_active(&self) -> f64 {
         self.macs_performed as f64 / self.config.sample_rate_hz
-    }
-
-    /// Energy per MAC achieved so far, J (total ledger / MACs).
-    pub fn energy_per_mac_j(&self) -> f64 {
-        if self.macs_performed == 0 {
-            return 0.0;
-        }
-        self.energy_ledger().total_j() / self.macs_performed as f64
     }
 }
 
@@ -754,21 +737,6 @@ mod tests {
             e_digital > 1.5 * e_fiber,
             "digital DAC energy {e_digital} should dwarf on-fiber {e_fiber}"
         );
-    }
-
-    #[test]
-    fn energy_per_mac_is_reported() {
-        let mut unit = DotProductUnit::ideal();
-        let _ = unit.dot_nonneg(&[0.5; 32], &[0.5; 32]);
-        // Ideal config has zero device energies.
-        assert_eq!(unit.energy_per_mac_j(), 0.0);
-        assert_eq!(unit.macs_performed, 32);
-
-        let mut rng = SimRng::seed_from_u64(5);
-        let mut real = DotProductUnit::new(DotUnitConfig::realistic(), &mut rng);
-        real.calibrate(64);
-        let _ = real.dot_nonneg(&[0.5; 32], &[0.5; 32]);
-        assert!(real.energy_per_mac_j() > 0.0);
     }
 
     #[test]

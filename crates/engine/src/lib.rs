@@ -39,11 +39,6 @@ pub mod nonlinear;
 pub mod precision;
 pub mod ternary;
 
-pub use dnn::PhotonicDnn;
-pub use dot::DotProductUnit;
-pub use matcher::PatternMatcher;
-pub use nonlinear::NonlinearUnit;
-
 /// The three photonic computing primitive classes of the paper's §2.1.
 /// Carried in the compute-communication protocol header (`ofpc-net`) and
 /// used by the controller to describe transponder capabilities.

@@ -25,16 +25,16 @@ use ofpc_photonics::SimRng;
 /// Configuration of a P2 pattern-matching unit.
 #[derive(Debug, Clone)]
 pub struct MatcherConfig {
-    pub laser: LaserConfig,
-    pub pm_data: PhaseModulatorConfig,
-    pub pm_pattern: PhaseModulatorConfig,
-    pub pd: PhotodetectorConfig,
+    pub(crate) laser: LaserConfig,
+    pub(crate) pm_data: PhaseModulatorConfig,
+    pub(crate) pm_pattern: PhaseModulatorConfig,
+    pub(crate) pd: PhotodetectorConfig,
     /// Symbol rate, Hz.
-    pub sample_rate_hz: f64,
+    pub(crate) sample_rate_hz: f64,
     /// Decision threshold as a fraction of one mismatch's charge: a block
     /// whose distance estimate is below this matches. 0.5 = "less than
     /// half a bit of disagreement".
-    pub match_threshold: f64,
+    pub(crate) match_threshold: f64,
 }
 
 impl MatcherConfig {
@@ -67,7 +67,7 @@ impl MatcherConfig {
 }
 
 /// Result of one pattern-match operation.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, serde::Serialize)]
 pub struct MatchResult {
     /// Analog estimate of the Hamming distance (may be fractional).
     pub distance_estimate: f64,
@@ -80,7 +80,7 @@ pub struct MatchResult {
 /// A P2 photonic pattern matcher.
 #[derive(Debug, Clone)]
 pub struct PatternMatcher {
-    pub config: MatcherConfig,
+    pub(crate) config: MatcherConfig,
     laser: Laser,
     pm_data: PhaseModulator,
     pm_pattern: PhaseModulator,
@@ -91,7 +91,7 @@ pub struct PatternMatcher {
     /// Dark/matched-floor current per symbol, A.
     floor_current_a: f64,
     /// Symbols matched so far.
-    pub symbols_matched: u64,
+    pub(crate) symbols_matched: u64,
 }
 
 impl PatternMatcher {
@@ -115,10 +115,6 @@ impl PatternMatcher {
         let mut m = PatternMatcher::new(MatcherConfig::ideal(), &mut rng);
         m.calibrate(64);
         m
-    }
-
-    pub fn is_calibrated(&self) -> bool {
-        self.unit_current_a.is_some()
     }
 
     /// Measure the per-mismatch photocurrent with all-match and
@@ -188,7 +184,7 @@ impl PatternMatcher {
     }
 
     /// Latency of matching an n-symbol block, seconds.
-    pub fn latency_s(&self, n: usize) -> f64 {
+    pub(crate) fn latency_s(&self, n: usize) -> f64 {
         n as f64 / self.config.sample_rate_hz + 1e-9
     }
 

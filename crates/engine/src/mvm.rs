@@ -11,15 +11,11 @@ use crate::dot::{DotProductUnit, DotUnitConfig, KernelBackend};
 use ofpc_photonics::energy::EnergyLedger;
 use ofpc_photonics::wdm::WdmGrid;
 use ofpc_photonics::SimRng;
-use ofpc_telemetry::{Counter, Telemetry};
 
 /// A bank of P1 units, one per WDM lane.
 #[derive(Debug, Clone)]
 pub struct PhotonicMatVec {
     lanes: Vec<DotProductUnit>,
-    grid: WdmGrid,
-    tel_mvms: Counter,
-    tel_macs: Counter,
 }
 
 impl PhotonicMatVec {
@@ -36,19 +32,7 @@ impl PhotonicMatVec {
             let mut lane_rng = rng.derive(&format!("mvm-lane-{lane}"));
             units.push(DotProductUnit::new(cfg, &mut lane_rng));
         }
-        PhotonicMatVec {
-            lanes: units,
-            grid,
-            tel_mvms: Counter::noop(),
-            tel_macs: Counter::noop(),
-        }
-    }
-
-    /// Profiling hook: count matvec calls and MACs on the registry
-    /// (`engine_mvms_total` / `engine_macs_total`).
-    pub fn set_telemetry(&mut self, tel: &Telemetry) {
-        self.tel_mvms = tel.counter("engine_mvms_total", &Vec::new());
-        self.tel_macs = tel.counter("engine_macs_total", &Vec::new());
+        PhotonicMatVec { lanes: units }
     }
 
     /// Ideal engine for algebra tests.
@@ -57,10 +41,6 @@ impl PhotonicMatVec {
         let mut engine = PhotonicMatVec::new(DotUnitConfig::ideal(), lanes, &mut rng);
         engine.calibrate(64);
         engine
-    }
-
-    pub fn grid(&self) -> &WdmGrid {
-        &self.grid
     }
 
     /// Calibrate every lane.
@@ -97,8 +77,6 @@ impl PhotonicMatVec {
                 None => self.lanes[lane].dot_signed(row, x),
             });
         }
-        self.tel_mvms.inc();
-        self.tel_macs.add((matrix.len() * x.len()) as u64);
         y
     }
 
@@ -118,20 +96,18 @@ impl PhotonicMatVec {
                 None => self.lanes[lane].dot_nonneg(row, x),
             });
         }
-        self.tel_mvms.inc();
-        self.tel_macs.add((matrix.len() * x.len()) as u64);
         y
     }
 
     /// Wall-clock latency of an `m×n` matvec: rows run `lanes`-wide in
     /// parallel, so `ceil(m/lanes)` sequential dot products.
-    pub fn latency_s(&self, rows: usize, cols: usize) -> f64 {
+    pub(crate) fn latency_s(&self, rows: usize, cols: usize) -> f64 {
         let rounds = rows.div_ceil(self.lanes.len());
         rounds as f64 * self.lanes[0].latency_s(cols)
     }
 
     /// Merged energy ledger across lanes.
-    pub fn energy_ledger(&self) -> EnergyLedger {
+    pub(crate) fn energy_ledger(&self) -> EnergyLedger {
         let mut total = EnergyLedger::new();
         for lane in &self.lanes {
             total.merge(&lane.energy_ledger());
@@ -207,8 +183,10 @@ mod tests {
     #[test]
     fn lanes_have_distinct_wavelengths() {
         let e = PhotonicMatVec::ideal(4);
-        let wl: std::collections::BTreeSet<u64> = (0..4)
-            .map(|i| (e.grid().wavelength_m(i) * 1e15) as u64)
+        let wl: std::collections::BTreeSet<u64> = e
+            .lanes
+            .iter()
+            .map(|l| (l.config.laser.wavelength_m * 1e15) as u64)
             .collect();
         assert_eq!(wl.len(), 4);
     }

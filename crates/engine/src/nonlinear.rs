@@ -22,23 +22,23 @@ use ofpc_photonics::SimRng;
 /// Configuration of a P3 nonlinear unit.
 #[derive(Debug, Clone)]
 pub struct NonlinearConfig {
-    pub laser: LaserConfig,
+    pub(crate) laser: LaserConfig,
     /// Input-encoding modulator (maps the digital test value to power;
     /// in-line deployments receive the power directly).
-    pub encoder: MzmConfig,
+    pub(crate) encoder: MzmConfig,
     /// The gate MZM driven by the tap photovoltage.
-    pub gate: MzmConfig,
-    pub tap_pd: PhotodetectorConfig,
-    pub out_pd: PhotodetectorConfig,
+    pub(crate) gate: MzmConfig,
+    pub(crate) tap_pd: PhotodetectorConfig,
+    pub(crate) out_pd: PhotodetectorConfig,
     /// Fraction of input power tapped for the feed-forward detector.
-    pub tap_ratio: f64,
+    pub(crate) tap_ratio: f64,
     /// Transimpedance gain converting tap photocurrent to gate drive
     /// voltage, V/A. Sets the activation sharpness.
-    pub tia_gain_v_a: f64,
+    pub(crate) tia_gain_v_a: f64,
     /// Gate bias voltage offset (shifts the knee), volts. Negative values
     /// delay turn-on (larger dead zone at small inputs).
-    pub gate_bias_v: f64,
-    pub sample_rate_hz: f64,
+    pub(crate) gate_bias_v: f64,
+    pub(crate) sample_rate_hz: f64,
 }
 
 impl NonlinearConfig {
@@ -66,7 +66,7 @@ impl NonlinearConfig {
 /// A P3 electro-optic nonlinear activation unit.
 #[derive(Debug, Clone)]
 pub struct NonlinearUnit {
-    pub config: NonlinearConfig,
+    pub(crate) config: NonlinearConfig,
     laser: Laser,
     encoder: MachZehnderModulator,
     gate: MachZehnderModulator,
@@ -75,7 +75,7 @@ pub struct NonlinearUnit {
     out_pd: Photodetector,
     /// Output normalization measured by calibration (current for x = 1).
     full_scale_current_a: Option<f64>,
-    pub activations: u64,
+    pub(crate) activations: u64,
 }
 
 impl NonlinearUnit {
@@ -164,7 +164,7 @@ impl NonlinearUnit {
     }
 
     /// Latency of one activation, seconds (one symbol + analog loop).
-    pub fn latency_s(&self) -> f64 {
+    pub(crate) fn latency_s(&self) -> f64 {
         1.0 / self.config.sample_rate_hz + 1e-9
     }
 

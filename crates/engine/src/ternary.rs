@@ -21,7 +21,7 @@ use ofpc_photonics::signal::AnalogWaveform;
 use ofpc_photonics::SimRng;
 
 /// One symbol of a ternary pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Tern {
     Zero,
     One,
@@ -33,15 +33,15 @@ pub enum Tern {
 /// pattern arm gains an intensity gate for wildcards).
 #[derive(Debug, Clone)]
 pub struct TernaryConfig {
-    pub laser: LaserConfig,
-    pub pm_data: PhaseModulatorConfig,
-    pub pm_pattern: PhaseModulatorConfig,
+    pub(crate) laser: LaserConfig,
+    pub(crate) pm_data: PhaseModulatorConfig,
+    pub(crate) pm_pattern: PhaseModulatorConfig,
     /// Intensity gate on the pattern arm (dark = wildcard).
-    pub gate: MzmConfig,
-    pub pd: PhotodetectorConfig,
-    pub sample_rate_hz: f64,
+    pub(crate) gate: MzmConfig,
+    pub(crate) pd: PhotodetectorConfig,
+    pub(crate) sample_rate_hz: f64,
     /// Distance threshold below which the rule matches.
-    pub match_threshold: f64,
+    pub(crate) match_threshold: f64,
 }
 
 impl TernaryConfig {
@@ -64,17 +64,15 @@ impl TernaryConfig {
 }
 
 /// Result of a ternary match.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct TernaryResult {
-    /// Estimated mismatches over the non-wildcard positions.
-    pub distance_estimate: f64,
     pub matched: bool,
 }
 
 /// A photonic ternary matcher.
 #[derive(Debug, Clone)]
 pub struct TernaryMatcher {
-    pub config: TernaryConfig,
+    pub(crate) config: TernaryConfig,
     laser: Laser,
     pm_data: PhaseModulator,
     pm_pattern: PhaseModulator,
@@ -105,13 +103,6 @@ impl TernaryMatcher {
             floor_current_a: 0.0,
             symbols_matched: 0,
         }
-    }
-
-    pub fn ideal() -> Self {
-        let mut rng = SimRng::seed_from_u64(0);
-        let mut m = TernaryMatcher::new(TernaryConfig::ideal(), &mut rng);
-        m.calibrate(64);
-        m
     }
 
     /// Calibrate the three per-symbol currents: matched floor, mismatch
@@ -200,7 +191,6 @@ impl TernaryMatcher {
             charge - wilds as f64 * self.wild_current_a - cared as f64 * self.floor_current_a;
         let est = (corrected / unit).max(0.0);
         TernaryResult {
-            distance_estimate: est,
             matched: est < self.config.match_threshold,
         }
     }
@@ -209,6 +199,13 @@ impl TernaryMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ideal() -> TernaryMatcher {
+        let mut rng = SimRng::seed_from_u64(0);
+        let mut m = TernaryMatcher::new(TernaryConfig::ideal(), &mut rng);
+        m.calibrate(64);
+        m
+    }
 
     fn bits(s: &str) -> Vec<bool> {
         s.chars().map(|c| c == '1').collect()
@@ -227,16 +224,16 @@ mod tests {
 
     #[test]
     fn exact_pattern_matches() {
-        let mut m = TernaryMatcher::ideal();
+        let mut m = ideal();
         let data = bits("10110010");
         let pattern = pattern("10110010");
         let r = m.match_block(&data, &pattern);
-        assert!(r.matched, "estimate {}", r.distance_estimate);
+        assert!(r.matched);
     }
 
     #[test]
     fn wildcards_ignore_disagreement() {
-        let mut m = TernaryMatcher::ideal();
+        let mut m = ideal();
         // Pattern cares only about the first 4 bits.
         let pattern = pattern("1011****");
         assert!(m.match_block(&bits("10110000"), &pattern).matched);
@@ -246,30 +243,17 @@ mod tests {
 
     #[test]
     fn all_wild_pattern_matches_anything() {
-        let mut m = TernaryMatcher::ideal();
+        let mut m = ideal();
         let pattern = pattern("********");
         assert!(m.match_block(&bits("10110010"), &pattern).matched);
         assert!(m.match_block(&bits("01001101"), &pattern).matched);
     }
 
     #[test]
-    fn distance_counts_only_cared_positions() {
-        let mut m = TernaryMatcher::ideal();
-        let pattern = pattern("1111****");
-        // Two mismatches in the cared half, garbage in the wild half.
-        let r = m.match_block(&bits("10101010"), &pattern);
-        assert!(
-            (r.distance_estimate - 2.0).abs() < 0.1,
-            "est {}",
-            r.distance_estimate
-        );
-    }
-
-    #[test]
     fn prefix_match_models_ip_lpm() {
         // A /4 prefix rule on an 8-bit address space — exactly the IP
         // routing use-case shape from Table 1.
-        let mut m = TernaryMatcher::ideal();
+        let mut m = ideal();
         let rule_1010 = pattern("1010****");
         assert!(m.match_block(&bits("10101111"), &rule_1010).matched);
         assert!(m.match_block(&bits("10100000"), &rule_1010).matched);

@@ -56,7 +56,11 @@ mod tests {
     #[test]
     fn injected_cut_fires_at_its_scheduled_time() {
         let mut net = line_net();
-        let plan = FaultPlan::new().cut(1_000, LinkId(0));
+        let mut plan = FaultPlan::new();
+        plan.push(FaultEvent {
+            at_ps: 1_000,
+            kind: FaultKind::FiberCut { link: LinkId(0) },
+        });
         inject(&plan, &mut net);
         // Packet injected after the cut time never crosses link 0.
         let p = plain(&net, 0, 2);

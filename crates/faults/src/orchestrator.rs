@@ -20,13 +20,13 @@ use ofpc_telemetry::{labels, track, Telemetry};
 use std::collections::BTreeSet;
 
 /// What one recovery pass did and how long it took.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct RecoveryOutcome {
     pub timeline: RecoveryTimeline,
     /// Distinct routers the re-install touched (staged, one at a time).
     pub routers_updated: usize,
     /// Engine installs in the new plan.
-    pub installs: usize,
+    pub(crate) installs: usize,
     /// Demands the post-fault allocation could not satisfy.
     pub unsatisfied: usize,
     /// Whether every command of the new plan applied cleanly.
@@ -150,9 +150,9 @@ pub fn trace_recovery(tel: &Telemetry, kind: &str, outcome: &RecoveryOutcome) {
 /// Downtime bookkeeping over a fixed horizon: outage windows are
 /// recorded as they happen (overlaps and duplicates welcome), merged at
 /// read time, and folded into an availability fraction.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct AvailabilityLedger {
-    pub horizon_ps: u64,
+    pub(crate) horizon_ps: u64,
     outages: Vec<(u64, u64)>,
 }
 

@@ -43,7 +43,7 @@ pub struct FaultPlan {
 
 /// Mean-time-between-failures statistics for random plan generation.
 /// All times in picoseconds of virtual time.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct MtbfSpec {
     /// Mean time between fiber cuts, per link (exponential inter-fault
     /// times). `None` disables link faults.
@@ -62,18 +62,9 @@ impl FaultPlan {
 
     /// Add one event, keeping the schedule time-sorted (stable: events
     /// at the same instant keep insertion order).
-    pub fn push(&mut self, ev: FaultEvent) {
+    pub(crate) fn push(&mut self, ev: FaultEvent) {
         let idx = self.events.partition_point(|e| e.at_ps <= ev.at_ps);
         self.events.insert(idx, ev);
-    }
-
-    /// Cut `link` at `at_ps`, permanently.
-    pub fn cut(mut self, at_ps: u64, link: LinkId) -> Self {
-        self.push(FaultEvent {
-            at_ps,
-            kind: FaultKind::FiberCut { link },
-        });
-        self
     }
 
     /// Flap `link`: down at `at_ps`, back up `down_ps` later.
@@ -194,13 +185,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Events in `[from_ps, to_ps)`.
-    pub fn window(&self, from_ps: u64, to_ps: u64) -> impl Iterator<Item = &FaultEvent> {
-        self.events
-            .iter()
-            .filter(move |e| e.at_ps >= from_ps && e.at_ps < to_ps)
-    }
-
     /// Count of hard faults (cuts + engine fails; repairs and noise
     /// steps excluded).
     pub fn fault_count(&self) -> usize {
@@ -222,11 +206,14 @@ mod tests {
 
     #[test]
     fn push_keeps_time_order() {
-        let plan = FaultPlan::new()
-            .cut(500, LinkId(1))
+        let mut plan = FaultPlan::new()
             .engine_fail(100, NodeId(2))
             .flap(300, LinkId(0), 50)
             .engine_fail(300, NodeId(3));
+        plan.push(FaultEvent {
+            at_ps: 500,
+            kind: FaultKind::FiberCut { link: LinkId(1) },
+        });
         let times: Vec<u64> = plan.events.iter().map(|e| e.at_ps).collect();
         assert_eq!(times, vec![100, 300, 300, 350, 500]);
         // Same-instant events keep insertion order.
@@ -310,13 +297,5 @@ mod tests {
         );
         // Times sorted and inside the repair-extended horizon.
         assert!(a.events.windows(2).all(|w| w[0].at_ps <= w[1].at_ps));
-    }
-
-    #[test]
-    fn window_filters_by_time() {
-        let plan = FaultPlan::new().cut(10, LinkId(0)).cut(20, LinkId(1));
-        assert_eq!(plan.window(0, 15).count(), 1);
-        assert_eq!(plan.window(0, 25).count(), 2);
-        assert_eq!(plan.window(15, 18).count(), 0);
     }
 }

@@ -21,7 +21,7 @@ use ofpc_photonics::SimRng;
 use serde::Serialize;
 
 /// Shape of one seeded fault storm.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct StormSpec {
     /// Number of correlated-cut bursts over the horizon.
     pub bursts: usize,

@@ -33,7 +33,7 @@ use serde::Serialize;
 use std::collections::BTreeSet;
 
 /// How the request stream is driven through the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum ExecMode {
     /// Wavelength-pipelined: stages are independent resources.
     Pipelined,
@@ -42,7 +42,7 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             ExecMode::Pipelined => "pipelined",
             ExecMode::Sequential => "sequential",
@@ -51,7 +51,7 @@ impl ExecMode {
 }
 
 /// One execution run's shape.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
     pub requests: usize,
     /// Open-loop arrival spacing, ps (0 = a closed back-to-back batch).
@@ -60,7 +60,7 @@ pub struct ExecConfig {
 }
 
 /// Deterministic results of one run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ExecReport {
     pub mode: String,
     pub requests: usize,
@@ -70,16 +70,16 @@ pub struct ExecReport {
     /// Stage indices re-lowered to digital by site faults.
     pub relowered_stages: Vec<usize>,
     /// One-time plan-install charge (weight/pattern loads), ps.
-    pub install_ps: u64,
+    pub(crate) install_ps: u64,
     /// First arrival to last delivery, ps.
-    pub makespan_ps: u64,
+    pub(crate) makespan_ps: u64,
     /// Delivered requests per second of makespan.
     pub throughput_rps: f64,
     pub mean_latency_ps: u64,
     pub p99_latency_ps: u64,
     pub energy_per_request_j: f64,
     /// Service time accumulated per stage across the run, ps.
-    pub stage_busy_ps: Vec<u64>,
+    pub(crate) stage_busy_ps: Vec<u64>,
 }
 
 /// Executes a placed plan; owns the fault state and telemetry handle.
@@ -94,7 +94,7 @@ pub struct GraphExecutor {
 impl GraphExecutor {
     /// `fallback` is the digital platform co-located at engine sites
     /// that absorbs re-lowered stages.
-    pub fn new(placed: PlacedPlan, fallback: ComputeModel) -> Self {
+    pub(crate) fn new(placed: PlacedPlan, fallback: ComputeModel) -> Self {
         GraphExecutor {
             placed,
             fallback,
@@ -117,7 +117,7 @@ impl GraphExecutor {
 
     /// Mark `node` failed and re-lower its photonic stages to the
     /// digital fallback. Returns how many stages changed; idempotent.
-    pub fn fail_site(&mut self, node: NodeId) -> usize {
+    pub(crate) fn fail_site(&mut self, node: NodeId) -> usize {
         if !self.failed.insert(node.0) {
             return 0;
         }

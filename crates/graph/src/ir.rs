@@ -15,11 +15,11 @@ use ofpc_engine::Primitive;
 
 /// Node identifier within one [`WorkGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct OpId(pub u32);
+pub struct OpId(pub(crate) u32);
 
 /// A typed operation with its tensor shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum OpKind {
+pub(crate) enum OpKind {
     /// Matrix-vector multiply, `rows × cols` (P1 on WDM lanes).
     Mvm { rows: usize, cols: usize },
     /// Element-wise nonlinear activation over `width` values (P3).
@@ -68,7 +68,7 @@ impl OpKind {
     }
 
     /// Multiply-accumulate (or equivalent op) count per invocation.
-    pub fn macs(&self) -> u64 {
+    pub(crate) fn macs(&self) -> u64 {
         match *self {
             OpKind::Mvm { rows, cols } => (rows * cols) as u64,
             OpKind::Nonlinear { width } => width as u64,
@@ -83,7 +83,7 @@ impl OpKind {
     }
 
     /// The photonic primitive that can execute this op, if any.
-    pub fn primitive(&self) -> Option<Primitive> {
+    pub(crate) fn primitive(&self) -> Option<Primitive> {
         match self {
             OpKind::Mvm { .. } => Some(Primitive::VectorDotProduct),
             OpKind::Nonlinear { .. } => Some(Primitive::NonlinearFunction),
@@ -95,7 +95,7 @@ impl OpKind {
     }
 
     /// Short label for telemetry spans and reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             OpKind::Mvm { .. } => "mvm",
             OpKind::Nonlinear { .. } => "nonlinear",
@@ -108,35 +108,33 @@ impl OpKind {
 }
 
 /// One op with its precision requirement.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct OpNode {
-    pub id: OpId,
-    pub kind: OpKind,
+    pub(crate) id: OpId,
+    pub(crate) kind: OpKind,
     /// Minimum effective bits the op's result must carry. Lowering runs
     /// the op photonically only if the error budget predicts at least
     /// this resolution at the op's operand length.
-    pub min_bits: f64,
+    pub(crate) min_bits: f64,
 }
 
-/// A dataflow edge carrying `bytes` of data per invocation (8-bit wire
-/// encoding of the producer's output elements unless overridden).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DataEdge {
-    pub from: OpId,
-    pub to: OpId,
-    pub bytes: u64,
+/// A dataflow edge: `to` consumes `from`'s output.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DataEdge {
+    pub(crate) from: OpId,
+    pub(crate) to: OpId,
 }
 
 /// A dataflow graph for one application request.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct WorkGraph {
     pub name: String,
     pub nodes: Vec<OpNode>,
-    pub edges: Vec<DataEdge>,
+    pub(crate) edges: Vec<DataEdge>,
 }
 
 /// Why a graph failed validation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GraphError {
     /// The graph has a dependency cycle.
     Cyclic,
@@ -174,7 +172,7 @@ impl std::fmt::Display for GraphError {
 }
 
 impl WorkGraph {
-    pub fn new(name: &str) -> Self {
+    pub(crate) fn new(name: &str) -> Self {
         WorkGraph {
             name: name.to_string(),
             nodes: Vec::new(),
@@ -189,22 +187,17 @@ impl WorkGraph {
         id
     }
 
-    /// Connect `from → to`, carrying the producer's output at 8 bits per
-    /// element.
-    pub fn connect(&mut self, from: OpId, to: OpId) {
-        let bytes = self
-            .node(from)
-            .map(|n| n.kind.output_elems() as u64)
-            .unwrap_or(0);
-        self.edges.push(DataEdge { from, to, bytes });
+    /// Connect `from → to`: `to` consumes the producer's output.
+    pub(crate) fn connect(&mut self, from: OpId, to: OpId) {
+        self.edges.push(DataEdge { from, to });
     }
 
-    pub fn node(&self, id: OpId) -> Option<&OpNode> {
+    pub(crate) fn node(&self, id: OpId) -> Option<&OpNode> {
         self.nodes.get(id.0 as usize)
     }
 
     /// Build a linear chain `ops[0] → ops[1] → …` in one call.
-    pub fn chain(name: &str, ops: &[(OpKind, f64)]) -> Self {
+    pub(crate) fn chain(name: &str, ops: &[(OpKind, f64)]) -> Self {
         let mut g = WorkGraph::new(name);
         let mut prev: Option<OpId> = None;
         for &(kind, min_bits) in ops {
@@ -224,7 +217,7 @@ impl WorkGraph {
 
     /// Topological order of op indices (Kahn, smallest-index-first for
     /// determinism), or `None` on a cycle.
-    pub fn topo_order(&self) -> Option<Vec<usize>> {
+    pub(crate) fn topo_order(&self) -> Option<Vec<usize>> {
         let n = self.nodes.len();
         let mut indegree = vec![0usize; n];
         for e in &self.edges {
@@ -259,7 +252,7 @@ impl WorkGraph {
 
     /// Validate the graph: acyclic, edges resolve, and every edge's
     /// producer/consumer agree on tensor width.
-    pub fn validate(&self) -> Result<(), GraphError> {
+    pub(crate) fn validate(&self) -> Result<(), GraphError> {
         for e in &self.edges {
             let (Some(from), Some(to)) = (self.node(e.from), self.node(e.to)) else {
                 return Err(GraphError::DanglingEdge {
@@ -379,7 +372,6 @@ mod tests {
         );
         assert_eq!(g.nodes.len(), 2);
         assert_eq!(g.edges.len(), 1);
-        assert_eq!(g.edges[0].bytes, 6); // 6 outputs × 8-bit encoding
         g.validate().expect("valid chain");
         assert_eq!(g.total_macs(), 24 + 6);
     }

@@ -55,15 +55,15 @@ pub mod ir;
 pub mod lower;
 pub mod place;
 
-pub use exec::{ExecConfig, ExecMode, ExecReport, GraphExecutor};
+pub use exec::GraphExecutor;
 pub use ir::{dnn_graph, WorkGraph};
-pub use lower::{lower, lower_traced, ErrorBudget, HardwareVariant, LowerConfig, Stage, Target};
-pub use place::{place, StageBinding};
+pub use lower::{lower, ErrorBudget, HardwareVariant, LowerConfig, Target};
+pub(crate) use place::place;
 
 use ofpc_net::{NodeId, Topology};
 
 /// Errors from the full compile pipeline.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum CompileError {
     Lower(ir::GraphError),
     Place(place::PlaceError),

@@ -34,7 +34,7 @@ use ofpc_telemetry::{track, Telemetry};
 /// SNR alone cannot: the operand DAC caps encoding resolution outright,
 /// the result ADC caps readout resolution (recovering `½·log2(n)` bits
 /// of integration gain over an `n`-element accumulation).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct HardwareVariant {
     /// Catalog name, e.g. `"cv-12b-fast"`.
     pub name: String,
@@ -47,13 +47,13 @@ pub struct HardwareVariant {
 }
 
 /// The analog error budget driving photonic/digital partitioning.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct ErrorBudget {
     /// Photodetector SNR at the operating optical power, dB.
     pub pd_snr_db: f64,
     /// Safety margin subtracted from the prediction, bits (DAC
     /// quantization, calibration residue, aging headroom).
-    pub margin_bits: f64,
+    pub(crate) margin_bits: f64,
 }
 
 impl ErrorBudget {
@@ -81,7 +81,7 @@ impl ErrorBudget {
     }
 
     /// Whether an op fits the budget photonically.
-    pub fn admits(&self, kind: &OpKind, min_bits: f64) -> bool {
+    pub(crate) fn admits(&self, kind: &OpKind, min_bits: f64) -> bool {
         kind.primitive().is_some() && self.effective_bits(kind.input_elems()) >= min_bits
     }
 
@@ -138,7 +138,7 @@ impl ErrorBudget {
 }
 
 /// Where a fused stage executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Target {
     Photonic,
     Digital,
@@ -148,16 +148,16 @@ pub enum Target {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stage {
     /// IR ops fused into this stage, in execution order.
-    pub ops: Vec<OpId>,
+    pub(crate) ops: Vec<OpId>,
     /// Human-readable label, e.g. `"mvm+nonlinear"`.
     pub label: String,
     pub target: Target,
     /// The batch class a photonic stage occupies on a transponder slot.
     pub class: Option<BatchClass>,
     /// Operand stream length entering the stage, elements.
-    pub operand_len: u32,
+    pub(crate) operand_len: u32,
     /// MACs executed per request.
-    pub macs: u64,
+    pub(crate) macs: u64,
     /// Steady-state per-request service time, ps (weights pinned).
     pub service_ps: u64,
     /// Per-request energy, J.
@@ -165,7 +165,7 @@ pub struct Stage {
     /// One-time weight/pattern install charge, ps (photonic stages).
     pub reconfig_ps: u64,
     /// One-time install energy, J.
-    pub reconfig_j: f64,
+    pub(crate) reconfig_j: f64,
     /// Effective bits the budget predicts for this stage (`∞` for
     /// digital stages — they are exact at the modeled precision).
     pub predicted_bits: f64,

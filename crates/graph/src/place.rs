@@ -31,7 +31,7 @@ pub struct StageBinding {
     /// WDM channel index; digital stages keep the inbound channel.
     pub wavelength: usize,
     /// Carrier wavelength, metres.
-    pub wavelength_m: f64,
+    pub(crate) wavelength_m: f64,
     /// Fiber propagation from the previous location into this stage, ps.
     pub hop_in_ps: u64,
 }
@@ -41,11 +41,11 @@ pub struct StageBinding {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacedPlan {
     pub plan: CompiledPlan,
-    pub src: NodeId,
-    pub dst: NodeId,
+    pub(crate) src: NodeId,
+    pub(crate) dst: NodeId,
     pub bindings: Vec<StageBinding>,
     /// Fiber time from the last stage's site to `dst`, ps.
-    pub hop_out_ps: u64,
+    pub(crate) hop_out_ps: u64,
     /// Direct `src → dst` propagation (the no-compute baseline), ps.
     pub direct_ps: u64,
     /// Detour cost of the chosen placement over the direct path, ps.
@@ -68,7 +68,7 @@ impl PlacedPlan {
 }
 
 /// Why placement failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlaceError {
     /// No feasible site tuple exists (disconnected endpoints, or no
     /// compute sites with free slots).
@@ -87,7 +87,7 @@ impl std::fmt::Display for PlaceError {
 
 /// Bind `plan` to sites and wavelengths on `topo`, where
 /// `node_slots[n]` counts the compute transponder slots at node `n`.
-pub fn place(
+pub(crate) fn place(
     plan: &CompiledPlan,
     topo: &Topology,
     node_slots: &[usize],

@@ -68,7 +68,7 @@ pub struct IngestConfig {
 pub struct ClassReport {
     pub name: String,
     pub tenants: u32,
-    pub weight: u32,
+    pub(crate) weight: u32,
     pub arrivals: u64,
     pub completed: u64,
     pub shed_queue_full: u64,
@@ -80,10 +80,10 @@ pub struct ClassReport {
     /// values across saturated classes is what "fair" means here.
     pub goodput_per_weight: f64,
     pub p50_latency_us: Option<f64>,
-    pub p99_latency_us: Option<f64>,
+    pub(crate) p99_latency_us: Option<f64>,
     pub mean_batch_size: f64,
-    pub energy_j: f64,
-    pub joules_per_request: f64,
+    pub(crate) energy_j: f64,
+    pub(crate) joules_per_request: f64,
 }
 
 /// Per-shard slice of the final report.
@@ -96,13 +96,13 @@ pub struct ShardReport {
     /// bound the sparse design is about.
     pub active_tenant_state: usize,
     pub migrations_in: u64,
-    pub migrations_out: u64,
+    pub(crate) migrations_out: u64,
 }
 
 /// Frame-parser tallies (typed rejections, never panics).
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct FrameReport {
-    pub parsed: u64,
+    pub(crate) parsed: u64,
     pub rejected_truncated: u64,
     pub rejected_bad_proto: u64,
     pub rejected_not_compute: u64,
@@ -125,8 +125,8 @@ pub struct RebalanceReport {
 pub struct IngestReport {
     pub shards: u32,
     pub tenants: u32,
-    pub horizon_ps: u64,
-    pub epochs: u32,
+    pub(crate) horizon_ps: u64,
+    pub(crate) epochs: u32,
     pub offered_rps: f64,
     pub parsed: u64,
     pub completed: u64,
@@ -226,7 +226,7 @@ impl IngestFrontEnd {
             let start_ps = u64::from(epoch) * self.config.epoch_ps;
             let end_ps = start_ps + self.config.epoch_ps;
             let shards = std::mem::take(&mut self.shards);
-            self.shards = pool.scatter_gather("ingest-epoch", shards, |_i, mut s| {
+            self.shards = pool.scatter_gather(shards, |_i, mut s| {
                 s.run_until(end_ps);
                 s
             });

@@ -42,9 +42,9 @@ impl Default for RebalanceConfig {
 /// What one rebalance pass did (accumulated into the report).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RebalanceOutcome {
-    pub migrations: u64,
+    pub(crate) migrations: u64,
     /// Total |Δslots| across shards and sites.
-    pub slot_moves: u64,
+    pub(crate) slot_moves: u64,
 }
 
 /// Largest-remainder apportionment of `slots` across `loads` (ties by

@@ -50,15 +50,15 @@ enum Ev {
 /// histogram (≤ ±3.2% on percentiles), never a per-sample store.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ClassStats {
-    pub arrivals: u64,
-    pub completed: u64,
-    pub shed_queue_full: u64,
-    pub shed_expired_queued: u64,
-    pub shed_expired_serving: u64,
-    pub shed_engine_failed: u64,
-    pub energy_j: f64,
-    pub batch_size_sum: u64,
-    pub lat: LogHistogram,
+    pub(crate) arrivals: u64,
+    pub(crate) completed: u64,
+    pub(crate) shed_queue_full: u64,
+    pub(crate) shed_expired_queued: u64,
+    pub(crate) shed_expired_serving: u64,
+    pub(crate) shed_engine_failed: u64,
+    pub(crate) energy_j: f64,
+    pub(crate) batch_size_sum: u64,
+    pub(crate) lat: LogHistogram,
 }
 
 impl ClassStats {
@@ -84,18 +84,18 @@ impl ClassStats {
 
 /// Typed tallies of frames the parser refused. The ingest path must
 /// never panic on wire bytes; every rejection lands here.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct FrameStats {
-    pub parsed: u64,
-    pub rejected_truncated: u64,
-    pub rejected_bad_proto: u64,
-    pub rejected_not_compute: u64,
-    pub rejected_bad_primitive: u64,
-    pub rejected_operand_overrun: u64,
+    pub(crate) parsed: u64,
+    pub(crate) rejected_truncated: u64,
+    pub(crate) rejected_bad_proto: u64,
+    pub(crate) rejected_not_compute: u64,
+    pub(crate) rejected_bad_primitive: u64,
+    pub(crate) rejected_operand_overrun: u64,
 }
 
 impl FrameStats {
-    pub fn rejected_total(&self) -> u64 {
+    pub(crate) fn rejected_total(&self) -> u64 {
         self.rejected_truncated
             + self.rejected_bad_proto
             + self.rejected_not_compute

@@ -65,7 +65,7 @@ pub(crate) struct TenantDirectory {
 }
 
 impl TenantDirectory {
-    pub fn new(classes: &[TenantClass], shards: u32) -> Self {
+    pub(crate) fn new(classes: &[TenantClass], shards: u32) -> Self {
         assert!(shards >= 1, "need at least one shard");
         assert!(!classes.is_empty(), "need at least one tenant class");
         let mut class_start = Vec::with_capacity(classes.len() + 1);
@@ -113,7 +113,7 @@ impl TenantDirectory {
 
     /// Record a migration. Moving a tenant back to its home shard drops
     /// the override, so the table stays bounded by the *displaced* set.
-    pub fn migrate(&mut self, tenant: u32, to: u32) {
+    pub(crate) fn migrate(&mut self, tenant: u32, to: u32) {
         assert!(to < self.shards, "migration to unknown shard {to}");
         if to == self.home_shard(tenant) {
             self.overrides.remove(&tenant);
@@ -123,7 +123,7 @@ impl TenantDirectory {
     }
 
     /// Tenants currently living away from their hash home.
-    pub fn displaced(&self) -> usize {
+    pub(crate) fn displaced(&self) -> usize {
         self.overrides.len()
     }
 }

@@ -62,7 +62,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Current simulation time, ps.
-    pub fn now_ps(&self) -> u64 {
+    pub(crate) fn now_ps(&self) -> u64 {
         self.now_ps
     }
 
@@ -99,14 +99,6 @@ impl<E> EventQueue<E> {
     /// Peek at the next event time without popping.
     pub fn peek_time_ps(&self) -> Option<u64> {
         self.heap.peek().map(|Reverse(ev)| ev.at_ps)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
     }
 }
 
@@ -172,9 +164,7 @@ mod tests {
     #[test]
     fn empty_queue_behavior() {
         let mut q: EventQueue<u8> = EventQueue::new();
-        assert!(q.is_empty());
         assert_eq!(q.pop(), None);
         assert_eq!(q.peek_time_ps(), None);
-        assert_eq!(q.len(), 0);
     }
 }

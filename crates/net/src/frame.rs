@@ -25,7 +25,7 @@ use bytes::Bytes;
 use ofpc_engine::Primitive;
 
 /// Why a byte buffer failed to validate as a compute frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FrameError {
     /// Fewer bytes than the headers plus declared payload require.
     Truncated { need: usize, have: usize },
@@ -156,15 +156,15 @@ impl PchFrame {
         self.primitive
     }
 
-    pub fn flags(&self) -> u8 {
+    pub(crate) fn flags(&self) -> u8 {
         self.buf[OFF_PCH + 1]
     }
 
-    pub fn op_id(&self) -> u16 {
+    pub(crate) fn op_id(&self) -> u16 {
         be_u16(&self.buf, OFF_PCH + 2)
     }
 
-    pub fn result_q88(&self) -> i16 {
+    pub(crate) fn result_q88(&self) -> i16 {
         be_u16(&self.buf, OFF_PCH + 4) as i16
     }
 

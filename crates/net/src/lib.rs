@@ -27,5 +27,4 @@ pub use addr::{Addr, Prefix};
 pub use frame::{FrameError, PchFrame};
 pub use packet::Packet;
 pub use pch::PchHeader;
-pub use sim::Network;
 pub use topology::{LinkId, NodeId, Topology};

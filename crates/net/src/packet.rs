@@ -148,7 +148,7 @@ impl Packet {
     /// Operand vector carried by a compute packet: `operand_len` bytes at
     /// the front of the payload, each an element in `[0, 1]` (fixed-point
     /// u8). Empty for plain packets.
-    pub fn operands(&self) -> Vec<f64> {
+    pub(crate) fn operands(&self) -> Vec<f64> {
         match &self.pch {
             Some(pch) => self
                 .payload
@@ -172,7 +172,7 @@ impl Packet {
 }
 
 /// Packet parse errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PacketError {
     Truncated,
     BadProto(u8),

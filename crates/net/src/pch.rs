@@ -39,7 +39,7 @@ pub(crate) const STATUS_SHIFT: u8 = 2;
 
 /// Result health carried in the PCH flags byte (bits 2–3). `Ok` is the
 /// wire default so pre-fault-aware senders stay compatible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(u8)]
 pub enum ResultStatus {
     /// Result (if computed) came from a healthy engine.
@@ -166,7 +166,7 @@ impl PchHeader {
 }
 
 /// PCH parse errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PchError {
     Truncated,
     BadPrimitive(u8),

@@ -13,20 +13,18 @@ use std::collections::VecDeque;
 pub(crate) struct DropTailQueue {
     queue: VecDeque<Packet>,
     bytes_queued: usize,
-    pub capacity_bytes: usize,
-    pub enqueued: u64,
-    pub dropped: u64,
-    pub peak_bytes: usize,
+    pub(crate) capacity_bytes: usize,
+    pub(crate) dropped: u64,
+    pub(crate) peak_bytes: usize,
 }
 
 impl DropTailQueue {
-    pub fn new(capacity_bytes: usize) -> Self {
+    pub(crate) fn new(capacity_bytes: usize) -> Self {
         assert!(capacity_bytes > 0, "queue capacity must be positive");
         DropTailQueue {
             queue: VecDeque::new(),
             bytes_queued: 0,
             capacity_bytes,
-            enqueued: 0,
             dropped: 0,
             peak_bytes: 0,
         }
@@ -34,7 +32,7 @@ impl DropTailQueue {
 
     /// Enqueue a packet; returns `false` (and counts a drop) when the
     /// packet does not fit.
-    pub fn push(&mut self, packet: Packet) -> bool {
+    pub(crate) fn push(&mut self, packet: Packet) -> bool {
         let size = packet.wire_bytes();
         if self.bytes_queued + size > self.capacity_bytes {
             self.dropped += 1;
@@ -43,12 +41,11 @@ impl DropTailQueue {
         self.bytes_queued += size;
         self.peak_bytes = self.peak_bytes.max(self.bytes_queued);
         self.queue.push_back(packet);
-        self.enqueued += 1;
         true
     }
 
     /// Dequeue the head packet.
-    pub fn pop(&mut self) -> Option<Packet> {
+    pub(crate) fn pop(&mut self) -> Option<Packet> {
         let p = self.queue.pop_front()?;
         self.bytes_queued -= p.wire_bytes();
         Some(p)
@@ -56,7 +53,7 @@ impl DropTailQueue {
 
     /// Occupancy as a fraction of capacity in `[0, 1]` — the analog
     /// value a photonic comparator reads for load balancing.
-    pub fn occupancy(&self) -> f64 {
+    pub(crate) fn occupancy(&self) -> f64 {
         self.bytes_queued as f64 / self.capacity_bytes as f64
     }
 }

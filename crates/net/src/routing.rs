@@ -179,11 +179,10 @@ pub fn distance_rows(
         .collect()
 }
 
-/// A concrete routed path: the node sequence, the exact links taken
-/// (parallel spans are distinguished), and the end-to-end delay.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A concrete routed path: the exact links taken (parallel spans are
+/// distinguished) and the end-to-end delay.
+#[derive(Debug, Clone)]
 pub struct RoutedPath {
-    pub nodes: Vec<NodeId>,
     pub links: Vec<LinkId>,
     pub delay_ps: u64,
 }
@@ -198,9 +197,8 @@ impl RoutedPath {
 /// Delay-shortest route from `src` to `dst` over links accepted by
 /// `link_ok`, tracking the *exact* links taken, so an excluded parallel
 /// span is never picked. Returns `None` when `dst` is unreachable over
-/// the surviving links. This is the primitive behind k-disjoint
-/// enumeration, where exclusions must bind to link identities, not
-/// node adjacency.
+/// the surviving links. Disjoint-route planning builds on it, where
+/// exclusions must bind to link identities, not node adjacency.
 pub fn shortest_route_filtered(
     topo: &Topology,
     src: NodeId,
@@ -209,7 +207,6 @@ pub fn shortest_route_filtered(
 ) -> Option<RoutedPath> {
     if src == dst {
         return Some(RoutedPath {
-            nodes: vec![src],
             links: Vec::new(),
             delay_ps: 0,
         });
@@ -218,57 +215,19 @@ pub fn shortest_route_filtered(
     let mut search = Dijkstra::new(adj.node_count());
     search.run(&adj, src, Some(dst));
     let delay_ps = search.reached(dst.0 as usize)?;
-    let mut nodes = vec![dst];
     let mut links = Vec::new();
     let mut cur = dst;
     while cur != src {
         let (p, l) = search.pred[cur.0 as usize].expect("a reached node has a predecessor");
         links.push(l);
-        nodes.push(p);
         cur = p;
     }
-    nodes.reverse();
     links.reverse();
-    Some(RoutedPath {
-        nodes,
-        links,
-        delay_ps,
-    })
-}
-
-/// Up to `k` pairwise link-disjoint `src → dst` paths, shortest first:
-/// greedy iterative Dijkstra, removing each found path's links before
-/// the next round (the classic link-disjoint generalization of
-/// `disjoint_pair`; greedy is not maximal on adversarial graphs, but it
-/// is deterministic and exact for the 2-connected topologies here).
-/// Returns fewer than `k` paths when the topology runs out of disjoint
-/// capacity, and an empty vector when `dst` is unreachable.
-pub fn k_disjoint_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<RoutedPath> {
-    let mut out: Vec<RoutedPath> = Vec::new();
-    if src == dst {
-        if k > 0 {
-            out.push(RoutedPath {
-                nodes: vec![src],
-                links: Vec::new(),
-                delay_ps: 0,
-            });
-        }
-        return out;
-    }
-    let mut used: Vec<LinkId> = Vec::new();
-    while out.len() < k {
-        let ok = |l: LinkId| !used.contains(&l);
-        let Some(path) = shortest_route_filtered(topo, src, dst, &ok) else {
-            break;
-        };
-        used.extend(&path.links);
-        out.push(path);
-    }
-    out
+    Some(RoutedPath { links, delay_ps })
 }
 
 /// One forwarding entry: a default next hop and per-primitive overrides.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct RouteEntry {
     /// Next-hop link for plain traffic (None = deliver locally).
     pub next_hop: Option<LinkId>,
@@ -284,13 +243,13 @@ pub struct RouteEntry {
 }
 
 /// A router's dual-field forwarding table.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct RoutingTable {
     entries: Vec<(Prefix, RouteEntry)>,
 }
 
 impl RoutingTable {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RoutingTable::default()
     }
 
@@ -317,14 +276,6 @@ impl RoutingTable {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Longest-prefix-match lookup of the raw entry.
     pub(crate) fn lookup_entry(&self, dst: Addr) -> Option<&RouteEntry> {
         self.entries
@@ -333,18 +284,12 @@ impl RoutingTable {
             .map(|(_, e)| e)
     }
 
-    /// The §3 dual-field lookup: destination LPM, then primitive
-    /// override. `pending_primitive` is the packet's primitive ID iff the
-    /// packet still needs computation (computed packets route like plain
-    /// traffic). Returns the next-hop link, or `None` for local delivery
-    /// (or no route).
-    pub fn lookup(&self, dst: Addr, pending_primitive: Option<Primitive>) -> Option<LinkId> {
-        self.lookup_op(dst, pending_primitive.map(|p| (p, None)))
-    }
-
-    /// Like [`RoutingTable::lookup`], with optional op-granular routing:
-    /// `pending` carries the packet's primitive and (optionally) its op
-    /// id. Match precedence: (primitive, op) → primitive → default.
+    /// The §3 dual-field lookup: destination LPM, then the compute
+    /// override. `pending` carries the packet's primitive and (optionally)
+    /// its op id iff the packet still needs computation (computed packets
+    /// route like plain traffic). Match precedence: (primitive, op) →
+    /// primitive → default. Returns the next-hop link, or `None` for local
+    /// delivery (or no route).
     pub(crate) fn lookup_op(
         &self,
         dst: Addr,
@@ -483,22 +428,20 @@ mod tests {
     }
 
     #[test]
-    fn path_nodes_walks_the_topology() {
+    fn route_links_and_delay_match_dijkstra() {
         let t = Topology::fig1();
         let a = t.find_node("A").unwrap();
         let d = t.find_node("D").unwrap();
         let route = shortest_route_filtered(&t, a, d, &|_| true).unwrap();
-        assert_eq!(route.nodes.len(), 3); // A → {B|C} → D
-        assert_eq!(route.nodes[0], a);
-        assert_eq!(route.nodes[2], d);
+        // A → {B|C} → D.
         assert_eq!(route.links.len(), 2);
         // Agrees with the distance Dijkstra.
         assert_eq!(route.delay_ps, shortest_paths(&t, a)[&d].0);
         // Self-route.
-        assert_eq!(
-            shortest_route_filtered(&t, a, a, &|_| true).unwrap().nodes,
-            vec![a]
-        );
+        assert!(shortest_route_filtered(&t, a, a, &|_| true)
+            .unwrap()
+            .links
+            .is_empty());
     }
 
     #[test]
@@ -511,8 +454,6 @@ mod tests {
         let b_links: Vec<LinkId> = t.neighbors(b).into_iter().map(|(l, _)| l).collect();
         let ok = |l: LinkId| !b_links.contains(&l);
         let route = shortest_route_filtered(&t, a, d, &ok).unwrap();
-        assert_eq!(route.nodes.len(), 3);
-        assert!(!route.nodes.contains(&b), "detour must avoid B: {route:?}");
         assert_eq!(route.links.len(), 2);
         assert!(route.links.iter().all(|l| ok(*l)));
         // Filtered Dijkstra agrees on reachability and avoids B's links.
@@ -520,65 +461,6 @@ mod tests {
         assert_eq!(sp[&d].0, route.delay_ps);
         assert!(!sp.contains_key(&b));
         assert!(shortest_route_filtered(&t, a, b, &ok).is_none());
-    }
-
-    #[test]
-    fn fig1_yields_two_disjoint_paths() {
-        let t = Topology::fig1();
-        let a = t.find_node("A").unwrap();
-        let d = t.find_node("D").unwrap();
-        let paths = k_disjoint_paths(&t, a, d, 4);
-        // fig1 is 2-connected between A and D: exactly two disjoint
-        // paths (via B and via C), shortest first.
-        assert_eq!(paths.len(), 2);
-        assert!(paths[0].delay_ps <= paths[1].delay_ps);
-        assert!(!paths[0].shares_link_with(&paths[1]));
-        for p in &paths {
-            assert_eq!(p.nodes.first(), Some(&a));
-            assert_eq!(p.nodes.last(), Some(&d));
-            assert_eq!(p.links.len(), p.nodes.len() - 1);
-        }
-        assert_ne!(paths[0].nodes[1], paths[1].nodes[1], "distinct middles");
-    }
-
-    #[test]
-    fn line_yields_one_path_ring_yields_two() {
-        let line = Topology::line(3, 50.0);
-        assert_eq!(k_disjoint_paths(&line, NodeId(0), NodeId(2), 3).len(), 1);
-        let ring = Topology::ring(5, 50.0);
-        let paths = k_disjoint_paths(&ring, NodeId(0), NodeId(2), 3);
-        assert_eq!(paths.len(), 2);
-        assert!(!paths[0].shares_link_with(&paths[1]));
-        // Clockwise (2 hops) before counter-clockwise (3 hops).
-        assert_eq!(paths[0].links.len(), 2);
-        assert_eq!(paths[1].links.len(), 3);
-    }
-
-    #[test]
-    fn parallel_spans_are_distinct_disjoint_paths() {
-        // Two parallel fibers between the same pair: node-identical
-        // paths, but link-disjoint — only link-aware enumeration finds
-        // the second one.
-        let mut t = Topology::new();
-        let x = t.add_node("x");
-        let y = t.add_node("y");
-        let l0 = t.add_link(x, y, 10.0);
-        let l1 = t.add_link(x, y, 20.0);
-        let paths = k_disjoint_paths(&t, x, y, 4);
-        assert_eq!(paths.len(), 2);
-        assert_eq!(paths[0].links, vec![l0]);
-        assert_eq!(paths[1].links, vec![l1]);
-        assert_eq!(paths[0].nodes, paths[1].nodes);
-    }
-
-    #[test]
-    fn self_route_is_trivial() {
-        let t = Topology::fig1();
-        let a = t.find_node("A").unwrap();
-        let paths = k_disjoint_paths(&t, a, a, 3);
-        assert_eq!(paths.len(), 1);
-        assert!(paths[0].links.is_empty());
-        assert_eq!(paths[0].delay_ps, 0);
     }
 
     #[test]
@@ -608,14 +490,14 @@ mod tests {
             },
         );
         assert_eq!(
-            rt.lookup("10.1.5.5".parse().unwrap(), None),
+            rt.lookup_op("10.1.5.5".parse().unwrap(), None),
             Some(LinkId(2))
         );
         assert_eq!(
-            rt.lookup("10.2.5.5".parse().unwrap(), None),
+            rt.lookup_op("10.2.5.5".parse().unwrap(), None),
             Some(LinkId(1))
         );
-        assert_eq!(rt.lookup("11.0.0.1".parse().unwrap(), None), None);
+        assert_eq!(rt.lookup_op("11.0.0.1".parse().unwrap(), None), None);
     }
 
     #[test]
@@ -635,15 +517,15 @@ mod tests {
         );
         let dst: Addr = "10.9.9.9".parse().unwrap();
         // Plain traffic: default hop.
-        assert_eq!(rt.lookup(dst, None), Some(LinkId(1)));
+        assert_eq!(rt.lookup_op(dst, None), Some(LinkId(1)));
         // Pending P1 compute: detour.
         assert_eq!(
-            rt.lookup(dst, Some(Primitive::VectorDotProduct)),
+            rt.lookup_op(dst, Some((Primitive::VectorDotProduct, None))),
             Some(LinkId(7))
         );
         // A different primitive without an override: default hop.
         assert_eq!(
-            rt.lookup(dst, Some(Primitive::PatternMatching)),
+            rt.lookup_op(dst, Some((Primitive::PatternMatching, None))),
             Some(LinkId(1))
         );
     }
@@ -658,11 +540,11 @@ mod tests {
         );
         let dst: Addr = "10.1.1.1".parse().unwrap();
         assert_eq!(
-            rt.lookup(dst, Some(Primitive::PatternMatching)),
+            rt.lookup_op(dst, Some((Primitive::PatternMatching, None))),
             Some(LinkId(3))
         );
         // Plain traffic has no next hop on that entry (local/no-route).
-        assert_eq!(rt.lookup(dst, None), None);
+        assert_eq!(rt.lookup_op(dst, None), None);
     }
 
     #[test]
@@ -683,9 +565,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(rt.len(), 1);
+        assert_eq!(rt.entries.len(), 1);
         assert_eq!(
-            rt.lookup("10.0.0.1".parse().unwrap(), None),
+            rt.lookup_op("10.0.0.1".parse().unwrap(), None),
             Some(LinkId(2))
         );
     }

@@ -79,7 +79,7 @@ pub struct EngineSlot {
     /// Whether this engine is trustworthy: an injected hard-fail clears
     /// it and the repair sets it again. Unhealthy slots skip execution (packets pass through tagged
     /// [`ResultStatus::EngineUnhealthy`]) instead of emitting garbage.
-    pub healthy: bool,
+    pub(crate) healthy: bool,
     pub executions: u64,
     pub macs: u64,
     pub energy_j: f64,
@@ -470,7 +470,7 @@ impl Network {
 
     /// Run until no events remain or `max_events` have fired. Returns
     /// events processed in this call.
-    pub fn run(&mut self, max_events: u64) -> u64 {
+    pub(crate) fn run(&mut self, max_events: u64) -> u64 {
         let start = self.events.events_processed;
         while self.events.events_processed - start < max_events {
             let Some((_, ev)) = self.events.pop() else {
@@ -1267,12 +1267,10 @@ mod tests {
     fn link_flap_drains_queue_and_recovers() {
         let mut net = fig1_net();
         let (a, d) = a_d(&net);
-        let first_hop = {
-            let pending = None;
-            net.routing_table_mut(a)
-                .lookup(Network::node_addr(d, 1), pending)
-                .unwrap()
-        };
+        let first_hop = net
+            .routing_table_mut(a)
+            .lookup_op(Network::node_addr(d, 1), None)
+            .unwrap();
         // Burst so the egress queue holds packets, then cut: queued
         // packets are lost as LinkDown, and after repair traffic flows.
         for id in 0..10 {

@@ -7,10 +7,10 @@
 use crate::pch::ResultStatus;
 
 /// One delivered packet's record.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct DeliveryRecord {
     pub packet_id: u32,
-    pub created_ps: u64,
+    pub(crate) created_ps: u64,
     pub delivered_ps: u64,
     pub hops: u32,
     /// Whether a photonic engine executed this packet's operation.
@@ -19,11 +19,11 @@ pub struct DeliveryRecord {
     /// the receiver tell a skipped-by-unhealthy-engine pass-through from
     /// a valid result.
     pub status: ResultStatus,
-    pub wire_bytes: usize,
+    pub(crate) wire_bytes: usize,
 }
 
 impl DeliveryRecord {
-    pub fn latency_ps(&self) -> u64 {
+    pub(crate) fn latency_ps(&self) -> u64 {
         self.delivered_ps.saturating_sub(self.created_ps)
     }
 
@@ -47,15 +47,6 @@ pub enum DropReason {
     LinkDown,
 }
 
-impl DropReason {
-    pub const ALL: [DropReason; 4] = [
-        DropReason::QueueFull,
-        DropReason::TtlExpired,
-        DropReason::NoRoute,
-        DropReason::LinkDown,
-    ];
-}
-
 /// Collected simulation statistics.
 #[derive(Debug, Clone, Default)]
 pub struct StatsCollector {
@@ -63,16 +54,16 @@ pub struct StatsCollector {
     /// Packets handed to the simulator via `inject` (the conservation
     /// baseline).
     pub injected: u64,
-    pub drops_queue: u64,
-    pub drops_ttl: u64,
-    pub drops_no_route: u64,
+    pub(crate) drops_queue: u64,
+    pub(crate) drops_ttl: u64,
+    pub(crate) drops_no_route: u64,
     /// Packets lost to a cut fiber (queued on, in flight over, or routed
     /// at a downed link).
-    pub drops_link_down: u64,
+    pub(crate) drops_link_down: u64,
 }
 
 impl StatsCollector {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         StatsCollector::default()
     }
 
@@ -254,7 +245,12 @@ mod tests {
         c.record_drop(DropReason::TtlExpired);
         c.record_drop(DropReason::NoRoute);
         c.record_drop(DropReason::LinkDown);
-        for r in DropReason::ALL {
+        for r in [
+            DropReason::QueueFull,
+            DropReason::TtlExpired,
+            DropReason::NoRoute,
+            DropReason::LinkDown,
+        ] {
             assert_eq!(c.drop_count(r), 1, "{r:?}");
         }
         assert_eq!(c.total_drops(), 4);

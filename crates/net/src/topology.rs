@@ -29,19 +29,19 @@ pub struct Node {
 pub struct Link {
     pub a: NodeId,
     pub b: NodeId,
-    pub length_km: f64,
+    pub(crate) length_km: f64,
     /// Line capacity per direction, bits/s.
     pub capacity_bps: f64,
 }
 
 impl Link {
     /// One-way propagation delay, integer picoseconds.
-    pub fn delay_ps(&self) -> u64 {
+    pub(crate) fn delay_ps(&self) -> u64 {
         units::fiber_delay_ps(self.length_km)
     }
 
     /// The far end relative to `from`, if `from` is an endpoint.
-    pub fn other(&self, from: NodeId) -> Option<NodeId> {
+    pub(crate) fn other(&self, from: NodeId) -> Option<NodeId> {
         if from == self.a {
             Some(self.b)
         } else if from == self.b {
@@ -58,7 +58,7 @@ pub const DEFAULT_CAPACITY_BPS: f64 = 800e9;
 /// A WAN topology.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Topology {
-    pub nodes: Vec<Node>,
+    pub(crate) nodes: Vec<Node>,
     pub links: Vec<Link>,
 }
 

@@ -10,12 +10,11 @@
 //! 1. task → worker assignment is round-robin by submission index, fixed
 //!    before any thread starts;
 //! 2. results are gathered into a slot table indexed by submission
-//!    index, so completion order cannot reorder them;
-//! 3. telemetry attribution is emitted *after* the join, on the calling
-//!    thread, in (worker, slot) order — trace bytes never depend on
-//!    thread interleaving.
-
-use ofpc_telemetry::{labels, track, Telemetry};
+//!    index, so completion order cannot reorder them.
+//!
+//! The pool records no telemetry. A caller that traces a parallel
+//! section emits after the gather, in submission order, so its trace
+//! never depends on thread interleaving.
 
 /// A deterministic scatter/gather worker pool.
 ///
@@ -26,7 +25,6 @@ use ofpc_telemetry::{labels, track, Telemetry};
 #[derive(Debug, Clone)]
 pub struct WorkerPool {
     workers: usize,
-    tel: Telemetry,
 }
 
 impl WorkerPool {
@@ -34,10 +32,7 @@ impl WorkerPool {
     /// sequential reference path (no threads are spawned).
     pub fn new(workers: usize) -> Self {
         assert!(workers >= 1, "a pool needs at least one worker");
-        WorkerPool {
-            workers,
-            tel: Telemetry::disabled(),
-        }
+        WorkerPool { workers }
     }
 
     /// The sequential reference pool (1 worker, inline execution).
@@ -62,16 +57,6 @@ impl WorkerPool {
         self.workers
     }
 
-    /// Attach an observability handle: each scatter/gather records
-    /// per-worker task counters (`par_tasks_total{worker=…}`) and spans
-    /// on the PAR track (`tid` = worker index, timestamps in *task-slot*
-    /// units, not picoseconds). Attribution is emitted post-join in a
-    /// fixed order, so enabling it never perturbs determinism.
-    pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
-        self.tel = tel.clone();
-        self
-    }
-
     /// Execute `tasks` and return their results **in submission order**.
     ///
     /// `f(i, task)` receives the submission index so tasks can derive
@@ -79,7 +64,7 @@ impl WorkerPool {
     /// fewer than two tasks) everything runs inline on the caller's
     /// thread — that is the sequential path the differential tests diff
     /// against.
-    pub fn scatter_gather<T, R, F>(&self, label: &str, tasks: Vec<T>, f: F) -> Vec<R>
+    pub fn scatter_gather<T, R, F>(&self, tasks: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
@@ -88,13 +73,11 @@ impl WorkerPool {
         let n = tasks.len();
         let shard_count = self.workers.min(n.max(1));
         if shard_count <= 1 {
-            let out: Vec<R> = tasks
+            return tasks
                 .into_iter()
                 .enumerate()
                 .map(|(i, t)| f(i, t))
                 .collect();
-            self.attribute(label, &[(0..n).collect()]);
-            return out;
         }
 
         // Fixed round-robin sharding by submission index: the schedule is
@@ -103,10 +86,6 @@ impl WorkerPool {
         for (i, t) in tasks.into_iter().enumerate() {
             shards[i % shard_count].push((i, t));
         }
-        let assignment: Vec<Vec<usize>> = shards
-            .iter()
-            .map(|s| s.iter().map(|(i, _)| *i).collect())
-            .collect();
 
         let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
         std::thread::scope(|scope| {
@@ -128,42 +107,10 @@ impl WorkerPool {
                 }
             }
         });
-        self.attribute(label, &assignment);
         slots
             .into_iter()
             .map(|r| r.expect("every submitted task must produce a result"))
             .collect()
-    }
-
-    /// Post-join telemetry: one span per task on the PAR track (`tid` =
-    /// worker, virtual time = slot index within that worker) plus
-    /// per-worker counters. Emission order is (worker, slot) — fully
-    /// deterministic for a given worker count.
-    fn attribute(&self, label: &str, assignment: &[Vec<usize>]) {
-        if !self.tel.is_enabled() {
-            return;
-        }
-        for (worker, indices) in assignment.iter().enumerate() {
-            let w = worker.to_string();
-            self.tel
-                .counter("par_tasks_total", &labels(&[("worker", &w)]))
-                .add(indices.len() as u64);
-            for (slot, &task) in indices.iter().enumerate() {
-                self.tel.span_args(
-                    track::PAR,
-                    worker as u64,
-                    "par",
-                    label,
-                    slot as u64,
-                    slot as u64 + 1,
-                    vec![
-                        ("task".to_string(), task.to_string()),
-                        ("worker".to_string(), w.clone()),
-                    ],
-                );
-            }
-        }
-        self.tel.counter("par_scatter_total", &Vec::new()).inc();
     }
 }
 
@@ -171,10 +118,9 @@ impl WorkerPool {
 mod tests {
     use super::*;
     use crate::sweep::split_seed;
-    use ofpc_telemetry::Telemetry;
 
     fn squares(pool: &WorkerPool, n: usize) -> Vec<u64> {
-        pool.scatter_gather("sq", (0..n as u64).collect(), |i, v| {
+        pool.scatter_gather((0..n as u64).collect(), |i, v| {
             assert_eq!(i as u64, v);
             v * v
         })
@@ -195,7 +141,7 @@ mod tests {
         // A seeded pseudo-noisy task: output depends only on the per-task
         // seed, never on which worker ran it.
         let run = |workers: usize| -> Vec<u64> {
-            WorkerPool::new(workers).scatter_gather("noise", (0..64usize).collect(), |i, _| {
+            WorkerPool::new(workers).scatter_gather((0..64usize).collect(), |i, _| {
                 let mut acc = split_seed(99, i as u64);
                 for _ in 0..10 {
                     acc = split_seed(acc, 1);
@@ -211,33 +157,9 @@ mod tests {
     #[test]
     fn empty_and_single_task_inputs() {
         let pool = WorkerPool::new(4);
-        let empty: Vec<u64> = pool.scatter_gather("e", Vec::<u64>::new(), |_, v| v);
+        let empty: Vec<u64> = pool.scatter_gather(Vec::<u64>::new(), |_, v| v);
         assert!(empty.is_empty());
-        assert_eq!(pool.scatter_gather("s", vec![7u64], |_, v| v + 1), vec![8]);
-    }
-
-    #[test]
-    fn telemetry_attribution_is_deterministic() {
-        let emit = |workers: usize| {
-            let tel = Telemetry::enabled();
-            let pool = WorkerPool::new(workers).with_telemetry(&tel);
-            squares(&pool, 10);
-            (tel.metrics_json(), tel.chrome_trace_json())
-        };
-        assert_eq!(emit(3), emit(3), "same worker count ⇒ same attribution");
-        let (metrics, _) = emit(2);
-        // 10 tasks over 2 workers round-robin: 5 each.
-        assert!(metrics.contains("par_tasks_total"));
-        let tel = Telemetry::enabled();
-        let pool = WorkerPool::new(2).with_telemetry(&tel);
-        squares(&pool, 10);
-        let snap = tel.snapshot();
-        for w in ["0", "1"] {
-            assert_eq!(
-                snap.counter("par_tasks_total", &ofpc_telemetry::labels(&[("worker", w)])),
-                Some(5)
-            );
-        }
+        assert_eq!(pool.scatter_gather(vec![7u64], |_, v| v + 1), vec![8]);
     }
 
     #[test]

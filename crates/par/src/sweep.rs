@@ -42,9 +42,7 @@ where
     R: Send,
     F: Fn(usize, u64, P) -> R + Sync,
 {
-    pool.scatter_gather("sweep", grid, |i, p| {
-        f(i, split_seed(base_seed, i as u64), p)
-    })
+    pool.scatter_gather(grid, |i, p| f(i, split_seed(base_seed, i as u64), p))
 }
 
 #[cfg(test)]

@@ -40,12 +40,6 @@ impl Complex {
         self.re * self.re + self.im * self.im
     }
 
-    /// Magnitude `|z|`.
-    #[inline]
-    pub fn abs(self) -> f64 {
-        self.norm_sqr().sqrt()
-    }
-
     /// Argument (phase) in radians, in `(-π, π]`.
     #[inline]
     pub fn arg(self) -> f64 {
@@ -62,12 +56,6 @@ impl Complex {
     #[inline]
     pub(crate) fn rotate(self, theta: f64) -> Self {
         self * Complex::phasor(theta)
-    }
-
-    /// True if either component is NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        self.re.is_nan() || self.im.is_nan()
     }
 }
 
@@ -146,7 +134,7 @@ mod tests {
     #[test]
     fn polar_round_trip() {
         let z = Complex::from_polar(2.0, 0.7);
-        assert!((z.abs() - 2.0).abs() < EPS);
+        assert!((z.norm_sqr().sqrt() - 2.0).abs() < EPS);
         assert!((z.arg() - 0.7).abs() < EPS);
     }
 
@@ -155,7 +143,7 @@ mod tests {
         let a = Complex::from_polar(2.0, 0.3);
         let b = Complex::from_polar(3.0, 0.5);
         let c = a * b;
-        assert!((c.abs() - 6.0).abs() < 1e-10);
+        assert!((c.norm_sqr().sqrt() - 6.0).abs() < 1e-10);
         assert!((c.arg() - 0.8).abs() < 1e-10);
     }
 

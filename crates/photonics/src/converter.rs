@@ -68,9 +68,9 @@ impl Default for ConverterConfig {
 /// Digital-to-analog converter: code → voltage.
 #[derive(Debug, Clone)]
 pub struct Dac {
-    pub config: ConverterConfig,
+    pub(crate) config: ConverterConfig,
     rng: SimRng,
-    pub samples_converted: u64,
+    pub(crate) samples_converted: u64,
 }
 
 impl Dac {
@@ -88,12 +88,6 @@ impl Dac {
 
     pub fn ideal(bits: u32) -> Self {
         Dac::new(ConverterConfig::ideal(bits), SimRng::seed_from_u64(0))
-    }
-
-    /// Build from a calibrated catalog part (see
-    /// [`crate::parts::DacPart`]).
-    pub fn from_part(part: &dyn crate::parts::DacPart, rng: SimRng) -> Self {
-        Dac::new(part.converter_config(), rng)
     }
 
     /// Number of codes, `2^bits`.
@@ -150,7 +144,7 @@ impl Dac {
 pub struct Adc {
     pub config: ConverterConfig,
     rng: SimRng,
-    pub samples_converted: u64,
+    pub(crate) samples_converted: u64,
 }
 
 impl Adc {
@@ -168,12 +162,6 @@ impl Adc {
 
     pub fn ideal(bits: u32) -> Self {
         Adc::new(ConverterConfig::ideal(bits), SimRng::seed_from_u64(0))
-    }
-
-    /// Build from a calibrated catalog part (see
-    /// [`crate::parts::AdcPart`]).
-    pub fn from_part(part: &dyn crate::parts::AdcPart, rng: SimRng) -> Self {
-        Adc::new(part.converter_config(), rng)
     }
 
     pub fn levels(&self) -> u64 {

@@ -20,9 +20,9 @@ use crate::units;
 #[derive(Debug, Clone)]
 pub struct Coupler {
     /// Power coupling ratio κ in [0, 1]; 0.5 = 3-dB coupler.
-    pub kappa: f64,
+    pub(crate) kappa: f64,
     /// Excess loss in dB (applied to both outputs).
-    pub excess_loss_db: f64,
+    pub(crate) excess_loss_db: f64,
 }
 
 impl Coupler {

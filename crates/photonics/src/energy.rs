@@ -58,7 +58,7 @@ pub mod constants {
 }
 
 /// A labelled energy ledger: joules per named stage, ordered by label.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct EnergyLedger {
     entries: BTreeMap<String, f64>,
 }
@@ -99,15 +99,6 @@ impl EnergyLedger {
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), *v))
     }
-
-    /// Number of distinct stages.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 impl std::fmt::Display for EnergyLedger {
@@ -138,7 +129,7 @@ mod tests {
         l.add("adc", 4e-12);
         assert!((l.get("dac") - 2e-12).abs() < 1e-24);
         assert!((l.total_j() - 6e-12).abs() < 1e-24);
-        assert_eq!(l.len(), 2);
+        assert_eq!(l.iter().count(), 2);
     }
 
     #[test]
@@ -158,7 +149,7 @@ mod tests {
     fn ledger_missing_stage_is_zero() {
         let l = EnergyLedger::new();
         assert_eq!(l.get("nothing"), 0.0);
-        assert!(l.is_empty());
+        assert_eq!(l.iter().count(), 0);
         assert_eq!(l.total_j(), 0.0);
     }
 

@@ -3,8 +3,7 @@
 //! The medium of Fig. 1's WAN links: standard single-mode fiber with
 //! 0.2 dB/km attenuation, group delay at `c / n_g`, and (optionally)
 //! chromatic-dispersion-induced intersymbol interference modeled as a
-//! symbol-rate-dependent low-pass on the envelope. The discrete-event
-//! network simulator consumes [`FiberSpan::delay_ps`]; the physical-layer
+//! symbol-rate-dependent low-pass on the envelope. The physical-layer
 //! experiments push [`OpticalField`] blocks through [`FiberSpan::propagate`].
 
 use crate::signal::OpticalField;
@@ -16,9 +15,9 @@ pub struct FiberSpan {
     /// Span length, km.
     pub length_km: f64,
     /// Attenuation, dB/km.
-    pub attenuation_db_per_km: f64,
+    pub(crate) attenuation_db_per_km: f64,
     /// Dispersion parameter D, ps/(nm·km); 17 for SMF-28 at 1550 nm.
-    pub dispersion_ps_nm_km: f64,
+    pub(crate) dispersion_ps_nm_km: f64,
 }
 
 impl FiberSpan {
@@ -47,11 +46,6 @@ impl FiberSpan {
     /// Total span loss, dB.
     pub fn total_loss_db(&self) -> f64 {
         self.length_km * self.attenuation_db_per_km
-    }
-
-    /// One-way propagation delay in integer picoseconds (DES timestamps).
-    pub fn delay_ps(&self) -> u64 {
-        units::fiber_delay_ps(self.length_km)
     }
 
     /// Accumulated dispersion, ps/nm.
@@ -121,19 +115,11 @@ mod tests {
     }
 
     #[test]
-    fn delay_matches_group_index() {
-        let span = FiberSpan::smf(1000.0);
-        // ~4.9 ms for 1000 km.
-        assert!((span.delay_ps() as f64 - 4.9e9).abs() < 0.1e9);
-    }
-
-    #[test]
     fn zero_length_span_is_identity() {
         let span = FiberSpan::smf(0.0);
         let input = OpticalField::cw(4, 1e-3, RATE, WL);
         let out = span.propagate(&input);
         assert_eq!(out.samples, input.samples);
-        assert_eq!(span.delay_ps(), 0);
     }
 
     #[test]

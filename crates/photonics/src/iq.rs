@@ -36,10 +36,6 @@ impl IqModulator {
         }
     }
 
-    pub fn ideal() -> Self {
-        IqModulator::new(MzmConfig::ideal())
-    }
-
     /// Drive voltage that produces signed amplitude transmission
     /// `a ∈ [-1, 1]` in a null-biased child: `v = (2Vπ/π)·asin(a)`.
     pub fn drive_for_amplitude(&self, a: f64) -> f64 {
@@ -69,18 +65,13 @@ impl IqModulator {
         }
         out
     }
-
-    /// Total drive energy spent, J.
-    pub fn energy_consumed_j(&self) -> f64 {
-        self.mzm_i.energy_consumed_j() + self.mzm_q.energy_consumed_j()
-    }
 }
 
 /// Configuration of a coherent receiver front end.
 #[derive(Debug, Clone)]
 pub struct CoherentRxConfig {
     /// Local-oscillator laser.
-    pub lo: LaserConfig,
+    pub(crate) lo: LaserConfig,
     /// The four hybrid photodetectors share this config.
     pub pd: PhotodetectorConfig,
 }
@@ -95,13 +86,6 @@ impl CoherentRxConfig {
                 ..LaserConfig::default()
             },
             pd: PhotodetectorConfig::ideal(),
-        }
-    }
-
-    pub fn realistic() -> Self {
-        CoherentRxConfig {
-            lo: LaserConfig::default(),
-            pd: PhotodetectorConfig::default(),
         }
     }
 }
@@ -181,7 +165,7 @@ mod tests {
 
     #[test]
     fn iq_modulator_writes_both_quadratures() {
-        let mut iq = IqModulator::ideal();
+        let mut iq = IqModulator::new(MzmConfig::ideal());
         let carrier = OpticalField::cw(4, 1e-3, RATE, WL);
         let amps = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.7, -0.7)];
         let di = AnalogWaveform::new(
@@ -249,7 +233,7 @@ mod tests {
 
     #[test]
     fn round_trip_iq_to_coherent() {
-        let mut iq = IqModulator::ideal();
+        let mut iq = IqModulator::new(MzmConfig::ideal());
         let mut rx = CoherentReceiver::ideal();
         let carrier = OpticalField::cw(8, 1e-3, RATE, WL);
         let symbols: Vec<(f64, f64)> = (0..8)

@@ -54,19 +54,6 @@ impl Laser {
         }
     }
 
-    /// Ideal (noiseless) laser — useful for calibration and unit tests.
-    pub fn ideal(power_dbm: f64) -> Self {
-        Laser::new(
-            LaserConfig {
-                power_dbm,
-                rin_db_hz: f64::NEG_INFINITY,
-                linewidth_hz: 0.0,
-                ..LaserConfig::default()
-            },
-            SimRng::seed_from_u64(0),
-        )
-    }
-
     /// Mean emitted power in watts.
     pub fn power_w(&self) -> f64 {
         units::dbm_to_watts(self.config.power_dbm)
@@ -136,9 +123,22 @@ impl Laser {
 mod tests {
     use super::*;
 
+    /// Noiseless laser at `power_dbm`.
+    fn ideal(power_dbm: f64) -> Laser {
+        Laser::new(
+            LaserConfig {
+                power_dbm,
+                rin_db_hz: f64::NEG_INFINITY,
+                linewidth_hz: 0.0,
+                ..LaserConfig::default()
+            },
+            SimRng::seed_from_u64(0),
+        )
+    }
+
     #[test]
     fn ideal_laser_emits_constant_power() {
-        let mut l = Laser::ideal(10.0);
+        let mut l = ideal(10.0);
         let f = l.emit(256, 10e9);
         let p = units::dbm_to_watts(10.0);
         for s in &f.samples {
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn noiseless_power_block_is_exact_and_skips_the_rng() {
-        let mut l = Laser::ideal(10.0);
+        let mut l = ideal(10.0);
         let mut before = l.rng.clone();
         let mut powers = Vec::new();
         l.emit_power_block(64, 10e9, &mut powers);

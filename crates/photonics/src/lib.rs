@@ -35,4 +35,3 @@ pub mod wdm;
 
 pub use complex::Complex;
 pub use rng::SimRng;
-pub use signal::{AnalogWaveform, OpticalField};

@@ -17,7 +17,7 @@ use crate::signal::{AnalogWaveform, OpticalField};
 use crate::units;
 
 /// Bias point of a Mach-Zehnder modulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BiasPoint {
     /// Null point: zero transmission at zero drive. Best contrast for
     /// amplitude encoding of non-negative values.
@@ -89,7 +89,7 @@ impl Default for MzmConfig {
 /// Mach-Zehnder intensity modulator.
 #[derive(Debug, Clone)]
 pub struct MachZehnderModulator {
-    pub config: MzmConfig,
+    pub(crate) config: MzmConfig,
     /// Symbols modulated so far (drives energy accounting).
     pub symbols_modulated: u64,
 }
@@ -311,8 +311,8 @@ impl Default for PhaseModulatorConfig {
 /// Pure phase modulator: `E → E · e^{i π v / Vπ}` per sample.
 #[derive(Debug, Clone)]
 pub struct PhaseModulator {
-    pub config: PhaseModulatorConfig,
-    pub symbols_modulated: u64,
+    pub(crate) config: PhaseModulatorConfig,
+    pub(crate) symbols_modulated: u64,
 }
 
 impl PhaseModulator {

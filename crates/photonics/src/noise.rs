@@ -39,17 +39,6 @@ pub(crate) fn rin_sigma_w(power_w: f64, rin_db_hz: f64, bandwidth_hz: f64) -> f6
     (power_w * power_w * rin_linear * bandwidth_hz.max(0.0)).sqrt()
 }
 
-/// Signal-to-noise ratio in dB given signal power and noise variance
-/// (same units). Returns +∞ for zero noise.
-#[inline]
-pub fn snr_db(signal_power: f64, noise_power: f64) -> f64 {
-    if noise_power <= 0.0 {
-        f64::INFINITY
-    } else {
-        units::linear_to_db(signal_power / noise_power)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,11 +77,5 @@ mod tests {
         let a = rin_sigma_w(1e-3, -150.0, 10e9);
         let b = rin_sigma_w(2e-3, -150.0, 10e9);
         assert!((b / a - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn snr_db_limits() {
-        assert_eq!(snr_db(1.0, 0.0), f64::INFINITY);
-        assert!((snr_db(100.0, 1.0) - 20.0).abs() < 1e-12);
     }
 }

@@ -20,19 +20,19 @@ pub struct PhotodetectorConfig {
     /// Responsivity, A/W (InGaAs at 1550 nm: ~0.9–1.1).
     pub responsivity_a_w: f64,
     /// Electrical 3-dB bandwidth, Hz (0 = track the sample rate).
-    pub bandwidth_hz: f64,
+    pub(crate) bandwidth_hz: f64,
     /// Load resistance for thermal noise, ohms.
-    pub load_ohms: f64,
+    pub(crate) load_ohms: f64,
     /// Dark current, A.
-    pub dark_current_a: f64,
+    pub(crate) dark_current_a: f64,
     /// Receiver temperature, K.
-    pub temperature_k: f64,
+    pub(crate) temperature_k: f64,
     /// Enable shot noise.
     pub shot_noise: bool,
     /// Enable thermal noise.
-    pub thermal_noise: bool,
+    pub(crate) thermal_noise: bool,
     /// Static power draw of the TIA stage, W (energy accounting).
-    pub tia_power_w: f64,
+    pub(crate) tia_power_w: f64,
 }
 
 impl PhotodetectorConfig {
@@ -72,7 +72,7 @@ pub struct Photodetector {
     pub config: PhotodetectorConfig,
     rng: SimRng,
     /// Seconds of signal detected so far (drives TIA energy accounting).
-    pub seconds_active: f64,
+    pub(crate) seconds_active: f64,
 }
 
 impl Photodetector {
@@ -82,11 +82,6 @@ impl Photodetector {
             rng,
             seconds_active: 0.0,
         }
-    }
-
-    /// Ideal noiseless detector.
-    pub fn ideal() -> Self {
-        Photodetector::new(PhotodetectorConfig::ideal(), SimRng::seed_from_u64(0))
     }
 
     /// Effective noise bandwidth for a block at `sample_rate_hz`.
@@ -187,24 +182,6 @@ impl Photodetector {
         self.config.responsivity_a_w * power_w + self.config.dark_current_a
     }
 
-    /// Receiver SNR (dB) for a CW optical input of `power_w` over the
-    /// configured bandwidth — used by precision analysis to predict the
-    /// effective bit width of P1 results.
-    pub fn snr_db(&self, power_w: f64, sample_rate_hz: f64) -> f64 {
-        let bw = self.noise_bandwidth(sample_rate_hz);
-        let i_sig = self.config.responsivity_a_w * power_w;
-        let mut noise_var = 0.0;
-        if self.config.shot_noise {
-            noise_var += noise::shot_noise_sigma_a(i_sig + self.config.dark_current_a, bw).powi(2);
-        }
-        if self.config.thermal_noise {
-            noise_var +=
-                noise::thermal_noise_sigma_a(self.config.load_ohms, bw, self.config.temperature_k)
-                    .powi(2);
-        }
-        noise::snr_db(i_sig * i_sig, noise_var)
-    }
-
     /// TIA energy consumed so far, J.
     pub fn energy_consumed_j(&self) -> f64 {
         self.seconds_active * self.config.tia_power_w
@@ -221,7 +198,7 @@ mod tests {
 
     #[test]
     fn ideal_detection_is_linear_in_power() {
-        let mut pd = Photodetector::ideal();
+        let mut pd = Photodetector::new(PhotodetectorConfig::ideal(), SimRng::seed_from_u64(0));
         let f1 = OpticalField::cw(8, 1e-3, RATE, WL);
         let f2 = OpticalField::cw(8, 2e-3, RATE, WL);
         let i1 = pd.detect(&f1).mean();
@@ -235,7 +212,7 @@ mod tests {
         // Phase-modulated light at constant power is indistinguishable
         // from unmodulated light — the motivation for interference-based
         // pattern matching (Fig. 2b).
-        let mut pd = Photodetector::ideal();
+        let mut pd = Photodetector::new(PhotodetectorConfig::ideal(), SimRng::seed_from_u64(0));
         let mut f = OpticalField::cw(16, 1e-3, RATE, WL);
         for (i, s) in f.samples.iter_mut().enumerate() {
             *s = s.rotate(i as f64 * 0.7);
@@ -248,7 +225,7 @@ mod tests {
 
     #[test]
     fn interference_is_visible_after_combining() {
-        let mut pd = Photodetector::ideal();
+        let mut pd = Photodetector::new(PhotodetectorConfig::ideal(), SimRng::seed_from_u64(0));
         let a = Complex::new(1e-3f64.sqrt(), 0.0);
         let constructive = OpticalField {
             samples: vec![a + a],
@@ -307,29 +284,11 @@ mod tests {
 
     #[test]
     fn thermal_noise_dominates_at_low_power() {
-        let cfg = PhotodetectorConfig {
-            shot_noise: true,
-            thermal_noise: true,
-            bandwidth_hz: 0.0,
-            ..PhotodetectorConfig::ideal()
-        };
-        let pd = Photodetector::new(cfg, SimRng::seed_from_u64(2));
         // At -40 dBm the thermal term should dwarf shot noise.
         let p = units::dbm_to_watts(-40.0);
         let shot = noise::shot_noise_sigma_a(p, RATE / 2.0);
         let thermal = noise::thermal_noise_sigma_a(50.0, RATE / 2.0, units::ROOM_TEMP_K);
         assert!(thermal > 5.0 * shot);
-        // And the predicted SNR should be finite and modest.
-        let snr = pd.snr_db(p, RATE);
-        assert!(snr < 30.0, "snr {snr}");
-    }
-
-    #[test]
-    fn snr_improves_with_power() {
-        let pd = Photodetector::new(PhotodetectorConfig::default(), SimRng::seed_from_u64(3));
-        let lo = pd.snr_db(units::dbm_to_watts(-30.0), RATE);
-        let hi = pd.snr_db(units::dbm_to_watts(0.0), RATE);
-        assert!(hi > lo + 20.0, "lo {lo} hi {hi}");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::complex::Complex;
 use crate::units;
 
 /// A block of complex optical envelope samples on a single wavelength.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct OpticalField {
     /// Envelope samples; `|e|²` = instantaneous power (W).
     pub samples: Vec<Complex>,
@@ -66,14 +66,6 @@ impl OpticalField {
         self.samples.iter().map(|s| s.norm_sqr()).sum::<f64>() / self.samples.len() as f64
     }
 
-    /// Total energy in the block, J (mean power × duration).
-    pub fn energy_j(&self) -> f64 {
-        if self.sample_rate_hz <= 0.0 {
-            return 0.0;
-        }
-        self.samples.iter().map(|s| s.norm_sqr()).sum::<f64>() / self.sample_rate_hz
-    }
-
     /// Apply a flat power loss of `loss_db` ≥ 0 dB (amplitude scaling).
     pub fn attenuate_db(&mut self, loss_db: f64) {
         let amp_scale = units::db_to_linear(-loss_db.abs()).sqrt();
@@ -91,7 +83,7 @@ impl OpticalField {
     }
 
     /// Block duration in seconds.
-    pub fn duration_s(&self) -> f64 {
+    pub(crate) fn duration_s(&self) -> f64 {
         if self.sample_rate_hz <= 0.0 {
             0.0
         } else {
@@ -102,10 +94,10 @@ impl OpticalField {
 
 /// A block of electrical samples (volts by convention; photodetector output
 /// is a current that a transimpedance stage maps to volts).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct AnalogWaveform {
     pub samples: Vec<f64>,
-    pub sample_rate_hz: f64,
+    pub(crate) sample_rate_hz: f64,
 }
 
 impl AnalogWaveform {
@@ -116,16 +108,12 @@ impl AnalogWaveform {
         }
     }
 
-    pub fn zeros(n: usize, sample_rate_hz: f64) -> Self {
+    pub(crate) fn zeros(n: usize, sample_rate_hz: f64) -> Self {
         AnalogWaveform::new(vec![0.0; n], sample_rate_hz)
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.samples.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
     }
 
     /// Mean of the samples.
@@ -134,21 +122,6 @@ impl AnalogWaveform {
             return 0.0;
         }
         self.samples.iter().sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Root-mean-square value.
-    pub fn rms(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        (self.samples.iter().map(|s| s * s).sum::<f64>() / self.samples.len() as f64).sqrt()
-    }
-
-    /// Scale every sample by `gain` (e.g. a transimpedance gain).
-    pub fn scale(&mut self, gain: f64) {
-        for s in &mut self.samples {
-            *s *= gain;
-        }
     }
 
     /// Single-pole low-pass filter with 3-dB cutoff `cutoff_hz`, modelling
@@ -192,7 +165,6 @@ mod tests {
     fn dark_field_has_no_energy() {
         let f = OpticalField::dark(16, RATE, WL);
         assert_eq!(f.mean_power_w(), 0.0);
-        assert_eq!(f.energy_j(), 0.0);
     }
 
     #[test]
@@ -219,10 +191,8 @@ mod tests {
     }
 
     #[test]
-    fn energy_is_power_times_duration() {
+    fn duration_is_samples_over_rate() {
         let f = OpticalField::cw(1000, 1e-3, RATE, WL);
-        let expect = 1e-3 * 1000.0 / RATE;
-        assert!((f.energy_j() - expect).abs() < 1e-18);
         assert!((f.duration_s() - 1000.0 / RATE).abs() < 1e-18);
     }
 
@@ -230,7 +200,6 @@ mod tests {
     fn waveform_stats() {
         let w = AnalogWaveform::new(vec![1.0, -1.0, 1.0, -1.0], RATE);
         assert_eq!(w.mean(), 0.0);
-        assert!((w.rms() - 1.0).abs() < 1e-15);
     }
 
     #[test]
@@ -266,11 +235,9 @@ mod tests {
     #[test]
     fn empty_blocks_are_safe() {
         let f = OpticalField::dark(0, RATE, WL);
-        assert!(f.is_empty());
         assert_eq!(f.mean_power_w(), 0.0);
         let mut w = AnalogWaveform::zeros(0, RATE);
         w.lowpass(1e9);
         assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.rms(), 0.0);
     }
 }

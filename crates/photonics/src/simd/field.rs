@@ -15,29 +15,19 @@ use crate::signal::OpticalField;
 /// A block of optical field samples in struct-of-arrays layout:
 /// separate real and imaginary lanes plus the block metadata carried by
 /// [`OpticalField`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FieldBlock {
     /// Real lane of the envelope samples.
     pub re: Vec<f64>,
     /// Imaginary lane of the envelope samples.
     pub im: Vec<f64>,
     /// Sample rate in Hz (symbol rate of the block).
-    pub sample_rate_hz: f64,
+    pub(crate) sample_rate_hz: f64,
     /// Carrier wavelength in meters.
-    pub wavelength_m: f64,
+    pub(crate) wavelength_m: f64,
 }
 
 impl FieldBlock {
-    /// An all-dark (zero-field) block.
-    pub fn dark(n: usize, sample_rate_hz: f64, wavelength_m: f64) -> Self {
-        FieldBlock {
-            re: vec![0.0; n],
-            im: vec![0.0; n],
-            sample_rate_hz,
-            wavelength_m,
-        }
-    }
-
     /// Convert from the array-of-structs representation. Lossless:
     /// every component is copied bit-for-bit.
     pub fn from_field(field: &OpticalField) -> Self {
@@ -64,40 +54,8 @@ impl FieldBlock {
     }
 
     /// Number of samples in the block.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.re.len()
-    }
-
-    /// Whether the block holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.re.is_empty()
-    }
-
-    /// Instantaneous power `|e|²` of sample `k`, watts.
-    pub fn power_at(&self, k: usize) -> f64 {
-        self.re[k] * self.re[k] + self.im[k] * self.im[k]
-    }
-
-    /// Mean optical power over the block, watts (0 for an empty block).
-    pub fn mean_power_w(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = self
-            .re
-            .iter()
-            .zip(&self.im)
-            .map(|(&re, &im)| re * re + im * im)
-            .sum();
-        total / self.len() as f64
-    }
-
-    /// Duration of the block in seconds.
-    pub fn duration_s(&self) -> f64 {
-        if self.sample_rate_hz <= 0.0 {
-            return 0.0;
-        }
-        self.len() as f64 / self.sample_rate_hz
     }
 }
 
@@ -132,27 +90,5 @@ mod tests {
         }
         assert_eq!(field.sample_rate_hz, back.sample_rate_hz);
         assert_eq!(field.wavelength_m, back.wavelength_m);
-    }
-
-    #[test]
-    fn power_matches_complex_norm_sqr() {
-        let field = OpticalField::cw(16, 1e-3, RATE, WL);
-        let block = FieldBlock::from_field(&field);
-        for k in 0..block.len() {
-            assert_eq!(
-                block.power_at(k).to_bits(),
-                field.samples[k].norm_sqr().to_bits()
-            );
-        }
-        assert!((block.mean_power_w() - field.mean_power_w()).abs() < 1e-18);
-    }
-
-    #[test]
-    fn dark_block_is_dark() {
-        let block = FieldBlock::dark(8, RATE, WL);
-        assert_eq!(block.len(), 8);
-        assert!(!block.is_empty());
-        assert_eq!(block.mean_power_w(), 0.0);
-        assert!((block.duration_s() - 8.0 / RATE).abs() < 1e-24);
     }
 }

@@ -11,11 +11,11 @@ use crate::units;
 #[derive(Debug, Clone)]
 pub struct WdmGrid {
     /// Center frequency of channel 0, Hz (193.1 THz for the ITU anchor).
-    pub anchor_hz: f64,
+    pub(crate) anchor_hz: f64,
     /// Channel spacing, Hz (50 or 100 GHz typical).
-    pub spacing_hz: f64,
+    pub(crate) spacing_hz: f64,
     /// Number of channels.
-    pub channels: usize,
+    pub(crate) channels: usize,
 }
 
 impl WdmGrid {

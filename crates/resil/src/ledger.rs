@@ -27,7 +27,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What kind of redundancy a set uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum SetKind {
     /// Two identical copies; members 0 and 1.
     Replica,
@@ -41,7 +41,7 @@ pub enum SetKind {
 
 impl SetKind {
     /// Total members in a set of this kind.
-    pub fn members(&self) -> u8 {
+    pub(crate) fn members(&self) -> u8 {
         match self {
             SetKind::Replica => 2,
             SetKind::Parity { data_members } => data_members + 1,
@@ -50,7 +50,7 @@ impl SetKind {
 }
 
 /// What the runtime must do after a member delivers.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DoneAction {
     /// First replica copy home: complete its requests and cancel the
     /// listed still-pending members (pre-launch cancels cost nothing;
@@ -74,7 +74,7 @@ pub enum DoneAction {
 }
 
 /// What the runtime must do after a member is lost to a fault.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LostAction {
     /// Redundancy absorbs the loss: stash the member's requests (a
     /// parity sibling may reconstruct them) and carry on.
@@ -98,7 +98,7 @@ pub enum LostAction {
     AlreadyResolved,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct SetState {
     kind: SetKind,
     delivered: BTreeSet<u8>,
@@ -114,7 +114,7 @@ struct SetState {
 }
 
 /// Deterministic ledger over all live redundancy sets.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkLedger {
     sets: BTreeMap<u64, SetState>,
 }
@@ -269,16 +269,6 @@ impl WorkLedger {
             .filter(|&s| !self.is_settled(s))
             .collect()
     }
-
-    /// Number of registered sets.
-    pub fn len(&self) -> usize {
-        self.sets.len()
-    }
-
-    /// True when no set was ever registered.
-    pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -429,6 +419,5 @@ mod tests {
         led.on_member_lost(11, 0);
         led.on_member_lost(11, 1);
         assert!(led.unsettled_sets().is_empty());
-        assert_eq!(led.len(), 2);
     }
 }

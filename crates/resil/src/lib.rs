@@ -12,9 +12,9 @@
 //!   [`ResilTag`] that pins a redundant batch to its path and set.
 //! * [`multipath`] — the placement planner: greedy pairwise
 //!   link-disjoint routes from the serving front-end to the compute
-//!   sites (built on `ofpc_net::routing::k_disjoint_paths` /
-//!   `ofpc_controller::protection`), with graceful degradation when the
-//!   topology is a tree ([`multipath::MultipathPlan::protection_mode`]).
+//!   sites (built on `ofpc_net::routing::shortest_route_filtered`), with
+//!   graceful degradation when the topology is a tree: a route that
+//!   cannot avoid an earlier one is kept and flagged non-disjoint.
 //! * [`parity`] — the split of a batch into the k data groups one XOR
 //!   parity group protects; any single lost group reconstructs
 //!   digitally.

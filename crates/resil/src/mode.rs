@@ -20,7 +20,7 @@
 use ofpc_net::NodeId;
 
 /// Per-tenant redundancy policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum RedundancyMode {
     /// No redundancy: the existing reactive fault path applies.
     Unprotected,
@@ -49,25 +49,10 @@ impl RedundancyMode {
     pub fn is_protected(&self) -> bool {
         !matches!(self, RedundancyMode::Unprotected)
     }
-
-    /// Number of set members a batch of `batch_len` requests expands
-    /// into: replica = 2 copies; parity = min(k, batch_len) data groups
-    /// plus 1 parity group (a 1-request batch degenerates to 1+1, i.e.
-    /// a replica in coding clothes).
-    pub fn members(&self, batch_len: usize) -> usize {
-        match self {
-            RedundancyMode::Unprotected => 1,
-            RedundancyMode::Replica => 2,
-            RedundancyMode::XorParity { data_groups } => {
-                let k = (*data_groups as usize).clamp(1, batch_len.max(1));
-                k + 1
-            }
-        }
-    }
 }
 
 /// Tag carried by each member batch of a redundancy set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilTag {
     /// Redundancy set id (unique per run, allocation order).
     pub set: u64,
@@ -101,15 +86,5 @@ mod tests {
             modes.len(),
             "distinct modes key distinct batches"
         );
-    }
-
-    #[test]
-    fn member_counts_follow_the_mode() {
-        assert_eq!(RedundancyMode::Unprotected.members(8), 1);
-        assert_eq!(RedundancyMode::Replica.members(8), 2);
-        assert_eq!(RedundancyMode::XorParity { data_groups: 3 }.members(8), 4);
-        // A parity batch smaller than k degenerates gracefully.
-        assert_eq!(RedundancyMode::XorParity { data_groups: 3 }.members(2), 3);
-        assert_eq!(RedundancyMode::XorParity { data_groups: 3 }.members(1), 2);
     }
 }

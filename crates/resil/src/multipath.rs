@@ -6,19 +6,16 @@
 //! route already selected. When the topology cannot offer another
 //! disjoint route (a tree, or a site stranded behind the same span),
 //! the planner degrades gracefully — the site still gets its shortest
-//! route, just flagged non-disjoint — and
-//! [`MultipathPlan::protection_mode`] reports what level of protection
-//! is actually achievable so the serving layer can fall back to
-//! serialized-same-path replication or a declared-unprotected downgrade
-//! instead of silently promising diversity it does not have.
+//! route, just flagged non-disjoint — so the serving layer can fall
+//! back to serialized-same-path replication or a declared-unprotected
+//! downgrade instead of silently promising diversity it does not have.
 
-use ofpc_controller::ProtectionMode;
 use ofpc_net::routing::{shortest_route_filtered, RoutedPath};
 use ofpc_net::{LinkId, NodeId, Topology};
 use std::collections::BTreeSet;
 
 /// One planned route from the front-end to a compute site.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SiteRoute {
     /// The compute site this route lands on.
     pub node: NodeId,
@@ -30,10 +27,8 @@ pub struct SiteRoute {
 }
 
 /// Link-disjoint route plan from one front-end to a set of sites.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct MultipathPlan {
-    /// The serving front-end all routes originate from.
-    pub front_end: NodeId,
     /// Per-site routes, in the site order given to [`MultipathPlan::plan`];
     /// unreachable sites are dropped.
     pub routes: Vec<SiteRoute>,
@@ -65,27 +60,12 @@ impl MultipathPlan {
                 disjoint,
             });
         }
-        MultipathPlan { front_end, routes }
+        MultipathPlan { routes }
     }
 
     /// Number of pairwise link-disjoint routes in the plan.
     pub fn diversity(&self) -> usize {
         self.routes.iter().filter(|r| r.disjoint).count()
-    }
-
-    /// What the redundancy layer can honestly promise on this plan:
-    /// ≥ 2 disjoint routes → true disjoint multipath; exactly 1 route
-    /// worth of diversity → serialized same-path replication (survives
-    /// engine faults and transient cuts, not a severed shared span);
-    /// no routes at all → unprotected.
-    pub fn protection_mode(&self) -> ProtectionMode {
-        if self.diversity() >= 2 {
-            ProtectionMode::DisjointMultipath
-        } else if !self.routes.is_empty() {
-            ProtectionMode::SerializedSamePath
-        } else {
-            ProtectionMode::Unprotected
-        }
     }
 }
 
@@ -111,7 +91,6 @@ mod tests {
         let plan = MultipathPlan::plan(&topo, NodeId(0), &sites);
         assert_eq!(plan.routes.len(), 4);
         assert_eq!(plan.diversity(), 4);
-        assert_eq!(plan.protection_mode(), ProtectionMode::DisjointMultipath);
         // Pairwise disjoint in fact, not just by flag.
         for i in 0..plan.routes.len() {
             for j in i + 1..plan.routes.len() {
@@ -128,7 +107,6 @@ mod tests {
         let plan = MultipathPlan::plan(&topo, NodeId(0), &[NodeId(1), NodeId(2)]);
         assert_eq!(plan.routes.len(), 2);
         assert_eq!(plan.diversity(), 1);
-        assert_eq!(plan.protection_mode(), ProtectionMode::SerializedSamePath);
         assert!(plan.routes[0].disjoint);
         assert!(!plan.routes[1].disjoint);
     }
@@ -141,7 +119,7 @@ mod tests {
         assert_eq!(plan.routes.len(), 1);
         assert!(plan.routes.iter().all(|r| r.node != island));
         let empty = MultipathPlan::plan(&topo, island, &[NodeId(1), NodeId(2)]);
-        assert_eq!(empty.protection_mode(), ProtectionMode::Unprotected);
+        assert!(empty.routes.is_empty());
     }
 
     #[test]
@@ -151,7 +129,6 @@ mod tests {
         let topo = Topology::ring(5, 10.0);
         let plan = MultipathPlan::plan(&topo, NodeId(0), &[NodeId(2), NodeId(2)]);
         assert_eq!(plan.diversity(), 2);
-        assert_eq!(plan.protection_mode(), ProtectionMode::DisjointMultipath);
         assert!(!plan.routes[0].route.shares_link_with(&plan.routes[1].route));
     }
 }

@@ -9,14 +9,14 @@
 /// Cost model for digital XOR reconstruction of a lost parity group at
 /// the serving front-end (a memory-bandwidth-bound pass over the
 /// surviving payloads).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct ReconstructModel {
     /// Fixed software/bookkeeping overhead per reconstruction, ps.
-    pub fixed_ps: u64,
+    pub(crate) fixed_ps: u64,
     /// Time per XORed byte, ps (all surviving groups stream once).
-    pub per_byte_ps: u64,
+    pub(crate) per_byte_ps: u64,
     /// Energy per XORed byte, J (DRAM traffic dominated).
-    pub per_byte_j: f64,
+    pub(crate) per_byte_j: f64,
 }
 
 impl Default for ReconstructModel {

@@ -58,7 +58,7 @@ fn drr_visit(
 /// weight. Admission takes the shape *per offer* (derived from the
 /// tenant's spec or class) instead of storing it per tenant, so an idle
 /// tenant costs zero bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct TenantShape {
     pub capacity: usize,
     pub weight: u32,
@@ -104,7 +104,7 @@ pub struct SparseAdmission {
 }
 
 impl SparseAdmission {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SparseAdmission::default()
     }
 

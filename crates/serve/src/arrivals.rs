@@ -16,7 +16,7 @@ use ofpc_photonics::SimRng;
 pub(crate) const PS_PER_SEC: f64 = 1e12;
 
 /// Arrival process specification.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub enum ArrivalSpec {
     /// Memoryless arrivals at `rate_rps` requests/second.
     Poisson { rate_rps: f64 },
@@ -32,44 +32,6 @@ pub enum ArrivalSpec {
     },
 }
 
-impl ArrivalSpec {
-    /// Long-run mean arrival rate, requests/second.
-    pub fn mean_rate_rps(&self) -> f64 {
-        match *self {
-            ArrivalSpec::Poisson { rate_rps } => rate_rps,
-            ArrivalSpec::Mmpp {
-                calm_rps,
-                burst_rps,
-                mean_calm_s,
-                mean_burst_s,
-            } => {
-                let total = mean_calm_s + mean_burst_s;
-                (calm_rps * mean_calm_s + burst_rps * mean_burst_s) / total
-            }
-        }
-    }
-
-    /// Scale the process's rate(s) by `factor` (load sweeps).
-    pub fn scaled(&self, factor: f64) -> ArrivalSpec {
-        match *self {
-            ArrivalSpec::Poisson { rate_rps } => ArrivalSpec::Poisson {
-                rate_rps: rate_rps * factor,
-            },
-            ArrivalSpec::Mmpp {
-                calm_rps,
-                burst_rps,
-                mean_calm_s,
-                mean_burst_s,
-            } => ArrivalSpec::Mmpp {
-                calm_rps: calm_rps * factor,
-                burst_rps: burst_rps * factor,
-                mean_calm_s,
-                mean_burst_s,
-            },
-        }
-    }
-}
-
 /// A running arrival process: yields successive absolute arrival times.
 #[derive(Debug, Clone)]
 pub(crate) struct ArrivalProcess {
@@ -83,7 +45,7 @@ pub(crate) struct ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    pub fn new(spec: ArrivalSpec, mut rng: SimRng) -> Self {
+    pub(crate) fn new(spec: ArrivalSpec, mut rng: SimRng) -> Self {
         let (bursting, flip) = match spec {
             ArrivalSpec::Poisson { .. } => (false, u64::MAX),
             ArrivalSpec::Mmpp { mean_calm_s, .. } => {
@@ -217,7 +179,8 @@ mod tests {
             last = p.next_arrival_ps();
         }
         let measured_rps = n as f64 / (last as f64 / PS_PER_SEC);
-        let expected = spec.mean_rate_rps();
+        // Time-weighted mixture of the calm and burst rates.
+        let expected = (500.0 * 0.004 + 5_000.0 * 0.001) / (0.004 + 0.001);
         assert!(
             (measured_rps - expected).abs() / expected < 0.1,
             "measured {measured_rps} expected {expected}"
@@ -253,11 +216,5 @@ mod tests {
         );
         assert!((poisson - 1.0).abs() < 0.15, "poisson cv2 {poisson}");
         assert!(mmpp > 2.0, "mmpp cv2 {mmpp}");
-    }
-
-    #[test]
-    fn scaling_scales_the_mean_rate() {
-        let spec = ArrivalSpec::Poisson { rate_rps: 100.0 };
-        assert_eq!(spec.scaled(2.5).mean_rate_rps(), 250.0);
     }
 }

@@ -21,7 +21,7 @@ use ofpc_resil::ResilTag;
 use std::collections::BTreeMap;
 
 /// Batch closing policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct BatchPolicy {
     /// Maximum requests per batch (≥ 1). Bounded by the WDM channel
     /// count the scheduler can light at once.
@@ -44,13 +44,13 @@ impl BatchPolicy {
 /// A closed batch, ready for the scheduler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
-    pub class: BatchClass,
+    pub(crate) class: BatchClass,
     pub requests: Vec<ComputeRequest>,
     /// When the batch was closed, ps.
-    pub closed_ps: u64,
+    pub(crate) closed_ps: u64,
     /// Redundancy-set membership, when this batch is one member of a
     /// replica/parity set (`None` for ordinary unprotected batches).
-    pub resil: Option<ResilTag>,
+    pub(crate) resil: Option<ResilTag>,
 }
 
 impl Batch {
@@ -65,7 +65,7 @@ impl Batch {
     /// Earliest member deadline — what EDF scheduling sorts by. A
     /// requestless parity member inherits its set's deadline through
     /// the tag, so the coded group is not starved behind real batches.
-    pub fn deadline_ps(&self) -> u64 {
+    pub(crate) fn deadline_ps(&self) -> u64 {
         self.requests
             .iter()
             .map(|r| r.deadline_ps)

@@ -15,20 +15,20 @@ use serde::Serialize;
 /// Per-tenant running counters.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TenantCollector {
-    pub arrivals: u64,
-    pub completed: u64,
-    pub shed_queue_full: u64,
-    pub shed_expired_queued: u64,
-    pub shed_expired_serving: u64,
-    pub shed_engine_failed: u64,
+    pub(crate) arrivals: u64,
+    pub(crate) completed: u64,
+    pub(crate) shed_queue_full: u64,
+    pub(crate) shed_expired_queued: u64,
+    pub(crate) shed_expired_serving: u64,
+    pub(crate) shed_engine_failed: u64,
     /// Requests answered by the digital fallback (correct, degraded).
-    pub degraded: u64,
-    pub degraded_energy_j: f64,
+    pub(crate) degraded: u64,
+    pub(crate) degraded_energy_j: f64,
     /// Completed-request latencies, ps, in completion order.
     latencies: Vec<u64>,
     /// Degraded (digital-fallback) latencies, ps.
     degraded_latencies: Vec<u64>,
-    pub energy_j: f64,
+    pub(crate) energy_j: f64,
     batch_size_sum: u64,
 }
 
@@ -62,7 +62,7 @@ impl TenantCollector {
         }
     }
 
-    pub fn shed_total(&self) -> u64 {
+    pub(crate) fn shed_total(&self) -> u64 {
         self.shed_queue_full
             + self.shed_expired_queued
             + self.shed_expired_serving
@@ -98,13 +98,13 @@ pub(crate) struct MetricsSink {
     /// Dispatched batch sizes (occupancy numerator/denominator).
     batch_sizes: Vec<u32>,
     /// Energy by hardware stage, deterministic order.
-    pub energy_stages: std::collections::BTreeMap<String, f64>,
+    pub(crate) energy_stages: std::collections::BTreeMap<String, f64>,
     /// Sampled verification results: |photonic − digital| per sample.
-    pub verify_abs_errors: Vec<f64>,
+    pub(crate) verify_abs_errors: Vec<f64>,
 }
 
 impl MetricsSink {
-    pub fn new(tenant_count: usize) -> Self {
+    pub(crate) fn new(tenant_count: usize) -> Self {
         MetricsSink {
             tenants: vec![TenantCollector::default(); tenant_count],
             batch_sizes: Vec::new(),
@@ -120,7 +120,11 @@ impl MetricsSink {
     /// batch-size histogram and one energy gauge per stage. Samples are
     /// replayed in the order they were booked. No-op when `tel` is
     /// disabled.
-    pub fn publish<'a>(&self, tel: &Telemetry, tenant_names: impl IntoIterator<Item = &'a str>) {
+    pub(crate) fn publish<'a>(
+        &self,
+        tel: &Telemetry,
+        tenant_names: impl IntoIterator<Item = &'a str>,
+    ) {
         if !tel.is_enabled() {
             return;
         }
@@ -176,7 +180,7 @@ impl MetricsSink {
 
     /// Build the final report. `unfinished` are requests still queued or
     /// in flight at the horizon; they must make conservation hold.
-    pub fn report(&self, duration_s: f64, unfinished: u64, max_batch: usize) -> ServeReport {
+    pub(crate) fn report(&self, duration_s: f64, unfinished: u64, max_batch: usize) -> ServeReport {
         let mut tenants = Vec::new();
         for (i, t) in self.tenants.iter().enumerate() {
             let [p50, p99, p999] = latency_quantiles_us(t.latencies.clone());
@@ -279,7 +283,7 @@ impl MetricsSink {
 }
 
 /// Per-tenant slice of the final report.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TenantReport {
     pub tenant: TenantId,
     pub arrivals: u64,
@@ -289,20 +293,20 @@ pub struct TenantReport {
     pub shed_expired_serving: u64,
     pub shed_engine_failed: u64,
     pub degraded: u64,
-    pub degraded_energy_j: f64,
+    pub(crate) degraded_energy_j: f64,
     pub goodput_rps: f64,
     pub p50_latency_us: Option<f64>,
     pub p99_latency_us: Option<f64>,
     pub p999_latency_us: Option<f64>,
-    pub mean_batch_size: f64,
+    pub(crate) mean_batch_size: f64,
     pub energy_j: f64,
-    pub joules_per_request: f64,
+    pub(crate) joules_per_request: f64,
 }
 
 /// One serving run's summary, serialized for the bench harness.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ServeReport {
-    pub duration_s: f64,
+    pub(crate) duration_s: f64,
     pub arrivals: u64,
     pub completed: u64,
     pub shed: u64,
@@ -313,7 +317,7 @@ pub struct ServeReport {
     pub goodput_rps: f64,
     pub shed_rate: f64,
     pub degraded_rate: f64,
-    pub degraded_p99_latency_us: Option<f64>,
+    pub(crate) degraded_p99_latency_us: Option<f64>,
     pub degraded_energy_j: f64,
     pub p50_latency_us: Option<f64>,
     pub p99_latency_us: Option<f64>,

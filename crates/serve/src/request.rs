@@ -3,7 +3,7 @@
 //!
 //! The serving runtime is *open-loop*: requests arrive on their own
 //! schedule whether or not the system keeps up, so every request must
-//! reach a terminal [`Outcome`] — completed, shed, or expired — and the
+//! reach a terminal `Outcome` — completed, shed, or expired — and the
 //! metrics layer checks that none are silently dropped.
 
 use ofpc_engine::Primitive;
@@ -27,7 +27,7 @@ pub struct ComputeRequest {
     pub primitive: Primitive,
     /// Operand vector length. The runtime keeps requests payload-free —
     /// scheduling depends only on the shape; operand *values* are
-    /// synthesized deterministically (see [`ComputeRequest::operands`])
+    /// synthesized deterministically (see `ComputeRequest::operands`)
     /// when a batch is cross-checked against the real photonic engine.
     pub operand_len: u32,
     /// Arrival at the serving front-end, ps of virtual time.
@@ -38,7 +38,7 @@ pub struct ComputeRequest {
 
 impl ComputeRequest {
     /// Has the deadline passed at `now`?
-    pub fn expired(&self, now_ps: u64) -> bool {
+    pub(crate) fn expired(&self, now_ps: u64) -> bool {
         now_ps > self.deadline_ps
     }
 
@@ -55,7 +55,7 @@ impl ComputeRequest {
     /// The request's operand vector, synthesized deterministically from
     /// its id (values in `[0, 1]`, the wire fixed-point domain). Used
     /// when the runtime cross-checks a sampled batch on the real engine.
-    pub fn operands(&self) -> Vec<f64> {
+    pub(crate) fn operands(&self) -> Vec<f64> {
         let base = self.id.0 as usize;
         (0..self.operand_len as usize)
             .map(|k| ((base + k) % 255) as f64 / 255.0)
@@ -86,8 +86,8 @@ pub enum ShedReason {
 }
 
 /// Terminal state of a request.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Outcome {
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Outcome {
     /// Served within its deadline.
     Completed {
         /// End-to-end latency (arrival to result delivery), ps.

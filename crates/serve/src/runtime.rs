@@ -41,7 +41,7 @@ use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One tenant's serving contract.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct TenantSpec {
     pub name: String,
     /// Relative fair-share weight (> 0).
@@ -57,7 +57,7 @@ pub struct TenantSpec {
 }
 
 /// Full configuration of a serving run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ServeConfig {
     pub seed: u64,
     /// Arrivals are generated in `[0, horizon_ps)`.
@@ -72,7 +72,7 @@ pub struct ServeConfig {
 }
 
 /// Capped exponential backoff for requests displaced by engine faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// First-retry backoff, ps.
     pub base_ps: u64,
@@ -155,7 +155,7 @@ enum Event {
 /// What the redundancy layer did during a run, reported alongside the
 /// [`ServeReport`] by [`ServeRuntime::run_with_resil`]. All counters
 /// are deterministic functions of (config, storm, policies).
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ResilSummary {
     /// Redundancy sets formed, by kind.
     pub replica_sets: u64,
@@ -168,10 +168,10 @@ pub struct ResilSummary {
     pub unprotected_downgrades: u64,
     /// Late duplicates cancelled before launch (free) / mid-flight
     /// (energy already burned).
-    pub duplicates_cancelled_prelaunch: u64,
-    pub duplicates_cancelled_inflight: u64,
+    pub(crate) duplicates_cancelled_prelaunch: u64,
+    pub(crate) duplicates_cancelled_inflight: u64,
     /// Deliveries of already-complete sets, suppressed without effect.
-    pub duplicate_deliveries_suppressed: u64,
+    pub(crate) duplicate_deliveries_suppressed: u64,
     /// Member losses redundancy absorbed with zero client impact.
     pub losses_absorbed: u64,
     /// Parity reconstructions performed / requests recovered by them.

@@ -23,7 +23,7 @@ use ofpc_transponder::compute::ComputeTransponderConfig;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Latency/energy model for one wavelength pass over a compute slot.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ServiceModel {
     /// Serial line rate per WDM channel, bit/s.
     pub line_rate_bps: f64,
@@ -133,7 +133,7 @@ impl ServiceModel {
 }
 
 /// A compute site visible to the serving runtime.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct SiteSpec {
     pub node: NodeId,
     /// Installed compute transponder slots at the site.
@@ -160,18 +160,17 @@ struct SlotState {
 #[derive(Debug, Clone)]
 pub struct Dispatch {
     pub batch: Batch,
-    pub node: NodeId,
-    pub slot: usize,
-    pub start_ps: u64,
+    pub(crate) node: NodeId,
+    pub(crate) slot: usize,
+    pub(crate) start_ps: u64,
     /// When the slot finishes the batch (site-local), ps.
-    pub done_ps: u64,
+    pub(crate) done_ps: u64,
     /// When the front-end can usefully dispatch to this slot again
     /// (`done - access`: new operands launched then arrive just as the
     /// slot frees), ps.
     pub free_ps: u64,
     /// When results reach the requesters, ps.
     pub delivered_ps: u64,
-    pub service_ps: u64,
     pub energy: EnergyLedger,
     /// Members shed pre-service because they could not make their
     /// deadline.
@@ -190,11 +189,20 @@ pub struct Scheduler {
     /// slots there may be healthy, but operands cannot reach them.
     unreachable: BTreeSet<NodeId>,
     /// Completed-batch counter (for occupancy metrics).
-    pub batches_dispatched: u64,
+    pub(crate) batches_dispatched: u64,
 }
 
 impl Scheduler {
     pub fn new(model: ServiceModel, sites: Vec<SiteSpec>) -> Self {
+        assert!(
+            model.wdm_channels > 0,
+            "ServiceModel::wdm_channels must be at least 1"
+        );
+        assert!(
+            model.line_rate_bps.is_finite() && model.line_rate_bps > 0.0,
+            "ServiceModel::line_rate_bps must be finite and positive, got {}",
+            model.line_rate_bps
+        );
         assert!(!sites.is_empty(), "need at least one compute site");
         let mut slots = BTreeMap::new();
         for site in &sites {
@@ -273,7 +281,7 @@ impl Scheduler {
     /// engine restarts cold (weights must reload) — and the runtime
     /// aborts whatever the site was computing. Returns the number of
     /// slots taken down.
-    pub fn fail_site(&mut self, node: NodeId) -> usize {
+    pub(crate) fn fail_site(&mut self, node: NodeId) -> usize {
         let mut n = 0;
         for (&(slot_node, _), s) in self.slots.iter_mut() {
             if slot_node == node && s.healthy {
@@ -442,7 +450,6 @@ impl Scheduler {
                         done_ps: now_ps,
                         free_ps: now_ps,
                         delivered_ps: now_ps,
-                        service_ps: 0,
                         energy: EnergyLedger::new(),
                         shed,
                     });
@@ -470,7 +477,6 @@ impl Scheduler {
                     done_ps,
                     free_ps,
                     delivered_ps,
-                    service_ps,
                     energy,
                     shed,
                 });
@@ -559,6 +565,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "ServiceModel::wdm_channels must be at least 1")]
+    fn rejects_zero_wdm_channels() {
+        let m = ServiceModel {
+            wdm_channels: 0,
+            ..model()
+        };
+        Scheduler::new(m, one_site());
+    }
+
+    #[test]
+    #[should_panic(expected = "ServiceModel::line_rate_bps must be finite and positive")]
+    fn rejects_a_zero_line_rate() {
+        let m = ServiceModel {
+            line_rate_bps: 0.0,
+            ..model()
+        };
+        Scheduler::new(m, one_site());
+    }
+
+    #[test]
     fn batching_amortizes_fixed_overhead() {
         let m = model();
         let class = BatchClass {
@@ -625,7 +651,7 @@ mod tests {
         );
         for disp in &d {
             assert!(disp.batch.is_empty(), "no expired request may run");
-            assert_eq!(disp.service_ps, 0);
+            assert_eq!(disp.done_ps, disp.start_ps);
             assert_eq!(disp.energy.total_j(), 0.0);
             assert!(disp
                 .shed
@@ -806,7 +832,11 @@ mod tests {
         let m = model();
         let class = d[0].batch.class;
         let (t4, e4) = m.batch_service(class, 4, None);
-        assert_eq!(d[0].service_ps, t4, "1 live + 3 phantom = 4-wide pass");
+        assert_eq!(
+            d[0].done_ps - d[0].start_ps,
+            t4,
+            "1 live + 3 phantom = 4-wide pass"
+        );
         assert_eq!(d[0].energy.total_j(), e4.total_j());
         // The dispatched batch still carries only its one real request.
         assert_eq!(d[0].batch.len(), 1);
@@ -823,7 +853,7 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert!(d[0].shed.is_empty());
         assert_eq!(d[0].batch.len(), 1);
-        assert!(d[0].service_ps > 0);
+        assert!(d[0].done_ps > d[0].start_ps);
     }
 
     #[test]
@@ -858,7 +888,6 @@ mod tests {
         let d = s.try_dispatch(0);
         assert_eq!(d[0].start_ps, 1_000);
         assert_eq!(d[0].delivered_ps, d[0].done_ps + 1_000);
-        assert_eq!(d[0].done_ps - d[0].start_ps, d[0].service_ps);
         // The fiber pipelines: the front-end can launch the next batch
         // one access delay before the slot frees.
         assert_eq!(d[0].free_ps, d[0].done_ps - 1_000);

@@ -46,7 +46,7 @@ use crate::region::RegionMap;
 type Matrix = Vec<Vec<Option<u64>>>;
 
 /// A state-change event the controller re-plans around.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum ShardEvent {
     /// A new demand arrives. Ids must be strictly increasing across the
     /// controller's lifetime (the id-ordered discipline needs arrivals
@@ -82,7 +82,7 @@ pub struct EventOutcome {
 
 /// Per-shard re-plan scope, merged across a batch (`Full` wins; two
 /// suffixes merge to the smaller start id).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Work {
     /// Re-place demands with id ≥ the given id; caches stay valid.
     From(u32),
@@ -259,10 +259,6 @@ impl ShardedController {
             }
         }
         score
-    }
-
-    pub fn region_map(&self) -> &RegionMap {
-        &self.regions
     }
 
     // ----- internal pure helpers ----------------------------------------
@@ -469,7 +465,7 @@ impl ShardedController {
             let eff_cap = &eff_cap;
             let new_ids = &new_ids;
             this.pool
-                .scatter_gather("shard_settle", tasks, move |_, (region, work, ids)| {
+                .scatter_gather(tasks, move |_, (region, work, ids)| {
                     this.solve_shard(region, work, &ids, new_ids, eff_cap)
                 })
         };

@@ -8,7 +8,7 @@
 use ofpc_net::NodeId;
 
 /// Node → region assignment plus the inverse (region → sorted nodes).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct RegionMap {
     region_of: Vec<u32>,
     nodes_by_region: Vec<Vec<NodeId>>,
@@ -42,16 +42,16 @@ impl RegionMap {
         self.nodes_by_region.len()
     }
 
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.region_of.len()
     }
 
-    pub fn region_of(&self, node: NodeId) -> u32 {
+    pub(crate) fn region_of(&self, node: NodeId) -> u32 {
         self.region_of[node.0 as usize]
     }
 
     /// Nodes of a region, ascending by id.
-    pub fn nodes(&self, region: u32) -> &[NodeId] {
+    pub(crate) fn nodes(&self, region: u32) -> &[NodeId] {
         &self.nodes_by_region[region as usize]
     }
 

@@ -2,16 +2,18 @@
 //!
 //! One handle, three facilities:
 //!
-//! * a [`MetricsRegistry`] of typed counters, gauges, and log-linear
+//! * a metrics registry of typed counters, gauges, and log-linear
 //!   histograms (p50/p99/p999), labeled by tenant/site/link/stage, with
 //!   a JSON exporter;
 //! * sim-time **tracing spans** recording enter/exit in virtual
 //!   picoseconds, so one request's life — admission → queue → batch →
 //!   fiber → engine → result — reconstructs as a trace tree, dumpable
 //!   in Chrome `trace_event` JSON;
-//! * **profiling hooks** in the hot paths (net-sim event loop,
-//!   transponder TX/RX, engine MVM, serve dispatch) behind the
-//!   zero-cost-when-disabled [`Telemetry`] handle.
+//! * **profiling hooks** in the layers a run attaches the handle to:
+//!   the net-sim event loop, the serving runtime, the fault
+//!   orchestrator, graph lowering and execution, the ingest front end
+//!   and the sharded controller, all behind the zero-cost-when-disabled
+//!   [`Telemetry`] handle.
 //!
 //! ## The handle
 //!
@@ -33,8 +35,10 @@
 pub mod registry;
 pub mod trace;
 
-pub use registry::{labels, nearest_rank, Counter, LogHistogram, MetricsRegistry, MetricsSnapshot};
-pub use trace::{chrome_trace_json, track, validate_balanced, Phase};
+pub(crate) use registry::MetricsRegistry;
+pub use registry::{labels, nearest_rank, Counter, LogHistogram, MetricsSnapshot};
+pub(crate) use trace::chrome_trace_json;
+pub use trace::{track, validate_balanced, Phase};
 
 use registry::{Gauge, Histogram, Labels};
 use std::sync::{Arc, Mutex};

@@ -9,7 +9,7 @@
 //! a [`Gauge`] stores `f64` bits in an `AtomicU64`, and a [`Histogram`]
 //! indexes a fixed table of atomic buckets. The registry's mutex is
 //! taken only at registration and export time, never per-sample. A
-//! no-op handle ([`Counter::noop`] etc.) is a `None` and compiles down
+//! no-op handle (`Counter::noop` etc.) is a `None` and compiles down
 //! to a single branch — that is what a disabled
 //! [`Telemetry`](crate::Telemetry) hands out.
 
@@ -46,7 +46,7 @@ pub struct Counter(Option<Arc<AtomicU64>>);
 
 impl Counter {
     /// A disconnected counter: every operation is a no-op.
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Counter(None)
     }
 
@@ -61,10 +61,6 @@ impl Counter {
             c.fetch_add(n, Ordering::Relaxed);
         }
     }
-
-    pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -76,15 +72,8 @@ pub struct Gauge(Option<Arc<AtomicU64>>);
 
 impl Gauge {
     /// A disconnected gauge: every operation is a no-op.
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Gauge(None)
-    }
-
-    #[inline]
-    pub fn set(&self, v: f64) {
-        if let Some(g) = &self.0 {
-            g.store(v.to_bits(), Ordering::Relaxed);
-        }
     }
 
     /// Add `dv` (compare-and-swap loop; fine for the sim's contention
@@ -101,12 +90,6 @@ impl Gauge {
                 }
             }
         }
-    }
-
-    pub fn get(&self) -> f64 {
-        self.0
-            .as_ref()
-            .map_or(0.0, |g| f64::from_bits(g.load(Ordering::Relaxed)))
     }
 }
 
@@ -257,7 +240,7 @@ pub struct Histogram(Option<Arc<HistogramCore>>);
 
 impl Histogram {
     /// A disconnected histogram: every operation is a no-op.
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Histogram(None)
     }
 
@@ -267,17 +250,6 @@ impl Histogram {
             h.record(v);
         }
     }
-
-    pub fn count(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |h| h.count.load(Ordering::Relaxed))
-    }
-
-    /// Approximate percentile (`p` in percent, e.g. `99.9`).
-    pub fn percentile(&self, p: f64) -> u64 {
-        self.0.as_ref().map_or(0, |h| h.percentile(p))
-    }
 }
 
 /// Single-owner log-linear histogram: the bucket scheme and
@@ -285,7 +257,7 @@ impl Histogram {
 /// can live inside a value that moves between threads (a shard's
 /// per-class stats) and be merged afterwards. Memory is fixed however
 /// many samples arrive; percentiles carry the same ±3.2% bound.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
     buckets: Box<[u64]>,
     count: u64,
@@ -331,29 +303,29 @@ impl LogHistogram {
 
 /// Point-in-time value of one counter series.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct CounterSnapshot {
-    pub name: String,
-    pub labels: Labels,
-    pub value: u64,
+pub(crate) struct CounterSnapshot {
+    pub(crate) name: String,
+    pub(crate) labels: Labels,
+    pub(crate) value: u64,
 }
 
 /// Point-in-time value of one gauge series.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct GaugeSnapshot {
-    pub name: String,
-    pub labels: Labels,
-    pub value: f64,
+pub(crate) struct GaugeSnapshot {
+    pub(crate) name: String,
+    pub(crate) labels: Labels,
+    pub(crate) value: f64,
 }
 
 /// Point-in-time summary of one histogram series.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HistogramSnapshot {
-    pub name: String,
-    pub labels: Labels,
+    pub(crate) name: String,
+    pub(crate) labels: Labels,
     pub count: u64,
-    pub sum: f64,
-    pub min: u64,
-    pub max: u64,
+    pub(crate) sum: f64,
+    pub(crate) min: u64,
+    pub(crate) max: u64,
     pub p50: u64,
     pub p99: u64,
     pub p999: u64,
@@ -363,9 +335,9 @@ pub struct HistogramSnapshot {
 /// the JSON exporter serializes exactly this.
 #[derive(Debug, Clone, PartialEq, Serialize, Default)]
 pub struct MetricsSnapshot {
-    pub counters: Vec<CounterSnapshot>,
-    pub gauges: Vec<GaugeSnapshot>,
-    pub histograms: Vec<HistogramSnapshot>,
+    pub(crate) counters: Vec<CounterSnapshot>,
+    pub(crate) gauges: Vec<GaugeSnapshot>,
+    pub(crate) histograms: Vec<HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -407,17 +379,17 @@ struct RegistryInner {
 /// by `(name, labels)` — registering the same series twice returns a
 /// handle to the same cell. Sampling through a handle never locks.
 #[derive(Debug, Default)]
-pub struct MetricsRegistry {
+pub(crate) struct MetricsRegistry {
     inner: Mutex<RegistryInner>,
 }
 
 impl MetricsRegistry {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MetricsRegistry::default()
     }
 
     /// Register (or look up) a counter series.
-    pub fn counter(&self, name: &str, labels: &Labels) -> Counter {
+    pub(crate) fn counter(&self, name: &str, labels: &Labels) -> Counter {
         let key = SeriesKey {
             name: name.to_string(),
             labels: labels.clone(),
@@ -431,7 +403,7 @@ impl MetricsRegistry {
     }
 
     /// Register (or look up) a gauge series.
-    pub fn gauge(&self, name: &str, labels: &Labels) -> Gauge {
+    pub(crate) fn gauge(&self, name: &str, labels: &Labels) -> Gauge {
         let key = SeriesKey {
             name: name.to_string(),
             labels: labels.clone(),
@@ -445,7 +417,7 @@ impl MetricsRegistry {
     }
 
     /// Register (or look up) a histogram series.
-    pub fn histogram(&self, name: &str, labels: &Labels) -> Histogram {
+    pub(crate) fn histogram(&self, name: &str, labels: &Labels) -> Histogram {
         let key = SeriesKey {
             name: name.to_string(),
             labels: labels.clone(),
@@ -459,7 +431,7 @@ impl MetricsRegistry {
     }
 
     /// Deterministic point-in-time snapshot of every series.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.lock().unwrap();
         MetricsSnapshot {
             counters: inner
@@ -528,7 +500,7 @@ mod tests {
         for p in [50.0, 99.0, 99.9] {
             let rank = ((p / 100.0 * exact.len() as f64).ceil() as usize).max(1);
             let truth = exact[rank - 1] as f64;
-            let approx = h.percentile(p) as f64;
+            let approx = h.0.as_ref().unwrap().percentile(p) as f64;
             let rel = (approx - truth).abs() / truth;
             assert!(rel < 0.04, "p{p}: approx {approx} vs exact {truth}");
         }
@@ -575,7 +547,11 @@ mod tests {
             owned.record(v);
         }
         for q in [0.5, 0.99, 0.999] {
-            assert_eq!(owned.percentile(q), Some(h.percentile(100.0 * q)), "q={q}");
+            assert_eq!(
+                owned.percentile(q),
+                Some(h.0.as_ref().unwrap().percentile(100.0 * q)),
+                "q={q}"
+            );
         }
     }
 
@@ -586,24 +562,10 @@ mod tests {
         let b = reg.counter("x_total", &labels(&[("t", "1")]));
         a.inc();
         b.add(2);
-        assert_eq!(a.get(), 3, "same series shares the cell");
         reg.counter("a_total", &Labels::new()).inc();
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["a_total", "x_total"]);
         assert_eq!(snap.counter("x_total", &labels(&[("t", "1")])), Some(3));
-    }
-
-    #[test]
-    fn noop_handles_do_nothing() {
-        let c = Counter::noop();
-        c.inc();
-        assert_eq!(c.get(), 0);
-        let g = Gauge::noop();
-        g.add(1.0);
-        assert_eq!(g.get(), 0.0);
-        let h = Histogram::noop();
-        h.record(5);
-        assert_eq!(h.count(), 0);
     }
 }

@@ -15,7 +15,10 @@
 
 use std::fmt::Write as _;
 
-/// Track groups (`pid` in the Chrome trace).
+/// Track groups (`pid` in the Chrome trace). Every track is timed in
+/// virtual picoseconds except [`track::SHARD`], the one ordinal track,
+/// whose timestamps are decision sequence numbers. Ids are fixed; 5 is
+/// unused.
 pub mod track {
     /// Per-request lifecycle spans (`tid` = request id).
     pub const REQUESTS: u32 = 1;
@@ -25,9 +28,6 @@ pub mod track {
     pub const NET: u32 = 3;
     /// Recovery-stage spans (`tid` = fault sequence number).
     pub const RECOVERY: u32 = 4;
-    /// Parallel-pool task attribution (`tid` = worker index; timestamps
-    /// are task-slot ordinals, not picoseconds).
-    pub const PAR: u32 = 5;
     /// Compiled-graph stage execution spans (`tid` = request index).
     pub const GRAPH: u32 = 6;
     /// Design-space-exploration decisions: lowering's hardware-variant
@@ -51,7 +51,7 @@ pub mod track {
 }
 
 /// Event phase: duration begin/end or instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Phase {
     B,
     E,
@@ -69,14 +69,14 @@ impl Phase {
 }
 
 /// One trace event in virtual time.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct TraceEvent {
     pub name: String,
-    pub cat: String,
+    pub(crate) cat: String,
     pub phase: Phase,
-    pub ts_ps: u64,
+    pub(crate) ts_ps: u64,
     pub pid: u32,
-    pub tid: u64,
+    pub(crate) tid: u64,
     /// Free-form `key=value` annotations (serialized into `args`).
     pub args: Vec<(String, String)>,
 }
@@ -88,18 +88,26 @@ pub(crate) struct TraceBuffer {
 }
 
 impl TraceBuffer {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TraceBuffer::default()
     }
 
     /// Emit a complete `[start_ps, end_ps]` span as a `B`/`E` pair.
-    pub fn span(&mut self, pid: u32, tid: u64, cat: &str, name: &str, start_ps: u64, end_ps: u64) {
+    pub(crate) fn span(
+        &mut self,
+        pid: u32,
+        tid: u64,
+        cat: &str,
+        name: &str,
+        start_ps: u64,
+        end_ps: u64,
+    ) {
         self.span_args(pid, tid, cat, name, start_ps, end_ps, Vec::new());
     }
 
     /// [`TraceBuffer::span`] with annotations attached to the `B` event.
     #[allow(clippy::too_many_arguments)]
-    pub fn span_args(
+    pub(crate) fn span_args(
         &mut self,
         pid: u32,
         tid: u64,
@@ -133,7 +141,7 @@ impl TraceBuffer {
     /// Open a span. The matching [`TraceBuffer::end`] must be emitted
     /// after every child event that shares its end timestamp, so
     /// same-tick ties sort child-closes before the parent's close.
-    pub fn begin(
+    pub(crate) fn begin(
         &mut self,
         pid: u32,
         tid: u64,
@@ -154,7 +162,7 @@ impl TraceBuffer {
     }
 
     /// Close the most recent open span of `name` on the track.
-    pub fn end(&mut self, pid: u32, tid: u64, cat: &str, name: &str, ts_ps: u64) {
+    pub(crate) fn end(&mut self, pid: u32, tid: u64, cat: &str, name: &str, ts_ps: u64) {
         self.events.push(TraceEvent {
             name: name.to_string(),
             cat: cat.to_string(),
@@ -167,7 +175,7 @@ impl TraceBuffer {
     }
 
     /// Emit an instant event.
-    pub fn instant(
+    pub(crate) fn instant(
         &mut self,
         pid: u32,
         tid: u64,
@@ -198,7 +206,7 @@ impl TraceBuffer {
 
 /// Render events as a Chrome-trace JSON array (`ts` in microseconds,
 /// fractional; `chrome://tracing` and Perfetto load this directly).
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
+pub(crate) fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut out = String::from("[\n");
     for (i, ev) in events.iter().enumerate() {
         let ts_us = ev.ts_ps as f64 / 1e6;

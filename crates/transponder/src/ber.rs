@@ -1,34 +1,34 @@
 //! Bit-error-rate estimation.
 //!
-//! A Monte-Carlo BER measurement harness for the transponder paths:
-//! random bits from one transponder's TX path, over a fiber span, into
-//! another's RX path.
+//! A Monte-Carlo BER measurement harness for the Fig. 3 transponder
+//! paths: random bits from a TX path, over a fiber span, into an RX path.
 
-use crate::commodity::CommodityTransponder;
+use crate::rxpath::RxPath;
+use crate::txpath::TxPath;
 use ofpc_photonics::fiber::FiberSpan;
 use ofpc_photonics::SimRng;
 
 /// Result of a Monte-Carlo BER run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BerReport {
-    pub bits_tested: u64,
-    pub bit_errors: u64,
-    pub ber: f64,
+    pub(crate) bits_tested: u64,
+    pub(crate) bit_errors: u64,
+    pub(crate) ber: f64,
 }
 
-/// Measure BER by sending random bits from `a` to `b` over `span`.
+/// Measure BER by sending random bits from `tx` to `rx` over `span`.
 pub fn measure_ber(
-    a: &mut CommodityTransponder,
-    b: &mut CommodityTransponder,
+    tx: &mut TxPath,
+    rx: &mut RxPath,
     span: &FiberSpan,
     n_bits: usize,
     rng: &mut SimRng,
 ) -> BerReport {
     assert!(n_bits > 0, "need at least one bit");
     let bits: Vec<bool> = (0..n_bits).map(|_| rng.chance(0.5)).collect();
-    let field = a.tx.transmit(&bits);
+    let field = tx.transmit(&bits);
     let received = span.propagate(&field);
-    let got = b.rx.receive(&received);
+    let got = rx.receive(&received);
     let errors = bits.iter().zip(&got).filter(|(x, y)| x != y).count() as u64;
     BerReport {
         bits_tested: n_bits as u64,
@@ -40,6 +40,7 @@ pub fn measure_ber(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rxpath::tests::link;
     use crate::rxpath::RxConfig;
     use crate::txpath::TxConfig;
 
@@ -47,12 +48,13 @@ mod tests {
     fn clean_short_link_is_error_free() {
         let mut rng = SimRng::seed_from_u64(0);
         let span = FiberSpan::smf(10.0);
-        let mut a = CommodityTransponder::ideal(&mut rng);
-        let mut b = CommodityTransponder::new(TxConfig::ideal(), RxConfig::ideal(), &mut rng);
-        b.rx.calibrate_for_one_level(
-            a.tx.one_level_w() * ofpc_photonics::units::db_to_linear(-span.total_loss_db()),
+        let (mut tx, mut rx) = link(
+            TxConfig::ideal(),
+            RxConfig::ideal(),
+            span.total_loss_db(),
+            &mut rng,
         );
-        let report = measure_ber(&mut a, &mut b, &span, 2_000, &mut rng);
+        let report = measure_ber(&mut tx, &mut rx, &span, 2_000, &mut rng);
         assert_eq!(report.bit_errors, 0, "{report:?}");
     }
 
@@ -62,9 +64,13 @@ mod tests {
         // 120 km unamplified with realistic receiver noise: 24 dB of loss
         // pushes the signal toward the thermal floor.
         let span = FiberSpan::smf(120.0);
-        let mut a = CommodityTransponder::realistic(0.0, &mut rng);
-        let mut b = CommodityTransponder::realistic(span.total_loss_db(), &mut rng);
-        let report = measure_ber(&mut a, &mut b, &span, 5_000, &mut rng);
+        let (mut tx, mut rx) = link(
+            TxConfig::realistic(),
+            RxConfig::realistic(),
+            span.total_loss_db(),
+            &mut rng,
+        );
+        let report = measure_ber(&mut tx, &mut rx, &span, 5_000, &mut rng);
         assert!(report.ber > 0.0, "expected a noisy link, got {report:?}");
         assert!(
             report.ber < 0.5,
@@ -78,9 +84,13 @@ mod tests {
         let mut bers = Vec::new();
         for km in [60.0, 100.0, 140.0] {
             let span = FiberSpan::smf(km);
-            let mut a = CommodityTransponder::realistic(0.0, &mut rng);
-            let mut b = CommodityTransponder::realistic(span.total_loss_db(), &mut rng);
-            let report = measure_ber(&mut a, &mut b, &span, 4_000, &mut rng);
+            let (mut tx, mut rx) = link(
+                TxConfig::realistic(),
+                RxConfig::realistic(),
+                span.total_loss_db(),
+                &mut rng,
+            );
+            let report = measure_ber(&mut tx, &mut rx, &span, 4_000, &mut rng);
             bers.push(report.ber);
         }
         assert!(

@@ -10,8 +10,7 @@
 //! story; the fiber model's deterministic carrier phase is inverted
 //! exactly).
 
-use ofpc_photonics::energy::EnergyLedger;
-use ofpc_photonics::iq::{CoherentReceiver, CoherentRxConfig, IqModulator};
+use ofpc_photonics::iq::{CoherentReceiver, IqModulator};
 use ofpc_photonics::laser::{Laser, LaserConfig};
 use ofpc_photonics::modulator::MzmConfig;
 use ofpc_photonics::signal::{AnalogWaveform, OpticalField};
@@ -35,12 +34,17 @@ pub fn qpsk_slice(i: f64, q: f64) -> (bool, bool) {
 pub struct CoherentTx {
     laser: Laser,
     iq: IqModulator,
-    pub symbol_rate_hz: f64,
-    pub bits_sent: u64,
+    pub(crate) symbol_rate_hz: f64,
+    pub(crate) bits_sent: u64,
 }
 
 impl CoherentTx {
-    pub fn new(laser: LaserConfig, mzm: MzmConfig, symbol_rate_hz: f64, rng: &mut SimRng) -> Self {
+    pub(crate) fn new(
+        laser: LaserConfig,
+        mzm: MzmConfig,
+        symbol_rate_hz: f64,
+        rng: &mut SimRng,
+    ) -> Self {
         CoherentTx {
             laser: Laser::new(laser, rng.derive("coh-tx-laser")),
             iq: IqModulator::new(mzm),
@@ -61,11 +65,6 @@ impl CoherentTx {
             32e9,
             rng,
         )
-    }
-
-    /// Line rate, bits/s: two bits per symbol.
-    pub fn line_rate_bps(&self) -> f64 {
-        2.0 * self.symbol_rate_hz
     }
 
     /// Transmit a bit sequence (padded to an even count with a zero).
@@ -92,31 +91,16 @@ impl CoherentTx {
         self.bits_sent += bits.len() as u64;
         out
     }
-
-    pub fn energy_ledger(&self) -> EnergyLedger {
-        let mut ledger = EnergyLedger::new();
-        let secs = self.bits_sent as f64 / self.line_rate_bps();
-        ledger.add("coh-tx-laser", self.laser.config.wall_plug_w * secs);
-        ledger.add("coh-tx-iq", self.iq.energy_consumed_j());
-        ledger
-    }
 }
 
 /// Coherent receive path: 90° hybrid + balanced detection + slicing.
 #[derive(Debug)]
 pub struct CoherentRx {
     rx: CoherentReceiver,
-    pub bits_received: u64,
+    pub(crate) bits_received: u64,
 }
 
 impl CoherentRx {
-    pub fn new(config: CoherentRxConfig, rng: &mut SimRng) -> Self {
-        CoherentRx {
-            rx: CoherentReceiver::new(config, rng),
-            bits_received: 0,
-        }
-    }
-
     pub fn ideal(rng: &mut SimRng) -> Self {
         let _ = rng;
         CoherentRx {
@@ -251,9 +235,12 @@ mod tests {
 
         // Coherent with noisy PDs.
         let mut tx = CoherentTx::ideal(&mut rng);
-        let mut cfg = CoherentRxConfig::ideal();
+        let mut cfg = ofpc_photonics::iq::CoherentRxConfig::ideal();
         cfg.pd = ofpc_photonics::photodetector::PhotodetectorConfig::default();
-        let mut rx = CoherentRx::new(cfg, &mut rng);
+        let mut rx = CoherentRx {
+            rx: CoherentReceiver::new(cfg, &mut rng),
+            bits_received: 0,
+        };
         let mut field = tx.transmit(&bits);
         field.attenuate_db(53.0); // 13 dBm launch → −40 dBm received
         let got = rx.receive(&field, 0.0);
@@ -286,12 +273,5 @@ mod tests {
             coherent_errors < 40,
             "coherent error rate should stay below 10% ({coherent_errors}/400)"
         );
-    }
-
-    #[test]
-    fn spectral_efficiency_is_double() {
-        let mut rng = SimRng::seed_from_u64(5);
-        let tx = CoherentTx::ideal(&mut rng);
-        assert_eq!(tx.line_rate_bps(), 64e9); // 32 GBd × 2 bits
     }
 }

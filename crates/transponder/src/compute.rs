@@ -33,12 +33,11 @@ use ofpc_photonics::photodetector::{Photodetector, PhotodetectorConfig};
 use ofpc_photonics::signal::{AnalogWaveform, OpticalField};
 use ofpc_photonics::simd::KernelBackend;
 use ofpc_photonics::SimRng;
-use ofpc_telemetry::{Counter, Telemetry};
 
 /// The operation loaded into a transponder's photonic engine. The
 /// centralized controller installs these (§3); the op's wire tag must
 /// match the frame's `op` byte for the engine to fire.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum ComputeOp {
     /// P1: dot product of the operand segment with stored weights
     /// (signed, in `[-1, 1]`).
@@ -52,7 +51,7 @@ pub enum ComputeOp {
 
 impl ComputeOp {
     /// The primitive class this op needs.
-    pub fn primitive(&self) -> Primitive {
+    pub(crate) fn primitive(&self) -> Primitive {
         match self {
             ComputeOp::DotProduct { .. } => Primitive::VectorDotProduct,
             ComputeOp::PatternMatch { .. } => Primitive::PatternMatching,
@@ -66,7 +65,7 @@ impl ComputeOp {
     }
 
     /// Number of operand symbols that follow the frame header.
-    pub fn operand_len(&self) -> usize {
+    pub(crate) fn operand_len(&self) -> usize {
         match self {
             ComputeOp::DotProduct { weights } => weights.len(),
             ComputeOp::PatternMatch { pattern } => pattern.len(),
@@ -92,8 +91,6 @@ pub enum ComputeResult {
 pub struct ProcessOutcome {
     /// The frame, with the result field filled in when computation ran.
     pub frame: Frame,
-    /// The regenerated optical output for the next span.
-    pub output: OpticalField,
     /// The computation result, if the engine fired.
     pub computed: Option<ComputeResult>,
     /// Processing latency added at this node, seconds.
@@ -118,17 +115,17 @@ pub fn decode_result(bytes: [u8; 4]) -> f64 {
 #[derive(Debug, Clone)]
 pub struct ComputeTransponderConfig {
     pub tx: TxConfig,
-    pub rx: RxConfig,
+    pub(crate) rx: RxConfig,
     /// Weight modulator for the P1 path.
     pub weight_mzm: MzmConfig,
     /// Integrating photodetector for the engine readout.
-    pub engine_pd: PhotodetectorConfig,
+    pub(crate) engine_pd: PhotodetectorConfig,
     /// Monitor photodiode for header slicing.
-    pub monitor_pd: PhotodetectorConfig,
+    pub(crate) monitor_pd: PhotodetectorConfig,
     /// Matcher hardware for preamble detection and the P2 op.
-    pub matcher: MatcherConfig,
+    pub(crate) matcher: MatcherConfig,
     /// P3 activation hardware.
-    pub nonlinear: NonlinearConfig,
+    pub(crate) nonlinear: NonlinearConfig,
     /// Single result-readout ADC energy, J.
     pub result_adc_energy_j: f64,
     /// Fixed engine pipeline latency, seconds (analog settling).
@@ -137,7 +134,7 @@ pub struct ComputeTransponderConfig {
     /// default) is the byte-stable reference; `Vectorized` runs the
     /// fused power-domain block kernel — same physics and energy
     /// accounting, own noise stream (DESIGN.md §12).
-    pub backend: KernelBackend,
+    pub(crate) backend: KernelBackend,
 }
 
 impl ComputeTransponderConfig {
@@ -198,10 +195,10 @@ impl ComputeTransponderConfig {
 /// A photonic compute transponder (Fig. 4).
 #[derive(Debug)]
 pub struct PhotonicComputeTransponder {
-    pub config: ComputeTransponderConfig,
+    pub(crate) config: ComputeTransponderConfig,
     pub tx: TxPath,
     /// Conventional receive path (used when the frame terminates here).
-    pub rx: RxPath,
+    pub(crate) rx: RxPath,
     weight_mzm: MachZehnderModulator,
     engine_pd: Photodetector,
     monitor_pd: Photodetector,
@@ -215,12 +212,7 @@ pub struct PhotonicComputeTransponder {
     one_level_w: Option<f64>,
     /// Monitor slicing threshold, A.
     monitor_threshold_a: Option<f64>,
-    pub frames_processed: u64,
-    pub computations_run: u64,
-    pub result_readouts: u64,
-    tel_frames: Counter,
-    tel_computations: Counter,
-    tel_readouts: Counter,
+    pub(crate) result_readouts: u64,
 }
 
 impl PhotonicComputeTransponder {
@@ -244,25 +236,8 @@ impl PhotonicComputeTransponder {
             engine_unit_a: None,
             one_level_w: None,
             monitor_threshold_a: None,
-            frames_processed: 0,
-            computations_run: 0,
             result_readouts: 0,
-            tel_frames: Counter::noop(),
-            tel_computations: Counter::noop(),
-            tel_readouts: Counter::noop(),
         }
-    }
-
-    /// Profiling hook: mirror the frame/computation/readout counters (and
-    /// the TX/RX path counters) onto a [`MetricsRegistry`][reg].
-    ///
-    /// [reg]: ofpc_telemetry::MetricsRegistry
-    pub fn set_telemetry(&mut self, tel: &Telemetry) {
-        self.tx.set_telemetry(tel);
-        self.rx.set_telemetry(tel);
-        self.tel_frames = tel.counter("transponder_frames_total", &Vec::new());
-        self.tel_computations = tel.counter("transponder_computations_total", &Vec::new());
-        self.tel_readouts = tel.counter("transponder_result_readouts_total", &Vec::new());
     }
 
     /// Ideal device with loopback calibration.
@@ -377,7 +352,6 @@ impl PhotonicComputeTransponder {
         let pos = pass(&rails[0], &|w: f64| w.clamp(0.0, 1.0));
         let neg = pass(&rails[1], &|w: f64| (-w).clamp(0.0, 1.0));
         self.result_readouts += 1;
-        self.tel_readouts.inc();
         2.0 * (pos - neg) / unit
     }
 
@@ -419,7 +393,6 @@ impl PhotonicComputeTransponder {
         let pos = pass(self, &|w: f64| w.clamp(0.0, 1.0));
         let neg = pass(self, &|w: f64| (-w).clamp(0.0, 1.0));
         self.result_readouts += 1;
-        self.tel_readouts.inc();
         2.0 * (pos - neg) / unit
     }
 
@@ -432,8 +405,6 @@ impl PhotonicComputeTransponder {
         // We charge the matcher for the symbols it scanned.
         let off = Frame::find_preamble(&bits).ok_or(FrameError::BadPreamble(0))?;
         let (mut frame, consumed) = Frame::from_bits(&bits[off..])?;
-        self.frames_processed += 1;
-        self.tel_frames.inc();
         let mut computed = None;
         let mut latency = self.config.engine_latency_s;
         if frame.is_compute() {
@@ -461,18 +432,16 @@ impl PhotonicComputeTransponder {
                             }
                         };
                         computed = Some(result);
-                        self.computations_run += 1;
-                        self.tel_computations.inc();
                     }
                 }
             }
         }
-        // Regenerate the (possibly updated) frame for the next span.
-        let output = self.tx.transmit(&frame.to_bits());
+        // Regenerate the (possibly updated) frame for the next span: the
+        // TX path charges its energy and advances its noise streams.
+        self.tx.transmit(&frame.to_bits());
         latency += frame.line_bits() as f64 / self.tx.config.line_rate_bps;
         Ok(ProcessOutcome {
             frame,
-            output,
             computed,
             added_latency_s: latency,
         })
@@ -553,10 +522,6 @@ mod tests {
         let out = t.process(&field).unwrap();
         assert_eq!(out.frame, frame);
         assert!(out.computed.is_none());
-        // Regenerated output decodes to the same frame.
-        let (mut t2, _) = ideal_pair();
-        let re = t2.process(&out.output).unwrap();
-        assert_eq!(re.frame, frame);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub(crate) fn preamble_bits() -> Vec<bool> {
 pub const OVERHEAD_BITS: usize = 16 + 8 + 16 + 32 + 16;
 
 /// A physical-layer frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// Compute-op tag: 0 = plain transit; non-zero selects the loaded
     /// photonic operation (mirrors the primitive wire ID).
@@ -61,7 +61,7 @@ impl Frame {
     }
 
     /// Whether this frame requests photonic computation.
-    pub fn is_compute(&self) -> bool {
+    pub(crate) fn is_compute(&self) -> bool {
         self.op != 0
     }
 
@@ -149,7 +149,7 @@ impl Frame {
 }
 
 /// Frame parse errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FrameError {
     /// Not enough bits for a complete frame.
     Truncated,

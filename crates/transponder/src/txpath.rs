@@ -11,23 +11,22 @@ use ofpc_photonics::laser::{Laser, LaserConfig};
 use ofpc_photonics::modulator::{MachZehnderModulator, MzmConfig};
 use ofpc_photonics::signal::{AnalogWaveform, OpticalField};
 use ofpc_photonics::SimRng;
-use ofpc_telemetry::{Counter, Telemetry};
 
 /// Transmit-path configuration.
 #[derive(Debug, Clone)]
 pub struct TxConfig {
-    pub laser: LaserConfig,
-    pub mzm: MzmConfig,
-    pub dac: ConverterConfig,
+    pub(crate) laser: LaserConfig,
+    pub(crate) mzm: MzmConfig,
+    pub(crate) dac: ConverterConfig,
     /// Line rate, bits (symbols) per second.
     pub line_rate_bps: f64,
     /// DSP energy per transmitted bit, J.
-    pub dsp_energy_per_bit_j: f64,
+    pub(crate) dsp_energy_per_bit_j: f64,
 }
 
 impl TxConfig {
     /// Ideal noiseless path.
-    pub fn ideal() -> Self {
+    pub(crate) fn ideal() -> Self {
         TxConfig {
             laser: LaserConfig {
                 rin_db_hz: f64::NEG_INFINITY,
@@ -60,13 +59,11 @@ impl TxConfig {
 /// The transmit path of a transponder.
 #[derive(Debug, Clone)]
 pub struct TxPath {
-    pub config: TxConfig,
+    pub(crate) config: TxConfig,
     laser: Laser,
     mzm: MachZehnderModulator,
     dac: Dac,
-    pub bits_sent: u64,
-    tel_blocks: Counter,
-    tel_bits: Counter,
+    pub(crate) bits_sent: u64,
 }
 
 impl TxPath {
@@ -77,20 +74,11 @@ impl TxPath {
             dac: Dac::new(config.dac.clone(), rng.derive("tx-dac")),
             config,
             bits_sent: 0,
-            tel_blocks: Counter::noop(),
-            tel_bits: Counter::noop(),
         }
     }
 
-    /// Profiling hook: count transmitted blocks/bits on the registry
-    /// (`transponder_tx_*` series).
-    pub fn set_telemetry(&mut self, tel: &Telemetry) {
-        self.tel_blocks = tel.counter("transponder_tx_blocks_total", &Vec::new());
-        self.tel_bits = tel.counter("transponder_tx_bits_total", &Vec::new());
-    }
-
     /// Modulate a bit sequence onto light, one sample per bit (OOK).
-    pub fn transmit(&mut self, bits: &[bool]) -> OpticalField {
+    pub(crate) fn transmit(&mut self, bits: &[bool]) -> OpticalField {
         assert!(!bits.is_empty(), "cannot transmit zero bits");
         let n = bits.len();
         let light = self.laser.emit(n, self.config.line_rate_bps);
@@ -108,8 +96,6 @@ impl TxPath {
         );
         let out = self.mzm.modulate(&light, &drive);
         self.bits_sent += n as u64;
-        self.tel_blocks.inc();
-        self.tel_bits.add(n as u64);
         out
     }
 
@@ -122,7 +108,7 @@ impl TxPath {
         self.laser.power_w() * t
     }
 
-    pub fn energy_ledger(&self) -> EnergyLedger {
+    pub(crate) fn energy_ledger(&self) -> EnergyLedger {
         let mut ledger = EnergyLedger::new();
         let secs = self.bits_sent as f64 / self.config.line_rate_bps;
         ledger.add("tx-laser", self.laser.config.wall_plug_w * secs);

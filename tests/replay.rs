@@ -8,7 +8,8 @@ use ofpc_engine::dot::{DotProductUnit, DotUnitConfig};
 use ofpc_engine::matcher::{MatcherConfig, PatternMatcher};
 use ofpc_photonics::SimRng;
 use ofpc_transponder::ber::measure_ber;
-use ofpc_transponder::commodity::CommodityTransponder;
+use ofpc_transponder::rxpath::{RxConfig, RxPath};
+use ofpc_transponder::txpath::{TxConfig, TxPath};
 
 #[test]
 fn noisy_dot_product_replays() {
@@ -46,9 +47,12 @@ fn ber_measurement_replays() {
     let run = || {
         let mut rng = SimRng::seed_from_u64(103);
         let span = ofpc_photonics::fiber::FiberSpan::smf(120.0);
-        let mut a = CommodityTransponder::realistic(0.0, &mut rng);
-        let mut b = CommodityTransponder::realistic(span.total_loss_db(), &mut rng);
-        measure_ber(&mut a, &mut b, &span, 2_000, &mut rng)
+        let mut tx = TxPath::new(TxConfig::realistic(), &mut rng);
+        let mut rx = RxPath::new(RxConfig::realistic(), &mut rng);
+        rx.calibrate_for_one_level(
+            tx.one_level_w() * ofpc_photonics::units::db_to_linear(-span.total_loss_db()),
+        );
+        measure_ber(&mut tx, &mut rx, &span, 2_000, &mut rng)
     };
     assert_eq!(run(), run());
 }
