@@ -135,6 +135,79 @@ for dir in crates/*; do
 done
 [ "$unnamed_pub" -eq 0 ]
 
+# rustc's dead_code lint counts a compound assignment (`x.f += 1`) and a
+# self-referencing store (`x.f = x.f.max(y)`) as reads, so a counter that
+# only tests read compiles clean. A field declared in non-test
+# crates/*/src code (above the file's #[cfg(test)]) must be read by
+# non-test code: those files, crates/bench/benches and perfbench/src. A
+# use of `.f` is a write when it is `.f += …`, `.f -= …` or `.f = …`
+# (the right side's own `.f` included); every other use reads it. The
+# match is by field name, so a read of a same-named field of any struct
+# counts. Structs that derive Serialize are out of scope: the derived
+# impl reads every field into the written document.
+echo "==> every struct field in crates/*/src is read outside tests"
+mapfile -t field_files < <(find crates/*/src -name '*.rs' | sort)
+written_only="$(
+    {
+        for f in "${field_files[@]}"; do sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f"; done
+        find crates/bench/benches perfbench/src -name '*.rs' -exec cat {} +
+    } | grep -vE '^[[:space:]]*//' | awk '
+        {
+            line = $0
+            skip = ""
+            while (match(line, /\.[a-z_][a-z0-9_]*/)) {
+                name = substr(line, RSTART + 1, RLENGTH - 1)
+                rest = substr(line, RSTART + RLENGTH)
+                line = rest
+                if (name == skip) continue
+                if (rest ~ /^[ \t]*[-+]=/) {
+                    written[name] = 1
+                } else if (rest ~ /^[ \t]*=([^=]|$)/) {
+                    written[name] = 1
+                    skip = name
+                } else {
+                    read[name] = 1
+                }
+            }
+        }
+        END { for (n in written) if (!(n in read)) print n }'
+)"
+unread_fields=0
+for f in "${field_files[@]}"; do
+    while read -r line strukt name; do
+        grep -qxF -- "$name" <<< "$written_only" || continue
+        echo "==> FAIL: ${f}:${line}: field ${strukt}::${name} is only ever written outside tests" >&2
+        unread_fields=1
+    done < <(sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" | awk '
+        {
+            s = $0
+            sub(/^[ \t]+/, "", s)
+            if (s ~ /^\/\//) next
+            if (!inside) {
+                if (s ~ /^#\[/) { attrs = attrs " " s; next }
+                if (s ~ /^(pub(\([a-z]+\))?[ \t]+)?struct[ \t]+[A-Za-z0-9_]+/ && s ~ /\{[ \t]*$/) {
+                    match(s, /struct[ \t]+[A-Za-z0-9_]+/)
+                    strukt = substr(s, RSTART, RLENGTH)
+                    sub(/^struct[ \t]+/, "", strukt)
+                    serial = attrs ~ /Serialize/
+                    inside = 1
+                    depth = 1
+                }
+                attrs = ""
+                next
+            }
+            if (depth == 1 && !serial && s ~ /^(pub(\([a-z]+\))?[ \t]+)?[a-z_][a-z0-9_]*[ \t]*:/) {
+                name = s
+                sub(/^(pub(\([a-z]+\))?[ \t]+)?/, "", name)
+                sub(/[ \t]*:.*/, "", name)
+                print NR, strukt, name
+            }
+            depth += gsub(/\{/, "{") - gsub(/\}/, "}")
+            if (depth <= 0) inside = 0
+        }')
+done
+[ "$unread_fields" -eq 0 ]
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

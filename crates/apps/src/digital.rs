@@ -111,26 +111,30 @@ pub enum Placement {
     OnFiber,
 }
 
-/// End-to-end request model: a request travels `path_km` of fiber from
-/// source to destination and needs `macs` of computation somewhere.
+/// Fiber every modeled request travels from source to destination, km.
+const PATH_KM: f64 = 1500.0;
+
+/// Line rate every modeled request is serialized at, bits/s.
+const LINE_RATE_BPS: f64 = 100e9;
+
+/// End-to-end request model: a request travels 1500 km of fiber from
+/// source to destination at 100 Gb/s and needs `macs` of computation
+/// somewhere.
 #[derive(Debug, Clone)]
 pub struct RequestModel {
-    pub path_km: f64,
     pub macs: u64,
     /// Request + response bytes (serialization delay).
     pub bytes: usize,
-    /// Line rate for serialization, bits/s.
-    pub line_rate_bps: f64,
 }
 
 impl RequestModel {
     fn serialization_s(&self) -> f64 {
-        self.bytes as f64 * 8.0 / self.line_rate_bps
+        self.bytes as f64 * 8.0 / LINE_RATE_BPS
     }
 
     /// Total request latency under a placement/compute pairing, s.
     pub fn latency_s(&self, placement: &Placement, compute: &ComputeModel) -> f64 {
-        let direct = units::fiber_delay_s(self.path_km) + self.serialization_s();
+        let direct = units::fiber_delay_s(PATH_KM) + self.serialization_s();
         match placement {
             Placement::Cloud { detour_km } => {
                 // Source → cloud → destination: the detour adds fiber
@@ -176,10 +180,8 @@ mod tests {
     #[test]
     fn on_fiber_beats_cloud_on_latency() {
         let req = RequestModel {
-            path_km: 1500.0,
             macs: 1_000_000,
             bytes: 1_500,
-            line_rate_bps: 100e9,
         };
         let cloud = req.latency_s(&Placement::Cloud { detour_km: 400.0 }, &ComputeModel::tpu());
         let on_fiber = req.latency_s(&Placement::OnFiber, &ComputeModel::photonic());
@@ -194,10 +196,8 @@ mod tests {
     #[test]
     fn edge_is_latency_competitive_but_slow_for_big_models() {
         let small = RequestModel {
-            path_km: 1500.0,
             macs: 10_000,
             bytes: 200,
-            line_rate_bps: 100e9,
         };
         let big = RequestModel {
             macs: 500_000_000,
@@ -215,10 +215,8 @@ mod tests {
     #[test]
     fn photonic_energy_dominates_all_baselines() {
         let req = RequestModel {
-            path_km: 1000.0,
             macs: 1_000_000,
             bytes: 1_000,
-            line_rate_bps: 100e9,
         };
         let phot = req.compute_energy_j(&ComputeModel::photonic());
         for model in [
@@ -239,10 +237,8 @@ mod tests {
     #[test]
     fn on_fiber_latency_is_propagation_dominated() {
         let req = RequestModel {
-            path_km: 1500.0,
             macs: 4_096,
             bytes: 600,
-            line_rate_bps: 100e9,
         };
         let lat = req.latency_s(&Placement::OnFiber, &ComputeModel::photonic());
         let prop = units::fiber_delay_s(1500.0);

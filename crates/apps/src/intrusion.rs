@@ -27,7 +27,6 @@ pub struct AhoCorasick {
     next: Vec<[u32; 256]>,
     /// Output signatures (index, length) per state.
     out: Vec<Vec<(usize, usize)>>,
-    pub(crate) bytes_scanned: u64,
 }
 
 impl AhoCorasick {
@@ -83,15 +82,11 @@ impl AhoCorasick {
                 }
             }
         }
-        AhoCorasick {
-            next,
-            out,
-            bytes_scanned: 0,
-        }
+        AhoCorasick { next, out }
     }
 
     /// Scan a payload, reporting every signature occurrence.
-    pub fn scan(&mut self, payload: &[u8]) -> Vec<SigHit> {
+    pub fn scan(&self, payload: &[u8]) -> Vec<SigHit> {
         let mut hits = Vec::new();
         let mut state = 0usize;
         for (i, &b) in payload.iter().enumerate() {
@@ -103,7 +98,6 @@ impl AhoCorasick {
                 });
             }
         }
-        self.bytes_scanned += payload.len() as u64;
         hits.sort();
         hits.dedup();
         hits
@@ -197,7 +191,7 @@ mod tests {
 
     #[test]
     fn aho_corasick_finds_all_occurrences() {
-        let mut ac = AhoCorasick::new(&sigs());
+        let ac = AhoCorasick::new(&sigs());
         let hits = ac.scan(b"xxATTACKyyEVILzzATTACK");
         assert_eq!(
             hits,
@@ -222,7 +216,7 @@ mod tests {
     fn aho_corasick_overlapping_signatures() {
         // "HE" inside "SHE"; "HERS" shares a prefix path.
         let sigs = vec![b"HE".to_vec(), b"SHE".to_vec(), b"HERS".to_vec()];
-        let mut ac = AhoCorasick::new(&sigs);
+        let ac = AhoCorasick::new(&sigs);
         let hits = ac.scan(b"USHERS");
         let expect: Vec<SigHit> = vec![
             SigHit {
@@ -243,9 +237,8 @@ mod tests {
 
     #[test]
     fn clean_payload_has_no_hits() {
-        let mut ac = AhoCorasick::new(&sigs());
+        let ac = AhoCorasick::new(&sigs());
         assert!(ac.scan(b"perfectly normal traffic").is_empty());
-        assert_eq!(ac.bytes_scanned, 24);
     }
 
     #[test]
@@ -253,7 +246,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(1);
         let signatures = sigs();
         let (payloads, _) = synthesize_traffic(12, 48, &signatures, 0.7, &mut rng);
-        let mut ac = AhoCorasick::new(&signatures);
+        let ac = AhoCorasick::new(&signatures);
         let mut ids = PhotonicIds::ideal(&signatures);
         for p in &payloads {
             assert_eq!(ids.scan(p), ac.scan(p), "payload {p:?}");

@@ -45,6 +45,9 @@ pub(crate) fn prefix_pattern(prefix: Prefix) -> Vec<Tern> {
         .collect()
 }
 
+/// Energy per TCAM bitcell per search, J.
+const TCAM_ENERGY_PER_BIT_SEARCH_J: f64 = 10e-15;
+
 /// Digital TCAM model: exact LPM plus an energy meter. A 32-bit TCAM
 /// search charges every stored entry in parallel — that is the "power
 /// hungry" bottleneck (order 10 fJ per bit per search in modern TCAMs).
@@ -52,19 +55,13 @@ pub(crate) fn prefix_pattern(prefix: Prefix) -> Vec<Tern> {
 pub struct TcamModel {
     rules: Vec<Rule>,
     pub(crate) lookups: u64,
-    /// Energy per bitcell per search, J.
-    pub(crate) energy_per_bit_search_j: f64,
 }
 
 impl TcamModel {
     pub fn new(mut rules: Vec<Rule>) -> Self {
         // TCAM priority = longest prefix first.
         rules.sort_by_key(|r| std::cmp::Reverse(r.prefix.len()));
-        TcamModel {
-            rules,
-            lookups: 0,
-            energy_per_bit_search_j: 10e-15,
-        }
+        TcamModel { rules, lookups: 0 }
     }
 
     /// LPM lookup.
@@ -78,7 +75,7 @@ impl TcamModel {
 
     /// Total search energy so far, J.
     pub fn energy_j(&self) -> f64 {
-        self.lookups as f64 * self.rules.len() as f64 * 32.0 * self.energy_per_bit_search_j
+        self.lookups as f64 * self.rules.len() as f64 * 32.0 * TCAM_ENERGY_PER_BIT_SEARCH_J
     }
 }
 

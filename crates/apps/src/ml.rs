@@ -127,38 +127,23 @@ impl TrainActivation {
     }
 }
 
-/// Training hyperparameters.
-#[derive(Debug, Clone, Copy)]
-pub struct TrainConfig {
-    pub(crate) epochs: usize,
-    pub(crate) learning_rate: f64,
-}
+/// SGD passes over the training set.
+const TRAIN_EPOCHS: usize = 30;
 
-impl Default for TrainConfig {
-    fn default() -> Self {
-        TrainConfig {
-            epochs: 30,
-            learning_rate: 0.05,
-        }
-    }
-}
+/// SGD step size.
+const LEARNING_RATE: f64 = 0.05;
 
-/// Train an MLP with softmax cross-entropy SGD. `sizes` must start at
-/// `side²` and end at `classes`. Returns the trained network.
-pub fn train_mlp(
-    sizes: &[usize],
-    data: &Dataset,
-    cfg: TrainConfig,
-    act: &TrainActivation,
-    rng: &mut SimRng,
-) -> Mlp {
+/// Train an MLP with softmax cross-entropy SGD (30 epochs at a learning
+/// rate of 0.05). `sizes` must start at `side²` and end at `classes`.
+/// Returns the trained network.
+pub fn train_mlp(sizes: &[usize], data: &Dataset, act: &TrainActivation, rng: &mut SimRng) -> Mlp {
     assert!(!data.is_empty(), "cannot train on an empty dataset");
     assert_eq!(sizes[0], data.side * data.side, "input size mismatch");
     assert_eq!(*sizes.last().unwrap(), data.classes, "output size mismatch");
     let mut mlp = Mlp::new_random(sizes, rng);
-    for _ in 0..cfg.epochs {
+    for _ in 0..TRAIN_EPOCHS {
         for (x, &label) in data.images.iter().zip(&data.labels) {
-            sgd_step(&mut mlp, x, label, cfg.learning_rate, act);
+            sgd_step(&mut mlp, x, label, LEARNING_RATE, act);
         }
     }
     mlp
@@ -324,13 +309,7 @@ mod tests {
     fn relu_training_learns_the_glyphs() {
         let mut rng = SimRng::seed_from_u64(2);
         let (train, test) = small_data(&mut rng);
-        let mlp = train_mlp(
-            &[64, 16, 4],
-            &train,
-            TrainConfig::default(),
-            &TrainActivation::Relu,
-            &mut rng,
-        );
+        let mlp = train_mlp(&[64, 16, 4], &train, &TrainActivation::Relu, &mut rng);
         let acc = accuracy_digital(&mlp, &test);
         assert!(acc >= 0.9, "test accuracy {acc}");
     }
@@ -341,7 +320,7 @@ mod tests {
         let (train, test) = small_data(&mut rng);
         let curve = NonlinearUnit::ideal().transfer_curve(64);
         let act = TrainActivation::ScaledCurve { curve, scale: 4.0 };
-        let mlp = train_mlp(&[64, 16, 4], &train, TrainConfig::default(), &act, &mut rng);
+        let mlp = train_mlp(&[64, 16, 4], &train, &act, &mut rng);
         let acc = accuracy_with_activation(&mlp, &test, &act);
         assert!(acc >= 0.85, "curve-trained accuracy {acc}");
     }
@@ -359,7 +338,7 @@ mod tests {
             curve: curve.clone(),
             scale,
         };
-        let mlp = train_mlp(&[64, 16, 4], &train, TrainConfig::default(), &act, &mut rng);
+        let mlp = train_mlp(&[64, 16, 4], &train, &act, &mut rng);
         let digital = accuracy_with_activation(&mlp, &test, &act);
         let mut pdnn = deploy_curve_trained(&mlp, scale, 4, &mut rng);
         let photonic = accuracy_photonic(&mut pdnn, &test);
@@ -396,12 +375,6 @@ mod tests {
             side: 8,
             classes: 4,
         };
-        train_mlp(
-            &[64, 4, 4],
-            &empty,
-            TrainConfig::default(),
-            &TrainActivation::Relu,
-            &mut rng,
-        );
+        train_mlp(&[64, 4, 4], &empty, &TrainActivation::Relu, &mut rng);
     }
 }

@@ -9,7 +9,7 @@
 //!   through the full recovery loop (reconverge → re-allocate →
 //!   staged re-install). Availability must degrade monotonically as
 //!   MTBF shrinks, and every recovery's TTR must respect the
-//!   [`RecoveryParams::ttr_bound_ps`] bound.
+//!   [`ttr_bound_ps`] bound.
 //! * **Cut + protection switching** — a targeted fiber cut on the
 //!   primary path; goodput (computed deliveries per injected packet)
 //!   after recovery must reach ≥ 90% of the pre-fault level.
@@ -23,10 +23,10 @@ use crate::serving::{metro_runtime, mini_config};
 use crate::table::{versioned_pretty, Table};
 use ofpc_apps::digital::ComputeModel;
 use ofpc_controller::demand::{Demand, TaskDag};
-use ofpc_controller::protection::RecoveryParams;
+use ofpc_controller::protection::ttr_bound_ps;
 use ofpc_core::{OnFiberNetwork, Solver};
 use ofpc_engine::Primitive;
-use ofpc_faults::{AvailabilityLedger, FaultKind, FaultPlan, MtbfSpec, Orchestrator};
+use ofpc_faults::{AvailabilityLedger, FaultKind, FaultPlan, Orchestrator};
 use ofpc_net::packet::Packet;
 use ofpc_net::pch::PchHeader;
 use ofpc_net::sim::{Network, OpSpec};
@@ -41,12 +41,9 @@ const P1: Primitive = Primitive::VectorDotProduct;
 
 /// The recovery loop: default recovery timing over the exact solver.
 pub(crate) fn orchestrator() -> Orchestrator {
-    Orchestrator::new(
-        RecoveryParams::default(),
-        Solver::Exact {
-            node_budget: 1_000_000,
-        },
-    )
+    Orchestrator::new(Solver::Exact {
+        node_budget: 1_000_000,
+    })
 }
 
 /// Fig. 1 WAN with compute sites at B and C and one A→D demand.
@@ -104,12 +101,7 @@ fn availability_run(mtbf_ps: u64, horizon_ps: u64) -> AvailRow {
     let mut rng = SimRng::seed_from_u64(SEED);
     // Engine faults on one site only: the survivor keeps the demand
     // satisfiable, so outages are bounded by recovery, not repair.
-    let spec = MtbfSpec {
-        link_mtbf_ps: Some(mtbf_ps),
-        engine_mtbf_ps: Some(mtbf_ps),
-        mttr_ps: 20_000_000_000, // 20 ms to splice / swap hardware
-    };
-    let plan = FaultPlan::random(&sys.net.topo, &[NodeId(1)], horizon_ps, spec, &mut rng);
+    let plan = FaultPlan::random(&sys.net.topo, &[NodeId(1)], horizon_ps, mtbf_ps, &mut rng);
 
     let mut ledger = AvailabilityLedger::new(horizon_ps);
     let mut ttrs: Vec<u64> = Vec::new();
@@ -162,7 +154,7 @@ fn availability_run(mtbf_ps: u64, horizon_ps: u64) -> AvailRow {
     }
 
     ttrs.sort_unstable();
-    let bound = orch.recovery.ttr_bound_ps(sys.net.topo.node_count());
+    let bound = ttr_bound_ps(sys.net.topo.node_count());
     AvailRow {
         mtbf_ms: mtbf_ps as f64 / 1e9,
         hard_faults: plan.fault_count(),
@@ -246,7 +238,7 @@ fn cut_and_recover() -> CutRow {
         computed_after,
         goodput_recovery: computed_after as f64 / computed_before.max(1) as f64,
         ttr_us: out.timeline.ttr_ps() as f64 / 1e6,
-        ttr_bound_us: orch.recovery.ttr_bound_ps(sys.net.topo.node_count()) as f64 / 1e6,
+        ttr_bound_us: ttr_bound_ps(sys.net.topo.node_count()) as f64 / 1e6,
         routers_updated: out.routers_updated,
     }
 }

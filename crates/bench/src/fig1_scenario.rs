@@ -47,10 +47,8 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
     // runs the full model (64×16+16×4 MLP ≈ 1088 MACs) since it has the
     // full accelerator. Detour to the DC: 400 km each way.
     let recognize = RequestModel {
-        path_km: 1500.0,
         macs: 1088,
         bytes: 600,
-        line_rate_bps: 100e9,
     };
     let cloud_ms =
         recognize.latency_s(&Placement::Cloud { detour_km: 400.0 }, &ComputeModel::tpu()) * 1e3;

@@ -66,7 +66,6 @@ fn compiled(budget: ErrorBudget) -> GraphExecutor {
 fn batch(mode: ExecMode) -> ExecConfig {
     ExecConfig {
         requests: REQUESTS,
-        inter_arrival_ps: 0,
         mode,
     }
 }

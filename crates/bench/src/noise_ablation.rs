@@ -14,7 +14,7 @@
 use crate::table::{versioned_pretty, Table};
 use ofpc_apps::ml::{
     accuracy_photonic, accuracy_with_activation, deploy_curve_trained, synthetic_glyphs, train_mlp,
-    TrainActivation, TrainConfig,
+    TrainActivation,
 };
 use ofpc_engine::calibration::DotCalibration;
 use ofpc_engine::dnn::PhotonicDnn;
@@ -56,7 +56,7 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
             // Nominal constants: responsivity × laser power, loss-blind.
             let p0 = ofpc_photonics::units::dbm_to_watts(cfg.laser.power_dbm);
             unit.set_calibration(DotCalibration {
-                unit_current_a: cfg.pd.responsivity_a_w * p0,
+                unit_current_a: ofpc_photonics::photodetector::RESPONSIVITY_A_W * p0,
                 dark_current_a: 0.0,
             });
         }
@@ -100,13 +100,7 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
     let scale = 4.0;
 
     // (a) ReLU-trained, photonic execution (mismatched).
-    let relu_mlp = train_mlp(
-        &[64, 16, 4],
-        &train,
-        TrainConfig::default(),
-        &TrainActivation::Relu,
-        &mut rng,
-    );
+    let relu_mlp = train_mlp(&[64, 16, 4], &train, &TrainActivation::Relu, &mut rng);
     result.relu_trained_digital_acc = ofpc_apps::ml::accuracy_digital(&relu_mlp, &test);
     let engine = {
         let mut erng = SimRng::seed_from_u64(13);
@@ -123,7 +117,7 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
         curve: curve.clone(),
         scale,
     };
-    let curve_mlp = train_mlp(&[64, 16, 4], &train, TrainConfig::default(), &act, &mut rng);
+    let curve_mlp = train_mlp(&[64, 16, 4], &train, &act, &mut rng);
     result.curve_trained_digital_acc = accuracy_with_activation(&curve_mlp, &test, &act);
     let mut curve_pdnn = deploy_curve_trained(&curve_mlp, scale, 4, &mut rng);
     result.curve_trained_photonic_acc = accuracy_photonic(&mut curve_pdnn, &test);

@@ -26,25 +26,29 @@ use serde::Serialize;
 /// One virtual tick per arrival — the storm's time axis.
 const TICK_PS: u64 = 1_000;
 
+/// Slots at every third node of an E20 WAN (the paper's
+/// partial-upgrade story).
+const SLOTS_PER_SITE: usize = 4;
+
+/// Placement options the E20 controller enumerates per demand.
+const MAX_OPTIONS: usize = 8;
+
 /// Scenario parameters for an E20 run.
 #[derive(Debug, Clone)]
 pub struct E20Spec {
     pub(crate) seed: u64,
     pub(crate) regions: usize,
     pub(crate) sites_per_region: usize,
-    /// Slots at every third node (the paper's partial-upgrade story).
-    pub(crate) slots_per_site: usize,
     /// Total arrivals; departures trail FIFO once `max_live` is reached.
     pub(crate) arrivals: usize,
     pub max_live: usize,
     /// Fraction of demands whose dst is in another region (boundary).
     pub(crate) cross_region_pct: f64,
-    /// Correlated fault storm over the run, `None` = fault-free.
-    pub(crate) storm: Option<StormSpec>,
+    /// Correlated fault storm over the run.
+    pub(crate) storm: StormSpec,
     /// Differential checkpoint cadence (clone + from-scratch re-solve +
     /// placement equality assert); 0 disables.
     pub(crate) check_every: usize,
-    pub(crate) max_options: usize,
 }
 
 impl E20Spec {
@@ -55,11 +59,10 @@ impl E20Spec {
             seed: 20,
             regions: 12,
             sites_per_region: 10,
-            slots_per_site: 4,
             arrivals: 115_000,
             max_live: 100,
             cross_region_pct: 0.25,
-            storm: Some(StormSpec {
+            storm: StormSpec {
                 bursts: 8,
                 cuts_per_burst: 3,
                 burst_jitter_ps: 0,
@@ -67,9 +70,8 @@ impl E20Spec {
                 engines_per_burst: 1,
                 engine_down_ps: 6_000 * TICK_PS,
                 drift_sigmas: Vec::new(),
-            }),
+            },
             check_every: 20_000,
-            max_options: 8,
         }
     }
 
@@ -80,11 +82,10 @@ impl E20Spec {
             seed: 20,
             regions: 3,
             sites_per_region: 4,
-            slots_per_site: 4,
             arrivals: 240,
             max_live: 12,
             cross_region_pct: 0.3,
-            storm: Some(StormSpec {
+            storm: StormSpec {
                 bursts: 2,
                 cuts_per_burst: 2,
                 burst_jitter_ps: 0,
@@ -92,9 +93,8 @@ impl E20Spec {
                 engines_per_burst: 1,
                 engine_down_ps: 60 * TICK_PS,
                 drift_sigmas: Vec::new(),
-            }),
+            },
             check_every: 60,
-            max_options: 8,
         }
     }
 
@@ -140,7 +140,7 @@ pub fn run_e20(spec: &E20Spec, pool: &WorkerPool) -> (E20Report, Vec<u64>) {
     );
     let n = wan.topo.node_count();
     let capacity: Vec<usize> = (0..n)
-        .map(|i| if i % 3 == 0 { spec.slots_per_site } else { 0 })
+        .map(|i| if i % 3 == 0 { SLOTS_PER_SITE } else { 0 })
         .collect();
     let slots_total: usize = capacity.iter().sum();
     let sites: Vec<NodeId> = (0..n)
@@ -154,30 +154,34 @@ pub fn run_e20(spec: &E20Spec, pool: &WorkerPool) -> (E20Report, Vec<u64>) {
     // Storm → a time-sorted queue of shard events (via the typed
     // fault-plan views), drained into batches between arrivals.
     let mut faults: Vec<(u64, ShardEvent)> = Vec::new();
-    if let Some(storm) = &spec.storm {
-        let horizon = (spec.arrivals as u64 + 1) * TICK_PS;
-        let plan = generate_storm(&links, &sites, horizon, storm, &mut rng.derive("storm"));
-        for (t, l, up) in plan.link_events() {
-            let ev = if up {
-                ShardEvent::RepairLink(l)
-            } else {
-                ShardEvent::CutLink(l)
-            };
-            faults.push((t, ev));
-        }
-        for (t, node, up) in plan.engine_events() {
-            let ev = if up {
-                ShardEvent::RepairSite(node)
-            } else {
-                ShardEvent::FailSite(node)
-            };
-            faults.push((t, ev));
-        }
-        faults.sort_by_key(|&(t, _)| t);
+    let horizon = (spec.arrivals as u64 + 1) * TICK_PS;
+    let plan = generate_storm(
+        &links,
+        &sites,
+        horizon,
+        &spec.storm,
+        &mut rng.derive("storm"),
+    );
+    for (t, l, up) in plan.link_events() {
+        let ev = if up {
+            ShardEvent::RepairLink(l)
+        } else {
+            ShardEvent::CutLink(l)
+        };
+        faults.push((t, ev));
     }
+    for (t, node, up) in plan.engine_events() {
+        let ev = if up {
+            ShardEvent::RepairSite(node)
+        } else {
+            ShardEvent::FailSite(node)
+        };
+        faults.push((t, ev));
+    }
+    faults.sort_by_key(|&(t, _)| t);
 
     let region_map = RegionMap::from_assignment(wan.region_of.clone());
-    let mut ctl = ShardedController::new(wan.topo.clone(), region_map, capacity, spec.max_options)
+    let mut ctl = ShardedController::new(wan.topo.clone(), region_map, capacity, MAX_OPTIONS)
         .with_pool(pool.clone());
 
     let prims = [

@@ -17,7 +17,7 @@ use ofpc_apps::loadbalance::{run_lb, Balancer};
 use ofpc_apps::mimo::{measure_ser, Detector};
 use ofpc_apps::ml::{
     accuracy_photonic, accuracy_with_activation, deploy_curve_trained, synthetic_glyphs, train_mlp,
-    TrainActivation, TrainConfig,
+    TrainActivation,
 };
 use ofpc_apps::video::{decode_frame, encode_frame, psnr, synthetic_frame, Transform};
 use ofpc_engine::comparator::{ComparatorConfig, PhotonicComparator};
@@ -61,7 +61,7 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
         let test = synthetic_glyphs(12, 0.08, &mut rng);
         let curve = NonlinearUnit::ideal().transfer_curve(64);
         let act = TrainActivation::ScaledCurve { curve, scale: 4.0 };
-        let mlp = train_mlp(&[64, 16, 4], &train, TrainConfig::default(), &act, &mut rng);
+        let mlp = train_mlp(&[64, 16, 4], &train, &act, &mut rng);
         let digital_acc = accuracy_with_activation(&mlp, &test, &act);
         let mut pdnn = deploy_curve_trained(&mlp, 4.0, 4, &mut rng);
         let photonic_acc = accuracy_photonic(&mut pdnn, &test);
@@ -144,7 +144,7 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
         let mut rng = SimRng::seed_from_u64(4);
         let signatures = vec![b"ATTACK".to_vec(), b"EVIL".to_vec(), b"WORM!".to_vec()];
         let (payloads, _) = synthesize_traffic(15, 64, &signatures, 0.6, &mut rng);
-        let mut ac = AhoCorasick::new(&signatures);
+        let ac = AhoCorasick::new(&signatures);
         let mut ids = PhotonicIds::ideal(&signatures);
         let mut agree = 0;
         for p in &payloads {
@@ -262,10 +262,8 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
     // ---- Latency/energy summary row (the Table-1 bottleneck story) ----
     {
         let req = RequestModel {
-            path_km: 1500.0,
             macs: 100_000,
             bytes: 1_500,
-            line_rate_bps: 100e9,
         };
         let cloud = req.latency_s(&Placement::Cloud { detour_km: 400.0 }, &ComputeModel::tpu());
         let onfiber = req.latency_s(&Placement::OnFiber, &ComputeModel::photonic());

@@ -36,7 +36,7 @@ pub mod teupdate;
 pub use demand::{Demand, TaskDag};
 pub(crate) use options::ProblemInstance;
 pub use options::{enumerate_options, options_from_matrix, AllocOption};
-pub use protection::{RecoveryParams, RecoveryTimeline};
+pub use protection::{ttr_bound_ps, RecoveryTimeline};
 pub use teupdate::build_plan_from_placements;
 
 /// An allocation: for each demand (by index), the chosen option index

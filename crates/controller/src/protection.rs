@@ -9,8 +9,8 @@
 //! loss-of-light **detection**, allocator **re-run**, and the
 //! staged per-router **install** of the new `UpdatePlan` (same model as
 //! `ofpc_core::protocol::staged_rollout`) — accounted by
-//! [`RecoveryParams::timeline`]. The bound in
-//! [`RecoveryParams::ttr_bound_ps`] is what experiment E13 checks p99
+//! [`RecoveryTimeline::new`]. The stage durations are constants. The
+//! bound in [`ttr_bound_ps`] is what experiment E13 checks p99
 //! time-to-recovery against.
 
 use ofpc_net::NodeId;
@@ -32,31 +32,19 @@ pub fn surviving_slots(slots: &[usize], failed: &[NodeId]) -> Vec<usize> {
         .collect()
 }
 
-/// Recovery-stage durations (all picoseconds).
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryParams {
-    /// Fault → detection: loss-of-light at the photodetector, charged
-    /// as this fixed delay. Default 50 µs (SONET-class LOS detection is
-    /// tens of microseconds).
-    pub(crate) detection_ps: u64,
-    /// Detection → new allocation: the controller's solver re-run over
-    /// surviving sites. Default 1 ms.
-    pub(crate) realloc_ps: u64,
-    /// Per-router staged install gap for the new plan (§3's "next-hop
-    /// updates to all routers", delivered one router at a time).
-    /// Default 200 µs per router.
-    pub(crate) per_router_install_ps: u64,
-}
+/// Fault → detection, ps: loss-of-light at the photodetector, charged
+/// as this fixed delay of 50 µs (SONET-class LOS detection is tens of
+/// microseconds).
+const DETECTION_PS: u64 = 50_000_000;
 
-impl Default for RecoveryParams {
-    fn default() -> Self {
-        RecoveryParams {
-            detection_ps: 50_000_000,           // 50 µs
-            realloc_ps: 1_000_000_000,          // 1 ms
-            per_router_install_ps: 200_000_000, // 200 µs
-        }
-    }
-}
+/// Detection → new allocation, ps: the controller's solver re-run over
+/// surviving sites, 1 ms.
+const REALLOC_PS: u64 = 1_000_000_000;
+
+/// Per-router staged install gap for the new plan, ps (§3's "next-hop
+/// updates to all routers", delivered one router at a time): 200 µs per
+/// router.
+const PER_ROUTER_INSTALL_PS: u64 = 200_000_000;
 
 /// When each recovery stage completed for one fault.
 #[derive(Debug, Clone, Copy)]
@@ -69,6 +57,20 @@ pub struct RecoveryTimeline {
 }
 
 impl RecoveryTimeline {
+    /// Build the timeline for a fault at `fault_at_ps` whose re-install
+    /// touches `routers_updated` routers.
+    pub fn new(fault_at_ps: u64, routers_updated: usize) -> Self {
+        let detected_at_ps = fault_at_ps + DETECTION_PS;
+        let reallocated_at_ps = detected_at_ps + REALLOC_PS;
+        let installed_at_ps = reallocated_at_ps + routers_updated as u64 * PER_ROUTER_INSTALL_PS;
+        RecoveryTimeline {
+            fault_at_ps,
+            detected_at_ps,
+            reallocated_at_ps,
+            installed_at_ps,
+        }
+    }
+
     /// Time to recovery: fault to full re-install.
     pub fn ttr_ps(&self) -> u64 {
         self.installed_at_ps - self.fault_at_ps
@@ -94,28 +96,11 @@ impl RecoveryTimeline {
     }
 }
 
-impl RecoveryParams {
-    /// Build the timeline for a fault at `fault_at_ps` whose re-install
-    /// touches `routers_updated` routers.
-    pub fn timeline(&self, fault_at_ps: u64, routers_updated: usize) -> RecoveryTimeline {
-        let detected_at_ps = fault_at_ps + self.detection_ps;
-        let reallocated_at_ps = detected_at_ps + self.realloc_ps;
-        let installed_at_ps =
-            reallocated_at_ps + routers_updated as u64 * self.per_router_install_ps;
-        RecoveryTimeline {
-            fault_at_ps,
-            detected_at_ps,
-            reallocated_at_ps,
-            installed_at_ps,
-        }
-    }
-
-    /// Upper bound on TTR for a network of `routers` routers — every
-    /// recovery must complete within detection + realloc + full staged
-    /// install. E13 asserts measured p99 TTR against this.
-    pub fn ttr_bound_ps(&self, routers: usize) -> u64 {
-        self.detection_ps + self.realloc_ps + routers as u64 * self.per_router_install_ps
-    }
+/// Upper bound on TTR for a network of `routers` routers — every
+/// recovery must complete within detection + realloc + full staged
+/// install. E13 asserts measured p99 TTR against this.
+pub fn ttr_bound_ps(routers: usize) -> u64 {
+    DETECTION_PS + REALLOC_PS + routers as u64 * PER_ROUTER_INSTALL_PS
 }
 
 #[cfg(test)]
@@ -132,18 +117,12 @@ mod tests {
 
     #[test]
     fn timeline_accounts_stage_by_stage() {
-        let p = RecoveryParams {
-            detection_ps: 10,
-            realloc_ps: 100,
-            per_router_install_ps: 5,
-        };
-        let t = p.timeline(1_000, 4);
-        assert_eq!(t.detected_at_ps, 1_010);
-        assert_eq!(t.reallocated_at_ps, 1_110);
-        assert_eq!(t.installed_at_ps, 1_130);
-        assert_eq!(t.ttr_ps(), 130);
-        assert!(t.ttr_ps() <= p.ttr_bound_ps(4));
+        let t = RecoveryTimeline::new(1_000, 4);
+        assert_eq!(t.detected_at_ps, 50_001_000);
+        assert_eq!(t.reallocated_at_ps, 1_050_001_000);
+        assert_eq!(t.installed_at_ps, 1_850_001_000);
+        assert_eq!(t.ttr_ps(), 1_850_000_000);
         // Bound is tight at full-network installs.
-        assert_eq!(p.ttr_bound_ps(4), 130);
+        assert_eq!(ttr_bound_ps(4), 1_850_000_000);
     }
 }

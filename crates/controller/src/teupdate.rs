@@ -130,14 +130,6 @@ pub(crate) enum FailedCmd {
 /// instead of assuming every command landed.
 #[derive(Debug, Clone, Default)]
 pub struct ApplyReport {
-    /// Engine slots newly installed.
-    pub(crate) installed: usize,
-    /// Installs skipped because an identical slot (same node, op id,
-    /// spec) already exists — re-applying a plan is a no-op, not a
-    /// duplicate.
-    pub(crate) skipped_installs: usize,
-    /// Override commands that landed on at least one router.
-    pub(crate) overrides_installed: usize,
     /// Commands that could not be applied, with reasons.
     pub(crate) failed: Vec<FailedCmd>,
 }
@@ -184,11 +176,9 @@ pub fn apply_plan(
             .iter()
             .any(|s| s.op_id == install.op_id && s.spec == spec);
         if already {
-            report.skipped_installs += 1;
             continue;
         }
         net.add_engine(install.node, install.op_id, spec, noise_sigma);
-        report.installed += 1;
     }
     // Install overrides: at every router, pending packets for
     // (dst_prefix, primitive) head toward `via` along shortest paths
@@ -221,7 +211,6 @@ pub fn apply_plan(
                 first_link,
             );
         }
-        report.overrides_installed += 1;
     }
     report
 }
@@ -345,19 +334,18 @@ mod tests {
         let specs = |_op: u16, _p: Primitive| OpSpec::Dot {
             weights: vec![1.0; 4],
         };
+        let engines =
+            |net: &Network| -> usize { (0..4).map(|n| net.engines_at(NodeId(n)).len()).sum() };
+        let engines_initially = engines(&net);
         let first = apply_plan(&mut net, &plan, &specs, 0.0);
-        assert_eq!(first.installed, 1);
-        assert_eq!(first.skipped_installs, 0);
         assert!(first.fully_applied());
-        let engines_before: usize = (0..4).map(|n| net.engines_at(NodeId(n)).len()).sum();
+        let engines_before = engines(&net);
+        assert_eq!(engines_before, engines_initially + 1, "one install");
 
-        // Re-applying the same plan changes nothing and reports skips.
+        // Re-applying the same plan changes nothing.
         let second = apply_plan(&mut net, &plan, &specs, 0.0);
-        assert_eq!(second.installed, 0);
-        assert_eq!(second.skipped_installs, 1);
         assert!(second.fully_applied());
-        let engines_after: usize = (0..4).map(|n| net.engines_at(NodeId(n)).len()).sum();
-        assert_eq!(engines_before, engines_after, "no duplicate slots");
+        assert_eq!(engines_before, engines(&net), "no duplicate slots");
     }
 
     #[test]
@@ -385,8 +373,6 @@ mod tests {
             0.0,
         );
         assert!(!report.fully_applied());
-        assert_eq!(report.installed, 0);
-        assert_eq!(report.overrides_installed, 0);
         assert!(matches!(
             report.failed[..],
             [
@@ -419,7 +405,6 @@ mod tests {
             unsatisfied: vec![],
         };
         let report = apply_plan(&mut net, &plan, &|_, _| OpSpec::Nonlinear, 0.0);
-        assert_eq!(report.overrides_installed, 0);
         assert!(matches!(
             report.failed[..],
             [FailedCmd::OverrideViaUnreachable]

@@ -15,31 +15,30 @@
 use ofpc_net::{NodeId, Topology};
 use ofpc_photonics::SimRng;
 
-/// Parameters for [`multi_region`].
+/// Side of each region's square scatter area, km.
+const REGION_SIDE_KM: f64 = 300.0;
+
+/// Geometric-graph connection radius inside a region, km.
+const REGION_RADIUS_KM: f64 = 150.0;
+
+/// Long-haul backbone link length between adjacent gateways, km.
+const BACKBONE_KM: f64 = 900.0;
+
+/// Parameters for [`multi_region`]: metro-scale regions (300 km square,
+/// 150 km radius) on a 900 km backbone ring.
 #[derive(Debug, Clone)]
 pub struct MultiRegionSpec {
     /// Number of metro regions (≥ 2).
     pub(crate) regions: usize,
     /// Nodes per region (≥ 2).
     pub(crate) sites_per_region: usize,
-    /// Side of each region's square scatter area, km.
-    pub(crate) region_side_km: f64,
-    /// Geometric-graph connection radius inside a region, km.
-    pub(crate) region_radius_km: f64,
-    /// Long-haul backbone link length between adjacent gateways, km.
-    pub(crate) backbone_km: f64,
 }
 
 impl MultiRegionSpec {
-    /// A compact default: metro-scale regions (300 km square, 150 km
-    /// radius) on a 900 km backbone ring.
     pub fn new(regions: usize, sites_per_region: usize) -> Self {
         MultiRegionSpec {
             regions,
             sites_per_region,
-            region_side_km: 300.0,
-            region_radius_km: 150.0,
-            backbone_km: 900.0,
         }
     }
 
@@ -77,15 +76,15 @@ pub fn multi_region(spec: &MultiRegionSpec, rng: &mut SimRng) -> MultiRegionWan 
                 topo.add_node(format!("r{r}s{i}"));
                 region_of.push(r as u32);
                 (
-                    rng.uniform() * spec.region_side_km,
-                    rng.uniform() * spec.region_side_km,
+                    rng.uniform() * REGION_SIDE_KM,
+                    rng.uniform() * REGION_SIDE_KM,
                 )
             })
             .collect();
         for i in 0..pts.len() {
             for j in i + 1..pts.len() {
                 let d = ((pts[i].0 - pts[j].0).powi(2) + (pts[i].1 - pts[j].1).powi(2)).sqrt();
-                if d <= spec.region_radius_km {
+                if d <= REGION_RADIUS_KM {
                     topo.add_link(
                         NodeId((base + i) as u32),
                         NodeId((base + j) as u32),
@@ -109,12 +108,12 @@ pub fn multi_region(spec: &MultiRegionSpec, rng: &mut SimRng) -> MultiRegionWan 
     // Backbone ring over the gateways (node 0 of each region).
     let gw = |r: usize| NodeId((r * spec.sites_per_region) as u32);
     for r in 0..spec.regions {
-        topo.add_link(gw(r), gw((r + 1) % spec.regions), spec.backbone_km);
+        topo.add_link(gw(r), gw((r + 1) % spec.regions), BACKBONE_KM);
     }
     // A chord across the ring: one backbone cut never doubles the
     // worst-case gateway distance, and the ring stays 2-cut-tolerant.
     if spec.regions >= 4 {
-        topo.add_link(gw(0), gw(spec.regions / 2), spec.backbone_km * 1.5);
+        topo.add_link(gw(0), gw(spec.regions / 2), BACKBONE_KM * 1.5);
     }
     MultiRegionWan { topo, region_of }
 }

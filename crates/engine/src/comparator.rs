@@ -8,11 +8,16 @@
 //! **sign** is the comparison result. No ADC is needed for the decision —
 //! a single comparator latch reads the sign.
 
+use ofpc_photonics::energy::constants::PHOTONIC_LANE_HZ;
 use ofpc_photonics::laser::{Laser, LaserConfig};
 use ofpc_photonics::modulator::{MachZehnderModulator, MzmConfig};
-use ofpc_photonics::photodetector::{Photodetector, PhotodetectorConfig};
+use ofpc_photonics::photodetector::{Photodetector, PhotodetectorConfig, RESPONSIVITY_A_W};
 use ofpc_photonics::signal::AnalogWaveform;
 use ofpc_photonics::SimRng;
+
+/// Symbol slots integrated per comparison: both arms run `2 ×` this
+/// many slots at [`PHOTONIC_LANE_HZ`].
+const INTEGRATION_SYMBOLS: usize = 4;
 
 /// Configuration of a photonic comparator.
 #[derive(Debug, Clone)]
@@ -22,10 +27,6 @@ pub struct ComparatorConfig {
     pub(crate) mzm_b: MzmConfig,
     pub(crate) pd_a: PhotodetectorConfig,
     pub(crate) pd_b: PhotodetectorConfig,
-    pub(crate) sample_rate_hz: f64,
-    /// Number of symbol slots integrated per comparison (longer = less
-    /// noise, more latency).
-    pub(crate) integration_symbols: usize,
     /// Dead zone: |difference| below this fraction of full scale reports
     /// [`Comparison::TooClose`] instead of a possibly-noisy sign.
     pub dead_zone: f64,
@@ -44,8 +45,6 @@ impl ComparatorConfig {
             mzm_b: MzmConfig::ideal(),
             pd_a: PhotodetectorConfig::ideal(),
             pd_b: PhotodetectorConfig::ideal(),
-            sample_rate_hz: 32e9,
-            integration_symbols: 4,
             dead_zone: 0.0,
         }
     }
@@ -71,7 +70,6 @@ pub struct PhotonicComparator {
     mzm_b: MachZehnderModulator,
     pd_a: Photodetector,
     pd_b: Photodetector,
-    pub(crate) comparisons: u64,
 }
 
 impl PhotonicComparator {
@@ -83,7 +81,6 @@ impl PhotonicComparator {
             pd_a: Photodetector::new(config.pd_a.clone(), rng.derive("cmp-pd-a")),
             pd_b: Photodetector::new(config.pd_b.clone(), rng.derive("cmp-pd-b")),
             config,
-            comparisons: 0,
         }
     }
 
@@ -94,27 +91,25 @@ impl PhotonicComparator {
 
     /// Compare two values in `[0, 1]` by balanced detection.
     pub fn compare(&mut self, a: f64, b: f64) -> Comparison {
-        let n = self.config.integration_symbols.max(1);
-        let light = self.laser.emit(2 * n, self.config.sample_rate_hz);
+        let n = INTEGRATION_SYMBOLS;
+        let light = self.laser.emit(2 * n, PHOTONIC_LANE_HZ);
         let half_a = ofpc_photonics::coupler::split_n(&light, 2);
         let (arm_a, arm_b) = (half_a[0].clone(), half_a[1].clone());
         let drive_a = AnalogWaveform::new(
             vec![self.mzm_a.drive_for_transmission(a.clamp(0.0, 1.0)); 2 * n],
-            self.config.sample_rate_hz,
+            PHOTONIC_LANE_HZ,
         );
         let drive_b = AnalogWaveform::new(
             vec![self.mzm_b.drive_for_transmission(b.clamp(0.0, 1.0)); 2 * n],
-            self.config.sample_rate_hz,
+            PHOTONIC_LANE_HZ,
         );
         let lit_a = self.mzm_a.modulate(&arm_a, &drive_a);
         let lit_b = self.mzm_b.modulate(&arm_b, &drive_b);
         let i_a: f64 = self.pd_a.detect(&lit_a).samples.iter().sum::<f64>();
         let i_b: f64 = self.pd_b.detect(&lit_b).samples.iter().sum::<f64>();
-        self.comparisons += 1;
         // Differential current, normalized to the full-scale per-arm
         // current so the dead zone is unit-independent.
-        let full_scale =
-            self.laser.power_w() / 2.0 * self.pd_a.config.responsivity_a_w * 2.0 * n as f64;
+        let full_scale = self.laser.power_w() / 2.0 * RESPONSIVITY_A_W * 2.0 * n as f64;
         let diff = (i_a - i_b) / full_scale.max(f64::MIN_POSITIVE);
         if diff.abs() < self.config.dead_zone {
             Comparison::TooClose
@@ -130,7 +125,7 @@ impl PhotonicComparator {
 mod tests {
     use super::*;
 
-    /// Default devices with an 8-symbol integration window.
+    /// Default devices.
     fn realistic() -> ComparatorConfig {
         ComparatorConfig {
             laser: LaserConfig::default(),
@@ -138,8 +133,6 @@ mod tests {
             mzm_b: MzmConfig::default(),
             pd_a: PhotodetectorConfig::default(),
             pd_b: PhotodetectorConfig::default(),
-            sample_rate_hz: 32e9,
-            integration_symbols: 8,
             dead_zone: 0.02,
         }
     }
@@ -184,14 +177,5 @@ mod tests {
             }
         }
         assert!(correct >= 98, "only {correct}/{trials} correct");
-    }
-
-    #[test]
-    fn comparisons_are_counted() {
-        let mut rng = SimRng::seed_from_u64(3);
-        let mut c = PhotonicComparator::new(realistic(), &mut rng);
-        c.compare(0.1, 0.9);
-        c.compare(0.9, 0.1);
-        assert_eq!(c.comparisons, 2);
     }
 }

@@ -52,11 +52,9 @@ impl Correlator {
             "signatures must be non-empty"
         );
         assert!(stride >= 1, "stride must be at least 1 bit");
-        let mut cfg = config;
         // The matcher's own threshold is not used — the correlator applies
         // its tolerance to the analog estimate directly.
-        cfg.match_threshold = 0.5;
-        let mut matcher = PatternMatcher::new(cfg, rng);
+        let mut matcher = PatternMatcher::new(config, rng);
         matcher.calibrate(128);
         Correlator {
             matcher,

@@ -158,7 +158,6 @@ pub struct PhotonicDnn {
     act_scales: Vec<f64>,
     engine: PhotonicMatVec,
     activation: NonlinearUnit,
-    pub(crate) inferences: u64,
 }
 
 impl PhotonicDnn {
@@ -216,7 +215,6 @@ impl PhotonicDnn {
             act_scales,
             engine,
             activation,
-            inferences: 0,
         }
     }
 
@@ -252,7 +250,6 @@ impl PhotonicDnn {
             act_scales,
             engine,
             activation,
-            inferences: 0,
         }
     }
 
@@ -286,7 +283,6 @@ impl PhotonicDnn {
                 a = z;
             }
         }
-        self.inferences += 1;
         a
     }
 
@@ -402,7 +398,6 @@ mod tests {
         let y = pdnn.forward(&[0.3, 0.6, 0.1, 0.9]);
         assert_eq!(y.len(), 3);
         assert!(y.iter().all(|v| v.is_finite()));
-        assert_eq!(pdnn.inferences, 1);
     }
 
     #[test]

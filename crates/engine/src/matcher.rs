@@ -15,6 +15,7 @@
 //! integrated charge to a distance estimate.
 
 use ofpc_photonics::coupler::Coupler;
+use ofpc_photonics::energy::constants::PHOTONIC_LANE_HZ;
 use ofpc_photonics::energy::EnergyLedger;
 use ofpc_photonics::laser::{Laser, LaserConfig};
 use ofpc_photonics::modulator::{PhaseModulator, PhaseModulatorConfig};
@@ -22,19 +23,19 @@ use ofpc_photonics::photodetector::{Photodetector, PhotodetectorConfig};
 use ofpc_photonics::signal::AnalogWaveform;
 use ofpc_photonics::SimRng;
 
-/// Configuration of a P2 pattern-matching unit.
+/// Decision threshold as a fraction of one mismatch's charge: a block
+/// whose distance estimate is below this matches ("less than half a bit
+/// of disagreement").
+pub(crate) const MATCH_THRESHOLD: f64 = 0.5;
+
+/// Configuration of a P2 pattern-matching unit. Symbols pass at
+/// [`PHOTONIC_LANE_HZ`].
 #[derive(Debug, Clone)]
 pub struct MatcherConfig {
     pub(crate) laser: LaserConfig,
     pub(crate) pm_data: PhaseModulatorConfig,
     pub(crate) pm_pattern: PhaseModulatorConfig,
     pub(crate) pd: PhotodetectorConfig,
-    /// Symbol rate, Hz.
-    pub(crate) sample_rate_hz: f64,
-    /// Decision threshold as a fraction of one mismatch's charge: a block
-    /// whose distance estimate is below this matches. 0.5 = "less than
-    /// half a bit of disagreement".
-    pub(crate) match_threshold: f64,
 }
 
 impl MatcherConfig {
@@ -49,8 +50,6 @@ impl MatcherConfig {
             pm_data: PhaseModulatorConfig::ideal(),
             pm_pattern: PhaseModulatorConfig::ideal(),
             pd: PhotodetectorConfig::ideal(),
-            sample_rate_hz: 32e9,
-            match_threshold: 0.5,
         }
     }
 
@@ -60,8 +59,6 @@ impl MatcherConfig {
             pm_data: PhaseModulatorConfig::default(),
             pm_pattern: PhaseModulatorConfig::default(),
             pd: PhotodetectorConfig::default(),
-            sample_rate_hz: 32e9,
-            match_threshold: 0.5,
         }
     }
 }
@@ -73,14 +70,13 @@ pub struct MatchResult {
     pub distance_estimate: f64,
     /// Rounded integer Hamming distance.
     pub hamming: u64,
-    /// Whether the block matched under the configured threshold.
+    /// Whether the distance estimate fell below half a bit.
     pub matched: bool,
 }
 
 /// A P2 photonic pattern matcher.
 #[derive(Debug, Clone)]
 pub struct PatternMatcher {
-    pub(crate) config: MatcherConfig,
     laser: Laser,
     pm_data: PhaseModulator,
     pm_pattern: PhaseModulator,
@@ -102,7 +98,6 @@ impl PatternMatcher {
             pm_pattern: PhaseModulator::new(config.pm_pattern.clone()),
             coupler: Coupler::three_db(),
             pd: Photodetector::new(config.pd.clone(), rng.derive("p2-pd")),
-            config,
             unit_current_a: None,
             floor_current_a: 0.0,
             symbols_matched: 0,
@@ -143,14 +138,14 @@ impl PatternMatcher {
         );
         assert!(!data.is_empty(), "cannot match empty blocks");
         let n = data.len();
-        let light = self.laser.emit(n, self.config.sample_rate_hz);
+        let light = self.laser.emit(n, PHOTONIC_LANE_HZ);
         let (arm_data, arm_pattern) = self.coupler.split(&light);
         let phase_wave = |bits: &[bool], pm: &PhaseModulator| {
             AnalogWaveform::new(
                 bits.iter()
                     .map(|&b| pm.drive_for_phase(if b { std::f64::consts::PI } else { 0.0 }))
                     .collect(),
-                self.config.sample_rate_hz,
+                PHOTONIC_LANE_HZ,
             )
         };
         let d_data = phase_wave(data, &self.pm_data);
@@ -179,19 +174,19 @@ impl PatternMatcher {
         MatchResult {
             distance_estimate: est,
             hamming: est.round().max(0.0) as u64,
-            matched: est < self.config.match_threshold,
+            matched: est < MATCH_THRESHOLD,
         }
     }
 
     /// Latency of matching an n-symbol block, seconds.
     pub(crate) fn latency_s(&self, n: usize) -> f64 {
-        n as f64 / self.config.sample_rate_hz + 1e-9
+        n as f64 / PHOTONIC_LANE_HZ + 1e-9
     }
 
     /// Energy spent so far.
     pub fn energy_ledger(&self) -> EnergyLedger {
         let mut ledger = EnergyLedger::new();
-        let secs = self.symbols_matched as f64 / self.config.sample_rate_hz;
+        let secs = self.symbols_matched as f64 / PHOTONIC_LANE_HZ;
         ledger.add("laser", self.laser.config.wall_plug_w * secs);
         ledger.add("pm-data", self.pm_data.energy_consumed_j());
         ledger.add("pm-pattern", self.pm_pattern.energy_consumed_j());

@@ -12,6 +12,7 @@
 //! optical power fraction, output `y = f(x)` likewise.
 
 use ofpc_photonics::coupler::Coupler;
+use ofpc_photonics::energy::constants::PHOTONIC_LANE_HZ;
 use ofpc_photonics::energy::EnergyLedger;
 use ofpc_photonics::laser::{Laser, LaserConfig};
 use ofpc_photonics::modulator::{MachZehnderModulator, MzmConfig};
@@ -19,7 +20,20 @@ use ofpc_photonics::photodetector::{Photodetector, PhotodetectorConfig};
 use ofpc_photonics::signal::AnalogWaveform;
 use ofpc_photonics::SimRng;
 
-/// Configuration of a P3 nonlinear unit.
+/// Fraction of input power tapped for the feed-forward detector.
+const TAP_RATIO: f64 = 0.1;
+
+/// Transimpedance gain converting tap photocurrent to gate drive voltage,
+/// V/A. Sets the activation sharpness; chosen so the gate approaches full
+/// transmission as x → 1.
+const TIA_GAIN_V_A: f64 = 1.6e3;
+
+/// Gate bias voltage offset (shifts the knee), volts. Negative values
+/// delay turn-on (larger dead zone at small inputs).
+const GATE_BIAS_V: f64 = -0.45;
+
+/// Configuration of a P3 nonlinear unit. Symbols pass at
+/// [`PHOTONIC_LANE_HZ`].
 #[derive(Debug, Clone)]
 pub struct NonlinearConfig {
     pub(crate) laser: LaserConfig,
@@ -30,15 +44,6 @@ pub struct NonlinearConfig {
     pub(crate) gate: MzmConfig,
     pub(crate) tap_pd: PhotodetectorConfig,
     pub(crate) out_pd: PhotodetectorConfig,
-    /// Fraction of input power tapped for the feed-forward detector.
-    pub(crate) tap_ratio: f64,
-    /// Transimpedance gain converting tap photocurrent to gate drive
-    /// voltage, V/A. Sets the activation sharpness.
-    pub(crate) tia_gain_v_a: f64,
-    /// Gate bias voltage offset (shifts the knee), volts. Negative values
-    /// delay turn-on (larger dead zone at small inputs).
-    pub(crate) gate_bias_v: f64,
-    pub(crate) sample_rate_hz: f64,
 }
 
 impl NonlinearConfig {
@@ -54,11 +59,6 @@ impl NonlinearConfig {
             gate: MzmConfig::ideal(),
             tap_pd: PhotodetectorConfig::ideal(),
             out_pd: PhotodetectorConfig::ideal(),
-            tap_ratio: 0.1,
-            // Chosen so the gate approaches full transmission as x → 1.
-            tia_gain_v_a: 1.6e3,
-            gate_bias_v: -0.45,
-            sample_rate_hz: 32e9,
         }
     }
 }
@@ -66,7 +66,6 @@ impl NonlinearConfig {
 /// A P3 electro-optic nonlinear activation unit.
 #[derive(Debug, Clone)]
 pub struct NonlinearUnit {
-    pub(crate) config: NonlinearConfig,
     laser: Laser,
     encoder: MachZehnderModulator,
     gate: MachZehnderModulator,
@@ -80,18 +79,13 @@ pub struct NonlinearUnit {
 
 impl NonlinearUnit {
     pub fn new(config: NonlinearConfig, rng: &mut SimRng) -> Self {
-        assert!(
-            (0.0..1.0).contains(&config.tap_ratio),
-            "tap ratio must be in [0,1)"
-        );
         NonlinearUnit {
             laser: Laser::new(config.laser.clone(), rng.derive("p3-laser")),
             encoder: MachZehnderModulator::new(config.encoder.clone()),
             gate: MachZehnderModulator::new(config.gate.clone()),
-            tap: Coupler::new(config.tap_ratio, 0.0),
+            tap: Coupler::new(TAP_RATIO, 0.0),
             tap_pd: Photodetector::new(config.tap_pd.clone(), rng.derive("p3-tap-pd")),
             out_pd: Photodetector::new(config.out_pd.clone(), rng.derive("p3-out-pd")),
-            config,
             full_scale_current_a: None,
             activations: 0,
         }
@@ -115,24 +109,20 @@ impl NonlinearUnit {
     /// One physical activation: encode `x` as power, tap, detect, gate.
     /// Returns the output photocurrent (single integrated symbol).
     fn raw_activate(&mut self, x: f64) -> f64 {
-        let light = self.laser.emit(1, self.config.sample_rate_hz);
+        let light = self.laser.emit(1, PHOTONIC_LANE_HZ);
         let drive = AnalogWaveform::new(
             vec![self.encoder.drive_for_transmission(x.clamp(0.0, 1.0))],
-            self.config.sample_rate_hz,
+            PHOTONIC_LANE_HZ,
         );
         let encoded = self.encoder.modulate(&light, &drive);
         // Tap coupler: through port keeps (1−κ), coupled port κ.
         let (through, tapped) = self.tap.combine(
             &encoded,
-            &ofpc_photonics::signal::OpticalField::dark(
-                1,
-                self.config.sample_rate_hz,
-                encoded.wavelength_m,
-            ),
+            &ofpc_photonics::signal::OpticalField::dark(1, PHOTONIC_LANE_HZ, encoded.wavelength_m),
         );
         let tap_current = self.tap_pd.detect(&tapped).samples[0];
-        let gate_v = (tap_current * self.config.tia_gain_v_a + self.config.gate_bias_v).max(0.0);
-        let gate_drive = AnalogWaveform::new(vec![gate_v], self.config.sample_rate_hz);
+        let gate_v = (tap_current * TIA_GAIN_V_A + GATE_BIAS_V).max(0.0);
+        let gate_drive = AnalogWaveform::new(vec![gate_v], PHOTONIC_LANE_HZ);
         let out = self.gate.modulate(&through, &gate_drive);
         self.activations += 1;
         self.out_pd.detect(&out).samples[0]
@@ -165,12 +155,12 @@ impl NonlinearUnit {
 
     /// Latency of one activation, seconds (one symbol + analog loop).
     pub(crate) fn latency_s(&self) -> f64 {
-        1.0 / self.config.sample_rate_hz + 1e-9
+        1.0 / PHOTONIC_LANE_HZ + 1e-9
     }
 
     pub fn energy_ledger(&self) -> EnergyLedger {
         let mut ledger = EnergyLedger::new();
-        let secs = self.activations as f64 / self.config.sample_rate_hz;
+        let secs = self.activations as f64 / PHOTONIC_LANE_HZ;
         ledger.add("laser", self.laser.config.wall_plug_w * secs);
         ledger.add("encoder", self.encoder.energy_consumed_j());
         ledger.add("gate", self.gate.energy_consumed_j());
@@ -245,35 +235,11 @@ mod tests {
     }
 
     #[test]
-    fn bias_shifts_the_knee() {
-        let mut rng = SimRng::seed_from_u64(1);
-        let mut soft_cfg = NonlinearConfig::ideal();
-        soft_cfg.gate_bias_v = -0.2;
-        let mut hard_cfg = NonlinearConfig::ideal();
-        hard_cfg.gate_bias_v = -0.9;
-        let mut soft = NonlinearUnit::new(soft_cfg, &mut rng);
-        let mut hard = NonlinearUnit::new(hard_cfg, &mut rng);
-        soft.calibrate();
-        hard.calibrate();
-        // The harder bias needs more input before the gate opens.
-        assert!(soft.activate(0.3) > hard.activate(0.3));
-    }
-
-    #[test]
     #[should_panic(expected = "calibrated")]
     fn uncalibrated_panics() {
         let mut rng = SimRng::seed_from_u64(0);
         let mut u = NonlinearUnit::new(NonlinearConfig::ideal(), &mut rng);
         u.activate(0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "tap ratio")]
-    fn rejects_full_tap() {
-        let mut rng = SimRng::seed_from_u64(0);
-        let mut cfg = NonlinearConfig::ideal();
-        cfg.tap_ratio = 1.0;
-        NonlinearUnit::new(cfg, &mut rng);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! Built on the same physics as [`crate::matcher`], reusing phase
 //! encoding and the 3-dB coupler.
 
+use crate::matcher::MATCH_THRESHOLD;
 use ofpc_photonics::coupler::Coupler;
+use ofpc_photonics::energy::constants::PHOTONIC_LANE_HZ;
 use ofpc_photonics::laser::{Laser, LaserConfig};
 use ofpc_photonics::modulator::{
     MachZehnderModulator, MzmConfig, PhaseModulator, PhaseModulatorConfig,
@@ -30,7 +32,9 @@ pub enum Tern {
 }
 
 /// Configuration of a ternary matcher (superset of the P2 matcher: the
-/// pattern arm gains an intensity gate for wildcards).
+/// pattern arm gains an intensity gate for wildcards). Symbols pass at
+/// [`PHOTONIC_LANE_HZ`], and a rule matches below the P2 matcher's
+/// distance threshold.
 #[derive(Debug, Clone)]
 pub struct TernaryConfig {
     pub(crate) laser: LaserConfig,
@@ -39,9 +43,6 @@ pub struct TernaryConfig {
     /// Intensity gate on the pattern arm (dark = wildcard).
     pub(crate) gate: MzmConfig,
     pub(crate) pd: PhotodetectorConfig,
-    pub(crate) sample_rate_hz: f64,
-    /// Distance threshold below which the rule matches.
-    pub(crate) match_threshold: f64,
 }
 
 impl TernaryConfig {
@@ -57,8 +58,6 @@ impl TernaryConfig {
             pm_pattern: PhaseModulatorConfig::ideal(),
             gate: MzmConfig::ideal(),
             pd: PhotodetectorConfig::ideal(),
-            sample_rate_hz: 32e9,
-            match_threshold: 0.5,
         }
     }
 }
@@ -72,7 +71,6 @@ pub struct TernaryResult {
 /// A photonic ternary matcher.
 #[derive(Debug, Clone)]
 pub struct TernaryMatcher {
-    pub(crate) config: TernaryConfig,
     laser: Laser,
     pm_data: PhaseModulator,
     pm_pattern: PhaseModulator,
@@ -97,7 +95,6 @@ impl TernaryMatcher {
             gate: MachZehnderModulator::new(config.gate.clone()),
             coupler: Coupler::three_db(),
             pd: Photodetector::new(config.pd.clone(), rng.derive("tern-pd")),
-            config,
             unit_current_a: None,
             wild_current_a: 0.0,
             floor_current_a: 0.0,
@@ -133,7 +130,7 @@ impl TernaryMatcher {
         );
         assert!(!data.is_empty(), "cannot match empty blocks");
         let n = data.len();
-        let light = self.laser.emit(n, self.config.sample_rate_hz);
+        let light = self.laser.emit(n, PHOTONIC_LANE_HZ);
         let (arm_data, arm_pattern) = self.coupler.split(&light);
         let d_data = AnalogWaveform::new(
             data.iter()
@@ -142,7 +139,7 @@ impl TernaryMatcher {
                         .drive_for_phase(if b { std::f64::consts::PI } else { 0.0 })
                 })
                 .collect(),
-            self.config.sample_rate_hz,
+            PHOTONIC_LANE_HZ,
         );
         let d_pattern = AnalogWaveform::new(
             pattern
@@ -154,7 +151,7 @@ impl TernaryMatcher {
                     })
                 })
                 .collect(),
-            self.config.sample_rate_hz,
+            PHOTONIC_LANE_HZ,
         );
         // Wildcards gate the pattern arm dark.
         let d_gate = AnalogWaveform::new(
@@ -165,7 +162,7 @@ impl TernaryMatcher {
                         .drive_for_transmission(if t == Tern::Wild { 0.0 } else { 1.0 })
                 })
                 .collect(),
-            self.config.sample_rate_hz,
+            PHOTONIC_LANE_HZ,
         );
         let enc_data = self.pm_data.modulate(&arm_data, &d_data);
         let gated = self.gate.modulate(&arm_pattern, &d_gate);
@@ -191,7 +188,7 @@ impl TernaryMatcher {
             charge - wilds as f64 * self.wild_current_a - cared as f64 * self.floor_current_a;
         let est = (corrected / unit).max(0.0);
         TernaryResult {
-            matched: est < self.config.match_threshold,
+            matched: est < MATCH_THRESHOLD,
         }
     }
 }

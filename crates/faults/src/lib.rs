@@ -33,5 +33,5 @@ pub mod storm;
 
 pub use inject::inject;
 pub use orchestrator::{trace_recovery, AvailabilityLedger, Orchestrator};
-pub use plan::{FaultEvent, FaultKind, FaultPlan, MtbfSpec};
+pub use plan::{FaultEvent, FaultKind, FaultPlan};
 pub use storm::{generate_storm, StormSpec};

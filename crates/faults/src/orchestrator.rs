@@ -6,14 +6,13 @@
 //! the other crates provide: `ofpc-net` reconverges routes around downed
 //! links, `ofpc-core` re-runs the allocator with failed sites excluded
 //! ([`ofpc_core::OnFiberNetwork::reallocate_excluding`]), and
-//! `ofpc-controller`'s [`RecoveryParams`] prices the detection /
-//! re-allocation / staged-install stages into a
-//! [`RecoveryTimeline`]. The [`AvailabilityLedger`] folds the resulting
+//! `ofpc-controller`'s [`RecoveryTimeline`] prices the detection /
+//! re-allocation / staged-install stages. The [`AvailabilityLedger`] folds the resulting
 //! outage windows into the availability number experiment E13 sweeps
 //! against MTBF.
 
 use ofpc_controller::teupdate::UpdatePlan;
-use ofpc_controller::{RecoveryParams, RecoveryTimeline};
+use ofpc_controller::RecoveryTimeline;
 use ofpc_core::{OnFiberNetwork, Solver};
 use ofpc_net::NodeId;
 use ofpc_telemetry::{labels, track, Telemetry};
@@ -33,11 +32,10 @@ pub struct RecoveryOutcome {
     pub fully_applied: bool,
 }
 
-/// The recovery driver: owns the stage-duration model and the solver
-/// choice, operates on an [`OnFiberNetwork`].
+/// The recovery driver: owns the solver choice, operates on an
+/// [`OnFiberNetwork`].
 #[derive(Debug, Clone, Copy)]
 pub struct Orchestrator {
-    pub recovery: RecoveryParams,
     pub solver: Solver,
 }
 
@@ -56,8 +54,8 @@ pub(crate) fn routers_touched(plan: &UpdatePlan) -> usize {
 }
 
 impl Orchestrator {
-    pub fn new(recovery: RecoveryParams, solver: Solver) -> Self {
-        Orchestrator { recovery, solver }
+    pub fn new(solver: Solver) -> Self {
+        Orchestrator { solver }
     }
 
     /// Recover from a fiber cut first noticed (loss of light) at
@@ -91,7 +89,7 @@ impl Orchestrator {
     ) -> RecoveryOutcome {
         let routers = routers_touched(plan);
         RecoveryOutcome {
-            timeline: self.recovery.timeline(fault_at_ps, routers),
+            timeline: RecoveryTimeline::new(fault_at_ps, routers),
             routers_updated: routers,
             installs: plan.installs.len(),
             unsatisfied: plan.unsatisfied.len(),
@@ -234,12 +232,9 @@ mod tests {
     }
 
     fn orch() -> Orchestrator {
-        Orchestrator::new(
-            RecoveryParams::default(),
-            Solver::Exact {
-                node_budget: 1_000_000,
-            },
-        )
+        Orchestrator::new(Solver::Exact {
+            node_budget: 1_000_000,
+        })
     }
 
     fn drive_packet(sys: &mut OnFiberNetwork, at_ps: u64) {
@@ -270,7 +265,7 @@ mod tests {
         assert!(out.fully_applied, "re-install must apply cleanly");
         assert_eq!(out.unsatisfied, 0);
         assert!(out.routers_updated >= 1);
-        let bound = o.recovery.ttr_bound_ps(sys.net.topo.node_count());
+        let bound = ofpc_controller::ttr_bound_ps(sys.net.topo.node_count());
         assert!(
             out.timeline.ttr_ps() <= bound,
             "ttr {} exceeds bound {bound}",

@@ -41,19 +41,9 @@ pub struct FaultPlan {
     pub events: Vec<FaultEvent>,
 }
 
-/// Mean-time-between-failures statistics for random plan generation.
-/// All times in picoseconds of virtual time.
-#[derive(Debug, Clone, Copy)]
-pub struct MtbfSpec {
-    /// Mean time between fiber cuts, per link (exponential inter-fault
-    /// times). `None` disables link faults.
-    pub link_mtbf_ps: Option<u64>,
-    /// Mean time between engine hard-fails, per compute site. `None`
-    /// disables engine faults.
-    pub engine_mtbf_ps: Option<u64>,
-    /// Mean time to repair, applied to both fault classes.
-    pub mttr_ps: u64,
-}
+/// Mean time to repair a random fault, ps: 20 ms to splice a fiber or
+/// swap engine hardware, for both fault classes.
+const MTTR_PS: u64 = 20_000_000_000;
 
 impl FaultPlan {
     pub fn new() -> Self {
@@ -135,51 +125,48 @@ impl FaultPlan {
     /// Generate a random plan over `[0, horizon_ps)` from MTBF/MTTR
     /// statistics: every link and every listed compute site runs an
     /// independent fail/repair renewal process with exponential
-    /// inter-fault times. Deterministic for a given RNG state.
+    /// inter-fault times of mean `mtbf_ps` and a fixed 20 ms repair.
+    /// Deterministic for a given RNG state.
     pub fn random(
         topo: &Topology,
         sites: &[NodeId],
         horizon_ps: u64,
-        spec: MtbfSpec,
+        mtbf_ps: u64,
         rng: &mut SimRng,
     ) -> Self {
         let mut plan = FaultPlan::new();
         let draw = |rng: &mut SimRng, mean_ps: u64| -> u64 {
             rng.exponential(1.0 / mean_ps as f64).round() as u64
         };
-        if let Some(mtbf) = spec.link_mtbf_ps {
-            for link_idx in 0..topo.link_count() {
-                let link = LinkId(link_idx as u32);
-                let mut t = draw(rng, mtbf);
-                while t < horizon_ps {
-                    plan.push(FaultEvent {
-                        at_ps: t,
-                        kind: FaultKind::FiberCut { link },
-                    });
-                    let up = t.saturating_add(spec.mttr_ps);
-                    plan.push(FaultEvent {
-                        at_ps: up,
-                        kind: FaultKind::LinkRestore { link },
-                    });
-                    t = up.saturating_add(draw(rng, mtbf));
-                }
+        for link_idx in 0..topo.link_count() {
+            let link = LinkId(link_idx as u32);
+            let mut t = draw(rng, mtbf_ps);
+            while t < horizon_ps {
+                plan.push(FaultEvent {
+                    at_ps: t,
+                    kind: FaultKind::FiberCut { link },
+                });
+                let up = t.saturating_add(MTTR_PS);
+                plan.push(FaultEvent {
+                    at_ps: up,
+                    kind: FaultKind::LinkRestore { link },
+                });
+                t = up.saturating_add(draw(rng, mtbf_ps));
             }
         }
-        if let Some(mtbf) = spec.engine_mtbf_ps {
-            for &node in sites {
-                let mut t = draw(rng, mtbf);
-                while t < horizon_ps {
-                    plan.push(FaultEvent {
-                        at_ps: t,
-                        kind: FaultKind::EngineFail { node },
-                    });
-                    let up = t.saturating_add(spec.mttr_ps);
-                    plan.push(FaultEvent {
-                        at_ps: up,
-                        kind: FaultKind::EngineRepair { node },
-                    });
-                    t = up.saturating_add(draw(rng, mtbf));
-                }
+        for &node in sites {
+            let mut t = draw(rng, mtbf_ps);
+            while t < horizon_ps {
+                plan.push(FaultEvent {
+                    at_ps: t,
+                    kind: FaultKind::EngineFail { node },
+                });
+                let up = t.saturating_add(MTTR_PS);
+                plan.push(FaultEvent {
+                    at_ps: up,
+                    kind: FaultKind::EngineRepair { node },
+                });
+                t = up.saturating_add(draw(rng, mtbf_ps));
             }
         }
         plan
@@ -269,26 +256,19 @@ mod tests {
     fn random_plan_is_deterministic_and_scales_with_mtbf() {
         let topo = Topology::fig1();
         let sites = [NodeId(1), NodeId(2)];
-        let spec_short = MtbfSpec {
-            link_mtbf_ps: Some(1_000_000),
-            engine_mtbf_ps: Some(1_000_000),
-            mttr_ps: 100_000,
-        };
-        let horizon = 100_000_000;
+        // A 1 s horizon holds up to 50 fail/repair cycles of 20 ms per
+        // process.
+        let (mtbf_short, mtbf_long) = (1_000_000, 200_000_000_000);
+        let horizon = 1_000_000_000_000;
         let mut rng_a = SimRng::seed_from_u64(9);
         let mut rng_b = SimRng::seed_from_u64(9);
-        let a = FaultPlan::random(&topo, &sites, horizon, spec_short, &mut rng_a);
-        let b = FaultPlan::random(&topo, &sites, horizon, spec_short, &mut rng_b);
+        let a = FaultPlan::random(&topo, &sites, horizon, mtbf_short, &mut rng_a);
+        let b = FaultPlan::random(&topo, &sites, horizon, mtbf_short, &mut rng_b);
         assert_eq!(a, b, "same seed, same plan");
         assert!(a.fault_count() > 0);
         // Longer MTBF ⇒ fewer faults.
-        let spec_long = MtbfSpec {
-            link_mtbf_ps: Some(50_000_000),
-            engine_mtbf_ps: Some(50_000_000),
-            mttr_ps: 100_000,
-        };
         let mut rng_c = SimRng::seed_from_u64(9);
-        let c = FaultPlan::random(&topo, &sites, horizon, spec_long, &mut rng_c);
+        let c = FaultPlan::random(&topo, &sites, horizon, mtbf_long, &mut rng_c);
         assert!(
             c.fault_count() < a.fault_count(),
             "long {} vs short {}",

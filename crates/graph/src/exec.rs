@@ -50,12 +50,11 @@ impl ExecMode {
     }
 }
 
-/// One execution run's shape.
+/// One execution run's shape: a closed batch of `requests`, all
+/// arriving at time 0.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
     pub requests: usize,
-    /// Open-loop arrival spacing, ps (0 = a closed back-to-back batch).
-    pub inter_arrival_ps: u64,
     pub mode: ExecMode,
 }
 
@@ -240,10 +239,9 @@ impl GraphExecutor {
         let mut latencies = Vec::with_capacity(cfg.requests);
         let mut last_delivery = 0u64;
         for i in 0..cfg.requests {
-            let arrive = i as u64 * cfg.inter_arrival_ps;
             let mut t = match cfg.mode {
-                ExecMode::Pipelined => arrive,
-                ExecMode::Sequential => arrive.max(seq_free),
+                ExecMode::Pipelined => 0,
+                ExecMode::Sequential => seq_free,
             };
             for k in 0..n_stages {
                 t += bindings[k].hop_in_ps;
@@ -264,7 +262,7 @@ impl GraphExecutor {
             t += self.placed.hop_out_ps;
             seq_free = t;
             last_delivery = t;
-            latencies.push(t - arrive);
+            latencies.push(t);
         }
 
         let makespan_ps = last_delivery.max(1);
@@ -327,11 +325,7 @@ mod tests {
     }
 
     fn closed_batch(mode: ExecMode) -> ExecConfig {
-        ExecConfig {
-            requests: 64,
-            inter_arrival_ps: 0,
-            mode,
-        }
+        ExecConfig { requests: 64, mode }
     }
 
     #[test]
@@ -402,7 +396,6 @@ mod tests {
         let ex = executor().with_telemetry(&tel);
         let cfg = ExecConfig {
             requests: 4,
-            inter_arrival_ps: 0,
             mode: ExecMode::Pipelined,
         };
         let report = ex.run(&cfg);
@@ -423,19 +416,5 @@ mod tests {
             serde_json::to_string(&bare).unwrap(),
             serde_json::to_string(&traced).unwrap()
         );
-    }
-
-    #[test]
-    fn open_loop_arrivals_bound_latency() {
-        let ex = executor();
-        // Arrivals slower than the bottleneck stage: queues never build,
-        // so pipelined latency equals the unloaded chain latency.
-        let slow = ExecConfig {
-            requests: 16,
-            inter_arrival_ps: 10_000_000,
-            mode: ExecMode::Pipelined,
-        };
-        let r = ex.run(&slow);
-        assert_eq!(r.mean_latency_ps, r.p99_latency_ps);
     }
 }

@@ -44,7 +44,6 @@
 //! .expect("compiles");
 //! let report = executor.run(&ExecConfig {
 //!     requests: 8,
-//!     inter_arrival_ps: 0,
 //!     mode: ExecMode::Pipelined,
 //! });
 //! assert_eq!(report.requests, 8);

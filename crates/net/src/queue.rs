@@ -1,7 +1,7 @@
 //! Router egress queues.
 //!
 //! Per-link FIFO queues with a byte-capacity drop-tail policy, tracking
-//! occupancy and drop counters. Queue depth is also what the photonic
+//! occupancy. Queue depth is also what the photonic
 //! comparator reads in the load-balancing use case, so depth is exposed
 //! as a normalized value.
 
@@ -14,8 +14,6 @@ pub(crate) struct DropTailQueue {
     queue: VecDeque<Packet>,
     bytes_queued: usize,
     pub(crate) capacity_bytes: usize,
-    pub(crate) dropped: u64,
-    pub(crate) peak_bytes: usize,
 }
 
 impl DropTailQueue {
@@ -25,21 +23,17 @@ impl DropTailQueue {
             queue: VecDeque::new(),
             bytes_queued: 0,
             capacity_bytes,
-            dropped: 0,
-            peak_bytes: 0,
         }
     }
 
-    /// Enqueue a packet; returns `false` (and counts a drop) when the
-    /// packet does not fit.
+    /// Enqueue a packet; returns `false` when the packet does not fit
+    /// (the caller attributes the drop).
     pub(crate) fn push(&mut self, packet: Packet) -> bool {
         let size = packet.wire_bytes();
         if self.bytes_queued + size > self.capacity_bytes {
-            self.dropped += 1;
             return false;
         }
         self.bytes_queued += size;
-        self.peak_bytes = self.peak_bytes.max(self.bytes_queued);
         self.queue.push_back(packet);
         true
     }
@@ -104,7 +98,6 @@ mod tests {
         assert!(q.push(pkt(1, 84)));
         assert!(q.push(pkt(2, 84)));
         assert!(!q.push(pkt(3, 84)));
-        assert_eq!(q.dropped, 1);
         assert_eq!(q.queue.len(), 2);
         // Draining frees space again.
         q.pop();
@@ -121,8 +114,6 @@ mod tests {
         assert!((q.occupancy() - 0.5).abs() < 1e-12);
         q.pop();
         assert!((q.occupancy() - 0.25).abs() < 1e-12);
-        // Peak remembers the high-water mark.
-        assert_eq!(q.peak_bytes, p.wire_bytes() * 2);
     }
 
     #[test]

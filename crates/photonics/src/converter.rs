@@ -10,13 +10,15 @@
 use crate::rng::SimRng;
 use crate::signal::AnalogWaveform;
 
+/// Full-scale range of every converter: codes map to voltages in
+/// `[0, FULL_SCALE_V]`.
+pub const FULL_SCALE_V: f64 = 1.0;
+
 /// Configuration shared by both converter directions.
 #[derive(Debug, Clone)]
 pub struct ConverterConfig {
     /// Nominal resolution in bits.
     pub bits: u32,
-    /// Full-scale range: codes map to voltages in `[0, full_scale_v]`.
-    pub full_scale_v: f64,
     /// Energy per conversion sample, joules. High-speed 8-bit converters
     /// run on the order of 1–10 pJ/sample.
     pub energy_per_sample_j: f64,
@@ -34,7 +36,6 @@ impl ConverterConfig {
     pub fn ideal(bits: u32) -> Self {
         ConverterConfig {
             bits,
-            full_scale_v: 1.0,
             energy_per_sample_j: 0.0,
             noise_rms_v: 0.0,
             max_sample_rate_hz: 0.0,
@@ -57,7 +58,6 @@ impl Default for ConverterConfig {
     fn default() -> Self {
         ConverterConfig {
             bits: 8,
-            full_scale_v: 1.0,
             energy_per_sample_j: 1.5e-12,
             noise_rms_v: 0.0005,
             max_sample_rate_hz: 0.0,
@@ -101,7 +101,7 @@ impl Dac {
     /// sample rate stretches symbol time rather than dropping samples.
     pub fn convert(&mut self, codes: &[u64], sample_rate_hz: f64) -> AnalogWaveform {
         let max_code = self.levels() - 1;
-        let lsb = self.config.full_scale_v / max_code as f64;
+        let lsb = FULL_SCALE_V / max_code as f64;
         let rate = self.config.effective_sample_rate_hz(sample_rate_hz);
         let mut out = AnalogWaveform::zeros(codes.len(), rate);
         for (o, &c) in out.samples.iter_mut().zip(codes.iter()) {
@@ -168,11 +168,11 @@ impl Adc {
         1u64 << self.config.bits
     }
 
-    /// Quantize a waveform to codes. Inputs outside `[0, full_scale_v]`
+    /// Quantize a waveform to codes. Inputs outside `[0, FULL_SCALE_V]`
     /// saturate at the rails.
     pub fn convert(&mut self, input: &AnalogWaveform) -> Vec<u64> {
         let max_code = self.levels() - 1;
-        let lsb = self.config.full_scale_v / max_code as f64;
+        let lsb = FULL_SCALE_V / max_code as f64;
         let mut out = Vec::with_capacity(input.len());
         for &v in &input.samples {
             let mut v = v;
@@ -314,14 +314,8 @@ mod tests {
     /// the saturation behavior the calibrated ADC parts rely on.
     #[test]
     fn adc_clips_symmetrically_beyond_full_scale() {
-        let mut adc = Adc::new(
-            ConverterConfig {
-                full_scale_v: 0.8,
-                ..ConverterConfig::ideal(8)
-            },
-            SimRng::seed_from_u64(0),
-        );
-        let wave = AnalogWaveform::new(vec![-10.0, -1e-9, 0.0, 0.8, 0.8 + 1e-9, 10.0], RATE);
+        let mut adc = Adc::new(ConverterConfig::ideal(8), SimRng::seed_from_u64(0));
+        let wave = AnalogWaveform::new(vec![-10.0, -1e-9, 0.0, 1.0, 1.0 + 1e-9, 10.0], RATE);
         let codes = adc.convert(&wave);
         assert_eq!(codes, vec![0, 0, 0, 255, 255, 255]);
         assert_eq!(adc.decode_unit(codes[0]), 0.0);

@@ -23,13 +23,10 @@ pub struct IqModulator {
 }
 
 impl IqModulator {
-    /// Both children share `config` and must be null-biased (the IQ
-    /// structure needs signed amplitude transmission around zero).
+    /// Both children share `config`; like every MZM they are
+    /// null-biased, which gives the IQ structure the signed amplitude
+    /// transmission around zero it needs.
     pub fn new(config: MzmConfig) -> Self {
-        assert!(
-            config.bias == crate::modulator::BiasPoint::Null,
-            "IQ children must be null-biased"
-        );
         IqModulator {
             mzm_i: MachZehnderModulator::new(config.clone()),
             mzm_q: MachZehnderModulator::new(config),
@@ -40,7 +37,7 @@ impl IqModulator {
     /// `a ∈ [-1, 1]` in a null-biased child: `v = (2Vπ/π)·asin(a)`.
     pub fn drive_for_amplitude(&self, a: f64) -> f64 {
         let a = a.clamp(-1.0, 1.0);
-        2.0 * self.mzm_i.config.v_pi / std::f64::consts::PI * a.asin()
+        2.0 * crate::modulator::MZM_V_PI / std::f64::consts::PI * a.asin()
     }
 
     /// Modulate per-sample complex amplitudes `(i, q)` (each in
@@ -267,14 +264,5 @@ mod tests {
             assert_eq!(i.samples[k] > 0.0, si > 0.0, "I sign at {k}");
             assert_eq!(q.samples[k] > 0.0, sq > 0.0, "Q sign at {k}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "null-biased")]
-    fn iq_rejects_quadrature_bias() {
-        IqModulator::new(MzmConfig {
-            bias: crate::modulator::BiasPoint::Quadrature,
-            ..MzmConfig::ideal()
-        });
     }
 }

@@ -4,7 +4,9 @@
 //! (Fig. 2a–c):
 //!
 //! * [`MachZehnderModulator`] — intensity modulator with the standard
-//!   raised-cosine power transfer `T(v) = sin²(π v / (2 Vπ) + φ_bias)`.
+//!   raised-cosine power transfer `T(v) = sin²(π v / (2 Vπ))`, biased
+//!   at its null (dark at zero drive: the best contrast for amplitude
+//!   encoding of non-negative values).
 //!   Two MZMs back-to-back implement the element-wise product of P1.
 //! * [`PhaseModulator`] — pure phase encoder `E → E·e^{i π v / Vπ}`,
 //!   used by the P2 pattern matcher's interference scheme.
@@ -16,38 +18,16 @@
 use crate::signal::{AnalogWaveform, OpticalField};
 use crate::units;
 
-/// Bias point of a Mach-Zehnder modulator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BiasPoint {
-    /// Null point: zero transmission at zero drive. Best contrast for
-    /// amplitude encoding of non-negative values.
-    Null,
-    /// Quadrature: 50% transmission at zero drive, locally linear — the
-    /// operating point used for analog computing (Fig. 2a) because the
-    /// small-signal response is linear in the drive voltage.
-    Quadrature,
-    /// Peak: full transmission at zero drive.
-    Peak,
-}
+/// Half-wave voltage Vπ of every MZM, volts (typical silicon MZM: 2–6 V).
+pub(crate) const MZM_V_PI: f64 = 3.0;
 
-impl BiasPoint {
-    /// Static phase offset contributed by the bias, radians.
-    fn phase_offset(self) -> f64 {
-        match self {
-            BiasPoint::Null => 0.0,
-            BiasPoint::Quadrature => std::f64::consts::FRAC_PI_4,
-            BiasPoint::Peak => std::f64::consts::FRAC_PI_2,
-        }
-    }
-}
+/// Voltage for a π phase shift in every phase modulator, volts.
+const PM_V_PI: f64 = 3.0;
 
-/// Configuration of a Mach-Zehnder intensity modulator.
+/// Configuration of a Mach-Zehnder intensity modulator. Every MZM has a
+/// half-wave voltage of 3 V and is biased at its null.
 #[derive(Debug, Clone)]
 pub struct MzmConfig {
-    /// Half-wave voltage Vπ (volts); typical silicon MZM: 2–6 V.
-    pub v_pi: f64,
-    /// Bias operating point.
-    pub bias: BiasPoint,
     /// Insertion loss in dB (typical 3–5 dB).
     pub insertion_loss_db: f64,
     /// Extinction ratio in dB (finite leakage at the null; typical 20–30).
@@ -63,8 +43,6 @@ impl MzmConfig {
     /// An ideal, lossless, infinite-bandwidth MZM — calibration reference.
     pub fn ideal() -> Self {
         MzmConfig {
-            v_pi: 3.0,
-            bias: BiasPoint::Null,
             insertion_loss_db: 0.0,
             extinction_ratio_db: f64::INFINITY,
             bandwidth_hz: 0.0,
@@ -76,8 +54,6 @@ impl MzmConfig {
 impl Default for MzmConfig {
     fn default() -> Self {
         MzmConfig {
-            v_pi: 3.0,
-            bias: BiasPoint::Null,
             insertion_loss_db: 3.5,
             extinction_ratio_db: 25.0,
             bandwidth_hz: 40e9,
@@ -103,11 +79,10 @@ impl MachZehnderModulator {
     }
 
     /// Amplitude transmission for drive voltage `v`:
-    /// `t(v) = sin(π v / (2 Vπ) + φ_bias)`, floored by the extinction
+    /// `t(v) = sin(π v / (2 Vπ))`, floored by the extinction
     /// ratio and scaled by insertion loss. Power transmission is `t²`.
     pub fn amplitude_transmission(&self, v: f64) -> f64 {
-        let theta =
-            std::f64::consts::PI * v / (2.0 * self.config.v_pi) + self.config.bias.phase_offset();
+        let theta = std::f64::consts::PI * v / (2.0 * MZM_V_PI);
         let t = theta.sin();
         let floor = if self.config.extinction_ratio_db.is_finite() {
             units::db_to_linear(-self.config.extinction_ratio_db).sqrt()
@@ -129,12 +104,12 @@ impl MachZehnderModulator {
     }
 
     /// The drive voltage that produces (ideal, lossless) power
-    /// transmission `target` in `[0, 1]` at the configured bias. Used by
+    /// transmission `target` in `[0, 1]` at the null bias. Used by
     /// calibration to encode a known value onto the light.
     pub fn drive_for_transmission(&self, target: f64) -> f64 {
         let target = target.clamp(0.0, 1.0);
         let theta = target.sqrt().asin();
-        (theta - self.config.bias.phase_offset()) * 2.0 * self.config.v_pi / std::f64::consts::PI
+        theta * 2.0 * MZM_V_PI / std::f64::consts::PI
     }
 
     /// Whether the drive low-pass is a no-op at `sample_rate_hz`:
@@ -150,9 +125,9 @@ impl MachZehnderModulator {
     /// Fused encode→transmit amplitude transfer: the amplitude
     /// transmission this modulator produces when driven with
     /// [`MachZehnderModulator::drive_for_transmission`]`(target)` and the
-    /// drive is not band-limited. The bias offset cancels in the
-    /// round trip (`θ = asin(√target) ∈ [0, π/2]`), so this collapses to
-    /// `max(√target, floor)·il` for every bias point — one `sqrt`
+    /// drive is not band-limited. The round trip goes through
+    /// `θ = asin(√target) ∈ [0, π/2]`, so this collapses to
+    /// `max(√target, floor)·il` — one `sqrt`
     /// instead of an `asin`/`sin` pair, equal to the scalar round trip
     /// within ~1 ulp.
     pub fn fused_amplitude_transmission(&self, target: f64) -> f64 {
@@ -222,34 +197,20 @@ impl MachZehnderModulator {
         }
     }
 
-    /// Modulate a struct-of-arrays block in place: every sample's field
-    /// amplitude is scaled by `t(drive[i])`, exactly as
-    /// [`MachZehnderModulator::modulate`] does for `OpticalField`, but
-    /// without allocating an output block. Accounts the symbols.
-    pub fn modulate_block(&mut self, block: &mut crate::simd::FieldBlock, drive: &AnalogWaveform) {
-        assert_eq!(
-            block.len(),
-            drive.len(),
-            "drive waveform length must match optical block"
-        );
-        let mut drive = drive.clone();
-        if self.config.bandwidth_hz > 0.0 {
-            drive.lowpass(self.config.bandwidth_hz);
-        }
-        for (k, &v) in drive.samples.iter().enumerate() {
-            let t = self.amplitude_transmission(v);
-            block.re[k] *= t;
-            block.im[k] *= t;
-        }
-        self.symbols_modulated += block.len() as u64;
-    }
-
     /// Modulate `input` with the drive waveform; sample `i` of the output
     /// is the input field scaled by `t(drive[i])`. The drive is bandwidth
     /// limited first if the config specifies a finite bandwidth.
     ///
     /// `drive.len()` must equal `input.len()`.
     pub fn modulate(&mut self, input: &OpticalField, drive: &AnalogWaveform) -> OpticalField {
+        let out = self.transfer(input, drive);
+        self.symbols_modulated += input.len() as u64;
+        out
+    }
+
+    /// [`MachZehnderModulator::modulate`] without the symbol accounting,
+    /// for callers that book the symbols themselves.
+    pub fn transfer(&self, input: &OpticalField, drive: &AnalogWaveform) -> OpticalField {
         assert_eq!(
             input.len(),
             drive.len(),
@@ -263,7 +224,6 @@ impl MachZehnderModulator {
         for (s, &v) in out.samples.iter_mut().zip(drive.samples.iter()) {
             *s = s.scale(self.amplitude_transmission(v));
         }
-        self.symbols_modulated += input.len() as u64;
         out
     }
 
@@ -273,11 +233,10 @@ impl MachZehnderModulator {
     }
 }
 
-/// Configuration of a phase modulator.
+/// Configuration of a phase modulator. Every phase modulator shifts
+/// by π at 3 V.
 #[derive(Debug, Clone)]
 pub struct PhaseModulatorConfig {
-    /// Voltage for a π phase shift.
-    pub v_pi: f64,
     /// Insertion loss in dB.
     pub insertion_loss_db: f64,
     /// 3-dB bandwidth in Hz (0 = unlimited).
@@ -289,7 +248,6 @@ pub struct PhaseModulatorConfig {
 impl PhaseModulatorConfig {
     pub fn ideal() -> Self {
         PhaseModulatorConfig {
-            v_pi: 3.0,
             insertion_loss_db: 0.0,
             bandwidth_hz: 0.0,
             drive_energy_j: 0.0,
@@ -300,7 +258,6 @@ impl PhaseModulatorConfig {
 impl Default for PhaseModulatorConfig {
     fn default() -> Self {
         PhaseModulatorConfig {
-            v_pi: 3.0,
             insertion_loss_db: 2.0,
             bandwidth_hz: 40e9,
             drive_energy_j: 30e-15,
@@ -326,13 +283,13 @@ impl PhaseModulator {
     /// Phase shift for drive voltage `v`, radians.
     #[inline]
     pub(crate) fn phase_for(&self, v: f64) -> f64 {
-        std::f64::consts::PI * v / self.config.v_pi
+        std::f64::consts::PI * v / PM_V_PI
     }
 
     /// Drive voltage for a desired phase shift.
     #[inline]
     pub fn drive_for_phase(&self, phase: f64) -> f64 {
-        phase * self.config.v_pi / std::f64::consts::PI
+        phase * PM_V_PI / std::f64::consts::PI
     }
 
     /// Apply per-sample phase modulation.
@@ -378,15 +335,6 @@ mod tests {
         // v = 0 → dark; v = Vπ → full transmission (sin(π/2) = 1).
         assert!(m.power_transmission(0.0) < 1e-20);
         assert!((m.power_transmission(3.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quadrature_bias_half_transmission_at_zero() {
-        let m = MachZehnderModulator::new(MzmConfig {
-            bias: BiasPoint::Quadrature,
-            ..MzmConfig::ideal()
-        });
-        assert!((m.power_transmission(0.0) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -483,37 +431,32 @@ mod tests {
 
     #[test]
     fn fused_transfer_matches_scalar_round_trip() {
-        // Every bias point, lossy and lossless, finite and infinite ER:
-        // encode→transmit through the scalar pair must equal the fused
-        // one-sqrt path up to the scalar path's own rounding. The scalar
-        // round trip carries the operating point through asin/sin with
-        // the bias added and subtracted, so its angle is off by a few
-        // ulps *absolutely*; in power that is an error of order
-        // EPS·√t + EPS², not EPS·t — the bound below mirrors that.
-        for bias in [BiasPoint::Null, BiasPoint::Quadrature, BiasPoint::Peak] {
-            for (il, er) in [(0.0, f64::INFINITY), (3.5, 25.0), (1.0, 20.0)] {
-                let m = MachZehnderModulator::new(MzmConfig {
-                    bias,
-                    insertion_loss_db: il,
-                    extinction_ratio_db: er,
-                    ..MzmConfig::ideal()
-                });
-                for target in [0.0, 1e-300, 1e-6, 0.001, 0.25, 0.5, 0.999, 1.0, 1.5, -0.3] {
-                    let scalar = {
-                        let t = m.amplitude_transmission(m.drive_for_transmission(target));
-                        t * t
-                    };
-                    let fused = m.fused_power_transmission(target);
-                    let err = (scalar - fused).abs();
-                    let tol = 4.0 * f64::EPSILON * scalar
-                        + 8.0 * f64::EPSILON * scalar.sqrt()
-                        + 32.0 * f64::EPSILON * f64::EPSILON;
-                    assert!(
-                        err <= tol,
-                        "bias {bias:?} il {il} er {er} target {target}: \
-                         scalar {scalar} fused {fused}"
-                    );
-                }
+        // Lossy and lossless, finite and infinite ER: encode→transmit
+        // through the scalar pair must equal the fused one-sqrt path up
+        // to the scalar path's own rounding. The scalar round trip
+        // carries the operating point through asin/sin, so its angle is
+        // off by a few ulps *absolutely*; in power that is an error of
+        // order EPS·√t + EPS², not EPS·t — the bound below mirrors that.
+        for (il, er) in [(0.0, f64::INFINITY), (3.5, 25.0), (1.0, 20.0)] {
+            let m = MachZehnderModulator::new(MzmConfig {
+                insertion_loss_db: il,
+                extinction_ratio_db: er,
+                ..MzmConfig::ideal()
+            });
+            for target in [0.0, 1e-300, 1e-6, 0.001, 0.25, 0.5, 0.999, 1.0, 1.5, -0.3] {
+                let scalar = {
+                    let t = m.amplitude_transmission(m.drive_for_transmission(target));
+                    t * t
+                };
+                let fused = m.fused_power_transmission(target);
+                let err = (scalar - fused).abs();
+                let tol = 4.0 * f64::EPSILON * scalar
+                    + 8.0 * f64::EPSILON * scalar.sqrt()
+                    + 32.0 * f64::EPSILON * f64::EPSILON;
+                assert!(
+                    err <= tol,
+                    "il {il} er {er} target {target}: scalar {scalar} fused {fused}"
+                );
             }
         }
     }
@@ -564,28 +507,6 @@ mod tests {
         assert!(m(RATE / 2.0).is_drive_passthrough(RATE)); // at Nyquist
         assert!(m(40e9).is_drive_passthrough(RATE)); // above Nyquist
         assert!(!m(RATE / 2.0 - 1.0).is_drive_passthrough(RATE));
-    }
-
-    #[test]
-    fn modulate_block_matches_modulate_bit_exactly() {
-        let cfg = MzmConfig {
-            bandwidth_hz: 3e9,
-            insertion_loss_db: 3.5,
-            extinction_ratio_db: 25.0,
-            ..MzmConfig::ideal()
-        };
-        let mut aos = MachZehnderModulator::new(cfg.clone());
-        let mut soa = MachZehnderModulator::new(cfg);
-        let input = cw(64);
-        let drive = AnalogWaveform::new((0..64).map(|i| (i % 5) as f64 * 0.7).collect(), RATE);
-        let out = aos.modulate(&input, &drive);
-        let mut block = crate::simd::FieldBlock::from_field(&input);
-        soa.modulate_block(&mut block, &drive);
-        for k in 0..64 {
-            assert_eq!(out.samples[k].re.to_bits(), block.re[k].to_bits());
-            assert_eq!(out.samples[k].im.to_bits(), block.im[k].to_bits());
-        }
-        assert_eq!(aos.symbols_modulated, soa.symbols_modulated);
     }
 
     #[test]

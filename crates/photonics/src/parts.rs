@@ -47,7 +47,6 @@ pub trait DacPart: HardwarePart {
     fn converter_config(&self) -> ConverterConfig {
         ConverterConfig {
             bits: self.bits(),
-            full_scale_v: 1.0,
             energy_per_sample_j: self.energy_per_sample_j(),
             noise_rms_v: 0.25 / ((1u64 << self.bits()) - 1) as f64,
             max_sample_rate_hz: self.sample_rate_hz(),
@@ -71,7 +70,6 @@ pub trait AdcPart: HardwarePart {
     fn converter_config(&self) -> ConverterConfig {
         ConverterConfig {
             bits: self.bits(),
-            full_scale_v: 1.0,
             energy_per_sample_j: self.energy_per_sample_j(),
             noise_rms_v: 0.25 / ((1u64 << self.bits()) - 1) as f64,
             max_sample_rate_hz: self.sample_rate_hz(),

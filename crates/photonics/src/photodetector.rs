@@ -14,19 +14,20 @@ use crate::rng::SimRng;
 use crate::signal::{AnalogWaveform, OpticalField};
 use crate::units;
 
-/// Configuration of a PIN photodetector front end.
+/// Responsivity of every detector, A/W (InGaAs at 1550 nm: ~0.9–1.1).
+pub const RESPONSIVITY_A_W: f64 = 1.0;
+
+/// Load resistance the thermal noise is referred to, ohms.
+const LOAD_OHMS: f64 = 50.0;
+
+/// Configuration of a PIN photodetector front end. Every detector runs
+/// at [`RESPONSIVITY_A_W`] into a 50 Ω load at room temperature.
 #[derive(Debug, Clone)]
 pub struct PhotodetectorConfig {
-    /// Responsivity, A/W (InGaAs at 1550 nm: ~0.9–1.1).
-    pub responsivity_a_w: f64,
     /// Electrical 3-dB bandwidth, Hz (0 = track the sample rate).
     pub(crate) bandwidth_hz: f64,
-    /// Load resistance for thermal noise, ohms.
-    pub(crate) load_ohms: f64,
     /// Dark current, A.
     pub(crate) dark_current_a: f64,
-    /// Receiver temperature, K.
-    pub(crate) temperature_k: f64,
     /// Enable shot noise.
     pub shot_noise: bool,
     /// Enable thermal noise.
@@ -39,11 +40,8 @@ impl PhotodetectorConfig {
     /// Noiseless detector for calibration and algebra tests.
     pub fn ideal() -> Self {
         PhotodetectorConfig {
-            responsivity_a_w: 1.0,
             bandwidth_hz: 0.0,
-            load_ohms: 50.0,
             dark_current_a: 0.0,
-            temperature_k: units::ROOM_TEMP_K,
             shot_noise: false,
             thermal_noise: false,
             tia_power_w: 0.0,
@@ -54,11 +52,8 @@ impl PhotodetectorConfig {
 impl Default for PhotodetectorConfig {
     fn default() -> Self {
         PhotodetectorConfig {
-            responsivity_a_w: 1.0,
             bandwidth_hz: 40e9,
-            load_ohms: 50.0,
             dark_current_a: 5e-9,
-            temperature_k: units::ROOM_TEMP_K,
             shot_noise: true,
             thermal_noise: true,
             tia_power_w: 0.5,
@@ -99,12 +94,12 @@ impl Photodetector {
         let bw = self.noise_bandwidth(input.sample_rate_hz);
         let mut out = AnalogWaveform::zeros(input.len(), input.sample_rate_hz);
         let thermal_sigma = if self.config.thermal_noise {
-            noise::thermal_noise_sigma_a(self.config.load_ohms, bw, self.config.temperature_k)
+            noise::thermal_noise_sigma_a(LOAD_OHMS, bw, units::ROOM_TEMP_K)
         } else {
             0.0
         };
         for (o, s) in out.samples.iter_mut().zip(input.samples.iter()) {
-            let mut i = self.config.responsivity_a_w * s.norm_sqr() + self.config.dark_current_a;
+            let mut i = RESPONSIVITY_A_W * s.norm_sqr() + self.config.dark_current_a;
             if self.config.shot_noise {
                 let sigma = noise::shot_noise_sigma_a(i, bw);
                 i += self.rng.normal(0.0, sigma);
@@ -136,8 +131,7 @@ impl Photodetector {
     pub fn detect_power_block(&mut self, samples: &mut [f64], sample_rate_hz: f64) {
         let bw = self.noise_bandwidth(sample_rate_hz);
         let thermal_var = if self.config.thermal_noise {
-            let sigma =
-                noise::thermal_noise_sigma_a(self.config.load_ohms, bw, self.config.temperature_k);
+            let sigma = noise::thermal_noise_sigma_a(LOAD_OHMS, bw, units::ROOM_TEMP_K);
             sigma * sigma
         } else {
             0.0
@@ -151,7 +145,7 @@ impl Photodetector {
         };
         let noisy = shot_coeff > 0.0 || thermal_var > 0.0;
         for s in samples.iter_mut() {
-            let mut i = self.config.responsivity_a_w * *s + self.config.dark_current_a;
+            let mut i = RESPONSIVITY_A_W * *s + self.config.dark_current_a;
             if noisy {
                 let var = shot_coeff * i.abs() + thermal_var;
                 if var > 0.0 {
@@ -179,7 +173,7 @@ impl Photodetector {
 
     /// Mean photocurrent that a CW input of `power_w` would produce, A.
     pub fn expected_current_a(&self, power_w: f64) -> f64 {
-        self.config.responsivity_a_w * power_w + self.config.dark_current_a
+        RESPONSIVITY_A_W * power_w + self.config.dark_current_a
     }
 
     /// TIA energy consumed so far, J.

@@ -1,15 +1,16 @@
-//! Vectorized (struct-of-arrays) photonics kernels.
+//! Vectorized photonics kernels.
 //!
 //! The scalar device models walk one `Complex` sample at a time and pay
 //! for physics nobody downstream observes: the P1 dot-product chain is
 //! *power-domain end to end* (MZM transmission is a real scale, the
 //! photodetector is square-law), yet the scalar path synthesizes phase
 //! walks, discarded DAC waveforms, and per-stage `OpticalField` clones
-//! for every sample. This module holds the data-parallel counterparts:
+//! for every sample. The vectorized kernels therefore run on flat power
+//! buffers (`Laser::emit_power_block`,
+//! `MachZehnderModulator::power_transmissions_into`,
+//! `Photodetector::detect_power_block`), and this module holds what they
+//! share:
 //!
-//! - [`FieldBlock`] — struct-of-arrays optical field buffers (separate
-//!   re/im lanes) that convert losslessly to/from
-//!   [`OpticalField`](crate::signal::OpticalField);
 //! - [`gauss`] — a 256-layer ziggurat Gaussian sampler over [`SimRng`]
 //!   (several times cheaper per draw than the Box–Muller path in
 //!   `SimRng::standard_normal`), used by the fused block kernels;
@@ -31,10 +32,7 @@
 //!
 //! [`SimRng`]: crate::SimRng
 
-pub mod field;
 pub mod gauss;
-
-pub use field::FieldBlock;
 
 /// Which kernel implementation a photonic unit runs.
 ///
@@ -47,6 +45,6 @@ pub enum KernelBackend {
     /// Per-sample reference implementation; byte-stable RNG streams.
     #[default]
     Scalar,
-    /// Struct-of-arrays fused kernels; same physics, own noise stream.
+    /// Fused power-domain kernels; same physics, own noise stream.
     Vectorized,
 }

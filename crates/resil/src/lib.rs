@@ -36,5 +36,5 @@ pub mod parity;
 pub use ledger::{DoneAction, LostAction, SetKind, WorkLedger};
 pub use mode::{RedundancyMode, ResilTag};
 pub use multipath::MultipathPlan;
-pub use overhead::ReconstructModel;
+pub use overhead::reconstruct_cost;
 pub use parity::split_groups;

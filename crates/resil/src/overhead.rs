@@ -6,38 +6,27 @@
 //! This module prices the one genuinely new operation: digital XOR
 //! reconstruction at the front-end.
 
-/// Cost model for digital XOR reconstruction of a lost parity group at
-/// the serving front-end (a memory-bandwidth-bound pass over the
-/// surviving payloads).
-#[derive(Debug, Clone, Copy)]
-pub struct ReconstructModel {
-    /// Fixed software/bookkeeping overhead per reconstruction, ps.
-    pub(crate) fixed_ps: u64,
-    /// Time per XORed byte, ps (all surviving groups stream once).
-    pub(crate) per_byte_ps: u64,
-    /// Energy per XORed byte, J (DRAM traffic dominated).
-    pub(crate) per_byte_j: f64,
-}
+/// Fixed software/bookkeeping overhead per XOR reconstruction at the
+/// serving front-end, ps: 50 ns of software dispatch.
+const RECONSTRUCT_FIXED_PS: u64 = 50_000;
 
-impl Default for ReconstructModel {
-    fn default() -> Self {
-        ReconstructModel {
-            fixed_ps: 50_000,  // 50 ns of software dispatch
-            per_byte_ps: 100,  // ≈10 GB/s effective XOR bandwidth
-            per_byte_j: 2e-11, // ≈20 pJ/byte of memory traffic
-        }
-    }
-}
+/// Time per XORed byte, ps (all surviving groups stream once): ≈10 GB/s
+/// effective XOR bandwidth.
+const RECONSTRUCT_PER_BYTE_PS: u64 = 100;
 
-impl ReconstructModel {
-    /// Latency (ps) and energy (J) to reconstruct a group when `bytes`
-    /// total bytes of surviving payload must be XORed.
-    pub fn cost(&self, bytes: usize) -> (u64, f64) {
-        (
-            self.fixed_ps + self.per_byte_ps * bytes as u64,
-            self.per_byte_j * bytes as f64,
-        )
-    }
+/// Energy per XORed byte, J (DRAM traffic dominated): ≈20 pJ/byte of
+/// memory traffic.
+const RECONSTRUCT_PER_BYTE_J: f64 = 2e-11;
+
+/// Latency (ps) and energy (J) of digital XOR reconstruction of a lost
+/// parity group at the serving front-end (a memory-bandwidth-bound pass
+/// over the surviving payloads), when `bytes` total bytes of surviving
+/// payload must be XORed.
+pub fn reconstruct_cost(bytes: usize) -> (u64, f64) {
+    (
+        RECONSTRUCT_FIXED_PS + RECONSTRUCT_PER_BYTE_PS * bytes as u64,
+        RECONSTRUCT_PER_BYTE_J * bytes as f64,
+    )
 }
 
 #[cfg(test)]
@@ -46,12 +35,11 @@ mod tests {
 
     #[test]
     fn reconstruction_cost_scales_with_bytes() {
-        let m = ReconstructModel::default();
-        let (t0, e0) = m.cost(0);
-        let (t1, e1) = m.cost(4096);
-        assert_eq!(t0, m.fixed_ps);
+        let (t0, e0) = reconstruct_cost(0);
+        let (t1, e1) = reconstruct_cost(4096);
+        assert_eq!(t0, RECONSTRUCT_FIXED_PS);
         assert_eq!(e0, 0.0);
-        assert_eq!(t1, m.fixed_ps + 4096 * m.per_byte_ps);
+        assert_eq!(t1, RECONSTRUCT_FIXED_PS + 4096 * RECONSTRUCT_PER_BYTE_PS);
         assert!(e1 > 0.0);
     }
 }

@@ -32,7 +32,7 @@ use ofpc_net::routing::shortest_paths;
 use ofpc_net::{LinkId, NodeId};
 use ofpc_photonics::SimRng;
 use ofpc_resil::{
-    split_groups, DoneAction, LostAction, MultipathPlan, ReconstructModel, RedundancyMode,
+    reconstruct_cost, split_groups, DoneAction, LostAction, MultipathPlan, RedundancyMode,
     ResilTag, SetKind, WorkLedger,
 };
 use ofpc_telemetry::{track, Telemetry};
@@ -246,8 +246,6 @@ pub struct ServeRuntime {
     /// Requests already given a terminal outcome through the redundancy
     /// divert path; late sibling deliveries must skip them.
     finalized: BTreeSet<RequestId>,
-    /// Digital XOR-reconstruction cost model.
-    recon: ReconstructModel,
     resil_stats: ResilSummary,
 }
 
@@ -318,7 +316,6 @@ impl ServeRuntime {
             next_set: 0,
             stash: BTreeMap::new(),
             finalized: BTreeSet::new(),
-            recon: ReconstructModel::default(),
             resil_stats: ResilSummary::default(),
             config,
         };
@@ -840,7 +837,7 @@ impl ServeRuntime {
             _ => 1,
         };
         let bytes = reqs.iter().map(|r| r.operand_len as usize).sum::<usize>() * k as usize;
-        let (recon_ps, recon_j) = self.recon.cost(bytes);
+        let (recon_ps, recon_j) = reconstruct_cost(bytes);
         self.metrics.add_stage_energy("parity-reconstruct", recon_j);
         self.resil_stats.reconstructions += 1;
         self.resil_stats.reconstructed_requests += reqs.len() as u64;

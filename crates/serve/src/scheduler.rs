@@ -19,7 +19,7 @@ use crate::batcher::Batch;
 use crate::request::{BatchClass, ComputeRequest, ShedReason};
 use ofpc_net::NodeId;
 use ofpc_photonics::energy::{constants, EnergyLedger};
-use ofpc_transponder::compute::ComputeTransponderConfig;
+use ofpc_transponder::compute::{ComputeTransponderConfig, ENGINE_LATENCY_S};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Latency/energy model for one wavelength pass over a compute slot.
@@ -56,7 +56,7 @@ impl ServiceModel {
         ServiceModel {
             line_rate_bps,
             wdm_channels,
-            engine_settle_ps: (cfg.engine_latency_s * 1e12) as u64,
+            engine_settle_ps: (ENGINE_LATENCY_S * 1e12) as u64,
             // Weight loading is a control-plane DAC write per element on
             // top of a fixed settling window — orders of magnitude slower
             // than streaming, which is what makes batching matter.

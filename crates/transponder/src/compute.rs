@@ -31,7 +31,6 @@ use ofpc_photonics::energy::EnergyLedger;
 use ofpc_photonics::modulator::{MachZehnderModulator, MzmConfig};
 use ofpc_photonics::photodetector::{Photodetector, PhotodetectorConfig};
 use ofpc_photonics::signal::{AnalogWaveform, OpticalField};
-use ofpc_photonics::simd::KernelBackend;
 use ofpc_photonics::SimRng;
 
 /// The operation loaded into a transponder's photonic engine. The
@@ -111,6 +110,10 @@ pub fn decode_result(bytes: [u8; 4]) -> f64 {
     i32::from_be_bytes(bytes) as f64 / 65536.0
 }
 
+/// Fixed engine pipeline latency of every compute transponder, seconds
+/// (analog settling).
+pub const ENGINE_LATENCY_S: f64 = 5e-9;
+
 /// Configuration for the photonic compute transponder.
 #[derive(Debug, Clone)]
 pub struct ComputeTransponderConfig {
@@ -128,13 +131,6 @@ pub struct ComputeTransponderConfig {
     pub(crate) nonlinear: NonlinearConfig,
     /// Single result-readout ADC energy, J.
     pub result_adc_energy_j: f64,
-    /// Fixed engine pipeline latency, seconds (analog settling).
-    pub engine_latency_s: f64,
-    /// Kernel implementation for the P1 engine pass. `Scalar` (the
-    /// default) is the byte-stable reference; `Vectorized` runs the
-    /// fused power-domain block kernel — same physics and energy
-    /// accounting, own noise stream (DESIGN.md §12).
-    pub(crate) backend: KernelBackend,
 }
 
 impl ComputeTransponderConfig {
@@ -148,8 +144,6 @@ impl ComputeTransponderConfig {
             matcher: MatcherConfig::ideal(),
             nonlinear: NonlinearConfig::ideal(),
             result_adc_energy_j: 0.0,
-            engine_latency_s: 5e-9,
-            backend: KernelBackend::Scalar,
         }
     }
 
@@ -163,8 +157,6 @@ impl ComputeTransponderConfig {
             matcher: MatcherConfig::realistic(),
             nonlinear: NonlinearConfig::ideal(),
             result_adc_energy_j: ofpc_photonics::energy::constants::ADC_SAMPLE_J,
-            engine_latency_s: 5e-9,
-            backend: KernelBackend::Scalar,
         }
     }
 
@@ -320,17 +312,7 @@ impl PhotonicComputeTransponder {
     /// P1 on-fiber dot product: incoming operand light through the weight
     /// modulator into the integrating photodetector. Signed weights use
     /// two passes (positive and negative rails) over split copies.
-    /// Dispatches on the configured [`KernelBackend`].
     fn engine_dot(&mut self, operand_field: &OpticalField, weights: &[f64]) -> f64 {
-        match self.config.backend {
-            KernelBackend::Scalar => self.engine_dot_scalar(operand_field, weights),
-            KernelBackend::Vectorized => self.engine_dot_block(operand_field, weights),
-        }
-    }
-
-    /// The reference scalar engine pass, kept verbatim as the
-    /// golden-replay baseline.
-    fn engine_dot_scalar(&mut self, operand_field: &OpticalField, weights: &[f64]) -> f64 {
         let unit = self
             .engine_unit_a
             .expect("transponder must be calibrated before use; call calibrate()");
@@ -355,47 +337,6 @@ impl PhotonicComputeTransponder {
         2.0 * (pos - neg) / unit
     }
 
-    /// The vectorized engine pass: the rail split, weight transfer, and
-    /// photodetection collapse to power-domain loops over flat buffers —
-    /// no per-pass `OpticalField` clones or drive waveforms. Rail powers
-    /// reproduce [`ofpc_photonics::coupler::split_n`]'s amplitude scale
-    /// bit for bit; the weight transfer goes through the fused
-    /// encode→transmit curve; symbol and detector-time accounting match
-    /// the scalar pass exactly (DESIGN.md §12).
-    fn engine_dot_block(&mut self, operand_field: &OpticalField, weights: &[f64]) -> f64 {
-        let unit = self
-            .engine_unit_a
-            .expect("transponder must be calibrated before use; call calibrate()");
-        let dark = self.engine_pd.expected_current_a(0.0);
-        let rate = operand_field.sample_rate_hz;
-        let n = weights.len();
-        // Power each 50/50 rail carries, per sample (split_n's √½
-        // amplitude scale, squared through the detector's |e|²).
-        let rail_scale = (1.0f64 / 2.0).sqrt();
-        let rail_powers: Vec<f64> = operand_field.samples[..n]
-            .iter()
-            .map(|s| s.scale(rail_scale).norm_sqr())
-            .collect();
-        let mut t2 = Vec::with_capacity(n);
-        let mut powers = Vec::with_capacity(n);
-        let mut targets = Vec::with_capacity(n);
-        let mut pass = |this: &mut Self, rail: &dyn Fn(f64) -> f64| -> f64 {
-            targets.clear();
-            targets.extend(weights.iter().map(|&w| rail(w)));
-            this.weight_mzm
-                .power_transmissions_into(&targets, rate, &mut t2);
-            powers.clear();
-            powers.extend(rail_powers.iter().zip(&t2).map(|(&p, &t)| p * t));
-            this.engine_pd.detect_power_block(&mut powers, rate);
-            this.weight_mzm.symbols_modulated += n as u64;
-            powers.iter().sum::<f64>() - n as f64 * dark
-        };
-        let pos = pass(self, &|w: f64| w.clamp(0.0, 1.0));
-        let neg = pass(self, &|w: f64| (-w).clamp(0.0, 1.0));
-        self.result_readouts += 1;
-        2.0 * (pos - neg) / unit
-    }
-
     /// Process an incoming optical field end-to-end (Fig. 4 receive path
     /// plus regeneration). Returns a [`FrameError`] if no valid frame is
     /// found in the light.
@@ -406,7 +347,7 @@ impl PhotonicComputeTransponder {
         let off = Frame::find_preamble(&bits).ok_or(FrameError::BadPreamble(0))?;
         let (mut frame, consumed) = Frame::from_bits(&bits[off..])?;
         let mut computed = None;
-        let mut latency = self.config.engine_latency_s;
+        let mut latency = ENGINE_LATENCY_S;
         if frame.is_compute() {
             if let Some(op) = self.loaded_op.clone() {
                 if op.wire_tag() == frame.op {
@@ -436,9 +377,10 @@ impl PhotonicComputeTransponder {
                 }
             }
         }
-        // Regenerate the (possibly updated) frame for the next span: the
-        // TX path charges its energy and advances its noise streams.
-        self.tx.transmit(&frame.to_bits());
+        // Regenerate the (possibly updated) frame for the next span. No
+        // caller reads the regenerated light, so the TX path books its
+        // energy without synthesizing it.
+        self.tx.book(frame.line_bits());
         latency += frame.line_bits() as f64 / self.tx.config.line_rate_bps;
         Ok(ProcessOutcome {
             frame,
@@ -657,79 +599,6 @@ mod tests {
             "added latency {} should be sub-microsecond",
             out.added_latency_s
         );
-    }
-
-    /// Ideal transponder running the vectorized engine kernel.
-    fn ideal_vectorized() -> PhotonicComputeTransponder {
-        let mut rng = SimRng::seed_from_u64(0);
-        let mut cfg = ComputeTransponderConfig::ideal();
-        cfg.backend = KernelBackend::Vectorized;
-        let mut t = PhotonicComputeTransponder::new(cfg, &mut rng);
-        let one = t.tx.one_level_w();
-        t.calibrate(one);
-        t
-    }
-
-    #[test]
-    fn vectorized_engine_dot_matches_ideal_algebra() {
-        let mut t = ideal_vectorized();
-        let weights = vec![0.5, -0.5, 1.0, -1.0, 0.25, 0.75];
-        t.load_op(ComputeOp::DotProduct {
-            weights: weights.clone(),
-        });
-        let operands = vec![1.0, 1.0, 0.5, 0.25, 0.8, 0.4];
-        let frame = Frame::compute(Primitive::VectorDotProduct.wire_id(), &b"vq"[..]);
-        let field = t.transmit_compute_frame(&frame, &operands);
-        let out = t.process(&field).unwrap();
-        let want: f64 = operands.iter().zip(&weights).map(|(a, w)| a * w).sum();
-        match out.computed {
-            Some(ComputeResult::Dot(v)) => assert!((v - want).abs() < 0.05, "got {v} want {want}"),
-            other => panic!("expected Dot, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn vectorized_backend_matches_scalar_value_and_accounting() {
-        // Ideal devices are noiseless, so the only backend difference is
-        // the fused transfer's ulp-level rounding: the computed values
-        // must agree far below the physical tolerance, and the energy
-        // ledger (symbols, detector-seconds, readouts) must agree to the
-        // last bit.
-        let run = |backend: KernelBackend| {
-            let mut rng = SimRng::seed_from_u64(0);
-            let mut cfg = ComputeTransponderConfig::ideal();
-            cfg.backend = backend;
-            let mut t = PhotonicComputeTransponder::new(cfg, &mut rng);
-            let one = t.tx.one_level_w();
-            t.calibrate(one);
-            let weights = vec![0.9, -0.3, 0.0, 1.0, -1.0, 0.125, 0.625, -0.0625];
-            t.load_op(ComputeOp::DotProduct {
-                weights: weights.clone(),
-            });
-            let operands = vec![1.0, 0.5, 0.25, 0.75, 0.3, 0.0, 1.0, 0.6];
-            let frame = Frame::compute(Primitive::VectorDotProduct.wire_id(), &b"diff"[..]);
-            let field = t.transmit_compute_frame(&frame, &operands);
-            let out = t.process(&field).unwrap();
-            let v = match out.computed {
-                Some(ComputeResult::Dot(v)) => v,
-                other => panic!("expected Dot, got {other:?}"),
-            };
-            (v, t.energy_ledger(), t.result_readouts)
-        };
-        let (v_s, ledger_s, readouts_s) = run(KernelBackend::Scalar);
-        let (v_v, ledger_v, readouts_v) = run(KernelBackend::Vectorized);
-        assert!(
-            (v_s - v_v).abs() < 1e-9,
-            "noiseless backends disagree: scalar {v_s} vectorized {v_v}"
-        );
-        assert_eq!(readouts_s, readouts_v);
-        for key in ["engine-weight-mzm", "engine-pd", "engine-result-adc"] {
-            assert_eq!(
-                ledger_s.get(key).to_bits(),
-                ledger_v.get(key).to_bits(),
-                "ledger key {key} diverged between backends"
-            );
-        }
     }
 
     #[test]

@@ -82,21 +82,25 @@ impl TxPath {
         assert!(!bits.is_empty(), "cannot transmit zero bits");
         let n = bits.len();
         let light = self.laser.emit(n, self.config.line_rate_bps);
-        // Bits go through the DAC as full-scale / zero codes.
-        let codes: Vec<u64> = bits
-            .iter()
-            .map(|&b| if b { self.dac.levels() - 1 } else { 0 })
-            .collect();
-        let _wave = self.dac.convert(&codes, self.config.line_rate_bps);
         let drive = AnalogWaveform::new(
             bits.iter()
                 .map(|&b| self.mzm.drive_for_transmission(if b { 1.0 } else { 0.0 }))
                 .collect(),
             self.config.line_rate_bps,
         );
-        let out = self.mzm.modulate(&light, &drive);
-        self.bits_sent += n as u64;
+        let out = self.mzm.transfer(&light, &drive);
+        self.book(n);
         out
+    }
+
+    /// Book `n` transmitted symbols: the DSP bits, the DAC conversions
+    /// (the bits go through the DAC as full-scale / zero codes) and the
+    /// modulator symbols. The energy ledger reads only these counts, so
+    /// a caller that needs no light books without synthesizing it.
+    pub(crate) fn book(&mut self, n: usize) {
+        self.dac.charge_samples(n as u64);
+        self.mzm.symbols_modulated += n as u64;
+        self.bits_sent += n as u64;
     }
 
     /// Mean launch power of a '1' symbol, W (after modulator loss).

@@ -59,13 +59,7 @@ fn main() {
     // 3. Execute 64 back-to-back requests both ways. Pipelined, stage
     //    k+1 of request i overlaps stage k of request i+1 on a
     //    different wavelength of the same fiber.
-    let run = |mode| {
-        executor.run(&ExecConfig {
-            requests: 64,
-            inter_arrival_ps: 0,
-            mode,
-        })
-    };
+    let run = |mode| executor.run(&ExecConfig { requests: 64, mode });
     let pipe = run(ExecMode::Pipelined);
     let seq = run(ExecMode::Sequential);
     println!(
@@ -97,7 +91,6 @@ fn main() {
     });
     let degraded = faulty.run(&ExecConfig {
         requests: 64,
-        inter_arrival_ps: 0,
         mode: ExecMode::Pipelined,
     });
     println!(

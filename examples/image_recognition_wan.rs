@@ -7,7 +7,7 @@
 
 use ofpc_apps::ml::{
     accuracy_photonic, accuracy_with_activation, deploy_curve_trained, synthetic_glyphs, train_mlp,
-    TrainActivation, TrainConfig,
+    TrainActivation,
 };
 use ofpc_engine::nonlinear::NonlinearUnit;
 use ofpc_photonics::SimRng;
@@ -36,7 +36,7 @@ fn main() {
     };
 
     // 3. Train the MLP *through* that curve (photonics-aware training).
-    let mlp = train_mlp(&[64, 16, 4], &train, TrainConfig::default(), &act, &mut rng);
+    let mlp = train_mlp(&[64, 16, 4], &train, &act, &mut rng);
     let digital_acc = accuracy_with_activation(&mlp, &test, &act);
     println!("digital accuracy (curve activation): {digital_acc:.3}");
 

@@ -27,7 +27,7 @@ fn main() {
     );
 
     // Digital baseline.
-    let mut ac = AhoCorasick::new(&signatures);
+    let ac = AhoCorasick::new(&signatures);
     let mut ac_hits = 0usize;
     for p in &payloads {
         ac_hits += ac.scan(p).len();
@@ -41,7 +41,7 @@ fn main() {
     for (i, p) in payloads.iter().enumerate() {
         let hits = ids.scan(p);
         ids_hits += hits.len();
-        let mut ac2 = AhoCorasick::new(&signatures);
+        let ac2 = AhoCorasick::new(&signatures);
         if hits != ac2.scan(p) {
             disagreements += 1;
         }

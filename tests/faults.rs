@@ -5,7 +5,7 @@
 
 use ofpc_apps::digital::ComputeModel;
 use ofpc_controller::demand::{Demand, TaskDag};
-use ofpc_controller::protection::RecoveryParams;
+use ofpc_controller::protection::ttr_bound_ps;
 use ofpc_core::{OnFiberNetwork, Solver};
 use ofpc_engine::Primitive;
 use ofpc_faults::{generate_storm, inject, FaultPlan, Orchestrator, StormSpec};
@@ -85,7 +85,7 @@ fn packet_conservation_holds_under_fault_plan() {
 #[test]
 fn cut_recovery_ttr_is_bounded_and_service_resumes() {
     let mut sys = fig1_system(22);
-    let orch = Orchestrator::new(RecoveryParams::default(), SOLVER);
+    let orch = Orchestrator::new(SOLVER);
     sys.allocate_and_apply(orch.solver);
 
     let a = sys.net.topo.find_node("A").unwrap();
@@ -95,7 +95,7 @@ fn cut_recovery_ttr_is_bounded_and_service_resumes() {
 
     assert!(out.fully_applied);
     assert_eq!(out.unsatisfied, 0);
-    let bound = orch.recovery.ttr_bound_ps(sys.net.topo.node_count());
+    let bound = ttr_bound_ps(sys.net.topo.node_count());
     assert!(
         out.timeline.ttr_ps() <= bound,
         "TTR {} exceeds detection+realloc+staged-install bound {bound}",
@@ -264,7 +264,7 @@ fn fifty_event_storm_conserves_packets_and_slot_inventory() {
 
     // Slot-inventory invariant: the post-storm reallocation may not
     // install more operations on a node than it has upgraded slots.
-    let orch = Orchestrator::new(RecoveryParams::default(), SOLVER);
+    let orch = Orchestrator::new(SOLVER);
     let out = orch.recover_from_cut(&mut sys, horizon);
     assert!(out.fully_applied);
     assert_eq!(out.unsatisfied, 0);

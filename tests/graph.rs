@@ -24,11 +24,7 @@ fn dnn() -> ir::WorkGraph {
 }
 
 fn batch(mode: ExecMode) -> ExecConfig {
-    ExecConfig {
-        requests: 32,
-        inter_arrival_ps: 0,
-        mode,
-    }
+    ExecConfig { requests: 32, mode }
 }
 
 #[test]
@@ -85,7 +81,6 @@ fn executor_emits_balanced_spans_on_the_graph_track() {
     .with_telemetry(&tel);
     let cfg = ExecConfig {
         requests: 4,
-        inter_arrival_ps: 0,
         mode: ExecMode::Pipelined,
     };
     let report = ex.run(&cfg);
