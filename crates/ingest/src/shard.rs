@@ -13,11 +13,12 @@
 //! (rate = Σ members × class rate) rather than a process per tenant: the
 //! arrival stream of a million mostly-idle tenants is statistically the
 //! thinned superposition, and the aggregate keeps per-tenant cost at
-//! zero until a request actually lands. Each arrival synthesizes a real
-//! wire frame and parses it through the zero-copy
-//! [`ofpc_net::PchFrame`] view — the hot path exercises the exact bytes
-//! a deployment would see, and malformed frames surface as typed
-//! counts, never panics.
+//! zero until a request actually lands. Each arrival restamps its
+//! class's encoded frame (see [`ofpc_net::PchFrame::restamp`]) and
+//! parses it through the zero-copy [`ofpc_net::PchFrame`] view — the
+//! hot path exercises the exact bytes a deployment would see, builds no
+//! frame per arrival, and malformed frames surface as typed counts,
+//! never panics.
 
 use crate::tenant::TenantClass;
 use bytes::Bytes;
@@ -143,9 +144,11 @@ pub(crate) struct ShardState {
     class_start: Vec<u32>,
     /// Member tenant ids per class, sorted — the sampling universe.
     members: Vec<Vec<u32>>,
-    /// Prebuilt operand payload per class (`Bytes` clones are
-    /// refcounted, so every synthesized frame shares one allocation).
-    payloads: Vec<Bytes>,
+    /// One encoded frame per class, built once. Each arrival restamps
+    /// the header fields that vary and parses a refcounted clone, so
+    /// every frame of a class shares this one allocation, payload
+    /// included.
+    templates: Vec<Bytes>,
     admission: SparseAdmission,
     batcher: Batcher,
     scheduler: Scheduler,
@@ -165,9 +168,9 @@ pub(crate) struct ShardState {
     pub(crate) active_bitmap: Vec<u64>,
     /// Arrivals this epoch (rebalance load signal; driver clears).
     pub(crate) epoch_arrivals: u64,
-    /// Per-tenant arrivals this epoch — only tenants that actually
-    /// arrived, so the map is bounded by epoch traffic, not population.
-    pub(crate) epoch_heat: BTreeMap<u32, u32>,
+    /// The tenant of every arrival this epoch, in arrival order: the
+    /// rebalance heat signal, bounded by epoch traffic, not population.
+    epoch_heat: Vec<u32>,
     /// Migrations applied to this shard (in, out) over the run.
     pub(crate) migrations_in: u64,
     pub(crate) migrations_out: u64,
@@ -195,14 +198,14 @@ impl ShardState {
             acc += c.population;
             class_start.push(acc);
         }
-        let payloads: Vec<Bytes> = classes
+        let templates: Vec<Bytes> = classes
             .iter()
             .map(|c| {
-                Bytes::from(
-                    (0..c.operand_len as usize)
-                        .map(|i| (i % 251) as u8)
-                        .collect::<Vec<u8>>(),
-                )
+                let payload: Vec<u8> = (0..c.operand_len as usize)
+                    .map(|i| (i % 251) as u8)
+                    .collect();
+                let pch = PchHeader::request(c.primitive, 0, c.operand_len);
+                Packet::compute(Addr(0), Addr::new(10, 0, 0, 1), 0, pch, payload).to_wire()
             })
             .collect();
         // The scheduler insists every site starts with ≥1 slot; the
@@ -216,7 +219,7 @@ impl ShardState {
             classes,
             class_start,
             members,
-            payloads,
+            templates,
             admission: SparseAdmission::default(),
             batcher: Batcher::new(batch),
             scheduler: Scheduler::new(model, seed_sites),
@@ -231,7 +234,7 @@ impl ShardState {
             frames: FrameStats::default(),
             active_bitmap: vec![0u64; (total_tenants as usize).div_ceil(64)],
             epoch_arrivals: 0,
-            epoch_heat: BTreeMap::new(),
+            epoch_heat: Vec::new(),
             migrations_in: 0,
             migrations_out: 0,
         };
@@ -335,7 +338,7 @@ impl ShardState {
                 self.frames.parsed += 1;
                 self.stats[class].arrivals += 1;
                 self.epoch_arrivals += 1;
-                *self.epoch_heat.entry(tenant).or_insert(0) += 1;
+                self.epoch_heat.push(tenant);
                 self.active_bitmap[tenant as usize / 64] |= 1 << (tenant % 64);
                 let deadline = self.now_ps + self.classes[class].deadline_ps;
                 let req = ComputeRequest {
@@ -356,37 +359,33 @@ impl ShardState {
         }
     }
 
-    /// Build the tenant's request as real wire bytes, optionally
-    /// corrupted on a fixed cadence.
+    /// The tenant's request as real wire bytes: the class template
+    /// restamped for this request, optionally corrupted on a fixed
+    /// cadence.
     fn synthesize_frame(&mut self, tenant: u32, class: usize) -> Bytes {
-        let c = &self.classes[class];
-        let pch = PchHeader {
-            primitive: c.primitive,
-            flags: 0,
-            op_id: (self.req_counter % u64::from(u16::MAX)) as u16,
-            result_q88: 0,
-            operand_len: c.operand_len,
-        };
-        let pkt = Packet::compute(
+        let template = &mut self.templates[class];
+        let wire = template
+            .get_mut()
+            .expect("the previous arrival's parsed view is dropped, so the template has one owner");
+        PchFrame::restamp(
+            wire,
             Addr(tenant),
-            Addr::new(10, 0, 0, 1),
             self.req_counter as u32,
-            pch,
-            self.payloads[class].clone(),
+            (self.req_counter % u64::from(u16::MAX)) as u16,
         );
-        let wire = pkt.to_wire();
         if self.corrupt_every == 0 || !self.frames_seen.is_multiple_of(self.corrupt_every) {
-            return wire;
+            return template.clone();
         }
-        // Deterministic damage, cycling through the failure families.
-        let mut raw = wire.to_vec();
+        // Deterministic damage on a copy (the template stays intact),
+        // cycling through the failure families.
+        let mut raw = template.to_vec();
         match (self.frames_seen / self.corrupt_every) % 3 {
-            0 => raw.truncate((self.frames_seen % wire.len() as u64) as usize),
+            0 => raw.truncate((self.frames_seen % raw.len() as u64) as usize),
             1 => raw[15] = 0x7F, // unknown protocol
             2 => {
                 // Operand count beyond the payload (big-endian u16 at
                 // the PCH tail).
-                let claim = (self.payloads[class].len() + 1) as u16;
+                let claim = (usize::from(self.classes[class].operand_len) + 1) as u16;
                 raw[22] = (claim >> 8) as u8;
                 raw[23] = (claim & 0xFF) as u8;
             }
@@ -521,7 +520,12 @@ impl ShardState {
 
     /// Hot tenants this epoch by arrival count (desc), ties by id.
     pub(crate) fn hottest_this_epoch(&self, limit: usize) -> Vec<(u32, u32)> {
-        let mut v: Vec<(u32, u32)> = self.epoch_heat.iter().map(|(&t, &n)| (t, n)).collect();
+        let mut ids = self.epoch_heat.clone();
+        ids.sort_unstable();
+        let mut v: Vec<(u32, u32)> = ids
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len() as u32))
+            .collect();
         v.sort_by_key(|&(t, n)| (std::cmp::Reverse(n), t));
         v.truncate(limit);
         v
@@ -530,5 +534,221 @@ impl ShardState {
     pub(crate) fn end_epoch(&mut self) {
         self.epoch_arrivals = 0;
         self.epoch_heat.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ofpc_engine::Primitive;
+
+    fn class(population: u32, primitive: Primitive, operand_len: u16) -> TenantClass {
+        TenantClass {
+            name: String::new(),
+            population,
+            weight: 1,
+            queue_capacity: 4,
+            mean_rate_rps: 2_000.0,
+            primitive,
+            operand_len,
+            deadline_ps: 1_000_000_000,
+        }
+    }
+
+    /// A shard that owns every tenant of three classes (ids 0..10).
+    fn shard(corrupt_every: u64) -> ShardState {
+        let classes = vec![
+            class(3, Primitive::VectorDotProduct, 1024),
+            class(5, Primitive::PatternMatching, 512),
+            class(2, Primitive::NonlinearFunction, 1),
+        ];
+        let mut next = 0;
+        let members = classes
+            .iter()
+            .map(|c| {
+                next += c.population;
+                (next - c.population..next).collect()
+            })
+            .collect();
+        let model = ServiceModel {
+            line_rate_bps: 100e9,
+            wdm_channels: 4,
+            engine_settle_ps: 10_000,
+            reconfig_fixed_ps: 2_000_000,
+            reconfig_per_element_ps: 10_000,
+            readout_per_request_ps: 800,
+            laser_w: 0.05,
+            dac_sample_j: 1e-12,
+            mac_j: 1e-14,
+            adc_result_j: 1e-12,
+        };
+        let sites = [SiteSpec {
+            node: NodeId(1),
+            slots: 2,
+            access_ps: 50_000,
+        }];
+        let batch = BatchPolicy {
+            max_batch: 4,
+            max_wait_ps: 5_000_000,
+        };
+        ShardState::new(
+            0,
+            7,
+            classes,
+            members,
+            next,
+            model,
+            &sites,
+            batch,
+            corrupt_every,
+            16,
+        )
+    }
+
+    /// The per-arrival serialization the class templates replaced, kept
+    /// verbatim as the differential oracle; only the payload is rebuilt
+    /// here, the way the constructor used to prebuild it.
+    fn reference_synthesize_frame(s: &ShardState, tenant: u32, class: usize) -> Bytes {
+        let payload = Bytes::from(
+            (0..s.classes[class].operand_len as usize)
+                .map(|i| (i % 251) as u8)
+                .collect::<Vec<u8>>(),
+        );
+        let c = &s.classes[class];
+        let pch = PchHeader {
+            primitive: c.primitive,
+            flags: 0,
+            op_id: (s.req_counter % u64::from(u16::MAX)) as u16,
+            result_q88: 0,
+            operand_len: c.operand_len,
+        };
+        let pkt = Packet::compute(
+            Addr(tenant),
+            Addr::new(10, 0, 0, 1),
+            s.req_counter as u32,
+            pch,
+            payload.clone(),
+        );
+        let wire = pkt.to_wire();
+        if s.corrupt_every == 0 || !s.frames_seen.is_multiple_of(s.corrupt_every) {
+            return wire;
+        }
+        let mut raw = wire.to_vec();
+        match (s.frames_seen / s.corrupt_every) % 3 {
+            0 => raw.truncate((s.frames_seen % wire.len() as u64) as usize),
+            1 => raw[15] = 0x7F,
+            2 => {
+                let claim = (payload.len() + 1) as u16;
+                raw[22] = (claim >> 8) as u8;
+                raw[23] = (claim & 0xFF) as u8;
+            }
+            _ => unreachable!(),
+        }
+        Bytes::from(raw)
+    }
+
+    #[test]
+    fn template_frames_match_a_fresh_serialization() {
+        let mut s = shard(4);
+        // Request counters on both sides of the op-id wrap (`% u16::MAX`)
+        // and of the u32 packet-id wrap.
+        let u16_wrap = u64::from(u16::MAX);
+        let u32_wrap = u64::from(u32::MAX) + 1;
+        let counters = [
+            0,
+            1,
+            u16_wrap - 1,
+            u16_wrap,
+            u16_wrap + 1,
+            u32_wrap - 1,
+            u32_wrap,
+            u32_wrap + u16_wrap,
+        ];
+        let mut corrupted = [0; 3];
+        let (mut after_corrupted, mut prev_corrupted) = (0, false);
+        for &counter in &counters {
+            for class in 0..s.classes.len() {
+                // The first and last tenant of each class block.
+                let block = s.class_start[class]..s.class_start[class + 1];
+                for tenant in [block.start, block.end - 1] {
+                    s.req_counter = counter;
+                    s.frames_seen += 1;
+                    let want = reference_synthesize_frame(&s, tenant, class);
+                    assert_eq!(
+                        s.synthesize_frame(tenant, class),
+                        want,
+                        "tenant {tenant} class {class} counter {counter}"
+                    );
+                    let damaged = s.frames_seen.is_multiple_of(s.corrupt_every);
+                    if damaged {
+                        corrupted[((s.frames_seen / s.corrupt_every) % 3) as usize] += 1;
+                    } else if prev_corrupted {
+                        after_corrupted += 1;
+                    }
+                    prev_corrupted = damaged;
+                }
+            }
+        }
+        assert!(corrupted.iter().all(|&n| n > 0), "every damage family ran");
+        assert!(after_corrupted >= 3, "frames right after a damaged one");
+    }
+
+    /// The heat map the flat log replaced, kept verbatim as the
+    /// differential oracle.
+    fn reference_hottest_this_epoch(
+        epoch_heat: &BTreeMap<u32, u32>,
+        limit: usize,
+    ) -> Vec<(u32, u32)> {
+        let mut v: Vec<(u32, u32)> = epoch_heat.iter().map(|(&t, &n)| (t, n)).collect();
+        v.sort_by_key(|&(t, n)| (std::cmp::Reverse(n), t));
+        v.truncate(limit);
+        v
+    }
+
+    /// Check every limit against the oracle, whose map books the logged
+    /// arrivals the way the shard used to book each one.
+    fn assert_heat_matches(s: &ShardState) {
+        let mut heat = BTreeMap::new();
+        for &tenant in &s.epoch_heat {
+            *heat.entry(tenant).or_insert(0) += 1;
+        }
+        for limit in [0, 1, 2, 3, heat.len(), heat.len() + 5] {
+            assert_eq!(
+                s.hottest_this_epoch(limit),
+                reference_hottest_this_epoch(&heat, limit),
+                "limit {limit} over {:?}",
+                s.epoch_heat
+            );
+        }
+    }
+
+    #[test]
+    fn heat_log_ranks_like_the_heat_map() {
+        let mut s = shard(0);
+        assert!(s.hottest_this_epoch(4).is_empty(), "an empty epoch");
+        // Tied counts, ids logged out of order.
+        s.epoch_heat.extend([9, 3, 9, 3, 5, 7, 7, 5, 1, 0]);
+        assert_heat_matches(&s);
+        s.end_epoch();
+        assert!(s.hottest_this_epoch(4).is_empty(), "cleared at epoch end");
+        // Live epochs in which the hottest tenants migrate out and back
+        // in mid-epoch: a departed tenant keeps its heat, and a returning
+        // one adds to it.
+        let mut away: Vec<u32> = Vec::new();
+        for round in 1..=12u64 {
+            s.run_until(round * 2_000_000_000);
+            assert_heat_matches(&s);
+            for tenant in away.drain(..) {
+                s.adopt_tenant(tenant, Vec::new());
+            }
+            for (tenant, _) in s.hottest_this_epoch(2) {
+                s.evict_tenant(tenant);
+                away.push(tenant);
+            }
+            if round % 4 == 0 {
+                s.end_epoch();
+            }
+        }
+        assert!(s.migrations_out > 0 && s.migrations_in > 0);
     }
 }

@@ -98,6 +98,16 @@ pub struct PchFrame {
 }
 
 impl PchFrame {
+    /// Rewrite the fields that tell one request from the next (source
+    /// address, packet id, PCH op id) in an encoded compute frame and
+    /// leave every other byte alone, so a sender can reuse one encoded
+    /// frame per request shape instead of serializing each request.
+    pub fn restamp(wire: &mut [u8], src: Addr, id: u32, op_id: u16) {
+        wire[OFF_SRC..OFF_SRC + 4].copy_from_slice(&src.0.to_be_bytes());
+        wire[OFF_ID..OFF_ID + 4].copy_from_slice(&id.to_be_bytes());
+        wire[OFF_PCH + 2..OFF_PCH + 4].copy_from_slice(&op_id.to_be_bytes());
+    }
+
     /// Validate `buf` as a compute frame. The only bytes inspected are
     /// the two headers; the payload is bounds-checked but untouched.
     pub fn parse(buf: Bytes) -> Result<Self, FrameError> {

@@ -58,9 +58,11 @@ pub mod constants {
 }
 
 /// A labelled energy ledger: joules per named stage, ordered by label.
+/// Stage labels are static strings, so booking energy never allocates
+/// a key.
 #[derive(Debug, Clone, Default)]
 pub struct EnergyLedger {
-    entries: BTreeMap<String, f64>,
+    entries: BTreeMap<&'static str, f64>,
 }
 
 impl EnergyLedger {
@@ -70,12 +72,12 @@ impl EnergyLedger {
 
     /// Add `joules` to stage `label`. Negative contributions are rejected
     /// (energy is spent, never refunded).
-    pub fn add(&mut self, label: &str, joules: f64) {
+    pub fn add(&mut self, label: &'static str, joules: f64) {
         assert!(
             joules >= 0.0 && joules.is_finite(),
             "energy contribution must be finite and non-negative, got {joules} for {label}"
         );
-        *self.entries.entry(label.to_string()).or_insert(0.0) += joules;
+        *self.entries.entry(label).or_insert(0.0) += joules;
     }
 
     /// Total joules across all stages.
@@ -90,14 +92,14 @@ impl EnergyLedger {
 
     /// Merge another ledger into this one.
     pub fn merge(&mut self, other: &EnergyLedger) {
-        for (k, v) in &other.entries {
-            *self.entries.entry(k.clone()).or_insert(0.0) += v;
+        for (&k, v) in &other.entries {
+            *self.entries.entry(k).or_insert(0.0) += v;
         }
     }
 
     /// Iterate `(stage, joules)` in label order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), *v))
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+        self.entries.iter().map(|(&k, &v)| (k, v))
     }
 }
 

@@ -77,10 +77,12 @@ struct SparseQueue {
 ///
 /// A tenant's queue entry is created on its first queued request and
 /// evicted the moment its queue drains, so memory is bounded by the
-/// instantaneous backlog (plus one drained queue's buffer, kept for
-/// reuse), never by the tenant universe. Eviction also drops the DRR
-/// deficit: an idle tenant banks no credit, and dropping it at eviction
-/// is what makes the eviction lossless.
+/// backlog, never by the tenant universe. An evicted queue's emptied
+/// buffer goes to a spare list that the next newly backlogged tenant
+/// takes from, so the list never holds more buffers than the peak count
+/// of backlogged tenants. Eviction also drops the DRR deficit: an idle
+/// tenant banks no credit, and dropping it at eviction is what makes
+/// the eviction lossless.
 ///
 /// The round-robin cursor is a tenant *id* rather than a vector index,
 /// so it survives eviction and migration. Tenants can be removed
@@ -94,9 +96,9 @@ pub struct SparseAdmission {
     cursor: Option<TenantId>,
     shed: Vec<(ComputeRequest, ShedReason)>,
     queued: usize,
-    /// The last drained queue, emptied, kept so the next tenant to
-    /// become backlogged reuses its buffer instead of allocating.
-    spare: VecDeque<ComputeRequest>,
+    /// Emptied buffers of evicted queues, which newly backlogged
+    /// tenants reuse instead of allocating.
+    spare: Vec<VecDeque<ComputeRequest>>,
     /// A lower bound on every queue head's deadline: no head has
     /// expired while `now_ps <= head_floor`. Whatever exposes a new head
     /// lowers it; the expiry sweep recomputes it exactly.
@@ -119,7 +121,7 @@ impl SparseAdmission {
             .active
             .entry(req.tenant)
             .or_insert_with(|| SparseQueue {
-                queue: std::mem::take(&mut self.spare),
+                queue: self.spare.pop().unwrap_or_default(),
                 deficit: 0,
                 shape,
             });
@@ -172,7 +174,13 @@ impl SparseAdmission {
             emptied |= t.queue.is_empty();
         }
         if emptied {
-            self.active.retain(|_, t| !t.queue.is_empty());
+            let spare = &mut self.spare;
+            self.active.retain(|_, t| {
+                if t.queue.is_empty() {
+                    spare.push(std::mem::take(&mut t.queue));
+                }
+                !t.queue.is_empty()
+            });
         }
         self.head_floor = floor;
         n
@@ -221,7 +229,9 @@ impl SparseAdmission {
                 match t.queue.front() {
                     Some(head) => self.head_floor = self.head_floor.min(head.deadline_ps),
                     // Idle tenants bank no credit; drop the state.
-                    None => self.spare = self.active.remove(&tenant).expect("visited").queue,
+                    None => self
+                        .spare
+                        .push(self.active.remove(&tenant).expect("visited").queue),
                 }
                 if out.len() >= max {
                     self.cursor = Some(tenant);
@@ -454,7 +464,8 @@ mod tests {
                 ac.queued -= out.len() + ac.shed.len() - before;
                 if t.queue.is_empty() {
                     // Idle tenants bank no credit; drop the state.
-                    ac.spare = ac.active.remove(&tenant).expect("visited").queue;
+                    let emptied = ac.active.remove(&tenant).expect("visited").queue;
+                    ac.spare.push(emptied);
                 }
                 if out.len() >= max {
                     ac.cursor = Some(tenant);
@@ -494,6 +505,7 @@ mod tests {
             let mut old = SparseAdmission::new();
             let mut now = 0u64;
             let mut next_id = 0u64;
+            let mut peak_backlogged = 0;
             let mut moved: Vec<(Vec<ComputeRequest>, TenantShape)> = Vec::new();
             for step in 0..3_000 {
                 match rng.below(20) {
@@ -560,6 +572,11 @@ mod tests {
                 );
                 assert_eq!(new.queued(), old.queued(), "case {case} step {step}");
                 assert_eq!(new.active_tenants(), old.active_tenants());
+                // The spare list's memory bound: a buffer is made only
+                // when the list is empty, so live and spare buffers
+                // together never outnumber the peak backlogged tenants.
+                peak_backlogged = peak_backlogged.max(new.active_tenants());
+                assert!(new.spare.len() + new.active_tenants() <= peak_backlogged);
             }
         }
     }

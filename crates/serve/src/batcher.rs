@@ -114,7 +114,7 @@ impl Batcher {
         let class = req.batch_class();
         let key = (mode_rank, class);
         let entry = self.open.entry(key).or_insert_with(|| OpenBatch {
-            requests: Vec::new(),
+            requests: Vec::with_capacity(self.policy.max_batch),
             opened_ps: now_ps,
         });
         entry.requests.push(req);

@@ -98,7 +98,7 @@ pub(crate) struct MetricsSink {
     /// Dispatched batch sizes (occupancy numerator/denominator).
     batch_sizes: Vec<u32>,
     /// Energy by hardware stage, deterministic order.
-    pub(crate) energy_stages: std::collections::BTreeMap<String, f64>,
+    energy_stages: std::collections::BTreeMap<&'static str, f64>,
     /// Sampled verification results: |photonic − digital| per sample.
     pub(crate) verify_abs_errors: Vec<f64>,
 }
@@ -154,11 +154,8 @@ impl MetricsSink {
             .iter()
             .for_each(|&s| h.record(u64::from(s)));
         for (stage, &j) in &self.energy_stages {
-            tel.gauge(
-                "serve_stage_energy_joules",
-                &labels(&[("stage", stage.as_str())]),
-            )
-            .add(j);
+            tel.gauge("serve_stage_energy_joules", &labels(&[("stage", stage)]))
+                .add(j);
         }
     }
 
@@ -174,8 +171,8 @@ impl MetricsSink {
         self.batch_sizes.push(size);
     }
 
-    pub(crate) fn add_stage_energy(&mut self, stage: &str, joules: f64) {
-        *self.energy_stages.entry(stage.to_string()).or_insert(0.0) += joules;
+    pub(crate) fn add_stage_energy(&mut self, stage: &'static str, joules: f64) {
+        *self.energy_stages.entry(stage).or_insert(0.0) += joules;
     }
 
     /// Build the final report. `unfinished` are requests still queued or
@@ -270,7 +267,11 @@ impl MetricsSink {
             } else {
                 0.0
             },
-            energy_stages_j: self.energy_stages.clone(),
+            energy_stages_j: self
+                .energy_stages
+                .iter()
+                .map(|(&stage, &j)| (stage.to_string(), j))
+                .collect(),
             verified_samples: self.verify_abs_errors.len() as u64,
             verify_mean_abs_error: if self.verify_abs_errors.is_empty() {
                 0.0

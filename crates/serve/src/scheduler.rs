@@ -388,10 +388,18 @@ impl Scheduler {
                 break;
             }
             // EDF candidate order: earliest min-member deadline; ties
-            // broken by close time then insertion order for determinism.
-            let mut order: Vec<usize> = (0..self.ready.len()).collect();
-            order.sort_by_key(|&i| (self.ready[i].deadline_ps(), self.ready[i].closed_ps, i));
-            for &best_idx in &order {
+            // broken by close time, then by position in `ready` for
+            // determinism. The position is not insertion order:
+            // `swap_remove` here and in `cancel_member` permutes it.
+            // Each key is computed once per round and is unique.
+            let mut order: Vec<(u64, u64, usize)> = self
+                .ready
+                .iter()
+                .enumerate()
+                .map(|(i, b)| (b.deadline_ps(), b.closed_ps, i))
+                .collect();
+            order.sort_unstable();
+            for &(_, _, best_idx) in &order {
                 let class = self.ready[best_idx].class;
                 let pin = self.ready[best_idx].resil.map(|t| t.pin);
                 // Best usable slot: prefer one already loaded with this
