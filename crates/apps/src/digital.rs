@@ -84,7 +84,7 @@ impl ComputeModel {
             name: "photonic".into(),
             mac_energy_j: constants::PHOTONIC_MAC_J,
             mac_rate_hz: constants::PHOTONIC_LANE_HZ,
-            fixed_latency_s: 5e-9,
+            fixed_latency_s: constants::ENGINE_LATENCY_S,
         }
     }
 

@@ -12,6 +12,7 @@
 //! cipher; the network-level mechanics are identical). The digital
 //! baseline charges CPU energy per encrypted byte.
 
+use ofpc_photonics::energy::constants::PHOTONIC_LANE_HZ;
 use ofpc_photonics::laser::{Laser, LaserConfig};
 use ofpc_photonics::modulator::{PhaseModulator, PhaseModulatorConfig};
 use ofpc_photonics::signal::AnalogWaveform;
@@ -121,7 +122,6 @@ pub struct PhotonicCipher {
     key: u64,
     laser: Laser,
     pm: PhaseModulator,
-    sample_rate_hz: f64,
 }
 
 impl PhotonicCipher {
@@ -143,7 +143,6 @@ impl PhotonicCipher {
                 bandwidth_hz: 0.0,
                 ..PhaseModulatorConfig::default()
             }),
-            sample_rate_hz: 32e9,
         }
     }
 
@@ -154,7 +153,7 @@ impl PhotonicCipher {
     pub fn encrypt_bits(&mut self, data: &[bool]) -> Vec<f64> {
         assert!(!data.is_empty(), "nothing to encrypt");
         let n = data.len();
-        let light = self.laser.emit(n, self.sample_rate_hz);
+        let light = self.laser.emit(n, PHOTONIC_LANE_HZ);
         // Stage 1: BPSK data encoding (this is the transponder's normal
         // modulator in a coherent system).
         let data_drive = AnalogWaveform::new(
@@ -164,7 +163,7 @@ impl PhotonicCipher {
                         .drive_for_phase(if b { std::f64::consts::PI } else { 0.0 })
                 })
                 .collect(),
-            self.sample_rate_hz,
+            PHOTONIC_LANE_HZ,
         );
         let encoded = self.pm.modulate(&light, &data_drive);
         // Stage 2: the key phase — the actual encryption device.
@@ -178,7 +177,7 @@ impl PhotonicCipher {
                         .drive_for_phase(if b { std::f64::consts::PI } else { 0.0 })
                 })
                 .collect(),
-            self.sample_rate_hz,
+            PHOTONIC_LANE_HZ,
         );
         let cipher = self.pm.modulate(&encoded, &key_drive);
         cipher.samples.iter().map(|s| s.arg()).collect()

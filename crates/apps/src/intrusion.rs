@@ -104,6 +104,9 @@ impl AhoCorasick {
     }
 }
 
+/// Mismatched bits a signature hit may carry: exact matches only.
+const TOLERANCE_BITS: f64 = 0.0;
+
 /// Photonic IDS: the engine's sliding correlator over byte-aligned
 /// payload bits.
 #[derive(Debug)]
@@ -112,16 +115,20 @@ pub struct PhotonicIds {
 }
 
 impl PhotonicIds {
-    pub(crate) fn new(signatures: &[Vec<u8>], tolerance_bits: f64, rng: &mut SimRng) -> Self {
-        let bit_sigs: Vec<Vec<bool>> = signatures.iter().map(|s| bytes_to_bits(s)).collect();
-        PhotonicIds {
-            correlator: Correlator::new(MatcherConfig::ideal(), bit_sigs, tolerance_bits, 8, rng),
-        }
-    }
-
+    /// An ideal-parts correlator that reports exact matches only, at
+    /// byte-aligned offsets.
     pub fn ideal(signatures: &[Vec<u8>]) -> Self {
         let mut rng = SimRng::seed_from_u64(0);
-        PhotonicIds::new(signatures, 0.0, &mut rng)
+        let bit_sigs: Vec<Vec<bool>> = signatures.iter().map(|s| bytes_to_bits(s)).collect();
+        PhotonicIds {
+            correlator: Correlator::new(
+                MatcherConfig::ideal(),
+                bit_sigs,
+                TOLERANCE_BITS,
+                8,
+                &mut rng,
+            ),
+        }
     }
 
     /// Scan a payload.

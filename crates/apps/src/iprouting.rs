@@ -10,7 +10,7 @@
 //! published-class per-lookup energy, and the photonic LPM engine built
 //! on [`ofpc_engine::ternary::TernaryMatcher`].
 
-use ofpc_engine::ternary::{Tern, TernaryConfig, TernaryMatcher};
+use ofpc_engine::ternary::{Tern, TernaryMatcher};
 use ofpc_net::{Addr, Prefix};
 use ofpc_photonics::SimRng;
 
@@ -86,11 +86,10 @@ impl TcamModel {
 pub struct PhotonicLpm {
     matcher: TernaryMatcher,
     rules: Vec<(Rule, Vec<Tern>)>,
-    pub(crate) lookups: u64,
 }
 
 impl PhotonicLpm {
-    pub(crate) fn new(config: TernaryConfig, mut rules: Vec<Rule>, rng: &mut SimRng) -> Self {
+    pub fn ideal(mut rules: Vec<Rule>) -> Self {
         rules.sort_by_key(|r| std::cmp::Reverse(r.prefix.len()));
         let compiled = rules
             .into_iter()
@@ -99,31 +98,20 @@ impl PhotonicLpm {
                 (r, p)
             })
             .collect();
-        let mut matcher = TernaryMatcher::new(config, rng);
-        matcher.calibrate(128);
         PhotonicLpm {
-            matcher,
+            matcher: TernaryMatcher::ideal(),
             rules: compiled,
-            lookups: 0,
         }
-    }
-
-    pub fn ideal(rules: Vec<Rule>) -> Self {
-        let mut rng = SimRng::seed_from_u64(0);
-        PhotonicLpm::new(TernaryConfig::ideal(), rules, &mut rng)
     }
 
     /// Photonic LPM lookup: match rules longest-first, first hit wins.
     pub fn lookup(&mut self, addr: Addr) -> Option<u16> {
-        self.lookups += 1;
         let bits = addr_bits(addr);
-        for i in 0..self.rules.len() {
-            let pattern = self.rules[i].1.clone();
-            if self.matcher.match_block(&bits, &pattern).matched {
-                return Some(self.rules[i].0.port);
-            }
-        }
-        None
+        let matcher = &mut self.matcher;
+        self.rules
+            .iter()
+            .find(|(_, pattern)| matcher.match_block(&bits, pattern).matched)
+            .map(|(rule, _)| rule.port)
     }
 }
 
@@ -243,14 +231,5 @@ mod tests {
         let mut plpm = PhotonicLpm::ideal(rules);
         assert_eq!(plpm.lookup("1.2.3.4".parse().unwrap()), Some(9));
         assert_eq!(plpm.lookup("255.255.255.255".parse().unwrap()), Some(9));
-    }
-
-    #[test]
-    fn lookup_counters_track() {
-        let mut plpm = PhotonicLpm::ideal(rules_basic());
-        plpm.lookup("10.1.2.3".parse().unwrap());
-        plpm.lookup("10.9.9.9".parse().unwrap());
-        assert_eq!(plpm.lookups, 2);
-        assert!(plpm.matcher.symbols_matched > 0);
     }
 }

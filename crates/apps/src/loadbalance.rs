@@ -72,18 +72,33 @@ pub struct LbReport {
     pub p99_latency_ms: f64,
 }
 
+/// Capacity of the thin A→B link as a fraction of the default.
+const CAPACITY_RATIO: f64 = 0.25;
+
+/// Flowlets per run, and packets per flowlet.
+const FLOWLETS: usize = 24;
+const PACKETS_PER_FLOWLET: usize = 12;
+
+/// Payload of every packet, bytes.
+const PAYLOAD_BYTES: usize = 8_000;
+
+/// Gap between foreground packets, ps.
+const GAP_PS: u64 = 150_000;
+
+/// Background load on the thin A→B link, as a fraction of its capacity.
+const BG_LOAD: f64 = 0.9;
+
 /// Build the asymmetric two-path test network: Fig. 1 with the B path's
 /// A→B link capacity cut to stress precision. Returns the network and
 /// the two first-hop link IDs (A→B, A→C).
-pub(crate) fn build_two_path_network(rng: SimRng, capacity_ratio: f64) -> (Network, [LinkId; 2]) {
-    assert!(capacity_ratio > 0.0 && capacity_ratio <= 1.0);
+pub(crate) fn build_two_path_network(rng: SimRng) -> (Network, [LinkId; 2]) {
     let mut topo = Topology::new();
     let a = topo.add_node("A");
     let b = topo.add_node("B");
     let c = topo.add_node("C");
     let d = topo.add_node("D");
     let cap = ofpc_net::topology::DEFAULT_CAPACITY_BPS;
-    let l_ab = topo.add_link_with_capacity(a, b, 800.0, cap * capacity_ratio);
+    let l_ab = topo.add_link_with_capacity(a, b, 800.0, cap * CAPACITY_RATIO);
     let l_ac = topo.add_link_with_capacity(a, c, 800.0, cap);
     topo.add_link_with_capacity(b, d, 700.0, cap);
     topo.add_link_with_capacity(c, d, 700.0, cap);
@@ -92,57 +107,46 @@ pub(crate) fn build_two_path_network(rng: SimRng, capacity_ratio: f64) -> (Netwo
     (net, [l_ab, l_ac])
 }
 
-/// Run `flowlets` flowlets of `packets_per_flowlet` packets each from A
-/// to D under `balancer`, reading egress occupancies at decision time.
-/// A persistent background flow loads the thin A→B link to
-/// `bg_load` of its capacity — the asymmetry a congestion-aware
-/// balancer should route around and a hash-based one cannot see.
-pub fn run_lb(
-    balancer: &mut Balancer,
-    flowlets: usize,
-    packets_per_flowlet: usize,
-    payload_bytes: usize,
-    gap_ps: u64,
-    bg_load: f64,
-    rng: &mut SimRng,
-) -> LbReport {
-    assert!((0.0..2.0).contains(&bg_load), "bg_load out of range");
-    let (mut net, first_hops) = build_two_path_network(SimRng::seed_from_u64(1), 0.25);
+/// Run 24 flowlets of 12 packets each from A to D under `balancer`,
+/// reading egress occupancies at decision time. A persistent background
+/// flow loads the thin A→B link to 90% of its capacity — the asymmetry
+/// a congestion-aware balancer should route around and a hash-based one
+/// cannot see.
+pub fn run_lb(balancer: &mut Balancer, rng: &mut SimRng) -> LbReport {
+    let (mut net, first_hops) = build_two_path_network(SimRng::seed_from_u64(1));
     let a = NodeId(0);
     let d = NodeId(3);
     let b = NodeId(1);
     let mut id = 0u32;
 
     // Background load on the thin path: plain packets terminating at B.
-    if bg_load > 0.0 {
-        let thin_capacity = net.topo.link(first_hops[0]).capacity_bps;
-        let wire = (payload_bytes + ofpc_net::packet::IP_HEADER_BYTES) as f64;
-        let bg_gap_ps = (wire * 8.0 / (bg_load * thin_capacity) * 1e12).round() as u64;
-        let duration_ps = (flowlets * packets_per_flowlet) as u64 * gap_ps;
-        let mut bt = 0u64;
-        while bt < duration_ps {
-            let p = Packet::data(
-                Network::node_addr(a, 9),
-                Network::node_addr(b, 9),
-                1_000_000 + id,
-                vec![0u8; payload_bytes],
-            );
-            net.inject(bt, a, p);
-            id += 1;
-            bt += bg_gap_ps;
-        }
+    let thin_capacity = net.topo.link(first_hops[0]).capacity_bps;
+    let wire = (PAYLOAD_BYTES + ofpc_net::packet::IP_HEADER_BYTES) as f64;
+    let bg_gap_ps = (wire * 8.0 / (BG_LOAD * thin_capacity) * 1e12).round() as u64;
+    let duration_ps = (FLOWLETS * PACKETS_PER_FLOWLET) as u64 * GAP_PS;
+    let mut bt = 0u64;
+    while bt < duration_ps {
+        let p = Packet::data(
+            Network::node_addr(a, 9),
+            Network::node_addr(b, 9),
+            1_000_000 + id,
+            vec![0u8; PAYLOAD_BYTES],
+        );
+        net.inject(bt, a, p);
+        id += 1;
+        bt += bg_gap_ps;
     }
 
     let mut t = 0u64;
     let foreground_base = 2_000_000u32;
     let mut fg_id = foreground_base;
-    for f in 0..flowlets {
+    for f in 0..FLOWLETS {
         // Advance simulated time to the flowlet boundary, then take the
         // occupancy snapshot — in hardware this is the analog tap the
         // comparator reads at decision time.
         net.run_until(t);
-        let occ0 = net.queue_occupancy(first_hops[0], true);
-        let occ1 = net.queue_occupancy(first_hops[1], true);
+        let occ0 = net.queue_occupancy(first_hops[0]);
+        let occ1 = net.queue_occupancy(first_hops[1]);
         let path = balancer.pick(f as u32, occ0, occ1, rng);
         // Pin the flowlet to its path with a /32 route at the fork.
         let dst = Network::node_addr(d, (f % 200 + 1) as u8);
@@ -153,16 +157,16 @@ pub fn run_lb(
                 ..Default::default()
             },
         );
-        for _ in 0..packets_per_flowlet {
+        for _ in 0..PACKETS_PER_FLOWLET {
             let p = Packet::data(
                 Network::node_addr(a, 1),
                 dst,
                 fg_id,
-                vec![0u8; payload_bytes],
+                vec![0u8; PAYLOAD_BYTES],
             );
             net.inject(t, a, p);
             fg_id += 1;
-            t += gap_ps;
+            t += GAP_PS;
         }
     }
     net.run_to_idle();
@@ -227,19 +231,16 @@ mod tests {
         // comparison alternates instead of biasing one port.
         let mut rng = SimRng::seed_from_u64(3);
         let mut ecmp = Balancer::EcmpHash;
-        let ecmp_report = run_lb(&mut ecmp, 24, 12, 8_000, 150_000, 0.9, &mut rng);
-        let mut cmp_rng = SimRng::seed_from_u64(30);
-        let mut cfg = ofpc_engine::comparator::ComparatorConfig::ideal();
-        cfg.dead_zone = 0.01;
-        let mut phot = Balancer::Photonic(Box::new(PhotonicComparator::new(cfg, &mut cmp_rng)));
-        let phot_report = run_lb(&mut phot, 24, 12, 8_000, 150_000, 0.9, &mut rng);
+        let ecmp_report = run_lb(&mut ecmp, &mut rng);
+        let mut phot = Balancer::Photonic(Box::new(PhotonicComparator::ideal()));
+        let phot_report = run_lb(&mut phot, &mut rng);
         // With every flowlet on the fat path nothing is lost, so each
         // drop is a flowlet packet overflowing the thin path's queue:
         // the drop count measures how much load the policy left there.
         let mut fat_only = Balancer::Wcmp {
             first_path_weight: 0.0,
         };
-        let fat_only_report = run_lb(&mut fat_only, 24, 12, 8_000, 150_000, 0.9, &mut rng);
+        let fat_only_report = run_lb(&mut fat_only, &mut rng);
         assert_eq!(fat_only_report.drops, 0);
         // The photonic policy must shift load off the thin path.
         assert!(

@@ -36,12 +36,15 @@ impl Dataset {
 /// Glyph classes of the synthetic dataset.
 const GLYPHS: usize = 4;
 
+/// Standard deviation of the additive pixel noise.
+const PIXEL_NOISE: f64 = 0.08;
+
 /// Generate a synthetic glyph dataset: `n_per_class` examples of each of
 /// four 8×8 glyphs (horizontal bar, vertical bar, main diagonal, cross),
-/// with ±1-pixel position jitter and additive pixel noise. Deterministic
-/// per seed; no external data needed (repro substitution for MNIST-class
-/// workloads).
-pub fn synthetic_glyphs(n_per_class: usize, noise: f64, rng: &mut SimRng) -> Dataset {
+/// with ±1-pixel position jitter and additive pixel noise (σ = 0.08).
+/// Deterministic per seed; no external data needed (repro substitution
+/// for MNIST-class workloads).
+pub fn synthetic_glyphs(n_per_class: usize, rng: &mut SimRng) -> Dataset {
     let side = 8;
     let mut images = Vec::with_capacity(n_per_class * GLYPHS);
     let mut labels = Vec::with_capacity(n_per_class * GLYPHS);
@@ -61,7 +64,7 @@ pub fn synthetic_glyphs(n_per_class: usize, noise: f64, rng: &mut SimRng) -> Dat
                         _ => row_hit || col_hit,
                     };
                     let base = if lit { 1.0 } else { 0.0 };
-                    img[i * side + j] = (base + rng.normal(0.0, noise)).clamp(0.0, 1.0);
+                    img[i * side + j] = (base + rng.normal(PIXEL_NOISE)).clamp(0.0, 1.0);
                 }
             }
             images.push(img);
@@ -143,14 +146,14 @@ pub fn train_mlp(sizes: &[usize], data: &Dataset, act: &TrainActivation, rng: &m
     let mut mlp = Mlp::new_random(sizes, rng);
     for _ in 0..TRAIN_EPOCHS {
         for (x, &label) in data.images.iter().zip(&data.labels) {
-            sgd_step(&mut mlp, x, label, LEARNING_RATE, act);
+            sgd_step(&mut mlp, x, label, act);
         }
     }
     mlp
 }
 
 /// One SGD step (forward with cached activations, softmax CE backward).
-fn sgd_step(mlp: &mut Mlp, x: &[f64], label: usize, lr: f64, act: &TrainActivation) {
+fn sgd_step(mlp: &mut Mlp, x: &[f64], label: usize, act: &TrainActivation) {
     let n_layers = mlp.layers.len();
     // Forward, caching inputs (a) and pre-activations (z) per layer.
     let mut acts: Vec<Vec<f64>> = vec![x.to_vec()];
@@ -204,9 +207,9 @@ fn sgd_step(mlp: &mut Mlp, x: &[f64], label: usize, lr: f64, act: &TrainActivati
             .zip(delta.iter().zip(&mut layer.bias))
         {
             for (w, &a) in row.iter_mut().zip(&a_in) {
-                *w -= lr * d * a;
+                *w -= LEARNING_RATE * d * a;
             }
-            *b -= lr * d;
+            *b -= LEARNING_RATE * d;
         }
         delta = next_delta;
     }
@@ -263,10 +266,14 @@ pub fn accuracy_photonic(pdnn: &mut PhotonicDnn, data: &Dataset) -> f64 {
     correct as f64 / data.len() as f64
 }
 
+/// Parallel lanes of the deployed matrix-vector engine.
+const DEPLOY_LANES: usize = 4;
+
 /// Build the photonics-aware deployment of a curve-trained network: the
-/// engine runs with exactly the training scale.
-pub fn deploy_curve_trained(mlp: &Mlp, scale: f64, lanes: usize, rng: &mut SimRng) -> PhotonicDnn {
-    let mut engine = PhotonicMatVec::new(ofpc_engine::dot::DotUnitConfig::ideal(), lanes, rng);
+/// engine runs with exactly the training scale, on four lanes.
+pub fn deploy_curve_trained(mlp: &Mlp, scale: f64, rng: &mut SimRng) -> PhotonicDnn {
+    let mut engine =
+        PhotonicMatVec::new(ofpc_engine::dot::DotUnitConfig::ideal(), DEPLOY_LANES, rng);
     engine.calibrate(64);
     let act = NonlinearUnit::ideal();
     let hidden = mlp.layers.len().saturating_sub(1);
@@ -278,8 +285,8 @@ mod tests {
     use super::*;
 
     fn small_data(rng: &mut SimRng) -> (Dataset, Dataset) {
-        let train = synthetic_glyphs(30, 0.08, rng);
-        let test = synthetic_glyphs(10, 0.08, rng);
+        let train = synthetic_glyphs(30, rng);
+        let test = synthetic_glyphs(10, rng);
         (train, test)
     }
 
@@ -287,8 +294,8 @@ mod tests {
     fn dataset_shape_and_determinism() {
         let mut r1 = SimRng::seed_from_u64(1);
         let mut r2 = SimRng::seed_from_u64(1);
-        let d1 = synthetic_glyphs(5, 0.1, &mut r1);
-        let d2 = synthetic_glyphs(5, 0.1, &mut r2);
+        let d1 = synthetic_glyphs(5, &mut r1);
+        let d2 = synthetic_glyphs(5, &mut r2);
         assert_eq!(d1.images, d2.images);
         assert_eq!(d1.len(), 20);
         assert_eq!(d1.classes, 4);
@@ -340,7 +347,7 @@ mod tests {
         };
         let mlp = train_mlp(&[64, 16, 4], &train, &act, &mut rng);
         let digital = accuracy_with_activation(&mlp, &test, &act);
-        let mut pdnn = deploy_curve_trained(&mlp, scale, 4, &mut rng);
+        let mut pdnn = deploy_curve_trained(&mlp, scale, &mut rng);
         let photonic = accuracy_photonic(&mut pdnn, &test);
         assert!(
             photonic >= digital - 0.1,

@@ -38,10 +38,15 @@ fn transpose(m: &[Vec<f64>]) -> Vec<Vec<f64>> {
     (0..n).map(|j| (0..n).map(|i| m[i][j]).collect()).collect()
 }
 
-/// JPEG-style luminance quantization table scaled by `quality ∈ (0, 1]`
-/// (1 = finest).
-pub(crate) fn quant_table(quality: f64) -> Vec<Vec<f64>> {
-    assert!(quality > 0.0 && quality <= 1.0, "quality must be in (0,1]");
+/// Quantizer quality in `(0, 1]` (1 = finest).
+const QUALITY: f64 = 0.8;
+
+/// Frame width and height, pixels.
+const FRAME_WIDTH: usize = 32;
+const FRAME_HEIGHT: usize = 16;
+
+/// JPEG-style luminance quantization table scaled by [`QUALITY`].
+pub(crate) fn quant_table() -> Vec<Vec<f64>> {
     const BASE: [[f64; 8]; 8] = [
         [16.0, 11.0, 10.0, 16.0, 24.0, 40.0, 51.0, 61.0],
         [12.0, 12.0, 14.0, 19.0, 26.0, 58.0, 60.0, 55.0],
@@ -55,7 +60,7 @@ pub(crate) fn quant_table(quality: f64) -> Vec<Vec<f64>> {
     BASE.iter()
         .map(|row| {
             row.iter()
-                .map(|&v| (v / quality / 255.0).max(1e-3))
+                .map(|&v| (v / QUALITY / 255.0).max(1e-3))
                 .collect()
         })
         .collect()
@@ -176,7 +181,7 @@ pub(crate) fn idct2(coeffs: &[Vec<f64>]) -> Vec<Vec<f64>> {
 
 /// Encode one block (pixels in `[0,1]`): center, transform, quantize,
 /// zigzag, RLE.
-pub(crate) fn encode_block(block: &[Vec<f64>], quality: f64, tf: &mut Transform) -> EncodedBlock {
+pub(crate) fn encode_block(block: &[Vec<f64>], tf: &mut Transform) -> EncodedBlock {
     assert_eq!(block.len(), B, "block must be 8×8");
     let centered: Vec<Vec<f64>> = block
         .iter()
@@ -186,7 +191,7 @@ pub(crate) fn encode_block(block: &[Vec<f64>], quality: f64, tf: &mut Transform)
         })
         .collect();
     let coeffs = tf.dct2(&centered);
-    let q = quant_table(quality);
+    let q = quant_table();
     let zz = zigzag_order();
     let scanned: Vec<i32> = zz
         .iter()
@@ -198,8 +203,8 @@ pub(crate) fn encode_block(block: &[Vec<f64>], quality: f64, tf: &mut Transform)
 }
 
 /// Decode one block back to pixels in `[0,1]`.
-pub(crate) fn decode_block(enc: &EncodedBlock, quality: f64) -> Vec<Vec<f64>> {
-    let q = quant_table(quality);
+pub(crate) fn decode_block(enc: &EncodedBlock) -> Vec<Vec<f64>> {
+    let q = quant_table();
     let zz = zigzag_order();
     let scanned = rle_decode(&enc.rle, B * B);
     let mut coeffs = vec![vec![0.0; B]; B];
@@ -212,22 +217,18 @@ pub(crate) fn decode_block(enc: &EncodedBlock, quality: f64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// A synthetic frame: smooth gradient plus a moving bright square —
-/// compressible structure with edges (stand-in for real video content).
-pub fn synthetic_frame(
-    width: usize,
-    height: usize,
-    phase: usize,
-    rng: &mut SimRng,
-) -> Vec<Vec<f64>> {
-    let mut f = vec![vec![0.0; width]; height];
-    let sq = 8 + (phase * 4) % width.saturating_sub(16).max(1);
+/// A synthetic 32 × 16 frame: smooth gradient plus a bright square at
+/// columns 8–15 — compressible structure with edges (stand-in for real
+/// video content).
+pub fn synthetic_frame(rng: &mut SimRng) -> Vec<Vec<f64>> {
+    let mut f = vec![vec![0.0; FRAME_WIDTH]; FRAME_HEIGHT];
+    let sq = 8;
     for (i, row) in f.iter_mut().enumerate() {
         for (j, p) in row.iter_mut().enumerate() {
-            let grad = 0.3 + 0.4 * (j as f64 / width as f64);
+            let grad = 0.3 + 0.4 * (j as f64 / FRAME_WIDTH as f64);
             let in_square = (4..12).contains(&i) && j >= sq && j < sq + 8;
             let v = if in_square { 0.9 } else { grad };
-            *p = (v + rng.normal(0.0, 0.01)).clamp(0.0, 1.0);
+            *p = (v + rng.normal(0.01)).clamp(0.0, 1.0);
         }
     }
     f
@@ -255,7 +256,7 @@ pub fn psnr(a: &[Vec<f64>], b: &[Vec<f64>]) -> f64 {
 
 /// Full-frame encode: tile into 8×8 blocks (frame dims must be multiples
 /// of 8). Returns blocks in row-major tile order.
-pub fn encode_frame(frame: &[Vec<f64>], quality: f64, tf: &mut Transform) -> Vec<EncodedBlock> {
+pub fn encode_frame(frame: &[Vec<f64>], tf: &mut Transform) -> Vec<EncodedBlock> {
     let h = frame.len();
     let w = frame[0].len();
     assert!(
@@ -266,25 +267,20 @@ pub fn encode_frame(frame: &[Vec<f64>], quality: f64, tf: &mut Transform) -> Vec
     for bi in (0..h).step_by(B) {
         for bj in (0..w).step_by(B) {
             let block: Vec<Vec<f64>> = (0..B).map(|i| frame[bi + i][bj..bj + B].to_vec()).collect();
-            out.push(encode_block(&block, quality, tf));
+            out.push(encode_block(&block, tf));
         }
     }
     out
 }
 
-/// Full-frame decode.
-pub fn decode_frame(
-    blocks: &[EncodedBlock],
-    width: usize,
-    height: usize,
-    quality: f64,
-) -> Vec<Vec<f64>> {
-    let mut frame = vec![vec![0.0; width]; height];
-    let tiles_per_row = width / B;
+/// Full-frame decode of a 32 × 16 frame.
+pub fn decode_frame(blocks: &[EncodedBlock]) -> Vec<Vec<f64>> {
+    let mut frame = vec![vec![0.0; FRAME_WIDTH]; FRAME_HEIGHT];
+    let tiles_per_row = FRAME_WIDTH / B;
     for (t, enc) in blocks.iter().enumerate() {
         let bi = (t / tiles_per_row) * B;
         let bj = (t % tiles_per_row) * B;
-        let block = decode_block(enc, quality);
+        let block = decode_block(enc);
         for i in 0..B {
             frame[bi + i][bj..bj + B].copy_from_slice(&block[i]);
         }
@@ -361,14 +357,14 @@ mod tests {
     #[test]
     fn block_round_trip_quality() {
         let mut rng = SimRng::seed_from_u64(1);
-        // A smooth block compresses nearly losslessly at high quality.
+        // A smooth block round-trips nearly losslessly.
         let block: Vec<Vec<f64>> = (0..B)
             .map(|i| (0..B).map(|j| 0.3 + 0.03 * (i + j) as f64).collect())
             .collect();
         let _ = &mut rng;
         let mut tf = Transform::Digital;
-        let enc = encode_block(&block, 1.0, &mut tf);
-        let dec = decode_block(&enc, 1.0);
+        let enc = encode_block(&block, &mut tf);
+        let dec = decode_block(&enc);
         let p = psnr(&block, &dec);
         assert!(p > 35.0, "psnr {p}");
     }
@@ -376,16 +372,16 @@ mod tests {
     #[test]
     fn photonic_transform_tracks_digital() {
         let mut rng = SimRng::seed_from_u64(2);
-        let frame = synthetic_frame(32, 16, 0, &mut rng);
+        let frame = synthetic_frame(&mut rng);
         let mut digital = Transform::Digital;
-        let enc_d = encode_frame(&frame, 0.8, &mut digital);
-        let dec_d = decode_frame(&enc_d, 32, 16, 0.8);
+        let enc_d = encode_frame(&frame, &mut digital);
+        let dec_d = decode_frame(&enc_d);
         let psnr_digital = psnr(&frame, &dec_d);
 
-        let mut engine = PhotonicMatVec::ideal(8);
+        let mut engine = PhotonicMatVec::ideal();
         let mut photonic = Transform::Photonic(&mut engine);
-        let enc_p = encode_frame(&frame, 0.8, &mut photonic);
-        let dec_p = decode_frame(&enc_p, 32, 16, 0.8);
+        let enc_p = encode_frame(&frame, &mut photonic);
+        let dec_p = decode_frame(&enc_p);
         let psnr_photonic = psnr(&frame, &dec_p);
         assert!(psnr_digital > 28.0, "digital psnr {psnr_digital}");
         assert!(
@@ -395,21 +391,16 @@ mod tests {
     }
 
     #[test]
-    fn lower_quality_means_fewer_bytes() {
+    fn encoded_frame_beats_raw_bytes() {
         let mut rng = SimRng::seed_from_u64(3);
-        let frame = synthetic_frame(32, 16, 1, &mut rng);
+        let frame = synthetic_frame(&mut rng);
         let mut tf = Transform::Digital;
-        let hi: usize = encode_frame(&frame, 1.0, &mut tf)
+        let bytes: usize = encode_frame(&frame, &mut tf)
             .iter()
             .map(|b| b.rle.len() * 3)
             .sum();
-        let lo: usize = encode_frame(&frame, 0.2, &mut tf)
-            .iter()
-            .map(|b| b.rle.len() * 3)
-            .sum();
-        assert!(lo < hi, "lo {lo} hi {hi}");
-        // And both beat raw (512 pixels × 1 byte).
-        assert!(lo < 512);
+        // Raw is 512 pixels × 1 byte.
+        assert!(bytes < 512, "{bytes} bytes");
     }
 
     #[test]
@@ -425,6 +416,6 @@ mod tests {
     #[should_panic(expected = "multiples of 8")]
     fn odd_frame_dims_panic() {
         let frame = vec![vec![0.0; 10]; 10];
-        encode_frame(&frame, 1.0, &mut Transform::Digital);
+        encode_frame(&frame, &mut Transform::Digital);
     }
 }

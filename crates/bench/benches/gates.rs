@@ -18,7 +18,7 @@
 //!    best of several trials, the robust estimator for "how fast can
 //!    this machine run it".
 
-use ofpc_bench::gate::{best_time, cores, per_call, report, Baseline};
+use ofpc_bench::gate::{best_time, cores, per_call, report, Baseline, Pinned};
 use ofpc_bench::ingest::{mini_config, run_e21};
 use ofpc_bench::resil::{run_e18, E18Config};
 use ofpc_bench::serving;
@@ -494,21 +494,24 @@ fn serve_scale_krps_per_core() -> f64 {
 }
 
 /// Compare every figure (key, this run's value, bound) with its pinned
-/// value, or re-record them all when [`Baseline::pinned`] gives a
-/// reason to. Every figure is checked before the gate fails, so one run
-/// names every regression. With the figures pinned, the vectorized
-/// kernel must also beat the pinned scalar `dot_product_ms` by
-/// [`MIN_KERNEL_SPEEDUP`]×.
+/// value, or print them when [`Baseline::pinned_or_record`] has none
+/// (it records them when the file or a key is missing). Every figure
+/// is checked before the gate fails, so one run names every regression.
+/// With the figures pinned, the vectorized kernel must also beat the
+/// pinned scalar `dot_product_ms` by [`MIN_KERNEL_SPEEDUP`]×.
 fn pinned_figures(base: &mut Baseline, figures: &[(&str, f64, Bound)], dot_product_vec_ms: f64) {
-    let keys: Vec<&str> = figures.iter().map(|f| f.0).collect();
-    let pinned = match base.pinned(&keys) {
-        Ok(pinned) => pinned,
-        Err(reason) => {
-            let values: Vec<(&str, f64)> = figures.iter().map(|f| (f.0, f.1)).collect();
-            base.record(&values);
+    let values: Vec<(&str, f64)> = figures.iter().map(|f| (f.0, f.1)).collect();
+    let pinned = match base.pinned_or_record(&values) {
+        Pinned::Figures(pinned) => pinned,
+        Pinned::Nothing { reason, recorded } => {
             println!("kernel_speedup: absolute gate skipped ({reason})");
+            let verb = if recorded {
+                "recorded"
+            } else {
+                "left unchanged"
+            };
             println!(
-                "baseline: recorded new figures ({reason}) on {} core(s):",
+                "baseline: {verb} ({reason}); this run's figures on {} core(s):",
                 cores()
             );
             for (key, value) in values {

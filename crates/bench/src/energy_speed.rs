@@ -87,7 +87,7 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
     // amortized result-readout ADC).
     let mut scenario = Fig1Scenario::build(5);
     let mut rng = SimRng::seed_from_u64(5);
-    scenario.inject_traffic(100, 0, 1_000_000, &mut rng);
+    scenario.inject_traffic(100, 1_000_000, &mut rng);
     scenario.run();
     let report = SystemReport::from_network(&scenario.system.net);
     let measured = report.energy_per_mac_j();

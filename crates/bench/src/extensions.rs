@@ -43,14 +43,7 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
     net.install_shortest_path_routes();
     let sites = [NodeId(1), NodeId(2), NodeId(3)];
     let weights: Vec<f64> = (0..24).map(|i| (i % 8) as f64 / 8.0).collect();
-    let plan = install_distributed_dot(
-        &mut net,
-        &sites,
-        100,
-        &weights,
-        Network::node_prefix(NodeId(4)),
-        0.0,
-    );
+    let plan = install_distributed_dot(&mut net, &sites, &weights, Network::node_prefix(NodeId(4)));
     let operands: Vec<f64> = (0..24).map(|i| ((i * 5) % 9) as f64 / 9.0).collect();
     let p = tag_request(
         Network::node_addr(NodeId(0), 1),
@@ -151,8 +144,8 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
     // ---- 4. Coherent QPSK over a long span ----
     let mut rng = SimRng::seed_from_u64(3);
     let mut tx = CoherentTx::ideal(&mut rng);
-    let mut rx = CoherentRx::ideal(&mut rng);
-    let span = ofpc_photonics::fiber::FiberSpan::compensated(80.0);
+    let mut rx = CoherentRx::ideal();
+    let span = ofpc_photonics::fiber::FiberSpan::compensated();
     let bits: Vec<bool> = (0..2_000).map(|i| (i * 13) % 7 < 3).collect();
     let field = span.propagate(&tx.transmit(&bits));
     let got = rx.receive(&field, span_carrier_phase(&span, field.wavelength_m));

@@ -37,7 +37,7 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
     let mut scenario = Fig1Scenario::build(42);
     let mut rng = SimRng::seed_from_u64(1);
     let requests = 200;
-    scenario.inject_traffic(requests, 0, 2_000_000, &mut rng);
+    scenario.inject_traffic(requests, 2_000_000, &mut rng);
     let (delivered, computed) = scenario.run();
     assert_eq!(delivered, 2 * requests);
     let report = SystemReport::from_network(&scenario.system.net);

@@ -5,11 +5,13 @@
 //! `BENCH_BASELINE.json` at the repo root is a flat JSON object: the
 //! figures, plus one core stamp (`cores`) naming the machine shape they
 //! were taken on. The gate compares against them only when they are all
-//! present and stamped with this host's core count; otherwise, or when
-//! `OFPC_BENCH_RECORD` is set, it re-records them instead of failing,
-//! so no gate ever compares numbers from different hardware. A file
-//! that exists but cannot be read or parsed fails the gate and is left
-//! as it is.
+//! present and stamped with this host's core count, so no gate ever
+//! compares numbers from different hardware. It records this run's
+//! figures when the file or a key is missing, or when
+//! `OFPC_BENCH_RECORD` is set. A stamp for another core count is never
+//! overwritten: the gate prints the figures and the reason, compares
+//! nothing, and writes nothing. A file that exists but cannot be read or
+//! parsed fails the gate and is left as it is.
 
 use serde_json::Value;
 use std::io::ErrorKind;
@@ -72,6 +74,16 @@ pub fn report(name: &str, seconds: f64, elements: Option<u64>) {
     println!("{line}");
 }
 
+/// What the baseline holds for one run's figures.
+#[derive(Debug, PartialEq)]
+pub enum Pinned {
+    /// The pinned values, in the order the figures were offered.
+    Figures(Vec<f64>),
+    /// Nothing to compare with, for `reason`; `recorded` says whether
+    /// this run's figures were written.
+    Nothing { reason: String, recorded: bool },
+}
+
 /// A baseline file held as an ordered key/value map, so rewriting it
 /// keeps every key and its position.
 #[derive(Debug)]
@@ -122,29 +134,40 @@ impl Baseline {
         }
     }
 
-    /// The pinned figures for `keys`, in order, when the core stamp says
-    /// they were taken on a host with this many cores. Otherwise the
-    /// reason to re-record: `OFPC_BENCH_RECORD` is set, the stamp or a
-    /// key is missing, or the core counts differ.
-    pub fn pinned(&self, keys: &[&str]) -> Result<Vec<f64>, String> {
-        if std::env::var_os("OFPC_BENCH_RECORD").is_some() {
-            return Err("OFPC_BENCH_RECORD set".to_string());
-        }
-        let figures: Option<Vec<f64>> = keys.iter().map(|k| self.get_num(k)).collect();
-        match (self.get_num(STAMP), figures) {
-            (Some(c), Some(figures)) if c as usize == cores() => Ok(figures),
-            (Some(c), Some(_)) => Err(format!(
-                "baseline is from a {}-core machine, this one has {}",
-                c as usize,
-                cores()
-            )),
-            _ => Err("baseline keys missing".to_string()),
+    /// The pinned values of `figures`' keys, in order, when the core
+    /// stamp says they were taken on a host with this many cores.
+    /// Otherwise nothing to compare with: `figures` are recorded when
+    /// `OFPC_BENCH_RECORD` is set or the stamp or a key is missing, and
+    /// left unwritten when the stamp names another core count.
+    pub fn pinned_or_record(&mut self, figures: &[(&str, f64)]) -> Pinned {
+        let forced = std::env::var_os("OFPC_BENCH_RECORD").is_some();
+        let pinned: Option<Vec<f64>> = figures.iter().map(|f| self.get_num(f.0)).collect();
+        let reason = match (self.get_num(STAMP), pinned) {
+            _ if forced => "OFPC_BENCH_RECORD set".to_string(),
+            (Some(c), Some(pinned)) if c as usize == cores() => return Pinned::Figures(pinned),
+            (Some(c), Some(_)) => {
+                let reason = format!(
+                    "baseline is from a {}-core machine, this one has {}",
+                    c as usize,
+                    cores()
+                );
+                return Pinned::Nothing {
+                    reason,
+                    recorded: false,
+                };
+            }
+            _ => "baseline keys missing".to_string(),
+        };
+        self.record(figures);
+        Pinned::Nothing {
+            reason,
+            recorded: true,
         }
     }
 
     /// Stamp the file with this host's core count, set each figure, and
     /// write it. Keys not named are left in place.
-    pub fn record(&mut self, figures: &[(&str, f64)]) {
+    fn record(&mut self, figures: &[(&str, f64)]) {
         self.set_key(STAMP, Value::UInt(cores() as u64));
         for &(key, value) in figures {
             self.set_key(key, Value::Float(value));
@@ -201,16 +224,46 @@ mod tests {
     }
 
     #[test]
-    fn missing_or_foreign_figures_ask_to_re_record() {
-        let base = Baseline {
-            path: PathBuf::new(),
-            map: vec![
-                ("cores".to_string(), Value::UInt(cores() as u64 + 1)),
-                ("shard_decision_us".to_string(), Value::Float(23.0)),
-            ],
-        };
-        assert!(base.pinned(&["dse_sweep_ms"]).is_err());
-        assert!(base.pinned(&["shard_decision_us"]).is_err());
+    fn missing_figures_are_recorded() {
+        let path = temp_path("missing");
+        std::fs::write(&path, r#"{"cores": 1, "shard_decision_us": 23.0}"#).unwrap();
+
+        let mut base = Baseline::load_from(&path).unwrap();
+        let verdict = base.pinned_or_record(&[("dse_sweep_ms", 9.0)]);
+        let back = Baseline::load_from(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            verdict,
+            Pinned::Nothing {
+                reason: "baseline keys missing".to_string(),
+                recorded: true
+            }
+        );
+        assert_eq!(back.get_num("dse_sweep_ms"), Some(9.0));
+        assert_eq!(back.get_num("shard_decision_us"), Some(23.0));
+    }
+
+    #[test]
+    fn a_foreign_core_stamp_compares_nothing_and_leaves_the_file_unchanged() {
+        let path = temp_path("foreign");
+        let text = format!(r#"{{"cores": {}, "shard_decision_us": 23.0}}"#, cores() + 1);
+        std::fs::write(&path, &text).unwrap();
+
+        let mut base = Baseline::load_from(&path).unwrap();
+        let verdict = base.pinned_or_record(&[("shard_decision_us", 40.0)]);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            matches!(
+                verdict,
+                Pinned::Nothing {
+                    recorded: false,
+                    ..
+                }
+            ),
+            "{verdict:?}"
+        );
+        assert_eq!(bytes, text.as_bytes());
     }
 
     #[test]

@@ -150,8 +150,8 @@ struct AppRow {
 fn e16b_table1_lowering() -> Vec<AppRow> {
     let apps = vec![
         dnn_graph(),
-        ir::correlation_graph(64, 16, 4.0),
-        ir::pattern_match_graph(32, 3.0),
+        ir::correlation_graph(64, 16),
+        ir::pattern_match_graph(32),
     ];
     let cfg = LowerConfig::metro();
     let mut t = Table::new(

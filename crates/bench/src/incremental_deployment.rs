@@ -34,7 +34,7 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
         })
         .collect();
     let order = upgrade_order_by_degree(&topo);
-    let points = deployment_sweep(&topo, &order, 8, &demands);
+    let points = deployment_sweep(&topo, &order, &demands);
 
     let mut t = Table::new(
         "coverage vs upgraded fraction",

@@ -94,8 +94,8 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
 
     // ---- Ablation 2: photonics-aware training ----
     let mut rng = SimRng::seed_from_u64(12);
-    let train = synthetic_glyphs(30, 0.08, &mut rng);
-    let test = synthetic_glyphs(12, 0.08, &mut rng);
+    let train = synthetic_glyphs(30, &mut rng);
+    let test = synthetic_glyphs(12, &mut rng);
     let curve = NonlinearUnit::ideal().transfer_curve(64);
     let scale = 4.0;
 
@@ -119,7 +119,7 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
     };
     let curve_mlp = train_mlp(&[64, 16, 4], &train, &act, &mut rng);
     result.curve_trained_digital_acc = accuracy_with_activation(&curve_mlp, &test, &act);
-    let mut curve_pdnn = deploy_curve_trained(&curve_mlp, scale, 4, &mut rng);
+    let mut curve_pdnn = deploy_curve_trained(&curve_mlp, scale, &mut rng);
     result.curve_trained_photonic_acc = accuracy_photonic(&mut curve_pdnn, &test);
 
     let mut t = Table::new(

@@ -135,15 +135,12 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
         );
         let report = staged_rollout(
             &mut net,
-            Primitive::VectorDotProduct,
             c,
             gap_ps,
             NodeId(0),
             Network::node_addr(NodeId(3), 1),
-            1,
             &[0.5; 4],
             20,
-            1_000_000_000, // 1 ms between packets
         );
         t.row(&[
             format!("{gap_ms}"),

@@ -20,7 +20,7 @@ use ofpc_apps::ml::{
     TrainActivation,
 };
 use ofpc_apps::video::{decode_frame, encode_frame, psnr, synthetic_frame, Transform};
-use ofpc_engine::comparator::{ComparatorConfig, PhotonicComparator};
+use ofpc_engine::comparator::PhotonicComparator;
 use ofpc_engine::mvm::PhotonicMatVec;
 use ofpc_engine::nonlinear::NonlinearUnit;
 use ofpc_par::WorkerPool;
@@ -57,13 +57,13 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
     // ---- C1.1 ML inference ----
     {
         let mut rng = SimRng::seed_from_u64(1);
-        let train = synthetic_glyphs(30, 0.08, &mut rng);
-        let test = synthetic_glyphs(12, 0.08, &mut rng);
+        let train = synthetic_glyphs(30, &mut rng);
+        let test = synthetic_glyphs(12, &mut rng);
         let curve = NonlinearUnit::ideal().transfer_curve(64);
         let act = TrainActivation::ScaledCurve { curve, scale: 4.0 };
         let mlp = train_mlp(&[64, 16, 4], &train, &act, &mut rng);
         let digital_acc = accuracy_with_activation(&mlp, &test, &act);
-        let mut pdnn = deploy_curve_trained(&mlp, 4.0, 4, &mut rng);
+        let mut pdnn = deploy_curve_trained(&mlp, 4.0, &mut rng);
         let photonic_acc = accuracy_photonic(&mut pdnn, &test);
         push(
             UseCaseRow {
@@ -86,13 +86,13 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
     // ---- C1.2 Video encoding ----
     {
         let mut rng = SimRng::seed_from_u64(2);
-        let frame = synthetic_frame(32, 16, 0, &mut rng);
+        let frame = synthetic_frame(&mut rng);
         let mut digital = Transform::Digital;
-        let dec_d = decode_frame(&encode_frame(&frame, 0.8, &mut digital), 32, 16, 0.8);
+        let dec_d = decode_frame(&encode_frame(&frame, &mut digital));
         let psnr_d = psnr(&frame, &dec_d);
-        let mut engine = PhotonicMatVec::ideal(8);
+        let mut engine = PhotonicMatVec::ideal();
         let mut photonic = Transform::Photonic(&mut engine);
-        let dec_p = decode_frame(&encode_frame(&frame, 0.8, &mut photonic), 32, 16, 0.8);
+        let dec_p = decode_frame(&encode_frame(&frame, &mut photonic));
         let psnr_p = psnr(&frame, &dec_p);
         push(
             UseCaseRow {
@@ -202,12 +202,9 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
     {
         let mut rng = SimRng::seed_from_u64(6);
         let mut ecmp = Balancer::EcmpHash;
-        let r_ecmp = run_lb(&mut ecmp, 24, 12, 8_000, 150_000, 0.9, &mut rng);
-        let mut cfg = ComparatorConfig::ideal();
-        cfg.dead_zone = 0.01;
-        let mut cmp_rng = SimRng::seed_from_u64(60);
-        let mut phot = Balancer::Photonic(Box::new(PhotonicComparator::new(cfg, &mut cmp_rng)));
-        let r_phot = run_lb(&mut phot, 24, 12, 8_000, 150_000, 0.9, &mut rng);
+        let r_ecmp = run_lb(&mut ecmp, &mut rng);
+        let mut phot = Balancer::Photonic(Box::new(PhotonicComparator::ideal()));
+        let r_phot = run_lb(&mut phot, &mut rng);
         push(
             UseCaseRow {
                 use_case: "Load balancing".into(),
@@ -236,11 +233,11 @@ pub(crate) fn expt(_pool: &WorkerPool) -> String {
     {
         let mut rng_d = SimRng::seed_from_u64(7);
         let mut det_d = Detector::Digital;
-        let ser_d = measure_ser(8, 4, 12.0, 80, &mut det_d, &mut rng_d);
+        let ser_d = measure_ser(80, &mut det_d, &mut rng_d);
         let mut rng_p = SimRng::seed_from_u64(7);
-        let mut engine = PhotonicMatVec::ideal(8);
+        let mut engine = PhotonicMatVec::ideal();
         let mut det_p = Detector::Photonic(&mut engine);
-        let ser_p = measure_ser(8, 4, 12.0, 80, &mut det_p, &mut rng_p);
+        let ser_p = measure_ser(80, &mut det_p, &mut rng_p);
         push(
             UseCaseRow {
                 use_case: "Massive MIMO".into(),

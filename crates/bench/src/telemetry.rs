@@ -56,7 +56,7 @@ fn run_e13_cut(tel: &Telemetry) -> u64 {
     sys.allocate_and_apply(orch.solver);
     faults::cut_primary(&mut sys);
     let out = orch.recover_from_cut(&mut sys, 1_000_000);
-    trace_recovery(tel, "fiber-cut", &out);
+    trace_recovery(tel, &out);
     assert!(out.fully_applied && out.unsatisfied == 0);
     out.timeline.ttr_ps()
 }

@@ -37,23 +37,25 @@ pub fn upgrade_order_by_degree(topo: &Topology) -> Vec<NodeId> {
     order
 }
 
-/// Sweep upgraded-site counts `0..=n` in the given order, with
-/// `slots_per_site` transponders per upgraded site, solving greedily at
-/// each point (the sweep is about coverage, not solver optimality).
+/// Compute transponders per upgraded site: enough that coverage
+/// (reachability), not slot capacity, is what the sweep measures.
+const SLOTS_PER_SITE: usize = 8;
+
+/// Sweep upgraded-site counts `0..=n` in the given order, with eight
+/// transponders per upgraded site, solving greedily at each point (the
+/// sweep is about coverage, not solver optimality).
 pub fn deployment_sweep(
     topo: &Topology,
     order: &[NodeId],
-    slots_per_site: usize,
     demands: &[Demand],
 ) -> Vec<DeploymentPoint> {
-    assert!(slots_per_site >= 1, "need at least one slot per site");
     assert!(!demands.is_empty(), "need demands to measure coverage");
     let n = topo.node_count();
     let mut points = Vec::with_capacity(order.len() + 1);
     for k in 0..=order.len() {
         let mut slots = vec![0usize; n];
         for &site in &order[..k] {
-            slots[site.0 as usize] = slots_per_site;
+            slots[site.0 as usize] = SLOTS_PER_SITE;
         }
         let instance = enumerate_options(topo, &slots, demands, 8);
         let sol = solve_greedy(&instance);
@@ -122,7 +124,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(1);
         let demands = abilene_demands(12, &mut rng);
         let order = upgrade_order_by_degree(&topo);
-        let points = deployment_sweep(&topo, &order, 2, &demands);
+        let points = deployment_sweep(&topo, &order, &demands);
         assert_eq!(points.len(), 12);
         assert_eq!(points[0].satisfied, 0, "no sites → no compute");
         for w in points.windows(2) {
@@ -146,9 +148,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(2);
         let demands = abilene_demands(16, &mut rng);
         let order = upgrade_order_by_degree(&topo);
-        // Slots sized so coverage (reachability), not slot capacity, is
-        // what the sweep measures.
-        let points = deployment_sweep(&topo, &order, 8, &demands);
+        let points = deployment_sweep(&topo, &order, &demands);
         let at_3 = &points[3];
         assert!(
             at_3.satisfied as f64 / at_3.total_demands as f64 >= 0.9,
@@ -162,7 +162,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(3);
         let demands = abilene_demands(16, &mut rng);
         let order = upgrade_order_by_degree(&topo);
-        let points = deployment_sweep(&topo, &order, 3, &demands);
+        let points = deployment_sweep(&topo, &order, &demands);
         // Compare the first point with full satisfaction against the
         // final point: more sites = shorter detours on average.
         let first_full = points
@@ -181,6 +181,6 @@ mod tests {
     fn empty_demand_set_panics() {
         let topo = Topology::fig1();
         let order = upgrade_order_by_degree(&topo);
-        deployment_sweep(&topo, &order, 1, &[]);
+        deployment_sweep(&topo, &order, &[]);
     }
 }

@@ -48,28 +48,32 @@ pub fn split_weights(weights: &[f64], sites: &[NodeId]) -> Vec<(usize, Vec<f64>)
     out
 }
 
+/// Op id of a distributed dot product's first part.
+const BASE_OP: u16 = 100;
+
+/// Readout noise of each part's engine: the parts are noiseless.
+const NOISE_SIGMA: f64 = 0.0;
+
 /// Install a dot product distributed across `sites` (visited in order)
-/// for traffic destined to `dst_prefix`. Ops get ids
-/// `base_op..base_op+sites.len()`; end hosts tag packets with `base_op`.
+/// for traffic destined to `dst_prefix`. Ops get ids `100..100 +
+/// sites.len()`; end hosts tag packets with the plan's `entry_op`.
 /// Returns the installed plan.
 pub fn install_distributed_dot(
     net: &mut Network,
     sites: &[NodeId],
-    base_op: u16,
     weights: &[f64],
     dst_prefix: Prefix,
-    noise_sigma: f64,
 ) -> DistributedDot {
     let chunks = split_weights(weights, sites);
     assert!(
-        (base_op as usize) + sites.len() <= u16::MAX as usize,
+        (BASE_OP as usize) + sites.len() <= u16::MAX as usize,
         "op id range overflow"
     );
     let mut parts = Vec::with_capacity(sites.len());
     for (i, (&site, (offset, chunk))) in sites.iter().zip(chunks).enumerate() {
-        let op_id = base_op + i as u16;
+        let op_id = BASE_OP + i as u16;
         let next_op = if i + 1 < sites.len() {
-            Some(base_op + i as u16 + 1)
+            Some(BASE_OP + i as u16 + 1)
         } else {
             None
         };
@@ -82,7 +86,7 @@ pub fn install_distributed_dot(
                 offset,
                 next_op,
             },
-            noise_sigma,
+            NOISE_SIGMA,
         );
         // Op-granular routing: packets pending this part head to `site`.
         for r in 0..net.topo.node_count() {
@@ -105,7 +109,7 @@ pub fn install_distributed_dot(
     }
     DistributedDot {
         parts,
-        entry_op: base_op,
+        entry_op: BASE_OP,
     }
 }
 
@@ -152,14 +156,7 @@ mod tests {
         net.install_shortest_path_routes();
         let (a, b, c, d) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
         let weights: Vec<f64> = (0..8).map(|i| (i + 1) as f64 / 8.0).collect();
-        let plan = install_distributed_dot(
-            &mut net,
-            &[b, c],
-            10,
-            &weights,
-            Network::node_prefix(d),
-            0.0,
-        );
+        let plan = install_distributed_dot(&mut net, &[b, c], &weights, Network::node_prefix(d));
         assert_eq!(plan.parts.len(), 2);
         let operands: Vec<f64> = (0..8).map(|i| (8 - i) as f64 / 8.0).collect();
         let p = tag_request(
@@ -203,14 +200,7 @@ mod tests {
         let mut net = Network::new(Topology::line(4, 400.0), SimRng::seed_from_u64(2));
         net.install_shortest_path_routes();
         let (a, b, c, d) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
-        let plan = install_distributed_dot(
-            &mut net,
-            &[b, c],
-            20,
-            &weights,
-            Network::node_prefix(d),
-            0.0,
-        );
+        let plan = install_distributed_dot(&mut net, &[b, c], &weights, Network::node_prefix(d));
         let p = tag_request(
             Network::node_addr(a, 1),
             Network::node_addr(d, 1),

@@ -95,7 +95,7 @@ mod tests {
     fn report_from_fig1_run() {
         let mut s = Fig1Scenario::build(1);
         let mut rng = SimRng::seed_from_u64(1);
-        s.inject_traffic(6, 0, 1_000_000, &mut rng);
+        s.inject_traffic(6, 1_000_000, &mut rng);
         s.run();
         let report = SystemReport::from_network(&s.system.net);
         assert_eq!(report.delivered, 12);

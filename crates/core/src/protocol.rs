@@ -62,23 +62,27 @@ pub struct RolloutReport {
     pub missed: usize,
 }
 
-/// Install compute-detour overrides for (`primitive` → `via`) one router
-/// at a time, `update_gap_ps` apart, while `traffic` packets flow from
-/// `src_node` toward `dst`. Before a router updates, it forwards compute
-/// packets on plain routes (possibly past the engine). Reports how many
-/// packets computed vs missed — the §3 convergence story quantified.
-#[allow(clippy::too_many_arguments)]
+/// Primitive and op id of every rollout packet.
+const ROLLOUT_PRIMITIVE: Primitive = Primitive::VectorDotProduct;
+const ROLLOUT_OP_ID: u16 = 1;
+
+/// Gap between rollout packets: 1 ms.
+const PACKET_GAP_PS: u64 = 1_000_000_000;
+
+/// Install compute-detour overrides for (dot product → `via`) one router
+/// at a time, `update_gap_ps` apart, while `packets` dot-product
+/// requests (op 1), 1 ms apart, flow from `src_node` toward `dst`.
+/// Before a router updates, it forwards compute packets on plain routes
+/// (possibly past the engine). Reports how many packets computed vs
+/// missed — the §3 convergence story quantified.
 pub fn staged_rollout(
     net: &mut Network,
-    primitive: Primitive,
     via: NodeId,
     update_gap_ps: u64,
     src_node: NodeId,
     dst: Addr,
-    op_id: u16,
     operands: &[f64],
     packets: usize,
-    packet_gap_ps: u64,
 ) -> RolloutReport {
     // Precompute each router's first hop toward `via`.
     let node_count = net.topo.node_count();
@@ -102,7 +106,7 @@ pub fn staged_rollout(
     let mut events: Vec<(u64, Result<Packet, usize>)> = Vec::new();
     for (i, p) in (0..packets)
         .map(|i| {
-            let pch = PchHeader::request(primitive, op_id, operands.len() as u16);
+            let pch = PchHeader::request(ROLLOUT_PRIMITIVE, ROLLOUT_OP_ID, operands.len() as u16);
             Packet::compute(
                 Network::node_addr(src_node, 1),
                 dst,
@@ -113,7 +117,7 @@ pub fn staged_rollout(
         })
         .enumerate()
     {
-        events.push((i as u64 * packet_gap_ps, Ok(p)));
+        events.push((i as u64 * PACKET_GAP_PS, Ok(p)));
     }
     for (i, _) in updates.iter().enumerate() {
         events.push(((i as u64 + 1) * update_gap_ps, Err(i)));
@@ -125,8 +129,11 @@ pub fn staged_rollout(
             Ok(packet) => net.inject(t.max(net.now_ps()), src_node, packet),
             Err(idx) => {
                 let (router, link) = updates[idx];
-                net.routing_table_mut(router)
-                    .install_compute_override(dst_prefix, primitive, link);
+                net.routing_table_mut(router).install_compute_override(
+                    dst_prefix,
+                    ROLLOUT_PRIMITIVE,
+                    link,
+                );
             }
         }
     }
@@ -237,15 +244,12 @@ mod tests {
         );
         let report = staged_rollout(
             &mut net,
-            P1,
             b,
             1, // effectively instant updates
             NodeId(0),
             Network::node_addr(NodeId(3), 1),
-            1,
             &[0.5; 4],
             10,
-            1_000_000,
         );
         assert_eq!(report.computed, 10);
         assert_eq!(report.missed, 0);
@@ -269,15 +273,12 @@ mod tests {
         // missing the engine at C entirely.)
         let report = staged_rollout(
             &mut net,
-            P1,
             c,
             5_000_000_000,
             NodeId(0),
             Network::node_addr(NodeId(3), 1),
-            1,
             &[0.5; 4],
             12,
-            1_000_000_000,
         );
         assert!(report.missed > 0, "{report:?}");
         assert!(report.computed > 0, "{report:?}");

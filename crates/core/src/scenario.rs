@@ -100,11 +100,11 @@ impl Fig1Scenario {
     }
 
     /// Inject `n` classification packets and `n` recognition packets
-    /// from A to D, starting at `start_ps` with `gap_ps` spacing.
-    pub fn inject_traffic(&mut self, n: usize, start_ps: u64, gap_ps: u64, rng: &mut SimRng) {
+    /// from A to D, starting at time 0 with `gap_ps` spacing.
+    pub fn inject_traffic(&mut self, n: usize, gap_ps: u64, rng: &mut SimRng) {
         let src = Network::node_addr(self.site_a, 1);
         let dst = Network::node_addr(self.site_d, 1);
-        let mut t = start_ps;
+        let mut t = 0;
         for i in 0..n {
             // Classification request: header bits as operands.
             let header_bits: Vec<f64> = self
@@ -187,7 +187,7 @@ mod tests {
     fn both_apps_compute_in_flight() {
         let mut s = Fig1Scenario::build(11);
         let mut rng = SimRng::seed_from_u64(1);
-        s.inject_traffic(10, 0, 1_000_000, &mut rng);
+        s.inject_traffic(10, 1_000_000, &mut rng);
         let (delivered, computed) = s.run();
         assert_eq!(delivered, 20);
         assert_eq!(computed, 20, "every request computed on fiber");
@@ -204,7 +204,7 @@ mod tests {
         // transit scale.
         let mut s = Fig1Scenario::build(3);
         let mut rng = SimRng::seed_from_u64(2);
-        s.inject_traffic(5, 0, 10_000_000, &mut rng);
+        s.inject_traffic(5, 10_000_000, &mut rng);
         s.run();
         let p99 = s
             .system
@@ -221,7 +221,7 @@ mod tests {
         let run = |seed| {
             let mut s = Fig1Scenario::build(seed);
             let mut rng = SimRng::seed_from_u64(5);
-            s.inject_traffic(8, 0, 500_000, &mut rng);
+            s.inject_traffic(8, 500_000, &mut rng);
             s.run();
             s.system
                 .net

@@ -56,8 +56,8 @@ impl App {
                 );
                 dnn_graph(&mlp, 3.5, 7.2)
             }
-            App::Correlation => correlation_graph(4 * core, core, 4.0),
-            App::PatternMatch => pattern_match_graph(8 * core, 3.0),
+            App::Correlation => correlation_graph(4 * core, core),
+            App::PatternMatch => pattern_match_graph(8 * core),
         }
     }
 }

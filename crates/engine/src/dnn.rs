@@ -87,7 +87,7 @@ impl Mlp {
             let (fan_in, fan_out) = (w[0], w[1]);
             let std = (2.0 / fan_in as f64).sqrt();
             let weights = (0..fan_out)
-                .map(|_| (0..fan_in).map(|_| rng.normal(0.0, std)).collect())
+                .map(|_| (0..fan_in).map(|_| rng.normal(std)).collect())
                 .collect();
             let bias = vec![0.0; fan_out];
             layers.push(DenseLayer { weights, bias });
@@ -382,7 +382,7 @@ mod tests {
     }
 
     fn build_photonic(mlp: &Mlp, calib: &[Vec<f64>]) -> PhotonicDnn {
-        let engine = PhotonicMatVec::ideal(4);
+        let engine = PhotonicMatVec::ideal();
         let act = NonlinearUnit::ideal();
         PhotonicDnn::new(mlp, engine, act, calib)
     }
@@ -461,7 +461,7 @@ mod tests {
         };
         let x = vec![0.8, 0.3];
         let digital = mlp.predict_digital(&x);
-        let engine = PhotonicMatVec::ideal(2);
+        let engine = PhotonicMatVec::ideal();
         let act = NonlinearUnit::ideal();
         let mut pdnn = PhotonicDnn::new(&mlp, engine, act, std::slice::from_ref(&x));
         assert_eq!(pdnn.predict(&x), digital);
@@ -480,7 +480,7 @@ mod tests {
     fn rejects_empty_calibration_set() {
         let mut rng = SimRng::seed_from_u64(6);
         let mlp = tiny_mlp(&mut rng);
-        let engine = PhotonicMatVec::ideal(1);
+        let engine = PhotonicMatVec::ideal();
         let act = NonlinearUnit::ideal();
         PhotonicDnn::new(&mlp, engine, act, &[]);
     }

@@ -221,7 +221,7 @@ impl DotProductUnit {
         // energy (the paper's conversion-saving claim). The weights are
         // digital, so they are quantized and DAC-converted.
         let b_codes: Vec<u64> = b.iter().map(|&x| self.dac.encode_unit(x)).collect();
-        let _ = self.dac.convert(&b_codes, PHOTONIC_LANE_HZ);
+        let _ = self.dac.convert(&b_codes);
         let b_vals: Vec<f64> = b_codes.iter().map(|&c| self.adc.decode_unit(c)).collect();
 
         let light = self.laser.emit(n, PHOTONIC_LANE_HZ);

@@ -12,6 +12,9 @@ use ofpc_photonics::energy::EnergyLedger;
 use ofpc_photonics::wdm::WdmGrid;
 use ofpc_photonics::SimRng;
 
+/// WDM lanes of the ideal engine.
+const IDEAL_LANES: usize = 8;
+
 /// A bank of P1 units, one per WDM lane.
 #[derive(Debug, Clone)]
 pub struct PhotonicMatVec {
@@ -35,10 +38,10 @@ impl PhotonicMatVec {
         PhotonicMatVec { lanes: units }
     }
 
-    /// Ideal engine for algebra tests.
-    pub fn ideal(lanes: usize) -> Self {
+    /// Ideal engine on eight lanes.
+    pub fn ideal() -> Self {
         let mut rng = SimRng::seed_from_u64(0);
-        let mut engine = PhotonicMatVec::new(DotUnitConfig::ideal(), lanes, &mut rng);
+        let mut engine = PhotonicMatVec::new(DotUnitConfig::ideal(), IDEAL_LANES, &mut rng);
         engine.calibrate(64);
         engine
     }
@@ -120,6 +123,15 @@ impl PhotonicMatVec {
 mod tests {
     use super::*;
 
+    /// An ideal engine on `lanes` lanes, calibrated like
+    /// [`PhotonicMatVec::ideal`].
+    fn ideal_lanes(lanes: usize) -> PhotonicMatVec {
+        let mut rng = SimRng::seed_from_u64(0);
+        let mut engine = PhotonicMatVec::new(DotUnitConfig::ideal(), lanes, &mut rng);
+        engine.calibrate(64);
+        engine
+    }
+
     fn exact_matvec(m: &[Vec<f64>], x: &[f64]) -> Vec<f64> {
         m.iter()
             .map(|row| row.iter().zip(x).map(|(a, b)| a * b).sum())
@@ -128,7 +140,7 @@ mod tests {
 
     #[test]
     fn single_lane_matches_exact() {
-        let mut e = PhotonicMatVec::ideal(1);
+        let mut e = ideal_lanes(1);
         let m = vec![vec![0.5, 0.25], vec![1.0, 0.0]];
         let x = vec![0.5, 1.0];
         let got = e.mat_vec_nonneg(&m, &x);
@@ -145,7 +157,7 @@ mod tests {
             .collect();
         let x = vec![0.2, 0.4, 0.6, 0.8];
         let want = exact_matvec(&m, &x);
-        let mut wide = PhotonicMatVec::ideal(4);
+        let mut wide = ideal_lanes(4);
         let got = wide.mat_vec_nonneg(&m, &x);
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 0.02, "got {g} want {w}");
@@ -154,7 +166,7 @@ mod tests {
 
     #[test]
     fn signed_matvec() {
-        let mut e = PhotonicMatVec::ideal(2);
+        let mut e = ideal_lanes(2);
         let m = vec![vec![0.5, -0.5], vec![-1.0, 1.0]];
         let x = vec![1.0, 0.5];
         let got = e.mat_vec_signed(&m, &x);
@@ -166,8 +178,8 @@ mod tests {
 
     #[test]
     fn lanes_speed_up_latency() {
-        let one = PhotonicMatVec::ideal(1);
-        let eight = PhotonicMatVec::ideal(8);
+        let one = ideal_lanes(1);
+        let eight = ideal_lanes(8);
         let l1 = one.latency_s(64, 100);
         let l8 = eight.latency_s(64, 100);
         assert!((l1 / l8 - 8.0).abs() < 0.01, "speedup {}", l1 / l8);
@@ -175,14 +187,14 @@ mod tests {
 
     #[test]
     fn latency_rounds_up_partial_rounds() {
-        let e = PhotonicMatVec::ideal(8);
+        let e = ideal_lanes(8);
         // 9 rows on 8 lanes = 2 rounds.
         assert!((e.latency_s(9, 10) / e.latency_s(8, 10) - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn lanes_have_distinct_wavelengths() {
-        let e = PhotonicMatVec::ideal(4);
+        let e = ideal_lanes(4);
         let wl: std::collections::BTreeSet<u64> = e
             .lanes
             .iter()
@@ -193,7 +205,7 @@ mod tests {
 
     #[test]
     fn mac_count_accumulates() {
-        let mut e = PhotonicMatVec::ideal(2);
+        let mut e = ideal_lanes(2);
         let m = vec![vec![0.1; 16]; 4];
         let x = vec![0.5; 16];
         e.mat_vec_nonneg(&m, &x);
@@ -259,7 +271,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn rejects_ragged_matrix() {
-        let mut e = PhotonicMatVec::ideal(1);
+        let mut e = ideal_lanes(1);
         let m = vec![vec![0.1, 0.2], vec![0.1]];
         e.mat_vec_nonneg(&m, &[0.5, 0.5]);
     }
@@ -267,7 +279,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty")]
     fn rejects_empty_matrix() {
-        let mut e = PhotonicMatVec::ideal(1);
+        let mut e = ideal_lanes(1);
         e.mat_vec_nonneg(&[], &[0.5]);
     }
 }

@@ -32,37 +32,6 @@ const TIA_GAIN_V_A: f64 = 1.6e3;
 /// delay turn-on (larger dead zone at small inputs).
 const GATE_BIAS_V: f64 = -0.45;
 
-/// Configuration of a P3 nonlinear unit. Symbols pass at
-/// [`PHOTONIC_LANE_HZ`].
-#[derive(Debug, Clone)]
-pub struct NonlinearConfig {
-    pub(crate) laser: LaserConfig,
-    /// Input-encoding modulator (maps the digital test value to power;
-    /// in-line deployments receive the power directly).
-    pub(crate) encoder: MzmConfig,
-    /// The gate MZM driven by the tap photovoltage.
-    pub(crate) gate: MzmConfig,
-    pub(crate) tap_pd: PhotodetectorConfig,
-    pub(crate) out_pd: PhotodetectorConfig,
-}
-
-impl NonlinearConfig {
-    pub fn ideal() -> Self {
-        NonlinearConfig {
-            laser: LaserConfig {
-                rin_db_hz: f64::NEG_INFINITY,
-                linewidth_hz: 0.0,
-                wall_plug_w: 0.0,
-                ..LaserConfig::default()
-            },
-            encoder: MzmConfig::ideal(),
-            gate: MzmConfig::ideal(),
-            tap_pd: PhotodetectorConfig::ideal(),
-            out_pd: PhotodetectorConfig::ideal(),
-        }
-    }
-}
-
 /// A P3 electro-optic nonlinear activation unit.
 #[derive(Debug, Clone)]
 pub struct NonlinearUnit {
@@ -78,14 +47,26 @@ pub struct NonlinearUnit {
 }
 
 impl NonlinearUnit {
-    pub fn new(config: NonlinearConfig, rng: &mut SimRng) -> Self {
+    /// A unit built from ideal (noiseless, lossless) parts, symbols
+    /// passing at [`PHOTONIC_LANE_HZ`]. Its three devices each derive
+    /// their stream from `rng`.
+    pub fn new(rng: &mut SimRng) -> Self {
+        let laser = LaserConfig {
+            rin_db_hz: f64::NEG_INFINITY,
+            linewidth_hz: 0.0,
+            wall_plug_w: 0.0,
+            ..LaserConfig::default()
+        };
         NonlinearUnit {
-            laser: Laser::new(config.laser.clone(), rng.derive("p3-laser")),
-            encoder: MachZehnderModulator::new(config.encoder.clone()),
-            gate: MachZehnderModulator::new(config.gate.clone()),
+            laser: Laser::new(laser, rng.derive("p3-laser")),
+            // The input-encoding modulator maps the digital test value to
+            // power; in-line deployments receive the power directly.
+            encoder: MachZehnderModulator::new(MzmConfig::ideal()),
+            // The gate MZM driven by the tap photovoltage.
+            gate: MachZehnderModulator::new(MzmConfig::ideal()),
             tap: Coupler::new(TAP_RATIO, 0.0),
-            tap_pd: Photodetector::new(config.tap_pd.clone(), rng.derive("p3-tap-pd")),
-            out_pd: Photodetector::new(config.out_pd.clone(), rng.derive("p3-out-pd")),
+            tap_pd: Photodetector::new(PhotodetectorConfig::ideal(), rng.derive("p3-tap-pd")),
+            out_pd: Photodetector::new(PhotodetectorConfig::ideal(), rng.derive("p3-out-pd")),
             full_scale_current_a: None,
             activations: 0,
         }
@@ -93,7 +74,7 @@ impl NonlinearUnit {
 
     pub fn ideal() -> Self {
         let mut rng = SimRng::seed_from_u64(0);
-        let mut u = NonlinearUnit::new(NonlinearConfig::ideal(), &mut rng);
+        let mut u = NonlinearUnit::new(&mut rng);
         u.calibrate();
         u
     }
@@ -134,11 +115,6 @@ impl NonlinearUnit {
             .full_scale_current_a
             .expect("NonlinearUnit must be calibrated before use; call calibrate()");
         (self.raw_activate(x) / fs).clamp(0.0, 1.0)
-    }
-
-    /// Apply the nonlinearity element-wise.
-    pub fn activate_vec(&mut self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.activate(x)).collect()
     }
 
     /// Sweep the transfer curve over `steps` points — experiment E2c's
@@ -206,17 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn activate_vec_matches_scalar() {
-        let mut u1 = NonlinearUnit::ideal();
-        let mut u2 = NonlinearUnit::ideal();
-        let xs = [0.0, 0.3, 0.6, 1.0];
-        let v = u1.activate_vec(&xs);
-        for (i, &x) in xs.iter().enumerate() {
-            assert!((v[i] - u2.activate(x)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn tracks_relu_reference_roughly() {
         let mut u = NonlinearUnit::ideal();
         // Find the knee empirically, then compare the top half of the
@@ -238,19 +203,18 @@ mod tests {
     #[should_panic(expected = "calibrated")]
     fn uncalibrated_panics() {
         let mut rng = SimRng::seed_from_u64(0);
-        let mut u = NonlinearUnit::new(NonlinearConfig::ideal(), &mut rng);
+        let mut u = NonlinearUnit::new(&mut rng);
         u.activate(0.5);
     }
 
     #[test]
-    fn energy_and_latency_reported() {
-        let mut rng = SimRng::seed_from_u64(2);
-        let mut cfg = NonlinearConfig::ideal();
-        cfg.laser.wall_plug_w = 1.0;
-        let mut u = NonlinearUnit::new(cfg, &mut rng);
-        u.calibrate();
+    fn ideal_parts_book_no_energy() {
+        let mut u = NonlinearUnit::ideal();
         u.activate(0.5);
-        assert!(u.energy_ledger().total_j() > 0.0);
+        let ledger = u.energy_ledger();
+        for stage in ["laser", "encoder", "gate", "tap-pd", "out-pd"] {
+            assert_eq!(ledger.get(stage), 0.0, "{stage}");
+        }
         assert!(u.latency_s() > 0.0);
     }
 }

@@ -31,36 +31,8 @@ pub enum Tern {
     Wild,
 }
 
-/// Configuration of a ternary matcher (superset of the P2 matcher: the
-/// pattern arm gains an intensity gate for wildcards). Symbols pass at
-/// [`PHOTONIC_LANE_HZ`], and a rule matches below the P2 matcher's
-/// distance threshold.
-#[derive(Debug, Clone)]
-pub struct TernaryConfig {
-    pub(crate) laser: LaserConfig,
-    pub(crate) pm_data: PhaseModulatorConfig,
-    pub(crate) pm_pattern: PhaseModulatorConfig,
-    /// Intensity gate on the pattern arm (dark = wildcard).
-    pub(crate) gate: MzmConfig,
-    pub(crate) pd: PhotodetectorConfig,
-}
-
-impl TernaryConfig {
-    pub fn ideal() -> Self {
-        TernaryConfig {
-            laser: LaserConfig {
-                rin_db_hz: f64::NEG_INFINITY,
-                linewidth_hz: 0.0,
-                wall_plug_w: 0.0,
-                ..LaserConfig::default()
-            },
-            pm_data: PhaseModulatorConfig::ideal(),
-            pm_pattern: PhaseModulatorConfig::ideal(),
-            gate: MzmConfig::ideal(),
-            pd: PhotodetectorConfig::ideal(),
-        }
-    }
-}
+/// Symbols per calibration pass.
+const CALIBRATION_SYMBOLS: usize = 128;
 
 /// Result of a ternary match.
 #[derive(Debug, Clone, Copy)]
@@ -68,44 +40,56 @@ pub struct TernaryResult {
     pub matched: bool,
 }
 
-/// A photonic ternary matcher.
+/// A photonic ternary matcher (the P2 matcher whose pattern arm gains an
+/// intensity gate for wildcards). Symbols pass at [`PHOTONIC_LANE_HZ`],
+/// and a rule matches below the P2 matcher's distance threshold.
 #[derive(Debug, Clone)]
 pub struct TernaryMatcher {
     laser: Laser,
     pm_data: PhaseModulator,
     pm_pattern: PhaseModulator,
+    /// Intensity gate on the pattern arm (dark = wildcard).
     gate: MachZehnderModulator,
     coupler: Coupler,
     pd: Photodetector,
     /// Per-mismatch current (calibrated), A.
-    unit_current_a: Option<f64>,
+    unit_current_a: f64,
     /// Per-wildcard offset current, A.
     wild_current_a: f64,
     /// Matched-floor current per symbol, A.
     floor_current_a: f64,
-    pub symbols_matched: u64,
 }
 
 impl TernaryMatcher {
-    pub fn new(config: TernaryConfig, rng: &mut SimRng) -> Self {
-        TernaryMatcher {
-            laser: Laser::new(config.laser.clone(), rng.derive("tern-laser")),
-            pm_data: PhaseModulator::new(config.pm_data.clone()),
-            pm_pattern: PhaseModulator::new(config.pm_pattern.clone()),
-            gate: MachZehnderModulator::new(config.gate.clone()),
+    /// A matcher built from ideal (noiseless, lossless) parts and
+    /// calibrated.
+    pub fn ideal() -> Self {
+        let mut rng = SimRng::seed_from_u64(0);
+        let laser = LaserConfig {
+            rin_db_hz: f64::NEG_INFINITY,
+            linewidth_hz: 0.0,
+            wall_plug_w: 0.0,
+            ..LaserConfig::default()
+        };
+        let mut m = TernaryMatcher {
+            laser: Laser::new(laser, rng.derive("tern-laser")),
+            pm_data: PhaseModulator::new(PhaseModulatorConfig::ideal()),
+            pm_pattern: PhaseModulator::new(PhaseModulatorConfig::ideal()),
+            gate: MachZehnderModulator::new(MzmConfig::ideal()),
             coupler: Coupler::three_db(),
-            pd: Photodetector::new(config.pd.clone(), rng.derive("tern-pd")),
-            unit_current_a: None,
+            pd: Photodetector::new(PhotodetectorConfig::ideal(), rng.derive("tern-pd")),
+            unit_current_a: 0.0,
             wild_current_a: 0.0,
             floor_current_a: 0.0,
-            symbols_matched: 0,
-        }
+        };
+        m.calibrate();
+        m
     }
 
     /// Calibrate the three per-symbol currents: matched floor, mismatch
     /// unit, and wildcard offset.
-    pub fn calibrate(&mut self, n: usize) {
-        assert!(n > 0, "calibration needs at least one symbol");
+    fn calibrate(&mut self) {
+        let n = CALIBRATION_SYMBOLS;
         let zeros = vec![false; n];
         let ones = vec![true; n];
         let p_zero = vec![Tern::Zero; n];
@@ -116,10 +100,9 @@ impl TernaryMatcher {
         let floor = all_match / n as f64;
         let unit = (all_mismatch - all_match) / n as f64;
         assert!(unit > 0.0, "calibration failed: no mismatch contrast");
-        self.unit_current_a = Some(unit);
+        self.unit_current_a = unit;
         self.floor_current_a = floor;
         self.wild_current_a = all_wild / n as f64;
-        self.symbols_matched = self.symbols_matched.saturating_sub(3 * n as u64);
     }
 
     fn raw_pass(&mut self, data: &[bool], pattern: &[Tern]) -> f64 {
@@ -170,15 +153,12 @@ impl TernaryMatcher {
         enc_pattern.rotate_phase(-std::f64::consts::PI);
         let (_sum, diff) = self.coupler.combine(&enc_data, &enc_pattern);
         let current = self.pd.detect(&diff);
-        self.symbols_matched += n as u64;
         current.samples.iter().sum()
     }
 
     /// Match data bits against a ternary pattern.
     pub fn match_block(&mut self, data: &[bool], pattern: &[Tern]) -> TernaryResult {
-        let unit = self
-            .unit_current_a
-            .expect("TernaryMatcher must be calibrated before use; call calibrate()");
+        let unit = self.unit_current_a;
         let wilds = pattern.iter().filter(|&&t| t == Tern::Wild).count();
         let cared = data.len() - wilds;
         let charge = self.raw_pass(data, pattern);
@@ -197,13 +177,6 @@ impl TernaryMatcher {
 mod tests {
     use super::*;
 
-    fn ideal() -> TernaryMatcher {
-        let mut rng = SimRng::seed_from_u64(0);
-        let mut m = TernaryMatcher::new(TernaryConfig::ideal(), &mut rng);
-        m.calibrate(64);
-        m
-    }
-
     fn bits(s: &str) -> Vec<bool> {
         s.chars().map(|c| c == '1').collect()
     }
@@ -221,7 +194,7 @@ mod tests {
 
     #[test]
     fn exact_pattern_matches() {
-        let mut m = ideal();
+        let mut m = TernaryMatcher::ideal();
         let data = bits("10110010");
         let pattern = pattern("10110010");
         let r = m.match_block(&data, &pattern);
@@ -230,7 +203,7 @@ mod tests {
 
     #[test]
     fn wildcards_ignore_disagreement() {
-        let mut m = ideal();
+        let mut m = TernaryMatcher::ideal();
         // Pattern cares only about the first 4 bits.
         let pattern = pattern("1011****");
         assert!(m.match_block(&bits("10110000"), &pattern).matched);
@@ -240,7 +213,7 @@ mod tests {
 
     #[test]
     fn all_wild_pattern_matches_anything() {
-        let mut m = ideal();
+        let mut m = TernaryMatcher::ideal();
         let pattern = pattern("********");
         assert!(m.match_block(&bits("10110010"), &pattern).matched);
         assert!(m.match_block(&bits("01001101"), &pattern).matched);
@@ -250,18 +223,10 @@ mod tests {
     fn prefix_match_models_ip_lpm() {
         // A /4 prefix rule on an 8-bit address space — exactly the IP
         // routing use-case shape from Table 1.
-        let mut m = ideal();
+        let mut m = TernaryMatcher::ideal();
         let rule_1010 = pattern("1010****");
         assert!(m.match_block(&bits("10101111"), &rule_1010).matched);
         assert!(m.match_block(&bits("10100000"), &rule_1010).matched);
         assert!(!m.match_block(&bits("10111111"), &rule_1010).matched);
-    }
-
-    #[test]
-    #[should_panic(expected = "calibrated")]
-    fn uncalibrated_panics() {
-        let mut rng = SimRng::seed_from_u64(0);
-        let mut m = TernaryMatcher::new(TernaryConfig::ideal(), &mut rng);
-        m.match_block(&[true], &[Tern::One]);
     }
 }

@@ -98,16 +98,20 @@ impl Orchestrator {
     }
 }
 
-/// Emit one recovery pass as structured trace events on
+/// The fault kind every traced recovery answers.
+const KIND: &str = "fiber-cut";
+
+/// Emit one fiber-cut recovery pass as structured trace events on
 /// [`track::RECOVERY`] and bump the `recoveries_total{kind}` counter.
 ///
 /// Each recovery gets its own trace lane (`tid = fault_at_ps`, unique in
-/// a deterministic schedule), carrying an instant `fault.<kind>` marker
-/// at the fault instant, one span per [`RecoveryTimeline::stages`] stage,
-/// and a closing `recovery.complete` instant with the outcome counts.
-/// [`Orchestrator`] stays `Copy`; callers thread the handle explicitly.
-pub fn trace_recovery(tel: &Telemetry, kind: &str, outcome: &RecoveryOutcome) {
-    tel.counter("recoveries_total", &labels(&[("kind", kind)]))
+/// a deterministic schedule), carrying an instant `fault.fiber-cut`
+/// marker at the fault instant, one span per [`RecoveryTimeline::stages`]
+/// stage, and a closing `recovery.complete` instant with the outcome
+/// counts. [`Orchestrator`] stays `Copy`; callers thread the handle
+/// explicitly.
+pub fn trace_recovery(tel: &Telemetry, outcome: &RecoveryOutcome) {
+    tel.counter("recoveries_total", &labels(&[("kind", KIND)]))
         .inc();
     if !tel.is_enabled() {
         return;
@@ -118,9 +122,9 @@ pub fn trace_recovery(tel: &Telemetry, kind: &str, outcome: &RecoveryOutcome) {
         track::RECOVERY,
         tid,
         "fault",
-        &format!("fault.{kind}"),
+        &format!("fault.{KIND}"),
         tl.fault_at_ps,
-        vec![("kind".into(), kind.into())],
+        vec![("kind".into(), KIND.into())],
     );
     for (name, start, end) in tl.stages() {
         tel.span(track::RECOVERY, tid, "recovery", name, start, end);
@@ -132,7 +136,7 @@ pub fn trace_recovery(tel: &Telemetry, kind: &str, outcome: &RecoveryOutcome) {
         "recovery.complete",
         tl.installed_at_ps,
         vec![
-            ("kind".into(), kind.into()),
+            ("kind".into(), KIND.into()),
             (
                 "routers_updated".into(),
                 outcome.routers_updated.to_string(),

@@ -306,9 +306,16 @@ pub fn dnn_graph(mlp: &Mlp, hidden_bits: f64, output_bits: f64) -> WorkGraph {
     WorkGraph::chain("dnn-inference", &ops)
 }
 
+/// Precision every op of the correlation graph needs, bits.
+const CORRELATION_BITS: f64 = 4.0;
+
+/// Precision every op of the pattern-match graph needs, bits.
+const MATCH_BITS: f64 = 3.0;
+
 /// The Table-1 intrusion-detection shape: digital framing, a sliding
-/// correlation against the signature, and a threshold compare.
-pub fn correlation_graph(window: usize, pattern_len: usize, bits: f64) -> WorkGraph {
+/// correlation against the signature, and a threshold compare, each at
+/// 4 bits.
+pub fn correlation_graph(window: usize, pattern_len: usize) -> WorkGraph {
     assert!(
         pattern_len >= 1 && window >= pattern_len,
         "window must cover the pattern"
@@ -323,34 +330,34 @@ pub fn correlation_graph(window: usize, pattern_len: usize, bits: f64) -> WorkGr
                     output_len: window,
                     macs: window as u64,
                 },
-                bits,
+                CORRELATION_BITS,
             ),
             (
                 OpKind::Correlate {
                     pattern_len,
                     window,
                 },
-                bits,
+                CORRELATION_BITS,
             ),
-            (OpKind::Compare { width: scores }, bits),
+            (OpKind::Compare { width: scores }, CORRELATION_BITS),
         ],
     )
 }
 
 /// The Table-1 IP-routing shape: a photonic block match followed by a
-/// one-value digital decision.
-pub fn pattern_match_graph(pattern_len: usize, bits: f64) -> WorkGraph {
+/// one-value digital decision, each at 3 bits.
+pub fn pattern_match_graph(pattern_len: usize) -> WorkGraph {
     WorkGraph::chain(
         "pattern-match",
         &[
-            (OpKind::Match { pattern_len }, bits),
+            (OpKind::Match { pattern_len }, MATCH_BITS),
             (
                 OpKind::Digital {
                     input_len: 1,
                     output_len: 1,
                     macs: 8,
                 },
-                bits,
+                MATCH_BITS,
             ),
         ],
     )
@@ -468,8 +475,8 @@ mod tests {
 
     #[test]
     fn table1_builders_validate() {
-        correlation_graph(64, 16, 4.0).validate().expect("corr");
-        pattern_match_graph(32, 3.0).validate().expect("match");
+        correlation_graph(64, 16).validate().expect("corr");
+        pattern_match_graph(32).validate().expect("match");
     }
 
     #[test]

@@ -533,7 +533,28 @@ mod tests {
 
     #[test]
     fn digital_neighbors_merge() {
-        let g = correlation_graph(64, 16, 30.0); // 30 bits: nothing photonic
+        // The correlation shape at 30 bits: nothing photonic.
+        let g = WorkGraph::chain(
+            "correlation-detect",
+            &[
+                (
+                    OpKind::Digital {
+                        input_len: 64,
+                        output_len: 64,
+                        macs: 64,
+                    },
+                    30.0,
+                ),
+                (
+                    OpKind::Correlate {
+                        pattern_len: 16,
+                        window: 64,
+                    },
+                    30.0,
+                ),
+                (OpKind::Compare { width: 49 }, 30.0),
+            ],
+        );
         let plan = lower(&g, &test_cfg(ErrorBudget::realistic())).expect("lowers");
         assert_eq!(plan.stages.len(), 1, "all-digital chain collapses");
         assert_eq!(plan.stages[0].target, Target::Digital);
@@ -542,7 +563,7 @@ mod tests {
 
     #[test]
     fn correlation_mixes_targets() {
-        let g = correlation_graph(64, 16, 4.0);
+        let g = correlation_graph(64, 16);
         let plan = lower(&g, &test_cfg(ErrorBudget::realistic())).expect("lowers");
         assert_eq!(plan.stages.len(), 3);
         assert_eq!(plan.stages[0].target, Target::Digital);

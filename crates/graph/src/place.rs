@@ -234,7 +234,7 @@ mod tests {
 
     #[test]
     fn digital_stages_stay_at_previous_site() {
-        let g = crate::ir::correlation_graph(64, 16, 4.0);
+        let g = crate::ir::correlation_graph(64, 16);
         let cfg = LowerConfig {
             budget: ErrorBudget::realistic(),
             model: ServiceModel::from_transponder(&ComputeTransponderConfig::realistic(), 4),

@@ -30,11 +30,15 @@ use std::collections::HashMap;
 /// Default router egress queue capacity, bytes (1 MB class).
 pub(crate) const DEFAULT_QUEUE_BYTES: usize = 1 << 20;
 
-/// Photonic engine symbol rate used for in-flight op latency, Hz.
-pub(crate) const ENGINE_SYMBOL_RATE_HZ: f64 = 32e9;
-
 /// Fixed analog pipeline latency per in-flight operation, ps.
-pub(crate) const ENGINE_FIXED_LATENCY_PS: u64 = 5_000; // 5 ns
+const ENGINE_LATENCY_PS: u64 = (constants::ENGINE_LATENCY_S * 1e12) as u64;
+
+/// Latency of one in-flight operation over `n` operand symbols, ps: the
+/// engine's fixed pipeline latency plus `n` symbols at the lane rate.
+fn engine_latency_ps(n: usize) -> u64 {
+    let symbol_ps = (n as f64 / constants::PHOTONIC_LANE_HZ * 1e12).round() as u64;
+    ENGINE_LATENCY_PS + symbol_ps
+}
 
 /// The operation semantics installed in an engine slot.
 #[derive(Debug, Clone, PartialEq)]
@@ -459,9 +463,10 @@ impl Network {
         self.events.now_ps()
     }
 
-    /// Queue occupancy in `[0,1]` — the analog the load balancer reads.
-    pub fn queue_occupancy(&self, link: LinkId, a_to_b: bool) -> f64 {
-        self.dirs[Self::dir_index(link, a_to_b)].queue.occupancy()
+    /// Queue occupancy of `link`'s A→B direction in `[0,1]` — the analog
+    /// the load balancer reads.
+    pub fn queue_occupancy(&self, link: LinkId) -> f64 {
+        self.dirs[Self::dir_index(link, true)].queue.occupancy()
     }
 
     fn dir_index(link: LinkId, a_to_b: bool) -> usize {
@@ -646,7 +651,7 @@ impl Network {
         let operands = packet.operands();
         let n = operands.len();
         let noise = if slot.noise_sigma > 0.0 {
-            self.rng.normal(0.0, slot.noise_sigma)
+            self.rng.normal(slot.noise_sigma)
         } else {
             0.0
         };
@@ -680,8 +685,7 @@ impl Network {
                 }
                 None => pch.finish_partial(partial),
             }
-            let symbol_ps = (part_len as f64 / ENGINE_SYMBOL_RATE_HZ * 1e12).round() as u64;
-            return Some(ENGINE_FIXED_LATENCY_PS + symbol_ps);
+            return Some(engine_latency_ps(part_len));
         }
         let result = match &slot.spec {
             OpSpec::Dot { weights } => {
@@ -717,8 +721,7 @@ impl Network {
             .as_mut()
             .expect("checked above")
             .mark_computed(result);
-        let symbol_ps = (n as f64 / ENGINE_SYMBOL_RATE_HZ * 1e12).round() as u64;
-        Some(ENGINE_FIXED_LATENCY_PS + symbol_ps)
+        Some(engine_latency_ps(n))
     }
 
     fn forward(&mut self, node: NodeId, mut packet: Packet) {
@@ -999,6 +1002,84 @@ mod tests {
         assert_eq!(net.stats.delivered_count(), 1);
         assert!(!net.stats.delivered[0].computed);
         assert_eq!(net.engines_at(b)[0].executions, 0);
+    }
+
+    /// Send one 8-operand dot-product request from n0 to n3 of a 4-node
+    /// line whose engines are `engines` (node, op id, spec), tagged with
+    /// `op_id`; return whether it was computed and its latency, ps.
+    fn line_delivery(engines: &[(u32, u16, OpSpec)], op_id: u16) -> (bool, u64) {
+        let mut net = Network::new(Topology::line(4, 100.0), SimRng::seed_from_u64(0));
+        net.install_shortest_path_routes();
+        for (node, op, spec) in engines {
+            net.add_engine(NodeId(*node), *op, spec.clone(), 0.0);
+        }
+        let pch = PchHeader::request(Primitive::VectorDotProduct, op_id, 8);
+        let p = Packet::compute(
+            Network::node_addr(NodeId(0), 1),
+            Network::node_addr(NodeId(3), 1),
+            1,
+            pch,
+            Packet::encode_operands(&[0.5; 8]),
+        );
+        net.inject(0, NodeId(0), p);
+        net.run_to_idle();
+        assert_eq!(net.stats.delivered_count(), 1);
+        let rec = &net.stats.delivered[0];
+        (rec.computed, rec.latency_ps())
+    }
+
+    /// The engine's fixed latency plus `n` symbols at the lane rate, ps.
+    fn engine_hop_ps(n: usize) -> u64 {
+        (constants::ENGINE_LATENCY_S * 1e12) as u64
+            + (n as f64 / constants::PHOTONIC_LANE_HZ * 1e12).round() as u64
+    }
+
+    #[test]
+    fn engine_hop_adds_fixed_latency_plus_operand_symbols() {
+        // A whole dot product at n1; op 99 matches no engine and passes
+        // through the same path uncomputed.
+        let dot = [(
+            1,
+            1,
+            OpSpec::Dot {
+                weights: vec![1.0; 8],
+            },
+        )];
+        let (computed, with_engine) = line_delivery(&dot, 1);
+        let (skipped, pass_through) = line_delivery(&dot, 99);
+        assert!(computed && !skipped);
+        assert_eq!(with_engine - pass_through, engine_hop_ps(8));
+
+        // A two-part chain: 3 operands at n1, then 5 at n2. Each part pays
+        // the fixed latency and its own symbols (94 ps and 156 ps round
+        // differently from 250 ps for all 8).
+        let chain = [
+            (
+                1,
+                1,
+                OpSpec::DotPartial {
+                    weights: vec![1.0; 3],
+                    offset: 0,
+                    next_op: Some(2),
+                },
+            ),
+            (
+                2,
+                2,
+                OpSpec::DotPartial {
+                    weights: vec![1.0; 5],
+                    offset: 3,
+                    next_op: None,
+                },
+            ),
+        ];
+        let (computed, with_engines) = line_delivery(&chain, 1);
+        let (skipped, pass_through) = line_delivery(&chain, 99);
+        assert!(computed && !skipped);
+        assert_eq!(
+            with_engines - pass_through,
+            engine_hop_ps(3) + engine_hop_ps(5)
+        );
     }
 
     #[test]

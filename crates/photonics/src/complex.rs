@@ -36,7 +36,7 @@ impl Complex {
 
     /// Squared magnitude `|z|²` (optical power for a field envelope).
     #[inline]
-    pub fn norm_sqr(self) -> f64 {
+    pub(crate) fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 

@@ -7,6 +7,7 @@
 //! per-sample energy cost, so experiment E3 can count exactly how many
 //! joules the photonic-engine receive path saves.
 
+use crate::energy::constants::PHOTONIC_LANE_HZ;
 use crate::rng::SimRng;
 use crate::signal::AnalogWaveform;
 
@@ -95,20 +96,21 @@ impl Dac {
         1u64 << self.config.bits
     }
 
-    /// Convert a block of digital codes to voltages. Codes are clamped to
-    /// the valid range (saturation, not wraparound). The output waveform
-    /// runs at the part's effective rate: a DAC driven past its maximum
-    /// sample rate stretches symbol time rather than dropping samples.
-    pub fn convert(&mut self, codes: &[u64], sample_rate_hz: f64) -> AnalogWaveform {
+    /// Convert a block of digital codes to voltages at the photonic lane
+    /// rate. Codes are clamped to the valid range (saturation, not
+    /// wraparound). The output waveform runs at the part's effective
+    /// rate: a DAC driven past its maximum sample rate stretches symbol
+    /// time rather than dropping samples.
+    pub fn convert(&mut self, codes: &[u64]) -> AnalogWaveform {
         let max_code = self.levels() - 1;
         let lsb = FULL_SCALE_V / max_code as f64;
-        let rate = self.config.effective_sample_rate_hz(sample_rate_hz);
+        let rate = self.config.effective_sample_rate_hz(PHOTONIC_LANE_HZ);
         let mut out = AnalogWaveform::zeros(codes.len(), rate);
         for (o, &c) in out.samples.iter_mut().zip(codes.iter()) {
             let c = c.min(max_code);
             let mut v = c as f64 * lsb;
             if self.config.noise_rms_v > 0.0 {
-                v += self.rng.normal(0.0, self.config.noise_rms_v);
+                v += self.rng.normal(self.config.noise_rms_v);
             }
             *o = v;
         }
@@ -177,7 +179,7 @@ impl Adc {
         for &v in &input.samples {
             let mut v = v;
             if self.config.noise_rms_v > 0.0 {
-                v += self.rng.normal(0.0, self.config.noise_rms_v);
+                v += self.rng.normal(self.config.noise_rms_v);
             }
             let code = (v / lsb).round().clamp(0.0, max_code as f64) as u64;
             out.push(code);
@@ -208,7 +210,7 @@ mod tests {
         let mut dac = Dac::ideal(8);
         let mut adc = Adc::ideal(8);
         let codes: Vec<u64> = (0..256).collect();
-        let wave = dac.convert(&codes, RATE);
+        let wave = dac.convert(&codes);
         let back = adc.convert(&wave);
         assert_eq!(codes, back);
     }
@@ -216,7 +218,7 @@ mod tests {
     #[test]
     fn dac_clamps_out_of_range_codes() {
         let mut dac = Dac::ideal(4);
-        let wave = dac.convert(&[100_000], RATE);
+        let wave = dac.convert(&[100_000]);
         assert!((wave.samples[0] - 1.0).abs() < 1e-12);
     }
 
@@ -247,7 +249,7 @@ mod tests {
         for i in 0..200 {
             let x = i as f64 / 199.0;
             let code = dac.encode_unit(x);
-            let wave = dac.convert(&[code], RATE);
+            let wave = dac.convert(&[code]);
             let back = adc.convert(&wave);
             let y = adc.decode_unit(back[0]);
             assert!((x - y).abs() <= 0.5 * lsb + 1e-12);
@@ -263,7 +265,7 @@ mod tests {
             },
             SimRng::seed_from_u64(0),
         );
-        dac.convert(&[0; 1000], RATE);
+        dac.convert(&[0; 1000]);
         assert!((dac.energy_consumed_j() - 2e-9).abs() < 1e-18);
     }
 
@@ -275,7 +277,7 @@ mod tests {
         };
         let mut converted = Dac::new(cfg.clone(), SimRng::seed_from_u64(0));
         let mut charged = Dac::new(cfg, SimRng::seed_from_u64(0));
-        converted.convert(&[0; 1000], RATE);
+        converted.convert(&[0; 1000]);
         charged.charge_samples(1000);
         assert_eq!(converted.samples_converted, charged.samples_converted);
         assert_eq!(
@@ -358,7 +360,7 @@ mod tests {
             ..ConverterConfig::ideal(8)
         };
         let mut dac = Dac::new(slow.clone(), SimRng::seed_from_u64(0));
-        let wave = dac.convert(&[0, 128, 255], 10e9);
+        let wave = dac.convert(&[0, 128, 255]);
         assert_eq!(wave.sample_rate_hz, 1e6);
         // Below the wall the requested rate wins.
         assert_eq!(slow.effective_sample_rate_hz(0.5e6), 0.5e6);
@@ -366,7 +368,7 @@ mod tests {
         let free = ConverterConfig::ideal(8);
         assert_eq!(free.effective_sample_rate_hz(10e9), 10e9);
         let mut fast = Dac::new(free, SimRng::seed_from_u64(0));
-        assert_eq!(fast.convert(&[1], 10e9).sample_rate_hz, 10e9);
+        assert_eq!(fast.convert(&[1]).sample_rate_hz, PHOTONIC_LANE_HZ);
     }
 
     #[test]

@@ -72,11 +72,13 @@ impl Coupler {
     }
 }
 
-/// A lossless 1×N power splitter dividing input power evenly.
-pub fn split_n(input: &OpticalField, n: usize) -> Vec<OpticalField> {
-    assert!(n >= 1, "cannot split into zero outputs");
-    let scale = (1.0 / n as f64).sqrt();
-    (0..n)
+/// Outputs of the power splitter.
+const SPLIT_WAYS: usize = 2;
+
+/// A lossless 1×2 power splitter dividing input power evenly.
+pub fn split_in_two(input: &OpticalField) -> Vec<OpticalField> {
+    let scale = (1.0 / SPLIT_WAYS as f64).sqrt();
+    (0..SPLIT_WAYS)
         .map(|_| {
             let mut f = input.clone();
             for s in &mut f.samples {
@@ -92,13 +94,12 @@ mod tests {
     use super::*;
 
     const RATE: f64 = 10e9;
-    const WL: f64 = units::C_BAND_WAVELENGTH_M;
 
     #[test]
     fn three_db_coupler_conserves_power() {
         let c = Coupler::three_db();
-        let a = OpticalField::cw(4, 1e-3, RATE, WL);
-        let b = OpticalField::cw(4, 2e-3, RATE, WL);
+        let a = OpticalField::cw(4, 1e-3, RATE);
+        let b = OpticalField::cw(4, 2e-3, RATE);
         let (o1, o2) = c.combine(&a, &b);
         let p_in = a.mean_power_w() + b.mean_power_w();
         let p_out = o1.mean_power_w() + o2.mean_power_w();
@@ -110,7 +111,7 @@ mod tests {
         // Equal in-phase fields through a 3-dB coupler: all power exits
         // one port (the classic interferometer null).
         let c = Coupler::three_db();
-        let a = OpticalField::cw(1, 1e-3, RATE, WL);
+        let a = OpticalField::cw(1, 1e-3, RATE);
         let (o1, o2) = c.combine(&a, &a);
         let total = o1.power_at(0) + o2.power_at(0);
         assert!((total - 2e-3).abs() < 1e-15);
@@ -121,8 +122,8 @@ mod tests {
     #[test]
     fn quadrature_inputs_route_to_one_port() {
         let c = Coupler::three_db();
-        let a = OpticalField::cw(1, 1e-3, RATE, WL);
-        let mut b = OpticalField::cw(1, 1e-3, RATE, WL);
+        let a = OpticalField::cw(1, 1e-3, RATE);
+        let mut b = OpticalField::cw(1, 1e-3, RATE);
         b.rotate_phase(std::f64::consts::FRAC_PI_2);
         let (o1, o2) = c.combine(&a, &b);
         // a + i·b with b = i·a gives o1 = (a + i²a)/√2 = 0.
@@ -133,7 +134,7 @@ mod tests {
     #[test]
     fn split_halves_power() {
         let c = Coupler::three_db();
-        let input = OpticalField::cw(4, 1e-3, RATE, WL);
+        let input = OpticalField::cw(4, 1e-3, RATE);
         let (o1, o2) = c.split(&input);
         assert!((o1.mean_power_w() - 0.5e-3).abs() < 1e-15);
         assert!((o2.mean_power_w() - 0.5e-3).abs() < 1e-15);
@@ -142,7 +143,7 @@ mod tests {
     #[test]
     fn asymmetric_coupler_ratio() {
         let c = Coupler::new(0.1, 0.0);
-        let input = OpticalField::cw(1, 1e-3, RATE, WL);
+        let input = OpticalField::cw(1, 1e-3, RATE);
         let (o1, o2) = c.split(&input);
         assert!((o1.power_at(0) - 0.9e-3).abs() < 1e-15);
         assert!((o2.power_at(0) - 0.1e-3).abs() < 1e-15);
@@ -151,15 +152,15 @@ mod tests {
     #[test]
     fn excess_loss_applies() {
         let c = Coupler::new(0.5, 3.0103);
-        let input = OpticalField::cw(1, 1e-3, RATE, WL);
+        let input = OpticalField::cw(1, 1e-3, RATE);
         let (o1, o2) = c.split(&input);
         assert!((o1.power_at(0) + o2.power_at(0) - 0.5e-3).abs() < 1e-9);
     }
 
     #[test]
-    fn split_n_conserves_power() {
-        let input = OpticalField::cw(4, 1e-3, RATE, WL);
-        let outs = split_n(&input, 7);
+    fn split_in_two_conserves_power() {
+        let input = OpticalField::cw(4, 1e-3, RATE);
+        let outs = split_in_two(&input);
         let total: f64 = outs.iter().map(|f| f.mean_power_w()).sum();
         assert!((total - 1e-3).abs() < 1e-15);
     }
@@ -174,8 +175,8 @@ mod tests {
     #[should_panic(expected = "sample-aligned")]
     fn rejects_mismatched_lengths() {
         let c = Coupler::three_db();
-        let a = OpticalField::cw(2, 1e-3, RATE, WL);
-        let b = OpticalField::cw(3, 1e-3, RATE, WL);
+        let a = OpticalField::cw(2, 1e-3, RATE);
+        let b = OpticalField::cw(3, 1e-3, RATE);
         c.combine(&a, &b);
     }
 }

@@ -31,6 +31,10 @@ pub mod constants {
     /// symbol rate as the per-lane MAC rate.
     pub const PHOTONIC_LANE_HZ: f64 = 32e9;
 
+    /// Fixed pipeline latency of every photonic engine (analog
+    /// settling), s.
+    pub const ENGINE_LATENCY_S: f64 = 5e-9;
+
     /// High-speed DAC energy per sample, J (~pJ/sample class).
     pub const DAC_SAMPLE_J: f64 = 1.5e-12;
 

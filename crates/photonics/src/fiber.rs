@@ -9,6 +9,9 @@
 use crate::signal::OpticalField;
 use crate::units;
 
+/// Length of a dispersion-compensated span, km.
+const COMPENSATED_SPAN_KM: f64 = 80.0;
+
 /// A span of standard single-mode fiber.
 #[derive(Debug, Clone)]
 pub struct FiberSpan {
@@ -31,15 +34,15 @@ impl FiberSpan {
         }
     }
 
-    /// A dispersion-compensated span: same loss and delay as SMF, zero
-    /// residual dispersion. Deployed WAN links are dispersion-managed
-    /// (DCF spools or coherent-DSP equalization), so frame transport in
-    /// the network simulator uses this variant; the uncompensated
-    /// [`FiberSpan::smf`] stays available for physical-layer experiments.
-    pub fn compensated(length_km: f64) -> Self {
+    /// An 80 km dispersion-compensated span: same loss and delay as SMF,
+    /// zero residual dispersion. Deployed WAN links are
+    /// dispersion-managed (DCF spools or coherent-DSP equalization); the
+    /// uncompensated [`FiberSpan::smf`] stays available for
+    /// physical-layer experiments.
+    pub fn compensated() -> Self {
         FiberSpan {
             dispersion_ps_nm_km: 0.0,
-            ..FiberSpan::smf(length_km)
+            ..FiberSpan::smf(COMPENSATED_SPAN_KM)
         }
     }
 
@@ -109,7 +112,7 @@ mod tests {
     fn loss_is_02_db_per_km() {
         let span = FiberSpan::smf(100.0);
         assert!((span.total_loss_db() - 20.0).abs() < 1e-12);
-        let input = OpticalField::cw(4, 1e-3, RATE, WL);
+        let input = OpticalField::cw(4, 1e-3, RATE);
         let out = span.propagate(&input);
         assert!((out.mean_power_w() - 1e-5).abs() / 1e-5 < 1e-9);
     }
@@ -117,7 +120,7 @@ mod tests {
     #[test]
     fn zero_length_span_is_identity() {
         let span = FiberSpan::smf(0.0);
-        let input = OpticalField::cw(4, 1e-3, RATE, WL);
+        let input = OpticalField::cw(4, 1e-3, RATE);
         let out = span.propagate(&input);
         assert_eq!(out.samples, input.samples);
     }

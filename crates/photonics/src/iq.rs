@@ -163,7 +163,7 @@ mod tests {
     #[test]
     fn iq_modulator_writes_both_quadratures() {
         let mut iq = IqModulator::new(MzmConfig::ideal());
-        let carrier = OpticalField::cw(4, 1e-3, RATE, WL);
+        let carrier = OpticalField::cw(4, 1e-3, RATE);
         let amps = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.7, -0.7)];
         let di = AnalogWaveform::new(
             amps.iter()
@@ -214,7 +214,7 @@ mod tests {
     fn coherent_gain_scales_with_lo_power() {
         // The balanced output ∝ √(P_sig·P_lo): a stronger LO amplifies a
         // weak signal above the thermal floor — coherent sensitivity.
-        let weak = OpticalField::cw(1, 1e-9, RATE, WL); // -60 dBm
+        let weak = OpticalField::cw(1, 1e-9, RATE); // -60 dBm
         let mut rng = SimRng::seed_from_u64(1);
         let mut cfg = CoherentRxConfig::ideal();
         cfg.lo.power_dbm = 0.0;
@@ -232,7 +232,7 @@ mod tests {
     fn round_trip_iq_to_coherent() {
         let mut iq = IqModulator::new(MzmConfig::ideal());
         let mut rx = CoherentReceiver::ideal();
-        let carrier = OpticalField::cw(8, 1e-3, RATE, WL);
+        let carrier = OpticalField::cw(8, 1e-3, RATE);
         let symbols: Vec<(f64, f64)> = (0..8)
             .map(|k| {
                 let a = 0.7;

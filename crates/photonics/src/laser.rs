@@ -78,12 +78,12 @@ impl Laser {
         };
         for s in &mut field.samples {
             let p = if rin_sigma > 0.0 {
-                (p0 + self.rng.normal(0.0, rin_sigma)).max(0.0)
+                (p0 + self.rng.normal(rin_sigma)).max(0.0)
             } else {
                 p0
             };
             if phase_sigma > 0.0 {
-                self.phase += self.rng.normal(0.0, phase_sigma);
+                self.phase += self.rng.normal(phase_sigma);
             }
             *s = crate::Complex::from_polar(p.sqrt(), self.phase);
         }

@@ -323,10 +323,9 @@ mod tests {
     use crate::signal::OpticalField;
 
     const RATE: f64 = 10e9;
-    const WL: f64 = units::C_BAND_WAVELENGTH_M;
 
     fn cw(n: usize) -> OpticalField {
-        OpticalField::cw(n, 1e-3, RATE, WL)
+        OpticalField::cw(n, 1e-3, RATE)
     }
 
     #[test]

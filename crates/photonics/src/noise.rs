@@ -22,12 +22,14 @@ pub(crate) fn shot_noise_sigma_a(current_a: f64, bandwidth_hz: f64) -> f64 {
     (2.0 * units::ELEMENTARY_CHARGE * current_a.abs() * bandwidth_hz.max(0.0)).sqrt()
 }
 
-/// Thermal-noise standard deviation (amps) for load resistance
-/// `load_ohms` over bandwidth `bandwidth_hz` at temperature `temp_k`.
+/// Load resistance the thermal noise is referred to, ohms.
+const LOAD_OHMS: f64 = 50.0;
+
+/// Thermal-noise standard deviation (amps) of the 50 Ω detector load
+/// over bandwidth `bandwidth_hz` at room temperature.
 #[inline]
-pub(crate) fn thermal_noise_sigma_a(load_ohms: f64, bandwidth_hz: f64, temp_k: f64) -> f64 {
-    assert!(load_ohms > 0.0, "load resistance must be positive");
-    (4.0 * units::BOLTZMANN * temp_k * bandwidth_hz.max(0.0) / load_ohms).sqrt()
+pub(crate) fn thermal_noise_sigma_a(bandwidth_hz: f64) -> f64 {
+    (4.0 * units::BOLTZMANN * units::ROOM_TEMP_K * bandwidth_hz.max(0.0) / LOAD_OHMS).sqrt()
 }
 
 /// RIN-induced power standard deviation (watts) on mean optical power
@@ -62,14 +64,8 @@ mod tests {
     #[test]
     fn thermal_noise_textbook_value() {
         // 4kTΔf/R with R=50Ω, Δf=10GHz, T=290K → σ ≈ 1.79 µA.
-        let s = thermal_noise_sigma_a(50.0, 10e9, units::ROOM_TEMP_K);
+        let s = thermal_noise_sigma_a(10e9);
         assert!((s - 1.79e-6).abs() / 1.79e-6 < 0.01, "got {s}");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn thermal_noise_rejects_zero_resistance() {
-        thermal_noise_sigma_a(0.0, 1e9, 290.0);
     }
 
     #[test]

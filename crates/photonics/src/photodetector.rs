@@ -12,13 +12,9 @@
 use crate::noise;
 use crate::rng::SimRng;
 use crate::signal::{AnalogWaveform, OpticalField};
-use crate::units;
 
 /// Responsivity of every detector, A/W (InGaAs at 1550 nm: ~0.9–1.1).
 pub const RESPONSIVITY_A_W: f64 = 1.0;
-
-/// Load resistance the thermal noise is referred to, ohms.
-const LOAD_OHMS: f64 = 50.0;
 
 /// Configuration of a PIN photodetector front end. Every detector runs
 /// at [`RESPONSIVITY_A_W`] into a 50 Ω load at room temperature.
@@ -94,7 +90,7 @@ impl Photodetector {
         let bw = self.noise_bandwidth(input.sample_rate_hz);
         let mut out = AnalogWaveform::zeros(input.len(), input.sample_rate_hz);
         let thermal_sigma = if self.config.thermal_noise {
-            noise::thermal_noise_sigma_a(LOAD_OHMS, bw, units::ROOM_TEMP_K)
+            noise::thermal_noise_sigma_a(bw)
         } else {
             0.0
         };
@@ -102,10 +98,10 @@ impl Photodetector {
             let mut i = RESPONSIVITY_A_W * s.norm_sqr() + self.config.dark_current_a;
             if self.config.shot_noise {
                 let sigma = noise::shot_noise_sigma_a(i, bw);
-                i += self.rng.normal(0.0, sigma);
+                i += self.rng.normal(sigma);
             }
             if thermal_sigma > 0.0 {
-                i += self.rng.normal(0.0, thermal_sigma);
+                i += self.rng.normal(thermal_sigma);
             }
             *o = i;
         }
@@ -131,7 +127,7 @@ impl Photodetector {
     pub fn detect_power_block(&mut self, samples: &mut [f64], sample_rate_hz: f64) {
         let bw = self.noise_bandwidth(sample_rate_hz);
         let thermal_var = if self.config.thermal_noise {
-            let sigma = noise::thermal_noise_sigma_a(LOAD_OHMS, bw, units::ROOM_TEMP_K);
+            let sigma = noise::thermal_noise_sigma_a(bw);
             sigma * sigma
         } else {
             0.0
@@ -186,6 +182,7 @@ impl Photodetector {
 mod tests {
     use super::*;
     use crate::complex::Complex;
+    use crate::units;
 
     const RATE: f64 = 10e9;
     const WL: f64 = units::C_BAND_WAVELENGTH_M;
@@ -193,8 +190,8 @@ mod tests {
     #[test]
     fn ideal_detection_is_linear_in_power() {
         let mut pd = Photodetector::new(PhotodetectorConfig::ideal(), SimRng::seed_from_u64(0));
-        let f1 = OpticalField::cw(8, 1e-3, RATE, WL);
-        let f2 = OpticalField::cw(8, 2e-3, RATE, WL);
+        let f1 = OpticalField::cw(8, 1e-3, RATE);
+        let f2 = OpticalField::cw(8, 2e-3, RATE);
         let i1 = pd.detect(&f1).mean();
         let i2 = pd.detect(&f2).mean();
         assert!((i1 - 1e-3).abs() < 1e-15);
@@ -207,7 +204,7 @@ mod tests {
         // from unmodulated light — the motivation for interference-based
         // pattern matching (Fig. 2b).
         let mut pd = Photodetector::new(PhotodetectorConfig::ideal(), SimRng::seed_from_u64(0));
-        let mut f = OpticalField::cw(16, 1e-3, RATE, WL);
+        let mut f = OpticalField::cw(16, 1e-3, RATE);
         for (i, s) in f.samples.iter_mut().enumerate() {
             *s = s.rotate(i as f64 * 0.7);
         }
@@ -264,7 +261,7 @@ mod tests {
             },
             SimRng::seed_from_u64(1),
         );
-        let f = OpticalField::cw(40_000, 1e-3, RATE, WL);
+        let f = OpticalField::cw(40_000, 1e-3, RATE);
         let out = pd.detect(&f);
         let mean = out.mean();
         let var = out.samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / out.len() as f64;
@@ -281,7 +278,7 @@ mod tests {
         // At -40 dBm the thermal term should dwarf shot noise.
         let p = units::dbm_to_watts(-40.0);
         let shot = noise::shot_noise_sigma_a(p, RATE / 2.0);
-        let thermal = noise::thermal_noise_sigma_a(50.0, RATE / 2.0, units::ROOM_TEMP_K);
+        let thermal = noise::thermal_noise_sigma_a(RATE / 2.0);
         assert!(thermal > 5.0 * shot);
     }
 
@@ -294,7 +291,7 @@ mod tests {
             },
             SimRng::seed_from_u64(0),
         );
-        let f = OpticalField::cw(10_000, 1e-3, RATE, WL);
+        let f = OpticalField::cw(10_000, 1e-3, RATE);
         pd.detect(&f);
         let expect = 0.5 * 10_000.0 / RATE;
         assert!((pd.energy_consumed_j() - expect).abs() < 1e-12);
@@ -313,7 +310,7 @@ mod tests {
             };
             let mut aos = Photodetector::new(cfg.clone(), SimRng::seed_from_u64(4));
             let mut soa = Photodetector::new(cfg, SimRng::seed_from_u64(4));
-            let mut f = OpticalField::cw(32, 1e-3, RATE, WL);
+            let mut f = OpticalField::cw(32, 1e-3, RATE);
             for (i, s) in f.samples.iter_mut().enumerate() {
                 *s = s.scale(((i % 7) as f64 + 1.0) / 7.0);
             }
@@ -345,7 +342,7 @@ mod tests {
         let var: f64 =
             samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / samples.len() as f64;
         let shot = noise::shot_noise_sigma_a(p, RATE / 2.0);
-        let thermal = noise::thermal_noise_sigma_a(50.0, RATE / 2.0, units::ROOM_TEMP_K);
+        let thermal = noise::thermal_noise_sigma_a(RATE / 2.0);
         let expect = (shot * shot + thermal * thermal).sqrt();
         assert!((mean - p).abs() < 5.0 * expect / 200.0, "mean {mean}");
         assert!(
@@ -360,7 +357,7 @@ mod tests {
         let cfg = PhotodetectorConfig::default();
         let mut a = Photodetector::new(cfg.clone(), SimRng::seed_from_u64(9));
         let mut b = Photodetector::new(cfg, SimRng::seed_from_u64(9));
-        let f = OpticalField::cw(64, 1e-3, RATE, WL);
+        let f = OpticalField::cw(64, 1e-3, RATE);
         assert_eq!(a.detect(&f).samples, b.detect(&f).samples);
     }
 }

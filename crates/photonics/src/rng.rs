@@ -93,10 +93,11 @@ impl SimRng {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Normal sample with the given mean and standard deviation.
+    /// Zero-mean normal sample with the given standard deviation. The
+    /// leading `0.0 +` turns a `-0.0` product into `+0.0`.
     #[inline]
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.standard_normal()
+    pub fn normal(&mut self, std_dev: f64) -> f64 {
+        0.0 + std_dev * self.standard_normal()
     }
 
     /// Exponential sample with the given rate (events per unit time).

@@ -34,13 +34,14 @@ impl OpticalField {
         }
     }
 
-    /// Continuous-wave field: every sample at amplitude `sqrt(power_w)`.
-    pub fn cw(n: usize, power_w: f64, sample_rate_hz: f64, wavelength_m: f64) -> Self {
+    /// Continuous-wave C-band field: every sample at amplitude
+    /// `sqrt(power_w)`.
+    pub fn cw(n: usize, power_w: f64, sample_rate_hz: f64) -> Self {
         let amp = power_w.max(0.0).sqrt();
         OpticalField {
             samples: vec![Complex::new(amp, 0.0); n],
             sample_rate_hz,
-            wavelength_m,
+            wavelength_m: crate::units::C_BAND_WAVELENGTH_M,
         }
     }
 
@@ -157,7 +158,7 @@ mod tests {
 
     #[test]
     fn cw_power_is_uniform() {
-        let f = OpticalField::cw(64, 2e-3, RATE, WL);
+        let f = OpticalField::cw(64, 2e-3, RATE);
         assert!((f.mean_power_w() - 2e-3).abs() < 1e-15);
     }
 
@@ -169,7 +170,7 @@ mod tests {
 
     #[test]
     fn attenuation_halves_power_at_3db() {
-        let mut f = OpticalField::cw(8, 1e-3, RATE, WL);
+        let mut f = OpticalField::cw(8, 1e-3, RATE);
         f.attenuate_db(3.0103);
         assert!((f.mean_power_w() - 0.5e-3).abs() < 1e-9);
     }
@@ -177,14 +178,14 @@ mod tests {
     #[test]
     fn attenuation_is_loss_even_for_negative_input() {
         // Sign mistakes must not create gain.
-        let mut f = OpticalField::cw(8, 1e-3, RATE, WL);
+        let mut f = OpticalField::cw(8, 1e-3, RATE);
         f.attenuate_db(-3.0);
         assert!(f.mean_power_w() < 1e-3);
     }
 
     #[test]
     fn phase_rotation_preserves_power() {
-        let mut f = OpticalField::cw(8, 1e-3, RATE, WL);
+        let mut f = OpticalField::cw(8, 1e-3, RATE);
         f.rotate_phase(1.234);
         assert!((f.mean_power_w() - 1e-3).abs() < 1e-18);
         assert!((f.samples[0].arg() - 1.234).abs() < 1e-12);
@@ -192,7 +193,7 @@ mod tests {
 
     #[test]
     fn duration_is_samples_over_rate() {
-        let f = OpticalField::cw(1000, 1e-3, RATE, WL);
+        let f = OpticalField::cw(1000, 1e-3, RATE);
         assert!((f.duration_s() - 1000.0 / RATE).abs() < 1e-18);
     }
 

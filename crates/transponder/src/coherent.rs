@@ -10,6 +10,7 @@
 //! story; the fiber model's deterministic carrier phase is inverted
 //! exactly).
 
+use ofpc_photonics::energy::constants::PHOTONIC_LANE_HZ;
 use ofpc_photonics::iq::{CoherentReceiver, IqModulator};
 use ofpc_photonics::laser::{Laser, LaserConfig};
 use ofpc_photonics::modulator::MzmConfig;
@@ -29,42 +30,26 @@ pub fn qpsk_slice(i: f64, q: f64) -> (bool, bool) {
     (i > 0.0, q > 0.0)
 }
 
-/// Coherent transmit path: laser → IQ modulator.
+/// Coherent transmit path: laser → IQ modulator, at one symbol per
+/// [`PHOTONIC_LANE_HZ`] period.
 #[derive(Debug)]
 pub struct CoherentTx {
     laser: Laser,
     iq: IqModulator,
-    pub(crate) symbol_rate_hz: f64,
-    pub(crate) bits_sent: u64,
 }
 
 impl CoherentTx {
-    pub(crate) fn new(
-        laser: LaserConfig,
-        mzm: MzmConfig,
-        symbol_rate_hz: f64,
-        rng: &mut SimRng,
-    ) -> Self {
+    pub fn ideal(rng: &mut SimRng) -> Self {
+        let laser = LaserConfig {
+            rin_db_hz: f64::NEG_INFINITY,
+            linewidth_hz: 0.0,
+            wall_plug_w: 0.0,
+            ..LaserConfig::default()
+        };
         CoherentTx {
             laser: Laser::new(laser, rng.derive("coh-tx-laser")),
-            iq: IqModulator::new(mzm),
-            symbol_rate_hz,
-            bits_sent: 0,
+            iq: IqModulator::new(MzmConfig::ideal()),
         }
-    }
-
-    pub fn ideal(rng: &mut SimRng) -> Self {
-        CoherentTx::new(
-            LaserConfig {
-                rin_db_hz: f64::NEG_INFINITY,
-                linewidth_hz: 0.0,
-                wall_plug_w: 0.0,
-                ..LaserConfig::default()
-            },
-            MzmConfig::ideal(),
-            32e9,
-            rng,
-        )
     }
 
     /// Transmit a bit sequence (padded to an even count with a zero).
@@ -75,7 +60,7 @@ impl CoherentTx {
             padded.push(false);
         }
         let n_sym = padded.len() / 2;
-        let carrier = self.laser.emit(n_sym, self.symbol_rate_hz);
+        let carrier = self.laser.emit(n_sym, PHOTONIC_LANE_HZ);
         let mut di = Vec::with_capacity(n_sym);
         let mut dq = Vec::with_capacity(n_sym);
         for pair in padded.chunks(2) {
@@ -83,13 +68,11 @@ impl CoherentTx {
             di.push(self.iq.drive_for_amplitude(i));
             dq.push(self.iq.drive_for_amplitude(q));
         }
-        let out = self.iq.modulate(
+        self.iq.modulate(
             &carrier,
-            &AnalogWaveform::new(di, self.symbol_rate_hz),
-            &AnalogWaveform::new(dq, self.symbol_rate_hz),
-        );
-        self.bits_sent += bits.len() as u64;
-        out
+            &AnalogWaveform::new(di, PHOTONIC_LANE_HZ),
+            &AnalogWaveform::new(dq, PHOTONIC_LANE_HZ),
+        )
     }
 }
 
@@ -97,15 +80,12 @@ impl CoherentTx {
 #[derive(Debug)]
 pub struct CoherentRx {
     rx: CoherentReceiver,
-    pub(crate) bits_received: u64,
 }
 
 impl CoherentRx {
-    pub fn ideal(rng: &mut SimRng) -> Self {
-        let _ = rng;
+    pub fn ideal() -> Self {
         CoherentRx {
             rx: CoherentReceiver::ideal(),
-            bits_received: 0,
         }
     }
 
@@ -124,7 +104,6 @@ impl CoherentRx {
             bits.push(b0);
             bits.push(b1);
         }
-        self.bits_received += bits.len() as u64;
         bits
     }
 }
@@ -160,7 +139,7 @@ mod tests {
     fn back_to_back_loopback() {
         let mut rng = SimRng::seed_from_u64(0);
         let mut tx = CoherentTx::ideal(&mut rng);
-        let mut rx = CoherentRx::ideal(&mut rng);
+        let mut rx = CoherentRx::ideal();
         let bits: Vec<bool> = (0..128).map(|i| i % 3 == 0).collect();
         let field = tx.transmit(&bits);
         assert_eq!(field.len(), 64, "2 bits per symbol");
@@ -172,7 +151,7 @@ mod tests {
     fn odd_bit_counts_pad() {
         let mut rng = SimRng::seed_from_u64(1);
         let mut tx = CoherentTx::ideal(&mut rng);
-        let mut rx = CoherentRx::ideal(&mut rng);
+        let mut rx = CoherentRx::ideal();
         let bits = vec![true, false, true];
         let got = rx.receive(&tx.transmit(&bits), 0.0);
         assert_eq!(&got[..3], &bits[..]);
@@ -183,8 +162,8 @@ mod tests {
     fn survives_a_long_span_with_carrier_recovery() {
         let mut rng = SimRng::seed_from_u64(2);
         let mut tx = CoherentTx::ideal(&mut rng);
-        let mut rx = CoherentRx::ideal(&mut rng);
-        let span = FiberSpan::compensated(80.0);
+        let mut rx = CoherentRx::ideal();
+        let span = FiberSpan::compensated();
         let bits: Vec<bool> = (0..200).map(|i| (i * 7) % 5 < 2).collect();
         let field = span.propagate(&tx.transmit(&bits));
         let phase = span_carrier_phase(&span, field.wavelength_m);
@@ -198,10 +177,10 @@ mod tests {
         // demonstrating why the DSP's carrier recovery is load-bearing.
         let mut rng = SimRng::seed_from_u64(3);
         let mut tx = CoherentTx::ideal(&mut rng);
-        let mut rx = CoherentRx::ideal(&mut rng);
+        let mut rx = CoherentRx::ideal();
         // Pick a span whose carrier phase is near 45°(mod 90°) so the
         // uncorrected constellation lands between decision boundaries.
-        let mut span = FiberSpan::compensated(80.0);
+        let mut span = FiberSpan::compensated();
         let wl = ofpc_photonics::units::C_BAND_WAVELENGTH_M;
         let mut best_km = span.length_km;
         let mut best_err = f64::MAX;
@@ -239,7 +218,6 @@ mod tests {
         cfg.pd = ofpc_photonics::photodetector::PhotodetectorConfig::default();
         let mut rx = CoherentRx {
             rx: CoherentReceiver::new(cfg, &mut rng),
-            bits_received: 0,
         };
         let mut field = tx.transmit(&bits);
         field.attenuate_db(53.0); // 13 dBm launch → −40 dBm received

@@ -25,7 +25,7 @@ use crate::frame::{Frame, FrameError};
 use crate::rxpath::{RxConfig, RxPath};
 use crate::txpath::{TxConfig, TxPath};
 use ofpc_engine::matcher::{MatcherConfig, PatternMatcher};
-use ofpc_engine::nonlinear::{NonlinearConfig, NonlinearUnit};
+use ofpc_engine::nonlinear::NonlinearUnit;
 use ofpc_engine::Primitive;
 use ofpc_photonics::energy::EnergyLedger;
 use ofpc_photonics::modulator::{MachZehnderModulator, MzmConfig};
@@ -80,8 +80,8 @@ pub enum ComputeResult {
     Dot(f64),
     /// P2 match outcome.
     Match { matched: bool, distance: f64 },
-    /// P3: number of elements transformed (the transformed segment rides
-    /// the regenerated output field).
+    /// P3: number of elements the activation covers. No caller reads
+    /// the activated light, so none is synthesized.
     Nonlinear { elements: usize },
 }
 
@@ -110,10 +110,6 @@ pub fn decode_result(bytes: [u8; 4]) -> f64 {
     i32::from_be_bytes(bytes) as f64 / 65536.0
 }
 
-/// Fixed engine pipeline latency of every compute transponder, seconds
-/// (analog settling).
-pub const ENGINE_LATENCY_S: f64 = 5e-9;
-
 /// Configuration for the photonic compute transponder.
 #[derive(Debug, Clone)]
 pub struct ComputeTransponderConfig {
@@ -127,8 +123,6 @@ pub struct ComputeTransponderConfig {
     pub(crate) monitor_pd: PhotodetectorConfig,
     /// Matcher hardware for preamble detection and the P2 op.
     pub(crate) matcher: MatcherConfig,
-    /// P3 activation hardware.
-    pub(crate) nonlinear: NonlinearConfig,
     /// Single result-readout ADC energy, J.
     pub result_adc_energy_j: f64,
 }
@@ -142,7 +136,6 @@ impl ComputeTransponderConfig {
             engine_pd: PhotodetectorConfig::ideal(),
             monitor_pd: PhotodetectorConfig::ideal(),
             matcher: MatcherConfig::ideal(),
-            nonlinear: NonlinearConfig::ideal(),
             result_adc_energy_j: 0.0,
         }
     }
@@ -155,7 +148,6 @@ impl ComputeTransponderConfig {
             engine_pd: PhotodetectorConfig::default(),
             monitor_pd: PhotodetectorConfig::default(),
             matcher: MatcherConfig::realistic(),
-            nonlinear: NonlinearConfig::ideal(),
             result_adc_energy_j: ofpc_photonics::energy::constants::ADC_SAMPLE_J,
         }
     }
@@ -200,8 +192,6 @@ pub struct PhotonicComputeTransponder {
     loaded_op: Option<ComputeOp>,
     /// Calibrated engine unit current (per unit operand×weight), A.
     engine_unit_a: Option<f64>,
-    /// Expected received '1'-level power, W (from the link budget).
-    one_level_w: Option<f64>,
     /// Monitor slicing threshold, A.
     monitor_threshold_a: Option<f64>,
     pub(crate) result_readouts: u64,
@@ -213,7 +203,7 @@ impl PhotonicComputeTransponder {
         let rx = RxPath::new(config.rx.clone(), rng);
         let mut matcher = PatternMatcher::new(config.matcher.clone(), rng);
         matcher.calibrate(64);
-        let mut nonlinear = NonlinearUnit::new(config.nonlinear.clone(), rng);
+        let mut nonlinear = NonlinearUnit::new(rng);
         nonlinear.calibrate();
         PhotonicComputeTransponder {
             tx,
@@ -226,7 +216,6 @@ impl PhotonicComputeTransponder {
             config,
             loaded_op: None,
             engine_unit_a: None,
-            one_level_w: None,
             monitor_threshold_a: None,
             result_readouts: 0,
         }
@@ -245,7 +234,6 @@ impl PhotonicComputeTransponder {
     /// current via a training block through the weight arm.
     pub fn calibrate(&mut self, one_level_w: f64) {
         assert!(one_level_w > 0.0, "one-level power must be positive");
-        self.one_level_w = Some(one_level_w);
         self.rx.calibrate_for_one_level(one_level_w);
         let i_one = self.monitor_pd.expected_current_a(one_level_w);
         let i_zero = self.monitor_pd.expected_current_a(0.0);
@@ -253,7 +241,7 @@ impl PhotonicComputeTransponder {
         // Training block: unit-level CW through the weight MZM at full
         // transmission, averaged to beat the noise down.
         let k = 256;
-        let cw = OpticalField::cw(k, one_level_w, self.tx.config.line_rate_bps, 1550e-9);
+        let cw = OpticalField::cw(k, one_level_w, self.tx.config.line_rate_bps);
         let drive = AnalogWaveform::new(
             vec![self.weight_mzm.drive_for_transmission(1.0); k],
             self.tx.config.line_rate_bps,
@@ -317,7 +305,7 @@ impl PhotonicComputeTransponder {
             .engine_unit_a
             .expect("transponder must be calibrated before use; call calibrate()");
         let dark = self.engine_pd.expected_current_a(0.0);
-        let rails = ofpc_photonics::coupler::split_n(operand_field, 2);
+        let rails = ofpc_photonics::coupler::split_in_two(operand_field);
         let mut pass = |field: &OpticalField, rail: &dyn Fn(f64) -> f64| -> f64 {
             let drive = AnalogWaveform::new(
                 weights
@@ -347,7 +335,7 @@ impl PhotonicComputeTransponder {
         let off = Frame::find_preamble(&bits).ok_or(FrameError::BadPreamble(0))?;
         let (mut frame, consumed) = Frame::from_bits(&bits[off..])?;
         let mut computed = None;
-        let mut latency = ENGINE_LATENCY_S;
+        let mut latency = ofpc_photonics::energy::constants::ENGINE_LATENCY_S;
         if frame.is_compute() {
             if let Some(op) = self.loaded_op.clone() {
                 if op.wire_tag() == frame.op {
@@ -406,18 +394,9 @@ impl PhotonicComputeTransponder {
                     distance: r.distance_estimate,
                 }
             }
-            ComputeOp::Nonlinear { len } => {
-                let one = self.one_level_w.unwrap_or(1e-3);
-                let values: Vec<f64> = operand_field
-                    .samples
-                    .iter()
-                    .map(|s| (s.norm_sqr() / one).clamp(0.0, 1.0))
-                    .collect();
-                let _transformed = self.nonlinear.activate_vec(&values);
-                ComputeResult::Nonlinear {
-                    elements: (*len).min(values.len()),
-                }
-            }
+            ComputeOp::Nonlinear { len } => ComputeResult::Nonlinear {
+                elements: (*len).min(operand_field.len()),
+            },
         }
     }
 
@@ -581,7 +560,7 @@ mod tests {
     fn uncalibrated_process_panics() {
         let mut rng = SimRng::seed_from_u64(1);
         let mut t = PhotonicComputeTransponder::new(ComputeTransponderConfig::ideal(), &mut rng);
-        let field = OpticalField::cw(32, 1e-3, 32e9, 1550e-9);
+        let field = OpticalField::cw(32, 1e-3, 32e9);
         let _ = t.process(&field);
     }
 

@@ -141,7 +141,8 @@ pub(crate) mod tests {
     #[test]
     fn span_transfer_with_matched_calibration() {
         let mut rng = SimRng::seed_from_u64(1);
-        let span = FiberSpan::compensated(40.0);
+        let mut span = FiberSpan::compensated();
+        span.length_km = 40.0;
         let (mut tx, mut rx) = link(
             TxConfig::ideal(),
             RxConfig::ideal(),
@@ -156,7 +157,8 @@ pub(crate) mod tests {
     #[test]
     fn realistic_link_survives_metro_distance() {
         let mut rng = SimRng::seed_from_u64(2);
-        let span = FiberSpan::compensated(40.0);
+        let mut span = FiberSpan::compensated();
+        span.length_km = 40.0;
         let (mut tx, mut rx) = link(
             TxConfig::realistic(),
             RxConfig::realistic(),
@@ -188,7 +190,7 @@ pub(crate) mod tests {
     #[test]
     fn attenuated_link_still_decodes_with_adjusted_threshold() {
         let mut rng = SimRng::seed_from_u64(1);
-        let span = FiberSpan::compensated(80.0); // 16 dB loss
+        let span = FiberSpan::compensated(); // 16 dB loss
         let (mut tx, mut rx) = link(
             TxConfig::ideal(),
             RxConfig::ideal(),
@@ -217,7 +219,7 @@ pub(crate) mod tests {
     fn uncalibrated_rx_panics() {
         let mut rng = SimRng::seed_from_u64(0);
         let mut rx = RxPath::new(RxConfig::ideal(), &mut rng);
-        let field = OpticalField::cw(4, 1e-3, 32e9, 1550e-9);
+        let field = OpticalField::cw(4, 1e-3, 32e9);
         rx.receive(&field);
     }
 

@@ -24,14 +24,7 @@ fn main() {
     // A 48-element classifier row, too big for one engine slot in this
     // story: the controller splits it three ways along the path.
     let weights: Vec<f64> = (0..48).map(|i| ((i * 7) % 16) as f64 / 16.0).collect();
-    let plan = install_distributed_dot(
-        &mut net,
-        &sites,
-        100,
-        &weights,
-        Network::node_prefix(dst),
-        0.0,
-    );
+    let plan = install_distributed_dot(&mut net, &sites, &weights, Network::node_prefix(dst));
     println!("distributed plan (entry op {}):", plan.entry_op);
     for &(site, op, offset, len) in &plan.parts {
         println!(

@@ -16,8 +16,8 @@ fn main() {
     let mut rng = SimRng::seed_from_u64(2026);
 
     // 1. Synthetic "camera" data: four 8×8 glyph classes with noise.
-    let train = synthetic_glyphs(40, 0.08, &mut rng);
-    let test = synthetic_glyphs(15, 0.08, &mut rng);
+    let train = synthetic_glyphs(40, &mut rng);
+    let test = synthetic_glyphs(15, &mut rng);
     println!(
         "dataset: {} training / {} test images, {} classes",
         train.len(),
@@ -42,7 +42,7 @@ fn main() {
 
     // 4. Deploy onto the photonic engine: 4 WDM lanes of P1 dot-product
     //    units plus the P3 activation, with the training-time scales.
-    let mut pdnn = deploy_curve_trained(&mlp, scale, 4, &mut rng);
+    let mut pdnn = deploy_curve_trained(&mlp, scale, &mut rng);
     let photonic_acc = accuracy_photonic(&mut pdnn, &test);
     println!("photonic accuracy (on-engine):       {photonic_acc:.3}");
 

@@ -85,7 +85,7 @@ fn main() {
     // Incremental deployment: how coverage grows as sites are upgraded.
     println!("\nincremental deployment (hubs first, 8 slots/site):");
     let order = upgrade_order_by_degree(&topo);
-    let sweep = deployment_sweep(&topo, &order, 8, &demands(&topo, 24, 5));
+    let sweep = deployment_sweep(&topo, &order, &demands(&topo, 24, 5));
     for p in sweep.iter().step_by(2) {
         let bar = "#".repeat(p.satisfied);
         println!(

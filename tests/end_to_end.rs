@@ -86,7 +86,7 @@ fn sim_engine_agrees_with_physical_transponder() {
 fn fig1_scenario_full_stack() {
     let mut s = Fig1Scenario::build(99);
     let mut rng = SimRng::seed_from_u64(4);
-    s.inject_traffic(25, 0, 500_000, &mut rng);
+    s.inject_traffic(25, 500_000, &mut rng);
     let (delivered, computed) = s.run();
     assert_eq!(delivered, 50);
     assert_eq!(computed, 50);

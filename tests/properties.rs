@@ -110,8 +110,8 @@ fn coupler_conserves_power() {
         let p_b = 1e-6 + rng.uniform() * (1e-2 - 1e-6);
         let phase = rng.uniform() * std::f64::consts::TAU;
         let c = Coupler::new(kappa, 0.0);
-        let a = OpticalField::cw(4, p_a, 10e9, 1550e-9);
-        let mut b = OpticalField::cw(4, p_b, 10e9, 1550e-9);
+        let a = OpticalField::cw(4, p_a, 10e9);
+        let mut b = OpticalField::cw(4, p_b, 10e9);
         b.rotate_phase(phase);
         let (o1, o2) = c.combine(&a, &b);
         let p_in = a.mean_power_w() + b.mean_power_w();
@@ -129,7 +129,7 @@ fn attenuation_never_amplifies() {
     for _ in 0..CASES {
         let db = rng.uniform() * 60.0;
         let p = 1e-9 + rng.uniform() * (1e-1 - 1e-9);
-        let mut f = OpticalField::cw(8, p, 10e9, 1550e-9);
+        let mut f = OpticalField::cw(8, p, 10e9);
         f.attenuate_db(db);
         assert!(f.mean_power_w() <= p * (1.0 + 1e-12), "db {db} p {p}");
     }
@@ -370,7 +370,7 @@ fn coherent_loopback_any_bits() {
         let bits = random_bools(&mut rng, 2, 127);
         let mut dev_rng = SimRng::seed_from_u64(0);
         let mut tx = CoherentTx::ideal(&mut dev_rng);
-        let mut rx = CoherentRx::ideal(&mut dev_rng);
+        let mut rx = CoherentRx::ideal();
         let field = tx.transmit(&bits);
         let got = rx.receive(&field, 0.0);
         assert_eq!(&got[..bits.len()], &bits[..]);
@@ -397,7 +397,7 @@ fn photonic_dnn_chain_stays_within_the_lowering_budget() {
     use ofpc_engine::dnn::{argmax, Mlp, PhotonicDnn};
     use ofpc_engine::dot::{DotProductUnit, DotUnitConfig};
     use ofpc_engine::mvm::PhotonicMatVec;
-    use ofpc_engine::nonlinear::{NonlinearConfig, NonlinearUnit};
+    use ofpc_engine::nonlinear::NonlinearUnit;
     use ofpc_engine::precision::measure_precision;
     use ofpc_graph::lower::ErrorBudget;
 
@@ -429,7 +429,7 @@ fn photonic_dnn_chain_stays_within_the_lowering_budget() {
         .collect();
     let mut pdnn = PhotonicDnn::new(&mlp, engine, NonlinearUnit::ideal(), &calib);
     let curve = {
-        let mut p3 = NonlinearUnit::new(NonlinearConfig::ideal(), &mut rng.derive("curve"));
+        let mut p3 = NonlinearUnit::new(&mut rng.derive("curve"));
         p3.calibrate();
         p3.transfer_curve(64)
     };

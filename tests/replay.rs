@@ -62,7 +62,7 @@ fn full_scenario_replays() {
     let run = || {
         let mut s = Fig1Scenario::build(104);
         let mut rng = SimRng::seed_from_u64(104);
-        s.inject_traffic(15, 0, 750_000, &mut rng);
+        s.inject_traffic(15, 750_000, &mut rng);
         s.run();
         s.system
             .net
