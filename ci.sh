@@ -254,6 +254,27 @@ cp -a "$results_copy"/. results/
 rm -rf "$results_copy"
 [ "$expt_status" -eq 0 ]
 
+# The examples assert their own claims and print their results, and no
+# step above runs them. Each runs in release at two workers (`ingest`
+# prints its worker count) and must exit 0 and print exactly its
+# committed examples/<name>.stdout; an example without one fails.
+echo "==> every example runs and prints its committed stdout (release, 2 workers)"
+example_out="$(mktemp)"
+for src in examples/*.rs; do
+    name="$(basename "$src" .rs)"
+    if ! OFPC_WORKERS=2 cargo run --offline --release -q --example "$name" > "$example_out"; then
+        echo "==> FAIL: example $name exited non-zero" >&2
+        rm -f "$example_out"
+        exit 1
+    fi
+    if ! diff -u "examples/$name.stdout" "$example_out" >&2; then
+        echo "==> FAIL: example $name printed other than examples/$name.stdout" >&2
+        rm -f "$example_out"
+        exit 1
+    fi
+done
+rm -f "$example_out"
+
 # Every check no test or expt assert runs: the timing table, the
 # telemetry-overhead, kernel-speedup and 4-worker-speedup gates, and the
 # figures pinned in BENCH_BASELINE.json (ofpc_bench::gate).

@@ -121,13 +121,7 @@ impl PhotonicIds {
         let mut rng = SimRng::seed_from_u64(0);
         let bit_sigs: Vec<Vec<bool>> = signatures.iter().map(|s| bytes_to_bits(s)).collect();
         PhotonicIds {
-            correlator: Correlator::new(
-                MatcherConfig::ideal(),
-                bit_sigs,
-                TOLERANCE_BITS,
-                8,
-                &mut rng,
-            ),
+            correlator: Correlator::new(MatcherConfig::ideal(), bit_sigs, TOLERANCE_BITS, &mut rng),
         }
     }
 

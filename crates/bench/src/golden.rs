@@ -46,7 +46,6 @@ fn kernels_batch() -> Vec<KernelSpec> {
             signatures: vec![sig.clone()],
             stream,
             tolerance: 0.4,
-            stride: 8,
         },
         KernelSpec::MatchBlock {
             data: sig.clone(),

@@ -42,7 +42,6 @@ pub enum KernelSpec {
         signatures: Vec<Vec<bool>>,
         stream: Vec<bool>,
         tolerance: f64,
-        stride: usize,
     },
     /// Single-block pattern match.
     MatchBlock { data: Vec<bool>, pattern: Vec<bool> },
@@ -114,15 +113,9 @@ impl BatchEngine {
                 signatures,
                 stream,
                 tolerance,
-                stride,
             } => {
-                let mut correlator = Correlator::new(
-                    self.matcher_config.clone(),
-                    signatures,
-                    tolerance,
-                    stride,
-                    &mut rng,
-                );
+                let mut correlator =
+                    Correlator::new(self.matcher_config.clone(), signatures, tolerance, &mut rng);
                 KernelOutput::Hits(correlator.scan(&stream))
             }
             KernelSpec::MatchBlock { data, pattern } => {
@@ -163,7 +156,6 @@ mod tests {
                 signatures: vec![sig.clone()],
                 stream,
                 tolerance: 0.5,
-                stride: 8,
             },
             KernelSpec::MatchBlock {
                 data: sig.clone(),

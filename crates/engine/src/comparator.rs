@@ -48,14 +48,8 @@ impl PhotonicComparator {
     /// A comparator built from ideal (noiseless, lossless) parts.
     pub fn ideal() -> Self {
         let mut rng = SimRng::seed_from_u64(0);
-        let laser = LaserConfig {
-            rin_db_hz: f64::NEG_INFINITY,
-            linewidth_hz: 0.0,
-            wall_plug_w: 0.0,
-            ..LaserConfig::default()
-        };
         PhotonicComparator {
-            laser: Laser::new(laser, rng.derive("cmp-laser")),
+            laser: Laser::new(LaserConfig::ideal(), rng.derive("cmp-laser")),
             mzm_a: MachZehnderModulator::new(MzmConfig::ideal()),
             mzm_b: MachZehnderModulator::new(MzmConfig::ideal()),
             pd_a: Photodetector::new(PhotodetectorConfig::ideal(), rng.derive("cmp-pd-a")),

@@ -11,6 +11,9 @@
 use crate::matcher::{MatcherConfig, PatternMatcher};
 use ofpc_photonics::SimRng;
 
+/// Stride in bits between alignments: signatures are byte-aligned.
+const STRIDE: usize = 8;
+
 /// A match hit produced by the correlator.
 #[derive(Debug, Clone, Copy, serde::Serialize)]
 pub struct CorrelationHit {
@@ -29,8 +32,6 @@ pub struct Correlator {
     signatures: Vec<Vec<bool>>,
     /// Maximum Hamming distance still reported as a hit.
     pub(crate) tolerance: f64,
-    /// Stride in bits between alignments (8 = byte-aligned signatures).
-    pub(crate) stride: usize,
 }
 
 impl Correlator {
@@ -40,7 +41,6 @@ impl Correlator {
         config: MatcherConfig,
         signatures: Vec<Vec<bool>>,
         tolerance: f64,
-        stride: usize,
         rng: &mut SimRng,
     ) -> Self {
         assert!(
@@ -51,7 +51,6 @@ impl Correlator {
             signatures.iter().all(|s| !s.is_empty()),
             "signatures must be non-empty"
         );
-        assert!(stride >= 1, "stride must be at least 1 bit");
         // The matcher's own threshold is not used — the correlator applies
         // its tolerance to the analog estimate directly.
         let mut matcher = PatternMatcher::new(config, rng);
@@ -60,7 +59,6 @@ impl Correlator {
             matcher,
             signatures,
             tolerance: tolerance.max(0.0),
-            stride,
         }
     }
 
@@ -83,7 +81,7 @@ impl Correlator {
                         distance: r.distance_estimate,
                     });
                 }
-                offset += self.stride;
+                offset += STRIDE;
             }
         }
         hits.sort_by_key(|h| (h.offset, h.pattern_index));
@@ -98,7 +96,7 @@ impl Correlator {
             if pattern.len() > stream_bits {
                 continue;
             }
-            let alignments = (stream_bits - pattern.len()) / self.stride + 1;
+            let alignments = (stream_bits - pattern.len()) / STRIDE + 1;
             total += alignments as f64 * self.matcher.latency_s(pattern.len());
         }
         total
@@ -122,15 +120,9 @@ mod tests {
     use super::*;
 
     /// Ideal-hardware correlator (for algorithmic tests).
-    fn ideal(signatures: Vec<Vec<bool>>, tolerance: f64, stride: usize) -> Correlator {
+    fn ideal(signatures: Vec<Vec<bool>>, tolerance: f64) -> Correlator {
         let mut rng = SimRng::seed_from_u64(0);
-        Correlator::new(
-            MatcherConfig::ideal(),
-            signatures,
-            tolerance,
-            stride,
-            &mut rng,
-        )
+        Correlator::new(MatcherConfig::ideal(), signatures, tolerance, &mut rng)
     }
 
     #[test]
@@ -145,7 +137,7 @@ mod tests {
     #[test]
     fn finds_planted_signature() {
         let sig = bytes_to_bits(b"EVIL");
-        let mut c = ideal(vec![sig.clone()], 0.0, 8);
+        let mut c = ideal(vec![sig.clone()], 0.0);
         let stream = bytes_to_bits(b"xxxxEVILyyyy");
         let hits = c.scan(&stream);
         assert_eq!(hits.len(), 1);
@@ -156,7 +148,7 @@ mod tests {
     #[test]
     fn clean_stream_has_no_hits() {
         let sig = bytes_to_bits(b"EVIL");
-        let mut c = ideal(vec![sig], 0.0, 8);
+        let mut c = ideal(vec![sig], 0.0);
         let hits = c.scan(&bytes_to_bits(b"perfectly benign payload"));
         assert!(hits.is_empty(), "{hits:?}");
     }
@@ -164,7 +156,7 @@ mod tests {
     #[test]
     fn multiple_signatures_and_occurrences() {
         let sigs = vec![bytes_to_bits(b"AB"), bytes_to_bits(b"CD")];
-        let mut c = ideal(sigs, 0.0, 8);
+        let mut c = ideal(sigs, 0.0);
         let hits = c.scan(&bytes_to_bits(b"ABxCDxAB"));
         let found: Vec<(usize, usize)> = hits.iter().map(|h| (h.offset, h.pattern_index)).collect();
         assert_eq!(found, vec![(0, 0), (24, 1), (48, 0)]);
@@ -177,9 +169,9 @@ mod tests {
         let mut stream = bytes_to_bits(b"...MALWARE!...");
         stream[3 * 8 + 5] = !stream[3 * 8 + 5];
         stream[3 * 8 + 13] = !stream[3 * 8 + 13];
-        let mut exact = ideal(vec![sig.clone()], 0.0, 8);
+        let mut exact = ideal(vec![sig.clone()], 0.0);
         assert!(exact.scan(&stream).is_empty());
-        let mut fuzzy = ideal(vec![sig], 2.0, 8);
+        let mut fuzzy = ideal(vec![sig], 2.0);
         let hits = fuzzy.scan(&stream);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].offset, 24);
@@ -187,23 +179,9 @@ mod tests {
     }
 
     #[test]
-    fn bit_stride_finds_unaligned_match() {
-        let sig = bytes_to_bits(b"XY");
-        // Shift the payload by 3 bits so byte alignment misses it.
-        let mut stream = vec![false; 3];
-        stream.extend(bytes_to_bits(b"XY"));
-        stream.extend(vec![false; 5]);
-        let mut byte_aligned = ideal(vec![sig.clone()], 0.0, 8);
-        assert!(byte_aligned.scan(&stream).is_empty());
-        let mut bit_aligned = ideal(vec![sig], 0.0, 1);
-        let hits = bit_aligned.scan(&stream);
-        assert!(hits.iter().any(|h| h.offset == 3), "{hits:?}");
-    }
-
-    #[test]
     fn pattern_longer_than_stream_is_skipped() {
         let sig = bytes_to_bits(b"LONGPATTERN");
-        let mut c = ideal(vec![sig], 0.0, 8);
+        let mut c = ideal(vec![sig], 0.0);
         assert!(c.scan(&bytes_to_bits(b"hi")).is_empty());
         assert_eq!(c.scan_latency_s(16), 0.0);
     }
@@ -211,7 +189,7 @@ mod tests {
     #[test]
     fn latency_scales_with_stream_and_signatures() {
         let sigs = vec![bytes_to_bits(b"AAAA"), bytes_to_bits(b"BBBB")];
-        let c = ideal(sigs, 0.0, 8);
+        let c = ideal(sigs, 0.0);
         let short = c.scan_latency_s(256);
         let long = c.scan_latency_s(2560);
         assert!(long > 5.0 * short);
@@ -220,6 +198,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one signature")]
     fn rejects_empty_signature_set() {
-        ideal(vec![], 0.0, 8);
+        ideal(vec![], 0.0);
     }
 }

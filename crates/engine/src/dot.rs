@@ -57,12 +57,7 @@ impl DotUnitConfig {
     /// Ideal devices everywhere — algebra validation.
     pub fn ideal() -> Self {
         DotUnitConfig {
-            laser: LaserConfig {
-                rin_db_hz: f64::NEG_INFINITY,
-                linewidth_hz: 0.0,
-                wall_plug_w: 0.0,
-                ..LaserConfig::default()
-            },
+            laser: LaserConfig::ideal(),
             mzm_a: MzmConfig::ideal(),
             mzm_b: MzmConfig::ideal(),
             pd: PhotodetectorConfig::ideal(),
@@ -149,12 +144,17 @@ pub struct DotProductUnit {
 
 impl DotProductUnit {
     pub fn new(config: DotUnitConfig, rng: &mut SimRng) -> Self {
+        let laser = Laser::new(config.laser.clone(), rng.derive("p1-laser"));
+        let pd = Photodetector::new(config.pd.clone(), rng.derive("p1-pd"));
+        // The DAC draws no noise; this draw holds the ADC's and every
+        // later stream in place.
+        rng.derive("p1-dac");
         DotProductUnit {
-            laser: Laser::new(config.laser.clone(), rng.derive("p1-laser")),
+            laser,
             mzm_a: MachZehnderModulator::new(config.mzm_a.clone()),
             mzm_b: MachZehnderModulator::new(config.mzm_b.clone()),
-            pd: Photodetector::new(config.pd.clone(), rng.derive("p1-pd")),
-            dac: Dac::new(config.dac.clone(), rng.derive("p1-dac")),
+            pd,
+            dac: Dac::new(config.dac.clone()),
             adc: Adc::new(config.adc.clone(), rng.derive("p1-adc")),
             config,
             calibration: None,
@@ -219,10 +219,12 @@ impl DotProductUnit {
         let n = a.len();
         // The `a` operand arrived as light: it skips quantization and DAC
         // energy (the paper's conversion-saving claim). The weights are
-        // digital, so they are quantized and DAC-converted.
-        let b_codes: Vec<u64> = b.iter().map(|&x| self.dac.encode_unit(x)).collect();
-        let _ = self.dac.convert(&b_codes);
-        let b_vals: Vec<f64> = b_codes.iter().map(|&c| self.adc.decode_unit(c)).collect();
+        // digital, so they are quantized and pay one DAC conversion each.
+        let b_vals: Vec<f64> = b
+            .iter()
+            .map(|&x| self.adc.decode_unit(self.dac.encode_unit(x)))
+            .collect();
+        self.dac.charge_samples(n as u64);
 
         let light = self.laser.emit(n, PHOTONIC_LANE_HZ);
         // Each value is encoded as the MZM's *power* transmission, so the
@@ -251,8 +253,8 @@ impl DotProductUnit {
     /// loops over one flat buffer — `p[i] = laser power × T_a(aᵢ) ×
     /// T_b(bᵢ)`, then photodetection in place. Physics preserved (same
     /// transfer curves, same noise variances, same energy accounting);
-    /// the per-element DAC conversions the scalar path discards are
-    /// elided and charged via [`Dac::charge_samples`], the laser phase
+    /// the per-element DAC conversions are booked with
+    /// [`Dac::charge_samples`] as in the scalar pass, the laser phase
     /// walk is skipped (invisible to square-law detection), and shot +
     /// thermal noise collapse to one Gaussian draw per sample.
     fn raw_pass_vectorized(&mut self, a: &[f64], b: &[f64]) -> f64 {

@@ -41,12 +41,7 @@ pub struct MatcherConfig {
 impl MatcherConfig {
     pub fn ideal() -> Self {
         MatcherConfig {
-            laser: LaserConfig {
-                rin_db_hz: f64::NEG_INFINITY,
-                linewidth_hz: 0.0,
-                wall_plug_w: 0.0,
-                ..LaserConfig::default()
-            },
+            laser: LaserConfig::ideal(),
             pm_data: PhaseModulatorConfig::ideal(),
             pm_pattern: PhaseModulatorConfig::ideal(),
             pd: PhotodetectorConfig::ideal(),

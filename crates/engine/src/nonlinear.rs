@@ -51,14 +51,8 @@ impl NonlinearUnit {
     /// passing at [`PHOTONIC_LANE_HZ`]. Its three devices each derive
     /// their stream from `rng`.
     pub fn new(rng: &mut SimRng) -> Self {
-        let laser = LaserConfig {
-            rin_db_hz: f64::NEG_INFINITY,
-            linewidth_hz: 0.0,
-            wall_plug_w: 0.0,
-            ..LaserConfig::default()
-        };
         NonlinearUnit {
-            laser: Laser::new(laser, rng.derive("p3-laser")),
+            laser: Laser::new(LaserConfig::ideal(), rng.derive("p3-laser")),
             // The input-encoding modulator maps the digital test value to
             // power; in-line deployments receive the power directly.
             encoder: MachZehnderModulator::new(MzmConfig::ideal()),

@@ -65,14 +65,8 @@ impl TernaryMatcher {
     /// calibrated.
     pub fn ideal() -> Self {
         let mut rng = SimRng::seed_from_u64(0);
-        let laser = LaserConfig {
-            rin_db_hz: f64::NEG_INFINITY,
-            linewidth_hz: 0.0,
-            wall_plug_w: 0.0,
-            ..LaserConfig::default()
-        };
         let mut m = TernaryMatcher {
-            laser: Laser::new(laser, rng.derive("tern-laser")),
+            laser: Laser::new(LaserConfig::ideal(), rng.derive("tern-laser")),
             pm_data: PhaseModulator::new(PhaseModulatorConfig::ideal()),
             pm_pattern: PhaseModulator::new(PhaseModulatorConfig::ideal()),
             gate: MachZehnderModulator::new(MzmConfig::ideal()),

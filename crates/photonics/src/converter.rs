@@ -6,8 +6,11 @@
 //! pay — is quantified with the energy model here: every conversion has a
 //! per-sample energy cost, so experiment E3 can count exactly how many
 //! joules the photonic-engine receive path saves.
+//!
+//! No run reads a DAC's output voltage (the decoded codes feed the drive
+//! synthesis directly), so the DAC only quantizes and counts its
+//! conversions. The ADC digitizes a waveform, noise included.
 
-use crate::energy::constants::PHOTONIC_LANE_HZ;
 use crate::rng::SimRng;
 use crate::signal::AnalogWaveform;
 
@@ -23,34 +26,19 @@ pub struct ConverterConfig {
     /// Energy per conversion sample, joules. High-speed 8-bit converters
     /// run on the order of 1–10 pJ/sample.
     pub energy_per_sample_j: f64,
-    /// Additive RMS noise referred to the output (DAC) or input (ADC),
-    /// volts — models jitter + reference noise beyond quantization.
+    /// Additive RMS noise referred to the ADC input, volts — models
+    /// jitter + reference noise beyond quantization. The DAC synthesizes
+    /// no output, so it draws none.
     pub noise_rms_v: f64,
-    /// Maximum conversion rate, samples/s (`0` = unlimited). A converter
-    /// asked to run faster emits/ingests at this rate instead, stretching
-    /// symbol time — the sample-rate wall calibrated catalog parts hit.
-    pub max_sample_rate_hz: f64,
 }
 
 impl ConverterConfig {
-    /// Ideal converter: quantization only, zero energy, no rate wall.
+    /// Ideal converter: quantization only, zero energy.
     pub fn ideal(bits: u32) -> Self {
         ConverterConfig {
             bits,
             energy_per_sample_j: 0.0,
             noise_rms_v: 0.0,
-            max_sample_rate_hz: 0.0,
-        }
-    }
-
-    /// The rate the converter actually runs at when driven at
-    /// `requested_hz`: clamped to the part's maximum when one is set.
-    pub(crate) fn effective_sample_rate_hz(&self, requested_hz: f64) -> f64 {
-        assert!(requested_hz > 0.0, "sample rate must be positive");
-        if self.max_sample_rate_hz > 0.0 {
-            requested_hz.min(self.max_sample_rate_hz)
-        } else {
-            requested_hz
         }
     }
 }
@@ -61,34 +49,32 @@ impl Default for ConverterConfig {
             bits: 8,
             energy_per_sample_j: 1.5e-12,
             noise_rms_v: 0.0005,
-            max_sample_rate_hz: 0.0,
         }
     }
 }
 
-/// Digital-to-analog converter: code → voltage.
+/// Digital-to-analog converter: value → code, with its conversions
+/// counted for the energy ledger.
 #[derive(Debug, Clone)]
 pub struct Dac {
     pub(crate) config: ConverterConfig,
-    rng: SimRng,
     pub(crate) samples_converted: u64,
 }
 
 impl Dac {
-    pub fn new(config: ConverterConfig, rng: SimRng) -> Self {
+    pub fn new(config: ConverterConfig) -> Self {
         assert!(
             config.bits >= 1 && config.bits <= 24,
             "unreasonable DAC resolution"
         );
         Dac {
             config,
-            rng,
             samples_converted: 0,
         }
     }
 
     pub fn ideal(bits: u32) -> Self {
-        Dac::new(ConverterConfig::ideal(bits), SimRng::seed_from_u64(0))
+        Dac::new(ConverterConfig::ideal(bits))
     }
 
     /// Number of codes, `2^bits`.
@@ -96,36 +82,8 @@ impl Dac {
         1u64 << self.config.bits
     }
 
-    /// Convert a block of digital codes to voltages at the photonic lane
-    /// rate. Codes are clamped to the valid range (saturation, not
-    /// wraparound). The output waveform runs at the part's effective
-    /// rate: a DAC driven past its maximum sample rate stretches symbol
-    /// time rather than dropping samples.
-    pub fn convert(&mut self, codes: &[u64]) -> AnalogWaveform {
-        let max_code = self.levels() - 1;
-        let lsb = FULL_SCALE_V / max_code as f64;
-        let rate = self.config.effective_sample_rate_hz(PHOTONIC_LANE_HZ);
-        let mut out = AnalogWaveform::zeros(codes.len(), rate);
-        for (o, &c) in out.samples.iter_mut().zip(codes.iter()) {
-            let c = c.min(max_code);
-            let mut v = c as f64 * lsb;
-            if self.config.noise_rms_v > 0.0 {
-                v += self.rng.normal(self.config.noise_rms_v);
-            }
-            *o = v;
-        }
-        self.samples_converted += codes.len() as u64;
-        out
-    }
-
-    /// Account for `n` conversions without synthesizing the waveform.
-    ///
-    /// The scalar dot-product kernel converts every operand block and
-    /// immediately discards the waveform (the decoded codes are what
-    /// feed the drive synthesis). The vectorized kernel elides those
-    /// dead conversions for speed but must still pay for them in the
-    /// energy ledger — this bumps `samples_converted` exactly as
-    /// [`Dac::convert`] would, without touching the noise RNG.
+    /// Book `n` conversions. The energy ledger reads only this count,
+    /// so no output waveform is synthesized.
     pub fn charge_samples(&mut self, n: u64) {
         self.samples_converted += n;
     }
@@ -207,19 +165,11 @@ mod tests {
 
     #[test]
     fn dac_adc_round_trip_is_code_exact() {
-        let mut dac = Dac::ideal(8);
         let mut adc = Adc::ideal(8);
         let codes: Vec<u64> = (0..256).collect();
-        let wave = dac.convert(&codes);
-        let back = adc.convert(&wave);
-        assert_eq!(codes, back);
-    }
-
-    #[test]
-    fn dac_clamps_out_of_range_codes() {
-        let mut dac = Dac::ideal(4);
-        let wave = dac.convert(&[100_000]);
-        assert!((wave.samples[0] - 1.0).abs() < 1e-12);
+        let lsb = FULL_SCALE_V / 255.0;
+        let wave = AnalogWaveform::new(codes.iter().map(|&c| c as f64 * lsb).collect(), RATE);
+        assert_eq!(adc.convert(&wave), codes);
     }
 
     #[test]
@@ -242,48 +192,13 @@ mod tests {
     }
 
     #[test]
-    fn quantization_error_bounded_by_half_lsb() {
-        let mut dac = Dac::ideal(6);
-        let mut adc = Adc::ideal(6);
-        let lsb = 1.0 / 63.0;
-        for i in 0..200 {
-            let x = i as f64 / 199.0;
-            let code = dac.encode_unit(x);
-            let wave = dac.convert(&[code]);
-            let back = adc.convert(&wave);
-            let y = adc.decode_unit(back[0]);
-            assert!((x - y).abs() <= 0.5 * lsb + 1e-12);
-        }
-    }
-
-    #[test]
     fn converter_energy_accounting() {
-        let mut dac = Dac::new(
-            ConverterConfig {
-                energy_per_sample_j: 2e-12,
-                ..ConverterConfig::ideal(8)
-            },
-            SimRng::seed_from_u64(0),
-        );
-        dac.convert(&[0; 1000]);
-        assert!((dac.energy_consumed_j() - 2e-9).abs() < 1e-18);
-    }
-
-    #[test]
-    fn charge_samples_matches_convert_energy() {
-        let cfg = ConverterConfig {
+        let mut dac = Dac::new(ConverterConfig {
             energy_per_sample_j: 2e-12,
             ..ConverterConfig::ideal(8)
-        };
-        let mut converted = Dac::new(cfg.clone(), SimRng::seed_from_u64(0));
-        let mut charged = Dac::new(cfg, SimRng::seed_from_u64(0));
-        converted.convert(&[0; 1000]);
-        charged.charge_samples(1000);
-        assert_eq!(converted.samples_converted, charged.samples_converted);
-        assert_eq!(
-            converted.energy_consumed_j().to_bits(),
-            charged.energy_consumed_j().to_bits()
-        );
+        });
+        dac.charge_samples(1000);
+        assert!((dac.energy_consumed_j() - 2e-9).abs() < 1e-18);
     }
 
     #[test]
@@ -306,7 +221,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unreasonable")]
     fn rejects_zero_bit_converter() {
-        Dac::new(ConverterConfig::ideal(0), SimRng::seed_from_u64(0));
+        Dac::new(ConverterConfig::ideal(0));
     }
 
     // ------------------------------------------------- library edge cases
@@ -347,33 +262,5 @@ mod tests {
             assert_eq!(dac.encode_unit(0.0), 0);
             assert_eq!(dac.encode_unit(1.0), max_code);
         }
-    }
-
-    /// Sample-rate-limited symbol timing: a slow part driven past its
-    /// wall emits at its own rate, stretching the symbol period; a part
-    /// with no wall (or driven below it) passes the requested rate
-    /// through untouched.
-    #[test]
-    fn rate_limited_dac_stretches_symbol_time() {
-        let slow = ConverterConfig {
-            max_sample_rate_hz: 1e6,
-            ..ConverterConfig::ideal(8)
-        };
-        let mut dac = Dac::new(slow.clone(), SimRng::seed_from_u64(0));
-        let wave = dac.convert(&[0, 128, 255]);
-        assert_eq!(wave.sample_rate_hz, 1e6);
-        // Below the wall the requested rate wins.
-        assert_eq!(slow.effective_sample_rate_hz(0.5e6), 0.5e6);
-        // No wall: pass-through.
-        let free = ConverterConfig::ideal(8);
-        assert_eq!(free.effective_sample_rate_hz(10e9), 10e9);
-        let mut fast = Dac::new(free, SimRng::seed_from_u64(0));
-        assert_eq!(fast.convert(&[1]).sample_rate_hz, PHOTONIC_LANE_HZ);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_requested_rate_panics() {
-        ConverterConfig::ideal(8).effective_sample_rate_hz(0.0);
     }
 }

@@ -76,12 +76,7 @@ pub struct CoherentRxConfig {
 impl CoherentRxConfig {
     pub fn ideal() -> Self {
         CoherentRxConfig {
-            lo: LaserConfig {
-                rin_db_hz: f64::NEG_INFINITY,
-                linewidth_hz: 0.0,
-                wall_plug_w: 0.0,
-                ..LaserConfig::default()
-            },
+            lo: LaserConfig::ideal(),
             pd: PhotodetectorConfig::ideal(),
         }
     }

@@ -24,6 +24,19 @@ pub struct LaserConfig {
     pub wall_plug_w: f64,
 }
 
+impl LaserConfig {
+    /// A noiseless laser that books no energy: no RIN, zero linewidth and
+    /// a 0 W wall plug, at the default power and wavelength.
+    pub fn ideal() -> Self {
+        LaserConfig {
+            rin_db_hz: f64::NEG_INFINITY,
+            linewidth_hz: 0.0,
+            wall_plug_w: 0.0,
+            ..LaserConfig::default()
+        }
+    }
+}
+
 impl Default for LaserConfig {
     fn default() -> Self {
         LaserConfig {

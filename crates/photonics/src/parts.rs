@@ -4,12 +4,12 @@
 //! energy/latency story hinges on converter, modulator, and laser
 //! choices. These traits let calibrated catalog entries (see the
 //! `ofpc-dse` crate) stand in wherever the transponder and engine
-//! models previously hard-coded a part: a [`DacPart`]/[`AdcPart`]
-//! produces the [`ConverterConfig`] the converter models consume, a
-//! [`ModulatorPart`] an [`MzmConfig`], a [`LaserPart`] a
-//! [`LaserConfig`]. Every part also carries the static power/area
-//! numbers the form-factor budget checker needs, plus a provenance
-//! string naming where its numbers were transcribed from.
+//! models previously hard-coded a part: a [`DacPart`] produces the
+//! [`ConverterConfig`] the DAC model consumes, an [`AdcPart`] its
+//! per-sample energy, a [`ModulatorPart`] an [`MzmConfig`], a
+//! [`LaserPart`] a [`LaserConfig`]. Every part also carries the static
+//! power/area numbers the form-factor budget checker needs, plus a
+//! provenance string naming where its numbers were transcribed from.
 
 use crate::converter::ConverterConfig;
 use crate::laser::LaserConfig;
@@ -42,14 +42,13 @@ pub trait DacPart: HardwarePart {
         self.power_w() / self.sample_rate_hz()
     }
 
-    /// The behavioral config the converter models consume. Reference
-    /// noise is a quarter LSB — good silicon, not an ideal part.
+    /// The config the DAC model consumes: the part's resolution and
+    /// per-sample energy. The DAC synthesizes no output, so it carries
+    /// no noise.
     fn converter_config(&self) -> ConverterConfig {
         ConverterConfig {
-            bits: self.bits(),
             energy_per_sample_j: self.energy_per_sample_j(),
-            noise_rms_v: 0.25 / ((1u64 << self.bits()) - 1) as f64,
-            max_sample_rate_hz: self.sample_rate_hz(),
+            ..ConverterConfig::ideal(self.bits())
         }
     }
 }
@@ -64,16 +63,6 @@ pub trait AdcPart: HardwarePart {
     /// Energy per conversion at full rate, J.
     fn energy_per_sample_j(&self) -> f64 {
         self.power_w() / self.sample_rate_hz()
-    }
-
-    /// The behavioral config the converter models consume.
-    fn converter_config(&self) -> ConverterConfig {
-        ConverterConfig {
-            bits: self.bits(),
-            energy_per_sample_j: self.energy_per_sample_j(),
-            noise_rms_v: 0.25 / ((1u64 << self.bits()) - 1) as f64,
-            max_sample_rate_hz: self.sample_rate_hz(),
-        }
     }
 }
 
@@ -129,9 +118,6 @@ mod tests {
     fn converter_config_carries_the_part_numbers() {
         let cfg = TestDac.converter_config();
         assert_eq!(cfg.bits, 8);
-        assert_eq!(cfg.max_sample_rate_hz, 14e9);
         assert!((cfg.energy_per_sample_j - 0.050 / 14e9).abs() < 1e-18);
-        // Quarter-LSB reference noise.
-        assert!((cfg.noise_rms_v - 0.25 / 255.0).abs() < 1e-15);
     }
 }

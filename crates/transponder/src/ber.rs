@@ -41,8 +41,8 @@ pub fn measure_ber(
 mod tests {
     use super::*;
     use crate::rxpath::tests::link;
-    use crate::rxpath::RxConfig;
     use crate::txpath::TxConfig;
+    use ofpc_photonics::photodetector::PhotodetectorConfig;
 
     #[test]
     fn clean_short_link_is_error_free() {
@@ -50,7 +50,7 @@ mod tests {
         let span = FiberSpan::smf(10.0);
         let (mut tx, mut rx) = link(
             TxConfig::ideal(),
-            RxConfig::ideal(),
+            PhotodetectorConfig::ideal(),
             span.total_loss_db(),
             &mut rng,
         );
@@ -66,7 +66,7 @@ mod tests {
         let span = FiberSpan::smf(120.0);
         let (mut tx, mut rx) = link(
             TxConfig::realistic(),
-            RxConfig::realistic(),
+            PhotodetectorConfig::default(),
             span.total_loss_db(),
             &mut rng,
         );
@@ -86,7 +86,7 @@ mod tests {
             let span = FiberSpan::smf(km);
             let (mut tx, mut rx) = link(
                 TxConfig::realistic(),
-                RxConfig::realistic(),
+                PhotodetectorConfig::default(),
                 span.total_loss_db(),
                 &mut rng,
             );

@@ -40,14 +40,8 @@ pub struct CoherentTx {
 
 impl CoherentTx {
     pub fn ideal(rng: &mut SimRng) -> Self {
-        let laser = LaserConfig {
-            rin_db_hz: f64::NEG_INFINITY,
-            linewidth_hz: 0.0,
-            wall_plug_w: 0.0,
-            ..LaserConfig::default()
-        };
         CoherentTx {
-            laser: Laser::new(laser, rng.derive("coh-tx-laser")),
+            laser: Laser::new(LaserConfig::ideal(), rng.derive("coh-tx-laser")),
             iq: IqModulator::new(MzmConfig::ideal()),
         }
     }
@@ -227,10 +221,7 @@ mod tests {
         // Direct detection (OOK path) at the same received power.
         let mut ook_tx = crate::txpath::TxPath::new(crate::txpath::TxConfig::ideal(), &mut rng);
         let mut ook_rx = crate::rxpath::RxPath::new(
-            crate::rxpath::RxConfig {
-                pd: ofpc_photonics::photodetector::PhotodetectorConfig::default(),
-                ..crate::rxpath::RxConfig::ideal()
-            },
+            ofpc_photonics::photodetector::PhotodetectorConfig::default(),
             &mut rng,
         );
         ook_rx.calibrate_for_one_level(

@@ -1,19 +1,22 @@
 //! The photonic compute transponder of Fig. 4.
 //!
 //! The receive path is augmented with a **photonic engine** that operates
-//! on the incoming light before the conventional photodetector:
+//! on the incoming light before detection:
 //!
-//! 1. An *optical preamble detector* (the P2 pattern-matching front end)
-//!    locks onto new frames.
-//! 2. The frame's digital header is sliced by a monitor photodiode — OOK
-//!    slicing is a 1-bit analog comparison, not a full-rate ADC.
+//! 1. A monitor photodiode slices the incoming light to bits — OOK
+//!    slicing is a 1-bit analog comparison, not a full-rate ADC — and the
+//!    frame's preamble is found digitally in those bits
+//!    (`Frame::find_preamble`), at no booked energy.
+//! 2. The frame's digital header is parsed from the same sliced bits.
 //! 3. For compute frames, the **operand segment** that follows the header
 //!    is *amplitude-encoded*: each symbol's intensity is one operand
 //!    element, exactly how delocalized photonic deep-learning systems
-//!    ship data today. The engine consumes those samples directly —
-//!    a weight modulator and an integrating photodetector for P1, the
-//!    interference matcher for P2, the electro-optic activation for P3 —
-//!    with **no per-element DAC/ADC conversion** (the §2.2 saving).
+//!    ship data today. The engine consumes those samples directly — a
+//!    weight modulator and an integrating photodetector for P1, the
+//!    interference matcher for P2 — with **no per-element DAC/ADC
+//!    conversion** (the §2.2 saving). A P3 op reports only how many
+//!    elements its activation covers: no caller reads the activated
+//!    light, so the transponder builds no P3 unit.
 //! 4. The result lands in the frame's reserved result field and the frame
 //!    is regenerated onto the next span.
 //!
@@ -22,10 +25,8 @@
 //! experiment E3 measures both ledgers.
 
 use crate::frame::{Frame, FrameError};
-use crate::rxpath::{RxConfig, RxPath};
 use crate::txpath::{TxConfig, TxPath};
 use ofpc_engine::matcher::{MatcherConfig, PatternMatcher};
-use ofpc_engine::nonlinear::NonlinearUnit;
 use ofpc_engine::Primitive;
 use ofpc_photonics::energy::EnergyLedger;
 use ofpc_photonics::modulator::{MachZehnderModulator, MzmConfig};
@@ -114,14 +115,13 @@ pub fn decode_result(bytes: [u8; 4]) -> f64 {
 #[derive(Debug, Clone)]
 pub struct ComputeTransponderConfig {
     pub tx: TxConfig,
-    pub(crate) rx: RxConfig,
     /// Weight modulator for the P1 path.
     pub weight_mzm: MzmConfig,
     /// Integrating photodetector for the engine readout.
     pub(crate) engine_pd: PhotodetectorConfig,
     /// Monitor photodiode for header slicing.
     pub(crate) monitor_pd: PhotodetectorConfig,
-    /// Matcher hardware for preamble detection and the P2 op.
+    /// Matcher hardware for the P2 op.
     pub(crate) matcher: MatcherConfig,
     /// Single result-readout ADC energy, J.
     pub result_adc_energy_j: f64,
@@ -131,7 +131,6 @@ impl ComputeTransponderConfig {
     pub fn ideal() -> Self {
         ComputeTransponderConfig {
             tx: TxConfig::ideal(),
-            rx: RxConfig::ideal(),
             weight_mzm: MzmConfig::ideal(),
             engine_pd: PhotodetectorConfig::ideal(),
             monitor_pd: PhotodetectorConfig::ideal(),
@@ -143,7 +142,6 @@ impl ComputeTransponderConfig {
     pub fn realistic() -> Self {
         ComputeTransponderConfig {
             tx: TxConfig::realistic(),
-            rx: RxConfig::realistic(),
             weight_mzm: MzmConfig::default(),
             engine_pd: PhotodetectorConfig::default(),
             monitor_pd: PhotodetectorConfig::default(),
@@ -169,7 +167,6 @@ impl ComputeTransponderConfig {
         cfg.tx.mzm = modulator.mzm_config();
         cfg.tx.dac = dac.converter_config();
         cfg.tx.line_rate_bps = cfg.tx.line_rate_bps.min(dac.sample_rate_hz() * 8.0);
-        cfg.rx.adc = adc.converter_config();
         cfg.weight_mzm = modulator.mzm_config();
         cfg.result_adc_energy_j = adc.energy_per_sample_j();
         cfg
@@ -181,13 +178,10 @@ impl ComputeTransponderConfig {
 pub struct PhotonicComputeTransponder {
     pub(crate) config: ComputeTransponderConfig,
     pub tx: TxPath,
-    /// Conventional receive path (used when the frame terminates here).
-    pub(crate) rx: RxPath,
     weight_mzm: MachZehnderModulator,
     engine_pd: Photodetector,
     monitor_pd: Photodetector,
-    preamble_matcher: PatternMatcher,
-    nonlinear: NonlinearUnit,
+    matcher: PatternMatcher,
     /// The loaded operation (installed by the controller).
     loaded_op: Option<ComputeOp>,
     /// Calibrated engine unit current (per unit operand×weight), A.
@@ -200,19 +194,14 @@ pub struct PhotonicComputeTransponder {
 impl PhotonicComputeTransponder {
     pub fn new(config: ComputeTransponderConfig, rng: &mut SimRng) -> Self {
         let tx = TxPath::new(config.tx.clone(), rng);
-        let rx = RxPath::new(config.rx.clone(), rng);
         let mut matcher = PatternMatcher::new(config.matcher.clone(), rng);
         matcher.calibrate(64);
-        let mut nonlinear = NonlinearUnit::new(rng);
-        nonlinear.calibrate();
         PhotonicComputeTransponder {
             tx,
-            rx,
             weight_mzm: MachZehnderModulator::new(config.weight_mzm.clone()),
             engine_pd: Photodetector::new(config.engine_pd.clone(), rng.derive("engine-pd")),
             monitor_pd: Photodetector::new(config.monitor_pd.clone(), rng.derive("monitor-pd")),
-            preamble_matcher: matcher,
-            nonlinear,
+            matcher,
             config,
             loaded_op: None,
             engine_unit_a: None,
@@ -230,11 +219,10 @@ impl PhotonicComputeTransponder {
     }
 
     /// Calibrate for an expected received '1'-level power (link budget):
-    /// sets the monitor threshold, the RX threshold, and the engine unit
-    /// current via a training block through the weight arm.
+    /// sets the monitor threshold and the engine unit current via a
+    /// training block through the weight arm.
     pub fn calibrate(&mut self, one_level_w: f64) {
         assert!(one_level_w > 0.0, "one-level power must be positive");
-        self.rx.calibrate_for_one_level(one_level_w);
         let i_one = self.monitor_pd.expected_current_a(one_level_w);
         let i_zero = self.monitor_pd.expected_current_a(0.0);
         self.monitor_threshold_a = Some((i_one + i_zero) / 2.0);
@@ -329,9 +317,9 @@ impl PhotonicComputeTransponder {
     /// plus regeneration). Returns a [`FrameError`] if no valid frame is
     /// found in the light.
     pub fn process(&mut self, field: &OpticalField) -> Result<ProcessOutcome, FrameError> {
+        // The preamble is found digitally in the monitor-sliced bits: no
+        // optical matcher runs for it, so nothing is booked.
         let bits = self.monitor_slice(field);
-        // Optical preamble detection: the matcher slides over the stream.
-        // We charge the matcher for the symbols it scanned.
         let off = Frame::find_preamble(&bits).ok_or(FrameError::BadPreamble(0))?;
         let (mut frame, consumed) = Frame::from_bits(&bits[off..])?;
         let mut computed = None;
@@ -388,7 +376,7 @@ impl PhotonicComputeTransponder {
                 ComputeResult::Dot(self.engine_dot(operand_field, weights))
             }
             ComputeOp::PatternMatch { pattern } => {
-                let r = self.preamble_matcher.match_block(operand_bits, pattern);
+                let r = self.matcher.match_block(operand_bits, pattern);
                 ComputeResult::Match {
                     matched: r.matched,
                     distance: r.distance_estimate,
@@ -403,7 +391,6 @@ impl PhotonicComputeTransponder {
     /// Energy ledger across all stages.
     pub fn energy_ledger(&self) -> EnergyLedger {
         let mut ledger = self.tx.energy_ledger();
-        ledger.merge(&self.rx.energy_ledger());
         ledger.add("engine-weight-mzm", self.weight_mzm.energy_consumed_j());
         ledger.add("engine-pd", self.engine_pd.energy_consumed_j());
         ledger.add("monitor-pd", self.monitor_pd.energy_consumed_j());
@@ -411,8 +398,7 @@ impl PhotonicComputeTransponder {
             "engine-result-adc",
             self.result_readouts as f64 * self.config.result_adc_energy_j,
         );
-        ledger.merge(&self.preamble_matcher.energy_ledger());
-        ledger.merge(&self.nonlinear.energy_ledger());
+        ledger.merge(&self.matcher.energy_ledger());
         ledger
     }
 }
@@ -582,17 +568,28 @@ mod tests {
 
     #[test]
     fn energy_ledger_has_no_per_element_adc() {
-        let (mut t, _) = ideal_pair();
+        // E3's setting: ideal devices with a priced result ADC.
+        let adc_j = ofpc_photonics::energy::constants::ADC_SAMPLE_J;
+        let mut cfg = ComputeTransponderConfig::ideal();
+        cfg.result_adc_energy_j = adc_j;
+        let mut t = PhotonicComputeTransponder::new(cfg, &mut SimRng::seed_from_u64(0));
+        let one = t.tx.one_level_w();
+        t.calibrate(one);
         t.load_op(ComputeOp::DotProduct {
             weights: vec![0.5; 64],
         });
         let frame = Frame::compute(Primitive::VectorDotProduct.wire_id(), &b"e"[..]);
         let field = t.transmit_compute_frame(&frame, &[0.5; 64]);
         let _ = t.process(&field).unwrap();
-        // The conventional RX ADC never ran on the operand segment: the
-        // rx path was not invoked at all in transit+compute mode.
+        // A 64-element dot product pays one ADC conversion in all: the
+        // result readout, not one per operand.
         let ledger = t.energy_ledger();
-        assert_eq!(ledger.get("rx-adc"), 0.0);
+        let adc: f64 = ledger
+            .iter()
+            .filter(|(stage, _)| stage.ends_with("adc"))
+            .map(|(_, j)| j)
+            .sum();
+        assert_eq!(adc, adc_j);
         assert_eq!(t.result_readouts, 1);
     }
 }

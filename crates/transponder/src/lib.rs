@@ -2,7 +2,7 @@
 //!
 //! The data-plane hardware of the paper's §3: the commodity transponder of
 //! Fig. 3 as its two paths, [`txpath`] (laser, modulator, DAC) and
-//! [`rxpath`] (photodetector, ADC), and the proposed photonic compute
+//! [`rxpath`] (photodetector, slicer), and the proposed photonic compute
 //! transponder of Fig. 4, whose receive path gains a **photonic engine**
 //! that operates on the incoming light *before* detection — preamble
 //! detection, the configured P1/P2/P3 computation, and result insertion

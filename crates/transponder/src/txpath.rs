@@ -28,12 +28,7 @@ impl TxConfig {
     /// Ideal noiseless path.
     pub(crate) fn ideal() -> Self {
         TxConfig {
-            laser: LaserConfig {
-                rin_db_hz: f64::NEG_INFINITY,
-                linewidth_hz: 0.0,
-                wall_plug_w: 0.0,
-                ..LaserConfig::default()
-            },
+            laser: LaserConfig::ideal(),
             mzm: MzmConfig::ideal(),
             dac: ConverterConfig::ideal(8),
             line_rate_bps: 32e9,
@@ -68,10 +63,14 @@ pub struct TxPath {
 
 impl TxPath {
     pub fn new(config: TxConfig, rng: &mut SimRng) -> Self {
+        let laser = Laser::new(config.laser.clone(), rng.derive("tx-laser"));
+        // The DAC draws no noise; this draw holds the streams the caller
+        // derives after this path in place.
+        rng.derive("tx-dac");
         TxPath {
-            laser: Laser::new(config.laser.clone(), rng.derive("tx-laser")),
+            laser,
             mzm: MachZehnderModulator::new(config.mzm.clone()),
-            dac: Dac::new(config.dac.clone(), rng.derive("tx-dac")),
+            dac: Dac::new(config.dac.clone()),
             config,
             bits_sent: 0,
         }

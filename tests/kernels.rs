@@ -246,7 +246,6 @@ fn batches_are_byte_identical_across_worker_counts_on_both_backends() {
                 signatures: vec![sig.clone()],
                 stream,
                 tolerance: 0.5,
-                stride: 8,
             },
             KernelSpec::MatchBlock {
                 data: sig.clone(),

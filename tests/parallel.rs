@@ -31,7 +31,6 @@ fn engine_batch() -> Vec<KernelSpec> {
         signatures: vec![sig.clone()],
         stream,
         tolerance: 0.5,
-        stride: 8,
     });
     tasks.push(KernelSpec::MatchBlock {
         data: sig.clone(),

@@ -6,9 +6,10 @@
 use ofpc_core::scenario::Fig1Scenario;
 use ofpc_engine::dot::{DotProductUnit, DotUnitConfig};
 use ofpc_engine::matcher::{MatcherConfig, PatternMatcher};
+use ofpc_photonics::photodetector::PhotodetectorConfig;
 use ofpc_photonics::SimRng;
 use ofpc_transponder::ber::measure_ber;
-use ofpc_transponder::rxpath::{RxConfig, RxPath};
+use ofpc_transponder::rxpath::RxPath;
 use ofpc_transponder::txpath::{TxConfig, TxPath};
 
 #[test]
@@ -48,7 +49,7 @@ fn ber_measurement_replays() {
         let mut rng = SimRng::seed_from_u64(103);
         let span = ofpc_photonics::fiber::FiberSpan::smf(120.0);
         let mut tx = TxPath::new(TxConfig::realistic(), &mut rng);
-        let mut rx = RxPath::new(RxConfig::realistic(), &mut rng);
+        let mut rx = RxPath::new(PhotodetectorConfig::default(), &mut rng);
         rx.calibrate_for_one_level(
             tx.one_level_w() * ofpc_photonics::units::db_to_linear(-span.total_loss_db()),
         );
