@@ -70,6 +70,19 @@ impl TaskDag {
         }
     }
 
+    /// The placement chain's length, or `None` if the graph has a
+    /// cycle: `linearize()`'s length without building the chain. Edges
+    /// that all run from a lower to a higher task index admit the index
+    /// order, so a chain needs no sort.
+    pub(crate) fn chain_len(&self) -> Option<usize> {
+        let n = self.tasks.len();
+        if self.edges.iter().all(|&(from, to)| from < to && to < n) {
+            Some(n)
+        } else {
+            self.topo_order().map(|order| order.len())
+        }
+    }
+
     /// The primitive sequence in topological order (the placement chain).
     pub fn linearize(&self) -> Option<Vec<Primitive>> {
         Some(
@@ -141,6 +154,27 @@ mod tests {
         };
         assert_eq!(dag.topo_order(), None);
         assert_eq!(dag.linearize(), None);
+    }
+
+    #[test]
+    fn chain_len_agrees_with_linearize() {
+        let dags = [
+            TaskDag::chain(vec![P1, P3, P2]),
+            TaskDag::single(P2),
+            TaskDag::chain(vec![]),
+            // Acyclic, but an edge runs from a higher index to a lower.
+            TaskDag {
+                tasks: vec![P1, P2, P3],
+                edges: vec![(2, 0), (0, 1)],
+            },
+            TaskDag {
+                tasks: vec![P1, P2],
+                edges: vec![(0, 1), (1, 0)],
+            },
+        ];
+        for dag in &dags {
+            assert_eq!(dag.chain_len(), dag.linearize().map(|c| c.len()), "{dag:?}");
+        }
     }
 
     #[test]

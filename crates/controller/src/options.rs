@@ -111,10 +111,9 @@ pub fn options_from_matrix(
     compute_sites: &[NodeId],
     cap: usize,
 ) -> Vec<AllocOption> {
-    let Some(chain) = demand.dag.linearize() else {
+    let Some(k) = demand.dag.chain_len() else {
         return Vec::new(); // cyclic DAG
     };
-    let k = chain.len();
     let s = demand.src.0 as usize;
     let t = demand.dst.0 as usize;
     let Some(direct) = dist[s][t] else {
@@ -128,6 +127,7 @@ pub fn options_from_matrix(
             added_latency_ps: 0,
         }];
     }
+    let tuples = compute_sites.len().saturating_pow(k as u32);
     let mut walk = TupleWalk {
         dist,
         sites: compute_sites,
@@ -135,8 +135,12 @@ pub fn options_from_matrix(
         t,
         direct,
         cap,
+        min_tail: compute_sites
+            .iter()
+            .filter_map(|v| dist[v.0 as usize][t])
+            .min(),
         placement: Vec::with_capacity(k),
-        kept: Vec::new(),
+        kept: Vec::with_capacity(cap.min(tuples)),
     };
     walk.descend(s, 0);
     walk.kept
@@ -148,7 +152,9 @@ pub fn options_from_matrix(
 /// order over `sites`; a tuple whose leg is unreachable is pruned with
 /// its whole subtree. `kept` stays sorted by cost with ties in that
 /// emission order, which is exactly a stable sort of every tuple
-/// truncated to `cap`, but only kept tuples allocate a placement.
+/// truncated to `cap`, but only kept tuples allocate a placement. Once
+/// `kept` is full, a subtree none of whose tuples can rank is skipped
+/// (see [`TupleWalk::pruned`]).
 struct TupleWalk<'a> {
     dist: &'a [Vec<Option<u64>>],
     sites: &'a [NodeId],
@@ -159,6 +165,9 @@ struct TupleWalk<'a> {
     /// Delay of the direct src → dst path, ps.
     direct: u64,
     cap: usize,
+    /// The cheapest site → dst leg, ps, which every tuple ends with;
+    /// `None` when no site reaches dst.
+    min_tail: Option<u64>,
     placement: Vec<NodeId>,
     kept: Vec<AllocOption>,
 }
@@ -169,8 +178,11 @@ impl TupleWalk<'_> {
             let Some(tail) = self.dist[from][self.t] else {
                 return;
             };
-            let added = (latency_so_far + tail).saturating_sub(self.direct);
-            self.offer(added as f64 / 1e9 + self.k as f64 * SLOT_COST_MS, added);
+            let (cost, added) = self.price(latency_so_far + tail);
+            self.offer(cost, added);
+            return;
+        }
+        if self.pruned(latency_so_far) {
             return;
         }
         for &site in self.sites.iter().rev() {
@@ -181,6 +193,30 @@ impl TupleWalk<'_> {
             self.descend(site.0 as usize, latency_so_far + leg);
             self.placement.pop();
         }
+    }
+
+    /// The cost and added latency of a tuple whose path takes
+    /// `latency` ps end to end.
+    fn price(&self, latency: u64) -> (f64, u64) {
+        let added = latency.saturating_sub(self.direct);
+        (added as f64 / 1e9 + self.k as f64 * SLOT_COST_MS, added)
+    }
+
+    /// Whether no tuple below a partial placement whose legs so far take
+    /// `latency` ps can rank. Each such tuple costs at least the price
+    /// of `latency` plus the cheapest tail, since legs are non-negative.
+    /// Once `kept` is full, a tuple that costs no less than its last
+    /// entry ranks after it, and the last kept cost only falls.
+    fn pruned(&self, latency: u64) -> bool {
+        let Some(tail) = self.min_tail else {
+            return true; // no tuple completes
+        };
+        if self.kept.len() < self.cap {
+            return false;
+        }
+        self.kept
+            .last()
+            .is_none_or(|last| self.price(latency + tail).0 >= last.cost)
     }
 
     /// Keep the current placement if it ranks among the `cap` cheapest

@@ -47,10 +47,11 @@ pub struct NonlinearUnit {
 }
 
 impl NonlinearUnit {
-    /// A unit built from ideal (noiseless, lossless) parts, symbols
-    /// passing at [`PHOTONIC_LANE_HZ`]. Its three devices each derive
-    /// their stream from `rng`.
-    pub fn new(rng: &mut SimRng) -> Self {
+    /// An uncalibrated unit built from ideal (noiseless, lossless)
+    /// parts, symbols passing at [`PHOTONIC_LANE_HZ`]. Ideal devices draw
+    /// nothing, so their streams come from one fixed seed.
+    fn new() -> Self {
+        let mut rng = SimRng::seed_from_u64(0);
         NonlinearUnit {
             laser: Laser::new(LaserConfig::ideal(), rng.derive("p3-laser")),
             // The input-encoding modulator maps the digital test value to
@@ -66,15 +67,15 @@ impl NonlinearUnit {
         }
     }
 
+    /// A unit built from ideal (noiseless, lossless) parts, calibrated.
     pub fn ideal() -> Self {
-        let mut rng = SimRng::seed_from_u64(0);
-        let mut u = NonlinearUnit::new(&mut rng);
+        let mut u = NonlinearUnit::new();
         u.calibrate();
         u
     }
 
     /// Measure the output current at full-scale input for normalization.
-    pub fn calibrate(&mut self) {
+    fn calibrate(&mut self) {
         let i = self.raw_activate(1.0);
         assert!(i > 0.0, "calibration failed: gate never opens");
         self.full_scale_current_a = Some(i);
@@ -107,7 +108,7 @@ impl NonlinearUnit {
     pub(crate) fn activate(&mut self, x: f64) -> f64 {
         let fs = self
             .full_scale_current_a
-            .expect("NonlinearUnit must be calibrated before use; call calibrate()");
+            .expect("NonlinearUnit must be calibrated before use");
         (self.raw_activate(x) / fs).clamp(0.0, 1.0)
     }
 
@@ -196,8 +197,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "calibrated")]
     fn uncalibrated_panics() {
-        let mut rng = SimRng::seed_from_u64(0);
-        let mut u = NonlinearUnit::new(&mut rng);
+        let mut u = NonlinearUnit::new();
         u.activate(0.5);
     }
 

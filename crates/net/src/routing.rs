@@ -179,6 +179,51 @@ pub fn distance_rows(
         .collect()
 }
 
+/// Bring a [`distance_matrix`] up to date after the links in `flipped`
+/// were cut or repaired; `link_ok` accepts the links that are up now. A
+/// link may be listed more than once, and flips that cancel out move
+/// nothing. Dijkstra reruns (through [`distance_rows`]) only for a row
+/// `s` that a flipped link can move:
+///
+/// * a link now down was tight, `d[s][a] + w == d[s][b]` either way
+///   round;
+/// * a link now up shortens the row (`d[s][a] + w < d[s][b]` either way
+///   round) or joins a reached endpoint to an unreached one.
+///
+/// This is exact for any mix of cuts and repairs: a row that passes
+/// both tests still satisfies every up link, and the tight links that
+/// realize its distances were all up before and none was cut.
+pub fn refresh_distance_rows(
+    topo: &Topology,
+    dist: &mut [Vec<Option<u64>>],
+    flipped: &[LinkId],
+    link_ok: &dyn Fn(LinkId) -> bool,
+) {
+    let stale: Vec<NodeId> = (0..dist.len())
+        .filter(|&s| {
+            flipped.iter().any(|&l| {
+                let link = topo.link(l);
+                let (a, b, w) = (link.a.0 as usize, link.b.0 as usize, link.delay_ps());
+                match (dist[s][a], dist[s][b]) {
+                    (Some(da), Some(db)) if link_ok(l) => da + w < db || db + w < da,
+                    (Some(da), Some(db)) => da + w == db || db + w == da,
+                    (None, None) => false,
+                    // One end reached: a repair joins the two sides; a
+                    // link that spans them was down before as well.
+                    _ => link_ok(l),
+                }
+            })
+        })
+        .map(|s| NodeId(s as u32))
+        .collect();
+    if stale.is_empty() {
+        return;
+    }
+    for (s, row) in stale.iter().zip(distance_rows(topo, &stale, link_ok)) {
+        dist[s.0 as usize] = row;
+    }
+}
+
 /// A concrete routed path: the exact links taken (parallel spans are
 /// distinguished) and the end-to-end delay.
 #[derive(Debug, Clone)]
@@ -425,6 +470,64 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Seeded random WANs with a parallel span and a zero-length span,
+    /// under batches of random cuts and repairs. A batch may flip one
+    /// link twice (cut and repaired, or repaired and cut, in one batch),
+    /// and each case ends with a batch that repairs every cut link,
+    /// which rejoins any partition. After every batch the refreshed
+    /// matrix must equal a fresh one over the new link set.
+    #[test]
+    fn refreshed_rows_match_a_fresh_matrix_under_random_flips() {
+        let mut rng = SimRng::seed_from_u64(0xF11B);
+        let (mut doubled, mut rejoined) = (0, 0);
+        for case in 0..60 {
+            let n = 3 + rng.below(14);
+            let mut t = Topology::random_geometric(n, 1000.0, 350.0, &mut rng);
+            let twin = t.link(LinkId(rng.below(t.link_count()) as u32)).clone();
+            t.add_link(twin.a, twin.b, twin.length_km * rng.uniform_range(0.5, 2.0));
+            let a = NodeId(rng.below(n) as u32);
+            let b = NodeId(((a.0 as usize + 1 + rng.below(n - 1)) % n) as u32);
+            t.add_link(a, b, 0.0);
+            let links = t.link_count();
+            let mut up = vec![true; links];
+            let mut dist = distance_matrix(&t, &|_| true);
+            for batch in 0..10 {
+                let mut flipped = Vec::new();
+                if batch == 9 {
+                    for (l, state) in up.iter_mut().enumerate() {
+                        if !*state {
+                            *state = true;
+                            flipped.push(LinkId(l as u32));
+                        }
+                    }
+                } else {
+                    for _ in 0..1 + rng.below(4) {
+                        let l = rng.below(links);
+                        let flips = if rng.chance(0.2) { 2 } else { 1 };
+                        doubled += flips - 1;
+                        for _ in 0..flips {
+                            up[l] = !up[l];
+                            flipped.push(LinkId(l as u32));
+                        }
+                    }
+                }
+                let unreached =
+                    |d: &[Vec<Option<u64>>]| d.iter().flatten().filter(|c| c.is_none()).count();
+                let before = unreached(&dist);
+                let ok = |l: LinkId| up[l.0 as usize];
+                refresh_distance_rows(&t, &mut dist, &flipped, &ok);
+                assert_eq!(dist, distance_matrix(&t, &ok), "case {case} batch {batch}");
+                if unreached(&dist) < before {
+                    rejoined += 1;
+                }
+            }
+        }
+        assert!(
+            doubled > 0 && rejoined > 0,
+            "{doubled} double flips, {rejoined} rejoins"
+        );
     }
 
     #[test]

@@ -18,25 +18,38 @@
 //! after the local passes, in one sequential id-ordered sweep (locals
 //! have strict priority).
 //!
-//! ## Caches and their invalidation
+//! ## Caches and their upkeep
 //!
-//! | cache | recomputed when |
+//! A decision costs what its batch changed: no cache is rebuilt, and
+//! the demand book is not rescanned, unless an event changed its
+//! inputs.
+//!
+//! | cache | brought up to date when |
 //! |---|---|
-//! | shard distance matrix | an intra-region link of that shard flips |
-//! | shard compute-site set | a site of that shard flips |
-//! | global distance matrix | any link flips |
-//! | global compute-site set | any site flips |
-//! | a demand's option list | its matrix or site set was recomputed |
+//! | shard distance matrix | an intra-region link of that shard flips (recomputed) |
+//! | shard compute-site set | a site of that shard flips (recomputed) |
+//! | global distance matrix | it is next read after link flips: only the rows a flipped link can move rerun Dijkstra ([`refresh_distance_rows`]) |
+//! | global compute-site set | any site flips (recomputed) |
+//! | a demand's option list | its matrix or site set was recomputed (re-enumerated) |
+//! | each shard's local ids, the boundary ids, local slot use per node | a demand arrives, departs or has a choice installed |
+//! | effective capacity per node | a site flips |
 //!
 //! `Full` shard work recomputes matrix, sites, options *and* all local
-//! placements unconditionally, so the incremental state after any event
-//! batch is definitionally equal to a from-scratch [`ShardedController::full_resolve`]
-//! — the property `tests/shard.rs` checks differentially at every step.
+//! placements unconditionally, and [`ShardedController::full_resolve`]
+//! also recounts the id lists and slot use from the placements and
+//! rebuilds the global matrix from scratch, so it inherits nothing the
+//! incremental path maintains. The incremental state after any event
+//! batch must equal it — the property `tests/shard.rs` checks
+//! differentially at every step — and
+//! [`ShardedController::check_invariants`] compares every maintained
+//! list, count and matrix against a recount.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+use std::mem;
 
 use ofpc_controller::{options_from_matrix, AllocOption, Demand};
-use ofpc_net::routing::{distance_matrix, distance_rows};
+use ofpc_net::routing::{distance_matrix, distance_rows, refresh_distance_rows};
 use ofpc_net::{LinkId, NodeId, Topology};
 use ofpc_par::WorkerPool;
 use ofpc_telemetry::{track, Telemetry};
@@ -115,6 +128,29 @@ impl DemandEntry {
     }
 }
 
+/// Id lists and slot use over the demand book, kept up to date as
+/// demands arrive, depart and move, so that no decision rescans the
+/// book. [`ShardedController::recount`] rebuilds it from the book.
+#[derive(Debug, Clone, PartialEq)]
+struct Book {
+    /// Each shard's local demand ids, ascending.
+    local_ids: Vec<Vec<u32>>,
+    /// Boundary demand ids, ascending.
+    boundary_ids: Vec<u32>,
+    /// Slots held by local placements, per node.
+    local_used: Vec<usize>,
+}
+
+/// Re-solve buffers, lent to whichever worker solves a shard (or the
+/// boundary sweep) and handed back with the result.
+#[derive(Debug, Clone, Default)]
+struct Buffers {
+    used: Vec<usize>,
+    /// Re-enumerated option lists, ascending by id.
+    fresh: Vec<(u32, Vec<AllocOption>)>,
+    choices: Vec<(u32, Option<usize>)>,
+}
+
 #[derive(Debug, Clone, Default)]
 struct Shard {
     /// Intra-region distance matrix: rows populated for region nodes
@@ -123,27 +159,36 @@ struct Shard {
     dist: Option<Matrix>,
     /// In-region compute sites that are up and have slots installed.
     sites: Vec<NodeId>,
+    buffers: Buffers,
 }
 
 /// Dirty-set accumulated by events, drained by the settle pass.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct DirtySet {
-    shards: BTreeMap<u32, Work>,
+    /// Re-plan scope per shard, indexed by region.
+    shards: Vec<Option<Work>>,
     /// Re-enumerate every boundary option list and rerun the sweep.
     boundary_full: bool,
     /// Rerun the boundary sweep from this id (placed departures and
     /// arrivals); subsumed by `boundary_full`.
     boundary_from: Option<u32>,
-    global_dist: bool,
     global_sites: bool,
 }
 
 impl DirtySet {
+    fn mark(&mut self, region: u32, work: Work) {
+        let slot = &mut self.shards[region as usize];
+        *slot = Some(merge_work(*slot, work));
+    }
+
+    fn mark_boundary_from(&mut self, id: u32) {
+        self.boundary_from = Some(self.boundary_from.map_or(id, |x| x.min(id)));
+    }
+
     fn is_clean(&self) -> bool {
-        self.shards.is_empty()
+        self.shards.iter().all(Option::is_none)
             && !self.boundary_full
             && self.boundary_from.is_none()
-            && !self.global_dist
             && !self.global_sites
     }
 }
@@ -153,8 +198,17 @@ struct ShardResult {
     region: u32,
     dist: Option<Matrix>,
     sites: Option<Vec<NodeId>>,
-    options: Vec<(u32, Vec<AllocOption>)>,
-    choices: Vec<(u32, Option<usize>)>,
+    buffers: Buffers,
+}
+
+/// Buffers one decision fills and the next reuses.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Local slot use when the batch began.
+    pre_used: Vec<usize>,
+    /// The batch's arrival ids, ascending.
+    arrivals: Vec<u32>,
+    boundary: Buffers,
 }
 
 /// The sharded incremental controller (see module docs).
@@ -164,14 +218,20 @@ pub struct ShardedController {
     regions: RegionMap,
     /// Installed compute transponder slots per node.
     capacity: Vec<usize>,
+    /// `capacity` with failed sites at zero: what placements may take.
+    eff_cap: Vec<usize>,
     link_up: Vec<bool>,
     site_up: Vec<bool>,
     max_options: usize,
     demands: BTreeMap<u32, DemandEntry>,
+    book: Book,
     shards: Vec<Shard>,
     global_dist: Option<Matrix>,
+    /// Links flipped since `global_dist` was last brought up to date.
+    global_flips: Vec<LinkId>,
     global_sites: Vec<NodeId>,
     dirty: DirtySet,
+    scratch: Scratch,
     /// Smallest id the next arrival may carry.
     next_id_min: u32,
     pool: WorkerPool,
@@ -195,15 +255,28 @@ impl ShardedController {
         let mut ctl = ShardedController {
             topo,
             regions,
+            eff_cap: capacity.clone(),
             capacity,
             link_up: vec![true; links],
             site_up: vec![true; n],
             max_options,
             demands: BTreeMap::new(),
+            book: Book {
+                local_ids: vec![Vec::new(); shard_count],
+                boundary_ids: Vec::new(),
+                local_used: vec![0; n],
+            },
             shards: vec![Shard::default(); shard_count],
             global_dist: None,
+            global_flips: Vec::new(),
             global_sites: Vec::new(),
-            dirty: DirtySet::default(),
+            dirty: DirtySet {
+                shards: vec![None; shard_count],
+                boundary_full: false,
+                boundary_from: None,
+                global_sites: false,
+            },
+            scratch: Scratch::default(),
             next_id_min: 0,
             pool: WorkerPool::sequential(),
             tel: Telemetry::disabled(),
@@ -263,6 +336,7 @@ impl ShardedController {
 
     // ----- internal pure helpers ----------------------------------------
 
+    /// Effective capacity derived afresh from the site states.
     fn eff_capacity(&self) -> Vec<usize> {
         (0..self.capacity.len())
             .map(|n| if self.site_up[n] { self.capacity[n] } else { 0 })
@@ -285,36 +359,26 @@ impl ShardedController {
             .collect()
     }
 
-    /// Local slot usage per node, from current local placements.
-    fn local_used(&self) -> Vec<usize> {
-        let mut used = vec![0usize; self.capacity.len()];
-        for e in self.demands.values() {
-            if e.shard.is_some() {
-                if let Some(p) = e.placement() {
-                    for n in p {
-                        used[n.0 as usize] += 1;
+    /// The [`Book`] read off the demand book and its placements, which
+    /// is what the maintained one must always equal.
+    fn recount(&self) -> Book {
+        let mut book = Book {
+            local_ids: vec![Vec::new(); self.regions.region_count()],
+            boundary_ids: Vec::new(),
+            local_used: vec![0; self.capacity.len()],
+        };
+        for (&id, e) in &self.demands {
+            match e.shard {
+                Some(r) => {
+                    book.local_ids[r as usize].push(id);
+                    for n in e.placement().unwrap_or_default() {
+                        book.local_used[n.0 as usize] += 1;
                     }
                 }
+                None => book.boundary_ids.push(id),
             }
         }
-        used
-    }
-
-    /// Ids of one shard's local demands, ascending.
-    fn local_ids(&self, region: u32) -> Vec<u32> {
-        self.demands
-            .iter()
-            .filter(|(_, e)| e.shard == Some(region))
-            .map(|(&id, _)| id)
-            .collect()
-    }
-
-    fn boundary_ids(&self) -> Vec<u32> {
-        self.demands
-            .iter()
-            .filter(|(_, e)| e.shard.is_none())
-            .map(|(&id, _)| id)
-            .collect()
+        book
     }
 
     // ----- event intake -------------------------------------------------
@@ -329,8 +393,9 @@ impl ShardedController {
     /// lets a correlated fault burst dirty several shards and pay one
     /// parallel settle instead of many sequential ones.
     pub fn apply_batch(&mut self, events: Vec<ShardEvent>) -> EventOutcome {
-        let pre_local_used = self.local_used();
-        let mut arrivals: Vec<u32> = Vec::new();
+        self.scratch.pre_used.clone_from(&self.book.local_used);
+        let mut arrivals = mem::take(&mut self.scratch.arrivals);
+        arrivals.clear();
 
         for event in events {
             match event {
@@ -353,14 +418,15 @@ impl ShardedController {
                         },
                     );
                     arrivals.push(id);
+                    // Ids only grow, so a push keeps each list ascending.
                     match shard {
                         Some(r) => {
-                            let w = merge_work(self.dirty.shards.get(&r).copied(), Work::From(id));
-                            self.dirty.shards.insert(r, w);
+                            self.book.local_ids[r as usize].push(id);
+                            self.dirty.mark(r, Work::From(id));
                         }
                         None => {
-                            self.dirty.boundary_from =
-                                Some(self.dirty.boundary_from.map_or(id, |x| x.min(id)));
+                            self.book.boundary_ids.push(id);
+                            self.dirty.mark_boundary_from(id);
                         }
                     }
                 }
@@ -369,20 +435,25 @@ impl ShardedController {
                         .demands
                         .remove(&id)
                         .unwrap_or_else(|| panic!("departure of unknown demand {id}"));
+                    let ids = match entry.shard {
+                        Some(r) => &mut self.book.local_ids[r as usize],
+                        None => &mut self.book.boundary_ids,
+                    };
+                    let at = ids.binary_search(&id).expect("a live demand is listed");
+                    ids.remove(at);
                     // An unplaced demand consumed nothing; removing it
                     // cannot change any other id-ordered decision.
-                    if entry.choice.is_none() {
+                    let Some(placement) = entry.placement() else {
                         continue;
-                    }
+                    };
                     match entry.shard {
                         Some(r) => {
-                            let w = merge_work(self.dirty.shards.get(&r).copied(), Work::From(id));
-                            self.dirty.shards.insert(r, w);
+                            for n in placement {
+                                self.book.local_used[n.0 as usize] -= 1;
+                            }
+                            self.dirty.mark(r, Work::From(id));
                         }
-                        None => {
-                            self.dirty.boundary_from =
-                                Some(self.dirty.boundary_from.map_or(id, |x| x.min(id)));
-                        }
+                        None => self.dirty.mark_boundary_from(id),
                     }
                 }
                 ShardEvent::CutLink(l) => self.flip_link(l, false),
@@ -392,7 +463,9 @@ impl ShardedController {
             }
         }
 
-        self.settle(&arrivals, &pre_local_used)
+        let out = self.settle(&arrivals);
+        self.scratch.arrivals = arrivals;
+        out
     }
 
     fn flip_link(&mut self, l: LinkId, up: bool) {
@@ -406,37 +479,43 @@ impl ShardedController {
             self.regions.region_of(link.b),
         );
         if ra == rb {
-            self.dirty.shards.insert(ra, Work::Full);
+            self.dirty.mark(ra, Work::Full);
         }
         // Any link flip can reroute cross-region paths.
-        self.dirty.global_dist = true;
+        if self.global_dist.is_some() {
+            self.global_flips.push(l);
+        }
         self.dirty.boundary_full = true;
     }
 
     fn flip_site(&mut self, n: NodeId, up: bool) {
-        if self.site_up[n.0 as usize] == up {
+        let i = n.0 as usize;
+        if self.site_up[i] == up {
             return;
         }
-        self.site_up[n.0 as usize] = up;
-        self.dirty
-            .shards
-            .insert(self.regions.region_of(n), Work::Full);
+        self.site_up[i] = up;
+        self.eff_cap[i] = if up { self.capacity[i] } else { 0 };
+        self.dirty.mark(self.regions.region_of(n), Work::Full);
         self.dirty.global_sites = true;
         self.dirty.boundary_full = true;
     }
 
     /// Recompute every cache and every placement from scratch. The
     /// incremental path must land on exactly this state after any
-    /// event batch — the differential tests' ground truth.
+    /// event batch — the differential tests' ground truth — so nothing
+    /// it maintains is inherited: id lists, slot use and effective
+    /// capacity are recounted and the global matrix is rebuilt.
     pub fn full_resolve(&mut self) {
         for r in 0..self.regions.region_count() as u32 {
-            self.dirty.shards.insert(r, Work::Full);
+            self.dirty.mark(r, Work::Full);
         }
         self.dirty.boundary_full = true;
-        self.dirty.global_dist = true;
         self.dirty.global_sites = true;
-        let pre_local_used = self.local_used();
-        self.settle(&[], &pre_local_used);
+        self.book = self.recount();
+        self.eff_cap = self.eff_capacity();
+        self.global_dist = None;
+        self.global_flips.clear();
+        self.settle(&[]);
     }
 
     // ----- the settle pass ----------------------------------------------
@@ -446,30 +525,31 @@ impl ShardedController {
     /// and nowhere else, and each live demand is rewritten at most once
     /// (by its shard or by the boundary sweep), so the outcome is read
     /// off the rewrites themselves instead of a before/after snapshot.
-    fn settle(&mut self, arrivals: &[u32], pre_local_used: &[usize]) -> EventOutcome {
-        let eff_cap = self.eff_capacity();
-        let new_ids: BTreeSet<u32> = arrivals.iter().copied().collect();
+    /// `arrivals` lists the batch's new ids, ascending.
+    fn settle(&mut self, arrivals: &[u32]) -> EventOutcome {
         let mut out = EventOutcome::default();
 
         // Phase 1: dirty shards in parallel. Workers read shared state
         // and return replacement caches + choices; merging is ordered.
-        let tasks: Vec<(u32, Work, Vec<u32>)> = self
+        let tasks: Vec<(u32, Work, Buffers)> = self
             .dirty
             .shards
-            .iter()
-            .map(|(&r, &w)| (r, w, self.local_ids(r)))
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(r, work)| {
+                let work = work.take()?;
+                Some((r as u32, work, mem::take(&mut self.shards[r].buffers)))
+            })
             .collect();
         let resolved_shards: Vec<u32> = tasks.iter().map(|t| t.0).collect();
         let results: Vec<ShardResult> = {
             let this = &*self;
-            let eff_cap = &eff_cap;
-            let new_ids = &new_ids;
             this.pool
-                .scatter_gather(tasks, move |_, (region, work, ids)| {
-                    this.solve_shard(region, work, &ids, new_ids, eff_cap)
+                .scatter_gather(tasks, move |_, (region, work, buffers)| {
+                    this.solve_shard(region, work, buffers, arrivals)
                 })
         };
-        for res in results {
+        for mut res in results {
             let shard = &mut self.shards[res.region as usize];
             if let Some(dist) = res.dist {
                 shard.dist = Some(dist);
@@ -477,56 +557,53 @@ impl ShardedController {
             if let Some(sites) = res.sites {
                 shard.sites = sites;
             }
-            self.install(res.choices, res.options, &new_ids, &mut out);
+            self.install(
+                &res.buffers.choices,
+                &mut res.buffers.fresh,
+                arrivals,
+                &mut out,
+            );
+            self.shards[res.region as usize].buffers = res.buffers;
         }
-        self.dirty.shards.clear();
 
         // Phase 2: boundary reconciliation. The sweep's inputs are the
         // residual capacity vector and the boundary option lists; rerun
         // iff either could have changed, else append new arrivals.
-        let post_local_used = self.local_used();
-        let boundary_ids = self.boundary_ids();
-        let residual_changed = post_local_used != *pre_local_used;
-        let boundary_full = self.dirty.boundary_full;
-        let boundary_from = self.dirty.boundary_from;
+        let residual_changed = self.book.local_used != self.scratch.pre_used;
+        let boundary_full = mem::take(&mut self.dirty.boundary_full);
+        let boundary_from = self.dirty.boundary_from.take();
         let rerun_full = boundary_full || residual_changed;
-        // Refresh global caches regardless of whether the sweep runs —
-        // a later settle may consult them without another flip event.
-        if self.dirty.global_sites {
+        // Refresh the site set regardless of whether the sweep runs — a
+        // later settle may consult it without another flip event.
+        if mem::take(&mut self.dirty.global_sites) {
             self.global_sites = self.up_sites();
-            self.dirty.global_sites = false;
         }
-        if self.dirty.global_dist {
-            self.global_dist = None;
-            self.dirty.global_dist = false;
-        }
-        self.dirty.boundary_full = false;
-        self.dirty.boundary_from = None;
-        let run = if !boundary_ids.is_empty() && (rerun_full || boundary_from.is_some()) {
-            if self.global_dist.is_none() {
-                let up = self.link_up.clone();
-                self.global_dist = Some(distance_matrix(&self.topo, &|l: LinkId| up[l.0 as usize]));
-            }
-            let dist = self.global_dist.as_ref().unwrap();
-            let mut fresh: Vec<(u32, Vec<AllocOption>)> = Vec::new();
-            for &id in &boundary_ids {
-                let e = &self.demands[&id];
-                if boundary_full || new_ids.contains(&id) {
-                    fresh.push((
+        let run = !self.book.boundary_ids.is_empty() && (rerun_full || boundary_from.is_some());
+        if run {
+            self.refresh_global_dist();
+            let dist = self.global_dist.as_ref().expect("refreshed above");
+            let mut buffers = mem::take(&mut self.scratch.boundary);
+            for &id in &self.book.boundary_ids {
+                if boundary_full || arrivals.binary_search(&id).is_ok() {
+                    let demand = &self.demands[&id].demand;
+                    buffers.fresh.push((
                         id,
-                        options_from_matrix(&e.demand, dist, &self.global_sites, self.max_options),
+                        options_from_matrix(demand, dist, &self.global_sites, self.max_options),
                     ));
                 }
             }
+            buffers.used.clone_from(&self.book.local_used);
             let from = if rerun_full { None } else { boundary_from };
-            let mut used = post_local_used;
-            let seq = self.placement_seq(&boundary_ids, &fresh);
-            let choices = place_suffix(&seq, from, &eff_cap, &mut used);
-            self.install(choices, fresh, &new_ids, &mut out);
-            true
-        } else {
-            false
-        };
+            place_suffix(
+                self.placement_seq(&self.book.boundary_ids, &buffers.fresh),
+                from,
+                &self.eff_cap,
+                &mut buffers.used,
+                &mut buffers.choices,
+            );
+            self.install(&buffers.choices, &mut buffers.fresh, arrivals, &mut out);
+            self.scratch.boundary = buffers;
+        }
         debug_assert!(self.dirty.is_clean());
 
         self.emit_spans(&resolved_shards, run);
@@ -548,69 +625,88 @@ impl ShardedController {
         out
     }
 
+    /// Build the global matrix on its first read; after that, rerun
+    /// only the rows the links flipped since can move.
+    fn refresh_global_dist(&mut self) {
+        let up = &self.link_up;
+        let link_ok = |l: LinkId| up[l.0 as usize];
+        match self.global_dist.as_mut() {
+            Some(dist) => refresh_distance_rows(&self.topo, dist, &self.global_flips, &link_ok),
+            None => self.global_dist = Some(distance_matrix(&self.topo, &link_ok)),
+        }
+        self.global_flips.clear();
+    }
+
     /// The id-ordered `(id, options, previous choice)` sequence
     /// [`place_suffix`] walks. `fresh` holds re-enumerated option lists
     /// for a subsequence of `ids` and overrides the cached ones.
     fn placement_seq<'a>(
         &'a self,
-        ids: &[u32],
+        ids: &'a [u32],
         fresh: &'a [(u32, Vec<AllocOption>)],
-    ) -> Vec<(u32, &'a [AllocOption], Option<usize>)> {
+    ) -> impl Iterator<Item = (u32, &'a [AllocOption], Option<usize>)> + 'a {
         let mut fresh = fresh.iter().peekable();
-        ids.iter()
-            .map(|&id| {
-                let e = &self.demands[&id];
-                let options = fresh
-                    .next_if(|(f, _)| *f == id)
-                    .map_or(e.options.as_slice(), |(_, o)| o.as_slice());
-                (id, options, e.choice)
-            })
-            .collect()
+        ids.iter().map(move |&id| {
+            let e = &self.demands[&id];
+            let options = fresh
+                .next_if(|(f, _)| *f == id)
+                .map_or(e.options.as_slice(), |(_, o)| o.as_slice());
+            (id, options, e.choice)
+        })
     }
 
     /// Install re-solved `choices` (ascending id) together with the
     /// re-enumerated option lists in `fresh` (a subsequence of the same
-    /// ids), and book how each demand that predates the batch moved.
+    /// ids, drained), book how each demand that predates the batch
+    /// moved, and move local slot use with each local placement.
     fn install(
         &mut self,
-        choices: Vec<(u32, Option<usize>)>,
-        fresh: Vec<(u32, Vec<AllocOption>)>,
-        new_ids: &BTreeSet<u32>,
+        choices: &[(u32, Option<usize>)],
+        fresh: &mut Vec<(u32, Vec<AllocOption>)>,
+        arrivals: &[u32],
         out: &mut EventOutcome,
     ) {
-        let mut fresh = fresh.into_iter().peekable();
-        for (id, choice) in choices {
+        let mut fresh = fresh.drain(..).peekable();
+        for &(id, choice) in choices {
             let e = self.demands.get_mut(&id).expect("settled demands are live");
             let retired = fresh
                 .next_if(|(f, _)| *f == id)
-                .map(|(_, o)| std::mem::replace(&mut e.options, o));
+                .map(|(_, o)| mem::replace(&mut e.options, o));
             let old = retired.as_ref().unwrap_or(&e.options);
             let before = e.choice.map(|c| old[c].placement.as_slice());
             let after = choice.map(|c| e.options[c].placement.as_slice());
-            let moved = match (before, after) {
-                // Arrivals are booked as admitted or rejected instead.
-                _ if new_ids.contains(&id) => None,
-                (Some(_), None) => Some(&mut out.displaced),
-                (None, Some(_)) => Some(&mut out.revived),
-                (Some(a), Some(b)) if a != b => Some(&mut out.replanned),
-                _ => None,
-            };
-            if let Some(list) = moved {
-                list.push(id);
+            if before != after {
+                let moved = match (before, after) {
+                    // Arrivals are booked as admitted or rejected instead.
+                    _ if arrivals.binary_search(&id).is_ok() => None,
+                    (Some(_), None) => Some(&mut out.displaced),
+                    (None, Some(_)) => Some(&mut out.revived),
+                    _ => Some(&mut out.replanned),
+                };
+                if let Some(list) = moved {
+                    list.push(id);
+                }
+                if e.shard.is_some() {
+                    for n in before.unwrap_or_default() {
+                        self.book.local_used[n.0 as usize] -= 1;
+                    }
+                    for n in after.unwrap_or_default() {
+                        self.book.local_used[n.0 as usize] += 1;
+                    }
+                }
             }
             e.choice = choice;
         }
     }
 
     /// One shard's settle work — a pure function of shared state, safe
-    /// to run on any worker.
+    /// to run on any worker. It fills the shard's lent `buffers`.
     fn solve_shard(
         &self,
         region: u32,
         work: Work,
-        ids: &[u32],
-        new_ids: &BTreeSet<u32>,
-        eff_cap: &[usize],
+        mut buffers: Buffers,
+        arrivals: &[u32],
     ) -> ShardResult {
         let shard = &self.shards[region as usize];
         let full = work == Work::Full;
@@ -627,31 +723,36 @@ impl ShardedController {
             None
         };
         let sites_ref = sites.as_deref().unwrap_or(&shard.sites);
+        let ids = &self.book.local_ids[region as usize];
 
         // Option lists: everything on Full, arrivals always.
-        let mut options: Vec<(u32, Vec<AllocOption>)> = Vec::new();
         for &id in ids {
-            if full || new_ids.contains(&id) {
-                let e = &self.demands[&id];
-                options.push((
+            if full || arrivals.binary_search(&id).is_ok() {
+                let demand = &self.demands[&id].demand;
+                buffers.fresh.push((
                     id,
-                    options_from_matrix(&e.demand, dist_ref, sites_ref, self.max_options),
+                    options_from_matrix(demand, dist_ref, sites_ref, self.max_options),
                 ));
             }
         }
-        let seq = self.placement_seq(ids, &options);
         let from = match work {
             Work::Full => None,
             Work::From(id) => Some(id),
         };
-        let mut used = vec![0usize; eff_cap.len()];
-        let choices = place_suffix(&seq, from, eff_cap, &mut used);
+        buffers.used.clear();
+        buffers.used.resize(self.eff_cap.len(), 0);
+        place_suffix(
+            self.placement_seq(ids, &buffers.fresh),
+            from,
+            &self.eff_cap,
+            &mut buffers.used,
+            &mut buffers.choices,
+        );
         ShardResult {
             region,
             dist,
             sites,
-            options,
-            choices,
+            buffers,
         }
     }
 
@@ -701,8 +802,9 @@ impl ShardedController {
 
     // ----- invariant checking -------------------------------------------
 
-    /// Structural invariants the churn property test leans on. Returns
-    /// the first violation found.
+    /// Structural invariants the churn property test leans on, and the
+    /// agreement of every maintained list, count and matrix with one
+    /// recounted from scratch. Returns the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut used = vec![0usize; self.capacity.len()];
         for (&id, entry) in &self.demands {
@@ -722,21 +824,45 @@ impl ShardedController {
         if !self.dirty.is_clean() {
             return Err("dirty set not cleared after settle".to_string());
         }
+        if self.book != self.recount() {
+            return Err("maintained id lists or local slot use differ from a recount".to_string());
+        }
+        if self.eff_cap != self.eff_capacity() {
+            return Err("maintained effective capacity differs from the site states".to_string());
+        }
+        if let Some(cached) = &self.global_dist {
+            let up = &self.link_up;
+            let link_ok = |l: LinkId| up[l.0 as usize];
+            let mut cached = Cow::Borrowed(cached);
+            if !self.global_flips.is_empty() {
+                refresh_distance_rows(&self.topo, cached.to_mut(), &self.global_flips, &link_ok);
+            }
+            // Row by row, so the check holds one fresh row at a time.
+            for (s, row) in cached.iter().enumerate() {
+                if distance_rows(&self.topo, &[NodeId(s as u32)], &link_ok)[0] != *row {
+                    return Err(format!(
+                        "cached global distance row {s} differs from a fresh one"
+                    ));
+                }
+            }
+        }
         Ok(())
     }
 }
 
-/// Id-ordered first-fit over `seq` (ascending by id). Entries before
-/// `from` keep their choice and only charge usage; the rest re-place
-/// greedily against `cap − used`. `from = None` re-places everything.
-fn place_suffix(
-    seq: &[(u32, &[AllocOption], Option<usize>)],
+/// Id-ordered first-fit over `seq` (ascending by id), written to `out`.
+/// Entries before `from` keep their choice and only charge usage; the
+/// rest re-place greedily against `cap − used`. `from = None`
+/// re-places everything.
+fn place_suffix<'a>(
+    seq: impl Iterator<Item = (u32, &'a [AllocOption], Option<usize>)>,
     from: Option<u32>,
     cap: &[usize],
     used: &mut [usize],
-) -> Vec<(u32, Option<usize>)> {
-    let mut out = Vec::with_capacity(seq.len());
-    for &(id, options, prev) in seq {
+    out: &mut Vec<(u32, Option<usize>)>,
+) {
+    out.clear();
+    for (id, options, prev) in seq {
         if from.is_some_and(|f| id < f) {
             if let Some(o) = prev {
                 for n in &options[o].placement {
@@ -755,7 +881,6 @@ fn place_suffix(
         }
         out.push((id, chosen));
     }
-    out
 }
 
 /// Check a placement against residual capacity (with per-node
@@ -868,6 +993,40 @@ mod tests {
             assert_eq!(ctl.placements(), scratch.placements());
             ctl.check_invariants().unwrap();
         }
+    }
+
+    #[test]
+    fn check_invariants_catches_drifted_maintained_state() {
+        let mut ctl = two_region_ctl();
+        ctl.apply(ShardEvent::Arrive(demand(0, 0, 2)));
+        ctl.apply(ShardEvent::Arrive(demand(1, 0, 5)));
+        ctl.apply(ShardEvent::CutLink(LinkId(4)));
+        ctl.check_invariants().unwrap();
+        let drifted = |drift: &dyn Fn(&mut ShardedController)| {
+            let mut c = ctl.clone();
+            drift(&mut c);
+            c.check_invariants().unwrap_err()
+        };
+        assert!(drifted(&|c| c.book.local_used[1] += 1).contains("recount"));
+        assert!(drifted(&|c| c.book.local_ids[1].push(7)).contains("recount"));
+        assert!(drifted(&|c| c.book.boundary_ids.clear()).contains("recount"));
+        assert!(drifted(&|c| c.eff_cap[4] = 0).contains("effective capacity"));
+        let matrix = |c: &mut ShardedController| c.global_dist.as_mut().unwrap()[0][5] = Some(1);
+        assert!(drifted(&matrix).contains("distance row 0"));
+
+        // With no boundary demand live, flips wait for the next read of
+        // the global matrix; the check applies them to a copy.
+        ctl.apply(ShardEvent::Depart(1));
+        ctl.apply(ShardEvent::RepairLink(LinkId(4)));
+        ctl.apply(ShardEvent::CutLink(LinkId(2)));
+        assert_eq!(ctl.global_flips, vec![LinkId(4), LinkId(2)]);
+        ctl.check_invariants().unwrap();
+        ctl.apply(ShardEvent::Arrive(demand(2, 1, 4)));
+        assert!(ctl.global_flips.is_empty());
+        let mut scratch = ctl.clone();
+        scratch.full_resolve();
+        assert_eq!(ctl.placements(), scratch.placements());
+        ctl.check_invariants().unwrap();
     }
 
     #[test]

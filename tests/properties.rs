@@ -428,11 +428,9 @@ fn photonic_dnn_chain_stays_within_the_lowering_budget() {
         .map(|_| (0..DIM).map(|_| rng.uniform()).collect())
         .collect();
     let mut pdnn = PhotonicDnn::new(&mlp, engine, NonlinearUnit::ideal(), &calib);
-    let curve = {
-        let mut p3 = NonlinearUnit::new(&mut rng.derive("curve"));
-        p3.calibrate();
-        p3.transfer_curve(64)
-    };
+    // The ideal unit draws nothing; this draw holds later streams in place.
+    rng.derive("curve");
+    let curve = NonlinearUnit::ideal().transfer_curve(64);
 
     // Output-stage physical full scale: DIM unit-range operands times
     // the layer weight scale — the reference predicted_effective_bits
