@@ -140,7 +140,6 @@ impl PhotonicCipher {
             // the energy comparison against the CPU baseline is honest.
             pm: PhaseModulator::new(PhaseModulatorConfig {
                 insertion_loss_db: 0.0,
-                bandwidth_hz: 0.0,
                 ..PhaseModulatorConfig::default()
             }),
         }

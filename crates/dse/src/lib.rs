@@ -3,16 +3,18 @@
 //! The paper's evaluation fixes one transponder design point, but its
 //! central claims — energy per inference, latency per request, module
 //! form-factor fit — all hinge on which converters, modulator, and
-//! laser the engine is built from. This crate makes that choice
-//! explicit and searchable:
+//! laser the engine is built from. This crate makes the converter
+//! choice explicit and searchable (the modulator and laser stay the
+//! realistic defaults):
 //!
-//! 1. [`catalog`] — calibrated converter parts transcribed from
-//!    published area/power/precision/sample-rate tables (each entry
-//!    carries its provenance), packaged behind the
-//!    `ofpc_photonics::parts` traits so the transponder and serving
-//!    models accept them wherever they previously hard-coded numbers.
-//!    [`catalog::hardware_variant`] turns a converter pairing into the
-//!    [`ofpc_graph::HardwareVariant`] the lowerer binds per stage.
+//! 1. [`catalog`] — calibrated converter rows (bits, sample rate,
+//!    power, area) transcribed from published survey tables, each
+//!    citing its source row. [`catalog::hardware_variant`] turns a
+//!    converter pairing into the [`ofpc_graph::HardwareVariant`] the
+//!    lowerer binds per stage: the realistic transponder's service
+//!    model with its converter energies and rates re-priced from the
+//!    rows. The sweep's form-factor budget swaps the same rows' power
+//!    and area into the Fig.-4 block set.
 //! 2. [`pareto`] — the design-point record and non-dominated-set
 //!    marking over (energy, latency, effective bits), grouped per app.
 //! 3. [`sweep`] — the E17 harness core: the cartesian sweep over

@@ -12,7 +12,7 @@
 //! the whole space prices in milliseconds, and `ofpc-par` keeps the
 //! result vector byte-identical for any worker count.
 
-use crate::catalog::{hardware_variant, CatalogLaser, CatalogModulator, ConverterChoice};
+use crate::catalog::{hardware_variant, ConverterChoice};
 use crate::pareto::{mark_pareto, DesignPoint};
 use ofpc_apps::digital::ComputeModel;
 use ofpc_graph::ir::{correlation_graph, pattern_match_graph};
@@ -151,7 +151,8 @@ fn evaluate_point(
         }
     }
 
-    let blocks = compute_blocks_with(&conv.dac(), &conv.adc(), &CatalogModulator, &CatalogLaser);
+    let (dac, adc) = (conv.dac(), conv.adc());
+    let blocks = compute_blocks_with((dac.power_w, dac.area_mm2), (adc.power_w, adc.area_mm2));
     let budget = check_budget(&blocks, FormFactor::Osfp);
 
     DesignPoint {

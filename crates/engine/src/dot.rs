@@ -18,6 +18,11 @@
 //! arrived on the fiber — so only the `b` weights pay a per-element DAC,
 //! which is where the §2.2 "no constant conversions" energy saving comes
 //! from. Experiment E3 measures it via the [`EnergyLedger`].
+//!
+//! The vectorized backend (DESIGN.md §12) runs the same chain as power
+//! loops over one buffer. Every modulator drive passes unfiltered, so
+//! each weight's power transmission is a lookup in a table keyed by DAC
+//! code, built on the unit's first vectorized pass.
 
 use crate::calibration::DotCalibration;
 use ofpc_photonics::converter::{Adc, ConverterConfig, Dac, FULL_SCALE_V};
@@ -85,45 +90,16 @@ impl DotUnitConfig {
     }
 }
 
-/// Reusable scratch buffers and lookup tables for the vectorized
-/// kernel, grown once and reused across passes so the steady state
-/// performs no per-pass allocation.
+/// Reusable scratch buffer and lookup table for the vectorized kernel,
+/// grown once and reused across passes so the steady state performs no
+/// per-pass allocation.
 #[derive(Debug, Clone, Default)]
 struct VecScratch {
     /// Per-sample instantaneous power walking down the chain, W.
     powers: Vec<f64>,
-    /// Per-sample power transmissions of the current modulator stage.
-    t2: Vec<f64>,
-    /// Quantized operand values (code → value grid).
-    vals: Vec<f64>,
-    /// DAC code → fused power transmission of `mzm_b` (passthrough
-    /// drive only).
+    /// DAC code → fused power transmission of `mzm_b`, built on the
+    /// first vectorized pass.
     lut_b: Option<std::sync::Arc<Vec<f64>>>,
-    /// Whether the LUT above has been (not) built for this config.
-    luts_ready: bool,
-}
-
-/// A weight operand pre-encoded for the vectorized backend: the DAC
-/// quantization and the `mzm_b` power transfer are evaluated once and
-/// reused across every row of a matrix–vector product. Build with
-/// [`DotProductUnit::precode`] / [`DotProductUnit::precode_signed`].
-///
-/// Byte-compatible with the per-row path: the vectorized `b` side
-/// consumes no RNG, so a precoded pass produces bit-identical results
-/// to passing the same vector to [`DotProductUnit::dot_nonneg`] (the
-/// per-pass DAC energy and modulator symbol accounting still happen on
-/// every use).
-#[derive(Debug, Clone)]
-pub(crate) struct PrecodedOperand {
-    /// Per-element power transmission of the `b` modulator.
-    t2: Vec<f64>,
-}
-
-impl PrecodedOperand {
-    /// Number of vector elements.
-    pub(crate) fn len(&self) -> usize {
-        self.t2.len()
-    }
 }
 
 /// A P1 photonic dot-product unit.
@@ -266,7 +242,6 @@ impl DotProductUnit {
         assert!(!a.is_empty(), "dot product of empty vectors");
         let n = a.len();
         let rate = PHOTONIC_LANE_HZ;
-        self.ensure_luts();
         let mut powers = std::mem::take(&mut self.scratch.powers);
         self.laser.emit_power_block(n, rate, &mut powers);
         self.apply_mzm_a(a, &mut powers);
@@ -279,73 +254,30 @@ impl DotProductUnit {
     }
 
     /// Apply the `a`-side (on-fiber, unquantized) modulator power
-    /// transfer in place.
+    /// transfer in place, with the fused constants hoisted out of the
+    /// loop.
     fn apply_mzm_a(&mut self, a: &[f64], powers: &mut [f64]) {
-        let rate = PHOTONIC_LANE_HZ;
-        if self.mzm_a.is_drive_passthrough(rate) {
-            let (floor, il) = self.mzm_a.fused_amplitude_constants();
-            for (p, &x) in powers.iter_mut().zip(a) {
-                let amp = x.clamp(0.0, 1.0).sqrt().max(floor) * il;
-                *p *= amp * amp;
-            }
-        } else {
-            let mut t2 = std::mem::take(&mut self.scratch.t2);
-            self.mzm_a.power_transmissions_into(a, rate, &mut t2);
-            for (p, &t) in powers.iter_mut().zip(&t2) {
-                *p *= t;
-            }
-            self.scratch.t2 = t2;
+        let (floor, il) = self.mzm_a.fused_amplitude_constants();
+        for (p, &x) in powers.iter_mut().zip(a) {
+            let amp = x.clamp(0.0, 1.0).sqrt().max(floor) * il;
+            *p *= amp * amp;
         }
         self.mzm_a.symbols_modulated += a.len() as u64;
     }
 
     /// Apply the `b`-side (always-digital weight) encode + modulator
-    /// power transfer in place, including the per-pass DAC charge.
+    /// power transfer in place through the code table, including the
+    /// per-pass DAC charge.
     fn apply_mzm_b(&mut self, b: &[f64], powers: &mut [f64]) {
-        let rate = PHOTONIC_LANE_HZ;
-        if let Some(lut) = &self.scratch.lut_b {
-            for (p, &x) in powers.iter_mut().zip(b) {
-                *p *= lut[self.dac.encode_unit(x) as usize];
-            }
-        } else {
-            let mut vals = std::mem::take(&mut self.scratch.vals);
-            vals.clear();
-            vals.extend(
-                b.iter()
-                    .map(|&x| self.adc.decode_unit(self.dac.encode_unit(x))),
-            );
-            let mut t2 = std::mem::take(&mut self.scratch.t2);
-            self.mzm_b.power_transmissions_into(&vals, rate, &mut t2);
-            for (p, &t) in powers.iter_mut().zip(&t2) {
-                *p *= t;
-            }
-            self.scratch.vals = vals;
-            self.scratch.t2 = t2;
+        let lut = self
+            .scratch
+            .lut_b
+            .get_or_insert_with(|| Self::build_code_lut(&self.config.mzm_b, &self.dac, &self.adc));
+        for (p, &x) in powers.iter_mut().zip(b) {
+            *p *= lut[self.dac.encode_unit(x) as usize];
         }
         self.dac.charge_samples(b.len() as u64);
         self.mzm_b.symbols_modulated += b.len() as u64;
-    }
-
-    /// Largest DAC code space a dense lookup table is built for.
-    const MAX_LUT_LEVELS: u64 = 1 << 16;
-
-    /// Build the weight-side code → power-transmission LUT once per
-    /// unit, where the config allows it (passthrough drive, tractable
-    /// code space).
-    fn ensure_luts(&mut self) {
-        if self.scratch.luts_ready {
-            return;
-        }
-        if self.dac.levels() <= Self::MAX_LUT_LEVELS
-            && self.mzm_b.is_drive_passthrough(PHOTONIC_LANE_HZ)
-        {
-            self.scratch.lut_b = Some(Self::build_code_lut(
-                &self.config.mzm_b,
-                &self.dac,
-                &self.adc,
-            ));
-        }
-        self.scratch.luts_ready = true;
     }
 
     /// DAC code → fused power transmission of an MZM with `config`,
@@ -363,68 +295,6 @@ impl DotProductUnit {
         )
     }
 
-    /// Pre-encode a non-negative weight vector (elements in `[0, 1]`)
-    /// for reuse across many [`DotProductUnit::dot_nonneg_precoded`]
-    /// calls. Vectorized backend only.
-    pub(crate) fn precode(&mut self, b: &[f64]) -> PrecodedOperand {
-        assert!(
-            self.config.backend == KernelBackend::Vectorized,
-            "precoding requires the vectorized backend"
-        );
-        self.ensure_luts();
-        let rate = PHOTONIC_LANE_HZ;
-        let t2 = if let Some(lut) = &self.scratch.lut_b {
-            b.iter()
-                .map(|&x| lut[self.dac.encode_unit(x) as usize])
-                .collect()
-        } else {
-            let vals: Vec<f64> = b
-                .iter()
-                .map(|&x| self.adc.decode_unit(self.dac.encode_unit(x)))
-                .collect();
-            let mut t2 = Vec::new();
-            self.mzm_b.power_transmissions_into(&vals, rate, &mut t2);
-            t2
-        };
-        PrecodedOperand { t2 }
-    }
-
-    /// Pre-encode a signed weight vector as its positive/negative
-    /// decomposition, for [`DotProductUnit::dot_signed_precoded`].
-    pub(crate) fn precode_signed(&mut self, b: &[f64]) -> (PrecodedOperand, PrecodedOperand) {
-        let bp: Vec<f64> = b.iter().map(|&x| x.clamp(0.0, 1.0)).collect();
-        let bn: Vec<f64> = b.iter().map(|&x| (-x).clamp(0.0, 1.0)).collect();
-        (self.precode(&bp), self.precode(&bn))
-    }
-
-    /// The vectorized pass against a precoded `b` operand: identical to
-    /// [`DotProductUnit::raw_pass_vectorized`] with the `b`-side table
-    /// lookups replaced by the stored transmissions.
-    fn raw_pass_precoded(&mut self, a: &[f64], pre: &PrecodedOperand) -> f64 {
-        assert_eq!(
-            a.len(),
-            pre.len(),
-            "dot-product operands must match in length"
-        );
-        assert!(!a.is_empty(), "dot product of empty vectors");
-        let n = a.len();
-        let rate = PHOTONIC_LANE_HZ;
-        self.ensure_luts();
-        let mut powers = std::mem::take(&mut self.scratch.powers);
-        self.laser.emit_power_block(n, rate, &mut powers);
-        self.apply_mzm_a(a, &mut powers);
-        for (p, &t) in powers.iter_mut().zip(&pre.t2) {
-            *p *= t;
-        }
-        self.dac.charge_samples(n as u64);
-        self.mzm_b.symbols_modulated += n as u64;
-        self.pd.detect_power_block(&mut powers, rate);
-        let sum = powers.iter().sum();
-        self.scratch.powers = powers;
-        self.macs_performed += n as u64;
-        sum
-    }
-
     /// Dot product of non-negative vectors with elements in `[0, 1]`.
     /// Requires prior calibration.
     pub fn dot_nonneg(&mut self, a: &[f64], b: &[f64]) -> f64 {
@@ -434,24 +304,6 @@ impl DotProductUnit {
             .as_ref()
             .expect("DotProductUnit must be calibrated before use; call calibrate()");
         let charge = self.raw_pass(a, b);
-        self.convert_readout(charge, n, cal)
-    }
-
-    /// Non-negative dot product against a precoded weight operand
-    /// (vectorized backend only; see [`PrecodedOperand`]).
-    pub(crate) fn dot_nonneg_precoded(&mut self, a: &[f64], b: &PrecodedOperand) -> f64 {
-        let n = a.len();
-        let cal = *self
-            .calibration
-            .as_ref()
-            .expect("DotProductUnit must be calibrated before use; call calibrate()");
-        let charge = self.raw_pass_precoded(a, b);
-        self.convert_readout(charge, n, cal)
-    }
-
-    /// Calibration-corrected single-sample ADC readout of an integrated
-    /// charge: the shared back half of every dot product.
-    fn convert_readout(&mut self, charge: f64, n: usize, cal: DotCalibration) -> f64 {
         let raw = (charge - n as f64 * cal.dark_current_a) / cal.unit_current_a;
         // Single ADC readout of the normalized integrator output.
         let normalized = (raw / n as f64).clamp(0.0, 1.0);
@@ -475,32 +327,6 @@ impl DotProductUnit {
         self.dot_nonneg(&ap, &bp) + self.dot_nonneg(&an, &bn)
             - self.dot_nonneg(&ap, &bn)
             - self.dot_nonneg(&an, &bp)
-    }
-
-    /// Signed dot product against a precoded weight decomposition from
-    /// [`DotProductUnit::precode_signed`]: the same four passes, in the
-    /// same order, as [`DotProductUnit::dot_signed`].
-    pub(crate) fn dot_signed_precoded(
-        &mut self,
-        a: &[f64],
-        bp: &PrecodedOperand,
-        bn: &PrecodedOperand,
-    ) -> f64 {
-        assert_eq!(
-            a.len(),
-            bp.len(),
-            "dot-product operands must match in length"
-        );
-        assert_eq!(
-            a.len(),
-            bn.len(),
-            "dot-product operands must match in length"
-        );
-        let ap: Vec<f64> = a.iter().map(|&x| x.clamp(0.0, 1.0)).collect();
-        let an: Vec<f64> = a.iter().map(|&x| (-x).clamp(0.0, 1.0)).collect();
-        self.dot_nonneg_precoded(&ap, bp) + self.dot_nonneg_precoded(&an, bn)
-            - self.dot_nonneg_precoded(&ap, bn)
-            - self.dot_nonneg_precoded(&an, bp)
     }
 
     /// Latency of one n-element dot product, seconds: the block occupies
@@ -722,27 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn precoded_weights_replay_per_row_results_byte_for_byte() {
-        let a = vec![0.3, -0.8, 0.1, 0.9, -0.4, 0.0, 0.65, -1.0];
-        let w = vec![0.2, 0.7, -0.5, 1.0, -0.15, 0.4, -0.9, 0.05];
-        let mut per_row = vectorized(DotUnitConfig::realistic(), 9, 256);
-        let mut pre = vectorized(DotUnitConfig::realistic(), 9, 256);
-        let (bp, bn) = pre.precode_signed(&w);
-        for _ in 0..3 {
-            let x = per_row.dot_signed(&a, &w);
-            let y = pre.dot_signed_precoded(&a, &bp, &bn);
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // Energy and symbol accounting must also be identical: precoding
-        // still pays the per-pass DAC and modulator costs.
-        assert_eq!(per_row.macs_performed, pre.macs_performed);
-        assert_eq!(
-            per_row.energy_ledger().total_j().to_bits(),
-            pre.energy_ledger().total_j().to_bits()
-        );
-    }
-
-    #[test]
     fn vectorized_noisy_unit_is_approximately_right() {
         let mut unit = vectorized(DotUnitConfig::realistic(), 3, 256);
         let n = 64;
@@ -806,12 +611,5 @@ mod tests {
     fn vectorized_mismatched_lengths_panic() {
         let mut unit = vectorized(DotUnitConfig::ideal(), 0, 64);
         unit.dot_nonneg(&[1.0, 0.5], &[1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "vectorized backend")]
-    fn precode_rejects_scalar_backend() {
-        let mut unit = DotProductUnit::ideal();
-        unit.precode(&[0.5]);
     }
 }

@@ -5,9 +5,11 @@
 //! channel carries an independent copy of the Fig. 2a pipeline on its own
 //! wavelength (the architecture of integrated photonic tensor cores). A
 //! matrix-vector product over an `m×n` matrix finishes in
-//! `ceil(m / lanes)` sequential dot products.
+//! `ceil(m / lanes)` sequential dot products. Row `r` runs on lane
+//! `r mod lanes` as one ordinary dot product of the row with the shared
+//! vector, on either kernel backend.
 
-use crate::dot::{DotProductUnit, DotUnitConfig, KernelBackend};
+use crate::dot::{DotProductUnit, DotUnitConfig};
 use ofpc_photonics::energy::EnergyLedger;
 use ofpc_photonics::wdm::WdmGrid;
 use ofpc_photonics::SimRng;
@@ -55,16 +57,8 @@ impl PhotonicMatVec {
 
     /// `y = W·x` with signed entries in `[-1, 1]`. `matrix` is row-major:
     /// `matrix[r]` is row `r`, and every row must have `x.len()` entries.
-    ///
-    /// Under the vectorized backend the shared `x` operand (the `b` side
-    /// of every per-row dot product) is precoded once — DAC quantization
-    /// and MZM power transfer evaluated a single time instead of once per
-    /// row — which is byte-identical to the per-row path (see
-    /// `PrecodedOperand` in `dot`).
     pub fn mat_vec_signed(&mut self, matrix: &[Vec<f64>], x: &[f64]) -> Vec<f64> {
         assert!(!matrix.is_empty(), "empty matrix");
-        let precoded = (self.lanes[0].config.backend == KernelBackend::Vectorized)
-            .then(|| self.lanes[0].precode_signed(x));
         let mut y = Vec::with_capacity(matrix.len());
         for (r, row) in matrix.iter().enumerate() {
             assert_eq!(
@@ -75,29 +69,19 @@ impl PhotonicMatVec {
                 x.len()
             );
             let lane = r % self.lanes.len();
-            y.push(match &precoded {
-                Some((xp, xn)) => self.lanes[lane].dot_signed_precoded(row, xp, xn),
-                None => self.lanes[lane].dot_signed(row, x),
-            });
+            y.push(self.lanes[lane].dot_signed(row, x));
         }
         y
     }
 
-    /// `y = W·x` with entries in `[0, 1]`. Precodes the shared `x`
-    /// operand once under the vectorized backend, like
-    /// [`PhotonicMatVec::mat_vec_signed`].
+    /// `y = W·x` with entries in `[0, 1]`.
     pub(crate) fn mat_vec_nonneg(&mut self, matrix: &[Vec<f64>], x: &[f64]) -> Vec<f64> {
         assert!(!matrix.is_empty(), "empty matrix");
-        let precoded = (self.lanes[0].config.backend == KernelBackend::Vectorized)
-            .then(|| self.lanes[0].precode(x));
         let mut y = Vec::with_capacity(matrix.len());
         for (r, row) in matrix.iter().enumerate() {
             assert_eq!(row.len(), x.len(), "matrix row {r} length mismatch");
             let lane = r % self.lanes.len();
-            y.push(match &precoded {
-                Some(xp) => self.lanes[lane].dot_nonneg_precoded(row, xp),
-                None => self.lanes[lane].dot_nonneg(row, x),
-            });
+            y.push(self.lanes[lane].dot_nonneg(row, x));
         }
         y
     }
@@ -122,6 +106,7 @@ impl PhotonicMatVec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dot::KernelBackend;
 
     /// An ideal engine on `lanes` lanes, calibrated like
     /// [`PhotonicMatVec::ideal`].
@@ -210,44 +195,6 @@ mod tests {
         let x = vec![0.5; 16];
         e.mat_vec_nonneg(&m, &x);
         assert_eq!(e.lanes.iter().map(|l| l.macs_performed).sum::<u64>(), 64);
-    }
-
-    #[test]
-    fn vectorized_blocked_matvec_replays_per_row_dots_byte_for_byte() {
-        let mut cfg = DotUnitConfig::realistic();
-        cfg.backend = KernelBackend::Vectorized;
-        let mut rng1 = SimRng::seed_from_u64(21);
-        let mut rng2 = SimRng::seed_from_u64(21);
-        let mut blocked = PhotonicMatVec::new(cfg.clone(), 2, &mut rng1);
-        let mut manual = PhotonicMatVec::new(cfg, 2, &mut rng2);
-        blocked.calibrate(64);
-        manual.calibrate(64);
-        let m: Vec<Vec<f64>> = (0..6)
-            .map(|r| {
-                (0..8)
-                    .map(|c| ((r * 8 + c) % 7) as f64 / 3.5 - 1.0)
-                    .collect()
-            })
-            .collect();
-        let x: Vec<f64> = (0..8).map(|c| (c as f64 / 7.0) * 2.0 - 1.0).collect();
-        let got = blocked.mat_vec_signed(&m, &x);
-        // Per-row reference: exactly what mat_vec_signed did before the
-        // blocked path existed.
-        let want: Vec<f64> = m
-            .iter()
-            .enumerate()
-            .map(|(r, row)| manual.lanes[r % 2].dot_signed(row, &x))
-            .collect();
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.to_bits(), w.to_bits());
-        }
-        for (b, m) in blocked.lanes.iter().zip(&manual.lanes) {
-            assert_eq!(b.macs_performed, m.macs_performed);
-        }
-        assert_eq!(
-            blocked.energy_ledger().total_j().to_bits(),
-            manual.energy_ledger().total_j().to_bits()
-        );
     }
 
     #[test]

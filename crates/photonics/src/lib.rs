@@ -25,7 +25,6 @@ pub mod iq;
 pub mod laser;
 pub mod modulator;
 pub mod noise;
-pub mod parts;
 pub mod photodetector;
 pub mod rng;
 pub mod signal;

@@ -11,9 +11,11 @@
 //! * [`PhaseModulator`] — pure phase encoder `E → E·e^{i π v / Vπ}`,
 //!   used by the P2 pattern matcher's interference scheme.
 //!
-//! Both models include insertion loss, finite extinction ratio, and
-//! drive-bandwidth limiting; all are configurable so tests can switch the
-//! imperfections off and verify the ideal math first.
+//! Both models include insertion loss (and the MZM a finite extinction
+//! ratio), configurable so tests can switch the imperfections off and
+//! verify the ideal math first. Drives pass unfiltered: every modulator's
+//! electro-optic bandwidth is above Nyquist at the one lane rate
+//! (DESIGN.md §12).
 
 use crate::signal::{AnalogWaveform, OpticalField};
 use crate::units;
@@ -32,20 +34,17 @@ pub struct MzmConfig {
     pub insertion_loss_db: f64,
     /// Extinction ratio in dB (finite leakage at the null; typical 20–30).
     pub extinction_ratio_db: f64,
-    /// 3-dB electro-optic bandwidth in Hz (0 = unlimited).
-    pub bandwidth_hz: f64,
     /// Drive energy per symbol transition, joules (for energy accounting;
     /// on the order of tens of fJ for integrated silicon MZMs).
     pub drive_energy_j: f64,
 }
 
 impl MzmConfig {
-    /// An ideal, lossless, infinite-bandwidth MZM — calibration reference.
+    /// An ideal, lossless MZM — calibration reference.
     pub fn ideal() -> Self {
         MzmConfig {
             insertion_loss_db: 0.0,
             extinction_ratio_db: f64::INFINITY,
-            bandwidth_hz: 0.0,
             drive_energy_j: 0.0,
         }
     }
@@ -56,7 +55,6 @@ impl Default for MzmConfig {
         MzmConfig {
             insertion_loss_db: 3.5,
             extinction_ratio_db: 25.0,
-            bandwidth_hz: 40e9,
             drive_energy_j: 50e-15,
         }
     }
@@ -112,20 +110,10 @@ impl MachZehnderModulator {
         theta * 2.0 * MZM_V_PI / std::f64::consts::PI
     }
 
-    /// Whether the drive low-pass is a no-op at `sample_rate_hz`:
-    /// either the bandwidth is unlimited (0) or it is at/above Nyquist,
-    /// where `AnalogWaveform::lowpass` passes the waveform through
-    /// unchanged. When true, encode→modulate→detect pipelines may fuse
-    /// the transfer per sample (see
-    /// [`MachZehnderModulator::fused_power_transmission`]).
-    pub fn is_drive_passthrough(&self, sample_rate_hz: f64) -> bool {
-        self.config.bandwidth_hz <= 0.0 || self.config.bandwidth_hz >= sample_rate_hz / 2.0
-    }
-
     /// Fused encode→transmit amplitude transfer: the amplitude
     /// transmission this modulator produces when driven with
-    /// [`MachZehnderModulator::drive_for_transmission`]`(target)` and the
-    /// drive is not band-limited. The round trip goes through
+    /// [`MachZehnderModulator::drive_for_transmission`]`(target)`. The
+    /// round trip goes through
     /// `θ = asin(√target) ∈ [0, π/2]`, so this collapses to
     /// `max(√target, floor)·il` — one `sqrt`
     /// instead of an `asin`/`sin` pair, equal to the scalar round trip
@@ -158,48 +146,8 @@ impl MachZehnderModulator {
         t * t
     }
 
-    /// Vectorized power-domain transfer for a block of target power
-    /// transmissions: fills `out` with the power transmission each
-    /// target actually experiences through encode (drive synthesis),
-    /// the drive low-pass, and the transfer curve. Uses the fused
-    /// one-`sqrt` path when the drive low-pass is a no-op at
-    /// `sample_rate_hz`, and the general drive-filtered path otherwise.
-    ///
-    /// Pure with respect to device state: no RNG is consumed and no
-    /// symbols are accounted (callers account symbols for the pass as a
-    /// whole).
-    pub fn power_transmissions_into(
-        &self,
-        targets: &[f64],
-        sample_rate_hz: f64,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        if self.is_drive_passthrough(sample_rate_hz) {
-            let (floor, il) = self.fused_amplitude_constants();
-            out.extend(targets.iter().map(|&t| {
-                let amp = t.clamp(0.0, 1.0).sqrt().max(floor) * il;
-                amp * amp
-            }));
-        } else {
-            let mut drive = AnalogWaveform::new(
-                targets
-                    .iter()
-                    .map(|&t| self.drive_for_transmission(t.clamp(0.0, 1.0)))
-                    .collect(),
-                sample_rate_hz,
-            );
-            drive.lowpass(self.config.bandwidth_hz);
-            out.extend(drive.samples.iter().map(|&v| {
-                let t = self.amplitude_transmission(v);
-                t * t
-            }));
-        }
-    }
-
     /// Modulate `input` with the drive waveform; sample `i` of the output
-    /// is the input field scaled by `t(drive[i])`. The drive is bandwidth
-    /// limited first if the config specifies a finite bandwidth.
+    /// is the input field scaled by `t(drive[i])`.
     ///
     /// `drive.len()` must equal `input.len()`.
     pub fn modulate(&mut self, input: &OpticalField, drive: &AnalogWaveform) -> OpticalField {
@@ -216,10 +164,6 @@ impl MachZehnderModulator {
             drive.len(),
             "drive waveform length must match optical block"
         );
-        let mut drive = drive.clone();
-        if self.config.bandwidth_hz > 0.0 {
-            drive.lowpass(self.config.bandwidth_hz);
-        }
         let mut out = input.clone();
         for (s, &v) in out.samples.iter_mut().zip(drive.samples.iter()) {
             *s = s.scale(self.amplitude_transmission(v));
@@ -239,8 +183,6 @@ impl MachZehnderModulator {
 pub struct PhaseModulatorConfig {
     /// Insertion loss in dB.
     pub insertion_loss_db: f64,
-    /// 3-dB bandwidth in Hz (0 = unlimited).
-    pub bandwidth_hz: f64,
     /// Drive energy per symbol, joules.
     pub drive_energy_j: f64,
 }
@@ -249,7 +191,6 @@ impl PhaseModulatorConfig {
     pub fn ideal() -> Self {
         PhaseModulatorConfig {
             insertion_loss_db: 0.0,
-            bandwidth_hz: 0.0,
             drive_energy_j: 0.0,
         }
     }
@@ -259,7 +200,6 @@ impl Default for PhaseModulatorConfig {
     fn default() -> Self {
         PhaseModulatorConfig {
             insertion_loss_db: 2.0,
-            bandwidth_hz: 40e9,
             drive_energy_j: 30e-15,
         }
     }
@@ -299,10 +239,6 @@ impl PhaseModulator {
             drive.len(),
             "drive waveform length must match optical block"
         );
-        let mut drive = drive.clone();
-        if self.config.bandwidth_hz > 0.0 {
-            drive.lowpass(self.config.bandwidth_hz);
-        }
         let il = units::db_to_linear(-self.config.insertion_loss_db).sqrt();
         let mut out = input.clone();
         for (s, &v) in out.samples.iter_mut().zip(drive.samples.iter()) {
@@ -458,84 +394,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn power_transmissions_into_matches_modulate_when_band_limited() {
-        // The general (drive-filtered) vectorized path must reproduce
-        // the scalar modulate pipeline exactly, IIR transient included.
-        let cfg = MzmConfig {
-            bandwidth_hz: 1e9, // well below Nyquist at 10 GS/s
-            insertion_loss_db: 2.0,
-            extinction_ratio_db: 22.0,
-            ..MzmConfig::ideal()
-        };
-        let mut scalar_m = MachZehnderModulator::new(cfg.clone());
-        let vec_m = MachZehnderModulator::new(cfg);
-        assert!(!vec_m.is_drive_passthrough(RATE));
-        let targets: Vec<f64> = (0..32).map(|i| (i as f64 / 31.0).powi(2)).collect();
-        let input = cw(32);
-        let drive = AnalogWaveform::new(
-            targets
-                .iter()
-                .map(|&t| scalar_m.drive_for_transmission(t))
-                .collect(),
-            RATE,
-        );
-        let out = scalar_m.modulate(&input, &drive);
-        let mut t2 = Vec::new();
-        vec_m.power_transmissions_into(&targets, RATE, &mut t2);
-        for (k, &t) in t2.iter().enumerate().take(32) {
-            let want = out.power_at(k) / input.power_at(k);
-            assert!(
-                (t - want).abs() < 1e-12,
-                "sample {k}: vector {t} scalar {want}"
-            );
-        }
-    }
-
-    #[test]
-    fn passthrough_predicate_matches_lowpass_behavior() {
-        let m = |bw: f64| {
-            MachZehnderModulator::new(MzmConfig {
-                bandwidth_hz: bw,
-                ..MzmConfig::ideal()
-            })
-        };
-        assert!(m(0.0).is_drive_passthrough(RATE)); // unlimited
-        assert!(m(RATE / 2.0).is_drive_passthrough(RATE)); // at Nyquist
-        assert!(m(40e9).is_drive_passthrough(RATE)); // above Nyquist
-        assert!(!m(RATE / 2.0 - 1.0).is_drive_passthrough(RATE));
-    }
-
-    #[test]
-    fn bandwidth_limit_smears_fast_drive() {
-        let mut fast = MachZehnderModulator::new(MzmConfig {
-            bandwidth_hz: 1e9, // far below the 10 GHz sample rate
-            ..MzmConfig::ideal()
-        });
-        let mut ideal = MachZehnderModulator::new(MzmConfig::ideal());
-        let input = cw(64);
-        let v_full = fast.drive_for_transmission(1.0);
-        let drive = AnalogWaveform::new(
-            (0..64)
-                .map(|i| if i % 2 == 0 { v_full } else { 0.0 })
-                .collect(),
-            RATE,
-        );
-        let out_bw = fast.modulate(&input, &drive);
-        let out_ideal = ideal.modulate(&input, &drive);
-        // Band-limited drive can't reach the full on/off swing. Judge the
-        // steady state (skip the filter's startup transient).
-        let swing = |f: &OpticalField| {
-            let tail: Vec<f64> = f.samples[32..].iter().map(|s| s.norm_sqr()).collect();
-            tail.iter().fold(0.0f64, |m, &p| m.max(p))
-                - tail.iter().fold(f64::MAX, |m, &p| m.min(p))
-        };
-        let (swing_bw, swing_ideal) = (swing(&out_bw), swing(&out_ideal));
-        assert!(
-            swing_bw < 0.5 * swing_ideal,
-            "swing {swing_bw} vs {swing_ideal}"
-        );
     }
 }

@@ -8,6 +8,11 @@
 //! verify that phase-only modulation is invisible to a photodetector,
 //! which is exactly why the P2 matcher needs interference *before* the
 //! detector.
+//!
+//! Every detector's front end is wider than Nyquist at the one lane
+//! rate, so photocurrents pass unfiltered and both noise terms
+//! integrate over the Nyquist bandwidth, half the sample rate
+//! (DESIGN.md §12).
 
 use crate::noise;
 use crate::rng::SimRng;
@@ -20,8 +25,6 @@ pub const RESPONSIVITY_A_W: f64 = 1.0;
 /// at [`RESPONSIVITY_A_W`] into a 50 Ω load at room temperature.
 #[derive(Debug, Clone)]
 pub struct PhotodetectorConfig {
-    /// Electrical 3-dB bandwidth, Hz (0 = track the sample rate).
-    pub(crate) bandwidth_hz: f64,
     /// Dark current, A.
     pub(crate) dark_current_a: f64,
     /// Enable shot noise.
@@ -36,7 +39,6 @@ impl PhotodetectorConfig {
     /// Noiseless detector for calibration and algebra tests.
     pub fn ideal() -> Self {
         PhotodetectorConfig {
-            bandwidth_hz: 0.0,
             dark_current_a: 0.0,
             shot_noise: false,
             thermal_noise: false,
@@ -48,7 +50,6 @@ impl PhotodetectorConfig {
 impl Default for PhotodetectorConfig {
     fn default() -> Self {
         PhotodetectorConfig {
-            bandwidth_hz: 40e9,
             dark_current_a: 5e-9,
             shot_noise: true,
             thermal_noise: true,
@@ -75,19 +76,11 @@ impl Photodetector {
         }
     }
 
-    /// Effective noise bandwidth for a block at `sample_rate_hz`.
-    fn noise_bandwidth(&self, sample_rate_hz: f64) -> f64 {
-        if self.config.bandwidth_hz > 0.0 {
-            self.config.bandwidth_hz.min(sample_rate_hz / 2.0)
-        } else {
-            sample_rate_hz / 2.0
-        }
-    }
-
     /// Detect an optical field block, producing a photocurrent waveform
     /// (amps). Square-law: `i[n] = R·|e[n]|² + I_dark + noise`.
     pub fn detect(&mut self, input: &OpticalField) -> AnalogWaveform {
-        let bw = self.noise_bandwidth(input.sample_rate_hz);
+        // Noise integrates over the Nyquist bandwidth (module doc).
+        let bw = input.sample_rate_hz / 2.0;
         let mut out = AnalogWaveform::zeros(input.len(), input.sample_rate_hz);
         let thermal_sigma = if self.config.thermal_noise {
             noise::thermal_noise_sigma_a(bw)
@@ -105,18 +98,14 @@ impl Photodetector {
             }
             *o = i;
         }
-        if self.config.bandwidth_hz > 0.0 {
-            out.lowpass(self.config.bandwidth_hz);
-        }
         self.seconds_active += input.duration_s();
         out
     }
 
     /// Fused power-domain detection for the vectorized kernels: on
     /// entry, `samples` holds instantaneous optical powers (W); on
-    /// return it holds photocurrent samples (A), band-limited exactly as
-    /// [`Photodetector::detect`] would. No intermediate waveform is
-    /// allocated.
+    /// return it holds photocurrent samples (A). No intermediate waveform
+    /// is allocated.
     ///
     /// Shot and thermal noise are folded into a *single* Gaussian draw
     /// per sample — independent Gaussian variances add, so the
@@ -125,7 +114,8 @@ impl Photodetector {
     /// stream therefore differs from [`Photodetector::detect`]'s while
     /// staying deterministic per seed (DESIGN.md §12).
     pub fn detect_power_block(&mut self, samples: &mut [f64], sample_rate_hz: f64) {
-        let bw = self.noise_bandwidth(sample_rate_hz);
+        // Noise integrates over the Nyquist bandwidth (module doc).
+        let bw = sample_rate_hz / 2.0;
         let thermal_var = if self.config.thermal_noise {
             let sigma = noise::thermal_noise_sigma_a(bw);
             sigma * sigma
@@ -149,18 +139,6 @@ impl Photodetector {
                 }
             }
             *s = i;
-        }
-        if self.config.bandwidth_hz > 0.0 && self.config.bandwidth_hz < sample_rate_hz / 2.0 {
-            // Single-pole IIR, mirroring `AnalogWaveform::lowpass` on the
-            // non-passthrough branch.
-            let dt = 1.0 / sample_rate_hz;
-            let rc = 1.0 / (std::f64::consts::TAU * self.config.bandwidth_hz);
-            let alpha = dt / (rc + dt);
-            let mut y = 0.0;
-            for s in samples.iter_mut() {
-                y += alpha * (*s - y);
-                *s = y;
-            }
         }
         if sample_rate_hz > 0.0 {
             self.seconds_active += samples.len() as f64 / sample_rate_hz;
@@ -256,7 +234,6 @@ mod tests {
             PhotodetectorConfig {
                 shot_noise: true,
                 thermal_noise: false,
-                bandwidth_hz: 0.0,
                 ..PhotodetectorConfig::ideal()
             },
             SimRng::seed_from_u64(1),
@@ -300,28 +277,24 @@ mod tests {
     #[test]
     fn noiseless_power_block_matches_detect_bit_exactly() {
         // With noise off, the fused power-domain path is algebraically
-        // identical to the scalar path (same adds, same IIR) — require
-        // bit equality, band-limited case included.
-        for bw in [0.0, 3e9, 40e9] {
-            let cfg = PhotodetectorConfig {
-                bandwidth_hz: bw,
-                dark_current_a: 5e-9,
-                ..PhotodetectorConfig::ideal()
-            };
-            let mut aos = Photodetector::new(cfg.clone(), SimRng::seed_from_u64(4));
-            let mut soa = Photodetector::new(cfg, SimRng::seed_from_u64(4));
-            let mut f = OpticalField::cw(32, 1e-3, RATE);
-            for (i, s) in f.samples.iter_mut().enumerate() {
-                *s = s.scale(((i % 7) as f64 + 1.0) / 7.0);
-            }
-            let want = aos.detect(&f);
-            let mut powers: Vec<f64> = f.samples.iter().map(|s| s.norm_sqr()).collect();
-            soa.detect_power_block(&mut powers, RATE);
-            for (k, &p) in powers.iter().enumerate().take(32) {
-                assert_eq!(want.samples[k].to_bits(), p.to_bits(), "bw {bw} sample {k}");
-            }
-            assert!((aos.seconds_active - soa.seconds_active).abs() < 1e-24);
+        // identical to the scalar path (same adds) — require bit equality.
+        let cfg = PhotodetectorConfig {
+            dark_current_a: 5e-9,
+            ..PhotodetectorConfig::ideal()
+        };
+        let mut aos = Photodetector::new(cfg.clone(), SimRng::seed_from_u64(4));
+        let mut soa = Photodetector::new(cfg, SimRng::seed_from_u64(4));
+        let mut f = OpticalField::cw(32, 1e-3, RATE);
+        for (i, s) in f.samples.iter_mut().enumerate() {
+            *s = s.scale(((i % 7) as f64 + 1.0) / 7.0);
         }
+        let want = aos.detect(&f);
+        let mut powers: Vec<f64> = f.samples.iter().map(|s| s.norm_sqr()).collect();
+        soa.detect_power_block(&mut powers, RATE);
+        for (k, &p) in powers.iter().enumerate().take(32) {
+            assert_eq!(want.samples[k].to_bits(), p.to_bits(), "sample {k}");
+        }
+        assert!((aos.seconds_active - soa.seconds_active).abs() < 1e-24);
     }
 
     #[test]
@@ -331,7 +304,6 @@ mod tests {
         let cfg = PhotodetectorConfig {
             shot_noise: true,
             thermal_noise: true,
-            bandwidth_hz: 0.0,
             ..PhotodetectorConfig::ideal()
         };
         let mut pd = Photodetector::new(cfg, SimRng::seed_from_u64(5));

@@ -126,8 +126,8 @@ impl AnalogWaveform {
     }
 
     /// Single-pole low-pass filter with 3-dB cutoff `cutoff_hz`, modelling
-    /// device bandwidth limits (modulator drivers, photodetector front
-    /// ends). First-order IIR: `y[n] = y[n-1] + α (x[n] − y[n-1])`.
+    /// the dispersion limit of a fiber span (`FiberSpan::propagate`).
+    /// First-order IIR: `y[n] = y[n-1] + α (x[n] − y[n-1])`.
     pub(crate) fn lowpass(&mut self, cutoff_hz: f64) {
         if self.samples.is_empty() || cutoff_hz <= 0.0 || self.sample_rate_hz <= 0.0 {
             return;

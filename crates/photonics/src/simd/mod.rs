@@ -7,7 +7,7 @@
 //! walks, discarded DAC waveforms, and per-stage `OpticalField` clones
 //! for every sample. The vectorized kernels therefore run on flat power
 //! buffers (`Laser::emit_power_block`,
-//! `MachZehnderModulator::power_transmissions_into`,
+//! `MachZehnderModulator::fused_amplitude_constants`,
 //! `Photodetector::detect_power_block`), and this module holds what they
 //! share:
 //!

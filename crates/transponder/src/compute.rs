@@ -149,28 +149,6 @@ impl ComputeTransponderConfig {
             result_adc_energy_j: ofpc_photonics::energy::constants::ADC_SAMPLE_J,
         }
     }
-
-    /// The realistic transponder with its converter, modulator, and
-    /// laser blocks swapped for calibrated catalog parts (the
-    /// `ofpc-dse` component library). The operand DAC drives both the
-    /// TX path and the line rate — the serial line cannot outrun the
-    /// DAC at one 8-bit symbol per conversion — and the modulator part
-    /// serves as both the TX MZM and the P1 weight arm.
-    pub fn with_parts(
-        dac: &dyn ofpc_photonics::parts::DacPart,
-        adc: &dyn ofpc_photonics::parts::AdcPart,
-        modulator: &dyn ofpc_photonics::parts::ModulatorPart,
-        laser: &dyn ofpc_photonics::parts::LaserPart,
-    ) -> Self {
-        let mut cfg = ComputeTransponderConfig::realistic();
-        cfg.tx.laser = laser.laser_config();
-        cfg.tx.mzm = modulator.mzm_config();
-        cfg.tx.dac = dac.converter_config();
-        cfg.tx.line_rate_bps = cfg.tx.line_rate_bps.min(dac.sample_rate_hz() * 8.0);
-        cfg.weight_mzm = modulator.mzm_config();
-        cfg.result_adc_energy_j = adc.energy_per_sample_j();
-        cfg
-    }
 }
 
 /// A photonic compute transponder (Fig. 4).
