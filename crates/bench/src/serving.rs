@@ -47,13 +47,7 @@ pub(crate) fn metro_runtime(config: ServeConfig) -> ServeRuntime {
     let mut sys = OnFiberNetwork::new(Topology::line(3, 10.0), config.seed);
     sys.upgrade_site(NodeId(1), 1);
     sys.upgrade_site(NodeId(2), 1);
-    ServeRuntime::over_network(
-        &sys,
-        NodeId(0),
-        &ComputeTransponderConfig::realistic(),
-        WDM_CHANNELS,
-        config,
-    )
+    ServeRuntime::over_network(&sys, NodeId(0), WDM_CHANNELS, config)
 }
 
 /// Aggregate capacity of the two metro slots in requests/s with full,

@@ -25,7 +25,7 @@ use ofpc_engine::dot::KernelBackend;
 use ofpc_faults::trace_recovery;
 use ofpc_par::WorkerPool;
 use ofpc_serve::{ServeReport, ServeRuntime};
-use ofpc_telemetry::{labels, validate_balanced, Telemetry};
+use ofpc_telemetry::{chrome_trace_json, labels, validate_balanced, Telemetry};
 use serde::Serialize;
 
 /// Worst-case relative error of a histogram percentile: ±3.2% bucket
@@ -203,10 +203,13 @@ pub(crate) fn expt(pool: &WorkerPool) -> String {
         tel_b.expect("second run instrumented"),
     );
 
-    let trace_a = tel_a.chrome_trace_json();
+    // Each handle's trace is sorted and copied once; every check below
+    // reads that copy.
+    let events_a = tel_a.trace_events();
+    let trace_a = chrome_trace_json(&events_a);
     assert_eq!(
         trace_a,
-        tel_b.chrome_trace_json(),
+        chrome_trace_json(&tel_b.trace_events()),
         "same seed ⇒ byte-identical trace"
     );
     assert_eq!(
@@ -226,8 +229,7 @@ pub(crate) fn expt(pool: &WorkerPool) -> String {
     );
 
     let e12_events = check_chrome_json(&trace_a);
-    let e12_spans =
-        validate_balanced(&tel_a.trace_events()).expect("E12 trace must balance B/E per track");
+    let e12_spans = validate_balanced(&events_a).expect("E12 trace must balance B/E per track");
     check_report_agreement(&tel_a, &report_a, &["steady", "bursty"]);
 
     // --- E13 replay: the fallback scenario plus a traced recovery. ---
@@ -236,10 +238,10 @@ pub(crate) fn expt(pool: &WorkerPool) -> String {
     let report_f = run(fallback, Some(&tel_f));
     assert!(report_f.degraded > 0, "fallback must absorb displaced work");
     let ttr_ps = run_e13_cut(&tel_f);
-    let trace_f = tel_f.chrome_trace_json();
+    let events_f = tel_f.trace_events();
+    let trace_f = chrome_trace_json(&events_f);
     let e13_events = check_chrome_json(&trace_f);
-    let e13_spans =
-        validate_balanced(&tel_f.trace_events()).expect("E13 trace must balance B/E per track");
+    let e13_spans = validate_balanced(&events_f).expect("E13 trace must balance B/E per track");
     check_report_agreement(&tel_f, &report_f, &["steady"]);
     let snap_f = tel_f.snapshot();
     assert_eq!(
@@ -255,7 +257,7 @@ pub(crate) fn expt(pool: &WorkerPool) -> String {
         "fault.fiber-cut",
     ] {
         assert!(
-            tel_f.trace_events().iter().any(|e| e.name == name),
+            events_f.iter().any(|e| e.name == name),
             "trace must carry {name:?} events"
         );
     }

@@ -143,7 +143,9 @@ impl ApplyReport {
 
 /// Apply an update plan to a simulated network: install engine slots and
 /// per-router dual-field overrides. `op_specs` supplies the semantics
-/// for each installed op id (weights/pattern).
+/// for each installed op id (weights/pattern). Installed engines start
+/// noise-free; drift reaches them only through the simulator's
+/// engine-noise events.
 ///
 /// Idempotent: an install whose exact slot (node, op id, spec) already
 /// exists is skipped, so re-applying a plan — e.g. the staged re-install
@@ -155,7 +157,6 @@ pub fn apply_plan(
     net: &mut Network,
     plan: &UpdatePlan,
     op_specs: &dyn Fn(u16, Primitive) -> OpSpec,
-    noise_sigma: f64,
 ) -> ApplyReport {
     let mut report = ApplyReport::default();
     let node_count = net.topo.node_count();
@@ -178,7 +179,7 @@ pub fn apply_plan(
         if already {
             continue;
         }
-        net.add_engine(install.node, install.op_id, spec, noise_sigma);
+        net.add_engine(install.node, install.op_id, spec, 0.0);
     }
     // Install overrides: at every router, pending packets for
     // (dst_prefix, primitive) head toward `via` along shortest paths
@@ -298,14 +299,9 @@ mod tests {
 
         let mut net = Network::new(Topology::fig1(), SimRng::seed_from_u64(0));
         net.install_shortest_path_routes();
-        apply_plan(
-            &mut net,
-            &plan,
-            &|_op, _prim| OpSpec::Dot {
-                weights: vec![0.5; 4],
-            },
-            0.0,
-        );
+        apply_plan(&mut net, &plan, &|_op, _prim| OpSpec::Dot {
+            weights: vec![0.5; 4],
+        });
         let pch = PchHeader::request(P1, 7, 4);
         let p = Packet::compute(
             Network::node_addr(NodeId(0), 1),
@@ -337,13 +333,13 @@ mod tests {
         let engines =
             |net: &Network| -> usize { (0..4).map(|n| net.engines_at(NodeId(n)).len()).sum() };
         let engines_initially = engines(&net);
-        let first = apply_plan(&mut net, &plan, &specs, 0.0);
+        let first = apply_plan(&mut net, &plan, &specs);
         assert!(first.fully_applied());
         let engines_before = engines(&net);
         assert_eq!(engines_before, engines_initially + 1, "one install");
 
         // Re-applying the same plan changes nothing.
-        let second = apply_plan(&mut net, &plan, &specs, 0.0);
+        let second = apply_plan(&mut net, &plan, &specs);
         assert!(second.fully_applied());
         assert_eq!(engines_before, engines(&net), "no duplicate slots");
     }
@@ -366,12 +362,7 @@ mod tests {
             }],
             unsatisfied: vec![],
         };
-        let report = apply_plan(
-            &mut net,
-            &plan,
-            &|_, _| OpSpec::Dot { weights: vec![1.0] },
-            0.0,
-        );
+        let report = apply_plan(&mut net, &plan, &|_, _| OpSpec::Dot { weights: vec![1.0] });
         assert!(!report.fully_applied());
         assert!(matches!(
             report.failed[..],
@@ -404,7 +395,7 @@ mod tests {
             }],
             unsatisfied: vec![],
         };
-        let report = apply_plan(&mut net, &plan, &|_, _| OpSpec::Nonlinear, 0.0);
+        let report = apply_plan(&mut net, &plan, &|_, _| OpSpec::Nonlinear);
         assert!(matches!(
             report.failed[..],
             [FailedCmd::OverrideViaUnreachable]
@@ -424,6 +415,6 @@ mod tests {
             overrides: vec![],
             unsatisfied: vec![],
         };
-        apply_plan(&mut net, &plan, &|_, _| OpSpec::Nonlinear, 0.0);
+        apply_plan(&mut net, &plan, &|_, _| OpSpec::Nonlinear);
     }
 }

@@ -60,8 +60,6 @@ pub struct OnFiberNetwork {
     demands: Vec<Demand>,
     /// Operation semantics per (demand id, primitive wire id).
     op_specs: HashMap<(u16, u8), OpSpec>,
-    /// Analog noise applied to in-flight results.
-    pub(crate) engine_noise_sigma: f64,
     rng: SimRng,
     /// The last applied update plan (for inspection).
     pub last_plan: Option<UpdatePlan>,
@@ -85,7 +83,6 @@ impl OnFiberNetwork {
             slots: vec![0; node_count],
             demands: Vec::new(),
             op_specs: HashMap::new(),
-            engine_noise_sigma: 0.0,
             rng,
             last_plan: None,
             last_apply: None,
@@ -235,19 +232,14 @@ impl OnFiberNetwork {
         };
         let plan = build_plan(&self.demands, &instance, &allocation);
         let specs = self.op_specs.clone();
-        let report = apply_plan(
-            &mut self.net,
-            &plan,
-            &move |op_id, prim| {
-                specs
-                    .get(&(op_id, prim.wire_id()))
-                    .cloned()
-                    .unwrap_or_else(|| {
-                        panic!("no op spec registered for demand {op_id} primitive {prim}")
-                    })
-            },
-            self.engine_noise_sigma,
-        );
+        let report = apply_plan(&mut self.net, &plan, &move |op_id, prim| {
+            specs
+                .get(&(op_id, prim.wire_id()))
+                .cloned()
+                .unwrap_or_else(|| {
+                    panic!("no op spec registered for demand {op_id} primitive {prim}")
+                })
+        });
         self.last_apply = Some(report);
         self.last_plan = Some(plan);
         self.last_plan.as_ref().expect("just set")

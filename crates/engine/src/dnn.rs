@@ -175,18 +175,6 @@ impl PhotonicDnn {
             !calib_inputs.is_empty(),
             "need calibration inputs to estimate activation scales"
         );
-        // Normalize weights per layer.
-        let mut norm = mlp.clone();
-        let mut weight_scales = Vec::new();
-        for layer in &mut norm.layers {
-            let s = layer.max_abs_weight().max(f64::MIN_POSITIVE);
-            for row in &mut layer.weights {
-                for w in row {
-                    *w /= s;
-                }
-            }
-            weight_scales.push(s);
-        }
         // Estimate activation scales: the max |pre-activation| observed
         // per hidden layer over the calibration set (digital dry run on
         // the *original* network).
@@ -209,13 +197,7 @@ impl PhotonicDnn {
                 }
             }
         }
-        PhotonicDnn {
-            mlp: norm,
-            weight_scales,
-            act_scales,
-            engine,
-            activation,
-        }
+        PhotonicDnn::with_act_scales(mlp, engine, activation, act_scales)
     }
 
     /// Like [`PhotonicDnn::new`], but with caller-supplied activation
@@ -233,6 +215,7 @@ impl PhotonicDnn {
             mlp.layers.len().saturating_sub(1),
             "need one activation scale per hidden layer"
         );
+        // Normalize weights per layer.
         let mut norm = mlp.clone();
         let mut weight_scales = Vec::new();
         for layer in &mut norm.layers {

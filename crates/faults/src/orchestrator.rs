@@ -122,9 +122,9 @@ pub fn trace_recovery(tel: &Telemetry, outcome: &RecoveryOutcome) {
         track::RECOVERY,
         tid,
         "fault",
-        &format!("fault.{KIND}"),
+        "fault.fiber-cut",
         tl.fault_at_ps,
-        vec![("kind".into(), KIND.into())],
+        vec![("kind", KIND.into())],
     );
     for (name, start, end) in tl.stages() {
         tel.span(track::RECOVERY, tid, "recovery", name, start, end);
@@ -136,15 +136,12 @@ pub fn trace_recovery(tel: &Telemetry, outcome: &RecoveryOutcome) {
         "recovery.complete",
         tl.installed_at_ps,
         vec![
-            ("kind".into(), KIND.into()),
-            (
-                "routers_updated".into(),
-                outcome.routers_updated.to_string(),
-            ),
-            ("installs".into(), outcome.installs.to_string()),
-            ("unsatisfied".into(), outcome.unsatisfied.to_string()),
-            ("fully_applied".into(), outcome.fully_applied.to_string()),
-            ("ttr_ps".into(), tl.ttr_ps().to_string()),
+            ("kind", KIND.into()),
+            ("routers_updated", outcome.routers_updated.to_string()),
+            ("installs", outcome.installs.to_string()),
+            ("unsatisfied", outcome.unsatisfied.to_string()),
+            ("fully_applied", outcome.fully_applied.to_string()),
+            ("ttr_ps", tl.ttr_ps().to_string()),
         ],
     );
 }

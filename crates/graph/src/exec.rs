@@ -129,9 +129,9 @@ impl GraphExecutor {
                 "graph.relower",
                 0,
                 vec![
-                    ("stage".to_string(), k.to_string()),
-                    ("node".to_string(), node.0.to_string()),
-                    ("to".to_string(), "digital".to_string()),
+                    ("stage", k.to_string()),
+                    ("node", node.0.to_string()),
+                    ("to", "digital".to_string()),
                 ],
             );
         }
@@ -225,11 +225,6 @@ impl GraphExecutor {
         }
         let n_resources = resource_of.iter().map(|&r| r + 1).max().unwrap_or(0);
 
-        let span_labels: Vec<String> = stages
-            .iter()
-            .enumerate()
-            .map(|(k, s)| format!("stage{k}.{}", s.label))
-            .collect();
         let install_ps: u64 = stages.iter().map(|s| s.reconfig_ps).sum();
         let energy_per_request_j: f64 = stages.iter().map(|s| s.energy_j).sum();
 
@@ -249,14 +244,11 @@ impl GraphExecutor {
                 let done = start + stages[k].service_ps;
                 free[resource_of[k]] = done;
                 busy[k] += stages[k].service_ps;
-                self.tel.span(
-                    track::GRAPH,
-                    i as u64,
-                    "graph",
-                    &span_labels[k],
-                    start,
-                    done,
-                );
+                if self.tel.is_enabled() {
+                    let name = format!("stage{k}.{}", stages[k].label);
+                    self.tel
+                        .span(track::GRAPH, i as u64, "graph", name, start, done);
+                }
                 t = done;
             }
             t += self.placed.hop_out_ps;

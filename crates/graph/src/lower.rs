@@ -423,19 +423,19 @@ pub fn lower_traced(
             "dse.select",
             0,
             vec![
-                ("stage".to_string(), s.label.clone()),
+                ("stage", s.label.clone()),
                 (
-                    "target".to_string(),
+                    "target",
                     match s.target {
                         Target::Photonic => "photonic".to_string(),
                         Target::Digital => "digital".to_string(),
                     },
                 ),
                 (
-                    "variant".to_string(),
+                    "variant",
                     s.variant.clone().unwrap_or_else(|| "-".to_string()),
                 ),
-                ("bits".to_string(), format!("{:.2}", s.predicted_bits)),
+                ("bits", format!("{:.2}", s.predicted_bits)),
             ],
         );
     }
@@ -682,7 +682,7 @@ mod tests {
         let variants: Vec<_> = dse
             .iter()
             .flat_map(|e| e.args.iter())
-            .filter(|(k, _)| k == "variant")
+            .filter(|(k, _)| *k == "variant")
             .map(|(_, v)| v.as_str())
             .collect();
         assert!(variants.contains(&"cv-8b") && variants.contains(&"cv-12b"));

@@ -548,7 +548,7 @@ impl Network {
                     "fault",
                     if up { "link.up" } else { "link.down" },
                     self.events.now_ps(),
-                    vec![("link".to_string(), link.0.to_string())],
+                    vec![("link", link.0.to_string())],
                 );
                 self.set_link_up(link, up);
             }
@@ -563,7 +563,7 @@ impl Network {
                         "engine.fail"
                     },
                     self.events.now_ps(),
-                    vec![("node".to_string(), node.0.to_string())],
+                    vec![("node", node.0.to_string())],
                 );
                 self.set_engine_health(node, healthy);
             }
@@ -575,8 +575,8 @@ impl Network {
                     "engine.drift",
                     self.events.now_ps(),
                     vec![
-                        ("node".to_string(), node.0.to_string()),
-                        ("sigma".to_string(), format!("{sigma:e}")),
+                        ("node", node.0.to_string()),
+                        ("sigma", format!("{sigma:e}")),
                     ],
                 );
                 self.set_engine_noise(node, sigma);
@@ -605,15 +605,14 @@ impl Network {
                 // One span per in-flight op on the packet's own track:
                 // packets can overlap at a node, requests never overlap
                 // on their own id.
-                self.tel.span_args(
-                    track::SITES,
-                    u64::from(packet.id),
-                    "net",
-                    "engine.op",
-                    self.events.now_ps(),
-                    self.events.now_ps() + latency_ps,
-                    vec![("node".to_string(), node.0.to_string())],
-                );
+                if self.tel.is_enabled() {
+                    let (tid, now) = (u64::from(packet.id), self.events.now_ps());
+                    let args = vec![("node", node.0.to_string())];
+                    self.tel
+                        .begin(track::SITES, tid, "net", "engine.op", now, args);
+                    self.tel
+                        .end(track::SITES, tid, "net", "engine.op", now + latency_ps);
+                }
                 self.events
                     .schedule_in(latency_ps, Ev::EngineDone { node, packet });
                 return;

@@ -145,17 +145,16 @@ impl MetricsSink {
                 .add(n);
             }
             tel.counter("serve_degraded_total", &l).add(t.degraded);
-            let h = tel.histogram("serve_latency_ps", &l);
-            t.latencies.iter().for_each(|&v| h.record(v));
-            tel.gauge("serve_energy_joules", &l).add(t.energy_j);
+            tel.record_histogram("serve_latency_ps", &l, t.latencies.iter().copied());
+            tel.add_gauge("serve_energy_joules", &l, t.energy_j);
         }
-        let h = tel.histogram("serve_batch_size", &Vec::new());
-        self.batch_sizes
-            .iter()
-            .for_each(|&s| h.record(u64::from(s)));
+        tel.record_histogram(
+            "serve_batch_size",
+            &Vec::new(),
+            self.batch_sizes.iter().map(|&s| u64::from(s)),
+        );
         for (stage, &j) in &self.energy_stages {
-            tel.gauge("serve_stage_energy_joules", &labels(&[("stage", stage)]))
-                .add(j);
+            tel.add_gauge("serve_stage_energy_joules", &labels(&[("stage", stage)]), j);
         }
     }
 

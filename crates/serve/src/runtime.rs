@@ -329,11 +329,12 @@ impl ServeRuntime {
     /// Build over a deployed [`OnFiberNetwork`]: every upgraded site
     /// becomes a compute site, with access delay taken from shortest
     /// propagation paths out of `front_end`, and the service model
-    /// derived from the given transponder hardware config.
+    /// priced from the realistic compute transponder (the ideal one
+    /// prices the same: both run at the 32 Gb/s line rate, and the
+    /// result ADC is charged at least `ADC_SAMPLE_J`).
     pub fn over_network(
         sys: &OnFiberNetwork,
         front_end: NodeId,
-        transponder: &ComputeTransponderConfig,
         wdm_channels: usize,
         config: ServeConfig,
     ) -> Self {
@@ -356,7 +357,8 @@ impl ServeRuntime {
             !sites.is_empty(),
             "no upgraded compute sites; call upgrade_site first"
         );
-        let model = ServiceModel::from_transponder(transponder, wdm_channels);
+        let model =
+            ServiceModel::from_transponder(&ComputeTransponderConfig::realistic(), wdm_channels);
         ServeRuntime::new(config, model, sites)
     }
 
@@ -532,19 +534,16 @@ impl ServeRuntime {
                 continue;
             }
             if tracing {
-                self.tel.span_args(
-                    track::SITES,
-                    u64::from(d.node.0) * 64 + d.slot as u64,
-                    "serve",
-                    "engine.batch",
-                    d.start_ps,
-                    d.done_ps,
-                    vec![
-                        ("size".to_string(), d.batch.len().to_string()),
-                        ("node".to_string(), d.node.0.to_string()),
-                        ("slot".to_string(), d.slot.to_string()),
-                    ],
-                );
+                let tid = u64::from(d.node.0) * 64 + d.slot as u64;
+                let args = vec![
+                    ("size", d.batch.len().to_string()),
+                    ("node", d.node.0.to_string()),
+                    ("slot", d.slot.to_string()),
+                ];
+                self.tel
+                    .begin(track::SITES, tid, "serve", "engine.batch", d.start_ps, args);
+                self.tel
+                    .end(track::SITES, tid, "serve", "engine.batch", d.done_ps);
             }
             self.push_event(d.free_ps, Event::SlotFree);
             let n = d.batch.len() as u32;
@@ -651,7 +650,7 @@ impl ServeRuntime {
                 "resil",
                 "downgrade.unprotected",
                 self.now_ps,
-                vec![("size".to_string(), batch.len().to_string())],
+                vec![("size", batch.len().to_string())],
             );
             self.scheduler.enqueue(batch);
             return;
@@ -667,7 +666,7 @@ impl ServeRuntime {
                 "resil",
                 "fallback.serialized",
                 self.now_ps,
-                vec![("pin".to_string(), pins[0].0.to_string())],
+                vec![("pin", pins[0].0.to_string())],
             );
         }
         let set = self.next_set;
@@ -849,8 +848,8 @@ impl ServeRuntime {
             "parity.reconstruct",
             self.now_ps,
             vec![
-                ("member".to_string(), member.to_string()),
-                ("requests".to_string(), reqs.len().to_string()),
+                ("member", member.to_string()),
+                ("requests", reqs.len().to_string()),
             ],
         );
         let delivered = self.now_ps + recon_ps;
@@ -896,7 +895,7 @@ impl ServeRuntime {
                     "resil",
                     "loss.absorbed",
                     self.now_ps,
-                    vec![("member".to_string(), tag.member.to_string())],
+                    vec![("member", tag.member.to_string())],
                 );
             }
             LostAction::Reconstruct { member } => {
@@ -931,7 +930,7 @@ impl ServeRuntime {
                     "resil",
                     "set.lost",
                     self.now_ps,
-                    vec![("requeued".to_string(), work.len().to_string())],
+                    vec![("requeued", work.len().to_string())],
                 );
                 for req in work {
                     self.resil_stats.requeued_requests += 1;
@@ -952,7 +951,7 @@ impl ServeRuntime {
             "fault",
             if up { "link.splice" } else { "link.cut" },
             self.now_ps,
-            vec![("link".to_string(), link.0.to_string())],
+            vec![("link", link.0.to_string())],
         );
         if up {
             self.link_down.remove(&link);
@@ -992,7 +991,7 @@ impl ServeRuntime {
                 "fault",
                 "batch.lost",
                 self.now_ps,
-                vec![("size".to_string(), p.batch_size.to_string())],
+                vec![("size", p.batch_size.to_string())],
             );
             self.lose_member(p.resil, p.requests);
         }
@@ -1016,7 +1015,7 @@ impl ServeRuntime {
             "serve",
             "request",
             req.arrival_ps,
-            vec![("tenant".to_string(), req.tenant.0.to_string())],
+            vec![("tenant", req.tenant.0.to_string())],
         );
         let stages = [
             ("serve.queue", req.arrival_ps, drained),
@@ -1046,8 +1045,8 @@ impl ServeRuntime {
                 "shed",
                 self.now_ps,
                 vec![
-                    ("reason".to_string(), format!("{reason:?}")),
-                    ("tenant".to_string(), req.tenant.0.to_string()),
+                    ("reason", format!("{reason:?}")),
+                    ("tenant", req.tenant.0.to_string()),
                 ],
             );
         }
@@ -1061,7 +1060,7 @@ impl ServeRuntime {
             "fault",
             if up { "site.repair" } else { "site.fail" },
             self.now_ps,
-            vec![("node".to_string(), node.0.to_string())],
+            vec![("node", node.0.to_string())],
         );
         if up {
             self.scheduler.recover_site(node);
@@ -1084,7 +1083,7 @@ impl ServeRuntime {
                 "fault",
                 "batch.abort",
                 self.now_ps,
-                vec![("size".to_string(), p.batch_size.to_string())],
+                vec![("size", p.batch_size.to_string())],
             );
             self.lose_member(p.resil, p.requests);
         }
@@ -1154,7 +1153,7 @@ impl ServeRuntime {
                     "shed"
                 },
                 self.now_ps,
-                vec![("tenant".to_string(), req.tenant.0.to_string())],
+                vec![("tenant", req.tenant.0.to_string())],
             );
         }
         match &self.fallback {
@@ -1430,8 +1429,7 @@ mod tests {
         for t in &mut cfg.tenants {
             t.deadline_ps = 20_000_000_000; // 20 ms
         }
-        let rt =
-            ServeRuntime::over_network(&sys, NodeId(0), &ComputeTransponderConfig::ideal(), 8, cfg);
+        let rt = ServeRuntime::over_network(&sys, NodeId(0), 8, cfg);
         assert_eq!(rt.scheduler.total_slots(), 3);
         let report = rt.run();
         assert!(report.completed > 0);

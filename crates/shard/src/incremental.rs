@@ -781,7 +781,7 @@ impl ShardedController {
                 track::SHARD,
                 u64::from(r),
                 "shard",
-                &format!("replan r{r}"),
+                format!("replan r{r}"),
                 self.seq,
                 self.seq + 1,
             );

@@ -2,9 +2,9 @@
 //!
 //! One handle, three facilities:
 //!
-//! * a metrics registry of typed counters, gauges, and log-linear
-//!   histograms (p50/p99/p999), labeled by tenant/site/link/stage, with
-//!   a JSON exporter;
+//! * a metrics registry of counters, gauges, and log-linear histograms
+//!   (p50/p99/p999), labeled by tenant/site/link/stage, with a JSON
+//!   exporter;
 //! * sim-time **tracing spans** recording enter/exit in virtual
 //!   picoseconds, so one request's life — admission → queue → batch →
 //!   fiber → engine → result — reconstructs as a trace tree, dumpable
@@ -22,10 +22,13 @@
 //! `None`: every operation is one branch on the option and no
 //! allocation, so threading a disabled handle through the serve/net hot
 //! paths leaves benches unaffected. [`Telemetry::enabled`] carries the
-//! registry plus a trace buffer. Subsystems either take the handle and
-//! emit through it, or pre-register typed handles ([`Counter`],
-//! [`Histogram`], …) at setup time — those are lock-free atomics on the
-//! sample path, and their no-op variants are likewise a single branch.
+//! registry plus a trace buffer, each behind its own mutex. Each write
+//! path matches its traffic: a per-event count goes through a
+//! pre-registered [`Counter`] (a lock-free atomic; the no-op variant is
+//! one branch), a gauge or histogram is written once per series when a
+//! run publishes its totals ([`Telemetry::add_gauge`],
+//! [`Telemetry::record_histogram`]), and each trace call pushes its
+//! events straight into the buffer, borrowing their literal names.
 //!
 //! Everything exported is deterministic: series are sorted by
 //! `(name, labels)`, trace events by `(pid, tid, ts)` with stable
@@ -35,19 +38,22 @@
 pub mod registry;
 pub mod trace;
 
-pub(crate) use registry::MetricsRegistry;
 pub use registry::{labels, nearest_rank, Counter, LogHistogram, MetricsSnapshot};
-pub(crate) use trace::chrome_trace_json;
-pub use trace::{track, validate_balanced, Phase};
+pub use trace::{chrome_trace_json, track, validate_balanced, Phase};
 
-use registry::{Gauge, Histogram, Labels};
+use registry::{Labels, Registry};
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
-use trace::{TraceBuffer, TraceEvent};
+use trace::TraceEvent;
 
-#[derive(Debug)]
+/// A lock is poisoned only when an earlier write panicked halfway, so
+/// nothing the handle holds can be trusted afterwards.
+const POISONED: &str = "a telemetry write panicked while holding the lock";
+
+#[derive(Debug, Default)]
 struct TelemetryInner {
-    registry: MetricsRegistry,
-    trace: Mutex<TraceBuffer>,
+    registry: Mutex<Registry>,
+    trace: Mutex<Vec<TraceEvent>>,
 }
 
 /// The one handle the rest of the stack carries. Disabled by default;
@@ -68,10 +74,7 @@ impl Telemetry {
     /// share both.
     pub fn enabled() -> Self {
         Telemetry {
-            inner: Some(Arc::new(TelemetryInner {
-                registry: MetricsRegistry::new(),
-                trace: Mutex::new(TraceBuffer::new()),
-            })),
+            inner: Some(Arc::default()),
         }
     }
 
@@ -85,24 +88,34 @@ impl Telemetry {
     /// Register (or look up) a counter; a no-op handle when disabled.
     pub fn counter(&self, name: &str, labels: &Labels) -> Counter {
         match &self.inner {
-            Some(i) => i.registry.counter(name, labels),
+            Some(i) => i.registry.lock().expect(POISONED).counter(name, labels),
             None => Counter::noop(),
         }
     }
 
-    /// Register (or look up) a gauge; a no-op handle when disabled.
-    pub fn gauge(&self, name: &str, labels: &Labels) -> Gauge {
-        match &self.inner {
-            Some(i) => i.registry.gauge(name, labels),
-            None => Gauge::noop(),
+    /// Add `dv` to a gauge series, created at 0.0 on first write.
+    pub fn add_gauge(&self, name: &str, labels: &Labels, dv: f64) {
+        if let Some(i) = &self.inner {
+            i.registry
+                .lock()
+                .expect(POISONED)
+                .add_gauge(name, labels, dv);
         }
     }
 
-    /// Register (or look up) a histogram; a no-op handle when disabled.
-    pub fn histogram(&self, name: &str, labels: &Labels) -> Histogram {
-        match &self.inner {
-            Some(i) => i.registry.histogram(name, labels),
-            None => Histogram::noop(),
+    /// Record `samples`, in order, into a histogram series. The series
+    /// exists once written, even with no samples.
+    pub fn record_histogram(
+        &self,
+        name: &str,
+        labels: &Labels,
+        samples: impl IntoIterator<Item = u64>,
+    ) {
+        if let Some(i) = &self.inner {
+            i.registry
+                .lock()
+                .expect(POISONED)
+                .record_histogram(name, labels, samples);
         }
     }
 
@@ -110,7 +123,7 @@ impl Telemetry {
     /// disabled).
     pub fn snapshot(&self) -> MetricsSnapshot {
         match &self.inner {
-            Some(i) => i.registry.snapshot(),
+            Some(i) => i.registry.lock().expect(POISONED).snapshot(),
             None => MetricsSnapshot::default(),
         }
     }
@@ -122,65 +135,78 @@ impl Telemetry {
 
     // -- tracing ----------------------------------------------------------
 
-    /// Emit a complete `[start_ps, end_ps]` span as a `B`/`E` pair.
+    /// Append the event `make` builds; it is built only when the handle
+    /// is enabled.
     #[inline]
-    pub fn span(&self, pid: u32, tid: u64, cat: &str, name: &str, start_ps: u64, end_ps: u64) {
+    fn push(&self, make: impl FnOnce() -> TraceEvent) {
         if let Some(i) = &self.inner {
-            i.trace
-                .lock()
-                .unwrap()
-                .span(pid, tid, cat, name, start_ps, end_ps);
+            i.trace.lock().expect(POISONED).push(make());
         }
     }
 
-    /// [`Telemetry::span`] with `key=value` annotations on the begin
-    /// event.
-    #[allow(clippy::too_many_arguments)]
+    /// Emit a complete `[start_ps, end_ps]` span as a `B`/`E` pair
+    /// (`end_ps` clamped up to `start_ps`).
     #[inline]
-    pub fn span_args(
+    pub fn span(
         &self,
         pid: u32,
         tid: u64,
-        cat: &str,
-        name: &str,
+        cat: &'static str,
+        name: impl Into<Cow<'static, str>>,
         start_ps: u64,
         end_ps: u64,
-        args: Vec<(String, String)>,
     ) {
-        if let Some(i) = &self.inner {
-            i.trace
-                .lock()
-                .unwrap()
-                .span_args(pid, tid, cat, name, start_ps, end_ps, args);
+        if self.is_enabled() {
+            let name = name.into();
+            self.begin(pid, tid, cat, name.clone(), start_ps, Vec::new());
+            self.end(pid, tid, cat, name, end_ps.max(start_ps));
         }
     }
 
-    /// Open a span whose end is emitted separately (see
-    /// `TraceBuffer::begin` for the ordering contract).
+    /// Open a span carrying `key=value` annotations. The matching
+    /// [`Telemetry::end`] must be emitted after every child event that
+    /// shares its end timestamp, so same-tick ties sort child-closes
+    /// before the parent's close.
     #[inline]
     pub fn begin(
         &self,
         pid: u32,
         tid: u64,
-        cat: &str,
-        name: &str,
+        cat: &'static str,
+        name: impl Into<Cow<'static, str>>,
         ts_ps: u64,
-        args: Vec<(String, String)>,
+        args: Vec<(&'static str, String)>,
     ) {
-        if let Some(i) = &self.inner {
-            i.trace
-                .lock()
-                .unwrap()
-                .begin(pid, tid, cat, name, ts_ps, args);
-        }
+        self.push(|| TraceEvent {
+            name: name.into(),
+            cat,
+            phase: Phase::B,
+            ts_ps,
+            pid,
+            tid,
+            args,
+        });
     }
 
     /// Close the most recent open span of `name` on the track.
     #[inline]
-    pub fn end(&self, pid: u32, tid: u64, cat: &str, name: &str, ts_ps: u64) {
-        if let Some(i) = &self.inner {
-            i.trace.lock().unwrap().end(pid, tid, cat, name, ts_ps);
-        }
+    pub fn end(
+        &self,
+        pid: u32,
+        tid: u64,
+        cat: &'static str,
+        name: impl Into<Cow<'static, str>>,
+        ts_ps: u64,
+    ) {
+        self.push(|| TraceEvent {
+            name: name.into(),
+            cat,
+            phase: Phase::E,
+            ts_ps,
+            pid,
+            tid,
+            args: Vec::new(),
+        });
     }
 
     /// Emit an instant event (faults, sheds, state flips).
@@ -189,57 +215,33 @@ impl Telemetry {
         &self,
         pid: u32,
         tid: u64,
-        cat: &str,
-        name: &str,
+        cat: &'static str,
+        name: impl Into<Cow<'static, str>>,
         ts_ps: u64,
-        args: Vec<(String, String)>,
+        args: Vec<(&'static str, String)>,
     ) {
-        if let Some(i) = &self.inner {
-            i.trace
-                .lock()
-                .unwrap()
-                .instant(pid, tid, cat, name, ts_ps, args);
-        }
+        self.push(|| TraceEvent {
+            name: name.into(),
+            cat,
+            phase: Phase::I,
+            ts_ps,
+            pid,
+            tid,
+            args,
+        });
     }
 
-    /// Export-ordered copy of the trace buffer (empty when disabled).
+    /// The trace in export order (empty when disabled): sorted by
+    /// `(pid, tid, ts)`, stably, so same-tick events keep emission
+    /// order and a zero-length span keeps its `B` before its `E`.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |i| i.trace.lock().unwrap().sorted_events())
+        let Some(i) = &self.inner else {
+            return Vec::new();
+        };
+        let mut events = i.trace.lock().expect(POISONED).clone();
+        events.sort_by_key(|e| (e.pid, e.tid, e.ts_ps));
+        events
     }
-
-    /// Chrome-trace JSON dump of [`Telemetry::trace_events`].
-    pub fn chrome_trace_json(&self) -> String {
-        chrome_trace_json(&self.trace_events())
-    }
-}
-
-/// Emit a sim-time span through a [`Telemetry`] handle:
-///
-/// ```
-/// use ofpc_telemetry::{span, track, Telemetry};
-/// let tel = Telemetry::enabled();
-/// span!(tel, track::SITES, 65, "tx.dac", 1_000, 2_000);
-/// span!(tel, track::SITES, 65, "serve.batch", 2_000, 9_000; "size" => "4");
-/// assert_eq!(tel.trace_events().len(), 4);
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($tel:expr, $pid:expr, $tid:expr, $name:expr, $start:expr, $end:expr) => {
-        $tel.span($pid, $tid, "span", $name, $start, $end)
-    };
-    ($tel:expr, $pid:expr, $tid:expr, $name:expr, $start:expr, $end:expr; $($k:expr => $v:expr),+) => {
-        $tel.span_args(
-            $pid,
-            $tid,
-            "span",
-            $name,
-            $start,
-            $end,
-            vec![$(($k.to_string(), $v.to_string())),+],
-        )
-    };
 }
 
 #[cfg(test)]
@@ -251,10 +253,12 @@ mod tests {
         let tel = Telemetry::disabled();
         assert!(!tel.is_enabled());
         tel.counter("x_total", &Labels::new()).inc();
+        tel.add_gauge("e_joules", &Labels::new(), 1.0);
+        tel.record_histogram("lat", &Labels::new(), [1, 2, 3]);
         tel.span(track::REQUESTS, 1, "serve", "request", 0, 10);
         assert!(tel.trace_events().is_empty());
         assert_eq!(tel.snapshot(), MetricsSnapshot::default());
-        assert_eq!(tel.chrome_trace_json(), "[\n]");
+        assert_eq!(chrome_trace_json(&tel.trace_events()), "[\n]");
     }
 
     #[test]
@@ -265,18 +269,39 @@ mod tests {
         tel2.counter("x_total", &Labels::new()).add(5);
         c.inc();
         assert_eq!(tel.snapshot().counter("x_total", &Labels::new()), Some(6));
-        span!(tel2, track::NET, 3, "tx.dac", 100, 200);
+        tel2.span(track::NET, 3, "span", "tx.dac", 100, 200);
         assert_eq!(tel.trace_events().len(), 2);
         assert!(validate_balanced(&tel.trace_events()).is_ok());
     }
 
     #[test]
-    fn span_macro_with_args_annotates_begin_event() {
+    fn begin_args_annotate_only_the_begin_event() {
         let tel = Telemetry::enabled();
-        span!(tel, track::SITES, 9, "serve.batch", 10, 20; "size" => 4, "tenant" => 1);
+        let args = vec![("size", 4.to_string()), ("tenant", 1.to_string())];
+        tel.begin(track::SITES, 9, "span", "serve.batch", 10, args);
+        tel.end(track::SITES, 9, "span", "serve.batch", 20);
         let evs = tel.trace_events();
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].args.len(), 2);
         assert!(evs[1].args.is_empty());
+    }
+
+    #[test]
+    fn a_run_time_name_is_owned_and_a_literal_is_borrowed() {
+        let tel = Telemetry::enabled();
+        tel.span(track::SHARD, 0, "shard", format!("replan r{}", 3), 0, 1);
+        tel.instant(
+            track::SHARD,
+            0,
+            "shard",
+            "boundary_reconcile",
+            1,
+            Vec::new(),
+        );
+        let evs = tel.trace_events();
+        assert!(evs[..2]
+            .iter()
+            .all(|e| matches!(&e.name, Cow::Owned(n) if n == "replan r3")));
+        assert!(matches!(evs[2].name, Cow::Borrowed("boundary_reconcile")));
     }
 }

@@ -1,22 +1,24 @@
-//! The metrics registry: typed counters, gauges, and log-linear
-//! histograms, labeled by arbitrary `key=value` pairs (tenant, site,
-//! link, stage, …), with deterministic JSON export.
-//! [`LogHistogram`] is the same bucket scheme as a plain owned value,
-//! for collectors that are moved between threads rather than shared.
+//! The metrics registry: counters, gauges and log-linear histograms,
+//! labeled by arbitrary `key=value` pairs (tenant, site, link, stage,
+//! …), with deterministic JSON export.
 //!
-//! Handles are cheap to clone and lock-free on the hot path: a
-//! [`Counter`] is an `Arc<AtomicU64>` bumped with a relaxed fetch-add,
-//! a [`Gauge`] stores `f64` bits in an `AtomicU64`, and a [`Histogram`]
-//! indexes a fixed table of atomic buckets. The registry's mutex is
-//! taken only at registration and export time, never per-sample. A
-//! no-op handle (`Counter::noop` etc.) is a `None` and compiles down
-//! to a single branch — that is what a disabled
-//! [`Telemetry`](crate::Telemetry) hands out.
+//! Each kind has the one write path its traffic needs. A [`Counter`]
+//! is the only handle: an `Arc<AtomicU64>` bumped with a relaxed
+//! fetch-add, because the net simulator counts on every event without
+//! taking a lock. Gauges and histograms are plain values under the
+//! registry's mutex, written by one call per series when a run
+//! publishes its totals (`Telemetry::add_gauge`,
+//! `Telemetry::record_histogram`). [`LogHistogram`] is the one
+//! histogram store: the registry keeps one per series beside the
+//! series' exact sum, min and max, and collectors that move between
+//! threads (ingest's per-class stats) keep their own. A disconnected
+//! counter (what a disabled [`Telemetry`](crate::Telemetry) hands out)
+//! is a `None` and costs one branch per bump.
 
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Sorted `key=value` label pairs identifying one series of a metric.
 pub(crate) type Labels = Vec<(String, String)>;
@@ -35,6 +37,15 @@ pub fn labels(pairs: &[(&str, &str)]) -> Labels {
 struct SeriesKey {
     name: String,
     labels: Labels,
+}
+
+impl SeriesKey {
+    fn new(name: &str, labels: &Labels) -> Self {
+        SeriesKey {
+            name: name.to_string(),
+            labels: labels.clone(),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -59,36 +70,6 @@ impl Counter {
     pub fn add(&self, n: u64) {
         if let Some(c) = &self.0 {
             c.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Gauge
-
-/// An `f64` gauge (set/add), stored as bits in an `AtomicU64`.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Option<Arc<AtomicU64>>);
-
-impl Gauge {
-    /// A disconnected gauge: every operation is a no-op.
-    pub(crate) fn noop() -> Self {
-        Gauge(None)
-    }
-
-    /// Add `dv` (compare-and-swap loop; fine for the sim's contention
-    /// levels, which are effectively zero).
-    #[inline]
-    pub fn add(&self, dv: f64) {
-        if let Some(g) = &self.0 {
-            let mut cur = g.load(Ordering::Relaxed);
-            loop {
-                let next = (f64::from_bits(cur) + dv).to_bits();
-                match g.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                    Ok(_) => break,
-                    Err(seen) => cur = seen,
-                }
-            }
         }
     }
 }
@@ -141,122 +122,12 @@ pub fn nearest_rank(q: f64, count: u64) -> u64 {
     ((q * count as f64).ceil() as u64).clamp(1, count)
 }
 
-/// Nearest-rank quantile `q` over per-bucket counts summing to
-/// `count`: the matched bucket's midpoint, `None` when empty.
-fn bucket_percentile(buckets: impl Iterator<Item = u64>, count: u64, q: f64) -> Option<u64> {
-    if count == 0 {
-        return None;
-    }
-    let rank = nearest_rank(q, count);
-    let mut seen = 0u64;
-    for (idx, n) in buckets.enumerate() {
-        seen += n;
-        if seen >= rank {
-            return Some(bucket_mid(idx));
-        }
-    }
-    Some(bucket_mid(BUCKETS - 1))
-}
-
-#[derive(Debug)]
-struct HistogramCore {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    /// Sum kept as f64 bits (a u64 sum of picosecond latencies can
-    /// overflow over long runs).
-    sum_bits: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl HistogramCore {
-    fn new() -> Self {
-        HistogramCore {
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v as f64).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Nearest-rank percentile (`p` in percent) over the bucketed
-    /// distribution; returns the matched bucket's midpoint (0 when
-    /// empty).
-    fn percentile(&self, p: f64) -> u64 {
-        bucket_percentile(
-            self.buckets.iter().map(|b| b.load(Ordering::Relaxed)),
-            self.count.load(Ordering::Relaxed),
-            p / 100.0,
-        )
-        .unwrap_or(0)
-    }
-
-    fn snapshot(&self, name: &str, labels: &Labels) -> HistogramSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
-        HistogramSnapshot {
-            name: name.to_string(),
-            labels: labels.clone(),
-            count,
-            sum: f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
-            min: if count == 0 {
-                0
-            } else {
-                self.min.load(Ordering::Relaxed)
-            },
-            max: self.max.load(Ordering::Relaxed),
-            p50: self.percentile(50.0),
-            p99: self.percentile(99.0),
-            p999: self.percentile(99.9),
-        }
-    }
-}
-
 /// Log-linear histogram of `u64` samples (latencies in ps, batch
-/// sizes, …) with approximate p50/p99/p999. Worst-case quantization
+/// sizes, …) with approximate nearest-rank percentiles, kept in plain
+/// `u64` cells so it can live inside a value that moves between
+/// threads (a shard's per-class stats) and be merged afterwards. Memory
+/// is fixed however many samples arrive; the worst-case quantization
 /// error of a reported percentile is ±3.2% of the true value.
-#[derive(Debug, Clone, Default)]
-pub struct Histogram(Option<Arc<HistogramCore>>);
-
-impl Histogram {
-    /// A disconnected histogram: every operation is a no-op.
-    pub(crate) fn noop() -> Self {
-        Histogram(None)
-    }
-
-    #[inline]
-    pub fn record(&self, v: u64) {
-        if let Some(h) = &self.0 {
-            h.record(v);
-        }
-    }
-}
-
-/// Single-owner log-linear histogram: the bucket scheme and
-/// nearest-rank walk of [`Histogram`], kept in plain `u64` cells so it
-/// can live inside a value that moves between threads (a shard's
-/// per-class stats) and be merged afterwards. Memory is fixed however
-/// many samples arrive; percentiles carry the same ±3.2% bound.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
     buckets: Box<[u64]>,
@@ -291,10 +162,61 @@ impl LogHistogram {
         self.count += other.count;
     }
 
-    /// Nearest-rank quantile `q` (in `[0, 1]`, e.g. `0.999`) as a
-    /// bucket midpoint; `None` when empty.
+    /// Nearest-rank quantile `q` (in `[0, 1]`, e.g. `0.999`) as the
+    /// matched bucket's midpoint; `None` when empty.
     pub fn percentile(&self, q: f64) -> Option<u64> {
-        bucket_percentile(self.buckets.iter().copied(), self.count, q)
+        if self.count == 0 {
+            return None;
+        }
+        let rank = nearest_rank(q, self.count);
+        let mut seen = 0u64;
+        for (idx, &n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                return Some(bucket_mid(idx));
+            }
+        }
+        Some(bucket_mid(BUCKETS - 1))
+    }
+}
+
+/// One registry histogram series: the bucketed samples plus their
+/// exact sum, min and max.
+#[derive(Debug, Default)]
+struct HistogramSeries {
+    samples: LogHistogram,
+    /// Accumulated in record order as `f64` (a `u64` sum of picosecond
+    /// latencies can overflow over long runs).
+    sum: f64,
+    /// `None` until the first sample.
+    min: Option<u64>,
+    max: u64,
+}
+
+impl HistogramSeries {
+    fn record(&mut self, v: u64) {
+        self.samples.record(v);
+        self.sum += v as f64;
+        self.min = Some(self.min.map_or(v, |m| m.min(v)));
+        self.max = self.max.max(v);
+    }
+
+    fn snapshot(&self, key: &SeriesKey) -> HistogramSnapshot {
+        // Percent over 100, not a quantile literal: `99.9 / 100.0` is
+        // 0.9990000000000001, which ranks one sample higher than 0.999
+        // at 1,000 samples and at many counts after.
+        let percentile = |p: f64| self.samples.percentile(p / 100.0).unwrap_or(0);
+        HistogramSnapshot {
+            name: key.name.clone(),
+            labels: key.labels.clone(),
+            count: self.samples.count,
+            sum: self.sum,
+            min: self.min.unwrap_or(0),
+            max: self.max,
+            p50: percentile(50.0),
+            p99: percentile(99.0),
+            p999: percentile(99.9),
+        }
     }
 }
 
@@ -368,73 +290,50 @@ impl MetricsSnapshot {
 // ---------------------------------------------------------------------------
 // Registry
 
+/// The series store behind an enabled handle's mutex, keyed by
+/// `(name, labels)`: writing a series that exists adds to it.
 #[derive(Debug, Default)]
-struct RegistryInner {
+pub(crate) struct Registry {
     counters: BTreeMap<SeriesKey, Arc<AtomicU64>>,
-    gauges: BTreeMap<SeriesKey, Arc<AtomicU64>>,
-    histograms: BTreeMap<SeriesKey, Arc<HistogramCore>>,
+    gauges: BTreeMap<SeriesKey, f64>,
+    histograms: BTreeMap<SeriesKey, HistogramSeries>,
 }
 
-/// The series store. Registration (cold path) takes a mutex and dedups
-/// by `(name, labels)` — registering the same series twice returns a
-/// handle to the same cell. Sampling through a handle never locks.
-#[derive(Debug, Default)]
-pub(crate) struct MetricsRegistry {
-    inner: Mutex<RegistryInner>,
-}
-
-impl MetricsRegistry {
-    pub(crate) fn new() -> Self {
-        MetricsRegistry::default()
+impl Registry {
+    /// Register (or look up) a counter series: registering it twice
+    /// hands out two handles to one cell.
+    pub(crate) fn counter(&mut self, name: &str, labels: &Labels) -> Counter {
+        let cell = self.counters.entry(SeriesKey::new(name, labels));
+        Counter(Some(Arc::clone(cell.or_default())))
     }
 
-    /// Register (or look up) a counter series.
-    pub(crate) fn counter(&self, name: &str, labels: &Labels) -> Counter {
-        let key = SeriesKey {
-            name: name.to_string(),
-            labels: labels.clone(),
-        };
-        let mut inner = self.inner.lock().unwrap();
-        let cell = inner
-            .counters
-            .entry(key)
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)));
-        Counter(Some(Arc::clone(cell)))
-    }
-
-    /// Register (or look up) a gauge series.
-    pub(crate) fn gauge(&self, name: &str, labels: &Labels) -> Gauge {
-        let key = SeriesKey {
-            name: name.to_string(),
-            labels: labels.clone(),
-        };
-        let mut inner = self.inner.lock().unwrap();
-        let cell = inner
+    /// Add `dv` to a gauge series (created at 0.0).
+    pub(crate) fn add_gauge(&mut self, name: &str, labels: &Labels, dv: f64) {
+        *self
             .gauges
-            .entry(key)
-            .or_insert_with(|| Arc::new(AtomicU64::new(0f64.to_bits())));
-        Gauge(Some(Arc::clone(cell)))
+            .entry(SeriesKey::new(name, labels))
+            .or_insert(0.0) += dv;
     }
 
-    /// Register (or look up) a histogram series.
-    pub(crate) fn histogram(&self, name: &str, labels: &Labels) -> Histogram {
-        let key = SeriesKey {
-            name: name.to_string(),
-            labels: labels.clone(),
-        };
-        let mut inner = self.inner.lock().unwrap();
-        let cell = inner
+    /// Record `samples` in order into a histogram series, creating it
+    /// (empty) if absent.
+    pub(crate) fn record_histogram(
+        &mut self,
+        name: &str,
+        labels: &Labels,
+        samples: impl IntoIterator<Item = u64>,
+    ) {
+        let series = self
             .histograms
-            .entry(key)
-            .or_insert_with(|| Arc::new(HistogramCore::new()));
-        Histogram(Some(Arc::clone(cell)))
+            .entry(SeriesKey::new(name, labels))
+            .or_default();
+        samples.into_iter().for_each(|v| series.record(v));
     }
 
     /// Deterministic point-in-time snapshot of every series.
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().unwrap();
         MetricsSnapshot {
-            counters: inner
+            counters: self
                 .counters
                 .iter()
                 .map(|(k, c)| CounterSnapshot {
@@ -443,20 +342,16 @@ impl MetricsRegistry {
                     value: c.load(Ordering::Relaxed),
                 })
                 .collect(),
-            gauges: inner
+            gauges: self
                 .gauges
                 .iter()
-                .map(|(k, g)| GaugeSnapshot {
+                .map(|(k, &value)| GaugeSnapshot {
                     name: k.name.clone(),
                     labels: k.labels.clone(),
-                    value: f64::from_bits(g.load(Ordering::Relaxed)),
+                    value,
                 })
                 .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, h)| h.snapshot(&k.name, &k.labels))
-                .collect(),
+            histograms: self.histograms.iter().map(|(k, h)| h.snapshot(k)).collect(),
         }
     }
 }
@@ -490,20 +385,54 @@ mod tests {
 
     #[test]
     fn histogram_percentiles_are_close_to_exact() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("lat", &labels(&[("tenant", "0")]));
+        let mut reg = Registry::default();
+        let l = labels(&[("tenant", "0")]);
         let mut exact: Vec<u64> = (0..10_000).map(|i| 1_000 + 37 * i).collect();
-        for &v in &exact {
-            h.record(v);
-        }
+        reg.record_histogram("lat", &l, exact.iter().copied());
+        let snap = reg.snapshot();
+        let h = snap.histogram("lat", &l).expect("series recorded");
         exact.sort_unstable();
-        for p in [50.0, 99.0, 99.9] {
+        for (p, approx) in [(50.0, h.p50), (99.0, h.p99), (99.9, h.p999)] {
             let rank = ((p / 100.0 * exact.len() as f64).ceil() as usize).max(1);
             let truth = exact[rank - 1] as f64;
-            let approx = h.0.as_ref().unwrap().percentile(p) as f64;
-            let rel = (approx - truth).abs() / truth;
+            let rel = (approx as f64 - truth).abs() / truth;
             assert!(rel < 0.04, "p{p}: approx {approx} vs exact {truth}");
         }
+    }
+
+    /// The snapshot fields of a 1,000-sample series and of an empty one,
+    /// pinned to the values the registry has always exported. At 1,000
+    /// samples `99.9 / 100.0` ranks the 1,000th sample and a literal
+    /// 0.999 the 999th, so the outlier decides p999.
+    #[test]
+    fn histogram_snapshot_pins_the_p999_rank_and_the_empty_series() {
+        let mut reg = Registry::default();
+        let (a, b) = (labels(&[("tenant", "a")]), labels(&[("tenant", "b")]));
+        let samples = (0..1_000u64).map(|i| if i == 500 { 5_000_000 } else { 1_000 + 37 * i });
+        reg.record_histogram("lat", &a, samples);
+        reg.record_histogram("lat", &b, []);
+        let snap = reg.snapshot();
+        let full = snap.histogram("lat", &a).expect("series a");
+        assert_eq!(
+            (full.count, full.sum, full.min, full.max),
+            (1_000, 24_462_000.0, 1_000, 5_000_000)
+        );
+        assert_eq!((full.p50, full.p99, full.p999), (19_968, 37_888, 5_111_808));
+        assert_eq!(
+            reg.histograms[&SeriesKey::new("lat", &a)]
+                .samples
+                .percentile(0.999),
+            Some(37_888),
+            "a literal 0.999 ranks the 999th sample"
+        );
+        let empty = snap
+            .histogram("lat", &b)
+            .expect("an empty series still exports");
+        assert_eq!(
+            (empty.count, empty.sum, empty.min, empty.max),
+            (0, 0.0, 0, 0)
+        );
+        assert_eq!((empty.p50, empty.p99, empty.p999), (0, 0, 0));
     }
 
     /// Seeded samples spanning the exact unit buckets and many octaves.
@@ -537,35 +466,19 @@ mod tests {
     }
 
     #[test]
-    fn log_histogram_percentiles_match_the_registry_histogram() {
-        let samples = seeded_samples(7, 10_007);
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("lat", &Labels::new());
-        let mut owned = LogHistogram::new();
-        for &v in &samples {
-            h.record(v);
-            owned.record(v);
-        }
-        for q in [0.5, 0.99, 0.999] {
-            assert_eq!(
-                owned.percentile(q),
-                Some(h.0.as_ref().unwrap().percentile(100.0 * q)),
-                "q={q}"
-            );
-        }
-    }
-
-    #[test]
     fn registry_dedups_series_and_snapshot_is_sorted() {
-        let reg = MetricsRegistry::new();
+        let mut reg = Registry::default();
         let a = reg.counter("x_total", &labels(&[("t", "1")]));
         let b = reg.counter("x_total", &labels(&[("t", "1")]));
         a.inc();
         b.add(2);
         reg.counter("a_total", &Labels::new()).inc();
+        reg.add_gauge("e_joules", &Labels::new(), 1.5);
+        reg.add_gauge("e_joules", &Labels::new(), 2.0);
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["a_total", "x_total"]);
         assert_eq!(snap.counter("x_total", &labels(&[("t", "1")])), Some(3));
+        assert_eq!(snap.gauge("e_joules", &Labels::new()), Some(3.5));
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! Because the simulator computes an event's end time rather than
 //! waiting for it, spans are not RAII drop-guards: callers emit a
-//! `B`/`E` pair explicitly (usually via `TraceBuffer::span`, which
+//! `B`/`E` pair explicitly (usually via `Telemetry::span`, which
 //! pushes both at once from known start/end timestamps). Events carry a
 //! `(pid, tid)` track: `pid` groups a subsystem (requests, sites, net,
 //! recovery), `tid` an entity within it (request id, `node*64+slot`,
@@ -12,7 +12,12 @@
 //! begin/end pairs keep emission order — which makes per-track `B`/`E`
 //! nesting validatable ([`validate_balanced`]) and the file
 //! byte-deterministic for a deterministic run.
+//!
+//! An event borrows its category and argument keys, which are string
+//! literals at every emit site, and its name, except where a caller
+//! builds the name at run time (graph stage and shard re-plan spans).
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Track groups (`pid` in the Chrome trace). Every track is timed in
@@ -71,142 +76,20 @@ impl Phase {
 /// One trace event in virtual time.
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
-    pub name: String,
-    pub(crate) cat: String,
+    pub name: Cow<'static, str>,
+    pub(crate) cat: &'static str,
     pub phase: Phase,
     pub(crate) ts_ps: u64,
     pub pid: u32,
     pub(crate) tid: u64,
     /// Free-form `key=value` annotations (serialized into `args`).
-    pub args: Vec<(String, String)>,
+    pub args: Vec<(&'static str, String)>,
 }
 
-/// Append-only event buffer behind the `Telemetry` handle's mutex.
-#[derive(Debug, Default)]
-pub(crate) struct TraceBuffer {
-    events: Vec<TraceEvent>,
-}
-
-impl TraceBuffer {
-    pub(crate) fn new() -> Self {
-        TraceBuffer::default()
-    }
-
-    /// Emit a complete `[start_ps, end_ps]` span as a `B`/`E` pair.
-    pub(crate) fn span(
-        &mut self,
-        pid: u32,
-        tid: u64,
-        cat: &str,
-        name: &str,
-        start_ps: u64,
-        end_ps: u64,
-    ) {
-        self.span_args(pid, tid, cat, name, start_ps, end_ps, Vec::new());
-    }
-
-    /// [`TraceBuffer::span`] with annotations attached to the `B` event.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn span_args(
-        &mut self,
-        pid: u32,
-        tid: u64,
-        cat: &str,
-        name: &str,
-        start_ps: u64,
-        end_ps: u64,
-        args: Vec<(String, String)>,
-    ) {
-        let end_ps = end_ps.max(start_ps);
-        self.events.push(TraceEvent {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            phase: Phase::B,
-            ts_ps: start_ps,
-            pid,
-            tid,
-            args,
-        });
-        self.events.push(TraceEvent {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            phase: Phase::E,
-            ts_ps: end_ps,
-            pid,
-            tid,
-            args: Vec::new(),
-        });
-    }
-
-    /// Open a span. The matching [`TraceBuffer::end`] must be emitted
-    /// after every child event that shares its end timestamp, so
-    /// same-tick ties sort child-closes before the parent's close.
-    pub(crate) fn begin(
-        &mut self,
-        pid: u32,
-        tid: u64,
-        cat: &str,
-        name: &str,
-        ts_ps: u64,
-        args: Vec<(String, String)>,
-    ) {
-        self.events.push(TraceEvent {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            phase: Phase::B,
-            ts_ps,
-            pid,
-            tid,
-            args,
-        });
-    }
-
-    /// Close the most recent open span of `name` on the track.
-    pub(crate) fn end(&mut self, pid: u32, tid: u64, cat: &str, name: &str, ts_ps: u64) {
-        self.events.push(TraceEvent {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            phase: Phase::E,
-            ts_ps,
-            pid,
-            tid,
-            args: Vec::new(),
-        });
-    }
-
-    /// Emit an instant event.
-    pub(crate) fn instant(
-        &mut self,
-        pid: u32,
-        tid: u64,
-        cat: &str,
-        name: &str,
-        ts_ps: u64,
-        args: Vec<(String, String)>,
-    ) {
-        self.events.push(TraceEvent {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            phase: Phase::I,
-            ts_ps,
-            pid,
-            tid,
-            args,
-        });
-    }
-
-    /// Events sorted for export: by `(pid, tid, ts)`, stable so that
-    /// zero-length spans keep their `B` before their `E`.
-    pub(crate) fn sorted_events(&self) -> Vec<TraceEvent> {
-        let mut evs = self.events.clone();
-        evs.sort_by_key(|a| (a.pid, a.tid, a.ts_ps));
-        evs
-    }
-}
-
-/// Render events as a Chrome-trace JSON array (`ts` in microseconds,
+/// Render events (in export order, as `Telemetry::trace_events` returns
+/// them) as a Chrome-trace JSON array (`ts` in microseconds,
 /// fractional; `chrome://tracing` and Perfetto load this directly).
-pub(crate) fn chrome_trace_json(events: &[TraceEvent]) -> String {
+pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut out = String::from("[\n");
     for (i, ev) in events.iter().enumerate() {
         let ts_us = ev.ts_ps as f64 / 1e6;
@@ -224,7 +107,7 @@ pub(crate) fn chrome_trace_json(events: &[TraceEvent]) -> String {
         let mut name = String::new();
         serde::escape_json(&ev.name, &mut name);
         let mut cat = String::new();
-        serde::escape_json(&ev.cat, &mut cat);
+        serde::escape_json(ev.cat, &mut cat);
         let _ = write!(
             out,
             "  {{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{},\"args\":{{{args}}}}}",
@@ -244,7 +127,7 @@ pub(crate) fn chrome_trace_json(events: &[TraceEvent]) -> String {
 /// name, and nothing is left open). Returns the number of complete
 /// spans, or a description of the first violation.
 ///
-/// Expects events in export order (`TraceBuffer::sorted_events`).
+/// Expects events in export order (`Telemetry::trace_events`).
 pub fn validate_balanced(events: &[TraceEvent]) -> Result<usize, String> {
     let mut spans = 0usize;
     let mut stack: Vec<(&str, u32, u64)> = Vec::new();
@@ -287,70 +170,48 @@ pub fn validate_balanced(events: &[TraceEvent]) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Telemetry;
+
+    fn event(name: &'static str, phase: Phase, ts_ps: u64) -> TraceEvent {
+        TraceEvent {
+            name: name.into(),
+            cat: "c",
+            phase,
+            ts_ps,
+            pid: 1,
+            tid: 1,
+            args: Vec::new(),
+        }
+    }
 
     #[test]
     fn span_pairs_balance() {
-        let mut buf = TraceBuffer::new();
-        buf.span(track::REQUESTS, 7, "serve", "request", 100, 900);
-        buf.span(track::REQUESTS, 7, "serve", "serve.queue", 100, 300);
-        buf.span(track::REQUESTS, 7, "serve", "engine.mvm", 300, 800);
-        buf.instant(track::NET, 1, "fault", "link.down", 500, Vec::new());
-        let evs = buf.sorted_events();
-        assert_eq!(validate_balanced(&evs), Ok(3));
+        let tel = Telemetry::enabled();
+        tel.span(track::REQUESTS, 7, "serve", "request", 100, 900);
+        tel.span(track::REQUESTS, 7, "serve", "serve.queue", 100, 300);
+        tel.span(track::REQUESTS, 7, "serve", "engine.mvm", 300, 800);
+        tel.instant(track::NET, 1, "fault", "link.down", 500, Vec::new());
+        assert_eq!(validate_balanced(&tel.trace_events()), Ok(3));
     }
 
     #[test]
     fn mismatched_end_is_rejected() {
-        let evs = vec![
-            TraceEvent {
-                name: "a".into(),
-                cat: "c".into(),
-                phase: Phase::B,
-                ts_ps: 0,
-                pid: 1,
-                tid: 1,
-                args: Vec::new(),
-            },
-            TraceEvent {
-                name: "b".into(),
-                cat: "c".into(),
-                phase: Phase::E,
-                ts_ps: 5,
-                pid: 1,
-                tid: 1,
-                args: Vec::new(),
-            },
-        ];
+        let evs = [event("a", Phase::B, 0), event("b", Phase::E, 5)];
         assert!(validate_balanced(&evs).is_err());
     }
 
     #[test]
     fn unclosed_span_is_rejected() {
-        let evs = vec![TraceEvent {
-            name: "a".into(),
-            cat: "c".into(),
-            phase: Phase::B,
-            ts_ps: 0,
-            pid: 1,
-            tid: 1,
-            args: Vec::new(),
-        }];
-        assert!(validate_balanced(&evs).is_err());
+        assert!(validate_balanced(&[event("a", Phase::B, 0)]).is_err());
     }
 
     #[test]
     fn chrome_json_is_a_valid_array_with_us_timestamps() {
-        let mut buf = TraceBuffer::new();
-        buf.span_args(
-            track::SITES,
-            65,
-            "serve",
-            "engine.batch",
-            2_000_000,
-            3_500_000,
-            vec![("size".into(), "4".into())],
-        );
-        let json = chrome_trace_json(&buf.sorted_events());
+        let tel = Telemetry::enabled();
+        let args = vec![("size", "4".to_string())];
+        tel.begin(track::SITES, 65, "serve", "engine.batch", 2_000_000, args);
+        tel.end(track::SITES, 65, "serve", "engine.batch", 3_500_000);
+        let json = chrome_trace_json(&tel.trace_events());
         let v = serde_json::from_str(&json).expect("parses");
         let arr = v.as_seq().expect("array");
         assert_eq!(arr.len(), 2);
@@ -366,9 +227,9 @@ mod tests {
 
     #[test]
     fn zero_length_span_keeps_b_before_e() {
-        let mut buf = TraceBuffer::new();
-        buf.span(track::REQUESTS, 1, "serve", "serve.queue", 50, 50);
-        let evs = buf.sorted_events();
+        let tel = Telemetry::enabled();
+        tel.span(track::REQUESTS, 1, "serve", "serve.queue", 50, 50);
+        let evs = tel.trace_events();
         assert_eq!(evs[0].phase, Phase::B);
         assert_eq!(evs[1].phase, Phase::E);
         assert_eq!(validate_balanced(&evs), Ok(1));

@@ -7,7 +7,6 @@ use ofpc_core::OnFiberNetwork;
 use ofpc_engine::Primitive;
 use ofpc_net::{NodeId, Topology};
 use ofpc_serve::{ArrivalSpec, BatchPolicy, ServeConfig, ServeRuntime, TenantSpec};
-use ofpc_transponder::compute::ComputeTransponderConfig;
 
 fn main() {
     // 1. A three-site metro line with 10 km spans; photonic compute
@@ -62,7 +61,6 @@ fn main() {
     let runtime = ServeRuntime::over_network(
         &system,
         NodeId(0),
-        &ComputeTransponderConfig::realistic(),
         4, // WDM channels per batch pass
         config,
     );

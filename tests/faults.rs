@@ -16,7 +16,6 @@ use ofpc_net::stats::DropReason;
 use ofpc_net::{LinkId, NodeId, Topology};
 use ofpc_photonics::SimRng;
 use ofpc_serve::{ArrivalSpec, BatchPolicy, ServeConfig, ServeReport, ServeRuntime, TenantSpec};
-use ofpc_transponder::compute::ComputeTransponderConfig;
 
 const P1: Primitive = Primitive::VectorDotProduct;
 
@@ -140,14 +139,8 @@ fn serve_under_outage(seed: u64, fallback: bool) -> ServeReport {
         }],
         verify_every: 128,
     };
-    let mut rt = ServeRuntime::over_network(
-        &sys,
-        NodeId(0),
-        &ComputeTransponderConfig::realistic(),
-        4,
-        config,
-    )
-    .with_storm(&outage_schedule());
+    let mut rt =
+        ServeRuntime::over_network(&sys, NodeId(0), 4, config).with_storm(&outage_schedule());
     if fallback {
         rt = rt.with_digital_fallback(ComputeModel::cpu());
     }

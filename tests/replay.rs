@@ -84,7 +84,6 @@ fn serving_runtime_replays_byte_identical() {
     use ofpc_engine::Primitive;
     use ofpc_net::{NodeId, Topology};
     use ofpc_serve::{ArrivalSpec, BatchPolicy, ServeConfig, ServeRuntime, TenantSpec};
-    use ofpc_transponder::compute::ComputeTransponderConfig;
 
     let run = || {
         let mut sys = ofpc_core::OnFiberNetwork::new(Topology::line(3, 10.0), 105);
@@ -125,14 +124,7 @@ fn serving_runtime_replays_byte_identical() {
             ],
             verify_every: 128,
         };
-        let report = ServeRuntime::over_network(
-            &sys,
-            NodeId(0),
-            &ComputeTransponderConfig::realistic(),
-            4,
-            config,
-        )
-        .run();
+        let report = ServeRuntime::over_network(&sys, NodeId(0), 4, config).run();
         serde_json::to_string_pretty(&report).expect("report serializes")
     };
     let a = run();

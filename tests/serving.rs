@@ -6,7 +6,6 @@
 use ofpc_engine::Primitive;
 use ofpc_net::{NodeId, Topology};
 use ofpc_serve::{ArrivalSpec, BatchPolicy, ServeConfig, ServeReport, ServeRuntime, TenantSpec};
-use ofpc_transponder::compute::ComputeTransponderConfig;
 
 /// ~15.5M req/s of slot capacity with this deployment/model (two slots,
 /// four WDM channels, 2048-element batches of 8).
@@ -42,14 +41,7 @@ fn run(per_tenant_rps: f64, weights: (u32, u32), batching: bool) -> ServeReport 
         tenants: vec![tenant("t0", weights.0), tenant("t1", weights.1)],
         verify_every: 0,
     };
-    ServeRuntime::over_network(
-        &sys,
-        NodeId(0),
-        &ComputeTransponderConfig::realistic(),
-        4,
-        config,
-    )
-    .run()
+    ServeRuntime::over_network(&sys, NodeId(0), 4, config).run()
 }
 
 #[test]
