@@ -26,8 +26,8 @@ use ofpc_net::events::EventQueue;
 use ofpc_net::{Addr, FrameError, NodeId, Packet, PchFrame, PchHeader};
 use ofpc_photonics::SimRng;
 use ofpc_serve::{
-    BatchPolicy, Batcher, ComputeRequest, Dispatch, RequestId, Scheduler, ServiceModel, ShedReason,
-    SiteSpec, SparseAdmission, TenantId, TenantShape,
+    Batch, BatchPolicy, Batcher, ComputeRequest, Dispatch, RequestId, Scheduler, ServiceModel,
+    ShedReason, SiteSpec, SparseAdmission, TenantId, TenantShape,
 };
 use ofpc_telemetry::LogHistogram;
 use std::collections::BTreeMap;
@@ -174,6 +174,12 @@ pub(crate) struct ShardState {
     /// Migrations applied to this shard (in, out) over the run.
     pub(crate) migrations_in: u64,
     pub(crate) migrations_out: u64,
+    /// Buffers each pump lends the batcher, the scheduler and
+    /// admission, kept empty between pumps to reuse their allocations:
+    /// closed batches, dispatches and shed records.
+    closed: Vec<Batch>,
+    dispatches: Vec<Dispatch>,
+    shed: Vec<(ComputeRequest, ShedReason)>,
 }
 
 impl ShardState {
@@ -237,6 +243,9 @@ impl ShardState {
             epoch_heat: Vec::new(),
             migrations_in: 0,
             migrations_out: 0,
+            closed: Vec::new(),
+            dispatches: Vec::new(),
+            shed: Vec::new(),
         };
         shard.schedule_next_arrival();
         shard
@@ -399,25 +408,34 @@ impl ShardState {
     /// drain quantum), then EDF dispatch and the batch-timeout alarm.
     fn pump(&mut self) {
         let now = self.now_ps;
-        let closed = self.batcher.fill(
+        let mut closed = std::mem::take(&mut self.closed);
+        self.batcher.fill(
             &mut self.admission,
             &self.scheduler,
             now,
             self.drain_quantum,
             |_| 0,
+            &mut closed,
         );
-        for b in closed {
+        for b in closed.drain(..) {
             self.scheduler.enqueue(b);
         }
-        for d in self.scheduler.try_dispatch(now) {
+        self.closed = closed;
+        let mut dispatches = std::mem::take(&mut self.dispatches);
+        self.scheduler.try_dispatch(now, &mut dispatches);
+        for d in dispatches.drain(..) {
             self.on_dispatch(d);
         }
+        self.dispatches = dispatches;
         if let Some(t) = self.batcher.next_timeout_ps() {
             self.events.schedule_at(t.max(now), Ev::BatchTick);
         }
-        for (req, reason) in self.admission.take_shed() {
+        let mut shed = std::mem::take(&mut self.shed);
+        self.admission.take_shed(&mut shed);
+        for (req, reason) in shed.drain(..) {
             self.record_shed(&req, reason);
         }
+        self.shed = shed;
     }
 
     fn on_dispatch(&mut self, d: Dispatch) {

@@ -17,7 +17,8 @@
 //! bounded by the work the wake-up does plus `log` of the backlog: the
 //! expiry sweep runs only once a queue head can have expired, and a
 //! drain walks the backlogged tenants from its cursor one `BTreeMap`
-//! step at a time instead of listing them all.
+//! step at a time instead of listing them all. Drained requests and
+//! shed records go into buffers the caller lends.
 
 use crate::request::{ComputeRequest, ShedReason, TenantId};
 use std::collections::{BTreeMap, VecDeque};
@@ -187,20 +188,21 @@ impl SparseAdmission {
     }
 
     /// Weighted-fair drain of up to `max` requests (deficit round
-    /// robin over the backlogged tenants, resuming after the cursor).
+    /// robin over the backlogged tenants, resuming after the cursor),
+    /// appended to `out`.
     ///
     /// A round visits the ids after the cursor, then wraps to the ids up
     /// to and including it, stepping through the map from the last
     /// tenant visited. That is the round's snapshot order without the
     /// snapshot: a drain adds no tenant and evicts only the one it just
     /// visited.
-    pub(crate) fn drain_fair(&mut self, max: usize, now_ps: u64) -> Vec<ComputeRequest> {
-        let mut out = Vec::new();
+    pub(crate) fn drain_fair(&mut self, max: usize, now_ps: u64, out: &mut Vec<ComputeRequest>) {
         if max == 0 || self.queued == 0 {
-            return out;
+            return;
         }
+        let end = out.len().saturating_add(max);
         let round_end = self.cursor.map_or(Bound::Unbounded, Bound::Included);
-        while out.len() < max && self.queued > 0 {
+        while out.len() < end && self.queued > 0 {
             let mut from = self.cursor.map_or(Bound::Unbounded, Bound::Excluded);
             let mut wrapped = self.cursor.is_none();
             let mut progressed = false;
@@ -220,9 +222,9 @@ impl SparseAdmission {
                     &mut t.queue,
                     &mut t.deficit,
                     t.shape.weight,
-                    max,
+                    end,
                     now_ps,
-                    &mut out,
+                    out,
                     &mut self.shed,
                 );
                 self.queued -= out.len() + self.shed.len() - before;
@@ -233,21 +235,20 @@ impl SparseAdmission {
                         .spare
                         .push(self.active.remove(&tenant).expect("visited").queue),
                 }
-                if out.len() >= max {
+                if out.len() >= end {
                     self.cursor = Some(tenant);
-                    return out;
+                    return;
                 }
             }
             if !progressed {
                 break;
             }
         }
-        out
     }
 
-    /// Take the accumulated shed records.
-    pub fn take_shed(&mut self) -> Vec<(ComputeRequest, ShedReason)> {
-        std::mem::take(&mut self.shed)
+    /// Move the accumulated shed records to the end of `out`.
+    pub fn take_shed(&mut self, out: &mut Vec<(ComputeRequest, ShedReason)>) {
+        out.append(&mut self.shed);
     }
 
     /// Remove a tenant and return its queued requests in FIFO order
@@ -291,6 +292,20 @@ mod tests {
         }
     }
 
+    /// The requests one `drain_fair` call drains.
+    fn drain(ac: &mut SparseAdmission, max: usize, now_ps: u64) -> Vec<ComputeRequest> {
+        let mut out = Vec::new();
+        ac.drain_fair(max, now_ps, &mut out);
+        out
+    }
+
+    /// The shed records accumulated so far.
+    fn sheds(ac: &mut SparseAdmission) -> Vec<(ComputeRequest, ShedReason)> {
+        let mut out = Vec::new();
+        ac.take_shed(&mut out);
+        out
+    }
+
     fn shape(capacity: usize, weight: u32) -> TenantShape {
         TenantShape { capacity, weight }
     }
@@ -304,7 +319,7 @@ mod tests {
         }
         assert_eq!(ac.active_tenants(), 3);
         assert_eq!(ac.queued(), 3);
-        let drained = ac.drain_fair(10, 0);
+        let drained = drain(&mut ac, 10, 0);
         assert_eq!(drained.len(), 3);
         // Drained dry → evicted: zero retained state.
         assert_eq!(ac.active_tenants(), 0);
@@ -318,7 +333,7 @@ mod tests {
             ac.offer(req(i, 11, u64::MAX), shape(100, 3));
             ac.offer(req(100 + i, 903_214, u64::MAX), shape(100, 1));
         }
-        let drained = ac.drain_fair(40, 0);
+        let drained = drain(&mut ac, 40, 0);
         assert_eq!(drained.len(), 40);
         let t0 = drained.iter().filter(|r| r.tenant == TenantId(11)).count();
         assert!((28..=32).contains(&t0), "t0 got {t0}");
@@ -329,9 +344,35 @@ mod tests {
         for i in 0..50 {
             ac.offer(req(i, 903_214, u64::MAX), shape(100, 1));
         }
-        let drained = ac.drain_fair(30, 0);
+        let drained = drain(&mut ac, 30, 0);
         assert_eq!(drained.len(), 30);
         assert!(drained.iter().all(|r| r.tenant == TenantId(903_214)));
+    }
+
+    #[test]
+    fn drains_and_sheds_append_to_the_lent_buffers() {
+        let mut ac = SparseAdmission::new();
+        for i in 0..6 {
+            ac.offer(req(i, 1, u64::MAX), shape(8, 1));
+        }
+        ac.offer(req(6, 2, 10), shape(8, 1));
+        ac.offer(req(7, 2, 10), shape(1, 1));
+        // `max` counts what this drain adds, not what the buffer held.
+        let mut out = vec![req(100, 9, u64::MAX)];
+        ac.drain_fair(4, 50, &mut out);
+        assert_eq!(ids(&out), [100, 0, 1, 2, 3]);
+        let mut shed = vec![(req(101, 9, 0), ShedReason::QueueFull)];
+        ac.take_shed(&mut shed);
+        let shed: Vec<(u64, ShedReason)> = shed.iter().map(|(r, why)| (r.id.0, *why)).collect();
+        assert_eq!(
+            shed,
+            [
+                (101, ShedReason::QueueFull),
+                (7, ShedReason::QueueFull),
+                (6, ShedReason::DeadlineExpiredQueued),
+            ]
+        );
+        assert_eq!(ac.queued(), 2);
     }
 
     #[test]
@@ -339,7 +380,7 @@ mod tests {
         let mut ac = SparseAdmission::new();
         assert!(ac.offer(req(1, 0, 100), shape(1, 1)));
         assert!(!ac.offer(req(2, 0, 100), shape(1, 1)));
-        let shed = ac.take_shed();
+        let shed = sheds(&mut ac);
         assert_eq!(shed.len(), 1);
         assert_eq!(shed[0].0.id, RequestId(2));
         assert_eq!(shed[0].1, ShedReason::QueueFull);
@@ -350,17 +391,17 @@ mod tests {
         assert_eq!(ac.expire_stale(200), 2);
         assert_eq!(ac.active_tenants(), 1, "expired tenant evicted");
         assert_eq!(ac.queued(), 1);
-        let shed = ac.take_shed();
+        let shed = sheds(&mut ac);
         assert_eq!(shed.len(), 2);
         assert!(shed
             .iter()
             .all(|(_, reason)| *reason == ShedReason::DeadlineExpiredQueued));
         // A drain sheds an expired request instead of returning it.
         ac.offer(req(5, 2, 300), shape(4, 1));
-        let drained = ac.drain_fair(10, 400);
+        let drained = drain(&mut ac, 10, 400);
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].id, RequestId(4));
-        let shed = ac.take_shed();
+        let shed = sheds(&mut ac);
         assert_eq!(shed.len(), 1);
         assert_eq!(shed[0].0.id, RequestId(5));
         assert_eq!(shed[0].1, ShedReason::DeadlineExpiredQueued);
@@ -379,8 +420,8 @@ mod tests {
         // Destination re-applies a tighter bound: overflow sheds there.
         dst.adopt(moved, shape(4, 2));
         assert_eq!(dst.queued(), 4);
-        assert_eq!(dst.take_shed().len(), 2);
-        let drained = dst.drain_fair(10, 0);
+        assert_eq!(sheds(&mut dst).len(), 2);
+        let drained = drain(&mut dst, 10, 0);
         assert_eq!(drained[0].id, RequestId(0), "FIFO order preserved");
     }
 
@@ -396,8 +437,8 @@ mod tests {
             );
             offered += 1;
         }
-        let drained = ac.drain_fair(6, 10).len();
-        let shed = ac.take_shed().len();
+        let drained = drain(&mut ac, 6, 10).len();
+        let shed = sheds(&mut ac).len();
         let queued = ac.queued();
         assert!(queued > 0, "a partial drain leaves work queued");
         assert_eq!(drained + shed + queued, offered);
@@ -540,7 +581,7 @@ mod tests {
                             _ => 1 + rng.below(12),
                         };
                         assert_eq!(
-                            ids(&new.drain_fair(max, now)),
+                            ids(&drain(&mut new, max, now)),
                             ids(&reference_drain_fair(&mut old, max, now)),
                             "case {case} step {step}: drain of {max} at {now}"
                         );
@@ -564,7 +605,7 @@ mod tests {
                     }
                     _ => now += rng.below(3_000) as u64,
                 }
-                let (a, b) = (new.take_shed(), old.take_shed());
+                let (a, b) = (sheds(&mut new), sheds(&mut old));
                 assert_eq!(
                     a.iter().map(|(r, why)| (r.id, *why)).collect::<Vec<_>>(),
                     b.iter().map(|(r, why)| (r.id, *why)).collect::<Vec<_>>(),

@@ -11,8 +11,8 @@
 //!
 //! [`Batcher::fill`] is the one drain-and-batch rule both event loops
 //! run at every wake-up: the serving runtime and each ingest shard call
-//! it with their own admission controller and scheduler, then enqueue
-//! and dispatch what it closes.
+//! it with their own admission controller, scheduler and closed-batch
+//! buffer, then enqueue and dispatch what it closes.
 
 use crate::admission::SparseAdmission;
 use crate::request::{BatchClass, ComputeRequest};
@@ -95,6 +95,8 @@ pub struct Batcher {
     /// BTreeMap for deterministic iteration order across runs.
     open: BTreeMap<(u16, BatchClass), OpenBatch>,
     closed: Vec<Batch>,
+    /// The requests one `fill` drains, kept to reuse its buffer.
+    drained: Vec<ComputeRequest>,
 }
 
 impl Batcher {
@@ -104,6 +106,7 @@ impl Batcher {
             policy,
             open: BTreeMap::new(),
             closed: Vec::new(),
+            drained: Vec::new(),
         }
     }
 
@@ -132,32 +135,29 @@ impl Batcher {
     /// Close any open batch whose oldest member has waited out the
     /// policy timeout.
     pub(crate) fn flush_timeouts(&mut self, now_ps: u64) {
-        let due: Vec<(u16, BatchClass)> = self
-            .open
-            .iter()
-            .filter(|(_, b)| now_ps.saturating_sub(b.opened_ps) >= self.policy.max_wait_ps)
-            .map(|(&k, _)| k)
-            .collect();
-        for key in due {
-            let b = self.open.remove(&key).expect("listed above");
-            self.closed.push(Batch {
-                class: key.1,
-                requests: b.requests,
-                closed_ps: now_ps,
-                resil: None,
-            });
-        }
+        let max_wait_ps = self.policy.max_wait_ps;
+        let closed = &mut self.closed;
+        self.open.retain(|&(_, class), b| {
+            let due = now_ps.saturating_sub(b.opened_ps) >= max_wait_ps;
+            if due {
+                closed.push(Batch {
+                    class,
+                    requests: std::mem::take(&mut b.requests),
+                    closed_ps: now_ps,
+                    resil: None,
+                });
+            }
+            !due
+        });
     }
 
     /// Force-close everything (the fallback divert, or the scheduler
     /// idle with free capacity — holding requests while transponders sit
     /// idle only adds latency).
     pub(crate) fn flush_all(&mut self, now_ps: u64) {
-        let keys: Vec<(u16, BatchClass)> = self.open.keys().copied().collect();
-        for key in keys {
-            let b = self.open.remove(&key).expect("listed above");
+        while let Some(((_, class), b)) = self.open.pop_first() {
             self.closed.push(Batch {
-                class: key.1,
+                class,
                 requests: b.requests,
                 closed_ps: now_ps,
                 resil: None,
@@ -178,13 +178,13 @@ impl Batcher {
         self.open.values().map(|b| b.requests.len()).sum()
     }
 
-    /// Take all closed batches, in close order.
-    pub(crate) fn take_closed(&mut self) -> Vec<Batch> {
-        std::mem::take(&mut self.closed)
+    /// Move all closed batches, in close order, to the end of `out`.
+    pub(crate) fn take_closed(&mut self, out: &mut Vec<Batch>) {
+        out.append(&mut self.closed);
     }
 
-    /// One wake-up of the drain-and-batch rule; returns the batches it
-    /// closed, in close order.
+    /// One wake-up of the drain-and-batch rule; appends the batches it
+    /// closed, in close order, to `out`.
     ///
     /// Stale queue heads are shed first. The drain budget is what the
     /// idle slots can take in full batches (`idle × max_batch`), less
@@ -202,21 +202,25 @@ impl Batcher {
         now_ps: u64,
         max_drain: usize,
         mut rank: impl FnMut(&ComputeRequest) -> u16,
-    ) -> Vec<Batch> {
+        out: &mut Vec<Batch>,
+    ) {
         admission.expire_stale(now_ps);
         let idle = scheduler.idle_slots(now_ps);
         let budget = (idle * self.policy.max_batch)
             .saturating_sub(scheduler.set_backlog_requests())
             .min(max_drain);
-        for req in admission.drain_fair(budget, now_ps) {
+        let mut drained = std::mem::take(&mut self.drained);
+        admission.drain_fair(budget, now_ps, &mut drained);
+        for req in drained.drain(..) {
             let mode_rank = rank(&req);
             self.push_with_mode(req, mode_rank, now_ps);
         }
+        self.drained = drained;
         self.flush_timeouts(now_ps);
         if admission.queued() == 0 && scheduler.backlog_requests() == 0 && idle > 0 {
             self.flush_all(now_ps);
         }
-        self.take_closed()
+        self.take_closed(out);
     }
 }
 
@@ -225,6 +229,13 @@ mod tests {
     use super::*;
     use crate::request::{RequestId, TenantId};
     use ofpc_engine::Primitive;
+
+    /// The batches closed so far.
+    fn closed(b: &mut Batcher) -> Vec<Batch> {
+        let mut out = Vec::new();
+        b.take_closed(&mut out);
+        out
+    }
 
     fn req(id: u64, len: usize, arrival: u64) -> ComputeRequest {
         ComputeRequest {
@@ -246,7 +257,7 @@ mod tests {
         for i in 0..7 {
             b.push_with_mode(req(i, 8, i), 0, i);
         }
-        let closed = b.take_closed();
+        let closed = closed(&mut b);
         assert_eq!(closed.len(), 2);
         assert!(closed.iter().all(|c| c.len() == 3));
         assert_eq!(b.open_len(), 1);
@@ -260,9 +271,9 @@ mod tests {
         });
         b.push_with_mode(req(1, 8, 0), 0, 0);
         b.flush_timeouts(50);
-        assert!(b.take_closed().is_empty());
+        assert!(closed(&mut b).is_empty());
         b.flush_timeouts(100);
-        let closed = b.take_closed();
+        let closed = closed(&mut b);
         assert_eq!(closed.len(), 1);
         assert_eq!(closed[0].len(), 1);
         assert_eq!(closed[0].closed_ps, 100);
@@ -279,10 +290,10 @@ mod tests {
         let mut r3 = req(3, 8, 0);
         r3.primitive = Primitive::NonlinearFunction; // different primitive
         b.push_with_mode(r3, 0, 0);
-        assert!(b.take_closed().is_empty());
+        assert!(closed(&mut b).is_empty());
         assert_eq!(b.open_len(), 3);
         b.push_with_mode(req(4, 8, 1), 0, 1); // completes the (P1, 8) batch
-        let closed = b.take_closed();
+        let closed = closed(&mut b);
         assert_eq!(closed.len(), 1);
         assert_eq!(closed[0].class.operand_len, 8);
         assert_eq!(closed[0].len(), 2);
@@ -294,7 +305,7 @@ mod tests {
         for i in 0..4 {
             b.push_with_mode(req(i, 8, i), 0, i);
         }
-        let closed = b.take_closed();
+        let closed = closed(&mut b);
         assert_eq!(closed.len(), 4);
         assert!(closed.iter().all(|c| c.len() == 1));
     }
@@ -311,7 +322,7 @@ mod tests {
         r2.deadline_ps = 300;
         b.push_with_mode(r1, 0, 0);
         b.push_with_mode(r2, 0, 0);
-        let closed = b.take_closed();
+        let closed = closed(&mut b);
         assert_eq!(closed[0].deadline_ps(), 300);
     }
 
@@ -324,10 +335,10 @@ mod tests {
         // Same class, different tenant protection modes: kept apart.
         b.push_with_mode(req(1, 8, 0), 0, 0);
         b.push_with_mode(req(2, 8, 0), 1, 0);
-        assert!(b.take_closed().is_empty());
+        assert!(closed(&mut b).is_empty());
         assert_eq!(b.open_len(), 2);
         b.push_with_mode(req(3, 8, 0), 1, 0); // fills the rank-1 batch
-        let closed = b.take_closed();
+        let closed = closed(&mut b);
         assert_eq!(closed.len(), 1);
         assert_eq!(closed[0].len(), 2);
         assert!(closed[0].resil.is_none(), "tagging happens at expansion");
@@ -408,10 +419,24 @@ mod tests {
             }
         }
 
+        /// The batches one `fill` call closes.
+        fn fill(
+            b: &mut Batcher,
+            ac: &mut SparseAdmission,
+            s: &Scheduler,
+            now_ps: u64,
+            max_drain: usize,
+            rank: impl FnMut(&ComputeRequest) -> u16,
+        ) -> Vec<Batch> {
+            let mut out = Vec::new();
+            b.fill(ac, s, now_ps, max_drain, rank, &mut out);
+            out
+        }
+
         /// Requests `fill` took out of admission.
         fn drained(ac: &mut SparseAdmission, s: &Scheduler, max_drain: usize) -> usize {
             let before = ac.queued();
-            batcher().fill(ac, s, 0, max_drain, |_| 0);
+            fill(&mut batcher(), ac, s, 0, max_drain, |_| 0);
             before - ac.queued()
         }
 
@@ -420,7 +445,7 @@ mod tests {
             let s = scheduler(2);
             let mut ac = admission(20);
             let mut b = batcher();
-            let closed = b.fill(&mut ac, &s, 0, usize::MAX, |_| 0);
+            let closed = fill(&mut b, &mut ac, &s, 0, usize::MAX, |_| 0);
             assert_eq!(closed.len(), 2, "two idle slots take two full batches");
             assert!(closed.iter().all(|c| c.len() == 4));
             assert_eq!(ac.queued(), 12);
@@ -447,14 +472,14 @@ mod tests {
         fn partial_batches_close_only_when_idle_with_nothing_waiting() {
             // Admission drained dry, no backlog, a slot idle: close.
             let s = scheduler(2);
-            let closed = batcher().fill(&mut admission(3), &s, 0, usize::MAX, |_| 0);
+            let closed = fill(&mut batcher(), &mut admission(3), &s, 0, usize::MAX, |_| 0);
             assert_eq!(closed.len(), 1);
             assert_eq!(closed[0].len(), 3);
 
             // Admission still holds work: the partial batch stays open.
             let mut b = batcher();
             let mut ac = admission(3);
-            assert!(b.fill(&mut ac, &s, 0, 2, |_| 0).is_empty());
+            assert!(fill(&mut b, &mut ac, &s, 0, 2, |_| 0).is_empty());
             assert_eq!((b.open_len(), ac.queued()), (2, 1));
 
             // A batch waits for a slot: the partial batch stays open.
@@ -464,9 +489,7 @@ mod tests {
                 ..set_member(100..101)
             });
             let mut b = batcher();
-            assert!(b
-                .fill(&mut admission(3), &waiting, 0, usize::MAX, |_| 0)
-                .is_empty());
+            assert!(fill(&mut b, &mut admission(3), &waiting, 0, usize::MAX, |_| 0).is_empty());
             assert_eq!(b.open_len(), 3);
 
             // No idle slot: the open batch stays open too.
@@ -475,12 +498,20 @@ mod tests {
                 resil: None,
                 ..set_member(100..101)
             });
-            assert_eq!(busy.try_dispatch(0).len(), 1);
+            let mut dispatched = Vec::new();
+            busy.try_dispatch(0, &mut dispatched);
+            assert_eq!(dispatched.len(), 1);
             let mut b = batcher();
             b.push_with_mode(req(1, 8, 0), 0, 0);
-            assert!(b
-                .fill(&mut SparseAdmission::new(), &busy, 0, usize::MAX, |_| 0)
-                .is_empty());
+            assert!(fill(
+                &mut b,
+                &mut SparseAdmission::new(),
+                &busy,
+                0,
+                usize::MAX,
+                |_| 0
+            )
+            .is_empty());
             assert_eq!(b.open_len(), 1);
         }
 
@@ -491,10 +522,11 @@ mod tests {
             let mut stale = req(1, 8, 0);
             stale.deadline_ps = 10;
             ac.offer(stale, SHAPE);
-            let closed = batcher().fill(&mut ac, &s, 100, 0, |_| 0);
+            let closed = fill(&mut batcher(), &mut ac, &s, 100, 0, |_| 0);
             assert!(closed.is_empty());
             assert_eq!(ac.queued(), 0);
-            let shed = ac.take_shed();
+            let mut shed = Vec::new();
+            ac.take_shed(&mut shed);
             assert_eq!(shed.len(), 1);
             assert_eq!(shed[0].1, crate::request::ShedReason::DeadlineExpiredQueued);
         }
@@ -510,7 +542,7 @@ mod tests {
                 ac.offer(other, SHAPE);
             }
             let mut ranked = Vec::new();
-            let closed = batcher().fill(&mut ac, &s, 0, usize::MAX, |r| {
+            let closed = fill(&mut batcher(), &mut ac, &s, 0, usize::MAX, |r| {
                 ranked.push(r.id);
                 r.tenant.0 as u16
             });

@@ -39,8 +39,8 @@ pub mod scheduler;
 
 pub use admission::{SparseAdmission, TenantShape};
 pub use arrivals::ArrivalSpec;
-pub use batcher::{BatchPolicy, Batcher};
+pub use batcher::{Batch, BatchPolicy, Batcher};
 pub use metrics::ServeReport;
 pub use request::{BatchClass, ComputeRequest, RequestId, ShedReason, TenantId};
 pub use runtime::{ResilSummary, RetryPolicy, ServeConfig, ServeRuntime, TenantSpec};
-pub use scheduler::{Dispatch, Scheduler, ServiceModel, SiteSpec};
+pub use scheduler::{Dispatch, PassEnergy, Scheduler, ServiceModel, SiteSpec};

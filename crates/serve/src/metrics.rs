@@ -9,8 +9,10 @@
 //! silently dropped.
 
 use crate::request::{Outcome, ShedReason, TenantId};
+use crate::scheduler::PassEnergy;
 use ofpc_telemetry::{labels, nearest_rank, Telemetry};
 use serde::Serialize;
+use std::collections::BTreeMap;
 
 /// Per-tenant running counters.
 #[derive(Debug, Clone, Default)]
@@ -88,7 +90,7 @@ fn latency_quantiles_us(mut samples: Vec<u64>) -> [Option<f64>; 3] {
 /// books its samples.
 ///
 /// The collectors are exact (integer-ps latency vectors, per-stage
-/// energy map) and back [`MetricsSink::report`]. The registry view is
+/// energy) and back [`MetricsSink::report`]. The registry view is
 /// derived from them once, at the end of a run, by
 /// [`MetricsSink::publish`] — so the JSON exporter sees the same counts
 /// the report does without a second booking per sample.
@@ -97,8 +99,12 @@ pub(crate) struct MetricsSink {
     tenants: Vec<TenantCollector>,
     /// Dispatched batch sizes (occupancy numerator/denominator).
     batch_sizes: Vec<u32>,
-    /// Energy by hardware stage, deterministic order.
-    energy_stages: std::collections::BTreeMap<&'static str, f64>,
+    /// Energy of the photonic passes, in the five fixed pass stages.
+    pass_energy: PassEnergy,
+    /// Energy of the stages outside a pass (parity reconstruction,
+    /// digital fallback); never a pass stage, so merging the two never
+    /// shadows one.
+    energy_stages: BTreeMap<&'static str, f64>,
     /// Sampled verification results: |photonic − digital| per sample.
     pub(crate) verify_abs_errors: Vec<f64>,
 }
@@ -108,7 +114,8 @@ impl MetricsSink {
         MetricsSink {
             tenants: vec![TenantCollector::default(); tenant_count],
             batch_sizes: Vec::new(),
-            energy_stages: std::collections::BTreeMap::new(),
+            pass_energy: PassEnergy::default(),
+            energy_stages: BTreeMap::new(),
             verify_abs_errors: Vec::new(),
         }
     }
@@ -153,7 +160,7 @@ impl MetricsSink {
             &Vec::new(),
             self.batch_sizes.iter().map(|&s| u64::from(s)),
         );
-        for (stage, &j) in &self.energy_stages {
+        for (stage, j) in self.stage_energy() {
             tel.add_gauge("serve_stage_energy_joules", &labels(&[("stage", stage)]), j);
         }
     }
@@ -170,8 +177,25 @@ impl MetricsSink {
         self.batch_sizes.push(size);
     }
 
+    /// Book the energy a photonic pass burned.
+    pub(crate) fn add_pass_energy(&mut self, energy: PassEnergy) {
+        self.pass_energy.add(energy);
+    }
+
+    /// Book energy spent outside a photonic pass under `stage`.
     pub(crate) fn add_stage_energy(&mut self, stage: &'static str, joules: f64) {
+        assert!(
+            !PassEnergy::STAGES.contains(&stage),
+            "{stage} is a pass stage; book it with add_pass_energy"
+        );
         *self.energy_stages.entry(stage).or_insert(0.0) += joules;
+    }
+
+    /// Energy by stage, pass stages and the rest merged in label order.
+    fn stage_energy(&self) -> BTreeMap<&'static str, f64> {
+        let mut stages = self.energy_stages.clone();
+        stages.extend(self.pass_energy.stages());
+        stages
     }
 
     /// Build the final report. `unfinished` are requests still queued or
@@ -223,7 +247,8 @@ impl MetricsSink {
             self.batch_sizes.iter().map(|&s| s as f64).sum::<f64>()
                 / (self.batch_sizes.len() * max_batch) as f64
         };
-        let energy_total: f64 = self.energy_stages.values().sum();
+        let stages = self.stage_energy();
+        let energy_total: f64 = stages.values().sum();
         let all_lat = self
             .tenants
             .iter()
@@ -266,10 +291,9 @@ impl MetricsSink {
             } else {
                 0.0
             },
-            energy_stages_j: self
-                .energy_stages
-                .iter()
-                .map(|(&stage, &j)| (stage.to_string(), j))
+            energy_stages_j: stages
+                .into_iter()
+                .map(|(stage, j)| (stage.to_string(), j))
                 .collect(),
             verified_samples: self.verify_abs_errors.len() as u64,
             verify_mean_abs_error: if self.verify_abs_errors.is_empty() {
@@ -326,7 +350,7 @@ pub struct ServeReport {
     pub mean_batch_occupancy: f64,
     pub energy_total_j: f64,
     pub joules_per_completed: f64,
-    pub energy_stages_j: std::collections::BTreeMap<String, f64>,
+    pub energy_stages_j: BTreeMap<String, f64>,
     pub verified_samples: u64,
     pub verify_mean_abs_error: f64,
     pub tenants: Vec<TenantReport>,
@@ -335,6 +359,20 @@ pub struct ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::BatchClass;
+    use crate::scheduler::ServiceModel;
+    use ofpc_engine::Primitive;
+    use ofpc_transponder::compute::ComputeTransponderConfig;
+
+    /// The energy of one `n`-request pass, cold (reconfiguring) or hot.
+    fn pass(n: usize, cold: bool) -> PassEnergy {
+        let model = ServiceModel::from_transponder(&ComputeTransponderConfig::ideal(), 4);
+        let class = BatchClass {
+            primitive: Primitive::VectorDotProduct,
+            operand_len: 64,
+        };
+        model.batch_service(class, n, (!cold).then_some(class)).1
+    }
 
     #[test]
     fn percentiles_nearest_rank() {
@@ -383,7 +421,7 @@ mod tests {
         }
         m.on_batch(4);
         m.on_batch(2);
-        m.add_stage_energy("photonic-mac", 2e-9);
+        m.add_pass_energy(pass(4, true));
         let r = m.report(1.0, 0, 4);
         assert_eq!(r.arrivals, 15);
         assert_eq!(r.completed, 8);
@@ -431,10 +469,54 @@ mod tests {
                     energy_j: 3.25e-10,
                 },
             );
-            m.add_stage_energy("laser-supply", 1e-10);
-            m.add_stage_energy("operand-dac", 2e-10);
+            m.add_pass_energy(pass(1, false));
+            m.add_stage_energy("digital-fallback", 2e-10);
             serde_json::to_string_pretty(&m.report(0.5, 0, 8)).unwrap()
         };
         assert_eq!(build(), build());
+    }
+
+    #[test]
+    fn pass_stages_and_other_stages_merge_in_label_order() {
+        let mut m = MetricsSink::new(1);
+        let (cold, hot) = (pass(3, true), pass(2, false));
+        m.add_pass_energy(cold);
+        m.add_pass_energy(hot);
+        m.add_stage_energy("parity-reconstruct", 1e-12);
+        m.add_stage_energy("digital-fallback", 2e-12);
+        m.add_stage_energy("digital-fallback", 3e-12);
+        let r = m.report(1.0, 0, 4);
+        let stages: Vec<(&str, f64)> = r
+            .energy_stages_j
+            .iter()
+            .map(|(s, &j)| (s.as_str(), j))
+            .collect();
+        let booked = |stage: &str, e: PassEnergy| {
+            e.stages()
+                .find(|&(s, _)| s == stage)
+                .map_or(0.0, |(_, j)| 0.0 + j)
+        };
+        let both = |stage: &str| booked(stage, cold) + booked(stage, hot);
+        assert_eq!(
+            stages,
+            [
+                ("digital-fallback", 0.0 + 2e-12 + 3e-12),
+                ("laser-supply", both("laser-supply")),
+                ("operand-dac", both("operand-dac")),
+                ("parity-reconstruct", 1e-12),
+                ("photonic-mac", both("photonic-mac")),
+                // Only the cold pass reconfigured.
+                ("reconfig-dac", booked("reconfig-dac", cold)),
+                ("result-adc", both("result-adc")),
+            ]
+        );
+        let label_order: f64 = stages.iter().map(|&(_, j)| j).sum();
+        assert_eq!(r.energy_total_j.to_bits(), label_order.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "photonic-mac is a pass stage")]
+    fn a_pass_stage_is_never_booked_outside_a_pass() {
+        MetricsSink::new(1).add_stage_energy("photonic-mac", 1e-12);
     }
 }

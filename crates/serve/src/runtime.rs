@@ -7,7 +7,9 @@
 //! this. The loop is event-driven: after every event (arrival, batch
 //! timeout, slot release, fault, delivery, retry) the pipeline runs once
 //! — the shared drain-and-batch rule ([`Batcher::fill`]), then the
-//! redundancy expansion and EDF dispatch.
+//! redundancy expansion and EDF dispatch. Each run reuses the runtime's
+//! closed-batch, dispatch and shed buffers, and a dispatched batch's
+//! requests move into its pending entry.
 //!
 //! Completions are recorded at their computed delivery time when the
 //! batch is dispatched; after the arrival horizon the loop keeps running
@@ -21,7 +23,7 @@ use crate::arrivals::{ArrivalProcess, ArrivalSpec};
 use crate::batcher::{Batch, BatchPolicy, Batcher};
 use crate::metrics::{MetricsSink, ServeReport};
 use crate::request::{ComputeRequest, Outcome, RequestId, ShedReason, TenantId};
-use crate::scheduler::{Scheduler, ServiceModel, SiteSpec};
+use crate::scheduler::{Dispatch, Scheduler, ServiceModel, SiteSpec};
 use ofpc_apps::digital::ComputeModel;
 use ofpc_core::OnFiberNetwork;
 use ofpc_engine::dot::{DotProductUnit, DotUnitConfig};
@@ -247,6 +249,12 @@ pub struct ServeRuntime {
     /// divert path; late sibling deliveries must skip them.
     finalized: BTreeSet<RequestId>,
     resil_stats: ResilSummary,
+    /// Buffers each pipeline run lends the batcher, the scheduler and
+    /// admission, kept empty between runs to reuse their allocations:
+    /// closed batches, dispatches and shed records.
+    closed: Vec<Batch>,
+    dispatches: Vec<Dispatch>,
+    shed: Vec<(ComputeRequest, ShedReason)>,
 }
 
 impl ServeRuntime {
@@ -258,16 +266,24 @@ impl ServeRuntime {
         assert!(config.horizon_ps > 0, "horizon must be positive");
         // DRR grants credit per weight unit per round: a zero-weight
         // tenant would bank nothing forever and starve while holding a
-        // live queue, so construction refuses the config outright.
+        // live queue, so construction refuses the config outright. The
+        // registry labels every `serve_*` series by tenant name, so two
+        // tenants sharing a name would merge there; that is refused too.
         let shapes: Vec<TenantShape> = config
             .tenants
             .iter()
-            .map(|t| {
+            .enumerate()
+            .map(|(i, t)| {
                 assert!(
                     t.queue_capacity > 0,
                     "tenant queue capacity must be positive"
                 );
                 assert!(t.weight > 0, "tenant weight must be positive");
+                assert!(
+                    config.tenants[..i].iter().all(|u| u.name != t.name),
+                    "tenant name {:?} is used twice",
+                    t.name
+                );
                 TenantShape {
                     capacity: t.queue_capacity,
                     weight: t.weight,
@@ -317,6 +333,9 @@ impl ServeRuntime {
             stash: BTreeMap::new(),
             finalized: BTreeSet::new(),
             resil_stats: ResilSummary::default(),
+            closed: Vec::new(),
+            dispatches: Vec::new(),
+            shed: Vec::new(),
             config,
         };
         // Seed the first arrival of every tenant.
@@ -507,7 +526,8 @@ impl ServeRuntime {
         let cap = 2 * self.scheduler.total_slots() * self.config.batch.max_batch;
         let downstream = self.batcher.open_len() + self.scheduler.backlog_requests();
         let tracing = self.tel.is_enabled();
-        let closed = self.batcher.fill(
+        let mut closed = std::mem::take(&mut self.closed);
+        self.batcher.fill(
             &mut self.admission,
             &self.scheduler,
             now,
@@ -518,13 +538,16 @@ impl ServeRuntime {
                 }
                 self.redundancy[req.tenant.0 as usize].rank()
             },
+            &mut closed,
         );
-        for batch in closed {
+        for batch in closed.drain(..) {
             self.metrics.on_batch(batch.len() as u32);
             self.enqueue_with_redundancy(batch);
         }
-        let dispatches = self.scheduler.try_dispatch(now);
-        for d in dispatches {
+        self.closed = closed;
+        let mut dispatches = std::mem::take(&mut self.dispatches);
+        self.scheduler.try_dispatch(now, &mut dispatches);
+        for d in dispatches.drain(..) {
             for (req, reason) in &d.shed {
                 self.note_shed(req, *reason);
                 self.metrics
@@ -548,7 +571,7 @@ impl ServeRuntime {
             self.push_event(d.free_ps, Event::SlotFree);
             let n = d.batch.len() as u32;
             // A requestless parity member has n = 0; its energy was
-            // still burned and is accounted via the stage ledger below.
+            // still burned and is booked by stage below.
             let per_request_j = if n == 0 {
                 0.0
             } else {
@@ -557,28 +580,9 @@ impl ServeRuntime {
             // Stage energy is burned at dispatch whether or not the batch
             // survives to delivery; per-request completion is recorded at
             // delivery time so an engine fault mid-service can abort it.
-            for (stage, j) in d.energy.iter() {
-                self.metrics.add_stage_energy(stage, j);
-            }
-            let key = self.next_pending;
-            self.next_pending += 1;
-            self.in_service.insert(
-                key,
-                PendingBatch {
-                    node: d.node,
-                    done_ps: d.done_ps,
-                    delivered_ps: d.delivered_ps,
-                    batch_size: n,
-                    per_request_j,
-                    closed_ps: d.batch.closed_ps,
-                    dispatched_ps: now,
-                    start_ps: d.start_ps,
-                    requests: d.batch.requests.clone(),
-                    resil: d.batch.resil,
-                },
-            );
-            self.push_event(d.delivered_ps, Event::Deliver { key });
-            // Sampled ground-truth pass through the real photonic engine.
+            self.metrics.add_pass_energy(d.energy);
+            // Sampled ground-truth pass through the real photonic engine,
+            // before the requests move into the pending batch.
             if let Some(unit) = &mut self.verify_unit {
                 if self
                     .scheduler
@@ -596,17 +600,43 @@ impl ServeRuntime {
                         .push((photonic - digital).abs());
                 }
             }
+            let key = self.next_pending;
+            self.next_pending += 1;
+            self.in_service.insert(
+                key,
+                PendingBatch {
+                    node: d.node,
+                    done_ps: d.done_ps,
+                    delivered_ps: d.delivered_ps,
+                    batch_size: n,
+                    per_request_j,
+                    closed_ps: d.batch.closed_ps,
+                    dispatched_ps: now,
+                    start_ps: d.start_ps,
+                    requests: d.batch.requests,
+                    resil: d.batch.resil,
+                },
+            );
+            self.push_event(d.delivered_ps, Event::Deliver { key });
         }
-        // Shed records accumulated inside admission this instant.
-        for (req, reason) in self.admission.take_shed() {
-            self.note_shed(&req, reason);
-            self.metrics
-                .on_outcome(req.tenant, &Outcome::Shed { reason });
-        }
+        self.dispatches = dispatches;
+        self.book_admission_sheds();
         // Arm the batch-timeout alarm for the oldest open batch.
         if let Some(t) = self.batcher.next_timeout_ps() {
             self.push_event(t.max(now), Event::BatchDue);
         }
+    }
+
+    /// Book the shed records accumulated inside admission this instant.
+    fn book_admission_sheds(&mut self) {
+        let mut shed = std::mem::take(&mut self.shed);
+        self.admission.take_shed(&mut shed);
+        for (req, reason) in shed.drain(..) {
+            self.note_shed(&req, reason);
+            self.metrics
+                .on_outcome(req.tenant, &Outcome::Shed { reason });
+        }
+        self.shed = shed;
     }
 
     /// Expand a closed batch into its tenant's redundancy set — or pass
@@ -644,14 +674,16 @@ impl ServeRuntime {
             // all. Run the batch unprotected rather than stranding it,
             // and say so.
             self.resil_stats.unprotected_downgrades += 1;
-            self.tel.instant(
-                track::RESIL,
-                self.next_set,
-                "resil",
-                "downgrade.unprotected",
-                self.now_ps,
-                vec![("size", batch.len().to_string())],
-            );
+            if self.tel.is_enabled() {
+                self.tel.instant(
+                    track::RESIL,
+                    self.next_set,
+                    "resil",
+                    "downgrade.unprotected",
+                    self.now_ps,
+                    vec![("size", batch.len().to_string())],
+                );
+            }
             self.scheduler.enqueue(batch);
             return;
         }
@@ -660,14 +692,16 @@ impl ServeRuntime {
             // faults and transient cuts are still survivable; a severed
             // shared span is not — warn, don't pretend.
             self.resil_stats.serialized_fallback_sets += 1;
-            self.tel.instant(
-                track::RESIL,
-                self.next_set,
-                "resil",
-                "fallback.serialized",
-                self.now_ps,
-                vec![("pin", pins[0].0.to_string())],
-            );
+            if self.tel.is_enabled() {
+                self.tel.instant(
+                    track::RESIL,
+                    self.next_set,
+                    "resil",
+                    "fallback.serialized",
+                    self.now_ps,
+                    vec![("pin", pins[0].0.to_string())],
+                );
+            }
         }
         let set = self.next_set;
         self.next_set += 1;
@@ -841,17 +875,19 @@ impl ServeRuntime {
         self.resil_stats.reconstructions += 1;
         self.resil_stats.reconstructed_requests += reqs.len() as u64;
         self.resil_stats.reconstruct_energy_j += recon_j;
-        self.tel.instant(
-            track::RESIL,
-            set,
-            "resil",
-            "parity.reconstruct",
-            self.now_ps,
-            vec![
-                ("member", member.to_string()),
-                ("requests", reqs.len().to_string()),
-            ],
-        );
+        if self.tel.is_enabled() {
+            self.tel.instant(
+                track::RESIL,
+                set,
+                "resil",
+                "parity.reconstruct",
+                self.now_ps,
+                vec![
+                    ("member", member.to_string()),
+                    ("requests", reqs.len().to_string()),
+                ],
+            );
+        }
         let delivered = self.now_ps + recon_ps;
         let per_j = if reqs.is_empty() {
             0.0
@@ -889,14 +925,16 @@ impl ServeRuntime {
         match self.ledger.on_member_lost(tag.set, tag.member) {
             LostAction::Absorbed => {
                 self.resil_stats.losses_absorbed += 1;
-                self.tel.instant(
-                    track::RESIL,
-                    tag.set,
-                    "resil",
-                    "loss.absorbed",
-                    self.now_ps,
-                    vec![("member", tag.member.to_string())],
-                );
+                if self.tel.is_enabled() {
+                    self.tel.instant(
+                        track::RESIL,
+                        tag.set,
+                        "resil",
+                        "loss.absorbed",
+                        self.now_ps,
+                        vec![("member", tag.member.to_string())],
+                    );
+                }
             }
             LostAction::Reconstruct { member } => {
                 self.resil_stats.losses_absorbed += 1;
@@ -924,14 +962,16 @@ impl ServeRuntime {
                 if matches!(kind, Some(SetKind::Replica)) {
                     self.drop_set_stash(tag.set);
                 }
-                self.tel.instant(
-                    track::RESIL,
-                    tag.set,
-                    "resil",
-                    "set.lost",
-                    self.now_ps,
-                    vec![("requeued", work.len().to_string())],
-                );
+                if self.tel.is_enabled() {
+                    self.tel.instant(
+                        track::RESIL,
+                        tag.set,
+                        "resil",
+                        "set.lost",
+                        self.now_ps,
+                        vec![("requeued", work.len().to_string())],
+                    );
+                }
                 for req in work {
                     self.resil_stats.requeued_requests += 1;
                     self.requeue_or_fallback(req);
@@ -945,14 +985,16 @@ impl ServeRuntime {
     /// dispatches, and in-flight batches on the link — operands out or
     /// results back — are lost as loss-of-light.
     fn handle_link_fault(&mut self, link: LinkId, up: bool) {
-        self.tel.instant(
-            track::NET,
-            u64::from(link.0),
-            "fault",
-            if up { "link.splice" } else { "link.cut" },
-            self.now_ps,
-            vec![("link", link.0.to_string())],
-        );
+        if self.tel.is_enabled() {
+            self.tel.instant(
+                track::NET,
+                u64::from(link.0),
+                "fault",
+                if up { "link.splice" } else { "link.cut" },
+                self.now_ps,
+                vec![("link", link.0.to_string())],
+            );
+        }
         if up {
             self.link_down.remove(&link);
         } else if self.link_down.insert(link) {
@@ -985,14 +1027,16 @@ impl ServeRuntime {
             .collect();
         for key in lost {
             let p = self.in_service.remove(&key).expect("just listed");
-            self.tel.instant(
-                track::NET,
-                u64::from(link.0),
-                "fault",
-                "batch.lost",
-                self.now_ps,
-                vec![("size", p.batch_size.to_string())],
-            );
+            if self.tel.is_enabled() {
+                self.tel.instant(
+                    track::NET,
+                    u64::from(link.0),
+                    "fault",
+                    "batch.lost",
+                    self.now_ps,
+                    vec![("size", p.batch_size.to_string())],
+                );
+            }
             self.lose_member(p.resil, p.requests);
         }
     }
@@ -1054,14 +1098,16 @@ impl ServeRuntime {
 
     /// An injected engine fault transition fires.
     fn handle_site_fault(&mut self, node: NodeId, up: bool) {
-        self.tel.instant(
-            track::NET,
-            u64::from(node.0),
-            "fault",
-            if up { "site.repair" } else { "site.fail" },
-            self.now_ps,
-            vec![("node", node.0.to_string())],
-        );
+        if self.tel.is_enabled() {
+            self.tel.instant(
+                track::NET,
+                u64::from(node.0),
+                "fault",
+                if up { "site.repair" } else { "site.fail" },
+                self.now_ps,
+                vec![("node", node.0.to_string())],
+            );
+        }
         if up {
             self.scheduler.recover_site(node);
             return;
@@ -1077,14 +1123,16 @@ impl ServeRuntime {
             .collect();
         for key in lost {
             let p = self.in_service.remove(&key).expect("just listed");
-            self.tel.instant(
-                track::NET,
-                u64::from(node.0),
-                "fault",
-                "batch.abort",
-                self.now_ps,
-                vec![("size", p.batch_size.to_string())],
-            );
+            if self.tel.is_enabled() {
+                self.tel.instant(
+                    track::NET,
+                    u64::from(node.0),
+                    "fault",
+                    "batch.abort",
+                    self.now_ps,
+                    vec![("size", p.batch_size.to_string())],
+                );
+            }
             self.lose_member(p.resil, p.requests);
         }
     }
@@ -1187,16 +1235,21 @@ impl ServeRuntime {
     /// instead; everything in open or ready batches degrades, late or
     /// not.
     fn divert_all_to_fallback(&mut self, now: u64) {
-        let queued = self.admission.queued();
-        for req in self.admission.drain_fair(queued, now) {
+        let mut drained = Vec::new();
+        self.admission
+            .drain_fair(self.admission.queued(), now, &mut drained);
+        for req in drained {
             self.finish_degraded(req);
         }
         self.batcher.flush_all(now);
-        for batch in self.batcher.take_closed() {
+        let mut closed = std::mem::take(&mut self.closed);
+        self.batcher.take_closed(&mut closed);
+        for batch in closed.drain(..) {
             for req in batch.requests {
                 self.finish_degraded(req);
             }
         }
+        self.closed = closed;
         for batch in self.scheduler.drain_ready() {
             if let Some(tag) = batch.resil {
                 // Blackout divert: every member of the set is headed
@@ -1227,11 +1280,7 @@ impl ServeRuntime {
             }
         }
         // Sheds recorded at offer time and by the drain above surface.
-        for (req, reason) in self.admission.take_shed() {
-            self.note_shed(&req, reason);
-            self.metrics
-                .on_outcome(req.tenant, &Outcome::Shed { reason });
-        }
+        self.book_admission_sheds();
     }
 
     /// Requests with no terminal outcome at end of run. Redundancy-set
@@ -1334,9 +1383,9 @@ mod tests {
     use ofpc_net::Topology;
     use ofpc_telemetry::Phase;
 
-    fn tenant(rate_rps: f64, weight: u32) -> TenantSpec {
+    fn tenant(i: usize, rate_rps: f64, weight: u32) -> TenantSpec {
         TenantSpec {
-            name: format!("t-w{weight}"),
+            name: format!("t{i}-w{weight}"),
             weight,
             queue_capacity: 64,
             arrivals: ArrivalSpec::Poisson { rate_rps },
@@ -1355,7 +1404,7 @@ mod tests {
                 max_batch: 8,
                 max_wait_ps: 20_000_000,
             },
-            tenants: vec![tenant(rate_rps, 1), tenant(rate_rps, 1)],
+            tenants: vec![tenant(0, rate_rps, 1), tenant(1, rate_rps, 1)],
             verify_every: 0,
         }
     }
@@ -1392,6 +1441,19 @@ mod tests {
         // than letting the scheduler discover the black hole at runtime.
         let mut cfg = small_config(20_000.0);
         cfg.tenants[1].weight = 0;
+        let _ = runtime(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant name \"same\" is used twice")]
+    fn duplicate_tenant_names_are_rejected_at_construction() {
+        // The registry labels every `serve_*` series by tenant name: two
+        // tenants sharing one would merge into one series while the
+        // report keeps them apart.
+        let mut cfg = small_config(20_000.0);
+        for t in &mut cfg.tenants {
+            t.name = "same".to_string();
+        }
         let _ = runtime(cfg);
     }
 

@@ -13,14 +13,78 @@
 //!
 //! Batching wins exactly because the first two terms are per-pass, not
 //! per-request. Requests whose deadline cannot survive the projected
-//! completion are shed *before* burning wavelength time on them.
+//! completion are shed *before* burning wavelength time on them. A
+//! pass's energy is a [`PassEnergy`], its five hardware stages in a
+//! fixed array.
+//!
+//! The scheduler keeps its slots in one flat table ordered by
+//! `(node, slot)`, each slot carrying its site's access delay, and
+//! reuses its EDF order buffer across rounds; dispatches go into a
+//! buffer the caller lends, so a dispatch round allocates nothing.
 
 use crate::batcher::Batch;
 use crate::request::{BatchClass, ComputeRequest, ShedReason};
 use ofpc_net::NodeId;
-use ofpc_photonics::energy::{constants, EnergyLedger};
+use ofpc_photonics::energy::constants;
 use ofpc_transponder::compute::ComputeTransponderConfig;
-use std::collections::{BTreeMap, BTreeSet};
+
+/// The energy one wavelength pass books, by hardware stage. A pass can
+/// book only these five stages, so they sit in a fixed array in label
+/// order; a stage the pass did not charge stays `None` and is left out
+/// of the total and of every written document.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PassEnergy {
+    joules: [Option<f64>; 5],
+}
+
+impl PassEnergy {
+    /// The stage labels, in label order.
+    pub(crate) const STAGES: [&'static str; 5] = [
+        "laser-supply",
+        "operand-dac",
+        "photonic-mac",
+        "reconfig-dac",
+        "result-adc",
+    ];
+    const LASER_SUPPLY: usize = 0;
+    const OPERAND_DAC: usize = 1;
+    const PHOTONIC_MAC: usize = 2;
+    const RECONFIG_DAC: usize = 3;
+    const RESULT_ADC: usize = 4;
+
+    /// Add `joules` to stage `STAGES[stage]`. Energy is spent, never
+    /// refunded, so a negative or non-finite charge is a bug.
+    fn book(&mut self, stage: usize, joules: f64) {
+        assert!(
+            joules >= 0.0 && joules.is_finite(),
+            "energy contribution must be finite and non-negative, got {joules} for {}",
+            Self::STAGES[stage]
+        );
+        self.joules[stage] = Some(self.joules[stage].unwrap_or(0.0) + joules);
+    }
+
+    /// Add every stage `other` booked.
+    pub(crate) fn add(&mut self, other: PassEnergy) {
+        for (stage, j) in other.joules.into_iter().enumerate() {
+            if let Some(j) = j {
+                self.book(stage, j);
+            }
+        }
+    }
+
+    /// The booked stages as `(label, joules)`, in label order.
+    pub(crate) fn stages(self) -> impl Iterator<Item = (&'static str, f64)> {
+        Self::STAGES
+            .into_iter()
+            .zip(self.joules)
+            .filter_map(|(stage, j)| j.map(|j| (stage, j)))
+    }
+
+    /// Total joules over the booked stages, summed in label order.
+    pub fn total_j(&self) -> f64 {
+        self.stages().map(|(_, j)| j).sum()
+    }
+}
 
 /// Latency/energy model for one wavelength pass over a compute slot.
 #[derive(Debug, Clone)]
@@ -76,15 +140,15 @@ impl ServiceModel {
         ((bits / self.line_rate_bps) * 1e12).ceil() as u64
     }
 
-    /// Service time (ps) and energy ledger for a batch of `n` requests of
+    /// Service time (ps) and pass energy for a batch of `n` requests of
     /// class `class`, given what the slot currently has loaded.
     pub fn batch_service(
         &self,
         class: BatchClass,
         n: usize,
         loaded: Option<BatchClass>,
-    ) -> (u64, EnergyLedger) {
-        let mut ledger = EnergyLedger::new();
+    ) -> (u64, PassEnergy) {
+        let mut energy = PassEnergy::default();
         let needs_reconfig = loaded != Some(class);
         let reconfig_ps = if needs_reconfig {
             self.reconfig_fixed_ps + self.reconfig_per_element_ps * u64::from(class.operand_len)
@@ -97,38 +161,47 @@ impl ServiceModel {
         let service_ps = reconfig_ps + self.engine_settle_ps + stream_ps + readout_ps;
 
         if needs_reconfig {
-            ledger.add("reconfig-dac", class.operand_len as f64 * self.dac_sample_j);
+            energy.book(
+                PassEnergy::RECONFIG_DAC,
+                class.operand_len as f64 * self.dac_sample_j,
+            );
         }
-        ledger.add(
-            "operand-dac",
+        energy.book(
+            PassEnergy::OPERAND_DAC,
             n as f64 * class.operand_len as f64 * self.dac_sample_j,
         );
-        ledger.add(
-            "photonic-mac",
+        energy.book(
+            PassEnergy::PHOTONIC_MAC,
             n as f64 * class.operand_len as f64 * self.mac_j,
         );
-        ledger.add("result-adc", n as f64 * self.adc_result_j);
-        ledger.add("laser-supply", self.laser_w * service_ps as f64 * 1e-12);
-        (service_ps, ledger)
+        energy.book(PassEnergy::RESULT_ADC, n as f64 * self.adc_result_j);
+        energy.book(
+            PassEnergy::LASER_SUPPLY,
+            self.laser_w * service_ps as f64 * 1e-12,
+        );
+        (service_ps, energy)
     }
 
     /// Steady-state service of a single request whose class is already
     /// loaded on the slot — the per-request cost a compiled multi-stage
     /// plan pays once its weights are pinned (graph stages reconfigure at
     /// install time, not per request).
-    pub fn request_service(&self, class: BatchClass) -> (u64, EnergyLedger) {
+    pub fn request_service(&self, class: BatchClass) -> (u64, PassEnergy) {
         self.batch_service(class, 1, Some(class))
     }
 
     /// One-time charge for installing `class` on a cold slot: the
     /// reconfiguration latency (fixed + per-element DAC writes) and the
     /// weight-write energy, with no streaming or readout.
-    pub fn reconfig_charge(&self, class: BatchClass) -> (u64, EnergyLedger) {
-        let mut ledger = EnergyLedger::new();
+    pub fn reconfig_charge(&self, class: BatchClass) -> (u64, PassEnergy) {
+        let mut energy = PassEnergy::default();
         let reconfig_ps =
             self.reconfig_fixed_ps + self.reconfig_per_element_ps * u64::from(class.operand_len);
-        ledger.add("reconfig-dac", class.operand_len as f64 * self.dac_sample_j);
-        (reconfig_ps, ledger)
+        energy.book(
+            PassEnergy::RECONFIG_DAC,
+            class.operand_len as f64 * self.dac_sample_j,
+        );
+        (reconfig_ps, energy)
     }
 }
 
@@ -143,17 +216,40 @@ pub struct SiteSpec {
     pub access_ps: u64,
 }
 
-/// Mutable state of one transponder slot. `busy_until_ps` is in
-/// *site-local* time: the fiber between the front-end and the site is a
-/// pipe, so a batch dispatched at `t` occupies the slot only over
-/// `[t + access, t + access + service]` — operands in flight never hold
-/// the transponder, and several batches can ride the span at once.
+/// One transponder slot of the scheduler's flat slot table, carrying
+/// its site's index and access delay so dispatch never looks the site
+/// up. `busy_until_ps` is in *site-local* time: the fiber between the
+/// front-end and the site is a pipe, so a batch dispatched at `t`
+/// occupies the slot only over `[t + access, t + access + service]` —
+/// operands in flight never hold the transponder, and several batches
+/// can ride the span at once.
 #[derive(Debug, Clone, Copy)]
 struct SlotState {
+    node: NodeId,
+    slot: usize,
+    /// Index of the slot's site in `Scheduler::sites`.
+    site: usize,
+    /// The site's one-way access delay, ps.
+    access_ps: u64,
     busy_until_ps: u64,
     loaded: Option<BatchClass>,
     /// Hard-failed slots never dispatch until the site recovers.
     healthy: bool,
+}
+
+impl SlotState {
+    /// Slot `slot` of `sites[site]`, idle and unloaded.
+    fn idle(sites: &[SiteSpec], site: usize, slot: usize) -> Self {
+        SlotState {
+            node: sites[site].node,
+            slot,
+            site,
+            access_ps: sites[site].access_ps,
+            busy_until_ps: 0,
+            loaded: None,
+            healthy: true,
+        }
+    }
 }
 
 /// One dispatched batch: where it ran and what it cost.
@@ -171,7 +267,7 @@ pub struct Dispatch {
     pub free_ps: u64,
     /// When results reach the requesters, ps.
     pub delivered_ps: u64,
-    pub energy: EnergyLedger,
+    pub energy: PassEnergy,
     /// Members shed pre-service because they could not make their
     /// deadline.
     pub shed: Vec<(ComputeRequest, ShedReason)>,
@@ -182,12 +278,17 @@ pub struct Dispatch {
 pub struct Scheduler {
     model: ServiceModel,
     sites: Vec<SiteSpec>,
-    slots: BTreeMap<(NodeId, usize), SlotState>,
+    /// Per site, indexed like `sites`: its fiber route from the
+    /// front-end is currently severed, so its slots may be healthy but
+    /// operands cannot reach them.
+    cut: Vec<bool>,
+    /// Every slot, ascending by `(node, slot)`; a site's slots are
+    /// `0..site.slots` and sit next to each other.
+    slots: Vec<SlotState>,
     /// Closed batches awaiting dispatch.
     ready: Vec<Batch>,
-    /// Sites whose fiber route from the front-end is currently severed:
-    /// slots there may be healthy, but operands cannot reach them.
-    unreachable: BTreeSet<NodeId>,
+    /// Each dispatch round's EDF order, kept to reuse its buffer.
+    order: Vec<(u64, u64, usize)>,
     /// Completed-batch counter (for occupancy metrics).
     pub(crate) batches_dispatched: u64,
 }
@@ -204,26 +305,24 @@ impl Scheduler {
             model.line_rate_bps
         );
         assert!(!sites.is_empty(), "need at least one compute site");
-        let mut slots = BTreeMap::new();
-        for site in &sites {
+        let mut slots = Vec::new();
+        for (i, site) in sites.iter().enumerate() {
             assert!(site.slots > 0, "site {:?} has no slots", site.node);
-            for s in 0..site.slots {
-                slots.insert(
-                    (site.node, s),
-                    SlotState {
-                        busy_until_ps: 0,
-                        loaded: None,
-                        healthy: true,
-                    },
-                );
-            }
+            assert!(
+                sites[..i].iter().all(|s| s.node != site.node),
+                "site {:?} is listed twice",
+                site.node
+            );
+            slots.extend((0..site.slots).map(|s| SlotState::idle(&sites, i, s)));
         }
+        slots.sort_unstable_by_key(|s| (s.node, s.slot));
         Scheduler {
             model,
+            cut: vec![false; sites.len()],
             sites,
             slots,
             ready: Vec::new(),
-            unreachable: BTreeSet::new(),
+            order: Vec::new(),
             batches_dispatched: 0,
         }
     }
@@ -234,22 +333,21 @@ impl Scheduler {
 
     /// Slots that have not hard-failed (photonic serving capacity).
     pub(crate) fn healthy_slots(&self) -> usize {
-        self.slots.values().filter(|s| s.healthy).count()
+        self.slots.iter().filter(|s| s.healthy).count()
     }
 
     /// True when at least one slot at `node` is healthy.
     pub(crate) fn site_healthy(&self, node: NodeId) -> bool {
-        self.slots.iter().any(|(&(n, _), s)| n == node && s.healthy)
+        self.slots.iter().any(|s| s.node == node && s.healthy)
     }
 
     /// Mark `node` (un)reachable over the fiber plant. Unreachable
     /// sites keep their slot state but never dispatch: operands cannot
-    /// get there while the route is severed.
+    /// get there while the route is severed. A node that is no site
+    /// has no slots to cut off.
     pub(crate) fn set_reachable(&mut self, node: NodeId, reachable: bool) {
-        if reachable {
-            self.unreachable.remove(&node);
-        } else {
-            self.unreachable.insert(node);
+        if let Some(i) = self.sites.iter().position(|s| s.node == node) {
+            self.cut[i] = !reachable;
         }
     }
 
@@ -283,8 +381,8 @@ impl Scheduler {
     /// slots taken down.
     pub(crate) fn fail_site(&mut self, node: NodeId) -> usize {
         let mut n = 0;
-        for (&(slot_node, _), s) in self.slots.iter_mut() {
-            if slot_node == node && s.healthy {
+        for s in self.slots.iter_mut() {
+            if s.node == node && s.healthy {
                 s.healthy = false;
                 s.busy_until_ps = 0;
                 s.loaded = None;
@@ -297,8 +395,8 @@ impl Scheduler {
     /// Repair every slot at `node`; they come back idle and unloaded.
     pub(crate) fn recover_site(&mut self, node: NodeId) -> usize {
         let mut n = 0;
-        for (&(slot_node, _), s) in self.slots.iter_mut() {
-            if slot_node == node && !s.healthy {
+        for s in self.slots.iter_mut() {
+            if s.node == node && !s.healthy {
                 s.healthy = true;
                 n += 1;
             }
@@ -307,12 +405,12 @@ impl Scheduler {
     }
 
     /// Slots that could start a batch dispatched *now* without waiting:
-    /// work dispatched at `now` reaches node `n` at `now + access(n)`,
-    /// so a slot is usable once its site-local busy window ends by then.
+    /// work dispatched at `now` reaches a slot at `now + access`, so a
+    /// slot is usable once its site-local busy window ends by then.
     pub(crate) fn idle_slots(&self, now_ps: u64) -> usize {
         self.slots
             .iter()
-            .filter(|(&(node, _), s)| s.healthy && s.busy_until_ps <= now_ps + self.access_ps(node))
+            .filter(|s| s.healthy && s.busy_until_ps <= now_ps + s.access_ps)
             .count()
     }
 
@@ -348,26 +446,16 @@ impl Scheduler {
         std::mem::take(&mut self.ready)
     }
 
-    fn access_ps(&self, node: NodeId) -> u64 {
-        self.sites
-            .iter()
-            .find(|s| s.node == node)
-            .map(|s| s.access_ps)
-            .expect("dispatch to unknown site")
+    /// Whether `slot` could take work dispatched at `now_ps`, whatever
+    /// the batch: it has not failed, its site is reachable, and it
+    /// frees by the time the work would arrive (the fiber pipelines
+    /// in-flight batches).
+    fn usable(&self, slot: &SlotState, now_ps: u64) -> bool {
+        slot.healthy && !self.cut[slot.site] && slot.busy_until_ps <= now_ps + slot.access_ps
     }
 
-    /// Whether `slot` at `node` could take work dispatched at `now_ps`,
-    /// whatever the batch: it has not failed, its site is reachable,
-    /// and it frees by the time the work would arrive (the fiber
-    /// pipelines in-flight batches).
-    fn usable(&self, node: NodeId, slot: &SlotState, now_ps: u64) -> bool {
-        slot.healthy
-            && !self.unreachable.contains(&node)
-            && slot.busy_until_ps <= now_ps + self.access_ps(node)
-    }
-
-    /// Dispatch as many ready batches as idle slots allow, EDF first.
-    /// Returns the dispatches made (empty when blocked).
+    /// Dispatch as many ready batches as idle slots allow, EDF first,
+    /// appending the dispatches made to `out` (nothing when blocked).
     ///
     /// A batch pinned to a site by its redundancy tag only considers
     /// that site's slots; when the pin is busy, the scheduler *skips*
@@ -376,15 +464,9 @@ impl Scheduler {
     /// batches the slot filter is batch-independent, so the skip loop
     /// dispatches in exactly the legacy EDF order. With no usable slot
     /// at all, no batch can go, so the EDF order is never built.
-    pub fn try_dispatch(&mut self, now_ps: u64) -> Vec<Dispatch> {
-        let mut out = Vec::new();
+    pub fn try_dispatch(&mut self, now_ps: u64, out: &mut Vec<Dispatch>) {
         'outer: loop {
-            if self.ready.is_empty()
-                || !self
-                    .slots
-                    .iter()
-                    .any(|(&(node, _), s)| self.usable(node, s, now_ps))
-            {
+            if self.ready.is_empty() || !self.slots.iter().any(|s| self.usable(s, now_ps)) {
                 break;
             }
             // EDF candidate order: earliest min-member deadline; ties
@@ -392,36 +474,42 @@ impl Scheduler {
             // determinism. The position is not insertion order:
             // `swap_remove` here and in `cancel_member` permutes it.
             // Each key is computed once per round and is unique.
-            let mut order: Vec<(u64, u64, usize)> = self
-                .ready
-                .iter()
-                .enumerate()
-                .map(|(i, b)| (b.deadline_ps(), b.closed_ps, i))
-                .collect();
-            order.sort_unstable();
-            for &(_, _, best_idx) in &order {
+            self.order.clear();
+            self.order.extend(
+                self.ready
+                    .iter()
+                    .enumerate()
+                    .map(|(i, b)| (b.deadline_ps(), b.closed_ps, i)),
+            );
+            self.order.sort_unstable();
+            for k in 0..self.order.len() {
+                let best_idx = self.order[k].2;
                 let class = self.ready[best_idx].class;
                 let pin = self.ready[best_idx].resil.map(|t| t.pin);
                 // Best usable slot: prefer one already loaded with this
                 // class (skips reconfiguration), then nearest, then
                 // lowest id. A redundancy-set member only uses slots at
                 // its planned site.
-                let slot_key = self
+                let best_slot = self
                     .slots
                     .iter()
-                    .filter(|(&(node, _), s)| {
-                        (pin.is_none() || pin == Some(node)) && self.usable(node, s, now_ps)
+                    .enumerate()
+                    .filter(|(_, s)| {
+                        (pin.is_none() || pin == Some(s.node)) && self.usable(s, now_ps)
                     })
-                    .min_by_key(|(&(node, slot), s)| {
-                        (s.loaded != Some(class), self.access_ps(node), node, slot)
-                    })
-                    .map(|(&k, _)| k);
-                let Some((node, slot)) = slot_key else {
+                    .min_by_key(|(_, s)| (s.loaded != Some(class), s.access_ps, s.node, s.slot))
+                    .map(|(i, _)| i);
+                let Some(slot_idx) = best_slot else {
                     continue; // this candidate has nowhere to go yet
                 };
                 let mut batch = self.ready.swap_remove(best_idx);
-                let access = self.access_ps(node);
-                let loaded = self.slots[&(node, slot)].loaded;
+                let SlotState {
+                    node,
+                    slot,
+                    access_ps: access,
+                    loaded,
+                    ..
+                } = self.slots[slot_idx];
                 // A parity member streams `phantom` coded operand
                 // vectors besides its real requests; price the pass by
                 // the full wavelength occupancy, not just live members.
@@ -458,7 +546,7 @@ impl Scheduler {
                         done_ps: now_ps,
                         free_ps: now_ps,
                         delivered_ps: now_ps,
-                        energy: EnergyLedger::new(),
+                        energy: PassEnergy::default(),
                         shed,
                     });
                     continue 'outer;
@@ -473,7 +561,7 @@ impl Scheduler {
                 let delivered_ps = done_ps + access;
                 let free_ps = done_ps.saturating_sub(access).max(now_ps);
 
-                let state = self.slots.get_mut(&(node, slot)).expect("slot exists");
+                let state = &mut self.slots[slot_idx];
                 state.busy_until_ps = done_ps;
                 state.loaded = Some(class);
                 self.batches_dispatched += 1;
@@ -492,7 +580,6 @@ impl Scheduler {
             }
             break; // no candidate could dispatch this round
         }
-        out
     }
 
     /// Re-split seam: set the number of slots this scheduler owns at
@@ -509,26 +596,17 @@ impl Scheduler {
     pub fn resize_site(&mut self, node: NodeId, slots: usize) -> usize {
         let site = self
             .sites
-            .iter_mut()
-            .find(|s| s.node == node)
+            .iter()
+            .position(|s| s.node == node)
             .expect("resize of unknown site");
-        let old = site.slots;
-        site.slots = slots;
+        let old = std::mem::replace(&mut self.sites[site].slots, slots);
+        // The site's slots `0..old` start where `node` sorts.
+        let start = self.slots.partition_point(|s| s.node < node);
         if slots > old {
-            for s in old..slots {
-                self.slots.insert(
-                    (node, s),
-                    SlotState {
-                        busy_until_ps: 0,
-                        loaded: None,
-                        healthy: true,
-                    },
-                );
-            }
+            let grown = (old..slots).map(|s| SlotState::idle(&self.sites, site, s));
+            self.slots.splice(start + old..start + old, grown);
         } else {
-            for s in slots..old {
-                self.slots.remove(&(node, s));
-            }
+            self.slots.drain(start + slots..start + old);
         }
         old.abs_diff(slots)
     }
@@ -539,6 +617,7 @@ mod tests {
     use super::*;
     use crate::request::{RequestId, TenantId};
     use ofpc_engine::Primitive;
+    use ofpc_photonics::energy::EnergyLedger;
 
     fn model() -> ServiceModel {
         ServiceModel::from_transponder(&ComputeTransponderConfig::ideal(), 8)
@@ -564,6 +643,13 @@ mod tests {
         }
     }
 
+    /// The dispatches one `try_dispatch` call makes.
+    fn dispatched(s: &mut Scheduler, now_ps: u64) -> Vec<Dispatch> {
+        let mut out = Vec::new();
+        s.try_dispatch(now_ps, &mut out);
+        out
+    }
+
     fn one_site() -> Vec<SiteSpec> {
         vec![SiteSpec {
             node: NodeId(1),
@@ -580,6 +666,19 @@ mod tests {
             ..model()
         };
         Scheduler::new(m, one_site());
+    }
+
+    #[test]
+    #[should_panic(expected = "is listed twice")]
+    fn rejects_a_site_listed_twice() {
+        // Two listings of one node would give it two slot sets and two
+        // access delays; the flat slot table keys slots by node.
+        let mut sites = one_site();
+        sites.push(SiteSpec {
+            access_ps: 2_000,
+            ..sites[0]
+        });
+        Scheduler::new(model(), sites);
     }
 
     #[test]
@@ -609,19 +708,76 @@ mod tests {
         assert!(t_hot < t1);
     }
 
+    /// The pricing the fixed stage array replaced, kept as the oracle:
+    /// the same charges booked into a labelled `EnergyLedger` map.
+    fn reference_ledger(
+        m: &ServiceModel,
+        class: BatchClass,
+        n: usize,
+        loaded: Option<BatchClass>,
+    ) -> EnergyLedger {
+        let (service_ps, _) = m.batch_service(class, n, loaded);
+        let len = class.operand_len as f64;
+        let mut ledger = EnergyLedger::new();
+        if loaded != Some(class) {
+            ledger.add("reconfig-dac", len * m.dac_sample_j);
+        }
+        ledger.add("operand-dac", n as f64 * len * m.dac_sample_j);
+        ledger.add("photonic-mac", n as f64 * len * m.mac_j);
+        ledger.add("result-adc", n as f64 * m.adc_result_j);
+        ledger.add("laser-supply", m.laser_w * service_ps as f64 * 1e-12);
+        ledger
+    }
+
+    #[test]
+    fn pass_energy_matches_the_labelled_ledger_bit_for_bit() {
+        let m = model();
+        let bits = |stages: Vec<(&'static str, f64)>| -> Vec<(&'static str, u64)> {
+            stages.into_iter().map(|(s, j)| (s, j.to_bits())).collect()
+        };
+        for operand_len in [1, 64, 2048] {
+            let class = BatchClass {
+                primitive: Primitive::VectorDotProduct,
+                operand_len,
+            };
+            for n in [1, 3, 8, 9] {
+                for loaded in [None, Some(class)] {
+                    let (_, pass) = m.batch_service(class, n, loaded);
+                    let ledger = reference_ledger(&m, class, n, loaded);
+                    assert_eq!(bits(pass.stages().collect()), bits(ledger.iter().collect()));
+                    assert_eq!(pass.total_j().to_bits(), ledger.total_j().to_bits());
+                }
+            }
+            let (_, install) = m.reconfig_charge(class);
+            let mut ledger = EnergyLedger::new();
+            ledger.add("reconfig-dac", f64::from(operand_len) * m.dac_sample_j);
+            assert_eq!(
+                bits(install.stages().collect()),
+                bits(ledger.iter().collect())
+            );
+        }
+        // A pass that books nothing totals the empty sum.
+        let empty = PassEnergy::default();
+        assert_eq!(empty.stages().count(), 0);
+        assert_eq!(
+            empty.total_j().to_bits(),
+            EnergyLedger::new().total_j().to_bits()
+        );
+    }
+
     #[test]
     fn edf_order_and_slot_release() {
         let mut s = Scheduler::new(model(), one_site());
         s.enqueue(batch(&[1], u64::MAX, 0));
         s.enqueue(batch(&[2], 50_000_000, 0)); // tighter deadline
-        let d = s.try_dispatch(0);
+        let d = dispatched(&mut s, 0);
         assert_eq!(d.len(), 1, "one slot, one dispatch");
         assert_eq!(d[0].batch.requests[0].id, RequestId(2));
         assert_eq!(s.backlog_requests(), 1);
         // Slot busy: nothing dispatches until its service ends.
-        assert!(s.try_dispatch(1).is_empty());
+        assert!(dispatched(&mut s, 1).is_empty());
         let free = d[0].done_ps;
-        let d2 = s.try_dispatch(free);
+        let d2 = dispatched(&mut s, free);
         assert_eq!(d2.len(), 1);
         assert_eq!(d2[0].batch.requests[0].id, RequestId(1));
     }
@@ -631,7 +787,7 @@ mod tests {
         let mut s = Scheduler::new(model(), one_site());
         // Deadline tighter than even the access delay.
         s.enqueue(batch(&[1], 500, 0));
-        let d = s.try_dispatch(0);
+        let d = dispatched(&mut s, 0);
         assert_eq!(d.len(), 1);
         assert!(d[0].batch.is_empty());
         assert_eq!(d[0].shed.len(), 1);
@@ -651,7 +807,7 @@ mod tests {
         s.enqueue(batch(&[3], 2_000, 0));
         s.enqueue(batch(&[4, 5, 6], 8_000, 0));
         let now = 10_000;
-        let d = s.try_dispatch(now);
+        let d = dispatched(&mut s, now);
         assert_eq!(d.len(), 3, "each batch yields a (hopeless) dispatch");
         assert!(
             d[0].shed.iter().any(|(r, _)| r.id == RequestId(3)),
@@ -682,13 +838,16 @@ mod tests {
         assert_eq!(s.healthy_slots(), 0);
         assert_eq!(s.idle_slots(0), 0);
         s.enqueue(batch(&[1], u64::MAX, 0));
-        assert!(s.try_dispatch(0).is_empty(), "failed site must not serve");
+        assert!(
+            dispatched(&mut s, 0).is_empty(),
+            "failed site must not serve"
+        );
         assert_eq!(s.backlog_requests(), 1);
         // Double-fail is a no-op; repair restores exactly what failed.
         assert_eq!(s.fail_site(NodeId(1)), 0);
         assert_eq!(s.recover_site(NodeId(1)), 1);
         assert_eq!(s.healthy_slots(), 1);
-        let d = s.try_dispatch(0);
+        let d = dispatched(&mut s, 0);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].batch.len(), 1);
     }
@@ -726,7 +885,7 @@ mod tests {
         // Occupy the pin site with an unpinned batch.
         s.enqueue(pinned(batch(&[1], 10_000_000, 0), 7, 0, NodeId(1), 0));
         s.enqueue(pinned(batch(&[2], 10_000_000, 0), 7, 1, NodeId(2), 0));
-        let d = s.try_dispatch(0);
+        let d = dispatched(&mut s, 0);
         assert_eq!(d.len(), 2);
         let to1 = d.iter().find(|x| x.node == NodeId(1)).expect("member at 1");
         let to2 = d.iter().find(|x| x.node == NodeId(2)).expect("member at 2");
@@ -735,7 +894,7 @@ mod tests {
         // Pin site busy: the member queues rather than straying to the
         // idle sibling site (disjointness is the whole point).
         s.enqueue(pinned(batch(&[3], 10_000_000, 0), 8, 0, NodeId(1), 0));
-        assert!(s.try_dispatch(1).is_empty());
+        assert!(dispatched(&mut s, 1).is_empty());
         assert_eq!(s.backlog_requests(), 1);
     }
 
@@ -743,12 +902,12 @@ mod tests {
     fn busy_pin_does_not_head_of_line_block_later_batches() {
         let mut s = Scheduler::new(model(), two_sites());
         s.enqueue(pinned(batch(&[1], 1_000_000, 0), 1, 0, NodeId(1), 0));
-        assert_eq!(s.try_dispatch(0).len(), 1);
+        assert_eq!(dispatched(&mut s, 0).len(), 1);
         // Earliest-deadline batch is pinned to the busy site; the later
         // unpinned batch must still flow to the idle one.
         s.enqueue(pinned(batch(&[2], 2_000_000, 0), 2, 0, NodeId(1), 0));
         s.enqueue(batch(&[3], 50_000_000, 1));
-        let d = s.try_dispatch(1);
+        let d = dispatched(&mut s, 1);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].batch.requests[0].id, RequestId(3));
         assert_eq!(d[0].node, NodeId(2));
@@ -761,10 +920,10 @@ mod tests {
         // it is usable; one picosecond earlier it is not.
         let mut s = Scheduler::new(model(), one_site());
         s.enqueue(batch(&[1], u64::MAX, 0));
-        let free = s.try_dispatch(0)[0].free_ps;
+        let free = dispatched(&mut s, 0)[0].free_ps;
         s.enqueue(batch(&[2], u64::MAX, 1));
-        assert!(s.try_dispatch(free - 1).is_empty());
-        assert_eq!(s.try_dispatch(free).len(), 1);
+        assert!(dispatched(&mut s, free - 1).is_empty());
+        assert_eq!(dispatched(&mut s, free).len(), 1);
 
         // Site 3 busy, site 1 failed, site 2 cut off: nothing
         // dispatches, and the ready queue keeps its contents and order.
@@ -778,18 +937,18 @@ mod tests {
         s.fail_site(NodeId(1));
         s.set_reachable(NodeId(2), false);
         s.enqueue(batch(&[1], u64::MAX, 0));
-        assert_eq!(s.try_dispatch(0)[0].node, NodeId(3));
+        assert_eq!(dispatched(&mut s, 0)[0].node, NodeId(3));
         s.enqueue(batch(&[2], 9_000_000, 1));
         s.enqueue(pinned(batch(&[3], 1_000_000, 2), 4, 0, NodeId(3), 0));
         s.enqueue(batch(&[4], 5_000_000, 3));
         let before = s.ready_batches().to_vec();
-        assert!(s.try_dispatch(1).is_empty());
+        assert!(dispatched(&mut s, 1).is_empty());
         assert_eq!(s.ready_batches(), &before[..]);
 
         // Site 1 back: the EDF head is pinned to the busy site 3, yet
         // the next batch still reaches the one usable slot.
         s.recover_site(NodeId(1));
-        let d = s.try_dispatch(1);
+        let d = dispatched(&mut s, 1);
         assert_eq!(d.len(), 1);
         assert_eq!(
             (d[0].node, d[0].batch.requests[0].id),
@@ -807,13 +966,13 @@ mod tests {
         let mut s = Scheduler::new(model(), two_sites());
         s.set_reachable(NodeId(1), false);
         s.enqueue(batch(&[1], u64::MAX, 0));
-        let d = s.try_dispatch(0);
+        let d = dispatched(&mut s, 0);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].node, NodeId(2), "severed site must not serve");
         assert!(s.site_healthy(NodeId(1)), "slots themselves are fine");
         s.set_reachable(NodeId(1), true);
         s.enqueue(batch(&[2], u64::MAX, 1));
-        let d2 = s.try_dispatch(1);
+        let d2 = dispatched(&mut s, 1);
         assert_eq!(d2[0].node, NodeId(1));
     }
 
@@ -826,7 +985,7 @@ mod tests {
         assert!(s.cancel_member(5, 1));
         assert!(!s.cancel_member(5, 1), "second cancel is a no-op");
         assert_eq!(s.backlog_requests(), 1);
-        let d = s.try_dispatch(0);
+        let d = dispatched(&mut s, 0);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].batch.requests[0].id, RequestId(1));
     }
@@ -835,7 +994,7 @@ mod tests {
     fn phantom_members_price_the_full_coded_pass() {
         let mut s = Scheduler::new(model(), one_site());
         s.enqueue(pinned(batch(&[1], u64::MAX, 0), 1, 0, NodeId(1), 3));
-        let d = s.try_dispatch(0);
+        let d = dispatched(&mut s, 0);
         assert_eq!(d.len(), 1);
         let m = model();
         let class = d[0].batch.class;
@@ -857,7 +1016,7 @@ mod tests {
         // would be shed pre-service, but a set member must launch so the
         // ledger sees a deterministic outcome for it.
         s.enqueue(pinned(batch(&[1], 500, 0), 9, 0, NodeId(1), 0));
-        let d = s.try_dispatch(0);
+        let d = dispatched(&mut s, 0);
         assert_eq!(d.len(), 1);
         assert!(d[0].shed.is_empty());
         assert_eq!(d[0].batch.len(), 1);
@@ -873,27 +1032,27 @@ mod tests {
         // Occupy slot 0, then retire everything down to one slot while
         // the batch is in flight.
         s.enqueue(batch(&[1], u64::MAX, 0));
-        let d = s.try_dispatch(0);
+        let d = dispatched(&mut s, 0);
         assert_eq!(d.len(), 1);
         assert_eq!(s.resize_site(NodeId(1), 1), 2);
         assert_eq!(s.total_slots(), 1);
         // The surviving slot keeps working.
         s.enqueue(batch(&[2], u64::MAX, 2));
-        let d2 = s.try_dispatch(d[0].done_ps);
+        let d2 = dispatched(&mut s, d[0].done_ps);
         assert_eq!(d2.len(), 1);
         // Shrink to zero parks the site without forgetting it.
         assert_eq!(s.resize_site(NodeId(1), 0), 1);
         s.enqueue(batch(&[3], u64::MAX, 3));
-        assert!(s.try_dispatch(d2[0].done_ps).is_empty());
+        assert!(dispatched(&mut s, d2[0].done_ps).is_empty());
         assert_eq!(s.resize_site(NodeId(1), 1), 1);
-        assert_eq!(s.try_dispatch(d2[0].done_ps).len(), 1);
+        assert_eq!(dispatched(&mut s, d2[0].done_ps).len(), 1);
     }
 
     #[test]
     fn delivered_accounts_for_propagation_both_ways() {
         let mut s = Scheduler::new(model(), one_site());
         s.enqueue(batch(&[1], u64::MAX, 0));
-        let d = s.try_dispatch(0);
+        let d = dispatched(&mut s, 0);
         assert_eq!(d[0].start_ps, 1_000);
         assert_eq!(d[0].delivered_ps, d[0].done_ps + 1_000);
         // The fiber pipelines: the front-end can launch the next batch
